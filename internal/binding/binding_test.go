@@ -1,6 +1,7 @@
 package binding
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -299,8 +300,8 @@ func TestDirectBindAllocs(t *testing.T) {
 }
 
 // TestCachedHitAllocs pins the warm paths: neither a row hit (atomic
-// load) nor a content hit (no-copy map probe with pooled scratch) may
-// allocate.
+// load) nor a content hit (an index probe over the template's packed
+// bytes in place) may allocate.
 func TestCachedHitAllocs(t *testing.T) {
 	pairs, templates := testWorkload(17)
 	p := templatePool(templates)
@@ -366,5 +367,197 @@ func BenchmarkBindDirect(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ti := i % len(pts)
 		rx.Bind(0, ti, pts[ti])
+	}
+}
+
+// TestEvictionVariableKeys cycles templates of 130–170 bases (the
+// spread decay indels give a tube) through pairs of different
+// elongation lengths at ten times a small entry budget, so victims and
+// their replacements rarely share a key length; a few templates are
+// longer than an arena chunk, and one is empty. Answers must equal
+// Direct, residency must stay within budget, and each shard's arena
+// must stay within twice its live key bytes.
+func TestEvictionVariableKeys(t *testing.T) {
+	r := rng.New(29)
+	var pairs []Pair
+	for _, n := range []int{20, 26, 33} {
+		pairs = append(pairs, Pair{Fwd: randSeq(r, n), Rev: randSeq(r, 20)})
+	}
+	var templates []dna.Seq
+	for i := 0; i < 1200; i++ {
+		p := pairs[i%len(pairs)]
+		n := 130 + r.Intn(41)
+		if i%300 == 299 {
+			n = 4*chunkSize + 100
+		}
+		body := randSeq(r, n-len(p.Fwd)-len(p.Rev))
+		tmpl := dna.Concat(p.Fwd, body, p.Rev)
+		if i%4 == 3 {
+			tmpl = mutate(r, tmpl, 3)
+		}
+		templates = append(templates, tmpl)
+	}
+	templates = append(templates, dna.Seq{})
+	pts := packAll(templates)
+	const budget, maxDist = 256, 5
+	direct := Direct{}.Begin(pairs, maxDist, nil)
+	cache := NewCache(budget)
+	rx := cache.Begin(pairs, maxDist, nil) // rowless: every Bind probes the content store
+	lookups := 0
+	for pass := 0; pass < 2; pass++ {
+		for ti, tmpl := range pts {
+			for pi := range pairs {
+				if got, want := rx.Bind(pi, ti, tmpl), direct.Bind(pi, ti, tmpl); got != want {
+					t.Fatalf("pass %d pair %d template %d: %+v want %+v", pass, pi, ti, got, want)
+				}
+				lookups++
+			}
+			if ti%100 == 0 {
+				checkShards(t, cache)
+			}
+		}
+	}
+	if lookups < 10*budget {
+		t.Fatalf("only %d lookups against a %d-entry budget", lookups, budget)
+	}
+	st := cache.Stats()
+	if st.Entries > budget {
+		t.Errorf("resident entries %d exceed the %d-entry budget", st.Entries, budget)
+	}
+	if st.Evictions == 0 {
+		t.Error("no evictions under a 10x working set")
+	}
+	checkShards(t, cache)
+}
+
+// checkShards verifies every shard's structural invariants: the arena
+// holds at most twice the live key bytes, and the index links each
+// resident entry exactly once.
+func checkShards(t *testing.T, c *Cache) {
+	t.Helper()
+	for s := range c.shards {
+		sh := &c.shards[s]
+		live, arena := 0, 0
+		for i := 0; i < sh.n; i++ {
+			live += len(span(sh.chunks, sh.ent(i)))
+		}
+		for _, c := range sh.chunks {
+			arena += len(c)
+		}
+		if arena != sh.used || arena-sh.dead != live || arena > 2*live {
+			t.Fatalf("shard %d: arena %d bytes (%d counted), %d dead, %d live", s, arena, sh.used, sh.dead, live)
+		}
+		linked := 0
+		for _, v := range sh.idx {
+			if v != 0 {
+				i := int(v - 1)
+				e := sh.ent(i)
+				if sh.find(sh.hashOf(i), e.pair, dna.PackedView(span(sh.chunks, e), int(e.n))) != i {
+					t.Fatalf("shard %d: entry %d unreachable from its hash", s, i)
+				}
+				linked++
+			}
+		}
+		if linked != sh.n {
+			t.Fatalf("shard %d: %d index links for %d entries", s, linked, sh.n)
+		}
+	}
+}
+
+// contentWorkload returns pairs and n distinct random 150-base packed
+// templates held in one backing array, so the templates themselves cost
+// the heap nothing per entry beyond their shared arena.
+func contentWorkload(seed uint64, npairs, n int) ([]Pair, []dna.Packed) {
+	r := rng.New(seed)
+	pairs := make([]Pair, npairs)
+	for i := range pairs {
+		pairs[i] = Pair{Fwd: randSeq(r, 20+i), Rev: randSeq(r, 20)}
+	}
+	const bases = 150
+	nb := (bases + 3) / 4
+	arena := make([]byte, 0, n*nb)
+	seq := make(dna.Seq, bases)
+	for i := 0; i < n; i++ {
+		for j := range seq {
+			seq[j] = dna.Base(r.Intn(4))
+		}
+		arena = dna.AppendPackedBytes(arena, seq)
+	}
+	pts := make([]dna.Packed, n)
+	for i := range pts {
+		pts[i] = dna.PackedView(arena[i*nb:(i+1)*nb], bases)
+	}
+	return pairs, pts
+}
+
+// TestContentStoreBytesPerEntry pins the content store's memory: the
+// live heap it adds per resident (pair, 150-base template) entry, with
+// the templates and primers held live on both sides of the measurement.
+func TestContentStoreBytesPerEntry(t *testing.T) {
+	pairs, pts := contentWorkload(31, 4, 25000)
+	cache := NewCache(0)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rx := cache.Begin(pairs, 5, nil)
+	for pi := range pairs {
+		for ti, tmpl := range pts {
+			rx.Bind(pi, ti, tmpl)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(pts)
+	entries := cache.Stats().Entries
+	if entries != len(pairs)*len(pts) || entries < 100000 {
+		t.Fatalf("%d resident entries for %d distinct keys, want all of them and >= 100000",
+			entries, len(pairs)*len(pts))
+	}
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(entries)
+	t.Logf("%d entries, %.1f live heap bytes per entry", entries, per)
+	if per > 80 {
+		t.Errorf("content store costs %.1f bytes per entry, want <= 80", per)
+	}
+}
+
+// TestHashMatchNeverAnswers pins full-key comparison: a probe for a
+// different template that starts at a resident entry's slot — same
+// pair, same length, same hash — must miss.
+func TestHashMatchNeverAnswers(t *testing.T) {
+	r := rng.New(43)
+	a, b := dna.Pack(randSeq(r, 150)), dna.Pack(randSeq(r, 150))
+	want := Binding{State: OK, Dist: 1, End: 20}
+	c := NewCache(0)
+	h := hashKey(0, a)
+	c.put(h, 0, a, want)
+	if got, ok := c.get(h, 0, b); ok {
+		t.Fatalf("a hash match answered %+v for a different template", got)
+	}
+	if got, ok := c.get(h, 0, a); !ok || got != want {
+		t.Fatalf("resident key: %+v, %v; want %+v", got, ok, want)
+	}
+}
+
+// TestContentMissAllocs pins the cold path: a content-store miss — the
+// alignment plus the put into a shard with spare capacity — allocates
+// nothing, amortized over many distinct keys.
+func TestContentMissAllocs(t *testing.T) {
+	pairs, pts := contentWorkload(37, 2, 20000)
+	cache := NewCache(0)
+	warm := cache.Begin(pairs[:1], 5, nil)
+	for ti, tmpl := range pts {
+		warm.Bind(0, ti, tmpl) // grow every shard's slices
+	}
+	rx := cache.Begin(pairs[1:], 5, nil)
+	next := 0
+	avg := testing.AllocsPerRun(2000, func() {
+		rx.Bind(0, next, pts[next])
+		next++
+	})
+	if st := cache.Stats(); st.Hits != 0 {
+		t.Fatalf("%d content hits; every measured Bind must miss", st.Hits)
+	}
+	if avg != 0 {
+		t.Errorf("content miss+put allocates %.1f times per call, want 0", avg)
 	}
 }

@@ -1,6 +1,7 @@
 package binding
 
 import (
+	"bytes"
 	"encoding/binary"
 	"sync"
 	"sync/atomic"
@@ -10,17 +11,23 @@ import (
 )
 
 // DefaultEntries is the content-store entry budget of a Cache created
-// with a non-positive size: at 12 bytes of payload plus ~60 bytes of
-// key and map overhead per entry, one million entries cost on the
-// order of 100 MB — sized for the 10^5–10^6-strand pools the scale
-// experiments target (each species costs one entry per primer pair it
-// has been aligned against).
+// with a non-positive size. An entry costs a 24-byte record, its
+// template's packed bytes (38 for a 150-base strand) and a share of a
+// uint32 index: 70–75 bytes of live heap per resident 150-base entry
+// between 10^5 and 10^6 entries (TestContentStoreBytesPerEntry pins
+// <= 80), and a full default cache measures 75 MB. It is sized for the
+// 10^5–10^6-strand pools the scale experiments target (each species
+// costs one entry per primer pair it has been aligned against).
 const DefaultEntries = 1 << 20
 
 // shardCount spreads the content store over independently locked
 // shards so concurrent reactions (and the parallel scoring chunks
-// inside one reaction) rarely contend. Must be a power of two.
-const shardCount = 64
+// inside one reaction) rarely contend. A key's hash picks its shard
+// with its top shardBits bits.
+const (
+	shardBits  = 6
+	shardCount = 1 << shardBits
+)
 
 // maxRows bounds how many (primer pair, pool identity) dense rows the
 // cache keeps, LRU-evicted at Begin time. Each row costs 8 bytes per
@@ -76,23 +83,26 @@ func (s Stats) HitRateSince(prev Stats) (rate float64, any bool) {
 //     entry budget with clock (second-chance) eviction. Entries never
 //     need invalidation: a pool gaining or losing species changes no
 //     key, and pools that share sequences (a tube and its PCR products,
-//     two stores with the same corpus) share entries.
+//     two stores with the same corpus) share entries. The pair and
+//     budget are interned at Begin as a dense id, so an entry is a
+//     pointer-free record holding that id, the binding and the
+//     template's packed bytes in a per-shard arena.
 //
 //   - Per (primer pair, pool identity) dense rows indexed by species
 //     position, assembled at Begin from pool.Version()'s id. Pools are
 //     append-only, so a row slot, once filled, is valid forever; the
 //     id is purely an assembly address, never an invalidation hook.
 //     Rows exist because the bit-parallel engine made a single
-//     alignment (~0.2 µs) as cheap as packing a 150-base template and
-//     probing a locked map — a content hit alone barely wins, while a
+//     alignment (~0.2 µs) cheap enough that even a content hit (hash
+//     the template, lock a shard, probe) is a visible cost, while a
 //     row hit is one atomic load. Row slots are published as packed
 //     uint64s, so readers never take a lock on the hot path.
 //
 // Cache also memoizes dna.CompilePattern per sequence, so repeated
 // reactions (and decode pipelines, via the PatternCompiler hook in
-// package decode) stop rebuilding Eq tables. The pattern memo is
-// unbounded but tiny: one entry per distinct primer or elongated
-// primer the store has ever used.
+// package decode) stop rebuilding Eq tables. The pattern memo and the
+// pair ids are unbounded but tiny: one entry per distinct primer,
+// elongated primer or (pair, budget) the store has ever used.
 //
 // All methods are safe for concurrent use.
 type Cache struct {
@@ -107,25 +117,58 @@ type Cache struct {
 	patMisses atomic.Uint64
 
 	rowMu   sync.Mutex
-	rows    map[string]*poolRow
+	rows    map[rowKey]*poolRow
 	rowTick int64
 
 	patMu sync.RWMutex
 	pats  map[string]*dna.Pattern
+
+	pairMu sync.Mutex
+	pairs  map[string]uint32 // appendPairKey bytes -> interned pair id
 }
 
+// rowKey addresses one dense row: an interned pair and a pool identity.
+type rowKey struct {
+	pair uint32
+	pool uint64
+}
+
+// shard is one independently locked part of the content store. Its
+// entries are flat records with no pointers, so the GC never scans
+// them, and their template bytes live in an arena of chunks; idx is an
+// open-addressed index over entries (0 = empty slot, otherwise entry
+// index + 1). Entries and arena grow a fixed-size block or chunk at a
+// time, so growth never copies and over-allocates at most one of each.
 type shard struct {
-	mu    sync.Mutex
-	m     map[string]int // key -> slot index
-	slots []slot
-	hand  int
+	mu     sync.Mutex
+	blocks [][]entry // entry i is blocks[i>>blockShift][i&blockMask]
+	n      int       // resident entries
+	chunks [][]byte  // arena; a span never straddles chunks
+	used   int       // arena bytes written, live or dead
+	dead   int       // arena bytes no entry references
+	idx    []uint32
+	hand   int // clock hand over entries
 }
 
-type slot struct {
-	key string
-	b   Binding
-	ref bool
+// entry is one resident content-store binding.
+type entry struct {
+	b    uint64 // packBinding word
+	off  uint32 // template span address: chunk<<chunkShift | byte offset
+	n    uint32 // template base count; the span holds (n+3)/4 bytes
+	pair uint32 // interned (fwd, rev, maxDist) id
+	ref  bool   // clock reference bit
 }
+
+const (
+	blockShift = 7 // 128 entries, 3 KiB per block
+	blockLen   = 1 << blockShift
+	blockMask  = blockLen - 1
+
+	chunkShift = 11 // 2 KiB arena chunks
+	chunkSize  = 1 << chunkShift
+	chunkMask  = chunkSize - 1
+	maxChunks  = 1 << (32 - chunkShift) // uint32 span addresses
+)
 
 // NewCache returns a cache whose content store is bounded to roughly
 // maxEntries bindings (rounded up to a multiple of the shard count).
@@ -135,15 +178,12 @@ func NewCache(maxEntries int) *Cache {
 		maxEntries = DefaultEntries
 	}
 	per := (maxEntries + shardCount - 1) / shardCount
-	c := &Cache{
+	return &Cache{
 		budget: per,
-		rows:   make(map[string]*poolRow),
+		rows:   make(map[rowKey]*poolRow),
 		pats:   make(map[string]*dna.Pattern),
+		pairs:  make(map[string]uint32),
 	}
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]int)
-	}
-	return c
 }
 
 // Stats returns a snapshot of the counters. Entries walks the shards
@@ -160,7 +200,7 @@ func (c *Cache) Stats() Stats {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		s.Entries += len(sh.m)
+		s.Entries += sh.n
 		sh.mu.Unlock()
 	}
 	return s
@@ -187,6 +227,19 @@ func (c *Cache) Pattern(seq dna.Seq) *dna.Pattern {
 	}
 	c.patMu.Unlock()
 	return p
+}
+
+// pairID interns a (fwd, rev, maxDist) content key, so entries and rows
+// name their pair in four bytes instead of repeating its primers.
+func (c *Cache) pairID(key []byte) uint32 {
+	c.pairMu.Lock()
+	defer c.pairMu.Unlock()
+	id, ok := c.pairs[string(key)]
+	if !ok {
+		id = uint32(len(c.pairs))
+		c.pairs[string(key)] = id
+	}
+	return id
 }
 
 // --- packed row slots ----------------------------------------------------
@@ -254,19 +307,19 @@ func (r *poolRow) store(si int, x uint64) {
 	}
 }
 
-// row returns (creating if needed) the dense row for a pair key and
-// pool id, bumping its LRU stamp and evicting the coldest row over
+// row returns (creating if needed) the dense row for an interned pair
+// and pool id, bumping its LRU stamp and evicting the coldest row over
 // budget. Rows hold only redundant copies of pure facts, so eviction
 // is always safe.
-func (c *Cache) row(pairKey []byte, id uint64) *poolRow {
-	key := string(binary.BigEndian.AppendUint64(append([]byte(nil), pairKey...), id))
+func (c *Cache) row(pair uint32, id uint64) *poolRow {
+	key := rowKey{pair: pair, pool: id}
 	c.rowMu.Lock()
 	defer c.rowMu.Unlock()
 	c.rowTick++
 	r, ok := c.rows[key]
 	if !ok {
 		if len(c.rows) >= maxRows {
-			var coldKey string
+			var coldKey rowKey
 			coldUse := int64(1<<63 - 1)
 			for k, v := range c.rows {
 				if u := v.use.Load(); u < coldUse {
@@ -284,9 +337,10 @@ func (c *Cache) row(pairKey []byte, id uint64) *poolRow {
 
 // --- the cached reaction -------------------------------------------------
 
-// Begin starts one reaction: patterns come from the memo, each pair
-// attaches its input-pool row (when the pool has an identity), and
-// every Bind consults the row, then the content store, then aligns.
+// Begin starts one reaction: patterns come from the memo, each pair is
+// interned and attaches its input-pool row (when the pool has an
+// identity), and every Bind consults the row, then the content store,
+// then aligns.
 func (c *Cache) Begin(pairs []Pair, maxDist int, input *pool.Pool) Reaction {
 	rx := &cachedReaction{c: c, maxDist: maxDist, pairs: make([]cachedPair, len(pairs))}
 	var id uint64
@@ -294,15 +348,17 @@ func (c *Cache) Begin(pairs []Pair, maxDist int, input *pool.Pool) Reaction {
 		id, _ = input.Version()
 		rx.n0 = input.Len()
 	}
+	var key []byte
 	for i, p := range pairs {
+		key = appendPairKey(key[:0], p, maxDist)
 		cp := cachedPair{
-			cp:  compiledPair{fwd: c.Pattern(p.Fwd), rev: c.Pattern(p.Rev)},
-			key: appendPairKey(nil, p, maxDist),
+			cp: compiledPair{fwd: c.Pattern(p.Fwd), rev: c.Pattern(p.Rev)},
+			id: c.pairID(key),
 		}
 		// A pool that never saw an Add reports id 0 and could alias
 		// another fresh pool; it also has no species, so skip the row.
 		if id != 0 && rx.n0 > 0 {
-			cp.row = c.row(cp.key, id)
+			cp.row = c.row(cp.id, id)
 			cp.row.grow(rx.n0)
 		}
 		rx.pairs[i] = cp
@@ -312,7 +368,7 @@ func (c *Cache) Begin(pairs []Pair, maxDist int, input *pool.Pool) Reaction {
 
 type cachedPair struct {
 	cp  compiledPair
-	key []byte // content key prefix: (fwd, rev, maxDist)
+	id  uint32 // interned (fwd, rev, maxDist)
 	row *poolRow
 }
 
@@ -323,10 +379,6 @@ type cachedReaction struct {
 	pairs   []cachedPair
 }
 
-// keyBufs recycles key scratch across Bind calls and goroutines; a
-// full key (pair prefix + packed 150-base template) is ~90 bytes.
-var keyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 160); return &b }}
-
 func (r *cachedReaction) Bind(pi, si int, template dna.Packed) Binding {
 	p := &r.pairs[pi]
 	inRow := p.row != nil && si >= 0 && si < r.n0
@@ -336,43 +388,167 @@ func (r *cachedReaction) Bind(pi, si int, template dna.Packed) Binding {
 			return unpackBinding(x)
 		}
 	}
-	bp := keyBufs.Get().(*[]byte)
-	key := append((*bp)[:0], p.key...)
-	key = template.AppendKey(key) // byte-identical to dna.AppendPacked of the bases
-	b, ok := r.c.get(key)
+	h := hashKey(p.id, template)
+	b, ok := r.c.get(h, p.id, template)
 	if !ok {
 		b = p.cp.bindPacked(template, r.maxDist)
-		r.c.put(key, b)
+		r.c.put(h, p.id, template, b)
 	}
-	*bp = key[:0]
-	keyBufs.Put(bp)
 	if inRow {
 		p.row.store(si, packBinding(b))
 	}
 	return b
 }
 
-// fnv1a hashes a key for shard selection.
-func fnv1a(key []byte) uint32 {
-	h := uint32(2166136261)
-	for _, b := range key {
-		h = (h ^ uint32(b)) * 16777619
+// --- the content store ----------------------------------------------------
+
+// hashKey hashes a content key — interned pair id, template base count
+// and packed template bytes — eight bytes at a time, straight from the
+// template's storage. It is deterministic, so shard placement and
+// eviction order reproduce run to run. The top shardBits bits pick the
+// shard and the low bits the index slot.
+func hashKey(pair uint32, t dna.Packed) uint64 {
+	const m = 0x9e3779b97f4a7c15
+	h := (uint64(pair)<<32 | uint64(uint32(t.Len()))) * m
+	b := t.Bytes()
+	for ; len(b) >= 8; b = b[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(b)) * m
+		h ^= h >> 32
 	}
-	return h
+	for _, c := range b {
+		h = (h ^ uint64(c)) * m
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	return h ^ h>>33
+}
+
+func (c *Cache) shard(h uint64) *shard { return &c.shards[h>>(64-shardBits)] }
+
+func (sh *shard) ent(i int) *entry { return &sh.blocks[i>>blockShift][i&blockMask] }
+
+// span returns an entry's template bytes in an arena.
+func span(chunks [][]byte, e *entry) []byte {
+	o := e.off & chunkMask
+	return chunks[e.off>>chunkShift][o : o+(e.n+3)/4]
+}
+
+// hashOf rehashes resident entry i, for index growth and deletion.
+func (sh *shard) hashOf(i int) uint64 {
+	e := sh.ent(i)
+	return hashKey(e.pair, dna.PackedView(span(sh.chunks, e), int(e.n)))
+}
+
+// find returns the index of the entry for (pair, t), or -1. A slot
+// answers only when the full key — pair, base count and every packed
+// byte — matches; the hash just picks where the probe starts.
+func (sh *shard) find(h uint64, pair uint32, t dna.Packed) int {
+	if len(sh.idx) == 0 {
+		return -1
+	}
+	mask := uint64(len(sh.idx) - 1)
+	for j := h & mask; ; j = (j + 1) & mask {
+		v := sh.idx[j]
+		if v == 0 {
+			return -1
+		}
+		if e := sh.ent(int(v - 1)); e.pair == pair && int(e.n) == t.Len() && bytes.Equal(span(sh.chunks, e), t.Bytes()) {
+			return int(v - 1)
+		}
+	}
+}
+
+// link points the first empty slot on h's probe path at entry i.
+func (sh *shard) link(h uint64, i int) {
+	mask := uint64(len(sh.idx) - 1)
+	j := h & mask
+	for sh.idx[j] != 0 {
+		j = (j + 1) & mask
+	}
+	sh.idx[j] = uint32(i + 1)
+}
+
+// unlink removes entry i from the index by backward shifting: each
+// later member of the probe run moves into the hole unless its home
+// slot lies after the hole, so no probe path ever crosses an empty
+// slot and no tombstones accumulate under eviction.
+func (sh *shard) unlink(i int) {
+	mask := uint64(len(sh.idx) - 1)
+	j := sh.hashOf(i) & mask
+	for sh.idx[j] != uint32(i+1) {
+		j = (j + 1) & mask
+	}
+	for k := (j + 1) & mask; sh.idx[k] != 0; k = (k + 1) & mask {
+		v := sh.idx[k]
+		if home := sh.hashOf(int(v-1)) & mask; (k-home)&mask >= (k-j)&mask {
+			sh.idx[j] = v
+			j = k
+		}
+	}
+	sh.idx[j] = 0
+}
+
+// reserve grows the index, when needed, so one more entry keeps it at
+// most 3/4 full.
+func (sh *shard) reserve() {
+	if (sh.n+1)*4 <= len(sh.idx)*3 {
+		return
+	}
+	size := 16
+	for size*3 < (sh.n+1)*4 {
+		size *= 2
+	}
+	sh.idx = make([]uint32, size)
+	for i := 0; i < sh.n; i++ {
+		sh.link(sh.hashOf(i), i)
+	}
+}
+
+// appendKey copies k into the arena and returns its span address. A
+// span never starts at a chunk's end, so its byte offset fits under
+// chunkMask; a key longer than a chunk gets a chunk of its own.
+func (sh *shard) appendKey(k []byte) uint32 {
+	last := len(sh.chunks) - 1
+	if last < 0 || len(sh.chunks[last])+len(k) >= chunkSize {
+		if len(sh.chunks) == maxChunks {
+			panic("binding: content arena address space exhausted")
+		}
+		sh.chunks = append(sh.chunks, make([]byte, 0, max(chunkSize, len(k))))
+		last++
+	}
+	off := uint32(last)<<chunkShift | uint32(len(sh.chunks[last]))
+	sh.chunks[last] = append(sh.chunks[last], k...)
+	sh.used += len(k)
+	return off
+}
+
+// compact rewrites the arena with only the live template bytes. put
+// calls it once dead bytes outnumber live ones, so the arena stays
+// within twice the live key bytes, and each copy is paid for by the
+// evictions that made the garbage.
+func (sh *shard) compact() {
+	old := sh.chunks
+	sh.chunks, sh.used = nil, 0
+	for i := 0; i < sh.n; i++ {
+		e := sh.ent(i)
+		e.off = sh.appendKey(span(old, e))
+	}
+	sh.dead = 0
 }
 
 // get looks a key up in the content store, marking the entry
-// referenced. The map probe converts the byte key without copying, so
+// referenced. The probe reads the template's packed bytes in place, so
 // hits allocate nothing.
-func (c *Cache) get(key []byte) (Binding, bool) {
-	sh := &c.shards[fnv1a(key)&(shardCount-1)]
+func (c *Cache) get(h uint64, pair uint32, t dna.Packed) (Binding, bool) {
+	sh := c.shard(h)
 	sh.mu.Lock()
-	if i, ok := sh.m[string(key)]; ok {
-		sh.slots[i].ref = true
-		b := sh.slots[i].b
+	if i := sh.find(h, pair, t); i >= 0 {
+		e := sh.ent(i)
+		e.ref = true
+		x := e.b
 		sh.mu.Unlock()
 		c.hits.Add(1)
-		return b, true
+		return unpackBinding(x), true
 	}
 	sh.mu.Unlock()
 	c.misses.Add(1)
@@ -383,37 +559,59 @@ func (c *Cache) get(key []byte) (Binding, bool) {
 // shard is at budget. Concurrent reactions may compute the same miss
 // and both put it; the second insert just overwrites the identical
 // value (bindings are pure, so the race is benign).
-func (c *Cache) put(key []byte, b Binding) {
-	sh := &c.shards[fnv1a(key)&(shardCount-1)]
+func (c *Cache) put(h uint64, pair uint32, t dna.Packed, b Binding) {
+	sh := c.shard(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if i, ok := sh.m[string(key)]; ok {
-		sh.slots[i].b = b
-		sh.slots[i].ref = true
+	x := packBinding(b)
+	if i := sh.find(h, pair, t); i >= 0 {
+		e := sh.ent(i)
+		e.b, e.ref = x, true
 		return
 	}
-	k := string(key)
-	if len(sh.slots) < c.budget {
-		sh.m[k] = len(sh.slots)
-		sh.slots = append(sh.slots, slot{key: k, b: b, ref: true})
+	k := t.Bytes()
+	e := entry{b: x, n: uint32(t.Len()), pair: pair, ref: true}
+	if sh.n < c.budget {
+		sh.reserve()
+		if sh.n&blockMask == 0 {
+			sh.blocks = append(sh.blocks, make([]entry, 0, blockLen))
+		}
+		e.off = sh.appendKey(k)
+		sh.blocks[sh.n>>blockShift] = append(sh.blocks[sh.n>>blockShift], e)
+		sh.link(h, sh.n)
+		sh.n++
 		return
 	}
 	// Clock sweep: give referenced entries a second chance. The sweep
 	// terminates because it clears a bit on every step.
 	for {
-		if sh.hand >= len(sh.slots) {
+		if sh.hand >= sh.n {
 			sh.hand = 0
 		}
-		if !sh.slots[sh.hand].ref {
+		v := sh.ent(sh.hand)
+		if !v.ref {
 			break
 		}
-		sh.slots[sh.hand].ref = false
+		v.ref = false
 		sh.hand++
 	}
-	victim := &sh.slots[sh.hand]
-	delete(sh.m, victim.key)
-	*victim = slot{key: k, b: b, ref: true}
-	sh.m[k] = sh.hand
+	vi := sh.hand
 	sh.hand++
+	sh.unlink(vi)
+	// Reuse the victim's bytes when the new key fits in them.
+	victim := sh.ent(vi)
+	if old := span(sh.chunks, victim); len(k) <= len(old) {
+		e.off = victim.off
+		copy(old, k)
+		sh.dead += len(old) - len(k)
+	} else {
+		e.off = sh.appendKey(k)
+		sh.dead += len(old)
+	}
+	*victim = e
+	sh.link(h, vi)
+	if sh.dead > sh.used-sh.dead {
+		sh.compact()
+	}
 	c.evictions.Add(1)
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"dnastore/internal/binding"
@@ -25,6 +26,12 @@ type BindingResult struct {
 	ReactionSpeedup float64 // uncached / warm
 	Identical       bool    // cached and uncached product pools byte-identical
 
+	// ContentEntries is the content entries resident after the cold
+	// reaction, and ContentBytesPerEntry the live heap the cold fill
+	// added (the cache's rows and pattern memo included) per entry.
+	ContentEntries       int
+	ContentBytesPerEntry float64
+
 	RangeBlocks      int     // blocks covered by the range read
 	RangeColdSeconds float64 // first ReadRange (store cache cold)
 	RangeWarmSeconds float64 // repeat ReadRange (store cache warm)
@@ -39,17 +46,19 @@ func (r *BindingResult) Metrics() map[string]float64 {
 		identical = 1
 	}
 	return map[string]float64{
-		"species":          float64(r.Species),
-		"uncached_seconds": r.UncachedSeconds,
-		"cold_seconds":     r.ColdSeconds,
-		"warm_seconds":     r.WarmSeconds,
-		"warm_hit_rate":    r.WarmHitRate,
-		"reaction_speedup": r.ReactionSpeedup,
-		"identical":        identical,
-		"range_cold_s":     r.RangeColdSeconds,
-		"range_warm_s":     r.RangeWarmSeconds,
-		"range_speedup":    r.RangeSpeedup,
-		"range_hit_rate":   r.RangeHitRate,
+		"species":                 float64(r.Species),
+		"uncached_seconds":        r.UncachedSeconds,
+		"cold_seconds":            r.ColdSeconds,
+		"warm_seconds":            r.WarmSeconds,
+		"warm_hit_rate":           r.WarmHitRate,
+		"reaction_speedup":        r.ReactionSpeedup,
+		"identical":               identical,
+		"range_cold_s":            r.RangeColdSeconds,
+		"range_warm_s":            r.RangeWarmSeconds,
+		"range_speedup":           r.RangeSpeedup,
+		"range_hit_rate":          r.RangeHitRate,
+		"content_entries":         float64(r.ContentEntries),
+		"content_bytes_per_entry": r.ContentBytesPerEntry,
 	}
 }
 
@@ -107,13 +116,25 @@ func BindingStudy(reactions int) (*BindingResult, error) {
 	res.UncachedSeconds /= float64(reactions)
 
 	// Regime 2: a fresh shared cache — one cold fill, then warm replays.
+	// The cold reaction's product is dropped, so the live heap it leaves
+	// behind is the cache's own.
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
 	cache := binding.NewCache(0)
-	cachedOut, cold, err := run(cache)
+	_, cold, err := run(cache)
 	if err != nil {
 		return nil, err
 	}
 	res.ColdSeconds = cold
 	afterCold := cache.Stats()
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	res.ContentEntries = afterCold.Entries
+	if afterCold.Entries > 0 {
+		res.ContentBytesPerEntry = float64(int64(m1.HeapAlloc)-int64(m0.HeapAlloc)) / float64(afterCold.Entries)
+	}
+	var cachedOut *pool.Pool
 	for i := 0; i < reactions; i++ {
 		out, secs, err := run(cache)
 		if err != nil {
@@ -170,6 +191,8 @@ func PrintBindingStudy(w io.Writer, r *BindingResult) {
 	fmt.Fprintf(w, "  reaction, cold cache: %8.4fs   (aligns + fills)\n", r.ColdSeconds)
 	fmt.Fprintf(w, "  reaction, warm cache: %8.4fs   (%.2fx vs no cache, %.1f%% hits)\n",
 		r.WarmSeconds, r.ReactionSpeedup, 100*r.WarmHitRate)
+	fmt.Fprintf(w, "  content store after the cold reaction: %d entries, %.1f live heap bytes/entry\n",
+		r.ContentEntries, r.ContentBytesPerEntry)
 	if r.Identical {
 		fmt.Fprintf(w, "  cached product byte-identical to uncached: yes\n")
 	} else {
