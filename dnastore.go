@@ -454,7 +454,9 @@ func (p *Partition) WriteBlocks(blocks map[int][]byte) error { return p.p.WriteB
 func (p *Partition) UpdateBlocks(patches []BlockPatch) error { return p.p.UpdateBlocks(patches) }
 
 // ReadBlock retrieves one block through the full wet protocol and
-// returns its content with all updates applied.
+// returns its content with all updates applied. A block whose original
+// or any update fails to decode is an error (errors.Is against
+// ErrInsufficientCoverage / ErrRSMarginExceeded), never older content.
 func (p *Partition) ReadBlock(block int) ([]byte, error) { return p.p.ReadBlock(block) }
 
 // ReadBlocks retrieves several blocks in one batched access, one

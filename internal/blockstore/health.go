@@ -3,13 +3,9 @@ package blockstore
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"dnastore/internal/decode"
 	"dnastore/internal/fault"
-	"dnastore/internal/parallel"
-	"dnastore/internal/rng"
-	"dnastore/internal/update"
 )
 
 // Health is the per-block condition report of a health-aware read or a
@@ -47,42 +43,28 @@ type Health struct {
 	RSMarginUsed float64
 }
 
-// versionZeroErr picks the typed error explaining a missing original
-// version: the unit's own recorded failure when the decoder saw it
-// fail, otherwise insufficient coverage (no strand of version 0 was
-// ever observed).
-func versionZeroErr(res *decode.BlockResult) error {
-	if res != nil {
-		if ue, ok := res.UnitErrors[0]; ok {
-			return ue
-		}
-	}
-	return decode.ErrInsufficientCoverage
-}
-
-// expectedVersions returns the set of unit versions that physically
-// exist for the block per the partition's tables: the original, the
-// direct update slots consumed so far, and the overflow pointer slot if
-// the block has overflowed. Sequencing noise routinely conjures phantom
-// versions (a read whose index or version field misdecodes lands in a
-// unit that was never synthesized); health accounting must ignore them
-// or every probe looks like a disaster.
-func (p *Partition) expectedVersions(block int) map[int]bool {
+// expectedVersions returns, in ascending order, the unit versions that
+// physically exist for the block per the partition's tables: the
+// original, the direct update slots consumed so far, and the overflow
+// pointer slot if the block has overflowed. Sequencing noise routinely
+// conjures phantom versions (a read whose index or version field
+// misdecodes lands in a unit that was never synthesized); health
+// accounting and streaming coverage floors must ignore them. An empty
+// list (unwritten or damaged front-end state) registers a streaming
+// target with no floor, which is never Done: the stream then runs to
+// the full batch budget.
+func (p *Partition) expectedVersions(block int) []int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if !p.written[block] || p.versions[block] < 0 {
 		return nil
 	}
-	exp := map[int]bool{0: true}
-	n := p.versions[block]
-	if n > directUpdateSlots {
-		n = directUpdateSlots
-	}
-	for v := 1; v <= n; v++ {
-		exp[v] = true
+	exp := []int{0}
+	for v := 1; v <= min(p.versions[block], directUpdateSlots); v++ {
+		exp = append(exp, v)
 	}
 	if _, ok := p.overflow[block]; ok {
-		exp[directUpdateSlots+1] = true
+		exp = append(exp, directUpdateSlots+1)
 	}
 	return exp
 }
@@ -110,14 +92,12 @@ func (p *Partition) healthOf(block int, res *decode.BlockResult, err error) Heal
 	reads := 0
 	var coverageErr, marginErr error
 	worst := 0
-	for v := range exp {
+	for _, v := range exp {
 		st, observed := res.UnitStats[v]
 		if !observed {
 			// The unit never produced a single primary strand.
 			h.MissingSlots += mol
-			if mol > worst {
-				worst = mol
-			}
+			worst = max(worst, mol)
 			if coverageErr == nil {
 				coverageErr = fmt.Errorf("%w: block %d version %d never observed",
 					decode.ErrInsufficientCoverage, block, v)
@@ -128,9 +108,7 @@ func (p *Partition) healthOf(block int, res *decode.BlockResult, err error) Heal
 		h.ErasedSlots += st.Erased
 		h.Corrected += st.Corrected
 		reads += st.Reads
-		if st.Missing+st.Erased > worst {
-			worst = st.Missing + st.Erased
-		}
+		worst = max(worst, st.Missing+st.Erased)
 		if ue, failed := res.UnitErrors[v]; failed {
 			// A failed unit whose read support sits far below the
 			// configured depth failed for lack of material, whatever the
@@ -172,55 +150,6 @@ func (p *Partition) healthOf(block int, res *decode.BlockResult, err error) Heal
 	return h
 }
 
-// ReadBlocksHealth is ReadBlocks with graceful degradation: blocks
-// that fail to decode do not abort the batch. The content slice holds
-// nil at failed positions, and the Health slice reports every block's
-// condition — typed Err, estimated coverage, RS margin consumed. The
-// returned error covers only digital failures (bad block number,
-// unwritten block); wet failures land in the per-block reports.
-func (p *Partition) ReadBlocksHealth(blocks []int) ([][]byte, []Health, error) {
-	for _, b := range blocks {
-		if err := p.checkBlock(b); err != nil {
-			return nil, nil, err
-		}
-	}
-	depths := make([]int, len(blocks))
-	srcs := make([]*rng.Source, len(blocks))
-	p.mu.Lock()
-	accesses := 0
-	for i, b := range blocks {
-		if !p.written[b] {
-			p.mu.Unlock()
-			return nil, nil, fmt.Errorf("%w: block %d", ErrBlockNotFound, b)
-		}
-		depths[i] = 1 + p.versions[b]
-		p.chargeElongated(blockPrimerKey(b))
-		accesses += 1 + p.chargeOverflow(b)
-		srcs[i] = p.noise.Fork()
-	}
-	p.store.wear(accesses)
-	p.mu.Unlock()
-	pcrWorkers := p.store.cfg.Workers
-	if len(blocks) > 1 && p.workers > 1 {
-		pcrWorkers = 1
-	}
-	out := make([][]byte, len(blocks))
-	health := make([]Health, len(blocks))
-	parallel.Run(p.workers, len(blocks), func(i int) error {
-		out[i], health[i] = p.readBlockHealth(srcs[i], blocks[i], depths[i], pcrWorkers, 1)
-		return nil
-	})
-	return out, health, nil
-}
-
-// readBlockHealth runs one block's full wet read, converting every
-// failure into a Health report instead of an error. scale multiplies
-// the sequencing budget (shallow scrub probes pass < 1).
-func (p *Partition) readBlockHealth(r *rng.Source, block, depth, pcrWorkers int, scale float64) ([]byte, Health) {
-	content, h, _ := p.readBlockHealthWet(r, block, depth, pcrWorkers, scale, false)
-	return content, h
-}
-
 // Operational-fault classification thresholds. A healthy elongated PCR
 // multiplies the pool's mass many-fold; a gain this close to 1 means
 // the reaction never amplified. A screened read whose foreign mass
@@ -230,36 +159,6 @@ const (
 	failedGainCeiling = 1.2
 	contaminatedFloor = 0.2
 )
-
-// readBlockHealthWet is readBlockHealth returning the wet evidence the
-// supervised paths consume, with the failure annotated by its
-// operational fault class when an injector is configured. screen
-// enables the contamination quarantine (supervised retries only). The
-// read streams when the store does: the classification evidence — PCR
-// gain, foreign mass, the up-front delivery truncation — is identical
-// on both protocols, so supervisors see the same fault classes either
-// way.
-func (p *Partition) readBlockHealthWet(r *rng.Source, block, depth, pcrWorkers int, scale float64, screen bool) ([]byte, Health, wetInfo) {
-	res, info, err := p.retrieveWet(r, block, depth, pcrWorkers, scale, screen, wetStrict)
-	if err != nil {
-		return nil, p.classifyHealth(block, res, err, info), info
-	}
-	bv, err := p.finishBlock(r, block, res, pcrWorkers)
-	if err != nil {
-		return nil, p.classifyHealth(block, res, err, info), info
-	}
-	content, err := update.ApplyAll(bv.Data, bv.Patches)
-	if err != nil {
-		return nil, p.classifyHealth(block, res, err, info), info
-	}
-	h := p.classifyHealth(block, res, nil, info)
-	if !h.Recovered {
-		// A physically-expected unit failed to decode: the assembled
-		// content would silently miss a patch, so degrade to a report.
-		return nil, h, info
-	}
-	return content, h, info
-}
 
 // classifyHealth condenses a wet read into its Health report and, when
 // the read failed under a fault injector, prefixes the failure with
@@ -283,137 +182,4 @@ func (p *Partition) classifyHealth(block int, res *decode.BlockResult, err error
 		h.Err = fmt.Errorf("%w (%d of %d reads): %w", fault.ErrRunAborted, info.delivered, info.budget, h.Err)
 	}
 	return h
-}
-
-// ReadBlockHealth reads one block with graceful degradation at an
-// adjustable sequencing budget: scale multiplies the configured
-// per-strand read depth and must be positive — a non-positive or NaN
-// scale returns ErrDepthScale instead of silently sampling nothing.
-// Operators re-sequence deeper before declaring a block lost; a
-// scale > 1 retry distinguishes a genuinely degraded block from one
-// shallow read that happened to fall short.
-func (p *Partition) ReadBlockHealth(block int, scale float64) ([]byte, Health, error) {
-	if err := p.checkBlock(block); err != nil {
-		return nil, Health{}, err
-	}
-	if scale <= 0 || math.IsNaN(scale) {
-		return nil, Health{}, fmt.Errorf("%w: %g", ErrDepthScale, scale)
-	}
-	p.mu.Lock()
-	if !p.written[block] {
-		p.mu.Unlock()
-		return nil, Health{}, fmt.Errorf("%w: block %d", ErrBlockNotFound, block)
-	}
-	depth := 1 + p.versions[block]
-	p.chargeElongated(blockPrimerKey(block))
-	accesses := 1 + p.chargeOverflow(block)
-	src := p.noise.Fork()
-	p.store.wear(accesses)
-	p.mu.Unlock()
-	content, h := p.readBlockHealth(src, block, depth, p.store.cfg.Workers, scale)
-	return content, h, nil
-}
-
-// ReadRangeHealth is ReadRange with graceful degradation: per-block
-// decode failures do not abort the range. It returns one entry per
-// written data block of [lo, hi], in block order — content nil where
-// recovery failed — plus the per-block Health reports. The returned
-// error covers only digital failures.
-func (p *Partition) ReadRangeHealth(lo, hi int) ([][]byte, []Health, error) {
-	if err := p.checkBlock(lo); err != nil {
-		return nil, nil, err
-	}
-	if err := p.checkBlock(hi); err != nil {
-		return nil, nil, err
-	}
-	if lo > hi {
-		return nil, nil, fmt.Errorf("%w: inverted range [%d, %d]", ErrBlockRange, lo, hi)
-	}
-	covers, err := p.tree.Cover(lo, hi)
-	if err != nil {
-		return nil, nil, err
-	}
-	reactions, assembleSrc := p.planCovers(covers)
-	pcrWorkers := p.store.cfg.Workers
-	if len(reactions) > 1 && p.workers > 1 {
-		pcrWorkers = 1
-	}
-	perCover := make([]map[int]*decode.BlockResult, len(reactions))
-	coverErrs := make([]error, len(reactions))
-	parallel.Run(p.workers, len(reactions), func(i int) error {
-		perCover[i], coverErrs[i] = p.runCoverHealth(reactions[i], pcrWorkers)
-		return nil
-	})
-	for _, cerr := range coverErrs {
-		if cerr != nil {
-			return nil, nil, cerr
-		}
-	}
-	results := make(map[int]*decode.BlockResult)
-	for _, m := range perCover {
-		for b, res := range m {
-			results[b] = res
-		}
-	}
-	return p.assembleHealth(assembleSrc, lo, hi, results)
-}
-
-// runCoverHealth is runCover except a whole-cover decode failure
-// (e.g. every unit of the cover beyond recovery) degrades to the
-// partial per-block results instead of aborting; only infrastructure
-// errors (PCR or sequencing configuration) still propagate.
-func (p *Partition) runCoverHealth(cr coverReaction, pcrWorkers int) (map[int]*decode.BlockResult, error) {
-	results, err := p.runCover(cr, pcrWorkers)
-	if err != nil && errors.Is(err, decode.ErrDecode) {
-		return results, nil
-	}
-	return results, err
-}
-
-// assembleHealth is assemble with graceful degradation: every written
-// data block of [lo, hi] yields an output slot and a Health report;
-// failures leave the slot nil instead of aborting the whole range.
-func (p *Partition) assembleHealth(r *rng.Source, lo, hi int, results map[int]*decode.BlockResult) ([][]byte, []Health, error) {
-	p.mu.Lock()
-	wanted := make([]int, 0, hi-lo+1)
-	logBlocks := make(map[int]bool, len(p.overflow))
-	for _, log := range p.overflow {
-		logBlocks[log] = true
-	}
-	for b := lo; b <= hi; b++ {
-		if !p.written[b] || logBlocks[b] {
-			continue
-		}
-		wanted = append(wanted, b)
-	}
-	p.mu.Unlock()
-	out := make([][]byte, len(wanted))
-	health := make([]Health, len(wanted))
-	for i, b := range wanted {
-		res, ok := results[b]
-		if !ok {
-			health[i] = p.healthOf(b, nil, fmt.Errorf("%w: block %d not recovered", decode.ErrInsufficientCoverage, b))
-			continue
-		}
-		raw, ok := res.Versions[0]
-		if !ok {
-			health[i] = p.healthOf(b, res, fmt.Errorf("%w: block %d original version missing", versionZeroErr(res), b))
-			continue
-		}
-		patches, err := p.collectPatches(r, res, false, 8, p.store.cfg.Workers)
-		if err != nil {
-			health[i] = p.healthOf(b, res, err)
-			continue
-		}
-		content, err := update.ApplyAll(raw[:p.BlockSize()], patches)
-		if err != nil {
-			health[i] = p.healthOf(b, res, err)
-			continue
-		}
-		health[i] = p.healthOf(b, res, nil)
-		if health[i].Recovered {
-			out[i] = content
-		}
-	}
-	return out, health, nil
 }

@@ -11,8 +11,6 @@ import (
 	"dnastore/internal/dna"
 	"dnastore/internal/indextree"
 	"dnastore/internal/layout"
-	"dnastore/internal/parallel"
-	"dnastore/internal/pcr"
 	"dnastore/internal/pool"
 	"dnastore/internal/rng"
 	"dnastore/internal/update"
@@ -121,6 +119,17 @@ func (p *Partition) chargeElongated(key string) {
 	p.store.addCosts(func(c *Costs) { c.ElongatedPrimersSynthesized++ })
 }
 
+// overflowChain returns the block's overflow log blocks in chain order
+// per the partition's table — the one bound shared by the front-end's
+// charging and assembly's chase. The caller must hold p.mu.
+func (p *Partition) overflowChain(block int) []int {
+	var chain []int
+	for log, ok := p.overflow[block]; ok && len(chain) < len(p.overflow); log, ok = p.overflow[log] {
+		chain = append(chain, log)
+	}
+	return chain
+}
+
 // chargeOverflow charges the elongated primers of the block's
 // overflow-log chain and returns the chain length — the extra PCR
 // retrievals assembly will perform, which the caller's wear accounting
@@ -129,12 +138,11 @@ func (p *Partition) chargeElongated(key string) {
 // chain retrievals themselves run inside (possibly parallel) decode
 // work. The caller must hold p.mu.
 func (p *Partition) chargeOverflow(block int) int {
-	hops := 0
-	for log, ok := p.overflow[block]; ok && hops < 16; log, ok = p.overflow[log] {
+	chain := p.overflowChain(block)
+	for _, log := range chain {
 		p.chargeElongated(blockPrimerKey(log))
-		hops++
 	}
-	return hops
+	return len(chain)
 }
 
 // buildUnitOrders encodes one (block, version) unit into its synthesis
@@ -307,550 +315,4 @@ func (p *Partition) UpdateBlockExternal(block int, patch update.Patch, params po
 	p.store.addCosts(func(c *Costs) { c.StrandsSynthesized += len(orders) })
 	p.versions[block] = version
 	return external, nil
-}
-
-// BlockVersions holds the decoded raw units of one block retrieval.
-type BlockVersions struct {
-	// Data is the original (version 0) unit payload, BlockSize bytes.
-	Data []byte
-	// Patches are the update patches in application order, with any
-	// overflow chain already resolved.
-	Patches []update.Patch
-	// Decode carries pipeline statistics for the access.
-	Decode decode.BlockResult
-}
-
-// retrieve runs the physical read protocol for one block: elongated PCR
-// against the tube, sequencing, decoding. r is the reaction's private
-// noise source; pcrWorkers is the reaction's internal scoring fan-out
-// (1 when the caller already fans reactions). The elongated primer is
-// never charged here — the access's serial front-end phase has already
-// paid for the block and its overflow chain — so retrievals are free of
-// shared cache state and safe to fan out.
-func (p *Partition) retrieve(r *rng.Source, block, depth, pcrWorkers int) (*decode.BlockResult, error) {
-	res, _, err := p.retrieveWet(r, block, depth, pcrWorkers, 1, false, wetStream)
-	return res, err
-}
-
-// wetMode selects one wet retrieval's sequencing protocol.
-type wetMode int
-
-const (
-	// wetBatch sequences the full (fault-truncated) budget up front.
-	wetBatch wetMode = iota
-	// wetStream runs the floor-stopped streaming engine; the floor
-	// tolerates the unit's erasure slack, optimizing for read cost.
-	wetStream
-	// wetStrict streams with zero slack: every expected slot must meet
-	// the floor before the stream stops, so slot-level health evidence
-	// (missing slots, per-slot coverage) is never forged by an early
-	// stop. Health and scrub probes use it.
-	wetStrict
-)
-
-// retrieveScaled is retrieve with the sequencing read budget multiplied
-// by scale: the scrubber's shallow probes run the same wet protocol at
-// a fraction of the depth, and its repair retries escalate past 1.
-// Scaled retrievals never stream — a scaled budget is a deliberate
-// depth choice, and the floor-stopped stream would override it. (With
-// streaming on, the scrubber probes through the engine instead of
-// scaling the budget down; this is its batch fallback.)
-func (p *Partition) retrieveScaled(r *rng.Source, block, depth, pcrWorkers int, scale float64) (*decode.BlockResult, error) {
-	res, _, err := p.retrieveWet(r, block, depth, pcrWorkers, scale, false, wetBatch)
-	return res, err
-}
-
-// wetInfo is the operational evidence one wet retrieval leaves behind,
-// consumed by the supervised read paths to classify failures: a PCR
-// gain near 1 is a failed reaction, a truncated delivery ceiling is an
-// aborted sequencing run, and a large foreign mass fraction (known
-// only when the quarantine screen ran) is contamination. truncated is
-// the abort signal on both protocols — a batch run that delivered less
-// than its budget, or a streamed run whose up-front delivery ceiling
-// was cut below it (the stream may then stop even earlier at the
-// coverage floor; that early stop is adaptive, not a fault).
-type wetInfo struct {
-	gain        float64 // PCR mass amplification (final / initial)
-	budget      int     // sequencing reads budgeted
-	delivered   int     // sequencing reads actually delivered
-	truncated   bool    // injected abort cut delivery below the budget
-	quarantined int     // foreign species mass-zeroed by the screen
-	foreignFrac float64 // fraction of amplified mass the screen removed
-	covAvg      float64 // streamed reads: engine's mean per-slot coverage
-	entries     int     // streamed reads: pore entries (sequenced + ejected)
-}
-
-// retrieveWet is the full instrumented wet read: elongated PCR (fault
-// hooks included), sequencing with abort truncation, decode. screen
-// enables the primer-mismatch quarantine over the reaction's input
-// aliquot — supervised retries use it; plain reads never do, keeping
-// the fault-free path byte-identical. stream allows the incremental
-// engine (see stream.go) to own the sequencing loop and stop at the
-// coverage floor; the abort evidence survives the early stop because
-// the stream draws its delivery ceiling before the first read, so the
-// health and supervised paths stream too. Reactions whose PCR never
-// amplified stay on the batch protocol (streamGainOK).
-func (p *Partition) retrieveWet(r *rng.Source, block, depth, pcrWorkers int, scale float64, screen bool, mode wetMode) (*decode.BlockResult, wetInfo, error) {
-	var info wetInfo
-	ep, err := p.ElongatedPrimer(block)
-	if err != nil {
-		return nil, info, err
-	}
-	primers := []pcr.Primer{{Fwd: ep, Rev: p.rev, Conc: 1}}
-	if c := p.store.cfg.CarryoverConc; c > 0 {
-		primers = append(primers, pcr.Primer{Fwd: p.fwd, Rev: p.rev, Conc: c})
-	}
-	amplified, st, rep, err := p.store.runPCR(r, primers, pcrWorkers, screen)
-	if err != nil {
-		return nil, info, err
-	}
-	info.gain = st.Gain()
-	info.quarantined, info.foreignFrac = rep.quarantined, rep.foreignFrac
-	budget := p.store.readBudget(depth)
-	if scale != 1 {
-		budget = int(float64(budget)*scale + 0.5)
-		if budget < 1 {
-			budget = 1
-		}
-	}
-	info.budget = budget
-	if mode != wetBatch && scale == 1 && p.streamingEnabled() && p.streamGainOK(info.gain) {
-		res, run, serr := p.streamBlock(r, amplified, block, budget, mode == wetStrict)
-		info.delivered = run.sequenced
-		info.truncated = run.truncated
-		info.covAvg = run.covAvg
-		info.entries = run.entries
-		return res, info, serr
-	}
-	info.delivered = p.store.faultBudget(r, budget)
-	info.truncated = info.delivered < budget
-	reads, err := p.store.sequence(r, amplified, info.delivered)
-	if err != nil {
-		return nil, info, err
-	}
-	seqs := make([]dna.Seq, len(reads))
-	for i, rd := range reads {
-		seqs[i] = rd.Seq
-	}
-	res, err := p.pipeline.DecodeBlock(seqs, block)
-	return res, info, err
-}
-
-// ReadBlockVersions performs one wet retrieval of the block and returns
-// its data and the full ordered patch list (resolving overflow chains
-// with additional retrievals as needed).
-func (p *Partition) ReadBlockVersions(block int) (*BlockVersions, error) {
-	if err := p.checkBlock(block); err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	if !p.written[block] {
-		p.mu.Unlock()
-		return nil, fmt.Errorf("%w: block %d", ErrBlockNotFound, block)
-	}
-	depth := 1 + p.versions[block]
-	p.chargeElongated(blockPrimerKey(block))
-	hops := p.chargeOverflow(block)
-	r := p.noise.Fork()
-	p.store.wear(1 + hops)
-	p.mu.Unlock()
-	res, err := p.retrieve(r, block, depth, p.store.cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return p.finishBlock(r, block, res, p.store.cfg.Workers)
-}
-
-// DecodeReads runs only the software pipeline on externally produced
-// reads (e.g. the Section 8 experiment decoding a 225-read sample),
-// skipping the store's own PCR and sequencing.
-func (p *Partition) DecodeReads(seqs []dna.Seq, block int) (*BlockVersions, error) {
-	if err := p.checkBlock(block); err != nil {
-		return nil, err
-	}
-	res, err := p.pipeline.DecodeBlock(seqs, block)
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	hops := p.chargeOverflow(block)
-	r := p.noise.Fork()
-	// The caller supplied the reads, so only the overflow-chain
-	// retrievals below touch the tube.
-	p.store.wear(hops)
-	p.mu.Unlock()
-	return p.finishBlock(r, block, res, p.store.cfg.Workers)
-}
-
-// finishBlock turns a decode result into data + ordered patches. r
-// supplies noise for any overflow-chain retrievals, which run with
-// pcrWorkers internal fan-out.
-func (p *Partition) finishBlock(r *rng.Source, block int, res *decode.BlockResult, pcrWorkers int) (*BlockVersions, error) {
-	raw, ok := res.Versions[0]
-	if !ok {
-		return nil, fmt.Errorf("%w: original version missing for block %d", versionZeroErr(res), block)
-	}
-	out := &BlockVersions{Data: raw[:p.BlockSize()], Decode: *res}
-	patches, err := p.collectPatches(r, res, false, 8, pcrWorkers)
-	if err != nil {
-		return nil, err
-	}
-	out.Patches = patches
-	return out, nil
-}
-
-// collectPatches extracts ordered patches from a decode result,
-// following overflow pointers with additional retrievals drawn from r
-// (run with pcrWorkers internal fan-out). includeV0 treats version 0 as
-// a patch (log blocks). depthLimit bounds pointer chains.
-func (p *Partition) collectPatches(r *rng.Source, res *decode.BlockResult, includeV0 bool, depthLimit, pcrWorkers int) ([]update.Patch, error) {
-	if depthLimit <= 0 {
-		return nil, fmt.Errorf("blockstore: overflow chain too deep")
-	}
-	var versions []int
-	for v := range res.Versions {
-		if v == 0 && !includeV0 {
-			continue
-		}
-		versions = append(versions, v)
-	}
-	sort.Ints(versions)
-	var out []update.Patch
-	for _, v := range versions {
-		data := res.Versions[v]
-		if logBlock, isPtr := update.IsOverflow(data); isPtr {
-			logRes, err := p.retrieve(r, logBlock, 4, pcrWorkers)
-			if err != nil {
-				return nil, fmt.Errorf("blockstore: overflow chain: %w", err)
-			}
-			chain, err := p.collectPatches(r, logRes, true, depthLimit-1, pcrWorkers)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, chain...)
-			continue
-		}
-		patch, err := update.Unmarshal(data)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, patch)
-	}
-	return out, nil
-}
-
-// ReadBlock retrieves the block and returns its current content with all
-// updates applied. The result length may differ from BlockSize when
-// patches changed the data size.
-func (p *Partition) ReadBlock(block int) ([]byte, error) {
-	bv, err := p.ReadBlockVersions(block)
-	if err != nil {
-		return nil, err
-	}
-	return update.ApplyAll(bv.Data, bv.Patches)
-}
-
-// ReadBlocks retrieves several blocks in one batched access, one
-// elongated PCR reaction per block, fanned across the store's workers.
-// Results are returned in the order requested; every block must have
-// been written. Outputs are byte-identical to reading the blocks one by
-// one in order.
-func (p *Partition) ReadBlocks(blocks []int) ([][]byte, error) {
-	for _, b := range blocks {
-		if err := p.checkBlock(b); err != nil {
-			return nil, err
-		}
-	}
-	// Serial front-end phase: validate, charge primers through the
-	// cache, and fork one noise source per reaction in request order.
-	depths := make([]int, len(blocks))
-	srcs := make([]*rng.Source, len(blocks))
-	p.mu.Lock()
-	accesses := 0
-	for i, b := range blocks {
-		if !p.written[b] {
-			p.mu.Unlock()
-			return nil, fmt.Errorf("%w: block %d", ErrBlockNotFound, b)
-		}
-		depths[i] = 1 + p.versions[b]
-		p.chargeElongated(blockPrimerKey(b))
-		accesses += 1 + p.chargeOverflow(b)
-		srcs[i] = p.noise.Fork()
-	}
-	p.store.wear(accesses)
-	p.mu.Unlock()
-	// With several reactions fanned across the store's workers, each
-	// reaction scores serially; a lone reaction gets the full budget.
-	pcrWorkers := p.store.cfg.Workers
-	if len(blocks) > 1 && p.workers > 1 {
-		pcrWorkers = 1
-	}
-	out := make([][]byte, len(blocks))
-	err := parallel.Run(p.workers, len(blocks), func(i int) error {
-		res, err := p.retrieve(srcs[i], blocks[i], depths[i], pcrWorkers)
-		if err != nil {
-			return err
-		}
-		bv, err := p.finishBlock(srcs[i], blocks[i], res, pcrWorkers)
-		if err != nil {
-			return err
-		}
-		content, err := update.ApplyAll(bv.Data, bv.Patches)
-		if err != nil {
-			return err
-		}
-		out[i] = content
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// coverReaction is one prefix-cover PCR planned by the digital
-// front-end of a range read.
-type coverReaction struct {
-	cover indextree.CoverRange
-	units int
-	src   *rng.Source
-}
-
-// planCovers is the serial front-end phase of a range read: it drops
-// covers with no written blocks before any wet work is charged, routes
-// each remaining cover's partially elongated primer through the cache,
-// and forks the reaction noise sources in cover order.
-func (p *Partition) planCovers(covers []indextree.CoverRange) ([]coverReaction, *rng.Source) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	logBlocks := make(map[int]bool, len(p.overflow))
-	for _, log := range p.overflow {
-		logBlocks[log] = true
-	}
-	reactions := make([]coverReaction, 0, len(covers))
-	accesses := 0
-	for _, c := range covers {
-		units := 0
-		for b := c.Lo; b <= c.Hi; b++ {
-			if !p.written[b] {
-				continue
-			}
-			units += 1 + p.versions[b]
-			if !logBlocks[b] {
-				// Assembly will chase this block's overflow chain with
-				// extra fully elongated retrievals; pay for them here, in
-				// the serial phase.
-				accesses += p.chargeOverflow(b)
-			}
-		}
-		if units == 0 {
-			// The digital front-end knows the cover is empty: no primer
-			// synthesis, no PCR, no sequencing.
-			continue
-		}
-		p.chargeElongated(coverPrimerKey(c.Prefix))
-		accesses++
-		reactions = append(reactions, coverReaction{cover: c, units: units, src: p.noise.Fork()})
-	}
-	// One extra source for overflow-chain retrievals during assembly.
-	assembleSrc := p.noise.Fork()
-	p.store.wear(accesses)
-	return reactions, assembleSrc
-}
-
-// runCover executes one cover's PCR → sequence → decode reaction with
-// the given internal PCR fan-out.
-func (p *Partition) runCover(cr coverReaction, pcrWorkers int) (map[int]*decode.BlockResult, error) {
-	ep := p.store.cfg.Geometry.ElongatedPrimer(p.fwd, cr.cover.Prefix)
-	primers := []pcr.Primer{{Fwd: ep, Rev: p.rev, Conc: 1}}
-	if cc := p.store.cfg.CarryoverConc; cc > 0 {
-		primers = append(primers, pcr.Primer{Fwd: p.fwd, Rev: p.rev, Conc: cc})
-	}
-	amplified, st, _, err := p.store.runPCR(cr.src, primers, pcrWorkers, false)
-	if err != nil {
-		return nil, err
-	}
-	var decoded map[int]*decode.BlockResult
-	var derr error
-	if p.streamingEnabled() && p.streamGainOK(st.Gain()) {
-		decoded, derr = p.streamTargets(cr.src, amplified,
-			p.writtenIn(cr.cover.Lo, cr.cover.Hi), p.store.readBudget(cr.units))
-	} else {
-		budget := p.store.faultBudget(cr.src, p.store.readBudget(cr.units))
-		reads, err := p.store.sequence(cr.src, amplified, budget)
-		if err != nil {
-			return nil, err
-		}
-		seqs := make([]dna.Seq, len(reads))
-		for i, r := range reads {
-			seqs[i] = r.Seq
-		}
-		decoded, derr = p.pipeline.DecodeAll(seqs)
-	}
-	// A cover's reaction is authoritative only for its own interval:
-	// carryover reads give other blocks fragmentary coverage whose
-	// single-read consensus strands would otherwise overwrite good
-	// results from their own cover. The filter runs even on a failed
-	// decode: the partial map carries the typed per-block failures the
-	// health-aware range read reports.
-	results := make(map[int]*decode.BlockResult)
-	for b, res := range decoded {
-		if b >= cr.cover.Lo && b <= cr.cover.Hi {
-			results[b] = res
-		}
-	}
-	if derr != nil {
-		return results, derr
-	}
-	return results, nil
-}
-
-// ReadRange retrieves blocks lo..hi (inclusive) using the minimal prefix
-// cover: one PCR per cover prefix with a partially elongated primer
-// (Section 4's sequential access), the reactions fanned across the
-// store's workers. Updates are applied per block.
-func (p *Partition) ReadRange(lo, hi int) ([][]byte, error) {
-	if err := p.checkBlock(lo); err != nil {
-		return nil, err
-	}
-	if err := p.checkBlock(hi); err != nil {
-		return nil, err
-	}
-	if lo > hi {
-		return nil, fmt.Errorf("%w: inverted range [%d, %d]", ErrBlockRange, lo, hi)
-	}
-	covers, err := p.tree.Cover(lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	reactions, assembleSrc := p.planCovers(covers)
-	pcrWorkers := p.store.cfg.Workers
-	if len(reactions) > 1 && p.workers > 1 {
-		pcrWorkers = 1
-	}
-	perCover := make([]map[int]*decode.BlockResult, len(reactions))
-	err = parallel.Run(p.workers, len(reactions), func(i int) error {
-		res, err := p.runCover(reactions[i], pcrWorkers)
-		if err != nil {
-			return err
-		}
-		perCover[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	results := make(map[int]*decode.BlockResult)
-	for _, m := range perCover {
-		for b, res := range m {
-			results[b] = res
-		}
-	}
-	return p.assemble(assembleSrc, lo, hi, results)
-}
-
-// ReadAll retrieves the entire partition with the main primers (the
-// baseline random access of Figure 9a) and returns all written blocks in
-// order.
-func (p *Partition) ReadAll() ([][]byte, error) {
-	p.mu.Lock()
-	logBlocks := make(map[int]bool, len(p.overflow))
-	for _, log := range p.overflow {
-		logBlocks[log] = true
-	}
-	units := 0
-	lo, hi := -1, -1
-	for b := range p.written {
-		units += 1 + p.versions[b]
-		if lo < 0 || b < lo {
-			lo = b
-		}
-		if b > hi {
-			hi = b
-		}
-	}
-	// Charge overflow chains in block order so the cache sees a
-	// deterministic access sequence.
-	accesses := 0
-	for b := lo; b <= hi && lo >= 0; b++ {
-		if p.written[b] && !logBlocks[b] {
-			accesses += p.chargeOverflow(b)
-		}
-	}
-	r := p.noise.Fork()
-	if units > 0 {
-		p.store.wear(1 + accesses)
-	}
-	p.mu.Unlock()
-	if units == 0 {
-		return nil, ErrBlockNotFound
-	}
-	primers := []pcr.Primer{{Fwd: p.fwd, Rev: p.rev, Conc: 1}}
-	amplified, st, _, err := p.store.runPCR(r, primers, p.store.cfg.Workers, false)
-	if err != nil {
-		return nil, err
-	}
-	if p.streamingEnabled() && p.streamGainOK(st.Gain()) {
-		decoded, derr := p.streamTargets(r, amplified, p.writtenIn(lo, hi),
-			p.store.readBudget(units))
-		if derr != nil {
-			return nil, derr
-		}
-		return p.assemble(r, lo, hi, decoded)
-	}
-	reads, err := p.store.sequence(r, amplified, p.store.faultBudget(r, p.store.readBudget(units)))
-	if err != nil {
-		return nil, err
-	}
-	seqs := make([]dna.Seq, len(reads))
-	for i, rd := range reads {
-		seqs[i] = rd.Seq
-	}
-	decoded, err := p.pipeline.DecodeAll(seqs)
-	if err != nil {
-		return nil, err
-	}
-	return p.assemble(r, lo, hi, decoded)
-}
-
-// assemble turns per-block decode results into ordered block contents
-// with patches applied, for written blocks in [lo, hi]. r supplies
-// noise for overflow-chain retrievals.
-func (p *Partition) assemble(r *rng.Source, lo, hi int, results map[int]*decode.BlockResult) ([][]byte, error) {
-	// Snapshot the digital metadata; patch collection below may perform
-	// further retrievals and must not hold the mutex.
-	p.mu.Lock()
-	wanted := make([]int, 0, hi-lo+1)
-	logBlocks := make(map[int]bool, len(p.overflow))
-	for _, log := range p.overflow {
-		logBlocks[log] = true
-	}
-	for b := lo; b <= hi; b++ {
-		if !p.written[b] || logBlocks[b] {
-			continue // unwritten, or overflow storage rather than user data
-		}
-		wanted = append(wanted, b)
-	}
-	p.mu.Unlock()
-	out := make([][]byte, 0, len(wanted))
-	for _, b := range wanted {
-		res, ok := results[b]
-		if !ok {
-			return nil, fmt.Errorf("%w: block %d not recovered", decode.ErrInsufficientCoverage, b)
-		}
-		raw, ok := res.Versions[0]
-		if !ok {
-			return nil, fmt.Errorf("%w: block %d original version missing", versionZeroErr(res), b)
-		}
-		patches, err := p.collectPatches(r, res, false, 8, p.store.cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-		content, err := update.ApplyAll(raw[:p.BlockSize()], patches)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, content)
-	}
-	return out, nil
 }

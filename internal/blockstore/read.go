@@ -1,0 +1,594 @@
+package blockstore
+
+import (
+	"errors"
+	"fmt"
+	"math"
+
+	"dnastore/internal/decode"
+	"dnastore/internal/dna"
+	"dnastore/internal/indextree"
+	"dnastore/internal/parallel"
+	"dnastore/internal/pcr"
+	"dnastore/internal/rng"
+	"dnastore/internal/update"
+)
+
+// The store has one read engine. Every access is the paper's four steps
+// — a primer-selected PCR, sequencing, decode, assembly — and only the
+// primer changes: a block read uses the block's fully elongated primer,
+// a range read one prefix-cover primer per cover (Section 4), and a
+// whole-partition read the main primer. A serial front-end plans the
+// access (validation, primer and wear charging, one noise source forked
+// per reaction in deterministic order), the reactions fan across the
+// store's workers, and assembly turns every block's decode result into
+// content plus a Health report. Plain reads stop at the first failed
+// report; health reads return them all; supervised reads loop a retry
+// policy around the same per-reaction function (supervise.go).
+
+// wetMode selects one reaction's sequencing protocol.
+type wetMode int
+
+const (
+	// wetBatch sequences the full (fault-truncated) budget up front.
+	wetBatch wetMode = iota
+	// wetStream runs the floor-stopped streaming engine; the floor
+	// tolerates the unit's erasure slack, optimizing for read cost.
+	wetStream
+	// wetStrict streams block reactions with zero slack, so slot-level
+	// health evidence is never forged by an early stop. Multi-target
+	// reactions always stream with slack.
+	wetStrict
+)
+
+// reaction is one planned primer-selected PCR → sequencing → decode.
+type reaction struct {
+	prefix dna.Seq // index prefix elongating the forward primer
+	root   bool    // main primer alone, no prefix
+	// block is the lone target of a block reaction, -1 for covers and
+	// the root; the reaction is authoritative for blocks [lo, hi].
+	block, lo, hi int
+	units         int         // encoding units the read budget provisions for
+	src           *rng.Source // the reaction's private noise
+}
+
+// readPlan is the output of an access's serial front-end.
+type readPlan struct {
+	reactions []reaction
+	// assembleSrc draws the overflow-chain retrievals of a multi-block
+	// access, assembled serially over the data blocks of [lo, hi] once
+	// every reaction has run. Block accesses leave it nil: each block is
+	// assembled in its own fan slot with its reaction's noise.
+	assembleSrc *rng.Source
+	lo, hi      int
+	scale       float64 // sequencing budget multiplier
+}
+
+// wetInfo is the operational evidence one reaction leaves behind for
+// failure classification: a PCR gain near 1 is a failed reaction, a
+// truncated delivery ceiling an aborted sequencing run (on both
+// protocols: a stream draws its ceiling before the first read, so its
+// adaptive early stop never looks like an abort), and a large foreign
+// mass fraction (known only when the quarantine screen ran)
+// contamination.
+type wetInfo struct {
+	gain        float64 // PCR mass amplification (final / initial)
+	budget      int     // sequencing reads budgeted
+	delivered   int     // sequencing reads actually delivered
+	truncated   bool    // injected abort cut delivery below the budget
+	quarantined int     // foreign species mass-zeroed by the screen
+	foreignFrac float64 // fraction of amplified mass the screen removed
+	covAvg      float64 // streamed block reads: mean per-slot coverage
+	entries     int     // streamed block reads: pore entries (sequenced + ejected)
+}
+
+// blockReaction builds the fully elongated-primer reaction of one block.
+func (p *Partition) blockReaction(block, units int, src *rng.Source) (reaction, error) {
+	idx, err := p.tree.Encode(block)
+	if err != nil {
+		return reaction{}, err
+	}
+	return reaction{prefix: idx, block: block, lo: block, hi: block, units: units, src: src}, nil
+}
+
+// planBlocks is the serial front-end of a block access: validate,
+// charge each block's elongated primer — and, with chase set, the
+// overflow chain assembly will retrieve — fork one noise source per
+// reaction in request order, and charge the wear of every access.
+// Scrub probes and repair reads do not assemble and pass chase false.
+func (p *Partition) planBlocks(blocks []int, chase bool) (readPlan, error) {
+	for _, b := range blocks {
+		if err := p.checkBlock(b); err != nil {
+			return readPlan{}, err
+		}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	pl := readPlan{reactions: make([]reaction, len(blocks)), scale: 1}
+	accesses := 0
+	for i, b := range blocks {
+		if !p.written[b] {
+			return readPlan{}, fmt.Errorf("%w: block %d", ErrBlockNotFound, b)
+		}
+		p.chargeElongated(blockPrimerKey(b))
+		accesses++
+		if chase {
+			accesses += p.chargeOverflow(b)
+		}
+		rx, err := p.blockReaction(b, 1+p.versions[b], p.noise.Fork())
+		if err != nil {
+			return readPlan{}, err
+		}
+		pl.reactions[i] = rx
+	}
+	p.store.wear(accesses)
+	return pl, nil
+}
+
+// planCovers is the serial front-end of a multi-block access: it drops
+// covers with no written blocks before any wet work is charged, charges
+// the overflow chains assembly will chase, routes each remaining
+// cover's partially elongated primer through the cache, and forks the
+// reaction noise sources in cover order, then one for assembly. nil
+// covers plans the root: one main-primer reaction over the written
+// span, whose own noise source also draws assembly's retrievals.
+func (p *Partition) planCovers(covers []indextree.CoverRange) readPlan {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	root := covers == nil
+	if root {
+		lo, hi := p.Blocks(), -1
+		for b := range p.written {
+			lo, hi = min(lo, b), max(hi, b)
+		}
+		if hi < 0 {
+			return readPlan{}
+		}
+		covers = []indextree.CoverRange{{Lo: lo, Hi: hi}}
+	}
+	logs := p.logBlocks()
+	pl := readPlan{lo: covers[0].Lo, hi: covers[len(covers)-1].Hi, scale: 1}
+	accesses := 0
+	for _, c := range covers {
+		units := 0
+		for b := c.Lo; b <= c.Hi; b++ {
+			if !p.written[b] {
+				continue
+			}
+			units += 1 + p.versions[b]
+			if !logs[b] {
+				accesses += p.chargeOverflow(b)
+			}
+		}
+		if units == 0 {
+			continue // no primer synthesis, no PCR, no sequencing
+		}
+		if !root {
+			p.chargeElongated(coverPrimerKey(c.Prefix))
+		}
+		accesses++
+		pl.reactions = append(pl.reactions, reaction{
+			prefix: c.Prefix, root: root, block: -1, lo: c.Lo, hi: c.Hi, units: units, src: p.noise.Fork(),
+		})
+	}
+	if root {
+		pl.assembleSrc = pl.reactions[0].src
+	} else {
+		pl.assembleSrc = p.noise.Fork()
+	}
+	p.store.wear(accesses)
+	return pl
+}
+
+// planRange validates [lo, hi] and plans its minimal prefix cover.
+func (p *Partition) planRange(lo, hi int) (readPlan, error) {
+	if err := p.checkBlock(lo); err != nil {
+		return readPlan{}, err
+	}
+	if err := p.checkBlock(hi); err != nil {
+		return readPlan{}, err
+	}
+	if lo > hi {
+		return readPlan{}, fmt.Errorf("%w: inverted range [%d, %d]", ErrBlockRange, lo, hi)
+	}
+	covers, err := p.tree.Cover(lo, hi)
+	if err != nil {
+		return readPlan{}, err
+	}
+	return p.planCovers(covers), nil
+}
+
+// logBlocks returns the set of overflow log blocks. The caller must hold
+// p.mu.
+func (p *Partition) logBlocks() map[int]bool {
+	logs := make(map[int]bool, len(p.overflow))
+	for _, log := range p.overflow {
+		logs[log] = true
+	}
+	return logs
+}
+
+// fanWorkers is the internal PCR scoring fan-out of each of n reactions
+// fanned across the store's workers: a lone reaction gets the full
+// budget; fanned ones score serially rather than nest two full-width
+// fork-joins. Results are byte-identical either way.
+func (p *Partition) fanWorkers(n int) int {
+	if n > 1 && p.workers > 1 {
+		return 1
+	}
+	return p.store.cfg.Workers
+}
+
+// react runs one reaction: PCR with the reaction's primer (fault hooks
+// included; screen enables the contamination quarantine, supervised
+// retries only), sequencing under the wet protocol with the budget
+// multiplied by scale, and decode with pcrWorkers internal fan-out. The
+// streaming engine (stream.go) owns sequencing unless the protocol is
+// batch, the budget is scaled (a deliberate depth choice the
+// floor-stopped stream would override), or the reaction never amplified
+// (streamGainOK). Only results for the reaction's own interval are
+// returned — carryover reads give other blocks fragmentary coverage
+// whose single-read consensus would overwrite good results from their
+// own reaction — even on a failed decode, whose partial map carries the
+// typed per-block failures.
+func (p *Partition) react(rx reaction, pcrWorkers int, wet wetMode, scale float64, screen bool) (map[int]*decode.BlockResult, wetInfo, error) {
+	var info wetInfo
+	primers := []pcr.Primer{{Fwd: p.fwd, Rev: p.rev, Conc: 1}}
+	if !rx.root {
+		primers[0].Fwd = p.store.cfg.Geometry.ElongatedPrimer(p.fwd, rx.prefix)
+		if c := p.store.cfg.CarryoverConc; c > 0 {
+			primers = append(primers, pcr.Primer{Fwd: p.fwd, Rev: p.rev, Conc: c})
+		}
+	}
+	amplified, st, rep, err := p.store.runPCR(rx.src, primers, pcrWorkers, screen)
+	if err != nil {
+		return nil, info, err
+	}
+	info.gain = st.Gain()
+	info.quarantined, info.foreignFrac = rep.quarantined, rep.foreignFrac
+	info.budget = p.store.ReadBudget(rx.units)
+	if scale != 1 {
+		info.budget = max(int(float64(info.budget)*scale+0.5), 1)
+	}
+	stream := wet != wetBatch && scale == 1 && p.streamingEnabled() && p.streamGainOK(info.gain)
+	var res *decode.BlockResult // a block reaction's result
+	var decoded map[int]*decode.BlockResult
+	switch {
+	case stream && rx.block >= 0:
+		res, err = p.streamBlock(rx.src, amplified, rx.block, &info, wet == wetStrict)
+	case stream:
+		decoded, err = p.streamTargets(rx.src, amplified, p.writtenIn(rx.lo, rx.hi), info.budget)
+	default:
+		info.delivered = p.store.faultBudget(rx.src, info.budget)
+		info.truncated = info.delivered < info.budget
+		var seqs []dna.Seq
+		if seqs, err = p.store.sequence(rx.src, amplified, info.delivered); err != nil {
+			return nil, info, err
+		}
+		if rx.block >= 0 {
+			res, err = p.pipeline.DecodeBlock(seqs, rx.block)
+		} else {
+			decoded, err = p.pipeline.DecodeAll(seqs)
+		}
+	}
+	if rx.block >= 0 {
+		decoded = map[int]*decode.BlockResult{rx.block: res}
+	}
+	results := make(map[int]*decode.BlockResult, len(decoded))
+	for b, got := range decoded {
+		if got != nil && b >= rx.lo && b <= rx.hi {
+			results[b] = got
+		}
+	}
+	return results, info, err
+}
+
+// read runs a planned access and assembles every block into content
+// and a Health report. With strict set (plain reads) the access stops
+// at the first failed report and returns its error; otherwise wet
+// failures land in the reports and leave the content slot nil.
+func (p *Partition) read(pl readPlan, strict bool) ([][]byte, []Health, error) {
+	wet := wetStrict
+	if strict {
+		wet = wetStream
+	}
+	n := len(pl.reactions)
+	pcrWorkers := p.fanWorkers(n)
+	perBlock := pl.assembleSrc == nil
+	out, health := make([][]byte, n), make([]Health, n)
+	perReaction := make([]map[int]*decode.BlockResult, n)
+	err := parallel.Run(p.workers, n, func(i int) error {
+		rx := pl.reactions[i]
+		results, info, err := p.react(rx, pcrWorkers, wet, pl.scale, false)
+		switch {
+		case perBlock:
+			out[i], health[i], err = p.assemble(rx.src, rx.block, results[rx.block], err, info, pcrWorkers)
+		case err != nil && !errors.Is(err, decode.ErrDecode):
+			return err // infrastructure failures abort every read
+		default:
+			// A failed cover decode leaves partial per-block results
+			// whose typed failures assembly reports.
+			perReaction[i] = results
+		}
+		if strict {
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if perBlock {
+		return out, health, nil
+	}
+	merged := make(map[int]*decode.BlockResult)
+	for _, m := range perReaction {
+		for b, res := range m {
+			merged[b] = res
+		}
+	}
+	// Snapshot the data blocks; assembly runs reactions outside the lock.
+	p.mu.Lock()
+	logs := p.logBlocks()
+	var wanted []int
+	for b := pl.lo; b <= pl.hi; b++ {
+		if p.written[b] && !logs[b] {
+			wanted = append(wanted, b)
+		}
+	}
+	p.mu.Unlock()
+	out, health = make([][]byte, len(wanted)), make([]Health, len(wanted))
+	for i, b := range wanted {
+		out[i], health[i], err = p.assemble(pl.assembleSrc, b, merged[b], nil, wetInfo{}, p.store.cfg.Workers)
+		if strict && err != nil {
+			return nil, nil, err
+		}
+	}
+	return out, health, nil
+}
+
+// assemble turns one block's decode result into its current content
+// and Health report. err is the reaction's own failure; without one the
+// original version and its patches are resolved, chasing the overflow
+// chain with reactions drawn from r. Content is returned only for a
+// recovered block — a physically expected unit that failed to decode
+// would otherwise leave it silently missing a patch — and the error is
+// the access's own, or the report's when the access itself succeeded.
+func (p *Partition) assemble(r *rng.Source, block int, res *decode.BlockResult, err error, info wetInfo, pcrWorkers int) ([]byte, Health, error) {
+	var content []byte
+	if err == nil {
+		var data []byte
+		var patches []update.Patch
+		if data, patches, err = p.resolve(r, block, res, pcrWorkers); err == nil {
+			content, err = update.ApplyAll(data, patches)
+		}
+	}
+	h := p.classifyHealth(block, res, err, info)
+	if !h.Recovered {
+		if err == nil {
+			err = h.Err
+		}
+		return nil, h, err
+	}
+	return content, h, nil
+}
+
+// resolve extracts a block's original data and ordered patches from its
+// decode result, chasing the overflow chain with reactions drawn from r.
+// A missing original version fails with the unit's own recorded error,
+// or a coverage error when no strand of it was ever observed.
+func (p *Partition) resolve(r *rng.Source, block int, res *decode.BlockResult, pcrWorkers int) ([]byte, []update.Patch, error) {
+	if res == nil {
+		return nil, nil, fmt.Errorf("%w: block %d not recovered", decode.ErrInsufficientCoverage, block)
+	}
+	raw, ok := res.Versions[0]
+	if !ok {
+		cause, failed := res.UnitErrors[0]
+		if !failed {
+			cause = decode.ErrInsufficientCoverage
+		}
+		return nil, nil, fmt.Errorf("%w: block %d original version missing", cause, block)
+	}
+	p.mu.Lock()
+	hops := len(p.overflowChain(block))
+	p.mu.Unlock()
+	patches, err := p.collectPatches(r, res, 1, hops, pcrWorkers)
+	if err != nil {
+		return nil, nil, err
+	}
+	return raw[:p.BlockSize()], patches, nil
+}
+
+// collectPatches extracts the patches of versions first and up, in
+// order (log blocks hold a patch in version 0 too), following overflow
+// pointers with block reactions drawn from r. hops is the number of log
+// blocks the partition's overflow table records below this one: a
+// pointer past them is a decode failure.
+func (p *Partition) collectPatches(r *rng.Source, res *decode.BlockResult, first, hops, pcrWorkers int) ([]update.Patch, error) {
+	var out []update.Patch
+	for v := first; v < p.store.cfg.Geometry.MaxVersions(); v++ {
+		data, ok := res.Versions[v]
+		if !ok {
+			continue
+		}
+		log, isPtr := update.IsOverflow(data)
+		if !isPtr {
+			patch, err := update.Unmarshal(data)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, patch)
+			continue
+		}
+		if hops <= 0 {
+			return nil, fmt.Errorf("%w: block %d points past its overflow chain", decode.ErrDecode, res.Block)
+		}
+		logRes, err := p.chase(r, log, pcrWorkers)
+		if err != nil {
+			return nil, fmt.Errorf("blockstore: overflow chain: %w", err)
+		}
+		chain, err := p.collectPatches(r, logRes, 0, hops-1, pcrWorkers)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, chain...)
+	}
+	return out, nil
+}
+
+// chase retrieves one overflow log block. The access's front-end has
+// already charged its primer and wear, so the retrieval touches no
+// shared cache state and is safe inside parallel decode work. A log
+// block missing a written version would drop patches, so it fails.
+func (p *Partition) chase(r *rng.Source, log, pcrWorkers int) (*decode.BlockResult, error) {
+	rx, err := p.blockReaction(log, 4, r)
+	if err != nil {
+		return nil, err
+	}
+	results, _, err := p.react(rx, pcrWorkers, wetStream, 1, false)
+	if err != nil {
+		return nil, err
+	}
+	if !servesExpected(results[log], p.expectedVersions(log)) {
+		return nil, fmt.Errorf("%w: log block %d missing a written version", decode.ErrInsufficientCoverage, log)
+	}
+	return results[log], nil
+}
+
+// ReadBlock retrieves the block and returns its current content with all
+// updates applied. The result length may differ from BlockSize when
+// patches changed the data size.
+func (p *Partition) ReadBlock(block int) ([]byte, error) {
+	out, err := p.ReadBlocks([]int{block})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// ReadBlocks retrieves several blocks in one batched access, one
+// elongated PCR reaction per block, fanned across the store's workers.
+// Results are returned in the order requested; every block must have
+// been written. Outputs are byte-identical to reading the blocks one by
+// one in order. A block that cannot be fully recovered — a missing
+// patch included — fails the read.
+func (p *Partition) ReadBlocks(blocks []int) ([][]byte, error) {
+	return p.readPlain(p.planBlocks(blocks, true))
+}
+
+// ReadBlocksHealth is ReadBlocks with graceful degradation: blocks
+// that fail to decode do not abort the batch. The content slice holds
+// nil at failed positions, and the Health slice reports every block's
+// condition — typed Err, estimated coverage, RS margin consumed. The
+// returned error covers only digital failures (bad block number,
+// unwritten block); wet failures land in the per-block reports.
+func (p *Partition) ReadBlocksHealth(blocks []int) ([][]byte, []Health, error) {
+	return p.readHealth(p.planBlocks(blocks, true))
+}
+
+// ReadBlockHealth reads one block with graceful degradation at an
+// adjustable sequencing budget: scale multiplies the configured
+// per-strand read depth and must be positive — a non-positive or NaN
+// scale returns ErrDepthScale instead of silently sampling nothing.
+// Operators re-sequence deeper before declaring a block lost; a
+// scale > 1 retry distinguishes a genuinely degraded block from one
+// shallow read that happened to fall short.
+func (p *Partition) ReadBlockHealth(block int, scale float64) ([]byte, Health, error) {
+	if err := p.checkBlock(block); err != nil {
+		return nil, Health{}, err
+	}
+	if scale <= 0 || math.IsNaN(scale) {
+		return nil, Health{}, fmt.Errorf("%w: %g", ErrDepthScale, scale)
+	}
+	pl, err := p.planBlocks([]int{block}, true)
+	if err != nil {
+		return nil, Health{}, err
+	}
+	pl.scale = scale
+	// A health read of a planned block reports every wet failure in its
+	// Health, never as an error.
+	out, health, _ := p.read(pl, false)
+	return out[0], health[0], nil
+}
+
+// ReadRange retrieves blocks lo..hi (inclusive) using the minimal prefix
+// cover: one PCR per cover prefix with a partially elongated primer
+// (Section 4's sequential access), the reactions fanned across the
+// store's workers. Updates are applied per block; a block that cannot
+// be fully recovered fails the read.
+func (p *Partition) ReadRange(lo, hi int) ([][]byte, error) {
+	return p.readPlain(p.planRange(lo, hi))
+}
+
+// ReadRangeHealth is ReadRange with graceful degradation: per-block
+// decode failures do not abort the range. It returns one entry per
+// written data block of [lo, hi], in block order — content nil where
+// recovery failed — plus the per-block Health reports. The returned
+// error covers only digital failures.
+func (p *Partition) ReadRangeHealth(lo, hi int) ([][]byte, []Health, error) {
+	return p.readHealth(p.planRange(lo, hi))
+}
+
+// ReadAll retrieves the entire partition with the main primers (the
+// baseline random access of Figure 9a) and returns all written blocks in
+// order.
+func (p *Partition) ReadAll() ([][]byte, error) {
+	pl := p.planCovers(nil)
+	if len(pl.reactions) == 0 {
+		return nil, ErrBlockNotFound
+	}
+	return p.readPlain(pl, nil)
+}
+
+// readPlain runs a plan as a plain read: content only, the first failed
+// block aborting the access with its error.
+func (p *Partition) readPlain(pl readPlan, err error) ([][]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	out, _, err := p.read(pl, true)
+	return out, err
+}
+
+// readHealth runs a plan as a health read, reporting every block.
+func (p *Partition) readHealth(pl readPlan, err error) ([][]byte, []Health, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.read(pl, false)
+}
+
+// BlockVersions holds the decoded raw units of one block retrieval.
+type BlockVersions struct {
+	// Data is the original (version 0) unit payload, BlockSize bytes.
+	Data []byte
+	// Patches are the update patches in application order, with any
+	// overflow chain already resolved.
+	Patches []update.Patch
+	// Decode carries pipeline statistics for the access.
+	Decode decode.BlockResult
+}
+
+// DecodeReads runs only the software pipeline on externally produced
+// reads (e.g. the Section 8 experiment decoding a 225-read sample),
+// skipping the store's own PCR and sequencing; only the overflow-chain
+// retrievals touch the tube.
+func (p *Partition) DecodeReads(seqs []dna.Seq, block int) (*BlockVersions, error) {
+	if err := p.checkBlock(block); err != nil {
+		return nil, err
+	}
+	res, err := p.pipeline.DecodeBlock(seqs, block)
+	if err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	hops := p.chargeOverflow(block)
+	r := p.noise.Fork()
+	p.store.wear(hops)
+	p.mu.Unlock()
+	data, patches, err := p.resolve(r, block, res, p.store.cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return &BlockVersions{Data: data, Patches: patches, Decode: *res}, nil
+}

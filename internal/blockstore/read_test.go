@@ -1,0 +1,112 @@
+package blockstore
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+
+	"dnastore/internal/update"
+)
+
+// TestPlainReadsRefuseMissingPatch pins the silent-stale-read fix: when
+// every strand of one patch unit is gone, plain reads must fail with a
+// coverage error instead of returning the block without that patch.
+func TestPlainReadsRefuseMissingPatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wet-lab simulation is slow")
+	}
+	s := newTestStore(t, testConfig())
+	p, err := s.CreatePartition("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const b = 5
+	for blk := 3; blk <= 7; blk++ {
+		if err := p.WriteBlock(blk, bytes.Repeat([]byte{byte('a' + blk)}, 50)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if err := p.UpdateBlock(b, update.Patch{InsertPos: 0, Insert: []byte{byte('0' + i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tube := s.Tube()
+	zeroed := 0
+	for i := 0; i < tube.Len(); i++ {
+		if m := tube.MetaAt(i); m.Partition == "alice" && m.Block == b && m.Version == 2 {
+			tube.SetAbundance(i, 0)
+			zeroed++
+		}
+	}
+	if zeroed == 0 {
+		t.Fatal("no version-2 species found")
+	}
+	check := func(name string, content any, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrInsufficientCoverage) {
+			t.Errorf("%s: err %v, want ErrInsufficientCoverage", name, err)
+		}
+		switch c := content.(type) {
+		case []byte:
+			if c != nil {
+				t.Errorf("%s returned content %q with a missing patch", name, c[:8])
+			}
+		case [][]byte:
+			if c != nil {
+				t.Errorf("%s returned %d blocks with a missing patch", name, len(c))
+			}
+		}
+	}
+	c, err := p.ReadBlock(b)
+	check("ReadBlock", c, err)
+	cs, err := p.ReadBlocks([]int{4, b, 6})
+	check("ReadBlocks", cs, err)
+	cs, err = p.ReadRange(3, 7)
+	check("ReadRange", cs, err)
+	cs, err = p.ReadAll()
+	check("ReadAll", cs, err)
+}
+
+// TestLongOverflowChainReadable reads a block whose 30 updates span a
+// ten-log-block overflow chain: the chase's bound comes from the
+// partition's overflow table, not a fixed hop count.
+func TestLongOverflowChainReadable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wet-lab simulation is slow")
+	}
+	s := newTestStore(t, testConfig())
+	p, err := s.CreatePartition("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const b = 2
+	for blk := 0; blk < 4; blk++ {
+		if err := p.WriteBlock(blk, bytes.Repeat([]byte{byte('a' + blk)}, 60)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([]byte, p.BlockSize())
+	copy(want, bytes.Repeat([]byte{'a' + b}, 60))
+	for i := 0; i < 30; i++ {
+		pt := update.Patch{DeleteStart: i, DeleteCount: 1, InsertPos: i, Insert: []byte{byte('A' + i)}}
+		if err := p.UpdateBlock(b, pt); err != nil {
+			t.Fatalf("update %d: %v", i, err)
+		}
+		if want, err = pt.Apply(want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := p.ReadBlock(b)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("ReadBlock: err %v, content %q, want %q", err, got[:min(len(got), 32)], want[:32])
+	}
+	rng, err := p.ReadRange(1, 3)
+	if err != nil || len(rng) != 3 || !bytes.Equal(rng[1], want) {
+		t.Fatalf("ReadRange: err %v, %d blocks", err, len(rng))
+	}
+	cs, hs, err := p.ReadBlocksHealth([]int{b})
+	if err != nil || !hs[0].Recovered || !bytes.Equal(cs[0], want) {
+		t.Fatalf("ReadBlocksHealth: err %v, health %+v", err, hs[0])
+	}
+}

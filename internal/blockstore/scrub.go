@@ -7,7 +7,6 @@ import (
 
 	"dnastore/internal/decode"
 	"dnastore/internal/parallel"
-	"dnastore/internal/rng"
 )
 
 // RepairMode selects what Scrub does about an unhealthy block.
@@ -151,16 +150,12 @@ func (s *Store) Scrub(pol ScrubPolicy) (*ScrubReport, error) {
 	report := &ScrubReport{}
 
 	s.mu.Lock()
-	names := make([]string, 0, len(s.partitions))
-	for name := range s.partitions {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	parts := make([]*Partition, len(names))
-	for i, name := range names {
-		parts[i] = s.partitions[name]
+	parts := make([]*Partition, 0, len(s.partitions))
+	for _, p := range s.partitions {
+		parts = append(parts, p)
 	}
 	s.mu.Unlock()
+	sort.Slice(parts, func(i, j int) bool { return parts[i].name < parts[j].name })
 
 	for _, p := range parts {
 		if err := p.scrub(pol, report); err != nil {
@@ -180,9 +175,8 @@ func (s *Store) Scrub(pol ScrubPolicy) (*ScrubReport, error) {
 
 // scrub probes and repairs one partition's written blocks.
 func (p *Partition) scrub(pol ScrubPolicy, report *ScrubReport) error {
-	// Serial front-end: enumerate written blocks (overflow logs
-	// included — their patches decay like any other strands), charge
-	// primers, fork probe noise in block order.
+	// Enumerate written blocks, overflow logs included: their patches
+	// decay like any other strands.
 	p.mu.Lock()
 	blocks := make([]int, 0, len(p.written))
 	for b := range p.written {
@@ -190,47 +184,39 @@ func (p *Partition) scrub(pol ScrubPolicy, report *ScrubReport) error {
 			blocks = append(blocks, b)
 		}
 	}
-	sort.Ints(blocks)
-	depths := make([]int, len(blocks))
-	srcs := make([]*rng.Source, len(blocks))
-	for i, b := range blocks {
-		depths[i] = 1 + p.versions[b]
-		p.chargeElongated(blockPrimerKey(b))
-		srcs[i] = p.noise.Fork()
-	}
-	p.store.wear(len(blocks))
 	p.mu.Unlock()
+	sort.Ints(blocks)
+	pl, err := p.planBlocks(blocks, false)
+	if err != nil {
+		return err
+	}
 
 	// Probe phase: shallow reads fanned across the workers. With
-	// streaming on, a probe is a floor-stopped streamed read — usually
+	// streaming on, a probe is a floor-stopped strict stream — usually
 	// cheaper than the scaled batch probe — and its Coverage comes from
 	// the engine's live per-slot accounting rather than being re-derived
 	// from the decode's read totals; the scaled batch probe remains the
 	// fallback.
-	pcrWorkers := p.store.cfg.Workers
-	if len(blocks) > 1 && p.workers > 1 {
-		pcrWorkers = 1
+	scale := pol.ProbeDepthFactor
+	if p.streamingEnabled() {
+		scale = 1
 	}
+	pcrWorkers := p.fanWorkers(len(blocks))
 	health := make([]Health, len(blocks))
 	parallel.Run(p.workers, len(blocks), func(i int) error {
-		if p.streamingEnabled() {
-			res, info, err := p.retrieveWet(srcs[i], blocks[i], depths[i], pcrWorkers, 1, false, wetStrict)
-			health[i] = p.healthOf(blocks[i], res, err)
-			if info.covAvg > 0 && info.entries > 0 {
-				// The engine's live per-slot coverage, normalized by the
-				// stream's pore-entry effort: a floor-stopped probe's raw
-				// mean sits near the floor whatever the tube's state, so
-				// extrapolate what the full ungated budget would have
-				// yielded per slot. Healthy tubes stop after a fraction
-				// of the budget (high estimate); decayed tubes burn
-				// entries on junk and thin species (low estimate) —
-				// preserving the batch probe's abundance-decline signal.
-				health[i].Coverage = info.covAvg * float64(info.budget) / float64(info.entries)
-			}
-			return nil
+		results, info, err := p.react(pl.reactions[i], pcrWorkers, wetStrict, scale, false)
+		health[i] = p.healthOf(blocks[i], results[blocks[i]], err)
+		if info.covAvg > 0 && info.entries > 0 {
+			// The engine's live per-slot coverage, normalized by the
+			// stream's pore-entry effort: a floor-stopped probe's raw
+			// mean sits near the floor whatever the tube's state, so
+			// extrapolate what the full ungated budget would have
+			// yielded per slot. Healthy tubes stop after a fraction of
+			// the budget (high estimate); decayed tubes burn entries on
+			// junk and thin species (low estimate) — preserving the
+			// batch probe's abundance-decline signal.
+			health[i].Coverage = info.covAvg * float64(info.budget) / float64(info.entries)
 		}
-		res, err := p.retrieveScaled(srcs[i], blocks[i], depths[i], pcrWorkers, pol.ProbeDepthFactor)
-		health[i] = p.healthOf(blocks[i], res, err)
 		return nil
 	})
 	report.BlocksProbed += len(blocks)
@@ -333,13 +319,12 @@ func (p *Partition) resynthRepair(block int, pol ScrubPolicy) (repaired bool, re
 			scale *= 2
 			retries++
 		}
-		p.mu.Lock()
-		depth := 1 + p.versions[block]
-		p.chargeElongated(blockPrimerKey(block))
-		r := p.noise.Fork()
-		p.store.wear(1)
-		p.mu.Unlock()
-		res, rerr := p.retrieveScaled(r, block, depth, p.store.cfg.Workers, scale)
+		pl, err := p.planBlocks([]int{block}, false)
+		if err != nil {
+			return false, retries, err
+		}
+		results, _, rerr := p.react(pl.reactions[0], p.store.cfg.Workers, wetBatch, scale, false)
+		res := results[block]
 		if res != nil && (best == nil || len(res.Versions) > len(best.Versions)) {
 			best = res
 		}
@@ -355,20 +340,12 @@ func (p *Partition) resynthRepair(block int, pol ScrubPolicy) (repaired bool, re
 		lastErr = nil
 		break
 	}
-	if best == nil || len(best.Versions) == 0 {
-		if lastErr == nil {
-			lastErr = fmt.Errorf("%w: block %d unreadable for repair", decode.ErrDecode, block)
-		}
-		return false, retries, lastErr
-	}
-	exp := p.expectedVersions(block)
-	versions := make([]int, 0, len(best.Versions))
-	for v := range best.Versions {
-		if exp[v] {
+	var versions []int
+	for _, v := range p.expectedVersions(block) {
+		if best != nil && best.Versions[v] != nil {
 			versions = append(versions, v)
 		}
 	}
-	sort.Ints(versions)
 	if len(versions) == 0 {
 		if lastErr == nil {
 			lastErr = fmt.Errorf("%w: block %d unreadable for repair", decode.ErrDecode, block)

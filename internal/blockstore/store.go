@@ -609,34 +609,18 @@ func (s *Store) resynthScale(repairs *pool.Pool) float64 {
 	return 1
 }
 
-// readBudget returns the sequencing read count for retrieving the given
-// number of encoding units.
-func (s *Store) readBudget(units int) int {
-	molecules := float64(units * 15)
-	return int(math.Ceil(molecules * s.cfg.CoverageDepth * s.cfg.WasteFactor))
-}
-
 // ReadBudget returns the sequencing-read budget a batch retrieval
 // provisions for the given unit count — the ceiling a streaming read
 // stops under when its coverage floor is met earlier.
-func (s *Store) ReadBudget(units int) int { return s.readBudget(units) }
+func (s *Store) ReadBudget(units int) int {
+	return int(math.Ceil(float64(units*15) * s.cfg.CoverageDepth * s.cfg.WasteFactor))
+}
 
 // contaminantPartition labels species leaked into a reaction by
 // injected cross-tube contamination, so quarantine reports and tests
 // can identify foreign material by provenance.
 const contaminantPartition = "<contaminant>"
 
-// runPCR executes a reaction against the tube and counts it. The tube is
-// held read-locked for the duration: pcr.Run works on its own copy, so
-// concurrent reactions share the lock and only synthesis mixes exclude
-// each other.
-// runPCR's workers argument sets the reaction's internal scoring
-// fan-out. Callers that already fan several reactions across the
-// store's worker pool pass 1 to avoid nesting two full-width fork-joins
-// (workers-squared goroutines for pure scheduling overhead); single-
-// reaction accesses pass the store's full budget. Results are
-// byte-identical either way.
-//
 // screenReport is what the contamination screen found in one
 // reaction's input aliquot.
 type screenReport struct {
@@ -644,6 +628,12 @@ type screenReport struct {
 	foreignFrac float64 // fraction of the aliquot's mass they held
 }
 
+// runPCR executes a reaction against the tube and counts it. The tube is
+// held read-locked for the duration: pcr.Run works on its own copy, so
+// concurrent reactions share the lock and only synthesis mixes exclude
+// each other. workers is the reaction's internal scoring fan-out (see
+// fanWorkers).
+//
 // r is the reaction's private noise source; with a fault injector
 // configured it decides this reaction's fate — contamination of the
 // input aliquot, outright failure (the output is the unenriched
@@ -789,10 +779,18 @@ func (s *Store) quarantine(amplified *pool.Pool) (zeroed int, foreignFrac float6
 // no injector is configured.
 func (s *Store) FaultStats() fault.Stats { return s.cfg.Faults.Stats() }
 
-// sequence samples reads from an amplified pool and counts them. The
-// store's sampler was validated at construction, so no per-reaction
-// profile checks run here.
-func (s *Store) sequence(r *rng.Source, amplified *pool.Pool, n int) ([]seqsim.Read, error) {
+// sequence samples n reads from an amplified pool, counts them, and
+// returns their sequences. The store's sampler was validated at
+// construction, so no per-reaction profile checks run here.
+func (s *Store) sequence(r *rng.Source, amplified *pool.Pool, n int) ([]dna.Seq, error) {
 	s.addCosts(func(c *Costs) { c.ReadsSequenced += n })
-	return s.sampler.Sample(r, amplified, n)
+	reads, err := s.sampler.Sample(r, amplified, n)
+	if err != nil {
+		return nil, err
+	}
+	seqs := make([]dna.Seq, len(reads))
+	for i, rd := range reads {
+		seqs[i] = rd.Seq
+	}
+	return seqs, nil
 }

@@ -1,8 +1,6 @@
 package blockstore
 
 import (
-	"sort"
-
 	"dnastore/internal/decode"
 	"dnastore/internal/dna"
 	"dnastore/internal/parallel"
@@ -12,26 +10,21 @@ import (
 	"dnastore/internal/streamdecode"
 )
 
-// This file is the wet half of the streaming decode path: wet reads —
-// plain content reads, the overflow-chain retrievals behind them, and
-// the health/supervised single-block reads — sequence incrementally,
-// feeding each chunk through the streamdecode engine and stopping (or,
-// for multi-target reactions, redirecting via an adaptive-sampling
-// gate) once every target's coverage floor is met. The engine's
-// assignment state is sharded by provisional block address and its
-// block finalizes run on a background pool, overlapping the decode
-// back half with ongoing sequencing.
+// This file is the wet half of the streaming decode path: a reaction
+// sequences incrementally, feeding each chunk through the streamdecode
+// engine and stopping (or, for multi-target reactions, redirecting via
+// an adaptive-sampling gate) once every target's coverage floor is met.
+// The engine's assignment state is sharded by provisional block address
+// and its block finalizes run on a background pool, overlapping the
+// decode back half with ongoing sequencing.
 //
 // Failure classification survives the early stop because the stream
-// draws its injected delivery ceiling up front: an aborted run
-// truncates the ceiling below the budget whether or not the floor
-// would have stopped sequencing earlier, so "truncated" is a real
-// signal, not one forged by adaptive stopping. Reactions that never
-// amplified (PCR failure, contamination choking the reagents) fall
-// back to the batch path: nanopore loading needs amplified molarity,
-// so adaptive sampling cannot rescue an unamplified aliquot — and the
-// recovery machinery's gain/foreign-mass classification keeps its
-// exact batch semantics for them.
+// draws its injected delivery ceiling up front, so "truncated" is a
+// real abort signal, not one forged by adaptive stopping. Reactions
+// that never amplified (PCR failure, contamination choking the
+// reagents) fall back to the batch path: nanopore loading needs
+// amplified molarity, and the recovery machinery's gain/foreign-mass
+// classification keeps its exact batch semantics for them.
 
 // streamChunk is the most reads sequenced between engine updates and
 // stop checks — small enough that overshoot past the coverage floor
@@ -79,53 +72,82 @@ func (p *Partition) streamGainOK(gain float64) bool {
 	return p.store.cfg.Faults == nil || gain > failedGainCeiling
 }
 
-// newStreamEngine builds one reaction's decode engine: assignment
-// sharded per Config.Decode.StreamShards (0 = one shard per worker)
-// and block finalization overlapped on a background pool. The engine
-// fans out on the store's worker budget even when the reaction fan-out
-// is 1 — its output is worker-invariant, so this only moves wall-clock.
-func (p *Partition) newStreamEngine() (*streamdecode.Engine, error) {
+// pore is one reaction's open sequencing stream feeding its decode
+// engine, bounded by the delivery ceiling and the pore-entry budget.
+type pore struct {
+	st                  *seqsim.Stream
+	eng                 *streamdecode.Engine
+	gate                func(int) bool
+	batch               []dna.Seq
+	chunk               int
+	ceiling, maxEntries int // sequenced-read ceiling; pore-entry bound
+}
+
+// openPore starts a reaction's stream under its (possibly abort-cut)
+// delivery ceiling. The engine's assignment is sharded per
+// Config.Decode.StreamShards (0 = one shard per worker) and block
+// finalization overlapped on a background pool; it fans out on the
+// store's worker budget even when the reaction fan-out is 1 — its
+// output is worker-invariant, so this only moves wall-clock. strict
+// zeroes the coverage floor's erasure slack.
+func (p *Partition) openPore(r *rng.Source, amplified *pool.Pool, ceiling int, strict bool) (*pore, error) {
+	st, err := p.store.sampler.Stream(r, amplified)
+	if err != nil {
+		// Mirror the batch path's accounting: sequence() charges the
+		// budget before sampling can fail.
+		p.store.addCosts(func(c *Costs) { c.ReadsSequenced += ceiling })
+		return nil, err
+	}
 	workers := p.store.workers
 	eng, err := streamdecode.NewSharded(p.pipeline, 0, workers, p.store.cfg.Decode.StreamShards)
 	if err != nil {
 		return nil, err
 	}
 	eng.Overlap(parallel.NewPool(workers))
-	return eng, nil
-}
-
-// closeStreamEngine drains the engine's background jobs and folds its
-// per-stage accounting into the store's streaming totals.
-func (p *Partition) closeStreamEngine(eng *streamdecode.Engine) {
-	eng.Close()
-	p.store.addStreamStats(eng.Stats())
-}
-
-// streamRun is the evidence a streamed reaction leaves for failure
-// classification and health probes: reads actually sequenced, total
-// pore entries consumed (sequenced + ejected — the stream's true
-// effort), whether an injected abort truncated the delivery ceiling
-// below the budget, and the engine's live mean per-slot coverage of
-// the target.
-type streamRun struct {
-	sequenced int
-	entries   int
-	truncated bool
-	covAvg    float64
-}
-
-// expectedList is expectedVersions as a sorted slice — the unit set a
-// streaming target's coverage floor spans. An empty list (unwritten or
-// damaged front-end state) registers a target with no floor, which is
-// never Done: the stream then runs to the full batch budget.
-func (p *Partition) expectedList(block int) []int {
-	exp := p.expectedVersions(block)
-	out := make([]int, 0, len(exp))
-	for v := range exp {
-		out = append(out, v)
+	if strict {
+		eng.SetSlack(0)
 	}
-	sort.Ints(out)
-	return out
+	chunk := chunkSize(ceiling)
+	return &pore{
+		st: st, eng: eng, gate: p.poreGate(amplified, eng), batch: make([]dna.Seq, 0, chunk),
+		chunk: chunk, ceiling: ceiling, maxEntries: ejectOverhead * ceiling,
+	}, nil
+}
+
+// spent reports whether the stream has run out of sequencing ceiling
+// or pore entries — the latter is what terminates a gated stream whose
+// admissible molecules have run dry.
+func (s *pore) spent() bool {
+	return s.st.Sequenced >= s.ceiling || s.entries() >= s.maxEntries
+}
+
+// entries counts pore entries: reads sequenced plus molecules ejected.
+func (s *pore) entries() int { return s.st.Sequenced + s.st.Ejected }
+
+// fill feeds the engine chunks of sequenced reads, skipping ejections,
+// until done reports true or the stream is spent.
+func (s *pore) fill(done func() bool) {
+	for !s.spent() && !done() {
+		s.batch = s.batch[:0]
+		for len(s.batch) < s.chunk && !s.spent() {
+			if rd, ok := s.st.Next(s.gate); ok {
+				s.batch = append(s.batch, rd.Seq)
+			}
+		}
+		s.eng.Add(s.batch)
+	}
+}
+
+// closePore charges the stream's reads and ejections, drains the
+// engine's background jobs and folds its per-stage accounting into the
+// store's streaming totals.
+func (p *Partition) closePore(s *pore) {
+	p.store.addCosts(func(c *Costs) {
+		c.ReadsSequenced += s.st.Sequenced
+		c.ReadsEjected += s.st.Ejected
+	})
+	s.eng.Close()
+	p.store.addStreamStats(s.eng.Stats())
 }
 
 // streamBlock sequences one elongated-PCR reaction incrementally until
@@ -138,53 +160,32 @@ func (p *Partition) expectedList(block int) []int {
 // budget spent entirely on admissible molecules. An injected
 // sequencing abort truncates the reaction's delivery ceiling below the
 // budget before the first draw, exactly as it truncates a batch run.
-func (p *Partition) streamBlock(r *rng.Source, amplified *pool.Pool, block, budget int, strict bool) (*decode.BlockResult, streamRun, error) {
-	var run streamRun
-	ceiling := p.store.faultBudget(r, budget)
-	run.truncated = ceiling < budget
-	st, err := p.store.sampler.Stream(r, amplified)
+// The stream reads info.budget and records its evidence in info: reads
+// sequenced, whether the ceiling was truncated, total pore entries
+// (the stream's true effort), and the engine's live mean per-slot
+// coverage of the target.
+func (p *Partition) streamBlock(r *rng.Source, amplified *pool.Pool, block int, info *wetInfo, strict bool) (*decode.BlockResult, error) {
+	ceiling := p.store.faultBudget(r, info.budget)
+	info.truncated = ceiling < info.budget
+	s, err := p.openPore(r, amplified, ceiling, strict)
 	if err != nil {
-		// Mirror the batch path's accounting: sequence() charges the
-		// budget before sampling can fail.
-		p.store.addCosts(func(c *Costs) { c.ReadsSequenced += ceiling })
-		return nil, run, err
+		return nil, err
 	}
-	eng, err := p.newStreamEngine()
-	if err != nil {
-		return nil, run, err
+	defer p.closePore(s)
+	expected := p.expectedVersions(block)
+	s.eng.Expect(block, expected)
+	done := func() bool { return s.eng.Done(block) }
+	s.fill(done)
+	res, derr := s.eng.FinalizeBlock(block)
+	for (derr != nil || !servesExpected(res, expected)) && !s.spent() {
+		s.eng.Reopen(block)
+		s.fill(done)
+		res, derr = s.eng.FinalizeBlock(block)
 	}
-	defer p.closeStreamEngine(eng)
-	if strict {
-		eng.SetSlack(0)
-	}
-	expected := p.expectedList(block)
-	eng.Expect(block, expected)
-	gate := p.poreGate(amplified, eng)
-	chunk := chunkSize(ceiling)
-	maxEntries := ejectOverhead * ceiling
-	entries := func() int { return st.Sequenced + st.Ejected }
-	batch := make([]dna.Seq, 0, chunk)
-	for st.Sequenced < ceiling && entries() < maxEntries && !eng.Done(block) {
-		batch = drawChunk(st, batch, chunk, ceiling, maxEntries, gate)
-		eng.Add(batch)
-	}
-	res, derr := eng.FinalizeBlock(block)
-	for (derr != nil || !servesExpected(res, expected)) && st.Sequenced < ceiling && entries() < maxEntries {
-		eng.Reopen(block)
-		for st.Sequenced < ceiling && entries() < maxEntries && !eng.Done(block) {
-			batch = drawChunk(st, batch, chunk, ceiling, maxEntries, gate)
-			eng.Add(batch)
-		}
-		res, derr = eng.FinalizeBlock(block)
-	}
-	p.store.addCosts(func(c *Costs) {
-		c.ReadsSequenced += st.Sequenced
-		c.ReadsEjected += st.Ejected
-	})
-	run.sequenced = st.Sequenced
-	run.entries = entries()
-	run.covAvg, _ = eng.CoverageEstimate(block)
-	return res, run, derr
+	info.delivered = s.st.Sequenced
+	info.entries = s.entries()
+	info.covAvg, _ = s.eng.CoverageEstimate(block)
+	return res, derr
 }
 
 // poreGate builds the adaptive-sampling admission decision for one
@@ -242,47 +243,38 @@ func (p *Partition) poreGate(amplified *pool.Pool, eng *streamdecode.Engine) fun
 // floors double per round — and the stream escalates until every target
 // decodes or the batch budget (or the pore-entry bound) is exhausted.
 func (p *Partition) streamTargets(r *rng.Source, amplified *pool.Pool, targets []int, budget int) (map[int]*decode.BlockResult, error) {
-	ceiling := p.store.faultBudget(r, budget)
-	st, err := p.store.sampler.Stream(r, amplified)
-	if err != nil {
-		p.store.addCosts(func(c *Costs) { c.ReadsSequenced += ceiling })
-		return nil, err
-	}
-	eng, err := p.newStreamEngine()
+	s, err := p.openPore(r, amplified, p.store.faultBudget(r, budget), false)
 	if err != nil {
 		return nil, err
 	}
-	defer p.closeStreamEngine(eng)
+	defer p.closePore(s)
 	for _, b := range targets {
-		eng.Expect(b, p.expectedList(b))
+		s.eng.Expect(b, p.expectedVersions(b))
 	}
-	gate := p.poreGate(amplified, eng)
-	chunk := chunkSize(ceiling)
-	maxEntries := ejectOverhead * ceiling
-	entries := func() int { return st.Sequenced + st.Ejected }
-	batch := make([]dna.Seq, 0, chunk)
-	for st.Sequenced < ceiling && entries() < maxEntries && !eng.AllDone() {
-		batch = drawChunk(st, batch, chunk, ceiling, maxEntries, gate)
-		eng.Add(batch)
-	}
-	results, derr := eng.Finalize()
+	s.fill(s.eng.AllDone)
+	results, derr := s.eng.Finalize()
 	for derr == nil {
-		bad := p.failedTargets(results, targets)
-		if len(bad) == 0 || st.Sequenced >= ceiling || entries() >= maxEntries {
+		// A target fails until every version the front-end wrote has
+		// decoded. Unit errors on other versions are phantom slots
+		// conjured by mis-parsed stray reads, which assembly ignores.
+		var bad []int
+		for _, b := range targets {
+			if !servesExpected(results[b], p.expectedVersions(b)) {
+				bad = append(bad, b)
+			}
+		}
+		if len(bad) == 0 || s.spent() {
 			break
 		}
 		for _, b := range bad {
-			eng.Reopen(b)
+			s.eng.Reopen(b)
 		}
-		for st.Sequenced < ceiling && entries() < maxEntries && !eng.AllDone() {
-			batch = drawChunk(st, batch, chunk, ceiling, maxEntries, gate)
-			eng.Add(batch)
-		}
+		s.fill(s.eng.AllDone)
 		// Re-finalize only the escalated targets: the others' results
 		// are already good, and a full re-decode would repeat their
 		// trace and RS work every round.
 		for _, b := range bad {
-			res, _ := eng.FinalizeBlock(b)
+			res, _ := s.eng.FinalizeBlock(b)
 			if res != nil {
 				results[b] = res
 			} else {
@@ -290,42 +282,7 @@ func (p *Partition) streamTargets(r *rng.Source, amplified *pool.Pool, targets [
 			}
 		}
 	}
-	p.store.addCosts(func(c *Costs) {
-		c.ReadsSequenced += st.Sequenced
-		c.ReadsEjected += st.Ejected
-	})
 	return results, derr
-}
-
-// drawChunk fills batch with up to chunk sequenced reads, skipping
-// ejections, until the sequencing budget or the pore-entry bound runs
-// out — the latter is what terminates a gated stream whose admissible
-// molecules have run dry.
-func drawChunk(st *seqsim.Stream, batch []dna.Seq, chunk, budget, maxEntries int, gate func(int) bool) []dna.Seq {
-	batch = batch[:0]
-	for len(batch) < chunk && st.Sequenced < budget && st.Sequenced+st.Ejected < maxEntries {
-		rd, ok := st.Next(gate)
-		if !ok {
-			continue
-		}
-		batch = append(batch, rd.Seq)
-	}
-	return batch
-}
-
-// failedTargets lists the targets whose streamed decode cannot yet
-// serve a content read: every version the front-end wrote must have
-// decoded. Unit errors on other versions do not fail a target — those
-// are phantom slots conjured by mis-parsed stray reads, and the batch
-// decode records (and the content read ignores) the very same ones.
-func (p *Partition) failedTargets(results map[int]*decode.BlockResult, targets []int) []int {
-	var bad []int
-	for _, b := range targets {
-		if !servesExpected(results[b], p.expectedList(b)) {
-			bad = append(bad, b)
-		}
-	}
-	return bad
 }
 
 // servesExpected reports whether a decode result carries content for

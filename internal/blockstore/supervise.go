@@ -43,29 +43,21 @@ type RecoveryReport struct {
 	ExtraReads int
 }
 
-// retryPolicy resolves the store's effective supervised-read policy.
-func (p *Partition) retryPolicy() fault.RetryPolicy {
-	pol := fault.DefaultRetryPolicy()
-	if p.store.cfg.Retry != nil {
-		pol = *p.store.cfg.Retry
-	}
-	return pol.Normalize()
-}
-
 // superviseAttempt performs one supervised wet re-read of a block:
-// the standard serial front-end (primer charging, noise fork, wear)
-// followed by the instrumented wet read at the given depth scale.
-// Supervision runs serially after any parallel fan, so the front-end
-// work here keeps its deterministic order.
+// the block front-end (primer charging, noise fork, wear) and the
+// block's reaction at the given depth scale, streamed strictly and
+// assembled with its health. Supervision runs serially after any
+// parallel fan, so the front-end work keeps its deterministic order.
 func (p *Partition) superviseAttempt(block int, scale float64, screen bool) ([]byte, Health, wetInfo) {
-	p.mu.Lock()
-	depth := 1 + p.versions[block]
-	p.chargeElongated(blockPrimerKey(block))
-	accesses := 1 + p.chargeOverflow(block)
-	r := p.noise.Fork()
-	p.store.wear(accesses)
-	p.mu.Unlock()
-	return p.readBlockHealthWet(r, block, depth, p.store.cfg.Workers, scale, screen)
+	pl, err := p.planBlocks([]int{block}, true)
+	if err != nil {
+		return nil, p.healthOf(block, nil, err), wetInfo{}
+	}
+	rx := pl.reactions[0]
+	workers := p.store.cfg.Workers
+	results, info, err := p.react(rx, workers, wetStrict, scale, screen)
+	content, h, _ := p.assemble(rx.src, block, results[block], err, info, workers) // h.Err carries the failure
+	return content, h, info
 }
 
 // supervise runs the recovery engine over an initial health pass,
@@ -77,9 +69,17 @@ func (p *Partition) superviseAttempt(block int, scale float64, screen bool) ([]b
 // for contamination unless the policy disables quarantine. Recovered
 // blocks whose coverage landed below the policy's Heckel floor get one
 // hedged deeper re-read. The loop is serial and in access order, so
-// supervised results are byte-identical at any worker count.
-func (p *Partition) supervise(content [][]byte, health []Health) *RecoveryReport {
-	pol := p.retryPolicy()
+// supervised results are byte-identical at any worker count. A digital
+// failure of the initial pass (err) passes through untouched.
+func (p *Partition) supervise(content [][]byte, health []Health, err error) ([][]byte, []Health, *RecoveryReport, error) {
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	pol := fault.DefaultRetryPolicy()
+	if p.store.cfg.Retry != nil {
+		pol = *p.store.cfg.Retry
+	}
+	pol = pol.Normalize()
 	rep := &RecoveryReport{Blocks: len(health), Attempts: make([]int, len(health))}
 	for i := range rep.Attempts {
 		rep.Attempts[i] = 1
@@ -142,11 +142,9 @@ func (p *Partition) supervise(content [][]byte, health []Health) *RecoveryReport
 		}
 	}
 	for _, a := range rep.Attempts {
-		if a > rep.MaxAttempts {
-			rep.MaxAttempts = a
-		}
+		rep.MaxAttempts = max(rep.MaxAttempts, a)
 	}
-	return rep
+	return content, health, rep, nil
 }
 
 // ReadBlocksSupervised is ReadBlocksHealth with the recovery engine on
@@ -157,22 +155,12 @@ func (p *Partition) supervise(content [][]byte, health []Health) *RecoveryReport
 // wrapping fault.ErrRetryBudgetExhausted around the last failure
 // class. Results are byte-identical at any worker count.
 func (p *Partition) ReadBlocksSupervised(blocks []int) ([][]byte, []Health, *RecoveryReport, error) {
-	content, health, err := p.ReadBlocksHealth(blocks)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rep := p.supervise(content, health)
-	return content, health, rep, nil
+	return p.supervise(p.ReadBlocksHealth(blocks))
 }
 
 // ReadRangeSupervised is ReadRangeHealth with the recovery engine on
 // top; see ReadBlocksSupervised. Entries follow the written data
 // blocks of [lo, hi] in block order.
 func (p *Partition) ReadRangeSupervised(lo, hi int) ([][]byte, []Health, *RecoveryReport, error) {
-	content, health, err := p.ReadRangeHealth(lo, hi)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rep := p.supervise(content, health)
-	return content, health, rep, nil
+	return p.supervise(p.ReadRangeHealth(lo, hi))
 }
