@@ -21,6 +21,7 @@ package pcr
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dnastore/internal/binding"
 	"dnastore/internal/dna"
@@ -108,10 +109,20 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate checks parameter sanity.
+// Validate checks parameter sanity. Every float must be finite: a NaN
+// fails every comparison, so without the check it would slip past the
+// range tests and silently stall the reaction.
 func (p Params) Validate() error {
 	if p.Cycles <= 0 {
 		return fmt.Errorf("pcr: cycles %d", p.Cycles)
+	}
+	names := [...]string{"efficiency", "anneal temperature", "touchdown start",
+		"mismatch penalty", "temperature slope", "reference temperature", "capacity"}
+	for i, v := range [...]float64{p.Efficiency, p.AnnealTemp, p.TouchdownStart,
+		p.MismatchPenalty, p.TempSlope, p.ReferenceTemp, p.Capacity} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("pcr: %s %v is not finite", names[i], v)
+		}
 	}
 	if p.Efficiency <= 0 || p.Efficiency > 1 {
 		return fmt.Errorf("pcr: efficiency %v outside (0, 1]", p.Efficiency)
@@ -173,35 +184,16 @@ func (s Stats) Gain() float64 {
 // provider answer so every (species, primer) pair is asked at most
 // once per reaction.
 
-// suffixDistance returns the edit distance between pattern and the
-// best-matching suffix of text (used by tests). Aligning against the
-// empty suffix always costs exactly len(pattern), so that budget is
-// tight and keeps the kernel banded — an unbounded budget here would
-// defeat the banding on every call.
-func suffixDistance(pattern, text dna.Seq) int {
-	d, _ := dna.SuffixAlignmentAtMost(pattern, text, len(pattern))
-	return d
-}
-
 // delta is one unit of per-cycle growth, kept pointer-free and 16
 // bytes because hundreds of thousands are staged per reaction (every
 // growing species, every cycle): species >= 0 boosts an existing
-// species directly, otherwise prod indexes the chunk's staged products.
+// species directly; otherwise prod is the producing (species, primer)
+// table slot of a new misprime product, which the apply phase builds
+// from the slot's binding.
 type delta struct {
 	species int32 // existing species receiving growth, or -1
-	prod    int32 // index into the chunk's products, or -1
+	prod    int32 // producing table slot (si*np+pi), or -1
 	amount  float64
-}
-
-// product is a new misprimed product staged by the scoring phase.
-// origin records which (species, primer) slot produced it, so the
-// apply phase can memoize the product's pool index and later cycles
-// boost it directly instead of rebuilding and re-hashing the same
-// sequence 28 times per reaction.
-type product struct {
-	origin int // producing table slot (si*np+pi)
-	seq    dna.Seq
-	meta   pool.Meta
 }
 
 // Run executes the reaction on a copy of the input pool and returns the
@@ -225,8 +217,8 @@ func Run(input *pool.Pool, primers []Primer, params Params) (*pool.Pool, Stats, 
 		if len(pr.Fwd) == 0 || len(pr.Rev) == 0 {
 			return nil, Stats{}, fmt.Errorf("pcr: primer %d has empty sequence", i)
 		}
-		if pr.Conc <= 0 {
-			return nil, Stats{}, fmt.Errorf("pcr: primer %d has non-positive concentration", i)
+		if !(pr.Conc > 0) || math.IsInf(pr.Conc, 0) {
+			return nil, Stats{}, fmt.Errorf("pcr: primer %d concentration %v is not positive and finite", i, pr.Conc)
 		}
 		if pr.Conc > maxConc {
 			maxConc = pr.Conc
@@ -277,17 +269,74 @@ func Run(input *pool.Pool, primers []Primer, params Params) (*pool.Pool, Stats, 
 		nchunks = 4 * workers
 	}
 	chunkDeltas := make([][]delta, nchunks)
-	chunkProds := make([][]product, nchunks)
+	var prodSeq dna.Seq // the apply phase's product buffer
 	expPen := make([]float64, params.MaxBindDist+1)
 
+	// The scoring phase reads the cycle's saturation and species count
+	// through these, so its closure is built once per reaction.
+	var sat float64
+	var n, chunk int
+	// scoreChunk emits, in species order, the growth deltas of chunk
+	// ci's contiguous species range.
+	scoreChunk := func(ci int) error {
+		lo := min(ci*chunk, n)
+		hi := min(lo+chunk, n)
+		deltas := chunkDeltas[ci][:0]
+		for si := lo; si < hi; si++ {
+			ab := out.Abundance(si)
+			if ab <= 0 {
+				continue
+			}
+			if ab*maxProb*sat < negligible {
+				continue
+			}
+			// Room for this species' deltas, by doubling: the first
+			// cycle grows each buffer from empty, and append's gentler
+			// growth of large slices copied it several times over.
+			if cap(deltas)-len(deltas) < np {
+				deltas = slices.Grow(deltas, max(np, len(deltas)))
+			}
+			tmpl := out.PackedSeq(si) // zero-copy arena view
+			row := cache[si*np : (si+1)*np]
+			for pi := range primers {
+				b := &row[pi]
+				if b.State == binding.Unknown {
+					*b = rx.Bind(pi, si, tmpl)
+				}
+				if b.State == binding.None {
+					continue
+				}
+				prob := params.Efficiency * primers[pi].Conc * expPen[b.Dist]
+				amount := ab * prob * sat
+				if amount < negligible {
+					continue
+				}
+				if b.Dist == 0 {
+					deltas = append(deltas, delta{species: int32(si), prod: -1, amount: amount})
+					continue
+				}
+				// Misprime: once the slot's product exists its
+				// index is memoized and growth goes straight to
+				// it; until then the apply phase builds it.
+				slot := si*np + pi
+				if idx := prodIdx[slot]; idx != 0 {
+					deltas = append(deltas, delta{species: idx - 1, prod: -1, amount: amount})
+					continue
+				}
+				deltas = append(deltas, delta{species: -1, prod: int32(slot), amount: amount})
+			}
+		}
+		chunkDeltas[ci] = deltas
+		return nil
+	}
+
 	for c := 0; c < params.Cycles; c++ {
-		total := out.Total()
-		sat := 1 - total/params.Capacity
+		sat = 1 - out.Total()/params.Capacity
 		if sat <= 0 {
 			break
 		}
 		pen := params.penalty(params.annealTemp(c))
-		n := out.Len()
+		n = out.Len()
 		// Grow the reaction tables with doubling: products append a few
 		// species every cycle, and regrowing exactly-sized tables each
 		// cycle was measurable zeroing + copy traffic. Fresh capacity
@@ -311,88 +360,33 @@ func Run(input *pool.Pool, primers []Primer, params Params) (*pool.Pool, Stats, 
 		for d := 0; d <= params.MaxBindDist; d++ {
 			expPen[d] = math.Exp(-pen * float64(d))
 		}
-		// score emits the growth deltas of species [lo, hi) in order.
-		score := func(lo, hi int, deltas []delta, prods []product) ([]delta, []product) {
-			for si := lo; si < hi; si++ {
-				ab := out.Abundance(si)
-				if ab <= 0 {
-					continue
-				}
-				if ab*maxProb*sat < negligible {
-					continue
-				}
-				tmpl := out.PackedSeq(si) // zero-copy arena view
-				row := cache[si*np : (si+1)*np]
-				for pi := range primers {
-					b := &row[pi]
-					if b.State == binding.Unknown {
-						*b = rx.Bind(pi, si, tmpl)
-					}
-					if b.State == binding.None {
-						continue
-					}
-					prob := params.Efficiency * primers[pi].Conc * expPen[b.Dist]
-					amount := ab * prob * sat
-					if amount < negligible {
-						continue
-					}
-					if b.Dist == 0 {
-						deltas = append(deltas, delta{species: int32(si), prod: -1, amount: amount})
-						continue
-					}
-					// Misprime: product carries the primer as its prefix
-					// and the template's remainder (index overwritten,
-					// payload kept). Once the product exists its index
-					// is memoized and growth goes straight to it.
-					slot := si*np + pi
-					if idx := prodIdx[slot]; idx != 0 {
-						deltas = append(deltas, delta{species: idx - 1, prod: -1, amount: amount})
-						continue
-					}
-					fwd := primers[pi].Fwd
-					tn := tmpl.Len()
-					seq := make(dna.Seq, 0, len(fwd)+tn-int(b.End))
-					seq = append(seq, fwd...)
-					seq = tmpl.AppendRange(seq, int(b.End), tn)
-					meta := out.MetaAt(si)
-					meta.Misprimed = true
-					prods = append(prods, product{origin: slot, seq: seq, meta: meta})
-					deltas = append(deltas, delta{species: -1, prod: int32(len(prods) - 1), amount: amount})
-				}
-			}
-			return deltas, prods
-		}
-		chunk := (n + nchunks - 1) / nchunks
-		if chunk < 1 {
-			chunk = 1
-		}
-		parallel.Run(workers, nchunks, func(ci int) error {
-			lo := ci * chunk
-			if lo > n {
-				lo = n
-			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			chunkDeltas[ci], chunkProds[ci] = score(lo, hi, chunkDeltas[ci][:0], chunkProds[ci][:0])
-			return nil
-		})
+		chunk = max((n+nchunks-1)/nchunks, 1)
+		parallel.Run(workers, nchunks, scoreChunk)
 		// Apply phase: serial, in species order (chunks are contiguous
 		// and ordered), identical to the historical single-loop apply:
 		// boosting a memoized product index mutates exactly the species
-		// that re-adding its sequence would have found.
-		for ci, deltas := range chunkDeltas {
-			prods := chunkProds[ci]
+		// that re-adding its sequence would have found. A misprime
+		// product carries the primer as its prefix and the template's
+		// remainder past the bound end (index overwritten, payload
+		// kept). Rebuilding it here from the slot reads what the scorer
+		// read: species are append-only, a species' sequence and meta
+		// never change, and the slot's binding is fixed for the
+		// reaction.
+		for _, deltas := range chunkDeltas {
 			for _, d := range deltas {
 				if d.species >= 0 {
 					out.Boost(int(d.species), d.amount)
 					continue
 				}
-				p := &prods[d.prod]
+				si, pi := int(d.prod)/np, int(d.prod)%np
+				tmpl := out.PackedSeq(si)
+				prodSeq = append(prodSeq[:0], primers[pi].Fwd...)
+				prodSeq = tmpl.AppendRange(prodSeq, int(cache[d.prod].End), tmpl.Len())
+				meta := out.MetaAt(si)
+				meta.Misprimed = true
 				before := out.Len()
-				if idx := out.AddIndex(p.seq, d.amount, p.meta); idx >= 0 {
-					prodIdx[p.origin] = int32(idx) + 1
+				if idx := out.AddIndex(prodSeq, d.amount, meta); idx >= 0 {
+					prodIdx[d.prod] = int32(idx) + 1
 				}
 				if out.Len() > before {
 					stats.MisprimeSpecies++

@@ -1,6 +1,10 @@
 package pcr
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -65,6 +69,29 @@ func TestValidation(t *testing.T) {
 	bad.Efficiency = 1.5
 	if _, _, err := Run(p, good, bad); err == nil {
 		t.Error("efficiency > 1 accepted")
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, mut := range map[string]func(*Params){
+		"NaN efficiency":       func(q *Params) { q.Efficiency = nan },
+		"NaN capacity":         func(q *Params) { q.Capacity = nan },
+		"+Inf capacity":        func(q *Params) { q.Capacity = inf },
+		"NaN mismatch penalty": func(q *Params) { q.MismatchPenalty = nan },
+		"NaN temp slope":       func(q *Params) { q.TempSlope = nan },
+		"-Inf temp slope":      func(q *Params) { q.TempSlope = -inf },
+		"NaN anneal temp":      func(q *Params) { q.AnnealTemp = nan },
+		"+Inf touchdown start": func(q *Params) { q.TouchdownStart = inf },
+		"NaN reference temp":   func(q *Params) { q.ReferenceTemp = nan },
+	} {
+		bad = params(1e6)
+		mut(&bad)
+		if _, _, err := Run(p, good, bad); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	for _, conc := range []float64{nan, inf, -1} {
+		if _, _, err := Run(p, []Primer{{Fwd: fwdP, Rev: revP, Conc: conc}}, params(1e6)); err == nil {
+			t.Errorf("concentration %v accepted", conc)
+		}
 	}
 }
 
@@ -307,6 +334,16 @@ func TestAnnealTempSchedule(t *testing.T) {
 	}
 }
 
+// suffixDistance returns the edit distance between pattern and the
+// best-matching suffix of text (used by tests). Aligning against the
+// empty suffix always costs exactly len(pattern), so that budget is
+// tight and keeps the kernel banded — an unbounded budget here would
+// defeat the banding on every call.
+func suffixDistance(pattern, text dna.Seq) int {
+	d, _ := dna.SuffixAlignmentAtMost(pattern, text, len(pattern))
+	return d
+}
+
 func TestSuffixDistance(t *testing.T) {
 	if d := suffixDistance(revP, strand("ACGTACGTAC", 1)); d != 0 {
 		t.Errorf("exact suffix distance %d", d)
@@ -323,6 +360,27 @@ func TestParamsValidateMessages(t *testing.T) {
 	err := pm.Validate()
 	if err == nil || !strings.Contains(err.Error(), "capacity") {
 		t.Errorf("capacity error: %v", err)
+	}
+	for _, tc := range []struct {
+		mut  func(*Params)
+		want string
+	}{
+		{func(q *Params) { q.Efficiency = math.NaN() }, "efficiency NaN is not finite"},
+		{func(q *Params) { q.Capacity = math.Inf(1) }, "capacity +Inf is not finite"},
+		{func(q *Params) { q.MismatchPenalty = math.NaN() }, "mismatch penalty NaN is not finite"},
+		{func(q *Params) { q.TempSlope = math.NaN() }, "temperature slope NaN is not finite"},
+	} {
+		pm := params(1e6)
+		tc.mut(&pm)
+		if err := pm.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("got %v, want an error containing %q", err, tc.want)
+		}
+	}
+	p := pool.New()
+	p.Add(strand("ACGTACGTAC", 1), 100, pool.Meta{})
+	_, _, err = Run(p, []Primer{{Fwd: fwdP, Rev: revP, Conc: math.NaN()}}, params(1e6))
+	if err == nil || !strings.Contains(err.Error(), "primer 0 concentration NaN") {
+		t.Errorf("NaN concentration error: %v", err)
 	}
 }
 
@@ -481,6 +539,20 @@ func BenchmarkPCRRun(b *testing.B) {
 	}
 }
 
+// BenchmarkPCRRunMisprimeHeavy measures a reaction in which nearly
+// every template misprimes, the regime of a block read on an aged tube.
+func BenchmarkPCRRunMisprimeHeavy(b *testing.B) {
+	input := misprimeHeavyPool(2048)
+	pr, ps := misprimeHeavyReaction(input)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Run(input, pr, ps); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPCRRunCached is BenchmarkPCRRun through a warm shared
 // binding cache: after the first iteration every alignment is a hit,
 // the cross-reaction regime of a range read.
@@ -501,5 +573,142 @@ func BenchmarkPCRRunCached(b *testing.B) {
 		if _, _, err := Run(input, pr, ps); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// misprimeTarget is the block index the misprime-heavy reaction selects.
+const misprimeTarget = "ACGTACGTAC"
+
+// misprimeHeavyPool fabricates n strands whose index regions sit 1-4
+// random edits (substitutions, insertions, deletions) from
+// misprimeTarget, so nearly every strand misprimes under the elongated
+// primer, and the indels spread the bound template ends.
+func misprimeHeavyPool(n int) *pool.Pool {
+	r := rng.New(7)
+	p := pool.New()
+	for i := 0; i < n; i++ {
+		idx := []byte(misprimeTarget)
+		for string(idx) == misprimeTarget {
+			for e := 1 + r.Intn(4); e > 0; e-- {
+				pos := r.Intn(len(idx))
+				b := "ACGT"[r.Intn(4)]
+				switch r.Intn(3) {
+				case 0:
+					for b == idx[pos] {
+						b = "ACGT"[r.Intn(4)]
+					}
+					idx[pos] = b
+				case 1:
+					idx = append(idx[:pos], append([]byte{b}, idx[pos:]...)...)
+				default:
+					idx = append(idx[:pos], idx[pos+1:]...)
+				}
+			}
+		}
+		p.Add(strand(string(idx), uint64(1000+i)), 50+float64(i%11),
+			pool.Meta{Partition: "mp", Block: i, OriginBlock: i, Intra: i % 15})
+	}
+	return p
+}
+
+// misprimeHeavyReaction returns the primers and parameters of a block
+// read over a misprime-heavy pool: the elongated primer plus residual
+// main-primer carry-over.
+func misprimeHeavyReaction(input *pool.Pool) ([]Primer, Params) {
+	pr := []Primer{
+		{Fwd: elongated(misprimeTarget), Rev: revP, Conc: 1},
+		{Fwd: fwdP, Rev: revP, Conc: 0.05},
+	}
+	return pr, params(float64(input.Len()) * 60 * 40)
+}
+
+// reactionDigest hashes every output species (packed sequence,
+// abundance bits, provenance) in pool order, then the reaction Stats.
+func reactionDigest(out *pool.Pool, st Stats) string {
+	h := sha256.New()
+	var w [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(w[:], v)
+		h.Write(w[:])
+	}
+	for i, n := 0, out.Len(); i < n; i++ {
+		ps := out.PackedSeq(i)
+		put(uint64(ps.Len()))
+		h.Write(ps.Bytes())
+		put(math.Float64bits(out.Abundance(i)))
+		m := out.MetaAt(i)
+		fmt.Fprintf(h, "%s/%d/%d/%d/%d/%v;", m.Partition, m.Block, m.Version, m.Intra, m.OriginBlock, m.Misprimed)
+	}
+	put(uint64(st.Cycles))
+	put(math.Float64bits(st.InitialTotal))
+	put(math.Float64bits(st.FinalTotal))
+	put(uint64(st.MisprimeSpecies))
+	put(math.Float64bits(st.MisprimedMass))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// misprimeHeavyGolden is reactionDigest of the misprime-heavy reaction.
+// How products are staged may change; their sequences, abundances and
+// provenance may not.
+const misprimeHeavyGolden = "c2500dc28a5264ff4437d86c4edfd94005704636876193b24b0bcbdc1e19e2bd"
+
+// TestRunGoldenMisprimeHeavy pins the misprime-heavy reaction's output
+// bytes across worker counts and binding providers.
+func TestRunGoldenMisprimeHeavy(t *testing.T) {
+	input := misprimeHeavyPool(2048)
+	pr, base := misprimeHeavyReaction(input)
+	warm := binding.NewCache(0)
+	ps := base
+	ps.Provider = warm
+	if _, _, err := Run(input, pr, ps); err != nil { // warm the cache
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		for _, prov := range []struct {
+			name string
+			p    binding.Provider
+		}{{"direct", binding.Direct{}}, {"warm-cache", warm}} {
+			ps := base
+			ps.Workers = workers
+			ps.Provider = prov.p
+			out, stats, err := Run(input, pr, ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.MisprimeSpecies < input.Len()/2 {
+				t.Fatalf("%s workers=%d: only %d misprime species from %d templates",
+					prov.name, workers, stats.MisprimeSpecies, input.Len())
+			}
+			if got := reactionDigest(out, stats); got != misprimeHeavyGolden {
+				t.Errorf("%s workers=%d: digest %s, want %s (misprimes %d, species %d)",
+					prov.name, workers, got, misprimeHeavyGolden, stats.MisprimeSpecies, out.Len())
+			}
+		}
+	}
+}
+
+// TestRunMisprimeAllocs pins the cost of a misprime: building and
+// adding a product reuses one per-reaction buffer, so a reaction's
+// allocations stay a small fraction of the misprime species it creates
+// (what remains is table, delta and pool growth, all amortized).
+func TestRunMisprimeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; pin is meaningless")
+	}
+	input := misprimeHeavyPool(2048)
+	pr, ps := misprimeHeavyReaction(input)
+	_, stats, err := Run(input, pr, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, _, err := Run(input, pr, ps); err != nil {
+			t.Fatal(err)
+		}
+	})
+	per := allocs / float64(stats.MisprimeSpecies)
+	t.Logf("%.0f allocs per reaction, %d misprime species, %.4f allocs per misprime", allocs, stats.MisprimeSpecies, per)
+	if per >= 0.1 {
+		t.Errorf("%.3f allocs per misprime species, want < 0.1", per)
 	}
 }
