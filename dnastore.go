@@ -95,8 +95,9 @@ var (
 	// the Reed-Solomon correction margin; only re-synthesis from a
 	// surviving copy (or the original data) cures it.
 	ErrRSMarginExceeded = blockstore.ErrRSMarginExceeded
-	// ErrDepthScale reports a non-positive (or NaN) sequencing-depth
-	// scale passed to ReadBlockHealth.
+	// ErrDepthScale reports a sequencing-depth scale passed to
+	// ReadBlockHealth that is not positive and finite, or whose scaled
+	// read budget overflows an int.
 	ErrDepthScale = blockstore.ErrDepthScale
 )
 
@@ -383,7 +384,8 @@ func (s *System) DecayStats() DecayStats { return s.store.DecayStats() }
 // Scrub probes every written block with cheap shallow reads, flags
 // blocks whose health has dipped below the policy's floors, and —
 // policy permitting — repairs them by re-amplification or
-// re-synthesis. The zero ScrubPolicy selects the defaults.
+// re-synthesis. The zero ScrubPolicy selects the defaults; a policy
+// with a NaN or infinite field is rejected before any probe runs.
 func (s *System) Scrub(pol ScrubPolicy) (*ScrubReport, error) { return s.store.Scrub(pol) }
 
 // CreatePartition allocates the next primer pair and returns an empty
@@ -487,8 +489,9 @@ func (p *Partition) ReadRangeHealth(lo, hi int) ([][]byte, []Health, error) {
 
 // ReadBlockHealth reads one block with its sequencing depth scaled by
 // scale (> 1 probes deeper before declaring the block dead, < 1 reads
-// shallow, as Scrub's probes do). A non-positive or NaN scale is
-// rejected with an error wrapping ErrDepthScale.
+// shallow, as Scrub's probes do). A scale that is not positive and
+// finite, or whose scaled read budget overflows an int, is rejected
+// with an error wrapping ErrDepthScale.
 func (p *Partition) ReadBlockHealth(block int, scale float64) ([]byte, Health, error) {
 	return p.p.ReadBlockHealth(block, scale)
 }

@@ -421,6 +421,40 @@ func TestScrubRepairNoneIsReadOnly(t *testing.T) {
 	}
 }
 
+// TestScrubRejectsNonFinitePolicy pins that a NaN or infinite policy
+// field fails the pass before any probe runs, leaving the tube intact:
+// a NaN boost gain once passed the defaults check and poisoned every
+// boosted species' abundance, so every later read failed.
+func TestScrubRejectsNonFinitePolicy(t *testing.T) {
+	prof := decay.Accelerated()
+	s, p := buildAged(t, 1, &prof)
+	if _, err := s.Advance(500); err != nil {
+		t.Fatal(err)
+	}
+	before, costs := s.TubeDigest(), s.Costs()
+	for _, pol := range []ScrubPolicy{
+		{BoostFactor: math.NaN(), Repair: RepairBoost, MinCoverage: 1e9},
+		{BoostFactor: math.Inf(1), Repair: RepairBoost, MinCoverage: 1e9},
+		{ProbeDepthFactor: math.NaN()},
+		{ProbeDepthFactor: math.Inf(1)},
+		{MinCoverage: math.Inf(-1)},
+		{MaxRSMargin: math.NaN()},
+	} {
+		if _, err := s.Scrub(pol); err == nil {
+			t.Errorf("policy %+v accepted", pol)
+		}
+	}
+	if s.TubeDigest() != before {
+		t.Error("rejected scrub perturbed the tube")
+	}
+	if got := s.Costs(); got != costs {
+		t.Errorf("rejected scrub charged costs: %+v, was %+v", got, costs)
+	}
+	if _, err := p.ReadBlock(0); err != nil {
+		t.Errorf("read after rejected scrub: %v", err)
+	}
+}
+
 // TestWearChargesAccesses pins the per-access mechanical damage: with a
 // mechanical-only profile, reads attenuate the tube; without one they
 // leave it untouched.
@@ -466,7 +500,7 @@ func TestReadBlockHealthEscalated(t *testing.T) {
 			t.Errorf("scale %g: content diverges from classic read", scale)
 		}
 	}
-	for _, scale := range []float64{0, -1, math.NaN()} {
+	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1), 1e300} {
 		if _, _, err := p.ReadBlockHealth(3, scale); !errors.Is(err, ErrDepthScale) {
 			t.Errorf("scale %g: want ErrDepthScale, got %v", scale, err)
 		}

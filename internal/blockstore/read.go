@@ -488,16 +488,19 @@ func (p *Partition) ReadBlocksHealth(blocks []int) ([][]byte, []Health, error) {
 
 // ReadBlockHealth reads one block with graceful degradation at an
 // adjustable sequencing budget: scale multiplies the configured
-// per-strand read depth and must be positive — a non-positive or NaN
-// scale returns ErrDepthScale instead of silently sampling nothing.
-// Operators re-sequence deeper before declaring a block lost; a
-// scale > 1 retry distinguishes a genuinely degraded block from one
-// shallow read that happened to fall short.
+// per-strand read depth and must be positive and finite, with a scaled
+// read budget that fits in an int — any other scale returns
+// ErrDepthScale instead of silently sampling nothing (an overflowing
+// budget would wrap to a single read). Operators re-sequence deeper
+// before declaring a block lost; a scale > 1 retry distinguishes a
+// genuinely degraded block from one shallow read that happened to fall
+// short.
 func (p *Partition) ReadBlockHealth(block int, scale float64) ([]byte, Health, error) {
 	if err := p.checkBlock(block); err != nil {
 		return nil, Health{}, err
 	}
-	if scale <= 0 || math.IsNaN(scale) {
+	if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 1) ||
+		float64(p.store.ReadBudget(1+p.Versions(block)))*scale+0.5 >= math.MaxInt64 {
 		return nil, Health{}, fmt.Errorf("%w: %g", ErrDepthScale, scale)
 	}
 	pl, err := p.planBlocks([]int{block}, true)

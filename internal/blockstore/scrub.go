@@ -3,6 +3,7 @@ package blockstore
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"dnastore/internal/decode"
@@ -82,8 +83,24 @@ func DefaultScrubPolicy() ScrubPolicy {
 	}
 }
 
-// normalize fills zero-valued policy fields with the defaults.
-func (pol ScrubPolicy) normalize() ScrubPolicy {
+// normalize fills zero-valued policy fields with the defaults. A NaN
+// or infinite field is an error: the <= tests below would pass it
+// through, and a NaN boost gain would poison every boosted species'
+// abundance.
+func (pol ScrubPolicy) normalize() (ScrubPolicy, error) {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"ProbeDepthFactor", pol.ProbeDepthFactor},
+		{"MinCoverage", pol.MinCoverage},
+		{"MaxRSMargin", pol.MaxRSMargin},
+		{"BoostFactor", pol.BoostFactor},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return pol, fmt.Errorf("blockstore: scrub policy %s %g is not finite", f.name, f.v)
+		}
+	}
 	def := DefaultScrubPolicy()
 	if pol.ProbeDepthFactor <= 0 {
 		pol.ProbeDepthFactor = def.ProbeDepthFactor
@@ -103,7 +120,7 @@ func (pol ScrubPolicy) normalize() ScrubPolicy {
 	if pol.MaxRetries < 0 {
 		pol.MaxRetries = 0
 	}
-	return pol
+	return pol, nil
 }
 
 // BlockRepair records one flagged block's diagnosis and treatment.
@@ -143,9 +160,13 @@ type ScrubReport struct {
 // retrying a failed repair read with escalating sequencing depth.
 // The pass is deterministic: partitions in name order, blocks
 // in address order, one probe noise source forked per block in that
-// order.
+// order. A policy with a NaN or infinite field is rejected before any
+// probe runs.
 func (s *Store) Scrub(pol ScrubPolicy) (*ScrubReport, error) {
-	pol = pol.normalize()
+	pol, err := pol.normalize()
+	if err != nil {
+		return nil, err
+	}
 	costBefore := s.Costs()
 	report := &ScrubReport{}
 

@@ -211,26 +211,37 @@ type strandCandidate struct {
 	indexDist   int
 }
 
+// workspace holds the reconstruction buffers one decode call reuses
+// across its clusters: the trace workspace, the gathered cluster reads
+// and fitLength's padding. It is never kept past the call, so a
+// Pipeline retains no scratch and stays safe for concurrent use.
+type workspace struct {
+	trace trace.Workspace
+	seqs  []dna.Seq
+	pad   dna.Seq
+}
+
 // reconstruct turns one cluster of full reads into a candidate strand.
 // Large clusters use the ensemble consensus, which suppresses BMA's
 // residual mid-strand errors on noisy channels; iterative refinement
-// then re-votes every position against the aligned reads.
-func (p *Pipeline) reconstruct(reads []dna.Seq, size int) (strandCandidate, bool) {
+// then re-votes every position against the aligned reads. The
+// consensus lives in ws; the candidate's payload is a fresh copy.
+func (p *Pipeline) reconstruct(ws *workspace, reads []dna.Seq, size int) (strandCandidate, bool) {
 	g := p.cfg.Geometry
 	strandLen := g.StrandLen
 	var cons dna.Seq
 	var err error
 	if len(reads) >= 15 {
-		cons, err = trace.Ensemble(reads, strandLen, 3)
+		cons, err = ws.trace.Ensemble(reads, strandLen, 3)
 	} else {
-		cons, err = trace.DoubleSided(reads, strandLen)
+		cons, err = ws.trace.DoubleSided(reads, strandLen)
 	}
 	if err != nil {
 		return strandCandidate{}, false
 	}
 	if len(reads) >= 3 {
-		cons = trace.Refine(reads, cons, 2)
-		cons = fitLength(cons, strandLen)
+		cons = ws.trace.Refine(reads, cons, 2)
+		cons = ws.fitLength(cons, strandLen)
 	}
 	// Field offsets within the full strand: fwd primer, sync, index,
 	// version, intra, payload.
@@ -321,16 +332,16 @@ func (p *Pipeline) ProvisionalAddress(read dna.Seq) (block, version, intra int, 
 
 // fitLength pads (with A) or truncates a consensus to the expected
 // strand length; residual length errors land in the payload tail where
-// the Reed-Solomon code absorbs them.
-func fitLength(s dna.Seq, n int) dna.Seq {
-	if len(s) == n {
-		return s
-	}
-	if len(s) > n {
+// the Reed-Solomon code absorbs them. A padded consensus lives in ws.
+func (ws *workspace) fitLength(s dna.Seq, n int) dna.Seq {
+	if len(s) >= n {
 		return s[:n]
 	}
-	out := make(dna.Seq, n)
-	copy(out, s)
+	out := append(ws.pad[:0], s...)
+	for len(out) < n {
+		out = append(out, dna.A)
+	}
+	ws.pad = out
 	return out
 }
 
@@ -510,13 +521,25 @@ func (p *Pipeline) DecodeClusters(kept []dna.Seq, clusters [][]int, target int) 
 			batch = 4 * p.workers
 		}
 		pre := make([]reconstructed, batch)
+		// parallel.Run names no worker, so each task takes a workspace
+		// from a free list and returns it: at most p.workers tasks run
+		// at once, so at most p.workers workspaces are ever made and a
+		// return never blocks.
+		free := make(chan *workspace, p.workers)
 		for start := 0; start < len(clusters) && !stopped; start += batch {
 			end := start + batch
 			if end > len(clusters) {
 				end = len(clusters)
 			}
 			parallel.Run(p.workers, end-start, func(i int) error {
-				pre[i].cand, pre[i].ok = p.reconstructCluster(kept, clusters[start+i])
+				var ws *workspace
+				select {
+				case ws = <-free:
+				default:
+					ws = new(workspace)
+				}
+				pre[i].cand, pre[i].ok = p.reconstructCluster(ws, kept, clusters[start+i])
+				free <- ws
 				return nil
 			})
 			for i := start; i < end && !stopped; i++ {
@@ -524,11 +547,12 @@ func (p *Pipeline) DecodeClusters(kept []dna.Seq, clusters [][]int, target int) 
 			}
 		}
 	} else {
+		var ws workspace
 		for _, members := range clusters {
 			if stopped {
 				break
 			}
-			consume(p.reconstructCluster(kept, members))
+			consume(p.reconstructCluster(&ws, kept, members))
 		}
 	}
 	// Step 4: assemble units and RS-decode, with candidate recursion on
@@ -641,14 +665,15 @@ type reconstructed struct {
 	ok   bool
 }
 
-// reconstructCluster gathers a cluster's reads and reconstructs its
-// candidate strand.
-func (p *Pipeline) reconstructCluster(kept []dna.Seq, members []int) (strandCandidate, bool) {
-	seqs := make([]dna.Seq, len(members))
-	for i, m := range members {
-		seqs[i] = kept[m]
+// reconstructCluster gathers a cluster's reads into ws and
+// reconstructs its candidate strand.
+func (p *Pipeline) reconstructCluster(ws *workspace, kept []dna.Seq, members []int) (strandCandidate, bool) {
+	seqs := ws.seqs[:0]
+	for _, m := range members {
+		seqs = append(seqs, kept[m])
 	}
-	return p.reconstruct(seqs, len(members))
+	ws.seqs = seqs
+	return p.reconstruct(ws, seqs, len(members))
 }
 
 // filterReads applies the primer filter, preserving input order. Most

@@ -3,6 +3,7 @@ package decode
 import (
 	"bytes"
 	"errors"
+	"sort"
 	"testing"
 
 	"dnastore/internal/channel"
@@ -343,6 +344,37 @@ func BenchmarkDecodeBlock225Reads(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.DecodeBlock(reads, 531); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeClusters times the decode back half alone — trace
+// reconstruction, address placement and RS — on one 15-strand unit at
+// depth 20, pre-clustered by source strand the way the streaming
+// engine hands its final state to DecodeClusters.
+func BenchmarkDecodeClusters(b *testing.B) {
+	e := newEncoder(b)
+	r := rng.New(13)
+	strands := e.encodeUnit(b, 531, 0, unitData(r, e.unit.DataBytes()))
+	p := newPipeline(b, e)
+	var kept []dna.Seq
+	var clusters [][]int
+	for _, s := range strands {
+		var members []int
+		for i := 0; i < 20; i++ {
+			if read := channel.Corrupt(r, s, channel.Illumina()); p.Keep(read) {
+				members = append(members, len(kept))
+				kept = append(kept, read)
+			}
+		}
+		clusters = append(clusters, members)
+	}
+	sort.SliceStable(clusters, func(i, j int) bool { return len(clusters[i]) > len(clusters[j]) })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.DecodeClusters(kept, clusters, 531); err != nil {
 			b.Fatal(err)
 		}
 	}

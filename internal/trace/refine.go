@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"slices"
+
 	"dnastore/internal/dna"
 )
 
@@ -12,7 +14,7 @@ type colVotes struct {
 
 // refineScratch holds the vote tables, the bit-parallel traceback
 // planes, and the fallback banded-DP buffers that refinement reuses
-// across reads and rounds. One Refine call allocates a single scratch;
+// across reads, rounds and — through the owning Workspace — clusters;
 // alignVote itself allocates nothing once the buffers have grown to
 // the working size.
 type refineScratch struct {
@@ -28,28 +30,41 @@ type refineScratch struct {
 // and re-voting position by position, including insertion and deletion
 // votes — the iterative refinement step used by practical DNA-storage
 // pipelines on high-error channels, where one BMA pass leaves systematic
-// mid-strand errors. rounds of 1-2 are typically sufficient.
+// mid-strand errors. rounds of 1-2 are typically sufficient; refinement
+// stops early once a round leaves the draft unchanged. The draft itself
+// is never modified.
 func Refine(reads []dna.Seq, draft dna.Seq, rounds int) dna.Seq {
-	var sc refineScratch
+	var w Workspace
+	return w.Refine(reads, draft, rounds)
+}
+
+// Refine is the package-level Refine computed in w's buffers; the
+// result aliases w. The draft may itself be a consensus returned by an
+// earlier call on w: it is copied before any buffer is reused.
+func (w *Workspace) Refine(reads []dna.Seq, draft dna.Seq, rounds int) dna.Seq {
+	cur := append(w.rounds[0][:0], draft...)
+	w.rounds[0] = cur
 	for r := 0; r < rounds; r++ {
-		next := refineOnce(reads, draft, &sc)
-		if next.Equal(draft) {
+		next := refineOnce(reads, cur, w.rounds[1], &w.refine)
+		w.rounds[0], w.rounds[1] = next, cur
+		if next.Equal(cur) {
 			break
 		}
-		draft = next
+		cur = next
 	}
-	return draft
+	return cur
 }
 
 // refineBand bounds the alignment band half-width.
 const refineBand = 20
 
 // refineOnce realigns all reads to the draft and rebuilds it from the
-// per-position votes.
-func refineOnce(reads []dna.Seq, draft dna.Seq, sc *refineScratch) dna.Seq {
+// per-position votes into dst's storage; with no read able to vote
+// the draft is copied through unchanged.
+func refineOnce(reads []dna.Seq, draft, dst dna.Seq, sc *refineScratch) dna.Seq {
 	n := len(draft)
 	if n == 0 || len(reads) == 0 {
-		return draft
+		return append(dst[:0], draft...)
 	}
 	if cap(sc.cols) < n {
 		sc.cols = make([]colVotes, n)
@@ -69,10 +84,10 @@ func refineOnce(reads []dna.Seq, draft dna.Seq, sc *refineScratch) dna.Seq {
 		}
 	}
 	if voters == 0 {
-		return draft
+		return append(dst[:0], draft...)
 	}
 	half := voters / 2
-	out := make(dna.Seq, 0, n+4)
+	out := slices.Grow(dst[:0], n+4)
 	for j := 0; j <= n; j++ {
 		// Majority insertion before position j.
 		bestIns, insCount := dna.A, 0
