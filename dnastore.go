@@ -157,14 +157,13 @@ type Options struct {
 	// rng source, so results are byte-identical for every worker count.
 	Workers int
 
-	// BatchDecode disables the streaming decode engine and restores the
-	// collect-then-cluster batch path: every read sequences its full
-	// budget before clustering begins. Streaming (the default) sequences
-	// incrementally, stops once every target's coverage floor is met,
-	// and ejects off-target molecules nanopore-style, so it consumes
-	// fewer reads; a streamed read that escalates to the full budget is
-	// byte-identical to the batch read. Fault-injected systems always
-	// use the batch path regardless of this flag.
+	// BatchDecode makes every read sequence its full read budget, which
+	// the one decode engine takes in a single pass. By default reads
+	// stream through the same engine instead: sequencing stops once
+	// every target's coverage floor is met and off-target molecules are
+	// ejected, so reads cost less. Scaled reads, supervised retries,
+	// scrub repairs and (under faults) unamplified reactions use the
+	// full budget either way; every other faulted read streams.
 	BatchDecode bool
 
 	// BindingCache is the entry budget of the store-level binding
@@ -316,7 +315,7 @@ func New(opt Options) (*System, error) {
 	cfg.Workers = opt.Workers
 	cfg.BindingEntries = opt.BindingCache
 	if opt.BatchDecode {
-		cfg.Decode.Streaming = false
+		cfg.Streaming = false
 	}
 	cfg.Decay = opt.Decay
 	if opt.Faults != nil {

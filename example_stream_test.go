@@ -6,14 +6,16 @@ import (
 	"dnastore"
 )
 
-// Content reads stream by default: reads are clustered by a MinHash
-// sketch index as they come off the sequencer, each strand's coverage
-// is tracked per address slot, and the run stops — or, in multi-block
+// One decode engine serves two sequencing protocols. By default reads
+// use the floor-stopped stream: reads are clustered by a MinHash sketch
+// index as they come off the sequencer, each strand's coverage is
+// tracked per address slot, and the run stops — or, in multi-block
 // reactions, ejects off-target molecules nanopore-style — once every
-// target's coverage floor is met. Options.BatchDecode restores the
-// collect-then-cluster path; both produce the same content, and the
-// streaming path sequences strictly fewer reads. Costs.ReadsSequenced
-// and Costs.ReadsEjected report the split.
+// target's coverage floor is met. Options.BatchDecode picks the full
+// budget instead: every read budget is sequenced, then decoded by the
+// same engine in one pass. Both produce the same content, and the
+// stream sequences strictly fewer reads. Costs.ReadsSequenced and
+// Costs.ReadsEjected report the split.
 func ExampleOptions_batchDecode() {
 	read := func(batch bool) (content []byte, c dnastore.Costs) {
 		sys, err := dnastore.New(dnastore.Options{

@@ -437,6 +437,7 @@ func TestScrubRejectsNonFinitePolicy(t *testing.T) {
 		{BoostFactor: math.Inf(1), Repair: RepairBoost, MinCoverage: 1e9},
 		{ProbeDepthFactor: math.NaN()},
 		{ProbeDepthFactor: math.Inf(1)},
+		{ProbeDepthFactor: 1e300}, // finite, but the budget overflows
 		{MinCoverage: math.Inf(-1)},
 		{MaxRSMargin: math.NaN()},
 	} {

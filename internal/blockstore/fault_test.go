@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
 	"dnastore/internal/decode"
 	"dnastore/internal/fault"
 	"dnastore/internal/pool"
+	"dnastore/internal/primer"
 	"dnastore/internal/rng"
 	"dnastore/internal/update"
 )
@@ -440,5 +442,57 @@ func TestQuarantineScreen(t *testing.T) {
 	}
 	if spiked.Total() > total*1.001 {
 		t.Errorf("quarantined mass still in aliquot: %g vs clean %g", spiked.Total(), total)
+	}
+}
+
+// TestEscalatedRetryRefusesUnrepresentableDepth pins the scaled-budget
+// guard on supervised retries: a DepthGrowth so large that the scaled
+// read budget overflows an int must refuse the retry with ErrDepthScale
+// and run no reaction, instead of wrapping to a one-read budget and
+// reporting the block's versions as never observed.
+func TestEscalatedRetryRefusesUnrepresentableDepth(t *testing.T) {
+	s, p := buildFaultSeeded(t, 1, fault.Plan{}, &fault.RetryPolicy{MaxRetries: 2, DepthGrowth: 1e300})
+	killSlots(t, s, "alice", 4, 6) // more slots than the parity erases
+	before := s.Costs()
+	content, health, rep, err := p.ReadBlocksSupervised([]int{4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if content[0] != nil || health[0].Recovered {
+		t.Fatalf("block with 6 killed slots read back: %+v", health[0])
+	}
+	if !errors.Is(health[0].Err, ErrDepthScale) || !errors.Is(health[0].Err, fault.ErrRetryBudgetExhausted) {
+		t.Errorf("err %v, want ErrDepthScale inside ErrRetryBudgetExhausted", health[0].Err)
+	}
+	after := s.Costs()
+	if n := after.PCRReactions - before.PCRReactions; n != 1 {
+		t.Errorf("%d PCR reactions, want only the initial pass's", n)
+	}
+	if rep.Retries != 2 || rep.ExtraReads != 0 {
+		t.Errorf("report %+v: want 2 refused retries sequencing nothing", rep)
+	}
+	if n, base := after.ReadsSequenced-before.ReadsSequenced, s.ReadBudget(1); n > base {
+		t.Errorf("%d reads sequenced, above the %d-read base budget", n, base)
+	}
+}
+
+// TestNonFiniteRetryPolicyRejected pins policy validation at install:
+// a NaN or infinite DepthGrowth or HedgeFloor would otherwise pass the
+// defaults check and reach the read engine.
+func TestNonFiniteRetryPolicyRejected(t *testing.T) {
+	lib := primer.NewLibrary(primer.DefaultConstraints())
+	lib.Search(rng.New(5), 4, 200000)
+	primers := lib.Primers()
+	for _, pol := range []fault.RetryPolicy{
+		{DepthGrowth: math.Inf(1)},
+		{DepthGrowth: math.NaN()},
+		{HedgeFloor: math.Inf(1)},
+		{HedgeFloor: math.NaN()},
+	} {
+		cfg := testConfig()
+		cfg.Retry = &pol
+		if _, err := New(cfg, primers); err == nil {
+			t.Errorf("policy %+v accepted", pol)
+		}
 	}
 }

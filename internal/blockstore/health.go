@@ -52,7 +52,7 @@ type Health struct {
 // accounting and streaming coverage floors must ignore them. An empty
 // list (unwritten or damaged front-end state) registers a streaming
 // target with no floor, which is never Done: the stream then runs to
-// the full batch budget.
+// the full budget.
 func (p *Partition) expectedVersions(block int) []int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -11,6 +11,7 @@ import (
 	"dnastore/internal/parallel"
 	"dnastore/internal/pcr"
 	"dnastore/internal/rng"
+	"dnastore/internal/streamdecode"
 	"dnastore/internal/update"
 )
 
@@ -221,18 +222,21 @@ func (p *Partition) fanWorkers(n int) int {
 
 // react runs one reaction: PCR with the reaction's primer (fault hooks
 // included; screen enables the contamination quarantine, supervised
-// retries only), sequencing under the wet protocol with the budget
-// multiplied by scale, and decode with pcrWorkers internal fan-out. The
-// streaming engine (stream.go) owns sequencing unless the protocol is
-// batch, the budget is scaled (a deliberate depth choice the
-// floor-stopped stream would override), or the reaction never amplified
-// (streamGainOK). Only results for the reaction's own interval are
-// returned — carryover reads give other blocks fragmentary coverage
-// whose single-read consensus would overwrite good results from their
-// own reaction — even on a failed decode, whose partial map carries the
-// typed per-block failures.
+// retries only), sequencing with the budget multiplied by scale, and
+// decode with pcrWorkers internal fan-out; an unrepresentable scaled
+// budget refuses the reaction before any wet work. streams picks the
+// sequencing protocol; the streaming engine decodes either way. Only
+// results for the reaction's own interval are returned — carryover
+// reads give other blocks fragmentary coverage whose single-read
+// consensus would overwrite good results from their own reaction —
+// even on a failed decode, whose partial map carries the typed
+// per-block failures.
 func (p *Partition) react(rx reaction, pcrWorkers int, wet wetMode, scale float64, screen bool) (map[int]*decode.BlockResult, wetInfo, error) {
 	var info wetInfo
+	budget, err := scaledBudget(p.store.ReadBudget(rx.units), scale)
+	if err != nil {
+		return nil, info, err
+	}
 	primers := []pcr.Primer{{Fwd: p.fwd, Rev: p.rev, Conc: 1}}
 	if !rx.root {
 		primers[0].Fwd = p.store.cfg.Geometry.ElongatedPrimer(p.fwd, rx.prefix)
@@ -246,33 +250,23 @@ func (p *Partition) react(rx reaction, pcrWorkers int, wet wetMode, scale float6
 	}
 	info.gain = st.Gain()
 	info.quarantined, info.foreignFrac = rep.quarantined, rep.foreignFrac
-	info.budget = p.store.ReadBudget(rx.units)
-	if scale != 1 {
-		info.budget = max(int(float64(info.budget)*scale+0.5), 1)
-	}
-	stream := wet != wetBatch && scale == 1 && p.streamingEnabled() && p.streamGainOK(info.gain)
-	var res *decode.BlockResult // a block reaction's result
+	info.budget = budget
 	var decoded map[int]*decode.BlockResult
 	switch {
-	case stream && rx.block >= 0:
-		res, err = p.streamBlock(rx.src, amplified, rx.block, &info, wet == wetStrict)
-	case stream:
-		decoded, err = p.streamTargets(rx.src, amplified, p.writtenIn(rx.lo, rx.hi), info.budget)
-	default:
+	case !p.streams(wet, scale, info.gain):
 		info.delivered = p.store.faultBudget(rx.src, info.budget)
 		info.truncated = info.delivered < info.budget
 		var seqs []dna.Seq
 		if seqs, err = p.store.sequence(rx.src, amplified, info.delivered); err != nil {
 			return nil, info, err
 		}
-		if rx.block >= 0 {
-			res, err = p.pipeline.DecodeBlock(seqs, rx.block)
-		} else {
-			decoded, err = p.pipeline.DecodeAll(seqs)
-		}
-	}
-	if rx.block >= 0 {
+		decoded, err = streamdecode.Decode(p.pipeline, seqs, rx.block)
+	case rx.block >= 0:
+		var res *decode.BlockResult
+		res, err = p.streamBlock(rx.src, amplified, rx.block, &info, wet == wetStrict)
 		decoded = map[int]*decode.BlockResult{rx.block: res}
+	default:
+		decoded, err = p.streamTargets(rx.src, amplified, p.writtenIn(rx.lo, rx.hi), info.budget)
 	}
 	results := make(map[int]*decode.BlockResult, len(decoded))
 	for b, got := range decoded {
@@ -488,20 +482,17 @@ func (p *Partition) ReadBlocksHealth(blocks []int) ([][]byte, []Health, error) {
 
 // ReadBlockHealth reads one block with graceful degradation at an
 // adjustable sequencing budget: scale multiplies the configured
-// per-strand read depth and must be positive and finite, with a scaled
-// read budget that fits in an int — any other scale returns
-// ErrDepthScale instead of silently sampling nothing (an overflowing
-// budget would wrap to a single read). Operators re-sequence deeper
-// before declaring a block lost; a scale > 1 retry distinguishes a
-// genuinely degraded block from one shallow read that happened to fall
-// short.
+// per-strand read depth. A scale that leaves no representable budget
+// (see scaledBudget) returns ErrDepthScale before anything is charged.
+// Operators re-sequence deeper before declaring a block lost; a
+// scale > 1 retry distinguishes a genuinely degraded block from one
+// shallow read that happened to fall short.
 func (p *Partition) ReadBlockHealth(block int, scale float64) ([]byte, Health, error) {
 	if err := p.checkBlock(block); err != nil {
 		return nil, Health{}, err
 	}
-	if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 1) ||
-		float64(p.store.ReadBudget(1+p.Versions(block)))*scale+0.5 >= math.MaxInt64 {
-		return nil, Health{}, fmt.Errorf("%w: %g", ErrDepthScale, scale)
+	if _, err := scaledBudget(p.store.ReadBudget(1+p.Versions(block)), scale); err != nil {
+		return nil, Health{}, err
 	}
 	pl, err := p.planBlocks([]int{block}, true)
 	if err != nil {
@@ -553,6 +544,22 @@ func (p *Partition) readPlain(pl readPlan, err error) ([][]byte, error) {
 	return out, err
 }
 
+// scaledBudget multiplies a reaction's read budget by a depth scale,
+// rounding to the nearest read with a floor of one. A scale that is not
+// positive, or that leaves the scaled budget non-finite or at least
+// 2^63, is refused with ErrDepthScale: converting such a product to int
+// wraps, and the "escalated" read would sequence a single read.
+func scaledBudget(budget int, scale float64) (int, error) {
+	if scale == 1 {
+		return budget, nil
+	}
+	scaled := float64(budget)*scale + 0.5
+	if !(scale > 0) || !(scaled < math.MaxInt64) {
+		return 0, fmt.Errorf("%w: %g", ErrDepthScale, scale)
+	}
+	return max(int(scaled), 1), nil
+}
+
 // readHealth runs a plan as a health read, reporting every block.
 func (p *Partition) readHealth(pl readPlan, err error) ([][]byte, []Health, error) {
 	if err != nil {
@@ -572,18 +579,19 @@ type BlockVersions struct {
 	Decode decode.BlockResult
 }
 
-// DecodeReads runs only the software pipeline on externally produced
-// reads (e.g. the Section 8 experiment decoding a 225-read sample),
+// DecodeReads decodes externally produced reads with the full-budget
+// protocol (e.g. the Section 8 experiment decoding a 225-read sample),
 // skipping the store's own PCR and sequencing; only the overflow-chain
 // retrievals touch the tube.
 func (p *Partition) DecodeReads(seqs []dna.Seq, block int) (*BlockVersions, error) {
 	if err := p.checkBlock(block); err != nil {
 		return nil, err
 	}
-	res, err := p.pipeline.DecodeBlock(seqs, block)
+	decoded, err := streamdecode.Decode(p.pipeline, seqs, block)
 	if err != nil {
 		return nil, err
 	}
+	res := decoded[block]
 	p.mu.Lock()
 	hops := p.chargeOverflow(block)
 	r := p.noise.Fork()

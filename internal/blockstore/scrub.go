@@ -160,12 +160,17 @@ type ScrubReport struct {
 // retrying a failed repair read with escalating sequencing depth.
 // The pass is deterministic: partitions in name order, blocks
 // in address order, one probe noise source forked per block in that
-// order. A policy with a NaN or infinite field is rejected before any
-// probe runs.
+// order. A policy with a NaN or infinite field, or a ProbeDepthFactor
+// that overflows the read budget, is rejected before any probe runs.
 func (s *Store) Scrub(pol ScrubPolicy) (*ScrubReport, error) {
 	pol, err := pol.normalize()
 	if err != nil {
 		return nil, err
+	}
+	// A probe scale whose budget would not fit in an int is refused
+	// up front, tested against the largest block reaction's budget.
+	if _, err := scaledBudget(s.ReadBudget(s.cfg.Geometry.MaxVersions()), pol.ProbeDepthFactor); err != nil {
+		return nil, fmt.Errorf("blockstore: scrub policy ProbeDepthFactor: %w", err)
 	}
 	costBefore := s.Costs()
 	report := &ScrubReport{}
@@ -214,12 +219,12 @@ func (p *Partition) scrub(pol ScrubPolicy, report *ScrubReport) error {
 
 	// Probe phase: shallow reads fanned across the workers. With
 	// streaming on, a probe is a floor-stopped strict stream — usually
-	// cheaper than the scaled batch probe — and its Coverage comes from
-	// the engine's live per-slot accounting rather than being re-derived
-	// from the decode's read totals; the scaled batch probe remains the
-	// fallback.
+	// cheaper than the scaled full-budget probe — and its Coverage
+	// comes from the engine's live per-slot accounting rather than
+	// being re-derived from the decode's read totals; the scaled
+	// full-budget probe remains the fallback.
 	scale := pol.ProbeDepthFactor
-	if p.streamingEnabled() {
+	if p.store.cfg.Streaming {
 		scale = 1
 	}
 	pcrWorkers := p.fanWorkers(len(blocks))
@@ -235,7 +240,7 @@ func (p *Partition) scrub(pol ScrubPolicy, report *ScrubReport) error {
 			// yielded per slot. Healthy tubes stop after a fraction of
 			// the budget (high estimate); decayed tubes burn entries on
 			// junk and thin species (low estimate) — preserving the
-			// batch probe's abundance-decline signal.
+			// full-budget probe's abundance-decline signal.
 			health[i].Coverage = info.covAvg * float64(info.budget) / float64(info.entries)
 		}
 		return nil

@@ -10,21 +10,23 @@ import (
 	"dnastore/internal/streamdecode"
 )
 
-// This file is the wet half of the streaming decode path: a reaction
-// sequences incrementally, feeding each chunk through the streamdecode
-// engine and stopping (or, for multi-target reactions, redirecting via
-// an adaptive-sampling gate) once every target's coverage floor is met.
-// The engine's assignment state is sharded by provisional block address
-// and its block finalizes run on a background pool, overlapping the
-// decode back half with ongoing sequencing.
+// This file is the wet half of the floor-stopped streaming protocol: a
+// reaction sequences incrementally, feeding each chunk through the
+// streamdecode engine and stopping (or, for multi-target reactions,
+// redirecting via an adaptive-sampling gate) once every target's
+// coverage floor is met. The engine's assignment state is sharded by
+// provisional block address and its block finalizes run on a
+// background pool, overlapping the decode back half with ongoing
+// sequencing. The other protocol, the full budget, decodes with the
+// same engine (streamdecode.Decode, called from react).
 //
 // Failure classification survives the early stop because the stream
 // draws its injected delivery ceiling up front, so "truncated" is a
 // real abort signal, not one forged by adaptive stopping. Reactions
 // that never amplified (PCR failure, contamination choking the
-// reagents) fall back to the batch path: nanopore loading needs
-// amplified molarity, and the recovery machinery's gain/foreign-mass
-// classification keeps its exact batch semantics for them.
+// reagents) take the full budget: nanopore loading needs amplified
+// molarity, and the recovery machinery's gain/foreign-mass
+// classification keeps its full-budget semantics for them.
 
 // streamChunk is the most reads sequenced between engine updates and
 // stop checks — small enough that overshoot past the coverage floor
@@ -54,22 +56,16 @@ func chunkSize(budget int) int {
 // have decayed out of the tube would eject forever.
 const ejectOverhead = 4
 
-// streamingEnabled reports whether wet reads may use the streaming
-// engine. Reactions under fault injection additionally require a real
-// amplification gain (see streamGainOK): an unamplified aliquot lacks
-// the molarity adaptive sampling needs, and the recovery machinery
-// classifies those failures on the batch path's evidence.
-func (p *Partition) streamingEnabled() bool {
-	return p.store.cfg.Decode.Streaming
-}
-
-// streamGainOK gates streaming on the reaction's PCR gain when a fault
-// injector is armed: a failed (or contaminant-choked) reaction never
-// amplified, so its aliquot cannot be loaded for adaptive sampling and
-// the read falls back to the batch protocol — whose gain and
-// foreign-mass evidence the supervisors' classification was built on.
-func (p *Partition) streamGainOK(gain float64) bool {
-	return p.store.cfg.Faults == nil || gain > failedGainCeiling
+// streams picks a reaction's sequencing protocol after its PCR: the
+// floor-stopped stream (true) or the full budget. It streams only when
+// Config.Streaming is set, the mode is not wetBatch, the budget is
+// unscaled (a deliberate depth choice the floor would override), and,
+// under fault injection, the PCR really amplified: a failed reaction's
+// aliquot cannot be loaded for adaptive sampling, and supervisors
+// classify it on full-budget gain and foreign-mass evidence.
+func (p *Partition) streams(wet wetMode, scale, gain float64) bool {
+	return p.store.cfg.Streaming && wet != wetBatch && scale == 1 &&
+		(p.store.cfg.Faults == nil || gain > failedGainCeiling)
 }
 
 // pore is one reaction's open sequencing stream feeding its decode
@@ -85,7 +81,7 @@ type pore struct {
 
 // openPore starts a reaction's stream under its (possibly abort-cut)
 // delivery ceiling. The engine's assignment is sharded per
-// Config.Decode.StreamShards (0 = one shard per worker) and block
+// Config.StreamShards (0 = streamdecode.DefaultShards) and block
 // finalization overlapped on a background pool; it fans out on the
 // store's worker budget even when the reaction fan-out is 1 — its
 // output is worker-invariant, so this only moves wall-clock. strict
@@ -93,13 +89,13 @@ type pore struct {
 func (p *Partition) openPore(r *rng.Source, amplified *pool.Pool, ceiling int, strict bool) (*pore, error) {
 	st, err := p.store.sampler.Stream(r, amplified)
 	if err != nil {
-		// Mirror the batch path's accounting: sequence() charges the
+		// Mirror the full budget's accounting: sequence() charges the
 		// budget before sampling can fail.
 		p.store.addCosts(func(c *Costs) { c.ReadsSequenced += ceiling })
 		return nil, err
 	}
 	workers := p.store.workers
-	eng, err := streamdecode.NewSharded(p.pipeline, 0, workers, p.store.cfg.Decode.StreamShards)
+	eng, err := streamdecode.NewSharded(p.pipeline, 0, workers, p.store.cfg.StreamShards)
 	if err != nil {
 		return nil, err
 	}
@@ -156,14 +152,14 @@ func (p *Partition) closePore(s *pore) {
 // 10^6-strand tube scale the carryover junk would otherwise consume
 // the whole read budget before the floor filled. If the floor proves
 // too shallow (the finalize cannot serve an expected version), Reopen
-// doubles it and the stream continues, degrading toward the batch
+// doubles it and the stream continues, degrading toward the full
 // budget spent entirely on admissible molecules. An injected
 // sequencing abort truncates the reaction's delivery ceiling below the
-// budget before the first draw, exactly as it truncates a batch run.
-// The stream reads info.budget and records its evidence in info: reads
-// sequenced, whether the ceiling was truncated, total pore entries
-// (the stream's true effort), and the engine's live mean per-slot
-// coverage of the target.
+// budget before the first draw, exactly as it truncates a full-budget
+// run. The stream reads info.budget and records its evidence in info:
+// reads sequenced, whether the ceiling was truncated, total pore
+// entries (the stream's true effort), and the engine's live mean
+// per-slot coverage of the target.
 func (p *Partition) streamBlock(r *rng.Source, amplified *pool.Pool, block int, info *wetInfo, strict bool) (*decode.BlockResult, error) {
 	ceiling := p.store.faultBudget(r, info.budget)
 	info.truncated = ceiling < info.budget
@@ -195,7 +191,7 @@ func (p *Partition) streamBlock(r *rng.Source, amplified *pool.Pool, block int, 
 // species.
 func (p *Partition) poreGate(amplified *pool.Pool, eng *streamdecode.Engine) func(int) bool {
 	const (
-		speciesFiltered    = -2 // fails the primer filter: junk to batch too
+		speciesFiltered    = -2 // fails the primer filter: junk to any protocol
 		speciesUnaddressed = -1 // keeps but does not parse: always sequence
 	)
 	blockOf := make(map[int]int)
@@ -217,9 +213,9 @@ func (p *Partition) poreGate(amplified *pool.Pool, eng *streamdecode.Engine) fun
 		switch {
 		case b == speciesFiltered:
 			// The decoder's primer filter would discard this molecule's
-			// reads unread (batch wastes budget sequencing them — that
-			// is what WasteFactor provisions for); ejecting loses
-			// nothing from either path's kept set.
+			// reads unread (the full budget wastes reads sequencing
+			// them — that is what WasteFactor provisions for); ejecting
+			// loses nothing from either protocol's kept set.
 			return false
 		case b == speciesUnaddressed:
 			// Keeps but has no parseable address (a decayed index, a
@@ -241,7 +237,7 @@ func (p *Partition) poreGate(amplified *pool.Pool, eng *streamdecode.Engine) fun
 // targets or of blocks outside the target set are ejected unsequenced.
 // Targets that still fail to decode at the floor are reopened — their
 // floors double per round — and the stream escalates until every target
-// decodes or the batch budget (or the pore-entry bound) is exhausted.
+// decodes or the full budget (or the pore-entry bound) is exhausted.
 func (p *Partition) streamTargets(r *rng.Source, amplified *pool.Pool, targets []int, budget int) (map[int]*decode.BlockResult, error) {
 	s, err := p.openPore(r, amplified, p.store.faultBudget(r, budget), false)
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 )
 
 // twinStores builds two stores over the same primer library and seed,
-// one streaming and one batch, each with one partition holding the
+// one streaming and one on the full budget, each with one partition holding the
 // same written blocks and update history (including an overflow
 // chain), so every read can be compared content for content. shards
 // sets the streaming store's assignment shard count (0 = default).
@@ -20,9 +20,9 @@ func twinStores(t *testing.T, streamWorkers, batchWorkers, shards int) (stream, 
 	t.Helper()
 	mk := func(streaming bool, workers int) (*Store, *Partition) {
 		cfg := testConfig()
-		cfg.Decode.Streaming = streaming
+		cfg.Streaming = streaming
 		if streaming {
-			cfg.Decode.StreamShards = shards
+			cfg.StreamShards = shards
 		}
 		cfg.Workers = workers
 		s := newTestStore(t, cfg)
@@ -225,7 +225,7 @@ func TestStreamingStatsAccumulate(t *testing.T) {
 func TestStreamingSeqAbortClassified(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 4
-	cfg.Decode.Streaming = true
+	cfg.Streaming = true
 	inj, err := fault.NewInjector(fault.Plan{SeqAbort: 1, SeqAbortFrac: 0.05})
 	if err != nil {
 		t.Fatal(err)

@@ -196,12 +196,12 @@ func compareTranscript(t *testing.T, golden string, got []string) {
 	}
 }
 
-// readTranscript drives the transcript store with the streaming or the
-// batch decode engine.
+// readTranscript drives the transcript store with the floor-stopped
+// stream or the full-budget sequencing protocol.
 func readTranscript(t *testing.T, streaming bool) []string {
 	cfg := testConfig()
 	cfg.Workers = 1
-	cfg.Decode.Streaming = streaming
+	cfg.Streaming = streaming
 	prof := decay.Accelerated()
 	cfg.Decay = &prof
 	inj, err := fault.NewInjector(fault.Uniform(0.05))

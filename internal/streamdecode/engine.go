@@ -1,16 +1,16 @@
-// Package streamdecode implements the incremental, sketch-indexed
-// decode engine for large strand pools: sequencing reads stream through
+// Package streamdecode is the one decode engine: reads pass through
 // primer filtering, greedy cluster assignment, and coverage accounting
-// as they come off the sequencer, instead of being collected into one
-// batch and clustered after the run. The single-shard engine's
-// assignments are byte-identical to the batch clusterer's
-// (cluster.Group) on the same read sequence — both are built from the
+// as they arrive, and a finalize hands the clusters to
+// decode.DecodeClusters. It serves two sequencing protocols: the
+// floor-stopped stream, fed in chunks and stopped once every target's
+// coverage floor is met, and the full budget (Decode), the whole read
+// set fed at once with no floor. The single-shard engine's assignments
+// are byte-identical to the reference clusterer's (cluster.Group, the
+// differential test oracle) on the same read sequence — both use the
 // same sketch primitives (MinHash signatures, LSH candidate index,
 // epoch-deduplicated scan, staged bit-parallel membership probe) and
-// consume reads in the same order — so a streaming decode that runs to
-// the full read budget reproduces the batch decode exactly, while one
-// that stops at the coverage floor decodes the same content from a
-// prefix of the reads.
+// consume reads in the same order — so a stream stopped at the floor
+// decodes the same content from a prefix of the reads.
 //
 // With shards > 1 the assignment state is partitioned by provisional
 // block address (cluster.ShardOf): each shard runs the same greedy
@@ -64,10 +64,9 @@ import (
 // a small constant number of traces per strand (Heckel et al.'s coverage
 // regime; the pipeline's refinement consensus engages at 3 reads), so a
 // floor a little above that decodes reliably while consuming a fraction
-// of the batch budget, which provisions CoverageDepth×WasteFactor reads
+// of the full budget, which provisions CoverageDepth×WasteFactor reads
 // per molecule up front. The floor is a heuristic, not a guarantee: a
-// decode that still fails escalates to the full batch budget, at which
-// point the engine's state equals the batch path's exactly.
+// decode that still fails escalates toward the full budget.
 const DefaultFloor = 6
 
 // span locates one kept read inside the packed arena.
@@ -263,7 +262,8 @@ const DefaultShards = 8
 
 // NewSharded builds an engine with the given number of assignment
 // shards (plus the residue shard). shards <= 0 selects DefaultShards;
-// shards == 1 is the single-shard batch-identical engine.
+// shards == 1 is the single-shard engine, whose clusters are
+// cluster.Group's.
 func NewSharded(pipe *decode.Pipeline, floor, workers, shards int) (*Engine, error) {
 	cfg := pipe.Config()
 	if err := cfg.Cluster.Validate(); err != nil {
@@ -370,8 +370,8 @@ func (e *Engine) laneFor(block int) int { return cluster.ShardOf(block, e.shards
 // Expect registers a target block and the unit versions that physically
 // exist for it; Done tracks the coverage floor over exactly these
 // (version, intra) slots. Blocks never registered are non-targets:
-// their reads still cluster (exactly as in the batch path), but they
-// have no floor and IsTarget reports false for them.
+// their reads still cluster, but they have no floor and IsTarget
+// reports false for them.
 func (e *Engine) Expect(block int, versions []int) {
 	if _, seen := e.expected[block]; !seen {
 		at := sort.SearchInts(e.targets, block)
@@ -503,7 +503,7 @@ func (e *Engine) bump(s slotAddr) {
 // effFloor is the block's current coverage floor: the configured floor,
 // doubled per escalation round. The shift saturates so repeated
 // escalation of an unrecoverable block degrades into "never done" —
-// the stream then runs to its read budget, the batch-equivalent state.
+// the stream then runs to its read budget.
 func (e *Engine) effFloor(block int) int {
 	n := e.reopened[block]
 	if n > 24 {
@@ -559,7 +559,8 @@ func (e *Engine) AllDone() bool {
 // CoverageEstimate reports the mean per-slot read coverage across the
 // block's expected slots — the engine's live coverage state, which
 // health probes read in place of re-deriving coverage from a scaled
-// batch read. false when the block was never registered via Expect.
+// full-budget read. false when the block was never registered via
+// Expect.
 func (e *Engine) CoverageEstimate(block int) (float64, bool) {
 	versions := e.expected[block]
 	if len(versions) == 0 {
@@ -580,7 +581,7 @@ func (e *Engine) CoverageEstimate(block int) (float64, bool) {
 // resumes for its strands until the raised floor — or the caller's read
 // budget — is hit. The floor proved too shallow once, so the next stop
 // demands twice the evidence; repeated failures degrade exponentially
-// fast into the full-budget batch behavior. An in-flight background
+// fast into the full-budget behavior. An in-flight background
 // finalize of the block's shard is invalidated for this block — its
 // result is abandoned, and the shard resubmits when the raised floor
 // fills.
@@ -796,8 +797,8 @@ func (e *Engine) FinalizeBlock(block int) (*decode.BlockResult, error) {
 // fresh ones exist — and aggregates deterministically: the result map
 // holds every target that produced a decode, and the returned error is
 // non-nil only when no target did (the first failure, by block order).
-// Without targets (the software-only entry point) it decodes every
-// block visible in the accumulated clusters in one batch pass.
+// Without targets (Decode's full-budget protocol) it decodes every
+// block visible in the accumulated clusters in one pass.
 func (e *Engine) Finalize() (map[int]*decode.BlockResult, error) {
 	if len(e.targets) == 0 {
 		t0 := time.Now()
@@ -823,6 +824,25 @@ func (e *Engine) Finalize() (map[int]*decode.BlockResult, error) {
 		return nil, firstErr
 	}
 	return out, nil
+}
+
+// Decode is the full-budget protocol: it feeds a materialized read set
+// to a one-shard engine with no targets, hence no floor, fanned across
+// the pipeline's workers. target < 0 returns Finalize (every visible
+// block); otherwise the map holds FinalizeBlock(target)'s result, nil
+// on failure, under target. At one shard the clusters are
+// cluster.Group's, so the outcome is the reference decode's exactly.
+func Decode(pipe *decode.Pipeline, reads []dna.Seq, target int) (map[int]*decode.BlockResult, error) {
+	e, err := New(pipe, 0, pipe.Workers())
+	if err != nil {
+		return nil, err
+	}
+	e.Add(reads)
+	if target < 0 {
+		return e.Finalize()
+	}
+	res, err := e.FinalizeBlock(target)
+	return map[int]*decode.BlockResult{target: res}, err
 }
 
 func growBools(s []bool, n int) []bool {

@@ -78,12 +78,59 @@ func unitData(r *rng.Source, n int) []byte {
 }
 
 func newPipeline(t testing.TB, e *encoder) *decode.Pipeline {
+	return newPipelineWorkers(t, e, 0)
+}
+
+func newPipelineWorkers(t testing.TB, e *encoder, workers int) *decode.Pipeline {
 	t.Helper()
-	p, err := decode.New(decode.DefaultConfig(), e.tree, fwdP, revP, e.rand)
+	cfg := decode.DefaultConfig()
+	cfg.Workers = workers
+	p, err := decode.New(cfg, e.tree, fwdP, revP, e.rand)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// oracle is the reference decode every engine path is checked against:
+// the primer filter over the whole read set, cluster.Group over the
+// kept reads, and decode.DecodeClusters over its clusters.
+type oracle struct {
+	pipe     *decode.Pipeline
+	kept     []dna.Seq
+	clusters [][]int
+}
+
+func newOracle(t testing.TB, pipe *decode.Pipeline, reads []dna.Seq) *oracle {
+	t.Helper()
+	o := &oracle{pipe: pipe}
+	for _, rd := range reads {
+		if pipe.Keep(rd) {
+			o.kept = append(o.kept, rd)
+		}
+	}
+	var err error
+	if o.clusters, err = cluster.Group(o.kept, pipe.Config().Cluster); err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// decode decodes every visible block (target < 0) or one target.
+func (o *oracle) decode(target int) (map[int]*decode.BlockResult, error) {
+	return o.pipe.DecodeClusters(o.kept, o.clusters, target)
+}
+
+// block is one target's decode, wrapped up by decode.FinishBlock.
+func (o *oracle) block(target int) (*decode.BlockResult, error) {
+	results, err := o.decode(target)
+	return decode.FinishBlock(results, err, target)
+}
+
+// decodeRows are the full-budget Decode cases the differential suites
+// run: both targets at one and several pipeline workers.
+var decodeRows = []struct{ workers, target int }{
+	{1, -1}, {1, 17}, {4, -1}, {4, 17},
 }
 
 // poolReads builds a three-block read set for one noise regime:
@@ -133,8 +180,9 @@ func feed(e *Engine, reads []dna.Seq, chunk int) {
 // TestEngineMatchesBatch is the differential suite: across clean,
 // Illumina, Nanopore, and decayed-tube regimes, and across worker
 // counts, the engine's incremental cluster assignments must equal
-// cluster.Group's on the batch-filtered read set, and its finalized
-// decode must equal the batch pipeline's result for result.
+// cluster.Group's on the filtered read set, and its finalized decode —
+// streamed in chunks, or fed whole by Decode — must equal the oracle's
+// result for result.
 func TestEngineMatchesBatch(t *testing.T) {
 	enc := newEncoder(t)
 	pipe := newPipeline(t, enc)
@@ -151,18 +199,10 @@ func TestEngineMatchesBatch(t *testing.T) {
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, reg := range regimes {
 		reads := poolReads(t, enc, rng.New(11), reg.rates, reg.decayed)
-		// Batch reference: filter, cluster, decode.
-		var kept []dna.Seq
-		for _, rd := range reads {
-			if pipe.Keep(rd) {
-				kept = append(kept, rd)
-			}
-		}
-		wantClusters, err := cluster.Group(kept, pipe.Config().Cluster)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantAll, wantErr := pipe.DecodeAll(reads)
+		ref := newOracle(t, pipe, reads)
+		kept, wantClusters := ref.kept, ref.clusters
+		wantAll, wantErr := ref.decode(-1)
+		wantBlk, wantBlkErr := ref.block(17)
 		for _, workers := range workerCounts {
 			eng, err := New(pipe, 0, workers)
 			if err != nil {
@@ -170,7 +210,7 @@ func TestEngineMatchesBatch(t *testing.T) {
 			}
 			feed(eng, reads, 97)
 			if eng.Kept() != len(kept) {
-				t.Fatalf("%s/w%d: kept %d reads, batch kept %d", reg.name, workers, eng.Kept(), len(kept))
+				t.Fatalf("%s/w%d: kept %d reads, oracle kept %d", reg.name, workers, eng.Kept(), len(kept))
 			}
 			gotKept, gotClusters := eng.materialize()
 			for i := range kept {
@@ -179,24 +219,34 @@ func TestEngineMatchesBatch(t *testing.T) {
 				}
 			}
 			if !reflect.DeepEqual(gotClusters, wantClusters) {
-				t.Fatalf("%s/w%d: %d streaming clusters diverge from %d batch clusters",
+				t.Fatalf("%s/w%d: %d streaming clusters diverge from %d oracle clusters",
 					reg.name, workers, len(gotClusters), len(wantClusters))
 			}
 			gotAll, gotErr := eng.Finalize()
 			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("%s/w%d: finalize err %v, batch err %v", reg.name, workers, gotErr, wantErr)
+				t.Fatalf("%s/w%d: finalize err %v, oracle err %v", reg.name, workers, gotErr, wantErr)
 			}
 			if !reflect.DeepEqual(gotAll, wantAll) {
-				t.Fatalf("%s/w%d: streaming decode diverges from batch", reg.name, workers)
+				t.Fatalf("%s/w%d: streaming decode diverges from the oracle", reg.name, workers)
 			}
-			// Single-block finalize against the batch single-block decode.
-			wantBlk, wantBlkErr := pipe.DecodeBlock(reads, 17)
+			// Single-block finalize against the oracle's single-block decode.
 			gotBlk, gotBlkErr := eng.FinalizeBlock(17)
 			if (gotBlkErr == nil) != (wantBlkErr == nil) {
-				t.Fatalf("%s/w%d: block finalize err %v, batch %v", reg.name, workers, gotBlkErr, wantBlkErr)
+				t.Fatalf("%s/w%d: block finalize err %v, oracle %v", reg.name, workers, gotBlkErr, wantBlkErr)
 			}
 			if wantBlkErr == nil && !reflect.DeepEqual(gotBlk.Versions, wantBlk.Versions) {
 				t.Fatalf("%s/w%d: block 17 content diverges", reg.name, workers)
+			}
+		}
+		for _, row := range decodeRows {
+			got, gotErr := Decode(newPipelineWorkers(t, enc, row.workers), reads, row.target)
+			want, wantErr := wantAll, wantErr
+			if row.target >= 0 {
+				want, wantErr = map[int]*decode.BlockResult{row.target: wantBlk}, wantBlkErr
+			}
+			if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Decode(workers=%d, target=%d) diverges from the oracle (err %v, oracle %v)",
+					reg.name, row.workers, row.target, gotErr, wantErr)
 			}
 		}
 	}
@@ -265,20 +315,36 @@ func TestEngineCoverageFloor(t *testing.T) {
 // TestEngineShardedMatchesBatch pins the sharding invariant: each
 // shard's clusters equal cluster.Group run over exactly the reads
 // routed to that shard (kept order preserved), and a targeted Finalize
-// decodes content identical to the batch per-block decode, at every
-// shard count.
+// decodes content identical to the oracle's per-block decode, at every
+// shard count — as does the one-shard full-budget Decode.
 func TestEngineShardedMatchesBatch(t *testing.T) {
 	enc := newEncoder(t)
 	pipe := newPipeline(t, enc)
 	reads := poolReads(t, enc, rng.New(11), channel.Illumina(), true)
 	blocks := []int{2, 17, 40}
+	ref := newOracle(t, pipe, reads)
 	wantBlk := make(map[int]*decode.BlockResult)
 	for _, b := range blocks {
-		res, err := pipe.DecodeBlock(reads, b)
+		res, err := ref.block(b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantBlk[b] = res
+	}
+	for _, row := range decodeRows {
+		got, err := Decode(newPipelineWorkers(t, enc, row.workers), reads, row.target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range blocks {
+			if row.target >= 0 && b != row.target {
+				continue
+			}
+			if got[b] == nil || !reflect.DeepEqual(got[b].Versions, wantBlk[b].Versions) {
+				t.Fatalf("Decode(workers=%d, target=%d): block %d content diverges from the oracle",
+					row.workers, row.target, b)
+			}
+		}
 	}
 	for _, shards := range []int{1, 4, runtime.GOMAXPROCS(0) + 1} {
 		eng, err := NewSharded(pipe, 0, 4, shards)
@@ -290,8 +356,8 @@ func TestEngineShardedMatchesBatch(t *testing.T) {
 		}
 		feed(eng, reads, 97)
 		// Re-derive each shard's read subsequence the way stage A routes
-		// it and check the shard's clusters against the batch clusterer
-		// run over just that subsequence.
+		// it and check the shard's clusters against cluster.Group run
+		// over just that subsequence.
 		laneReads := make([][]dna.Seq, len(eng.lanes))
 		local := make([]int, eng.Kept())
 		ri := 0
@@ -329,7 +395,7 @@ func TestEngineShardedMatchesBatch(t *testing.T) {
 			}
 			sort.SliceStable(got, func(i, j int) bool { return len(got[i]) > len(got[j]) })
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d: lane %d clusters diverge from batch clusterer", shards, li)
+				t.Fatalf("shards=%d: lane %d clusters diverge from cluster.Group", shards, li)
 			}
 		}
 		if res := eng.Stats().Residue; shards > 1 && res == 0 {
@@ -345,7 +411,7 @@ func TestEngineShardedMatchesBatch(t *testing.T) {
 				t.Fatalf("shards=%d: block %d missing from drain", shards, b)
 			}
 			if !reflect.DeepEqual(got.Versions, wantBlk[b].Versions) {
-				t.Fatalf("shards=%d: block %d content diverges from batch", shards, b)
+				t.Fatalf("shards=%d: block %d content diverges from the oracle", shards, b)
 			}
 		}
 	}
@@ -354,7 +420,7 @@ func TestEngineShardedMatchesBatch(t *testing.T) {
 // TestEngineOverlapReopen exercises the background finalize pool: jobs
 // are submitted as shards meet their floors, a mid-flight Reopen
 // invalidates the stale job (it is discarded, never consumed), and the
-// drain still matches the batch decode.
+// drain still matches the oracle decode.
 func TestEngineOverlapReopen(t *testing.T) {
 	enc := newEncoder(t)
 	pipe := newPipeline(t, enc)
@@ -395,12 +461,12 @@ func TestEngineOverlapReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBlk, err := pipe.DecodeBlock(reads, 17)
+	wantBlk, err := newOracle(t, pipe, reads).block(17)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(all[17].Versions, wantBlk.Versions) {
-		t.Fatal("post-escalation content diverges from batch")
+		t.Fatal("post-escalation content diverges from the oracle")
 	}
 	if eng.Stats().FinalizeSeconds <= 0 {
 		t.Fatal("finalize compute unaccounted")
@@ -511,5 +577,26 @@ func TestEngineAddAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("warm Add allocates %.1f per read, want 0", avg)
+	}
+}
+
+// BenchmarkDecode225Reads times the full-budget protocol on the paper's
+// Section 8 sample size: 225 Illumina reads of one 15-strand unit,
+// decoded for that block.
+func BenchmarkDecode225Reads(b *testing.B) {
+	e := newEncoder(b)
+	r := rng.New(11)
+	strands := e.encodeUnit(b, 531, 0, unitData(r, e.unit.DataBytes()))
+	var reads []dna.Seq
+	for i := 0; i < 225; i++ {
+		reads = append(reads, channel.Corrupt(r, strands[r.Intn(len(strands))], channel.Illumina()))
+	}
+	p := newPipeline(b, e)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(p, reads, 531); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
