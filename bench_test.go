@@ -345,12 +345,25 @@ func BenchmarkBlockWrite(b *testing.B) {
 	}
 }
 
-// writeBenchStore builds the empty 64-block store shared with the
-// dnabench write study, so benchmark and study measure one
+// writeBenchStore builds the empty 64-block partition the write and
+// update benchmarks share, so every variant measures one
 // configuration.
 func writeBenchStore(b *testing.B, workers int) *blockstore.Partition {
 	b.Helper()
-	_, p, err := experiment.WriteBenchStore(workers)
+	primers, err := experiment.SearchPrimers(73, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := blockstore.DefaultConfig()
+	cfg.Seed = 73
+	cfg.TreeDepth = 3
+	cfg.Geometry.IndexLen = 6
+	cfg.Workers = workers
+	s, err := blockstore.New(cfg, primers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := s.CreatePartition("bench")
 	if err != nil {
 		b.Fatal(err)
 	}

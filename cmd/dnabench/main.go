@@ -10,7 +10,7 @@
 //
 // Experiment ids: fig3, fig9a, fig9b, fig9c, multiplex, fig10, cost,
 // latency, updatecost, decode, misprime, scale, tree, density, cache,
-// primers, parallel, kernels, write, binding, memory, aging, faults.
+// primers, related, alloc, aging, faults, decode-stream.
 //
 // The -scale flag multiplies the Alice partition's block count for the
 // wetlab-backed studies (fig9*, fig10, decode, ...): -scale 12 grows
@@ -36,18 +36,16 @@ var experimentIDs = []string{
 	"fig3", "fig9a", "fig9b", "fig9c", "multiplex", "fig10",
 	"cost", "latency", "updatecost", "decode", "misprime",
 	"scale", "tree", "density", "cache", "primers", "related", "alloc",
-	"parallel", "kernels", "write", "binding", "memory", "aging",
-	"faults", "decode-stream",
+	"aging", "faults", "decode-stream",
 }
 
 func main() {
 	run := flag.String("run", "all", "experiment id or 'all'")
 	reads := flag.Int("reads", 50000, "sequencing reads per figure-9 experiment")
 	seed := flag.Uint64("seed", 0, "wetlab seed (0 = default)")
-	workers := flag.Int("workers", runtime.NumCPU(), "read-engine workers for the parallel experiment")
+	workers := flag.Int("workers", runtime.NumCPU(), "read-engine workers for the aging, faults and decode-stream studies")
 	scale := flag.Int("scale", 1, "multiply the Alice partition's block count (12 ≈ a 10^5-strand pool)")
 	shards := flag.Int("shards", 0, "assignment shards for the streaming-decode study (0 = engine default)")
-	strands := flag.Int("strands", 1_000_000, "strand count for the memory study")
 	days := flag.Float64("days", 1000, "accelerated-aging horizon in days for the aging study")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	jsonPath := flag.String("json", "", "write machine-readable timings and headline metrics to this file (e.g. BENCH_PR2.json)")
@@ -59,7 +57,7 @@ func main() {
 		}
 		return
 	}
-	if err := runExperiments(*run, *reads, *seed, *workers, *scale, *shards, *strands, *days, *jsonPath); err != nil {
+	if err := runExperiments(*run, *reads, *seed, *workers, *scale, *shards, *days, *jsonPath); err != nil {
 		fmt.Fprintln(os.Stderr, "dnabench:", err)
 		os.Exit(1)
 	}
@@ -115,7 +113,7 @@ func (rc *recorder) write(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-func runExperiments(run string, reads int, seed uint64, workers, scale, shards, strands int, days float64, jsonPath string) error {
+func runExperiments(run string, reads int, seed uint64, workers, scale, shards int, days float64, jsonPath string) error {
 	want := map[string]bool{}
 	if run == "all" {
 		for _, id := range experimentIDs {
@@ -197,62 +195,6 @@ func runExperiments(run string, reads int, seed uint64, workers, scale, shards, 
 		experiment.PrintCache(out, r)
 		fmt.Fprintln(out)
 	}
-	if want["kernels"] {
-		var k *experiment.KernelsResult
-		tm, err := rc.track("kernels", func() error {
-			k = experiment.Kernels()
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		tm.Metrics = k.Metrics()
-		experiment.PrintKernels(out, k)
-		fmt.Fprintln(out)
-	}
-	if want["parallel"] {
-		fmt.Fprintf(out, "running the read-engine scaling study (workers=%d)...\n", workers)
-		r, err := experiment.Parallel(workers)
-		if err != nil {
-			return err
-		}
-		experiment.PrintParallel(out, r)
-		fmt.Fprintln(out)
-	}
-	if want["binding"] {
-		fmt.Fprintln(out, "running the cross-reaction binding-cache study...")
-		var r *experiment.BindingResult
-		tm, err := rc.track("binding", func() error {
-			var err error
-			r, err = experiment.BindingStudy(0)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		tm.Metrics = r.Metrics()
-		experiment.PrintBindingStudy(out, r)
-		fmt.Fprintln(out)
-		if !r.Identical {
-			// The CI smoke step advertises this gate; make it bite.
-			return fmt.Errorf("binding: cached product not byte-identical to uncached")
-		}
-	}
-	if want["memory"] {
-		fmt.Fprintf(out, "running the pool memory study (%d strands)...\n", strands)
-		var r *experiment.MemoryResult
-		tm, err := rc.track("memory", func() error {
-			var err error
-			r, err = experiment.Memory(strands)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		tm.Metrics = r.Metrics()
-		experiment.PrintMemory(out, r)
-		fmt.Fprintln(out)
-	}
 	if want["aging"] {
 		fmt.Fprintf(out, "running the tube-aging study (%.0f accelerated days)...\n", days)
 		var r *experiment.AgingResult
@@ -315,21 +257,6 @@ func runExperiments(run string, reads int, seed uint64, workers, scale, shards, 
 		if r.BigStrands > 0 && !r.BigOK {
 			return fmt.Errorf("decode-stream: big-pool streaming decode failed")
 		}
-	}
-	if want["write"] {
-		fmt.Fprintf(out, "running the write-engine scaling study (workers=%d)...\n", workers)
-		var r *experiment.WriteResult
-		tm, err := rc.track("write", func() error {
-			var err error
-			r, err = experiment.WriteStudy(workers)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		tm.Metrics = r.Metrics()
-		experiment.PrintWriteStudy(out, r)
-		fmt.Fprintln(out)
 	}
 
 	needWetlab := want["fig9a"] || want["fig9b"] || want["fig9c"] || want["multiplex"] ||

@@ -95,9 +95,14 @@ var (
 	// the Reed-Solomon correction margin; only re-synthesis from a
 	// surviving copy (or the original data) cures it.
 	ErrRSMarginExceeded = blockstore.ErrRSMarginExceeded
-	// ErrDepthScale reports a sequencing-depth scale passed to
-	// ReadBlockHealth that is not positive and finite, or whose scaled
-	// read budget overflows an int.
+	// ErrDepthScale reports a sequencing-depth scale that is not
+	// positive and finite, or whose scaled read budget overflows an
+	// int. It is returned in three places: by ReadBlockHealth for its
+	// scale argument; by Scrub for a ScrubPolicy whose
+	// ProbeDepthFactor gives such a probe budget; and in the Health of
+	// a supervised read whose escalated retry depth overflows, wrapped
+	// together with ErrRetryBudgetExhausted. The refused reaction
+	// sequences nothing.
 	ErrDepthScale = blockstore.ErrDepthScale
 )
 

@@ -30,6 +30,10 @@ import (
 // ErrParse is returned when a sequence cannot be parsed as a strand.
 var ErrParse = errors.New("layout: cannot parse strand")
 
+// ErrPayloadShape is returned by UnitCodec.Decode when the payload set
+// has the wrong molecule count or a payload has the wrong length.
+var ErrPayloadShape = errors.New("layout: malformed unit payloads")
+
 // Geometry fixes the field sizes of a strand.
 type Geometry struct {
 	StrandLen    int // total strand length in bases (paper: 150)
@@ -307,10 +311,12 @@ func (u *UnitCodec) Encode(data []byte) ([][]byte, error) {
 // payload marks a lost molecule (erasure); the RS code recovers up to 4
 // lost molecules, or fewer losses combined with symbol errors. The
 // returned corrected count reports how many symbols were repaired.
+// Errors wrap ErrPayloadShape for a misshapen payload set and
+// rs.ErrTooManyErrors for an uncorrectable row.
 func (u *UnitCodec) Decode(payloads [][]byte) (data []byte, corrected int, err error) {
 	n, k := u.code.N(), u.code.K()
 	if len(payloads) != n {
-		return nil, 0, fmt.Errorf("layout: %d payloads, want %d", len(payloads), n)
+		return nil, 0, fmt.Errorf("%w: %d payloads, want %d", ErrPayloadShape, len(payloads), n)
 	}
 	perMol := u.geom.PayloadBytes()
 	symPerMol := u.symbolsPerMolecule()
@@ -322,7 +328,7 @@ func (u *UnitCodec) Decode(payloads [][]byte) (data []byte, corrected int, err e
 			erasures = append(erasures, j)
 			cols[j] = make([]byte, symPerMol)
 		case len(p) != perMol:
-			return nil, 0, fmt.Errorf("layout: payload %d has %d bytes, want %d", j, len(p), perMol)
+			return nil, 0, fmt.Errorf("%w: payload %d has %d bytes, want %d", ErrPayloadShape, j, len(p), perMol)
 		default:
 			cols[j] = u.toSymbols(p)
 		}

@@ -2,6 +2,7 @@ package pool
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"dnastore/internal/dna"
@@ -176,6 +177,54 @@ func TestAddAllocsOnExisting(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, func() { p.Add(seq, 1, Meta{}) }); avg != 0 {
 		t.Errorf("Add on existing species allocates %.1f times per call, want 0", avg)
 	}
+}
+
+// TestMemoryPerSpecies pins the arena layout's footprint at tube scale:
+// 2x10^5 random 150-base strands added one by one retain at most 100
+// heap bytes per species (packed span, 40-byte record, index slot;
+// about 89 measured), and sampling reads into a reused buffer, the way
+// seqsim draws them, allocates nothing.
+func TestMemoryPerSpecies(t *testing.T) {
+	const (
+		strands   = 200_000
+		strandLen = 150
+		maxBytes  = 100
+	)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p := New()
+	scratch := make(dna.Seq, strandLen)
+	r := rng.New(97)
+	for i := 0; i < strands; i++ {
+		for j := range scratch {
+			scratch[j] = dna.Base(r.Intn(4))
+		}
+		p.Add(scratch, 1, Meta{Block: i, OriginBlock: i})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	n := p.Len()
+	if n != strands {
+		t.Fatalf("pool holds %d species, want %d distinct", n, strands)
+	}
+	perSpecies := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(n)
+	t.Logf("%d species: %.1f retained heap bytes per species", n, perSpecies)
+	if perSpecies > maxBytes {
+		t.Errorf("pool retains %.1f heap bytes per species, want <= %d", perSpecies, maxBytes)
+	}
+
+	const readsPerRun = 1000
+	var buf dna.Seq
+	avg := testing.AllocsPerRun(5, func() {
+		for i := 0; i < readsPerRun; i++ {
+			buf = p.AppendSeq(buf[:0], (i*7919+13)%n)
+		}
+	}) / readsPerRun
+	if avg != 0 {
+		t.Errorf("AppendSeq into a reused buffer allocates %.3f times per read, want 0", avg)
+	}
+	runtime.KeepAlive(p)
 }
 
 // TestPackedKeysDistinguishLengths guards the packed-key encoding: a
