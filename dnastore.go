@@ -259,8 +259,10 @@ func AcceleratedDecay() DecayProfile { return decay.Accelerated() }
 // the worst unit's consumed Reed-Solomon erasure margin.
 type Health = blockstore.Health
 
-// ScrubPolicy tunes System.Scrub: probe depth, coverage and RS-margin
-// floors, repair mode, boost gain, and retry budget.
+// ScrubPolicy tunes System.Scrub: probe depth (which applies only under
+// Options.BatchDecode; streaming probes stop at the coverage floor),
+// coverage and RS-margin floors, repair mode, boost gain, and retry
+// budget.
 type ScrubPolicy = blockstore.ScrubPolicy
 
 // ScrubReport summarizes one scrub pass: blocks probed, flagged,
@@ -385,11 +387,13 @@ func (s *System) AgeDays() float64 { return s.store.AgeDays() }
 // DecayStats returns the accumulated decay and wear statistics.
 func (s *System) DecayStats() DecayStats { return s.store.DecayStats() }
 
-// Scrub probes every written block with cheap shallow reads, flags
-// blocks whose health has dipped below the policy's floors, and —
-// policy permitting — repairs them by re-amplification or
-// re-synthesis. The zero ScrubPolicy selects the defaults; a policy
-// with a NaN or infinite field is rejected before any probe runs.
+// Scrub probes every written block, flags blocks whose health has
+// dipped below the policy's floors, and — policy permitting — repairs
+// them by re-amplification or re-synthesis. A probe is a floor-stopped
+// strict stream by default; under Options.BatchDecode it sequences the
+// full budget scaled by the policy's ProbeDepthFactor. The zero
+// ScrubPolicy selects the defaults; a policy with a NaN or infinite
+// field is rejected before any probe runs.
 func (s *System) Scrub(pol ScrubPolicy) (*ScrubReport, error) { return s.store.Scrub(pol) }
 
 // CreatePartition allocates the next primer pair and returns an empty
@@ -493,9 +497,9 @@ func (p *Partition) ReadRangeHealth(lo, hi int) ([][]byte, []Health, error) {
 
 // ReadBlockHealth reads one block with its sequencing depth scaled by
 // scale (> 1 probes deeper before declaring the block dead, < 1 reads
-// shallow, as Scrub's probes do). A scale that is not positive and
-// finite, or whose scaled read budget overflows an int, is rejected
-// with an error wrapping ErrDepthScale.
+// shallow, as Scrub's probes do under Options.BatchDecode). A scale
+// that is not positive and finite, or whose scaled read budget
+// overflows an int, is rejected with an error wrapping ErrDepthScale.
 func (p *Partition) ReadBlockHealth(block int, scale float64) ([]byte, Health, error) {
 	return p.p.ReadBlockHealth(block, scale)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dnastore/internal/indextree"
+	"dnastore/internal/layout"
 	"dnastore/internal/primer"
 	"dnastore/internal/rng"
 	"dnastore/internal/update"
@@ -53,6 +54,13 @@ func TestNewValidation(t *testing.T) {
 	cfg = testConfig()
 	if _, err := New(cfg, primers[:1]); err == nil {
 		t.Error("single primer accepted")
+	}
+	// 58 + 1 sync + 6 index = a 65-base elongated primer, one past the
+	// alignment kernels' word; the payload (100 bases) is otherwise valid.
+	cfg = testConfig()
+	cfg.Geometry.PrimerLen, cfg.Geometry.StrandLen = 58, 226
+	if _, err := New(cfg, primers); !errors.Is(err, layout.ErrGeometry) {
+		t.Errorf("65-base elongated primer: %v, want layout.ErrGeometry", err)
 	}
 	cfg = testConfig()
 	cfg.CoverageDepth = 0

@@ -44,12 +44,14 @@ func (m RepairMode) String() string {
 // ScrubPolicy tunes Store.Scrub. The zero value selects the defaults
 // noted per field (DefaultScrubPolicy spells them out).
 type ScrubPolicy struct {
-	// ProbeDepthFactor scales the sequencing read budget of the cheap
-	// probe reads relative to a normal access (default 0.6): the probe
-	// reuses the store's binding cache for its PCR, so a scrub pass
-	// costs a fraction of a full read sweep. Below ~0.5 the probes
-	// themselves start failing on healthy blocks and the scrubber
-	// over-repairs.
+	// ProbeDepthFactor scales the sequencing read budget of the probe
+	// reads relative to a normal access (default 0.6), but only when
+	// Config.Streaming is off (dnastore's Options.BatchDecode): a
+	// full-budget probe then costs a fraction of a full read sweep.
+	// Below ~0.5 those probes start failing on healthy blocks and the
+	// scrubber over-repairs. With streaming on, the default, a probe is
+	// a floor-stopped strict stream at the full budget and the factor
+	// is only validated.
 	ProbeDepthFactor float64
 	// MinCoverage is the per-strand read floor below which a block is
 	// flagged even when it still decodes — the Heckel et al. coverage
@@ -150,9 +152,10 @@ type ScrubReport struct {
 	Flagged []BlockRepair
 }
 
-// Scrub probes every written block of every partition with cheap
-// shallow reads (ProbeDepthFactor of the normal sequencing budget,
-// PCR behind the store's binding cache), flags blocks whose coverage
+// Scrub probes every written block of every partition (PCR behind the
+// store's binding cache; a floor-stopped strict stream when
+// Config.Streaming is on, else a full-budget read scaled by
+// ProbeDepthFactor), flags blocks whose coverage
 // or RS margin has dipped below the policy's floors, and repairs them:
 // re-amplification (pool boost of the block's surviving species) for
 // thinned-but-complete blocks, full re-synthesis through the batch
@@ -188,14 +191,7 @@ func (s *Store) Scrub(pol ScrubPolicy) (*ScrubReport, error) {
 			return report, err
 		}
 	}
-	costAfter := s.Costs()
-	report.Cost = Costs{
-		StrandsSynthesized:          costAfter.StrandsSynthesized - costBefore.StrandsSynthesized,
-		PrimerPairsUsed:             costAfter.PrimerPairsUsed - costBefore.PrimerPairsUsed,
-		ElongatedPrimersSynthesized: costAfter.ElongatedPrimersSynthesized - costBefore.ElongatedPrimersSynthesized,
-		ReadsSequenced:              costAfter.ReadsSequenced - costBefore.ReadsSequenced,
-		PCRReactions:                costAfter.PCRReactions - costBefore.PCRReactions,
-	}
+	report.Cost = s.Costs().Sub(costBefore)
 	return report, nil
 }
 
@@ -217,12 +213,12 @@ func (p *Partition) scrub(pol ScrubPolicy, report *ScrubReport) error {
 		return err
 	}
 
-	// Probe phase: shallow reads fanned across the workers. With
+	// Probe phase: probe reads fanned across the workers. With
 	// streaming on, a probe is a floor-stopped strict stream — usually
 	// cheaper than the scaled full-budget probe — and its Coverage
 	// comes from the engine's live per-slot accounting rather than
-	// being re-derived from the decode's read totals; the scaled
-	// full-budget probe remains the fallback.
+	// being re-derived from the decode's read totals. With streaming
+	// off, the probe sequences the budget scaled by ProbeDepthFactor.
 	scale := pol.ProbeDepthFactor
 	if p.store.cfg.Streaming {
 		scale = 1

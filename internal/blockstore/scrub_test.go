@@ -1,8 +1,11 @@
 package blockstore
 
 import (
+	"reflect"
 	"sync"
 	"testing"
+
+	"dnastore/internal/decay"
 )
 
 // TestScrubEmptyPartition pins the degenerate maintenance pass: a
@@ -98,4 +101,45 @@ func TestScrubConcurrentWithReads(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestScrubCostCountsEjections pins that a scrub report's cost is the
+// whole change in the store's counters, ejected molecules included: a
+// streaming probe of an aged tube ejects junk from the pore, and the
+// report must charge it.
+func TestScrubCostCountsEjections(t *testing.T) {
+	prof := decay.Accelerated()
+	s, _ := buildAged(t, 1, &prof)
+	if _, err := s.Advance(5); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Costs()
+	report, err := s.Scrub(DefaultScrubPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := s.Costs().Sub(before)
+	if delta.ReadsEjected == 0 {
+		t.Fatal("streaming scrub ejected nothing; the test no longer exercises ejection")
+	}
+	if report.Cost != delta {
+		t.Errorf("report cost %+v, store counters moved by %+v", report.Cost, delta)
+	}
+}
+
+// TestCostsSubCoversEveryField sets every Costs field to a distinct
+// value, so a field added later and left out of Sub fails here.
+func TestCostsSubCoversEveryField(t *testing.T) {
+	var a, b Costs
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		av.Field(i).SetInt(int64(100 * (i + 1)))
+		bv.Field(i).SetInt(int64(i + 1))
+	}
+	d := reflect.ValueOf(a.Sub(b))
+	for i := 0; i < d.NumField(); i++ {
+		if got, want := d.Field(i).Int(), int64(99*(i+1)); got != want {
+			t.Errorf("Sub: %s = %d, want %d", d.Type().Field(i).Name, got, want)
+		}
+	}
 }

@@ -212,6 +212,19 @@ type Costs struct {
 	ReadsEjected int
 }
 
+// Sub returns the field-wise difference c - o: the cost of the work
+// done between two Costs snapshots.
+func (c Costs) Sub(o Costs) Costs {
+	return Costs{
+		StrandsSynthesized:          c.StrandsSynthesized - o.StrandsSynthesized,
+		PrimerPairsUsed:             c.PrimerPairsUsed - o.PrimerPairsUsed,
+		ElongatedPrimersSynthesized: c.ElongatedPrimersSynthesized - o.ElongatedPrimersSynthesized,
+		ReadsSequenced:              c.ReadsSequenced - o.ReadsSequenced,
+		PCRReactions:                c.PCRReactions - o.PCRReactions,
+		ReadsEjected:                c.ReadsEjected - o.ReadsEjected,
+	}
+}
+
 // Store is one DNA tube with its partitions and digital metadata.
 type Store struct {
 	cfg     Config

@@ -53,7 +53,7 @@ func TestErrorRatesMatchConfiguration(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		s := randomSeq(r, length)
 		c := Corrupt(r, s, rates)
-		totalDist += dna.Levenshtein(s, c)
+		totalDist += dna.CompilePattern(s).Distance(c)
 	}
 	perBase := float64(totalDist) / (trials * length)
 	want := rates.Total()

@@ -97,7 +97,7 @@ const stagedDist = 6
 
 // withinDist reports whether the edit distance between the compiled
 // representative and the read is at most maxDist, identical in outcome
-// to dna.LevenshteinAtMost(rep, read, maxDist). The staged probe is a
+// to rep.LevenshteinAtMost(read, maxDist). The staged probe is a
 // smaller win than it was for the scalar banded DP (the blocked kernel
 // advances whole 64-row blocks either way), but a stagedDist band fits
 // one block per column where the MaxDist band straddles two, and joins

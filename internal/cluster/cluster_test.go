@@ -246,7 +246,7 @@ func TestWithinDistMatchesLevenshteinAtMost(t *testing.T) {
 		}
 		pat := dna.CompilePattern(a)
 		for _, k := range []int{0, 3, 6, 12, 20} {
-			if got, want := withinDist(pat, b, k), dna.LevenshteinAtMost(a, b, k); got != want {
+			if got, want := withinDist(pat, b, k), pat.LevenshteinAtMost(b, k); got != want {
 				t.Fatalf("withinDist(k=%d) = %v, LevenshteinAtMost = %v", k, got, want)
 			}
 		}
@@ -254,11 +254,10 @@ func TestWithinDistMatchesLevenshteinAtMost(t *testing.T) {
 }
 
 // TestGroupJoinsMatchBandedReference pins every join the packed path
-// makes against the banded reference kernel: each member of a cluster
-// must be within MaxDist of its representative under
-// dna.BandedLevenshteinAtMost, and each representative must be farther
-// than MaxDist from every earlier representative it hashed against —
-// i.e. the bit-parallel groups are the banded groups.
+// makes against the single-pass distance kernel: each member of a
+// cluster must be within MaxDist of its representative under
+// Pattern.LevenshteinAtMost, so the staged withinDist probe never joins
+// a read the full-budget check would reject.
 func TestGroupJoinsMatchBandedReference(t *testing.T) {
 	r := rng.New(33)
 	reads, _ := makeReads(r, 30, 15, channel.Nanopore())
@@ -268,9 +267,9 @@ func TestGroupJoinsMatchBandedReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ci, c := range clusters {
-		rep := reads[c[0]]
+		rep := dna.CompilePattern(reads[c[0]])
 		for _, ri := range c[1:] {
-			if !dna.BandedLevenshteinAtMost(rep, reads[ri], cfg.MaxDist) {
+			if !rep.LevenshteinAtMost(reads[ri], cfg.MaxDist) {
 				t.Fatalf("cluster %d: member %d beyond MaxDist of its representative", ci, ri)
 			}
 		}

@@ -93,7 +93,7 @@ func TestMutationAccrualMatchesConfiguration(t *testing.T) {
 		if parent == nil {
 			t.Fatalf("mutant %d has no parent with block %d", i, m.Block)
 		}
-		d := dna.Levenshtein(parent, p.SeqAt(i))
+		d := dna.CompilePattern(parent).Distance(p.SeqAt(i))
 		if d == 0 {
 			t.Errorf("mutant %d identical to its parent", i)
 		}

@@ -6,24 +6,31 @@ package dna
 // programming rows per text character, replacing the per-cell banded
 // DPs on every hot comparison path: cluster joins, index-tree candidate
 // filtering, primer location in reads, PCR binding scores, and trace
-// refinement probes. Patterns longer than 64 bases use a banded blocked
-// variant (the multi-word state of Myers' original paper, restricted to
-// the Ukkonen band ceil(k/64)+1 blocks wide).
+// refinement probes. Bounded distance against patterns longer than 64
+// bases uses a banded blocked variant (the multi-word state of Myers'
+// original paper, restricted to the Ukkonen band ceil(k/64)+1 blocks
+// wide); the search and end-alignment kernels take patterns of at most
+// MaxPatternLen bases, which covers every primer, elongated primer and
+// index a valid geometry produces.
 //
-// Every kernel is an exact drop-in for the banded reference DP it
-// replaces: the differential tests in bitpar_test.go pin each one
-// byte-identical to the Banded* kernels across random lengths and
-// budgets.
+// The compiled Pattern is the package's only alignment engine. The
+// differential and fuzz tests in bitpar_test.go pin every kernel's
+// outputs to the unbanded O(mn) dynamic programs kept beside them as
+// test-only references.
 
 // wordBits is the DP-row count one machine word carries.
 const wordBits = 64
 
+// MaxPatternLen is the longest pattern the search and end-alignment
+// kernels (FindApprox, FindApproxRight, PrefixAlignmentAtMost,
+// SuffixAlignmentAtMost) accept: one machine word of DP rows. Geometry
+// and PCR validation reject primers that would exceed it.
+const MaxPatternLen = wordBits
+
 // maxStackBlocks bounds the pattern length (in 64-row blocks) for which
 // the blocked kernel keeps its state on the stack: 8 blocks = 512
 // bases, far above any strand or read the simulator produces. Compiled
-// Patterns beyond that still run the blocked kernel with heap scratch;
-// the one-shot package entry points (which would pay that allocation
-// per call) fall back to the banded reference DPs instead.
+// Patterns beyond that run the blocked kernel with heap scratch.
 const maxStackBlocks = 8
 
 // Pattern is a sequence compiled for bit-parallel alignment: the
@@ -34,26 +41,25 @@ const maxStackBlocks = 8
 // for concurrent use.
 type Pattern struct {
 	m    int
-	seq  Seq         // private clone, used by the banded fallbacks
 	peq  [4]uint64   // forward Eq masks (m <= 64)
 	rpeq [4]uint64   // reversed Eq masks (m <= 64), for suffix kernels
 	bpeq [][4]uint64 // per-block forward Eq masks (m > 64)
 }
 
-// CompilePattern builds the Eq bitmask tables for seq. The sequence is
-// copied, so the caller may mutate seq afterwards.
+// CompilePattern builds the Eq bitmask tables for seq: bit i of eq[c]
+// is set iff seq[i] == c. The tables are all the kernels read, so the
+// caller may mutate seq afterwards.
 func CompilePattern(seq Seq) *Pattern {
-	p := &Pattern{m: len(seq), seq: seq.Clone()}
-	if p.m == 0 {
-		return p
-	}
+	p := &Pattern{m: len(seq)}
 	if p.m <= wordBits {
-		p.peq = wordEq(p.seq)
-		p.rpeq = wordEqReversed(p.seq)
+		for i, c := range seq {
+			p.peq[c] |= 1 << uint(i)
+			p.rpeq[c] |= 1 << uint(p.m-1-i)
+		}
 		return p
 	}
 	p.bpeq = make([][4]uint64, (p.m+wordBits-1)/wordBits)
-	for i, c := range p.seq {
+	for i, c := range seq {
 		p.bpeq[i/wordBits][c] |= 1 << uint(i%wordBits)
 	}
 	return p
@@ -61,28 +67,6 @@ func CompilePattern(seq Seq) *Pattern {
 
 // Len returns the pattern length in bases.
 func (p *Pattern) Len() int { return p.m }
-
-// wordEq builds the single-word Eq masks for a pattern of length <= 64:
-// bit i of eq[c] is set iff pattern[i] == c. Returned by value so the
-// one-shot entry points stay allocation-free.
-func wordEq(pattern Seq) [4]uint64 {
-	var eq [4]uint64
-	for i, c := range pattern {
-		eq[c] |= 1 << uint(i)
-	}
-	return eq
-}
-
-// wordEqReversed is wordEq for the back-to-front pattern, used by the
-// suffix kernels.
-func wordEqReversed(pattern Seq) [4]uint64 {
-	var eq [4]uint64
-	m := len(pattern)
-	for i := range pattern {
-		eq[pattern[m-1-i]] |= 1 << uint(i)
-	}
-	return eq
-}
 
 // --- word kernels (m <= 64) ---------------------------------------------
 //
@@ -175,10 +159,10 @@ func prefixWord(peq *[4]uint64, m int, text Seq, k int, rev bool) (dist, end int
 }
 
 // findWord searches text for an approximate occurrence of the pattern
-// (free text start), mirroring the selection rules of the banded
-// findApprox: leftmost strictly-better match, or rightmost
-// greater-or-equal match when rightmost is set. Returns end = -1 and
-// dist = k+1 when no occurrence is within k.
+// (free text start) with Sellers' selection rules: leftmost
+// strictly-better match, or rightmost greater-or-equal match when
+// rightmost is set. Returns end = -1 and dist = k+1 when no occurrence
+// is within k.
 func findWord(peq *[4]uint64, m int, text Seq, k int, rightmost bool) (end, dist int) {
 	n := len(text)
 	vp := ^uint64(0) >> uint(wordBits-m)
@@ -304,25 +288,12 @@ func distBlocked(bpeq [][4]uint64, m int, text Seq, k int, vp, vn []uint64, sc [
 	return sc[nb-1], true
 }
 
-// buildBlockedEq fills the per-block Eq masks for pattern into eq and
-// returns the block count. Used by the package-level one-shot entry
-// points; compiled Patterns carry their tables instead.
-func buildBlockedEq(eq *[maxStackBlocks][4]uint64, pattern Seq) int {
-	nb := (len(pattern) + wordBits - 1) / wordBits
-	for b := 0; b < nb; b++ {
-		eq[b] = [4]uint64{}
-	}
-	for i, c := range pattern {
-		eq[i/wordBits][c] |= 1 << uint(i%wordBits)
-	}
-	return nb
-}
-
 // --- Pattern kernels -----------------------------------------------------
 
 // DistanceAtMost returns the edit distance between the pattern and text
-// provided it is at most k; ok is false otherwise. Identical in outcome
-// to BandedLevenshteinAtMost plus Levenshtein on a hit, in one pass.
+// provided it is at most k; ok is false otherwise. Patterns of any
+// length are accepted: reads and cluster representatives run the
+// blocked kernel.
 func (p *Pattern) DistanceAtMost(text Seq, k int) (dist int, ok bool) {
 	if k < 0 {
 		return 0, false
@@ -366,41 +337,58 @@ func (p *Pattern) LevenshteinAtMost(text Seq, k int) bool {
 	return ok
 }
 
-// FindApprox searches text for the leftmost best approximate occurrence
-// of the pattern within edit distance k; same contract as the package
-// function FindApprox.
+// mustFitWord enforces the word kernels' precondition: it panics if
+// the pattern is longer than MaxPatternLen, since those kernels carry
+// one DP row per bit of a single word.
+func (p *Pattern) mustFitWord() {
+	if p.m > MaxPatternLen {
+		panic("dna: search and end alignment require a pattern of at most 64 bases")
+	}
+}
+
+// FindApprox searches text for an approximate occurrence of the pattern
+// with edit distance at most k, returning the end index of the leftmost
+// best match and its distance, or (-1, k+1) if none exists. It locates
+// primers inside noisy sequencing reads before trimming. The empty
+// pattern matches at 0 with distance 0. It panics if the pattern is
+// longer than MaxPatternLen.
 func (p *Pattern) FindApprox(text Seq, k int) (end, dist int) {
+	p.mustFitWord()
 	if p.m == 0 {
 		return 0, 0
 	}
 	if k < 0 {
 		return -1, k + 1
 	}
-	if p.m <= wordBits {
-		return findWord(&p.peq, p.m, text, k, false)
-	}
-	return BandedFindApprox(p.seq, text, k)
+	return findWord(&p.peq, p.m, text, k, false)
 }
 
-// FindApproxRight is FindApprox preferring the rightmost best match;
-// same contract as the package function FindApproxRight.
+// FindApproxRight is FindApprox preferring the rightmost best match; the
+// empty pattern matches at len(text). Use it to locate a primer that is
+// expected near the end of a read: with periodic primers, a payload that
+// coincidentally extends the primer's period would otherwise produce an
+// equally good earlier match. It panics if the pattern is longer than
+// MaxPatternLen.
 func (p *Pattern) FindApproxRight(text Seq, k int) (end, dist int) {
+	p.mustFitWord()
 	if p.m == 0 {
 		return len(text), 0
 	}
 	if k < 0 {
 		return -1, k + 1
 	}
-	if p.m <= wordBits {
-		return findWord(&p.peq, p.m, text, k, true)
-	}
-	return BandedFindApproxRight(p.seq, text, k)
+	return findWord(&p.peq, p.m, text, k, true)
 }
 
 // PrefixAlignmentAtMost returns the minimum edit distance between the
-// pattern and any prefix of text with the leftmost best end, provided
-// it is at most k; same contract as the package function.
+// pattern and any prefix of text with the end of the leftmost best
+// prefix, provided it is at most k; ok is false otherwise, with zero
+// dist and end. This is the binding model for a PCR primer annealing to
+// the start of a template: synthesis and sequencing indels mean the
+// matching region may be slightly shorter or longer than the primer.
+// It panics if the pattern is longer than MaxPatternLen.
 func (p *Pattern) PrefixAlignmentAtMost(text Seq, k int) (dist, end int, ok bool) {
+	p.mustFitWord()
 	if k < 0 {
 		return 0, 0, false
 	}
@@ -410,16 +398,17 @@ func (p *Pattern) PrefixAlignmentAtMost(text Seq, k int) (dist, end int, ok bool
 	if p.m-len(text) > k {
 		return 0, 0, false
 	}
-	if p.m <= wordBits {
-		return prefixWord(&p.peq, p.m, text, k, false)
-	}
-	return BandedPrefixAlignmentAtMost(p.seq, text, k)
+	return prefixWord(&p.peq, p.m, text, k, false)
 }
 
 // SuffixAlignmentAtMost returns the minimum edit distance between the
-// pattern and any suffix of text, provided it is at most k; same
-// contract as the package function.
+// pattern and any suffix of text, provided it is at most k; ok is false
+// otherwise, with zero dist. It is PrefixAlignmentAtMost on the reversed
+// sequences, run with reversed indexing so nothing is copied: the
+// reverse-primer binding model of the PCR simulator. It panics if the
+// pattern is longer than MaxPatternLen.
 func (p *Pattern) SuffixAlignmentAtMost(text Seq, k int) (dist int, ok bool) {
+	p.mustFitWord()
 	if k < 0 {
 		return 0, false
 	}
@@ -429,9 +418,6 @@ func (p *Pattern) SuffixAlignmentAtMost(text Seq, k int) (dist int, ok bool) {
 	if p.m-len(text) > k {
 		return 0, false
 	}
-	if p.m <= wordBits {
-		d, _, ok := prefixWord(&p.rpeq, p.m, text, k, true)
-		return d, ok
-	}
-	return BandedSuffixAlignmentAtMost(p.seq, text, k)
+	d, _, ok := prefixWord(&p.rpeq, p.m, text, k, true)
+	return d, ok
 }

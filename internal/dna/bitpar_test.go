@@ -19,29 +19,25 @@ func mutatePair(r *rng.Source, maxLen int) (pattern, text Seq) {
 }
 
 // TestDistanceAtMostMatchesExact pins the word and blocked distance
-// kernels (both via compiled Patterns and the package entry point)
-// against the full O(mn) reference across random lengths and budgets,
-// including the word/blocked boundary and the multi-block regime.
+// kernels against the full O(mn) reference across random lengths and
+// budgets, including the word/blocked boundary and the multi-block
+// regime.
 func TestDistanceAtMostMatchesExact(t *testing.T) {
 	r := rng.New(51)
 	budgets := []int{0, 1, 2, 3, 6, 8, 13, 20, 40, 70}
 	for _, maxLen := range []int{10, 63, 64, 65, 100, 150, 200, 300} {
 		for i := 0; i < 150; i++ {
 			a, b := mutatePair(r, maxLen)
-			want := Levenshtein(a, b)
+			want := refLevenshtein(a, b)
 			pat := CompilePattern(a)
 			for _, k := range budgets {
 				d, ok := pat.DistanceAtMost(b, k)
-				if ok != (want <= k) || (ok && d != want) {
+				if ok != (want <= k) || (ok && d != want) || (!ok && d != 0) {
 					t.Fatalf("Pattern(len %d).DistanceAtMost(len %d, %d) = (%d, %v), exact %d",
 						len(a), len(b), k, d, ok, want)
 				}
-				if got := LevenshteinAtMost(a, b, k); got != (want <= k) {
-					t.Fatalf("LevenshteinAtMost(len %d, len %d, %d) = %v, exact %d",
-						len(a), len(b), k, got, want)
-				}
-				if got := BandedLevenshteinAtMost(a, b, k); got != (want <= k) {
-					t.Fatalf("BandedLevenshteinAtMost(len %d, len %d, %d) = %v, exact %d",
+				if got := pat.LevenshteinAtMost(b, k); got != (want <= k) {
+					t.Fatalf("Pattern(len %d).LevenshteinAtMost(len %d, %d) = %v, exact %d",
 						len(a), len(b), k, got, want)
 				}
 			}
@@ -52,10 +48,10 @@ func TestDistanceAtMostMatchesExact(t *testing.T) {
 	}
 }
 
-// TestPatternFindMatchesBanded pins the word search kernels against the
-// banded reference (itself pinned against the naive Sellers DP in
-// distance_test.go), including end-position tie-breaking.
-func TestPatternFindMatchesBanded(t *testing.T) {
+// TestPatternFindMatchesReference pins the word search kernels against
+// the unbanded Sellers DP, including end-position tie-breaking and the
+// (-1, k+1) miss.
+func TestPatternFindMatchesReference(t *testing.T) {
 	r := rng.New(52)
 	for i := 0; i < 500; i++ {
 		pattern := randomSeq(r, 1+r.Intn(64))
@@ -67,25 +63,26 @@ func TestPatternFindMatchesBanded(t *testing.T) {
 		}
 		pat := CompilePattern(pattern)
 		for _, k := range []int{0, 1, 2, 3, 5, 9} {
-			wantEnd, wantDist := BandedFindApprox(pattern, text, k)
+			wantEnd, wantDist := refFindApprox(pattern, text, k, false)
 			gotEnd, gotDist := pat.FindApprox(text, k)
 			if gotEnd != wantEnd || gotDist != wantDist {
-				t.Fatalf("FindApprox(len %d, len %d, %d) = (%d, %d), banded (%d, %d)",
+				t.Fatalf("FindApprox(len %d, len %d, %d) = (%d, %d), reference (%d, %d)",
 					len(pattern), len(text), k, gotEnd, gotDist, wantEnd, wantDist)
 			}
-			wantEnd, wantDist = BandedFindApproxRight(pattern, text, k)
+			wantEnd, wantDist = refFindApprox(pattern, text, k, true)
 			gotEnd, gotDist = pat.FindApproxRight(text, k)
 			if gotEnd != wantEnd || gotDist != wantDist {
-				t.Fatalf("FindApproxRight(len %d, len %d, %d) = (%d, %d), banded (%d, %d)",
+				t.Fatalf("FindApproxRight(len %d, len %d, %d) = (%d, %d), reference (%d, %d)",
 					len(pattern), len(text), k, gotEnd, gotDist, wantEnd, wantDist)
 			}
 		}
 	}
 }
 
-// TestPatternPrefixSuffixMatchesBanded pins the word prefix/suffix
-// kernels against the banded reference, including the leftmost-end rule.
-func TestPatternPrefixSuffixMatchesBanded(t *testing.T) {
+// TestPatternPrefixSuffixMatchesReference pins the word prefix/suffix
+// kernels against the unbanded DP, including the leftmost-end rule and
+// the zero values returned with ok=false.
+func TestPatternPrefixSuffixMatchesReference(t *testing.T) {
 	r := rng.New(53)
 	for i := 0; i < 800; i++ {
 		pattern := randomSeq(r, 1+r.Intn(64))
@@ -100,16 +97,16 @@ func TestPatternPrefixSuffixMatchesBanded(t *testing.T) {
 		}
 		pat := CompilePattern(pattern)
 		for _, k := range []int{0, 1, 2, 3, 5, 8, 15} {
-			wd, we, wok := BandedPrefixAlignmentAtMost(pattern, text, k)
+			wd, we, wok := refPrefixAtMost(pattern, text, k)
 			gd, ge, gok := pat.PrefixAlignmentAtMost(text, k)
 			if gd != wd || ge != we || gok != wok {
-				t.Fatalf("PrefixAlignmentAtMost(len %d, len %d, %d) = (%d, %d, %v), banded (%d, %d, %v)",
+				t.Fatalf("PrefixAlignmentAtMost(len %d, len %d, %d) = (%d, %d, %v), reference (%d, %d, %v)",
 					len(pattern), len(text), k, gd, ge, gok, wd, we, wok)
 			}
-			wd, wok = BandedSuffixAlignmentAtMost(pattern, text, k)
+			wd, wok = refSuffixAtMost(pattern, text, k)
 			gd, gok = pat.SuffixAlignmentAtMost(text, k)
 			if gd != wd || gok != wok {
-				t.Fatalf("SuffixAlignmentAtMost(len %d, len %d, %d) = (%d, %v), banded (%d, %v)",
+				t.Fatalf("SuffixAlignmentAtMost(len %d, len %d, %d) = (%d, %v), reference (%d, %v)",
 					len(pattern), len(text), k, gd, gok, wd, wok)
 			}
 		}
@@ -123,7 +120,7 @@ func TestPatternHeapBlocks(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		a := randomSeq(r, 520+r.Intn(200))
 		b := mutate(r, a, r.Intn(30))
-		want := Levenshtein(a, b)
+		want := refLevenshtein(a, b)
 		pat := CompilePattern(a)
 		for _, k := range []int{10, 25, 40} {
 			d, ok := pat.DistanceAtMost(b, k)
@@ -135,8 +132,8 @@ func TestPatternHeapBlocks(t *testing.T) {
 	}
 }
 
-// TestPatternEdgeCases covers empty patterns/texts and negative budgets
-// for every kernel.
+// TestPatternEdgeCases covers empty patterns/texts, negative budgets
+// and the word-kernel length limit.
 func TestPatternEdgeCases(t *testing.T) {
 	text := MustFromString("ACGTACGT")
 	empty := CompilePattern(nil)
@@ -171,6 +168,23 @@ func TestPatternEdgeCases(t *testing.T) {
 	if d, _, ok := pat.PrefixAlignmentAtMost(nil, 4); !ok || d != 4 {
 		t.Error("4-base pattern vs empty text should cost 4")
 	}
+	// The search and end-alignment kernels take at most MaxPatternLen
+	// bases and panic past it; the distance kernels take any length.
+	r := rng.New(58)
+	long := randomSeq(r, 100)
+	at := CompilePattern(long[:MaxPatternLen])
+	for name, fn := range wordKernels(at, long, 3) {
+		if panics(fn) {
+			t.Errorf("%s on a %d-base pattern panicked", name, at.Len())
+		}
+	}
+	past := CompilePattern(long[:MaxPatternLen+1])
+	past.DistanceAtMost(long, 40)
+	for name, fn := range wordKernels(past, long, 3) {
+		if !panics(fn) {
+			t.Errorf("%s on a %d-base pattern did not panic", name, past.Len())
+		}
+	}
 }
 
 // TestPatternKernelsDoNotAllocate pins the zero-allocation property of
@@ -191,9 +205,6 @@ func TestPatternKernelsDoNotAllocate(t *testing.T) {
 		"FindApproxRight":        func() { wordPat.FindApproxRight(text, 3) },
 		"PrefixAlignmentAtMost":  func() { wordPat.PrefixAlignmentAtMost(text[:40], 5) },
 		"SuffixAlignmentAtMost":  func() { wordPat.SuffixAlignmentAtMost(text[len(text)-40:], 5) },
-		"pkg LevenshteinAtMost":  func() { LevenshteinAtMost(long, longText, 20) },
-		"pkg FindApprox":         func() { FindApprox(word, text, 3) },
-		"pkg PrefixAlignAtMost":  func() { PrefixAlignmentAtMost(word, text[:40], 5) },
 	}
 	for name, fn := range checks {
 		if avg := testing.AllocsPerRun(200, fn); avg != 0 {
@@ -202,8 +213,80 @@ func TestPatternKernelsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// FuzzBitparKernels drives the bit-parallel kernels against the scalar
-// references with fuzzer-chosen sequences and budgets.
+// TestCompilePatternAllocs pins the compile cost: one allocation for
+// the Pattern itself plus, past one word, one for the per-block table.
+// The input sequence is not copied.
+func TestCompilePatternAllocs(t *testing.T) {
+	r := rng.New(56)
+	for _, c := range []struct{ n, want int }{{31, 1}, {64, 1}, {150, 2}, {600, 2}} {
+		seq := randomSeq(r, c.n)
+		if avg := testing.AllocsPerRun(200, func() { CompilePattern(seq) }); avg != float64(c.want) {
+			t.Errorf("CompilePattern(%d bases) allocates %.1f times, want %d", c.n, avg, c.want)
+		}
+	}
+}
+
+// TestCompilePatternOwnsNoInput mutates the input after compiling and
+// checks that every kernel result is unchanged: a Pattern keeps only
+// its Eq tables.
+func TestCompilePatternOwnsNoInput(t *testing.T) {
+	r := rng.New(57)
+	for _, n := range []int{20, 64, 150} {
+		seq := randomSeq(r, n)
+		text := Concat(randomSeq(r, 7), mutate(r, seq, 3), randomSeq(r, 9))
+		pat := CompilePattern(seq)
+		results := func() []int {
+			d, ok := pat.DistanceAtMost(text, 40)
+			out := []int{d, b2i(ok), pat.Distance(text)}
+			if pat.Len() > MaxPatternLen {
+				return out
+			}
+			e, fd := pat.FindApprox(text, 5)
+			re, rd := pat.FindApproxRight(text, 5)
+			pd, pe, pok := pat.PrefixAlignmentAtMost(text, 20)
+			sd, sok := pat.SuffixAlignmentAtMost(text, 20)
+			return append(out, e, fd, re, rd, pd, pe, b2i(pok), sd, b2i(sok))
+		}
+		before := results()
+		for i := range seq {
+			seq[i] = (seq[i] + 1) % 4
+		}
+		after := results()
+		for i := range before {
+			if before[i] != after[i] {
+				t.Fatalf("%d bases: results changed after mutating the input: %v -> %v", n, before, after)
+			}
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// wordKernels returns the four single-word kernels of p bound to text
+// and budget k.
+func wordKernels(p *Pattern, text Seq, k int) map[string]func() {
+	return map[string]func(){
+		"FindApprox":            func() { p.FindApprox(text, k) },
+		"FindApproxRight":       func() { p.FindApproxRight(text, k) },
+		"PrefixAlignmentAtMost": func() { p.PrefixAlignmentAtMost(text, k) },
+		"SuffixAlignmentAtMost": func() { p.SuffixAlignmentAtMost(text, k) },
+	}
+}
+
+func panics(fn func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	fn()
+	return false
+}
+
+// FuzzBitparKernels drives every compiled-pattern kernel against the
+// unbanded references with fuzzer-chosen sequences and budgets. The
+// search and end-alignment kernels must panic past MaxPatternLen.
 func FuzzBitparKernels(f *testing.F) {
 	f.Add([]byte("ACGTACGT"), []byte("ACGAACGT"), 3)
 	f.Add([]byte(""), []byte("T"), 0)
@@ -226,55 +309,48 @@ func FuzzBitparKernels(f *testing.F) {
 		for i, c := range rawB {
 			b[i] = Base(c & 3)
 		}
-		want := Levenshtein(a, b)
+		want := refLevenshtein(a, b)
 		pat := CompilePattern(a)
 		d, ok := pat.DistanceAtMost(b, k)
-		if ok != (k >= 0 && want <= k) || (ok && d != want) {
+		if ok != (k >= 0 && want <= k) || (ok && d != want) || (!ok && d != 0) {
 			t.Fatalf("DistanceAtMost(%v, %v, %d) = (%d, %v), exact %d", a, b, k, d, ok, want)
 		}
-		wantEnd, wantDist := BandedFindApprox(a, b, k)
+		if len(a) > MaxPatternLen {
+			for name, fn := range wordKernels(pat, b, k) {
+				if !panics(fn) {
+					t.Fatalf("%s on a %d-base pattern did not panic", name, len(a))
+				}
+			}
+			return
+		}
+		wantEnd, wantDist := refFindApprox(a, b, k, false)
 		gotEnd, gotDist := pat.FindApprox(b, k)
 		if gotEnd != wantEnd || gotDist != wantDist {
-			t.Fatalf("FindApprox(%v, %v, %d) = (%d, %d), banded (%d, %d)", a, b, k, gotEnd, gotDist, wantEnd, wantDist)
+			t.Fatalf("FindApprox(%v, %v, %d) = (%d, %d), reference (%d, %d)", a, b, k, gotEnd, gotDist, wantEnd, wantDist)
 		}
-		wd, we, wok := BandedPrefixAlignmentAtMost(a, b, k)
+		wantEnd, wantDist = refFindApprox(a, b, k, true)
+		gotEnd, gotDist = pat.FindApproxRight(b, k)
+		if gotEnd != wantEnd || gotDist != wantDist {
+			t.Fatalf("FindApproxRight(%v, %v, %d) = (%d, %d), reference (%d, %d)", a, b, k, gotEnd, gotDist, wantEnd, wantDist)
+		}
+		wd, we, wok := refPrefixAtMost(a, b, k)
 		gd, ge, gok := pat.PrefixAlignmentAtMost(b, k)
 		if gd != wd || ge != we || gok != wok {
-			t.Fatalf("PrefixAlignmentAtMost(%v, %v, %d) = (%d, %d, %v), banded (%d, %d, %v)", a, b, k, gd, ge, gok, wd, we, wok)
+			t.Fatalf("PrefixAlignmentAtMost(%v, %v, %d) = (%d, %d, %v), reference (%d, %d, %v)", a, b, k, gd, ge, gok, wd, we, wok)
 		}
+		swd, swok := refSuffixAtMost(a, b, k)
 		sd, sok := pat.SuffixAlignmentAtMost(b, k)
-		swd, swok := BandedSuffixAlignmentAtMost(a, b, k)
 		if sd != swd || sok != swok {
-			t.Fatalf("SuffixAlignmentAtMost(%v, %v, %d) = (%d, %v), banded (%d, %v)", a, b, k, sd, sok, swd, swok)
+			t.Fatalf("SuffixAlignmentAtMost(%v, %v, %d) = (%d, %v), reference (%d, %v)", a, b, k, sd, sok, swd, swok)
 		}
 	})
 }
 
-// --- benchmarks: banded reference vs bit-parallel ------------------------
+// --- benchmarks ----------------------------------------------------------
 
 func benchPair(r *rng.Source, n, edits int) (Seq, Seq) {
 	a := randomSeq(r, n)
 	return a, mutate(r, a, edits)
-}
-
-func BenchmarkLevenshteinAtMostBitpar150(b *testing.B) {
-	r := rng.New(61)
-	x, y := benchPair(r, 150, 6)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		LevenshteinAtMost(x, y, 20)
-	}
-}
-
-func BenchmarkLevenshteinAtMostBanded150(b *testing.B) {
-	r := rng.New(61)
-	x, y := benchPair(r, 150, 6)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BandedLevenshteinAtMost(x, y, 20)
-	}
 }
 
 func BenchmarkPatternDistanceAtMost150(b *testing.B) {

@@ -1,11 +1,12 @@
 package dna
 
-// This file implements the distance metrics used across the system:
-// Hamming distance for primer-library screening (Section 1), and
-// Levenshtein (edit) distance for read clustering (Section 2.1.2) and for
-// the PCR mispriming model (Section 8.1: "the incorrectly amplified strands
-// largely had indexes that were very close to the indexes of our target
-// block in edit distance ... usually 2 or 3 edit distance apart").
+// This file implements Hamming distance for primer-library screening
+// (Section 1). Levenshtein (edit) distance — read clustering (Section
+// 2.1.2) and the PCR mispriming model (Section 8.1: "the incorrectly
+// amplified strands largely had indexes that were very close to the
+// indexes of our target block in edit distance ... usually 2 or 3 edit
+// distance apart") — is computed by the compiled Pattern kernels of
+// bitpar.go.
 
 // Hamming returns the Hamming distance between equal-length sequences.
 // It panics if the lengths differ, since a Hamming distance between
@@ -40,589 +41,4 @@ func HammingAtMost(a, b Seq, k int) bool {
 		}
 	}
 	return true
-}
-
-// Levenshtein returns the edit distance between a and b: the minimum
-// number of insertions, deletions, and substitutions transforming one
-// into the other. O(len(a)*len(b)) time, O(min) space.
-func Levenshtein(a, b Seq) int {
-	if len(a) < len(b) {
-		a, b = b, a
-	}
-	// b is the shorter sequence; keep one row of the DP matrix.
-	n := len(b)
-	row := make([]int, n+1)
-	for j := 0; j <= n; j++ {
-		row[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		prev := row[0] // row[i-1][0]
-		row[0] = i
-		for j := 1; j <= n; j++ {
-			cur := row[j]
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			best := prev + cost
-			if v := row[j] + 1; v < best {
-				best = v
-			}
-			if v := row[j-1] + 1; v < best {
-				best = v
-			}
-			row[j] = best
-			prev = cur
-		}
-	}
-	return row[n]
-}
-
-// maxStackBand is the largest DP band width the banded kernels keep on
-// the stack; wider bands (k > 31) fall back to heap scratch.
-const maxStackBand = 64
-
-// distInf marks an unreachable banded-DP cell. It is large enough that
-// adding per-cell costs can never wrap into the valid range.
-const distInf = 1 << 30
-
-// LevenshteinAtMost reports whether the edit distance between a and b
-// is at most k. This is the workhorse of read clustering. Pairs whose
-// shorter sequence fits the bit-parallel engine (up to 512 bases) run
-// Myers' algorithm at 64 DP rows per word; anything longer falls back
-// to the banded reference DP. Callers comparing one sequence against
-// many should compile it once with CompilePattern instead.
-func LevenshteinAtMost(a, b Seq, k int) bool {
-	if k < 0 {
-		return false
-	}
-	la, lb := len(a), len(b)
-	if la-lb > k || lb-la > k {
-		return false
-	}
-	if la < lb {
-		a, b = b, a
-		la, lb = lb, la
-	}
-	if lb == 0 {
-		return true // la <= k by the length check above
-	}
-	if lb <= wordBits {
-		peq := wordEq(b)
-		_, ok := distWord(&peq, lb, a, k)
-		return ok
-	}
-	if lb <= maxStackBlocks*wordBits {
-		var eq [maxStackBlocks][4]uint64
-		nb := buildBlockedEq(&eq, b)
-		var vp, vn [maxStackBlocks]uint64
-		var sc [maxStackBlocks]int
-		_, ok := distBlocked(eq[:nb], lb, a, k, vp[:nb], vn[:nb], sc[:nb])
-		return ok
-	}
-	return BandedLevenshteinAtMost(a, b, k)
-}
-
-// BandedLevenshteinAtMost is the scalar reference kernel behind
-// LevenshteinAtMost: the dynamic program is banded around the diagonal
-// and additionally trims the band to the active cells (values <= k)
-// each row — Ukkonen's cut-off — so matching pairs cost O(d*max(len))
-// for true distance d rather than O(k*max(len)). It remains the
-// fallback for sequences beyond the bit-parallel stack budget and the
-// oracle the bit-parallel kernels are differentially tested against.
-func BandedLevenshteinAtMost(a, b Seq, k int) bool {
-	if k < 0 {
-		return false
-	}
-	la, lb := len(a), len(b)
-	if la-lb > k || lb-la > k {
-		return false
-	}
-	if la < lb {
-		a, b = b, a
-		la, lb = lb, la
-	}
-	if lb == 0 {
-		return true // la <= k by the length check above
-	}
-	// Band offset d = j - i + k for cell (i, j), d in [0, 2k]. The
-	// arrays carry one sentinel cell at index width so reads of d+1 at
-	// the right edge stay in bounds.
-	width := 2*k + 1
-	var bufA, bufB [maxStackBand]int
-	var prev, cur []int
-	if width+1 <= maxStackBand {
-		prev, cur = bufA[:width+1], bufB[:width+1]
-	} else {
-		prev, cur = make([]int, width+1), make([]int, width+1)
-	}
-	prev[width], cur[width] = distInf, distInf
-	// Row 0: cell (0, j) = j for j in [0, min(lb, k)]; all are <= k.
-	lo, hi := k, k+lb
-	if hi > 2*k {
-		hi = 2 * k
-	}
-	for d := lo; d <= hi; d++ {
-		prev[d] = d - k
-	}
-	if lo > 0 {
-		prev[lo-1] = distInf
-	}
-	prev[hi+1] = distInf
-	for i := 1; i <= la; i++ {
-		// Cells <= k this row can come from the previous row's active
-		// range (diag prev[d], up prev[d+1]) or chain rightward within
-		// the row (left cur[d-1]); anything seeded by an inactive cell
-		// stays > k because DP values are non-decreasing along paths.
-		dlo := lo - 1
-		if m := k - i; dlo < m {
-			dlo = m // j >= 0
-		}
-		if dlo < 0 {
-			dlo = 0
-		}
-		dhi := hi
-		if m := lb - i + k; dhi > m {
-			dhi = m // j <= lb
-		}
-		if dlo > 0 {
-			cur[dlo-1] = distInf
-		}
-		for d := dlo; d <= dhi; d++ {
-			j := i + d - k
-			if j == 0 {
-				cur[d] = i
-				continue
-			}
-			best := distInf
-			if d > 0 {
-				if v := cur[d-1]; v < distInf { // cell (i, j-1)
-					best = v + 1
-				}
-			}
-			if v := prev[d+1]; v < distInf && v+1 < best { // cell (i-1, j)
-				best = v + 1
-			}
-			if v := prev[d]; v < distInf { // cell (i-1, j-1)
-				cost := 1
-				if a[i-1] == b[j-1] {
-					cost = 0
-				}
-				if v+cost < best {
-					best = v + cost
-				}
-			}
-			cur[d] = best
-		}
-		// Rightward chain past the previous active range: only the
-		// within-row insertion edge can reach these cells.
-		last := dhi
-		maxD := lb - i + k
-		if maxD > width-1 {
-			maxD = width - 1
-		}
-		for last < maxD && cur[last] < k {
-			cur[last+1] = cur[last] + 1
-			last++
-		}
-		// Trim to the active cells.
-		nlo, nhi := dlo, last
-		for nlo <= nhi && cur[nlo] > k {
-			nlo++
-		}
-		for nhi >= nlo && cur[nhi] > k {
-			nhi--
-		}
-		if nlo > nhi {
-			return false
-		}
-		if nlo > 0 {
-			cur[nlo-1] = distInf
-		}
-		cur[nhi+1] = distInf
-		prev, cur = cur, prev
-		lo, hi = nlo, nhi
-	}
-	d := lb - la + k // band offset of cell (la, lb)
-	return d >= lo && d <= hi
-}
-
-// PrefixAlignment returns the minimum edit distance between pattern and
-// any prefix of text, along with the end position of the best-matching
-// prefix. This is the binding model for a PCR primer annealing to the
-// start of a template: the primer (pattern) must align against the
-// template's leading bases, but synthesis and sequencing indels mean the
-// matching region may be slightly shorter or longer than the primer.
-func PrefixAlignment(pattern, text Seq) (dist, end int) {
-	m, n := len(pattern), len(text)
-	if m == 0 {
-		return 0, 0
-	}
-	// DP over pattern prefix (rows) vs text prefix (cols); free end in text.
-	prev := make([]int, n+1)
-	cur := make([]int, n+1)
-	for j := 0; j <= n; j++ {
-		prev[j] = j // insertions before pattern start are charged
-	}
-	for i := 1; i <= m; i++ {
-		cur[0] = i
-		for j := 1; j <= n; j++ {
-			cost := 1
-			if pattern[i-1] == text[j-1] {
-				cost = 0
-			}
-			best := prev[j-1] + cost
-			if v := prev[j] + 1; v < best {
-				best = v
-			}
-			if v := cur[j-1] + 1; v < best {
-				best = v
-			}
-			cur[j] = best
-		}
-		prev, cur = cur, prev
-	}
-	bestDist, bestEnd := prev[0], 0
-	for j := 1; j <= n; j++ {
-		if prev[j] < bestDist {
-			bestDist, bestEnd = prev[j], j
-		}
-	}
-	return bestDist, bestEnd
-}
-
-// PrefixAlignmentAtMost is PrefixAlignment with a distance budget: it
-// returns the minimum edit distance between pattern and any prefix of
-// text, along with the end of the leftmost best prefix, provided that
-// distance is at most k; ok is false when every prefix is farther than
-// k. Patterns up to 64 bases (every primer) run the bit-parallel word
-// kernel; longer patterns use the banded reference. Callers aligning
-// one pattern repeatedly should compile it with CompilePattern.
-func PrefixAlignmentAtMost(pattern, text Seq, k int) (dist, end int, ok bool) {
-	m := len(pattern)
-	if k < 0 {
-		return 0, 0, false
-	}
-	if m == 0 {
-		return 0, 0, true
-	}
-	if m-len(text) > k {
-		return 0, 0, false
-	}
-	if m <= wordBits {
-		peq := wordEq(pattern)
-		return prefixWord(&peq, m, text, k, false)
-	}
-	return alignAtMost(pattern, text, k, false)
-}
-
-// BandedPrefixAlignmentAtMost is the scalar reference kernel behind
-// PrefixAlignmentAtMost: banded by k (every DP cell (i, j) costs at
-// least |i-j|) and trimmed to the active (<= k) cells each row, running
-// in O(k*len(pattern)) time with no heap allocation for k <= 31.
-func BandedPrefixAlignmentAtMost(pattern, text Seq, k int) (dist, end int, ok bool) {
-	return alignAtMost(pattern, text, k, false)
-}
-
-// SuffixAlignmentAtMost returns the minimum edit distance between
-// pattern and any suffix of text, provided it is at most k; ok is false
-// otherwise. It is PrefixAlignmentAtMost on the reversed sequences,
-// implemented with reversed indexing so nothing is copied. This is the
-// reverse-primer binding model of the PCR simulator.
-func SuffixAlignmentAtMost(pattern, text Seq, k int) (dist int, ok bool) {
-	m := len(pattern)
-	if k < 0 {
-		return 0, false
-	}
-	if m == 0 {
-		return 0, true
-	}
-	if m-len(text) > k {
-		return 0, false
-	}
-	if m <= wordBits {
-		rpeq := wordEqReversed(pattern)
-		d, _, ok := prefixWord(&rpeq, m, text, k, true)
-		return d, ok
-	}
-	d, _, ok := alignAtMost(pattern, text, k, true)
-	return d, ok
-}
-
-// BandedSuffixAlignmentAtMost is the scalar reference kernel behind
-// SuffixAlignmentAtMost.
-func BandedSuffixAlignmentAtMost(pattern, text Seq, k int) (dist int, ok bool) {
-	d, _, ok := alignAtMost(pattern, text, k, true)
-	return d, ok
-}
-
-// alignAtMost is the shared banded prefix-alignment kernel. With rev
-// set, pattern and text are read back to front, which turns the free
-// text end into a free text start — the suffix alignment.
-func alignAtMost(pattern, text Seq, k int, rev bool) (dist, end int, ok bool) {
-	m, n := len(pattern), len(text)
-	if k < 0 {
-		return 0, 0, false
-	}
-	if m == 0 {
-		return 0, 0, true
-	}
-	if m-n > k {
-		return 0, 0, false // consuming all of text still leaves > k edits
-	}
-	// Band offset d = j - i + k for cell (i, j), d in [0, 2k], with one
-	// sentinel cell at index width for in-bounds reads of d+1.
-	width := 2*k + 1
-	var bufA, bufB [maxStackBand]int
-	var prev, cur []int
-	if width+1 <= maxStackBand {
-		prev, cur = bufA[:width+1], bufB[:width+1]
-	} else {
-		prev, cur = make([]int, width+1), make([]int, width+1)
-	}
-	prev[width], cur[width] = distInf, distInf
-	lo, hi := k, k+n
-	if hi > 2*k {
-		hi = 2 * k
-	}
-	for d := lo; d <= hi; d++ {
-		prev[d] = d - k // row 0: cell (0, j) = j
-	}
-	if lo > 0 {
-		prev[lo-1] = distInf
-	}
-	prev[hi+1] = distInf
-	for i := 1; i <= m; i++ {
-		dlo := lo - 1
-		if v := k - i; dlo < v {
-			dlo = v // j >= 0
-		}
-		if dlo < 0 {
-			dlo = 0
-		}
-		dhi := hi
-		if v := n - i + k; dhi > v {
-			dhi = v // j <= n
-		}
-		if dlo > 0 {
-			cur[dlo-1] = distInf
-		}
-		for d := dlo; d <= dhi; d++ {
-			j := i + d - k
-			if j == 0 {
-				cur[d] = i
-				continue
-			}
-			best := distInf
-			if d > 0 {
-				if v := cur[d-1]; v < distInf { // cell (i, j-1)
-					best = v + 1
-				}
-			}
-			if v := prev[d+1]; v < distInf && v+1 < best { // cell (i-1, j)
-				best = v + 1
-			}
-			if v := prev[d]; v < distInf { // cell (i-1, j-1)
-				var pb, tb Base
-				if rev {
-					pb, tb = pattern[m-i], text[n-j]
-				} else {
-					pb, tb = pattern[i-1], text[j-1]
-				}
-				cost := 1
-				if pb == tb {
-					cost = 0
-				}
-				if v+cost < best {
-					best = v + cost
-				}
-			}
-			cur[d] = best
-		}
-		last := dhi
-		maxD := n - i + k
-		if maxD > width-1 {
-			maxD = width - 1
-		}
-		for last < maxD && cur[last] < k {
-			cur[last+1] = cur[last] + 1
-			last++
-		}
-		nlo, nhi := dlo, last
-		for nlo <= nhi && cur[nlo] > k {
-			nlo++
-		}
-		for nhi >= nlo && cur[nhi] > k {
-			nhi--
-		}
-		if nlo > nhi {
-			return 0, 0, false
-		}
-		if nlo > 0 {
-			cur[nlo-1] = distInf
-		}
-		cur[nhi+1] = distInf
-		prev, cur = cur, prev
-		lo, hi = nlo, nhi
-	}
-	// Leftmost minimum over the final row; out-of-band and trimmed cells
-	// are all > k >= the minimum, so the active range suffices.
-	bestDist, bestEnd := distInf, 0
-	for d := lo; d <= hi; d++ {
-		if prev[d] < bestDist {
-			bestDist, bestEnd = prev[d], m+d-k
-		}
-	}
-	return bestDist, bestEnd, true
-}
-
-// maxStackCol bounds the pattern length for which the semi-global
-// searches keep their DP column on the stack.
-const maxStackCol = 96
-
-// FindApprox searches text for an approximate occurrence of pattern with
-// edit distance at most k, returning the end index of the leftmost best
-// match and its distance, or (-1, k+1) if none exists. It is used to
-// locate primers inside noisy sequencing reads before trimming.
-// Patterns up to 64 bases run the bit-parallel word kernel; longer
-// patterns use the banded reference. Callers searching for one pattern
-// across many reads should compile it with CompilePattern.
-func FindApprox(pattern, text Seq, k int) (end, dist int) {
-	if len(pattern) == 0 {
-		return 0, 0
-	}
-	if k < 0 {
-		return -1, k + 1
-	}
-	if len(pattern) <= wordBits {
-		peq := wordEq(pattern)
-		return findWord(&peq, len(pattern), text, k, false)
-	}
-	return BandedFindApprox(pattern, text, k)
-}
-
-// BandedFindApprox is the scalar reference kernel behind FindApprox:
-// Sellers' column DP with Ukkonen's cut-off — only the column prefix
-// whose values can still reach k is computed, so the expected time is
-// O(k*len(text)) rather than O(len(pattern)*len(text)).
-func BandedFindApprox(pattern, text Seq, k int) (end, dist int) {
-	if len(pattern) == 0 {
-		return 0, 0
-	}
-	if k < 0 {
-		return -1, k + 1
-	}
-	bestEnd, bestDist := findApprox(pattern, text, k, false)
-	if bestDist > k {
-		return -1, k + 1
-	}
-	return bestEnd, bestDist
-}
-
-// FindApproxRight is FindApprox preferring the rightmost best match.
-// Use it to locate a primer that is expected near the end of a read:
-// with periodic primers, a payload that coincidentally extends the
-// primer's period would otherwise produce an equally good earlier match.
-func FindApproxRight(pattern, text Seq, k int) (end, dist int) {
-	if len(pattern) == 0 {
-		return len(text), 0
-	}
-	if k < 0 {
-		return -1, k + 1
-	}
-	if len(pattern) <= wordBits {
-		peq := wordEq(pattern)
-		return findWord(&peq, len(pattern), text, k, true)
-	}
-	return BandedFindApproxRight(pattern, text, k)
-}
-
-// BandedFindApproxRight is the scalar reference kernel behind
-// FindApproxRight.
-func BandedFindApproxRight(pattern, text Seq, k int) (end, dist int) {
-	if len(pattern) == 0 {
-		return len(text), 0
-	}
-	if k < 0 {
-		return -1, k + 1
-	}
-	bestEnd, bestDist := findApprox(pattern, text, k, true)
-	if bestEnd < 0 {
-		return -1, k + 1
-	}
-	return bestEnd, bestDist
-}
-
-// findApprox is the shared cut-off column DP. Cell values are capped at
-// k+1: a cell that exceeds k can never feed a match within the budget
-// (DP values are non-decreasing along any path), so the cap preserves
-// every answer while keeping the active column prefix short.
-func findApprox(pattern, text Seq, k int, rightmost bool) (end, dist int) {
-	m, n := len(pattern), len(text)
-	bound := k + 1
-	var buf [maxStackCol]int
-	var col []int
-	if m+1 <= maxStackCol {
-		col = buf[:m+1]
-	} else {
-		col = make([]int, m+1)
-	}
-	la := k // last active row: column 0 is cell (i, 0) = i
-	if la > m {
-		la = m
-	}
-	for i := 0; i <= la; i++ {
-		col[i] = i
-	}
-	if la < m {
-		col[la+1] = bound
-	}
-	bestEnd, bestDist := -1, bound
-	for j := 1; j <= n; j++ {
-		top := la + 1
-		if top > m {
-			top = m
-		}
-		diag := col[0] // cell (0, j-1) = 0
-		for i := 1; i <= top; i++ {
-			left := col[i] // cell (i, j-1); capped guard above the active rows
-			v := diag      // cell (i-1, j-1)
-			if pattern[i-1] != text[j-1] {
-				v++
-			}
-			if up := col[i-1] + 1; up < v { // cell (i-1, j), just written
-				v = up
-			}
-			if l := left + 1; l < v {
-				v = l
-			}
-			if v > bound {
-				v = bound
-			}
-			diag = left
-			col[i] = v
-		}
-		la = top
-		for la > 0 && col[la] > k {
-			la--
-		}
-		if la < m {
-			col[la+1] = bound
-		}
-		if la == m {
-			if rightmost {
-				if col[m] <= bestDist && col[m] <= k {
-					bestDist, bestEnd = col[m], j
-				}
-			} else if col[m] < bestDist {
-				bestDist, bestEnd = col[m], j
-				if bestDist == 0 {
-					// An exact match cannot be improved, and the
-					// leftmost one has just been recorded.
-					break
-				}
-			}
-		}
-	}
-	return bestEnd, bestDist
 }

@@ -43,6 +43,108 @@ func TestHammingAtMost(t *testing.T) {
 	}
 }
 
+// refLevenshtein is the unbanded O(len(a)*len(b)) edit-distance DP,
+// kept as the reference oracle for the compiled Pattern kernels.
+func refLevenshtein(a, b Seq) int {
+	if len(a) < len(b) {
+		a, b = b, a
+	}
+	// b is the shorter sequence; keep one row of the DP matrix.
+	n := len(b)
+	row := make([]int, n+1)
+	for j := 0; j <= n; j++ {
+		row[j] = j
+	}
+	for i := 1; i <= len(a); i++ {
+		prev := row[0] // row[i-1][0]
+		row[0] = i
+		for j := 1; j <= n; j++ {
+			cur := row[j]
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			best := prev + cost
+			if v := row[j] + 1; v < best {
+				best = v
+			}
+			if v := row[j-1] + 1; v < best {
+				best = v
+			}
+			row[j] = best
+			prev = cur
+		}
+	}
+	return row[n]
+}
+
+// refPrefixAlignment is the unbanded prefix-alignment DP: the minimum
+// edit distance between pattern and any prefix of text, with the end
+// of the leftmost best prefix. It is the reference oracle for
+// Pattern.PrefixAlignmentAtMost and, on reversed sequences, for
+// Pattern.SuffixAlignmentAtMost.
+func refPrefixAlignment(pattern, text Seq) (dist, end int) {
+	m, n := len(pattern), len(text)
+	if m == 0 {
+		return 0, 0
+	}
+	// DP over pattern prefix (rows) vs text prefix (cols); free end in text.
+	prev := make([]int, n+1)
+	cur := make([]int, n+1)
+	for j := 0; j <= n; j++ {
+		prev[j] = j // insertions before pattern start are charged
+	}
+	for i := 1; i <= m; i++ {
+		cur[0] = i
+		for j := 1; j <= n; j++ {
+			cost := 1
+			if pattern[i-1] == text[j-1] {
+				cost = 0
+			}
+			best := prev[j-1] + cost
+			if v := prev[j] + 1; v < best {
+				best = v
+			}
+			if v := cur[j-1] + 1; v < best {
+				best = v
+			}
+			cur[j] = best
+		}
+		prev, cur = cur, prev
+	}
+	bestDist, bestEnd := prev[0], 0
+	for j := 1; j <= n; j++ {
+		if prev[j] < bestDist {
+			bestDist, bestEnd = prev[j], j
+		}
+	}
+	return bestDist, bestEnd
+}
+
+// refPrefixAtMost and refSuffixAtMost apply a kernel's budget contract
+// to the unbanded references: the exact result when it is within k,
+// zero values with ok=false otherwise.
+func refPrefixAtMost(pattern, text Seq, k int) (dist, end int, ok bool) {
+	dist, end = refPrefixAlignment(pattern, text)
+	if k < 0 || dist > k {
+		return 0, 0, false
+	}
+	return dist, end, true
+}
+
+func refSuffixAtMost(pattern, text Seq, k int) (dist int, ok bool) {
+	dist, _, ok = refPrefixAtMost(reverse(pattern), reverse(text), k)
+	return dist, ok
+}
+
+func reverse(s Seq) Seq {
+	out := make(Seq, len(s))
+	for i, b := range s {
+		out[len(s)-1-i] = b
+	}
+	return out
+}
+
 func TestLevenshteinKnown(t *testing.T) {
 	cases := []struct {
 		a, b string
@@ -59,9 +161,12 @@ func TestLevenshteinKnown(t *testing.T) {
 		{"GATTACA", "GCATGCT", 4},
 	}
 	for _, c := range cases {
-		got := Levenshtein(MustFromString(c.a), MustFromString(c.b))
-		if got != c.want {
-			t.Errorf("Levenshtein(%q,%q) = %d want %d", c.a, c.b, got, c.want)
+		a, b := MustFromString(c.a), MustFromString(c.b)
+		if got := refLevenshtein(a, b); got != c.want {
+			t.Errorf("refLevenshtein(%q,%q) = %d want %d", c.a, c.b, got, c.want)
+		}
+		if got := CompilePattern(a).Distance(b); got != c.want {
+			t.Errorf("Pattern(%q).Distance(%q) = %d want %d", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -71,8 +176,9 @@ func TestLevenshteinSymmetric(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		a := randomSeq(r, r.Intn(20))
 		b := randomSeq(r, r.Intn(20))
-		if Levenshtein(a, b) != Levenshtein(b, a) {
-			t.Fatalf("asymmetric for %v / %v", a, b)
+		ab, ba := CompilePattern(a).Distance(b), CompilePattern(b).Distance(a)
+		if ab != ba || ab != refLevenshtein(b, a) {
+			t.Fatalf("asymmetric for %v / %v: %d vs %d", a, b, ab, ba)
 		}
 	}
 }
@@ -83,7 +189,8 @@ func TestLevenshteinTriangleInequality(t *testing.T) {
 		a := randomSeq(r, 5+r.Intn(15))
 		b := randomSeq(r, 5+r.Intn(15))
 		c := randomSeq(r, 5+r.Intn(15))
-		ab, bc, ac := Levenshtein(a, b), Levenshtein(b, c), Levenshtein(a, c)
+		pa, pb := CompilePattern(a), CompilePattern(b)
+		ab, bc, ac := pa.Distance(b), pb.Distance(c), pa.Distance(c)
 		if ac > ab+bc {
 			t.Fatalf("triangle violated: d(a,c)=%d > %d+%d", ac, ab, bc)
 		}
@@ -92,19 +199,17 @@ func TestLevenshteinTriangleInequality(t *testing.T) {
 
 func TestLevenshteinBoundedBySingleEdit(t *testing.T) {
 	// Property: mutating one position changes edit distance by at most 1.
-	r := rng.New(3)
 	f := func(seed uint64) bool {
 		rr := rng.New(seed)
 		s := randomSeq(rr, 10+rr.Intn(20))
 		m := s.Clone()
 		i := rr.Intn(len(m))
 		m[i] = Base((int(m[i]) + 1 + rr.Intn(3)) % 4)
-		return Levenshtein(s, m) <= 1
+		return CompilePattern(s).LevenshteinAtMost(m, 1) && refLevenshtein(s, m) <= 1
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: nil}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
-	_ = r
 }
 
 func TestLevenshteinAtMostAgreesWithExact(t *testing.T) {
@@ -112,9 +217,10 @@ func TestLevenshteinAtMostAgreesWithExact(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		a := randomSeq(r, r.Intn(25))
 		b := randomSeq(r, r.Intn(25))
-		d := Levenshtein(a, b)
+		d := refLevenshtein(a, b)
+		pat := CompilePattern(a)
 		for _, k := range []int{0, 1, 2, 3, 5, 8} {
-			got := LevenshteinAtMost(a, b, k)
+			got := pat.LevenshteinAtMost(b, k)
 			want := d <= k
 			if got != want {
 				t.Fatalf("LevenshteinAtMost(%v,%v,%d) = %v, exact distance %d",
@@ -125,44 +231,48 @@ func TestLevenshteinAtMostAgreesWithExact(t *testing.T) {
 }
 
 func TestLevenshteinAtMostNegativeK(t *testing.T) {
-	if LevenshteinAtMost(MustFromString("A"), MustFromString("A"), -1) {
+	if CompilePattern(MustFromString("A")).LevenshteinAtMost(MustFromString("A"), -1) {
 		t.Error("negative k should always be false")
 	}
 }
 
+// TestPrefixAlignment pins known answers of the reference DP and of the
+// compiled kernel at the budget len(pattern), which always suffices
+// (aligning against the empty prefix costs exactly that).
 func TestPrefixAlignment(t *testing.T) {
 	pattern := MustFromString("ACGTAC")
-	text := MustFromString("ACGTACGGGGTTTT")
-	d, end := PrefixAlignment(pattern, text)
-	if d != 0 || end != 6 {
-		t.Errorf("exact prefix: d=%d end=%d want 0,6", d, end)
+	pat := CompilePattern(pattern)
+	cases := []struct {
+		text    string
+		minDist int // exact unless maxDist is also set
+		maxDist int
+		end     int // -1: not pinned
+	}{
+		{"ACGTACGGGGTTTT", 0, 0, 6}, // exact prefix
+		{"ACTTACGGGG", 1, 1, -1},    // one substitution
+		{"ACGACGGGG", 1, 1, -1},     // one deletion in the text
+		{"TTTTTTTTTT", 4, 6, -1},    // unrelated prefix
 	}
-	// One substitution in the prefix region.
-	text2 := MustFromString("ACTTACGGGG")
-	d2, _ := PrefixAlignment(pattern, text2)
-	if d2 != 1 {
-		t.Errorf("one substitution: d=%d want 1", d2)
+	for _, c := range cases {
+		text := MustFromString(c.text)
+		rd, re := refPrefixAlignment(pattern, text)
+		d, e, ok := pat.PrefixAlignmentAtMost(text, len(pattern))
+		if !ok || d != rd || e != re {
+			t.Errorf("%s: kernel (%d, %d, %v), reference (%d, %d)", c.text, d, e, ok, rd, re)
+		}
+		if rd < c.minDist || rd > c.maxDist || (c.end >= 0 && re != c.end) {
+			t.Errorf("%s: d=%d end=%d, want d in [%d, %d] end %d", c.text, rd, re, c.minDist, c.maxDist, c.end)
+		}
 	}
-	// Deletion in the text.
-	text3 := MustFromString("ACGAC" + "GGGG")
-	d3, _ := PrefixAlignment(pattern, text3)
-	if d3 != 1 {
-		t.Errorf("one deletion: d=%d want 1", d3)
-	}
-	// Totally unrelated prefix has high distance.
-	d4, _ := PrefixAlignment(pattern, MustFromString("TTTTTTTTTT"))
-	if d4 < 4 {
-		t.Errorf("unrelated prefix distance %d too low", d4)
-	}
-	if d, end := PrefixAlignment(nil, text); d != 0 || end != 0 {
+	if d, end := refPrefixAlignment(nil, pattern); d != 0 || end != 0 {
 		t.Errorf("empty pattern: d=%d end=%d", d, end)
 	}
 }
 
 func TestFindApprox(t *testing.T) {
 	text := MustFromString("TTTTACGTACGTTTTT")
-	pattern := MustFromString("ACGTACGT")
-	end, d := FindApprox(pattern, text, 1)
+	pat := CompilePattern(MustFromString("ACGTACGT"))
+	end, d := pat.FindApprox(text, 1)
 	if d != 0 {
 		t.Errorf("exact occurrence: d=%d", d)
 	}
@@ -171,12 +281,12 @@ func TestFindApprox(t *testing.T) {
 	}
 	// With one error in the text.
 	text2 := MustFromString("TTTTACGAACGTTTTT")
-	_, d2 := FindApprox(pattern, text2, 2)
+	_, d2 := pat.FindApprox(text2, 2)
 	if d2 != 1 {
 		t.Errorf("one error: d=%d want 1", d2)
 	}
 	// Absent pattern.
-	end3, d3 := FindApprox(MustFromString("GGGGGGGG"), MustFromString("ATATATAT"), 2)
+	end3, d3 := CompilePattern(MustFromString("GGGGGGGG")).FindApprox(MustFromString("ATATATAT"), 2)
 	if end3 != -1 || d3 != 3 {
 		t.Errorf("absent pattern: end=%d d=%d", end3, d3)
 	}
@@ -185,8 +295,7 @@ func TestFindApprox(t *testing.T) {
 func TestFindApproxRight(t *testing.T) {
 	// A periodic pattern occurring twice: the rightmost match must win.
 	text := MustFromString("TTTTACGAACGTTTACGAACGTT")
-	pattern := MustFromString("ACGAACG")
-	end, d := FindApproxRight(pattern, text, 1)
+	end, d := CompilePattern(MustFromString("ACGAACG")).FindApproxRight(text, 1)
 	if d != 0 {
 		t.Errorf("d=%d want 0", d)
 	}
@@ -197,40 +306,17 @@ func TestFindApproxRight(t *testing.T) {
 	// TGCA x5 preceded by a payload that happens to end in TGCA.
 	primer := MustFromString("TGCATGCATGCATGCATGCA")
 	read := Concat(MustFromString("GGCCTGCA"), primer)
-	end, d = FindApproxRight(primer, read, 3)
+	end, d = CompilePattern(primer).FindApproxRight(read, 3)
 	if end != len(read) || d != 0 {
 		t.Errorf("periodic primer: end=%d d=%d want %d,0", end, d, len(read))
 	}
 	// Absent pattern.
-	if end, _ := FindApproxRight(MustFromString("GGGGGGGG"), MustFromString("ATATATAT"), 2); end != -1 {
+	if end, _ := CompilePattern(MustFromString("GGGGGGGG")).FindApproxRight(MustFromString("ATATATAT"), 2); end != -1 {
 		t.Errorf("absent pattern end=%d", end)
 	}
 	// Empty pattern matches at the very end.
-	if end, d := FindApproxRight(nil, text, 0); end != len(text) || d != 0 {
+	if end, d := CompilePattern(nil).FindApproxRight(text, 0); end != len(text) || d != 0 {
 		t.Errorf("empty pattern: %d %d", end, d)
-	}
-}
-
-func BenchmarkLevenshtein150(b *testing.B) {
-	r := rng.New(1)
-	x := randomSeq(r, 150)
-	y := randomSeq(r, 150)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Levenshtein(x, y)
-	}
-}
-
-func BenchmarkLevenshteinAtMost150(b *testing.B) {
-	r := rng.New(1)
-	x := randomSeq(r, 150)
-	y := x.Clone()
-	y[10] = Base((int(y[10]) + 1) % 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		LevenshteinAtMost(x, y, 8)
 	}
 }
 
@@ -313,15 +399,16 @@ func TestFindApproxMatchesReference(t *testing.T) {
 		} else {
 			text = randomSeq(r, r.Intn(80))
 		}
+		pat := CompilePattern(pattern)
 		for _, k := range []int{0, 1, 2, 3, 5} {
 			wantEnd, wantDist := refFindApprox(pattern, text, k, false)
-			gotEnd, gotDist := FindApprox(pattern, text, k)
+			gotEnd, gotDist := pat.FindApprox(text, k)
 			if gotEnd != wantEnd || gotDist != wantDist {
 				t.Fatalf("FindApprox(%v, %v, %d) = (%d, %d), want (%d, %d)",
 					pattern, text, k, gotEnd, gotDist, wantEnd, wantDist)
 			}
 			wantEnd, wantDist = refFindApprox(pattern, text, k, true)
-			gotEnd, gotDist = FindApproxRight(pattern, text, k)
+			gotEnd, gotDist = pat.FindApproxRight(text, k)
 			if gotEnd != wantEnd || gotDist != wantDist {
 				t.Fatalf("FindApproxRight(%v, %v, %d) = (%d, %d), want (%d, %d)",
 					pattern, text, k, gotEnd, gotDist, wantEnd, wantDist)
@@ -340,30 +427,19 @@ func TestPrefixAlignmentAtMostMatchesUnbanded(t *testing.T) {
 		} else {
 			text = randomSeq(r, r.Intn(40))
 		}
-		wantDist, wantEnd := PrefixAlignment(pattern, text)
+		pat := CompilePattern(pattern)
 		for _, k := range []int{0, 1, 2, 3, 5, 8} {
-			dist, end, ok := PrefixAlignmentAtMost(pattern, text, k)
-			if wantDist <= k {
-				if !ok || dist != wantDist || end != wantEnd {
-					t.Fatalf("PrefixAlignmentAtMost(%v, %v, %d) = (%d, %d, %v), want (%d, %d, true)",
-						pattern, text, k, dist, end, ok, wantDist, wantEnd)
-				}
-			} else if ok {
-				t.Fatalf("PrefixAlignmentAtMost(%v, %v, %d) ok with unbanded distance %d",
-					pattern, text, k, wantDist)
+			wd, we, wok := refPrefixAtMost(pattern, text, k)
+			dist, end, ok := pat.PrefixAlignmentAtMost(text, k)
+			if dist != wd || end != we || ok != wok {
+				t.Fatalf("PrefixAlignmentAtMost(%v, %v, %d) = (%d, %d, %v), want (%d, %d, %v)",
+					pattern, text, k, dist, end, ok, wd, we, wok)
 			}
 		}
 	}
 }
 
 func TestSuffixAlignmentAtMostMatchesReversedPrefix(t *testing.T) {
-	reverse := func(s Seq) Seq {
-		out := make(Seq, len(s))
-		for i, b := range s {
-			out[len(s)-1-i] = b
-		}
-		return out
-	}
 	r := rng.New(13)
 	for i := 0; i < 500; i++ {
 		pattern := randomSeq(r, 1+r.Intn(32))
@@ -373,31 +449,29 @@ func TestSuffixAlignmentAtMostMatchesReversedPrefix(t *testing.T) {
 		} else {
 			text = randomSeq(r, r.Intn(40))
 		}
-		wantDist, _ := PrefixAlignment(reverse(pattern), reverse(text))
+		pat := CompilePattern(pattern)
 		for _, k := range []int{0, 1, 2, 3, 5, 8} {
-			dist, ok := SuffixAlignmentAtMost(pattern, text, k)
-			if wantDist <= k {
-				if !ok || dist != wantDist {
-					t.Fatalf("SuffixAlignmentAtMost(%v, %v, %d) = (%d, %v), want (%d, true)",
-						pattern, text, k, dist, ok, wantDist)
-				}
-			} else if ok {
-				t.Fatalf("SuffixAlignmentAtMost(%v, %v, %d) ok with true distance %d",
-					pattern, text, k, wantDist)
+			wd, wok := refSuffixAtMost(pattern, text, k)
+			dist, ok := pat.SuffixAlignmentAtMost(text, k)
+			if dist != wd || ok != wok {
+				t.Fatalf("SuffixAlignmentAtMost(%v, %v, %d) = (%d, %v), want (%d, %v)",
+					pattern, text, k, dist, ok, wd, wok)
 			}
 		}
 	}
 }
 
+// TestLevenshteinAtMostLargeK drives budgets wider than half a word
+// across the word/blocked boundary (60-120 bases).
 func TestLevenshteinAtMostLargeK(t *testing.T) {
-	// Exercise the heap fallback (band width > maxStackBand).
 	r := rng.New(14)
 	for i := 0; i < 50; i++ {
 		a := randomSeq(r, 60+r.Intn(60))
 		b := mutate(r, a, r.Intn(50))
-		d := Levenshtein(a, b)
+		d := refLevenshtein(a, b)
+		pat := CompilePattern(a)
 		for _, k := range []int{35, 40, 55} {
-			if got, want := LevenshteinAtMost(a, b, k), d <= k; got != want {
+			if got, want := pat.LevenshteinAtMost(b, k), d <= k; got != want {
 				t.Fatalf("LevenshteinAtMost(len %d, len %d, %d) = %v, exact %d",
 					len(a), len(b), k, got, d)
 			}
@@ -405,46 +479,23 @@ func TestLevenshteinAtMostLargeK(t *testing.T) {
 	}
 }
 
-// The banded kernels are on the hottest paths of the simulator; pin
-// their zero-allocation property for stack-sized budgets.
+// TestDistanceKernelsDoNotAllocate pins the zero-allocation property of
+// the package-level Hamming metrics and of the exact Pattern.Distance
+// on read-length sequences.
 func TestDistanceKernelsDoNotAllocate(t *testing.T) {
 	r := rng.New(15)
 	a := randomSeq(r, 150)
 	b := mutate(r, a, 6)
-	pattern := randomSeq(r, 31)
-	text := Concat(randomSeq(r, 20), mutate(r, pattern, 2), randomSeq(r, 80))
+	c := randomSeq(r, 150)
+	pat := CompilePattern(a)
 	checks := map[string]func(){
-		"LevenshteinAtMost":     func() { LevenshteinAtMost(a, b, 20) },
-		"PrefixAlignmentAtMost": func() { PrefixAlignmentAtMost(pattern, text[:40], 5) },
-		"SuffixAlignmentAtMost": func() { SuffixAlignmentAtMost(pattern, text[len(text)-40:], 5) },
-		"FindApprox":            func() { FindApprox(pattern, text, 3) },
-		"FindApproxRight":       func() { FindApproxRight(pattern, text, 3) },
+		"Hamming":          func() { Hamming(a, c) },
+		"HammingAtMost":    func() { HammingAtMost(a, c, 20) },
+		"Pattern.Distance": func() { pat.Distance(b) },
 	}
 	for name, fn := range checks {
 		if avg := testing.AllocsPerRun(200, fn); avg != 0 {
 			t.Errorf("%s allocates %.1f times per call, want 0", name, avg)
 		}
-	}
-}
-
-func BenchmarkFindApprox31in131(b *testing.B) {
-	r := rng.New(16)
-	pattern := randomSeq(r, 31)
-	text := Concat(randomSeq(r, 10), mutate(r, pattern, 2), randomSeq(r, 90))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FindApprox(pattern, text, 3)
-	}
-}
-
-func BenchmarkPrefixAlignmentAtMost(b *testing.B) {
-	r := rng.New(17)
-	pattern := randomSeq(r, 31)
-	text := Concat(mutate(r, pattern, 2), randomSeq(r, 6))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PrefixAlignmentAtMost(pattern, text, 5)
 	}
 }

@@ -268,7 +268,14 @@ func PrintFig9b(out io.Writer, r *Fig9bResult) {
 			others = append(others, kv{b, n})
 		}
 	}
-	sort.Slice(others, func(i, j int) bool { return others[i].reads > others[j].reads })
+	// Ties break by block number: the counts come from a map, so an
+	// unbroken tie would print in iteration order.
+	sort.Slice(others, func(i, j int) bool {
+		if others[i].reads != others[j].reads {
+			return others[i].reads > others[j].reads
+		}
+		return others[i].block < others[j].block
+	})
 	fmt.Fprintf(out, "  top misprimed/carryover blocks:")
 	for i, o := range others {
 		if i >= 5 {

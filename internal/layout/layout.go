@@ -34,6 +34,9 @@ var ErrParse = errors.New("layout: cannot parse strand")
 // has the wrong molecule count or a payload has the wrong length.
 var ErrPayloadShape = errors.New("layout: malformed unit payloads")
 
+// ErrGeometry is wrapped by every error of Geometry.Validate.
+var ErrGeometry = errors.New("layout: invalid geometry")
+
 // Geometry fixes the field sizes of a strand.
 type Geometry struct {
 	StrandLen    int // total strand length in bases (paper: 150)
@@ -53,17 +56,23 @@ func PaperGeometry() Geometry {
 // synchronization", Section 6.2).
 const syncBases = 1
 
-// Validate checks internal consistency of the geometry.
+// Validate checks internal consistency of the geometry. The elongated
+// primer (main primer, sync base and unit index) is the longest pattern
+// PCR binding and primer location align, so it must fit the alignment
+// kernels' dna.MaxPatternLen. Every error wraps ErrGeometry.
 func (g Geometry) Validate() error {
 	if g.StrandLen <= 0 || g.PrimerLen <= 0 || g.IndexLen < 0 || g.VersionBases < 0 || g.IntraLen <= 0 {
-		return fmt.Errorf("layout: non-positive geometry field: %+v", g)
+		return fmt.Errorf("%w: non-positive field: %+v", ErrGeometry, g)
+	}
+	if n := g.PrimerLen + syncBases + g.IndexLen; n > dna.MaxPatternLen {
+		return fmt.Errorf("%w: elongated primer of %d bases exceeds %d", ErrGeometry, n, dna.MaxPatternLen)
 	}
 	pb := g.PayloadBases()
 	if pb <= 0 {
-		return fmt.Errorf("layout: geometry leaves %d payload bases", pb)
+		return fmt.Errorf("%w: %d payload bases", ErrGeometry, pb)
 	}
 	if pb%4 != 0 {
-		return fmt.Errorf("layout: payload bases %d not a multiple of 4", pb)
+		return fmt.Errorf("%w: payload bases %d not a multiple of 4", ErrGeometry, pb)
 	}
 	return nil
 }

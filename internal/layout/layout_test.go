@@ -2,6 +2,7 @@ package layout
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 
@@ -43,17 +44,29 @@ func TestPaperGeometry(t *testing.T) {
 func TestGeometryValidation(t *testing.T) {
 	g := PaperGeometry()
 	g.StrandLen = 50 // primers alone need 40, leaves negative payload
-	if err := g.Validate(); err == nil {
-		t.Error("tiny strand accepted")
+	if err := g.Validate(); !errors.Is(err, ErrGeometry) {
+		t.Errorf("tiny strand: %v, want ErrGeometry", err)
 	}
 	g = PaperGeometry()
 	g.IndexLen = 11 // payload 95, not a multiple of 4
-	if err := g.Validate(); err == nil {
-		t.Error("non-multiple-of-4 payload accepted")
+	if err := g.Validate(); !errors.Is(err, ErrGeometry) {
+		t.Errorf("non-multiple-of-4 payload: %v, want ErrGeometry", err)
 	}
 	g = Geometry{}
-	if err := g.Validate(); err == nil {
-		t.Error("zero geometry accepted")
+	if err := g.Validate(); !errors.Is(err, ErrGeometry) {
+		t.Errorf("zero geometry: %v, want ErrGeometry", err)
+	}
+	// The elongated primer (primer, sync base, index) must fit
+	// dna.MaxPatternLen: 43+1+20 = 64 bases validates, 44+1+20 = 65 does
+	// not. Both leave 96 payload bases, so the limit is the only
+	// difference.
+	g = Geometry{StrandLen: 206, PrimerLen: 43, IndexLen: 20, VersionBases: 1, IntraLen: 2}
+	if err := g.Validate(); err != nil {
+		t.Errorf("64-base elongated primer rejected: %v", err)
+	}
+	g = Geometry{StrandLen: 208, PrimerLen: 44, IndexLen: 20, VersionBases: 1, IntraLen: 2}
+	if err := g.Validate(); !errors.Is(err, ErrGeometry) || g.PayloadBases() != 96 {
+		t.Errorf("65-base elongated primer (%d payload bases): %v, want ErrGeometry", g.PayloadBases(), err)
 	}
 }
 

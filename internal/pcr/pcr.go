@@ -19,6 +19,7 @@
 package pcr
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -196,6 +197,10 @@ type delta struct {
 	amount  float64
 }
 
+// ErrPrimer is wrapped by Run's errors for a primer sequence it cannot
+// align: empty, or longer than dna.MaxPatternLen bases.
+var ErrPrimer = errors.New("pcr: invalid primer sequence")
+
 // Run executes the reaction on a copy of the input pool and returns the
 // amplified pool. The input pool is not modified.
 //
@@ -215,7 +220,10 @@ func Run(input *pool.Pool, primers []Primer, params Params) (*pool.Pool, Stats, 
 	maxConc := 0.0
 	for i, pr := range primers {
 		if len(pr.Fwd) == 0 || len(pr.Rev) == 0 {
-			return nil, Stats{}, fmt.Errorf("pcr: primer %d has empty sequence", i)
+			return nil, Stats{}, fmt.Errorf("%w: primer %d has empty sequence", ErrPrimer, i)
+		}
+		if n := max(len(pr.Fwd), len(pr.Rev)); n > dna.MaxPatternLen {
+			return nil, Stats{}, fmt.Errorf("%w: primer %d has %d bases, over %d", ErrPrimer, i, n, dna.MaxPatternLen)
 		}
 		if !(pr.Conc > 0) || math.IsInf(pr.Conc, 0) {
 			return nil, Stats{}, fmt.Errorf("pcr: primer %d concentration %v is not positive and finite", i, pr.Conc)

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -57,8 +58,17 @@ func TestValidation(t *testing.T) {
 	if _, _, err := Run(p, []Primer{{Fwd: fwdP, Rev: revP, Conc: 0}}, params(1e6)); err == nil {
 		t.Error("zero concentration accepted")
 	}
-	if _, _, err := Run(p, []Primer{{Fwd: nil, Rev: revP, Conc: 1}}, params(1e6)); err == nil {
-		t.Error("empty primer accepted")
+	if _, _, err := Run(p, []Primer{{Fwd: nil, Rev: revP, Conc: 1}}, params(1e6)); !errors.Is(err, ErrPrimer) {
+		t.Errorf("empty primer: %v, want ErrPrimer", err)
+	}
+	// The binding kernels align primers of at most dna.MaxPatternLen
+	// bases; a longer one is refused before the reaction runs.
+	long := dna.Concat(fwdP, fwdP, fwdP, fwdP)[:dna.MaxPatternLen+1]
+	if _, _, err := Run(p, []Primer{{Fwd: fwdP, Rev: long, Conc: 1}}, params(1e6)); !errors.Is(err, ErrPrimer) {
+		t.Errorf("%d-base primer: %v, want ErrPrimer", len(long), err)
+	}
+	if _, _, err := Run(p, []Primer{{Fwd: long[:dna.MaxPatternLen], Rev: revP, Conc: 1}}, params(1e6)); err != nil {
+		t.Errorf("%d-base primer rejected: %v", dna.MaxPatternLen, err)
 	}
 	bad := params(1e6)
 	bad.Cycles = 0
@@ -340,7 +350,7 @@ func TestAnnealTempSchedule(t *testing.T) {
 // tight and keeps the kernel banded — an unbounded budget here would
 // defeat the banding on every call.
 func suffixDistance(pattern, text dna.Seq) int {
-	d, _ := dna.SuffixAlignmentAtMost(pattern, text, len(pattern))
+	d, _ := dna.CompilePattern(pattern).SuffixAlignmentAtMost(text, len(pattern))
 	return d
 }
 

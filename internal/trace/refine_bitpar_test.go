@@ -113,7 +113,7 @@ func TestBitAlignCostExact(t *testing.T) {
 			continue
 		}
 		got := bitAlign(read, draft, &sc)
-		want := dna.Levenshtein(read, draft)
+		want := dna.CompilePattern(read).Distance(draft)
 		if got != want {
 			t.Fatalf("trial %d: bitAlign cost %d, want %d (m=%d n=%d)", trial, got, want, len(read), n)
 		}

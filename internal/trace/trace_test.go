@@ -82,9 +82,8 @@ func TestReconstructionUnderIlluminaNoise(t *testing.T) {
 		}
 		if got.Equal(orig) {
 			exact++
-		} else if dna.Levenshtein(got, orig) > 8 {
-			t.Errorf("trial %d: reconstruction distance %d too high",
-				i, dna.Levenshtein(got, orig))
+		} else if d := dna.CompilePattern(got).Distance(orig); d > 8 {
+			t.Errorf("trial %d: reconstruction distance %d too high", i, d)
 		}
 	}
 	// The paper reports 100% accurate reconstruction at modest coverage;
@@ -132,7 +131,7 @@ func TestHigherCoverageImproves(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			total += dna.Levenshtein(got, orig)
+			total += dna.CompilePattern(got).Distance(orig)
 		}
 		return total
 	}
