@@ -55,7 +55,7 @@ func ExampleSystem_Advance() {
 	// aged 800 days
 	// block 0: corrupted
 	// block 1: ok
-	// block 2: ok
+	// block 2: corrupted
 	// block 3: ok
 }
 
@@ -102,6 +102,7 @@ func ExampleSystem_Scrub() {
 		fmt.Printf("block %d: %q\n", r.Block, data[:len("record 0")])
 	}
 	// Output:
-	// probed 4 blocks, 1 flagged, 0 failed repair
+	// probed 4 blocks, 2 flagged, 0 failed repair
 	// block 0: "record 0"
+	// block 2: "record 2"
 }

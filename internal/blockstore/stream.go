@@ -80,14 +80,17 @@ type pore struct {
 }
 
 // openPore starts a reaction's stream under its (possibly abort-cut)
-// delivery ceiling. The engine's assignment is sharded per
+// delivery ceiling. The stream draws from a source forked off the
+// reaction's, so where it stops never moves the draws the reaction
+// makes after it (fault draws, assembly's overflow-chain reactions):
+// those depend only on how many draws preceded the fork. The engine's assignment is sharded per
 // Config.StreamShards (0 = streamdecode.DefaultShards) and block
 // finalization overlapped on a background pool; it fans out on the
 // store's worker budget even when the reaction fan-out is 1 — its
 // output is worker-invariant, so this only moves wall-clock. strict
 // zeroes the coverage floor's erasure slack.
 func (p *Partition) openPore(r *rng.Source, amplified *pool.Pool, ceiling int, strict bool) (*pore, error) {
-	st, err := p.store.sampler.Stream(r, amplified)
+	st, err := p.store.sampler.Stream(r.Fork(), amplified)
 	if err != nil {
 		// Mirror the full budget's accounting: sequence() charges the
 		// budget before sampling can fail.

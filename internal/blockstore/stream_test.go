@@ -8,6 +8,9 @@ import (
 
 	"dnastore/internal/decode"
 	"dnastore/internal/fault"
+	"dnastore/internal/pcr"
+	"dnastore/internal/pool"
+	"dnastore/internal/rng"
 	"dnastore/internal/update"
 )
 
@@ -251,5 +254,73 @@ func TestStreamingSeqAbortClassified(t *testing.T) {
 	}
 	if !errors.Is(h.Err, decode.ErrInsufficientCoverage) {
 		t.Errorf("err %v lost the curable coverage class", h.Err)
+	}
+}
+
+// amplifyBlock plans one block's read and runs its elongated PCR,
+// returning the amplified aliquot, the reaction's noise source after
+// PCR, and the reaction's read budget.
+func amplifyBlock(t *testing.T, p *Partition, block int) (*pool.Pool, *rng.Source, int) {
+	t.Helper()
+	pl, err := p.planBlocks([]int{block}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rx := pl.reactions[0]
+	primers := []pcr.Primer{{Fwd: p.store.cfg.Geometry.ElongatedPrimer(p.fwd, rx.prefix), Rev: p.rev, Conc: 1}}
+	if c := p.store.cfg.CarryoverConc; c > 0 {
+		primers = append(primers, pcr.Primer{Fwd: p.fwd, Rev: p.rev, Conc: c})
+	}
+	amplified, _, _, err := p.store.runPCR(rx.src, primers, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return amplified, rx.src, p.store.ReadBudget(rx.units)
+}
+
+// TestStreamLeavesSourceUnmoved pins the stream's private sequencing
+// source: a strict (zero-slack) and a slack stream of the same reaction
+// stop after different numbers of reads, yet leave the reaction's own
+// source in the same state, so every draw the reaction makes after its
+// stream (fault draws, overflow-chain reactions) is independent of
+// where the stream stopped.
+func TestStreamLeavesSourceUnmoved(t *testing.T) {
+	cfg := testConfig()
+	cfg.Streaming = true
+	cfg.Workers = 1
+	inj, err := fault.NewInjector(fault.Plan{SeqAbort: 0.5, SeqAbortFrac: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = inj
+	s := newTestStore(t, cfg)
+	p, err := s.CreatePartition("fork")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 6; b++ {
+		if err := p.WriteBlock(b, bytes.Repeat([]byte{byte('a' + b)}, 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	differed := false
+	for b := 0; b < 6; b++ {
+		amplified, src, budget := amplifyBlock(t, p, b)
+		strictSrc, slackSrc := *src, *src
+		strictInfo, slackInfo := wetInfo{budget: budget}, wetInfo{budget: budget}
+		if _, err := p.streamBlock(&strictSrc, amplified, b, &strictInfo, true); err != nil {
+			t.Fatalf("block %d strict: %v", b, err)
+		}
+		if _, err := p.streamBlock(&slackSrc, amplified, b, &slackInfo, false); err != nil {
+			t.Fatalf("block %d slack: %v", b, err)
+		}
+		if strictSrc != slackSrc {
+			t.Errorf("block %d: strict stream (%d reads) and slack stream (%d reads) leave the source in different states",
+				b, strictInfo.delivered, slackInfo.delivered)
+		}
+		differed = differed || strictInfo.entries != slackInfo.entries
+	}
+	if !differed {
+		t.Error("strict and slack streams drew the same number of molecules on every block: the test compares nothing")
 	}
 }
