@@ -13,10 +13,10 @@ import (
 // This file is the wet half of the floor-stopped streaming protocol: a
 // reaction sequences incrementally, feeding each chunk through the
 // streamdecode engine and stopping (or, for multi-target reactions,
-// redirecting via an adaptive-sampling gate) once every target's
-// coverage floor is met. The engine's assignment state is sharded by
-// provisional block address and its block finalizes run on a
-// background pool, overlapping the decode back half with ongoing
+// redirecting via an adaptive-sampling gate) on the read that meets
+// every target's coverage floor. The engine's assignment state is
+// sharded by provisional block address and its block finalizes run on
+// a background pool, overlapping the decode back half with ongoing
 // sequencing. The other protocol, the full budget, decodes with the
 // same engine (streamdecode.Decode, called from react).
 //
@@ -28,16 +28,18 @@ import (
 // molarity, and the recovery machinery's gain/foreign-mass
 // classification keeps its full-budget semantics for them.
 
-// streamChunk is the most reads sequenced between engine updates and
-// stop checks — small enough that overshoot past the coverage floor
-// stays a fraction of the savings, large enough to amortize the
-// engine's parallel stage fork-join.
+// streamChunk is the most reads drawn per engine update. Chunks only
+// amortize the engine's parallel stage fork-join: the engine re-asks
+// the stop test and the gate before crediting each read and cuts the
+// chunk there, so the chunk size no longer bounds how far a stream
+// overshoots its floor — a stream stops on the read that meets it.
 const streamChunk = 256
 
-// chunkSize scales the stop-check interval to the reaction's budget: a
-// single-unit retrieval (375-read budget) gets several stop checks
-// instead of one check and then a straight run to the budget, while
-// big cover reactions keep the full amortizing chunk.
+// chunkSize scales the draw chunk to the reaction's budget — a quarter
+// of it, between 32 reads and streamChunk — so a single-unit retrieval
+// does not draw most of its budget before its first engine update,
+// while big cover reactions keep the full amortizing chunk. The reads a
+// cut drops are never charged.
 func chunkSize(budget int) int {
 	c := budget / 4
 	if c > streamChunk {
@@ -70,27 +72,58 @@ func (p *Partition) streams(wet wetMode, scale, gain float64) bool {
 
 // pore is one reaction's open sequencing stream feeding its decode
 // engine, bounded by the delivery ceiling and the pore-entry budget.
+//
+// The pore draws a chunk at a time under the gate as it stood when the
+// chunk began, and the engine cuts the chunk on the first read that
+// admit — the stop test and the gate re-asked against the live floors —
+// refuses. Within a chunk floors only fill (Reopen runs between
+// fills), so the chunk-start gate is never stricter than the live one:
+// every molecule it ejected the live gate ejects too, and the draws
+// before the cut are, draw for draw, what a one-read chunk would have
+// drawn. The pore charges those draws only. The draws past the cut are
+// dropped uncharged, and the stream's private source is rewound to the
+// cut, so a stream that continues (after a Reopen, or past a target
+// the gate now ejects) redraws exactly what the one-read chunk would
+// draw next: the chunk size moves wall clock, never the reads.
 type pore struct {
-	st                  *seqsim.Stream
-	eng                 *streamdecode.Engine
-	gate                func(int) bool
-	batch               []dna.Seq
-	chunk               int
+	st    *seqsim.Stream
+	src   *rng.Source // the stream's private source
+	eng   *streamdecode.Engine
+	gate  func(int) bool // the reaction's gate, recording each draw
+	admit func(int) bool // the engine's per-read cut test
+	done  func() bool    // the current fill's stop test
+	batch []dna.Seq
+	draws []draw // per batched read
+	at    draw   // the latest gate call: species and source state
+	chunk int
+	// sequenced and ejected are the pore's charged work: every read and
+	// ejection up to the last cut.
+	sequenced, ejected  int
 	ceiling, maxEntries int // sequenced-read ceiling; pore-entry bound
+}
+
+// draw records one sequenced read of a chunk: its species, the pore's
+// ejection count before it, and the stream source's state at its gate
+// call (species drawn, read not yet sequenced) and after its read.
+type draw struct {
+	species, ejected int
+	atGate, after    rng.Source
 }
 
 // openPore starts a reaction's stream under its (possibly abort-cut)
 // delivery ceiling. The stream draws from a source forked off the
 // reaction's, so where it stops never moves the draws the reaction
 // makes after it (fault draws, assembly's overflow-chain reactions):
-// those depend only on how many draws preceded the fork. The engine's assignment is sharded per
-// Config.StreamShards (0 = streamdecode.DefaultShards) and block
-// finalization overlapped on a background pool; it fans out on the
-// store's worker budget even when the reaction fan-out is 1 — its
-// output is worker-invariant, so this only moves wall-clock. strict
-// zeroes the coverage floor's erasure slack.
+// those depend only on how many draws preceded the fork. The engine's
+// assignment is sharded per Config.StreamShards (0 =
+// streamdecode.DefaultShards) and block finalization overlapped on a
+// background pool; it fans out on the store's worker budget even when
+// the reaction fan-out is 1 — its output is worker-invariant, so this
+// only moves wall-clock. strict zeroes the coverage floor's erasure
+// slack.
 func (p *Partition) openPore(r *rng.Source, amplified *pool.Pool, ceiling int, strict bool) (*pore, error) {
-	st, err := p.store.sampler.Stream(r.Fork(), amplified)
+	src := r.Fork()
+	st, err := p.store.sampler.Stream(src, amplified)
 	if err != nil {
 		// Mirror the full budget's accounting: sequence() charges the
 		// budget before sampling can fail.
@@ -107,33 +140,67 @@ func (p *Partition) openPore(r *rng.Source, amplified *pool.Pool, ceiling int, s
 		eng.SetSlack(0)
 	}
 	chunk := chunkSize(ceiling)
-	return &pore{
-		st: st, eng: eng, gate: p.poreGate(amplified, eng), batch: make([]dna.Seq, 0, chunk),
+	gate := p.poreGate(amplified, eng)
+	s := &pore{
+		st: st, src: src, eng: eng,
+		batch: make([]dna.Seq, 0, chunk), draws: make([]draw, 0, chunk),
 		chunk: chunk, ceiling: ceiling, maxEntries: ejectOverhead * ceiling,
-	}, nil
+	}
+	s.gate = func(si int) bool {
+		s.at.species, s.at.atGate = si, *src
+		return gate(si)
+	}
+	s.admit = func(i int) bool { return !s.done() && gate(s.draws[i].species) }
+	return s, nil
 }
 
 // spent reports whether the stream has run out of sequencing ceiling
 // or pore entries — the latter is what terminates a gated stream whose
 // admissible molecules have run dry.
 func (s *pore) spent() bool {
-	return s.st.Sequenced >= s.ceiling || s.entries() >= s.maxEntries
+	return s.sequenced >= s.ceiling || s.entries() >= s.maxEntries
 }
 
 // entries counts pore entries: reads sequenced plus molecules ejected.
-func (s *pore) entries() int { return s.st.Sequenced + s.st.Ejected }
+func (s *pore) entries() int { return s.sequenced + s.ejected }
 
 // fill feeds the engine chunks of sequenced reads, skipping ejections,
-// until done reports true or the stream is spent.
+// until done reports true or the stream is spent. The engine cuts each
+// chunk on the first read admit refuses, and the pore rolls its
+// charges and its source back to the cut. If the stop test refused,
+// the stream ended on the read before: the ejections drawn after that
+// read go with the rest. If only the gate refused, the live gate
+// ejects that molecule: it is charged as an ejection, and the stream
+// resumes from its species draw.
 func (s *pore) fill(done func() bool) {
+	s.done = done
 	for !s.spent() && !done() {
-		s.batch = s.batch[:0]
+		s.batch, s.draws = s.batch[:0], s.draws[:0]
 		for len(s.batch) < s.chunk && !s.spent() {
-			if rd, ok := s.st.Next(s.gate); ok {
-				s.batch = append(s.batch, rd.Seq)
+			rd, ok := s.st.Next(s.gate)
+			if !ok {
+				s.ejected++
+				continue
 			}
+			s.at.ejected, s.at.after = s.ejected, *s.src
+			s.batch = append(s.batch, rd.Seq)
+			s.draws = append(s.draws, s.at)
+			s.sequenced++
 		}
-		s.eng.Add(s.batch)
+		cut := s.eng.Add(s.batch, s.admit)
+		if cut == len(s.batch) {
+			continue
+		}
+		// admit passes a chunk's first read: it re-asks what the loop
+		// and the gate just answered, so cut >= 1.
+		s.sequenced -= len(s.batch) - cut
+		if done() {
+			last := &s.draws[cut-1]
+			s.ejected, *s.src = last.ejected, last.after
+		} else {
+			refused := &s.draws[cut]
+			s.ejected, *s.src = refused.ejected+1, refused.atGate
+		}
 	}
 }
 
@@ -142,8 +209,8 @@ func (s *pore) fill(done func() bool) {
 // store's streaming totals.
 func (p *Partition) closePore(s *pore) {
 	p.store.addCosts(func(c *Costs) {
-		c.ReadsSequenced += s.st.Sequenced
-		c.ReadsEjected += s.st.Ejected
+		c.ReadsSequenced += s.sequenced
+		c.ReadsEjected += s.ejected
 	})
 	s.eng.Close()
 	p.store.addStreamStats(s.eng.Stats())
@@ -181,7 +248,7 @@ func (p *Partition) streamBlock(r *rng.Source, amplified *pool.Pool, block int, 
 		s.fill(done)
 		res, derr = s.eng.FinalizeBlock(block)
 	}
-	info.delivered = s.st.Sequenced
+	info.delivered = s.sequenced
 	info.entries = s.entries()
 	info.covAvg, _ = s.eng.CoverageEstimate(block)
 	return res, derr

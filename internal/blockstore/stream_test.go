@@ -3,6 +3,8 @@ package blockstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -266,7 +268,12 @@ func amplifyBlock(t *testing.T, p *Partition, block int) (*pool.Pool, *rng.Sourc
 	if err != nil {
 		t.Fatal(err)
 	}
-	rx := pl.reactions[0]
+	return amplify(t, p, pl.reactions[0])
+}
+
+// amplify runs a planned reaction's elongated PCR.
+func amplify(t *testing.T, p *Partition, rx reaction) (*pool.Pool, *rng.Source, int) {
+	t.Helper()
 	primers := []pcr.Primer{{Fwd: p.store.cfg.Geometry.ElongatedPrimer(p.fwd, rx.prefix), Rev: p.rev, Conc: 1}}
 	if c := p.store.cfg.CarryoverConc; c > 0 {
 		primers = append(primers, pcr.Primer{Fwd: p.fwd, Rev: p.rev, Conc: c})
@@ -322,5 +329,129 @@ func TestStreamLeavesSourceUnmoved(t *testing.T) {
 	}
 	if !differed {
 		t.Error("strict and slack streams drew the same number of molecules on every block: the test compares nothing")
+	}
+}
+
+// poreRun is what one pore charged and decoded at its first floor.
+type poreRun struct {
+	sequenced, ejected, drawn int
+	content                   map[int]map[int][]byte
+}
+
+// runPore streams one amplified reaction to its first floor through a
+// pore drawing chunk reads per engine update (0 keeps the default) and
+// finalizes its targets. It fails the test if the pore charges a read
+// the engine did not credit, or credits one after every floor was met.
+func runPore(t *testing.T, p *Partition, amplified *pool.Pool, src rng.Source, budget int, targets []int, chunk int) poreRun {
+	t.Helper()
+	s, err := p.openPore(&src, amplified, budget, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.closePore(s)
+	if chunk > 0 {
+		s.chunk = chunk
+	}
+	for _, b := range targets {
+		s.eng.Expect(b, p.expectedVersions(b))
+	}
+	admit, credited := s.admit, 0
+	s.admit = func(i int) bool {
+		ok := admit(i)
+		if ok {
+			if s.eng.AllDone() {
+				t.Fatalf("chunk %d: read admitted after every floor was met", chunk)
+			}
+			credited++
+		}
+		return ok
+	}
+	s.fill(s.eng.AllDone)
+	if !s.eng.AllDone() {
+		t.Fatalf("chunk %d: stream spent (%d reads) before its floors", chunk, s.sequenced)
+	}
+	if credited != s.sequenced {
+		t.Fatalf("chunk %d: pore charged %d reads, engine credited %d", chunk, s.sequenced, credited)
+	}
+	run := poreRun{sequenced: s.sequenced, ejected: s.ejected, drawn: s.st.Sequenced, content: map[int]map[int][]byte{}}
+	for _, b := range targets {
+		res, err := s.eng.FinalizeBlock(b)
+		if err != nil {
+			t.Fatalf("chunk %d: block %d: %v", chunk, b, err)
+		}
+		run.content[b] = res.Versions
+	}
+	return run
+}
+
+// TestPoreStopsOnFloorRead pins the in-chunk stop: a pore drawing its
+// default chunks charges exactly the reads and ejections of a pore
+// drawing one read per engine update, which checks its floors before
+// every read, and decodes the same content at the first floor — for a
+// point reaction and for a 4-block cover reaction, whose gate cuts
+// chunks as each target finishes. A chunked pore draws past its cuts,
+// but charges none of those draws.
+func TestPoreStopsOnFloorRead(t *testing.T) {
+	cfg := testConfig()
+	cfg.Streaming = true
+	cfg.Workers = 1
+	s := newTestStore(t, cfg)
+	p, err := s.CreatePartition("floor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 8; b++ {
+		if err := p.WriteBlock(b, bytes.Repeat([]byte{byte('a' + b)}, 40+b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.UpdateBlock(1, update.Patch{InsertPos: 2, Insert: []byte("v1")}); err != nil {
+		t.Fatal(err)
+	}
+	pl, err := p.planRange(0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pl.reactions) != 1 {
+		t.Fatalf("[0, 3] planned %d reactions, want one 4-block cover", len(pl.reactions))
+	}
+	cases := []struct {
+		name    string
+		rx      reaction
+		targets []int
+	}{{"cover", pl.reactions[0], []int{0, 1, 2, 3}}}
+	for b := 0; b < 8; b++ {
+		bp, err := p.planBlocks([]int{b}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, struct {
+			name    string
+			rx      reaction
+			targets []int
+		}{fmt.Sprintf("point %d", b), bp.reactions[0], []int{b}})
+	}
+	for _, tc := range cases {
+		amplified, src, budget := amplify(t, p, tc.rx)
+		// Three streams per reaction: the pore forks its source from
+		// the reaction's, so each draw taken here starts a new one.
+		for stream := 0; stream < 3; stream++ {
+			src.Uint64()
+			one := runPore(t, p, amplified, *src, budget, tc.targets, 1)
+			chunked := runPore(t, p, amplified, *src, budget, tc.targets, 0)
+			if one.sequenced != chunked.sequenced || one.ejected != chunked.ejected {
+				t.Errorf("%s/%d: chunked pore charged %d reads, %d ejections; one-read chunks %d, %d",
+					tc.name, stream, chunked.sequenced, chunked.ejected, one.sequenced, one.ejected)
+			}
+			if !reflect.DeepEqual(one.content, chunked.content) {
+				t.Errorf("%s/%d: chunked pore decodes different content", tc.name, stream)
+			}
+			if chunked.drawn <= chunked.sequenced {
+				t.Errorf("%s/%d: chunked pore drew %d reads and charged %d: no chunk was cut",
+					tc.name, stream, chunked.drawn, chunked.sequenced)
+			}
+			t.Logf("%s/%d: %d reads, %d ejections charged; chunked pore drew %d reads",
+				tc.name, stream, chunked.sequenced, chunked.ejected, chunked.drawn)
+		}
 	}
 }

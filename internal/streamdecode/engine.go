@@ -26,11 +26,19 @@
 //
 // The flow per sequencing chunk:
 //
-//	Add(batch)       stage A: primer filter + packing + signatures +
-//	                 address parse, fanned across workers; stage B:
-//	                 greedy assignment, one worker per shard.
-//	Done(block)      has every expected slot met the per-slot floor?
-//	FinalizeBlock    hand the accumulated clusters to decode.DecodeClusters.
+//	Add(batch, admit) stage A: primer filter + packing + signatures +
+//	                  address parse, fanned across workers; coverage
+//	                  credit in input order, cut before the first read
+//	                  admit refuses; stage B: greedy assignment of the
+//	                  prefix, one worker per shard.
+//	Done(block)       has every expected slot met the per-slot floor?
+//	FinalizeBlock     hand the accumulated clusters to decode.DecodeClusters.
+//
+// Chunks only amortize the stages' fork-join; they do not bound how far
+// a stream overshoots its floor. Coverage is credited read by read and
+// the per-target floor counts move with it, so admit can stop a chunk
+// on the read that completes a floor, and the engine then holds exactly
+// what one Add per read would hold.
 //
 // With a finalize pool attached (Overlap), a shard whose targets have
 // all met their floors is handed to a background worker the moment the
@@ -88,6 +96,21 @@ type slotAddr struct {
 type slotKey struct {
 	block, version, intra int
 }
+
+// floorState is one target's incremental floor accounting: per
+// expected version, how many of its slots are still below the
+// effective floor, and how many versions are short of more slots than
+// the slack tolerates. bump keeps it current as each read is credited,
+// so the stop test is O(1) per read instead of a walk over every slot.
+type floorState struct {
+	versions []int
+	short    []int
+	over     int
+}
+
+// met reports whether every expected version is within the slack. A
+// target registered with no versions is never met.
+func (f *floorState) met() bool { return len(f.versions) > 0 && f.over == 0 }
 
 // lane is one shard of greedy-assignment state: its own sketch index,
 // member lists (global kept-read indices, in arrival order), compiled
@@ -216,11 +239,11 @@ type Engine struct {
 	riLane []uint16 // per kept read, the lane it was assigned in
 
 	cov         map[slotKey]int
-	expected    map[int][]int
-	targets     []int   // Expect'd blocks, ascending
-	laneTargets [][]int // targets grouped by shard
-	done        map[int]bool
-	reopened    map[int]int // escalation rounds: effective floor is floor << n
+	floors      map[int]*floorState // by Expect'd block
+	pending     int                 // Expect'd blocks not yet Done
+	targets     []int               // Expect'd blocks, ascending
+	laneTargets [][]int             // targets grouped by shard
+	reopened    map[int]int         // escalation rounds: effective floor is floor << n
 
 	pool  *parallel.Pool   // overlapped finalization; nil = synchronous
 	jobs  map[int]*laneJob // in-flight/completed jobs by shard
@@ -286,9 +309,8 @@ func NewSharded(pipe *decode.Pipeline, floor, workers, shards int) (*Engine, err
 		workers:     w,
 		shards:      shards,
 		cov:         make(map[slotKey]int),
-		expected:    make(map[int][]int),
+		floors:      make(map[int]*floorState),
 		laneTargets: make([][]int, shards),
-		done:        make(map[int]bool),
 		reopened:    make(map[int]int),
 		jobs:        make(map[int]*laneJob),
 	}
@@ -339,8 +361,12 @@ func NewSharded(pipe *decode.Pipeline, floor, workers, shards int) (*Engine, err
 // while an expected slot is still unobserved would forge a missing
 // slot on a healthy block.
 func (e *Engine) SetSlack(n int) {
-	if n >= 0 {
-		e.slack = n
+	if n < 0 {
+		return
+	}
+	e.slack = n
+	for _, b := range e.targets {
+		e.refloor(b, e.floors[b].met())
 	}
 }
 
@@ -373,22 +399,54 @@ func (e *Engine) laneFor(block int) int { return cluster.ShardOf(block, e.shards
 // their reads still cluster, but they have no floor and IsTarget
 // reports false for them.
 func (e *Engine) Expect(block int, versions []int) {
-	if _, seen := e.expected[block]; !seen {
+	f := e.floors[block]
+	if f == nil {
 		at := sort.SearchInts(e.targets, block)
 		e.targets = append(e.targets, 0)
 		copy(e.targets[at+1:], e.targets[at:])
 		e.targets[at] = block
 		li := e.laneFor(block)
 		e.laneTargets[li] = append(e.laneTargets[li], block)
+		f = &floorState{}
+		e.floors[block] = f
+		e.pending++
 	}
-	e.expected[block] = append([]int(nil), versions...)
+	was := f.met()
+	f.versions = append([]int(nil), versions...)
+	f.short = make([]int, len(versions))
+	e.refloor(block, was)
+}
+
+// refloor rebuilds a target's short-slot counts from the coverage
+// counts — at registration, and whenever its floor or the slack moves —
+// and keeps pending in step; was is whether the target counted as met
+// before the change.
+func (e *Engine) refloor(block int, was bool) {
+	f := e.floors[block]
+	floor := e.effFloor(block)
+	f.over = 0
+	for k, v := range f.versions {
+		short := 0
+		for intra := 0; intra < e.mol; intra++ {
+			if e.cov[slotKey{block, v, intra}] < floor {
+				short++
+			}
+		}
+		f.short[k] = short
+		if short > e.slack {
+			f.over++
+		}
+	}
+	switch now := f.met(); {
+	case now && !was:
+		e.pending--
+	case was && !now:
+		e.pending++
+	}
 }
 
 // IsTarget reports whether the block was registered via Expect.
-func (e *Engine) IsTarget(block int) bool {
-	_, ok := e.expected[block]
-	return ok
-}
+func (e *Engine) IsTarget(block int) bool { return e.floors[block] != nil }
 
 // Kept returns the number of reads that passed the primer filter.
 func (e *Engine) Kept() int { return len(e.spans) }
@@ -403,16 +461,22 @@ func (e *Engine) Clusters() int {
 	return n
 }
 
-// Add streams one chunk of sequencer output into the engine. Stage A —
-// the per-read primer filter, arena packing, packed-span MinHash
-// signatures, and provisional address parse — fans across the workers;
-// stage B assigns kept reads to clusters shard by shard, each shard
-// consuming its reads in input order, replicating cluster.Group's
+// Add streams one chunk of sequencer output into the engine and
+// returns how many of its reads it consumed. Stage A — the per-read
+// primer filter, arena packing, packed-span MinHash signatures, and
+// provisional address parse — fans across the workers over the whole
+// chunk. The reads are then credited to their slots in input order,
+// and admit, asked before each read against the floor state the reads
+// before it left, cuts the chunk before the first read it refuses: the
+// engine keeps that prefix and forgets the rest, exactly as if the
+// chunk had ended there. A nil admit consumes the whole chunk. Stage B
+// assigns the prefix's kept reads to clusters shard by shard, each
+// shard consuming its reads in input order, replicating cluster.Group's
 // greedy assignment decision for decision within the shard.
-func (e *Engine) Add(batch []dna.Seq) {
+func (e *Engine) Add(batch []dna.Seq, admit func(i int) bool) int {
 	n := len(batch)
 	if n == 0 {
-		return
+		return 0
 	}
 	h := e.signer.NumHashes
 	e.keepf = growBools(e.keepf, n)
@@ -421,7 +485,7 @@ func (e *Engine) Add(batch []dna.Seq) {
 	e.addrs = growAddrs(e.addrs, n)
 	e.laneOf = growInts(e.laneOf, n)
 	e.riOf = growInts(e.riOf, n)
-	e.curBatch, e.curN = batch, n
+	e.curBatch = batch
 	tA := time.Now()
 	// Stage A1: the primer filter dominates per-read cost (two
 	// approximate alignments), so it fans out first.
@@ -453,10 +517,37 @@ func (e *Engine) Add(batch []dna.Seq) {
 	// parse the read's own provisional address for coverage credit and
 	// shard routing.
 	parallel.Run(e.workers, n, e.fnA2)
+	e.stats.StageASeconds += time.Since(tA).Seconds()
+	tB := time.Now()
+	// Coverage accounting, serial and in input order, so admit sees the
+	// floors exactly as a one-read Add per read would have left them.
+	cut := n
+	for i := 0; i < n; i++ {
+		if admit != nil && !admit(i) {
+			cut = i
+			break
+		}
+		if e.offs[i] >= 0 && e.addrs[i].ok {
+			e.bump(e.addrs[i])
+		}
+	}
+	// Forget the kept reads past the cut: their spans are the arena's
+	// tail.
+	trimmed := false
+	for i := cut; i < n; i++ {
+		if e.offs[i] < 0 {
+			continue
+		}
+		if !trimmed {
+			e.spans, e.arena = e.spans[:e.riOf[i]], e.arena[:e.offs[i]]
+			trimmed = true
+		}
+		e.bases -= len(batch[i])
+	}
 	// Route each kept read to its shard (serial: appends riLane in
 	// input order).
 	residue := e.shards // one past the address shards
-	for i := 0; i < n; i++ {
+	for i := 0; i < cut; i++ {
 		if e.offs[i] < 0 {
 			e.laneOf[i] = -1
 			continue
@@ -474,30 +565,42 @@ func (e *Engine) Add(batch []dna.Seq) {
 		e.riLane = append(e.riLane, uint16(li))
 	}
 	e.stats.Kept = len(e.spans)
-	e.stats.StageASeconds += time.Since(tA).Seconds()
 	// Stage B: greedy assignment, one worker per shard, each walking
-	// the chunk in input order. Lanes write only their own state; the
-	// batch, signatures, and routing tables are read-only here.
-	tB := time.Now()
+	// the chunk's prefix in input order. Lanes write only their own
+	// state; the batch, signatures, and routing tables are read-only
+	// here.
+	e.curN = cut
 	parallel.Run(e.workers, len(e.lanes), e.fnB)
-	// Coverage accounting, serial.
-	for i := 0; i < n; i++ {
-		if e.offs[i] >= 0 && e.addrs[i].ok {
-			e.bump(e.addrs[i])
-		}
-	}
 	e.stats.StageBSeconds += time.Since(tB).Seconds()
 	e.curBatch = nil
 	if e.pool != nil {
 		e.maybeSubmit()
 	}
+	return cut
 }
 
-// bump credits one read to its own provisionally parsed slot. Counts
-// only grow, so the memoized Done verdicts (only ever cached once true)
-// never go stale.
+// bump credits one read to its own provisionally parsed slot and, when
+// that lifts the slot to its target's effective floor, takes it off
+// the version's short count. Counts only grow, so a slot crosses the
+// floor at most once per floor.
 func (e *Engine) bump(s slotAddr) {
-	e.cov[slotKey{s.block, s.version, s.intra}]++
+	k := slotKey{s.block, s.version, s.intra}
+	n := e.cov[k] + 1
+	e.cov[k] = n
+	f := e.floors[s.block]
+	if f == nil || s.intra < 0 || s.intra >= e.mol || n != e.effFloor(s.block) {
+		return
+	}
+	for i, v := range f.versions {
+		if v != s.version {
+			continue
+		}
+		if f.short[i]--; f.short[i] == e.slack {
+			if f.over--; f.over == 0 {
+				e.pending--
+			}
+		}
+	}
 }
 
 // effFloor is the block's current coverage floor: the configured floor,
@@ -520,41 +623,16 @@ func (e *Engine) effFloor(block int) int {
 // what the first fourteen did), while the unit decoder erases its
 // thinnest slots and lets the parity carry them. A thin slot the
 // erasure margin cannot absorb fails the finalize, and Reopen takes it
-// from there. Unregistered blocks are never done. The verdict is
-// memoized once true: coverage only grows, and Reopen clears the memo
-// along with raising the floor.
+// from there. Unregistered blocks are never done. The verdict reads the
+// counts bump keeps, so it costs O(1): the pore gate asks it for every
+// molecule it draws.
 func (e *Engine) Done(block int) bool {
-	if e.done[block] {
-		return true
-	}
-	versions, ok := e.expected[block]
-	if !ok || len(versions) == 0 {
-		return false
-	}
-	floor := e.effFloor(block)
-	for _, v := range versions {
-		short := 0
-		for intra := 0; intra < e.mol; intra++ {
-			if e.cov[slotKey{block, v, intra}] < floor {
-				if short++; short > e.slack {
-					return false
-				}
-			}
-		}
-	}
-	e.done[block] = true
-	return true
+	f := e.floors[block]
+	return f != nil && f.met()
 }
 
 // AllDone reports whether every registered target is Done.
-func (e *Engine) AllDone() bool {
-	for b := range e.expected {
-		if !e.Done(b) {
-			return false
-		}
-	}
-	return true
-}
+func (e *Engine) AllDone() bool { return e.pending == 0 }
 
 // CoverageEstimate reports the mean per-slot read coverage across the
 // block's expected slots — the engine's live coverage state, which
@@ -562,12 +640,12 @@ func (e *Engine) AllDone() bool {
 // full-budget read. false when the block was never registered via
 // Expect.
 func (e *Engine) CoverageEstimate(block int) (float64, bool) {
-	versions := e.expected[block]
-	if len(versions) == 0 {
+	f := e.floors[block]
+	if f == nil || len(f.versions) == 0 {
 		return 0, false
 	}
 	total, slots := 0, 0
-	for _, v := range versions {
+	for _, v := range f.versions {
 		for intra := 0; intra < e.mol; intra++ {
 			total += e.cov[slotKey{block, v, intra}]
 			slots++
@@ -577,17 +655,19 @@ func (e *Engine) CoverageEstimate(block int) (float64, bool) {
 }
 
 // Reopen escalates a block after a failed finalize: its coverage floor
-// doubles and its Done verdict is cleared, so sequencing (and gating)
-// resumes for its strands until the raised floor — or the caller's read
-// budget — is hit. The floor proved too shallow once, so the next stop
-// demands twice the evidence; repeated failures degrade exponentially
-// fast into the full-budget behavior. An in-flight background
+// doubles and its floor counts are rebuilt against it, so sequencing
+// (and gating) resumes for its strands until the raised floor — or the
+// caller's read budget — is hit. The floor proved too shallow once, so
+// the next stop demands twice the evidence; repeated failures degrade
+// exponentially fast into the full-budget behavior. An in-flight background
 // finalize of the block's shard is invalidated for this block — its
 // result is abandoned, and the shard resubmits when the raised floor
 // fills.
 func (e *Engine) Reopen(block int) {
 	e.reopened[block]++
-	delete(e.done, block)
+	if f := e.floors[block]; f != nil {
+		e.refloor(block, f.met())
+	}
 }
 
 // maybeSubmit hands every shard whose targets have all just met their
@@ -837,7 +917,7 @@ func Decode(pipe *decode.Pipeline, reads []dna.Seq, target int) (map[int]*decode
 	if err != nil {
 		return nil, err
 	}
-	e.Add(reads)
+	e.Add(reads, nil)
 	if target < 0 {
 		return e.Finalize()
 	}

@@ -173,7 +173,7 @@ func feed(e *Engine, reads []dna.Seq, chunk int) {
 		if end > len(reads) {
 			end = len(reads)
 		}
-		e.Add(reads[start:end])
+		e.Add(reads[start:end], nil)
 	}
 }
 
@@ -288,14 +288,14 @@ func TestEngineCoverageFloor(t *testing.T) {
 			batch = append(batch, channel.Corrupt(r, s, channel.Noiseless()))
 		}
 	}
-	eng.Add(batch)
+	eng.Add(batch, nil)
 	if eng.Done(17) {
 		t.Fatal("done with one slot more than the slack below the floor")
 	}
 	if eng.AllDone() {
 		t.Fatal("AllDone with an unfinished target")
 	}
-	eng.Add([]dna.Seq{channel.Corrupt(r, strands[thin], channel.Noiseless())})
+	eng.Add([]dna.Seq{channel.Corrupt(r, strands[thin], channel.Noiseless())}, nil)
 	if !eng.Done(17) || !eng.AllDone() {
 		t.Fatal("slack boundary met but not done")
 	}
@@ -494,7 +494,7 @@ func TestEngineAssignAllocs(t *testing.T) {
 			warm = append(warm, channel.Corrupt(r, s, channel.Illumina()))
 		}
 	}
-	eng.Add(warm)
+	eng.Add(warm, nil)
 	join := strands[0].Clone() // clean copy: joins strand 0's cluster
 	h := eng.signer.NumHashes
 	sigs := make([]uint64, h)
@@ -551,7 +551,7 @@ func TestEngineAddAllocs(t *testing.T) {
 			warm = append(warm, channel.Corrupt(r, s, channel.Illumina()))
 		}
 	}
-	eng.Add(warm)
+	eng.Add(warm, nil)
 	join := strands[0].Clone()
 	batch := []dna.Seq{join}
 	l := eng.lanes[cluster.ShardOf(17, 4)]
@@ -569,10 +569,10 @@ func TestEngineAddAllocs(t *testing.T) {
 			l.members[i] = l.members[i][:snapshot[i]]
 		}
 	}
-	eng.Add(batch) // grow append capacity once
+	eng.Add(batch, nil) // grow append capacity once
 	restore()
 	avg := testing.AllocsPerRun(100, func() {
-		eng.Add(batch)
+		eng.Add(batch, nil)
 		restore()
 	})
 	if avg != 0 {
@@ -597,6 +597,204 @@ func BenchmarkDecode225Reads(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Decode(p, reads, 531); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestEngineAdmitMatchesOneReadAdds pins Add's in-chunk cut: one Add
+// of a whole read set under an admit that re-asks the stop test and a
+// gate (refuse reads of a finished target) consumes exactly what one
+// Add per read, checking the same tests before each read, consumes —
+// the same reads, Done turning true on the same read, identical
+// clusters and identical finalized content.
+func TestEngineAdmitMatchesOneReadAdds(t *testing.T) {
+	enc := newEncoder(t)
+	pipe := newPipeline(t, enc)
+	reads := poolReads(t, enc, rng.New(11), channel.Illumina(), true)
+	addr := make([]slotAddr, len(reads))
+	for i, rd := range reads {
+		b, v, in, ok := pipe.ProvisionalAddress(rd)
+		addr[i] = slotAddr{b, v, in, ok}
+	}
+	cases := []struct {
+		name    string
+		targets []int
+		shards  int
+	}{
+		{"point", []int{17}, 1},
+		{"point-sharded", []int{17}, 4},
+		{"cover-sharded", []int{2, 17, 40}, 4},
+	}
+	for _, tc := range cases {
+		mk := func() *Engine {
+			eng, err := NewSharded(pipe, 0, 4, tc.shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range tc.targets {
+				eng.Expect(b, []int{0})
+			}
+			return eng
+		}
+		// refused reports whether a read's block is a finished target:
+		// the pore gate's live verdict.
+		refused := func(eng *Engine, i int) bool {
+			return addr[i].ok && eng.Done(addr[i].block)
+		}
+		one, chunked := mk(), mk()
+		var oneReads []int
+		for i := range reads {
+			if one.AllDone() {
+				break
+			}
+			if refused(one, i) {
+				continue
+			}
+			one.Add(reads[i:i+1], nil)
+			oneReads = append(oneReads, i)
+		}
+		if !one.AllDone() {
+			t.Fatalf("%s: the read set never met the floor", tc.name)
+		}
+		var chunkedReads []int
+		gateCuts := 0
+		for next := 0; next < len(reads) && !chunked.AllDone(); {
+			if refused(chunked, next) {
+				next++ // the gate ejects it before it reaches a chunk
+				continue
+			}
+			base := next
+			cut := chunked.Add(reads[base:], func(i int) bool {
+				return !chunked.AllDone() && !refused(chunked, base+i)
+			})
+			if cut < 1 {
+				t.Fatalf("%s: Add consumed nothing at read %d", tc.name, base)
+			}
+			for i := base; i < base+cut; i++ {
+				chunkedReads = append(chunkedReads, i)
+			}
+			next = base + cut
+			if next < len(reads) && !chunked.AllDone() {
+				gateCuts++
+			}
+		}
+		if len(tc.targets) > 1 && gateCuts == 0 {
+			t.Fatalf("%s: no chunk was cut by the gate", tc.name)
+		}
+		if !reflect.DeepEqual(chunkedReads, oneReads) {
+			t.Fatalf("%s: chunked Add consumed %d reads, one-read Adds %d (last %d vs %d)",
+				tc.name, len(chunkedReads), len(oneReads), chunkedReads[len(chunkedReads)-1], oneReads[len(oneReads)-1])
+		}
+		if len(tc.targets) == 1 && len(chunkedReads) == len(reads) {
+			t.Fatalf("%s: the floor filled on the last read; the cut is untested", tc.name)
+		}
+		oneKept, oneClusters := one.materialize()
+		chKept, chClusters := chunked.materialize()
+		if !reflect.DeepEqual(oneKept, chKept) || !reflect.DeepEqual(oneClusters, chClusters) {
+			t.Fatalf("%s: chunked clusters diverge from one-read Adds", tc.name)
+		}
+		if one.Kept() != chunked.Kept() || one.bases != chunked.bases || len(one.arena) != len(chunked.arena) {
+			t.Fatalf("%s: kept state diverges: %d/%d reads, %d/%d bases, %d/%d arena bytes", tc.name,
+				one.Kept(), chunked.Kept(), one.bases, chunked.bases, len(one.arena), len(chunked.arena))
+		}
+		for _, b := range tc.targets {
+			want, wantErr := one.FinalizeBlock(b)
+			got, gotErr := chunked.FinalizeBlock(b)
+			if (gotErr == nil) != (wantErr == nil) || (wantErr == nil && !reflect.DeepEqual(got.Versions, want.Versions)) {
+				t.Fatalf("%s: block %d finalize diverges (err %v, one-read %v)", tc.name, b, gotErr, wantErr)
+			}
+		}
+	}
+}
+
+// checkFloors recounts every target's floor state from the coverage
+// counts by brute force and fails unless the incremental counts, Done
+// and AllDone agree with it.
+func checkFloors(t *testing.T, e *Engine, when string) {
+	t.Helper()
+	pending := 0
+	for _, b := range e.targets {
+		f := e.floors[b]
+		floor := e.effFloor(b)
+		over := 0
+		for k, v := range f.versions {
+			short := 0
+			for intra := 0; intra < e.mol; intra++ {
+				if e.cov[slotKey{b, v, intra}] < floor {
+					short++
+				}
+			}
+			if f.short[k] != short {
+				t.Fatalf("%s: block %d version %d: %d slots short incrementally, %d by recount", when, b, v, f.short[k], short)
+			}
+			if short > e.slack {
+				over++
+			}
+		}
+		if f.over != over {
+			t.Fatalf("%s: block %d: %d versions over the slack incrementally, %d by recount", when, b, f.over, over)
+		}
+		done := len(f.versions) > 0 && over == 0
+		if e.Done(b) != done {
+			t.Fatalf("%s: block %d: Done %v, recount %v", when, b, e.Done(b), done)
+		}
+		if !done {
+			pending++
+		}
+	}
+	if e.pending != pending || e.AllDone() != (pending == 0) {
+		t.Fatalf("%s: %d targets pending incrementally (AllDone %v), %d by recount", when, e.pending, e.AllDone(), pending)
+	}
+}
+
+// TestEngineFloorCountsMatchRecount checks the incremental floor
+// accounting against a brute-force recount of the coverage counts
+// after every read, at zero and the default slack, through two Reopen
+// rounds of one target — including a multi-version target and one
+// that expects a version no read carries, so it is never done.
+func TestEngineFloorCountsMatchRecount(t *testing.T) {
+	enc := newEncoder(t)
+	pipe := newPipeline(t, enc)
+	r := rng.New(13)
+	var strands []dna.Seq
+	for _, u := range []struct{ block, version int }{{2, 0}, {17, 0}, {17, 1}, {40, 0}} {
+		strands = append(strands, enc.encodeUnit(t, u.block, u.version, unitData(r, enc.unit.DataBytes()))...)
+	}
+	var reads []dna.Seq
+	for c := 0; c < 8*DefaultFloor; c++ {
+		for _, s := range strands {
+			reads = append(reads, channel.Corrupt(r, s, channel.Illumina()))
+		}
+	}
+	r.Shuffle(len(reads), func(i, j int) { reads[i], reads[j] = reads[j], reads[i] })
+	for _, slack := range []int{0, -1} {
+		eng, err := NewSharded(pipe, 0, 1, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.SetSlack(slack)
+		eng.Expect(2, []int{0})
+		eng.Expect(17, []int{0, 1})
+		eng.Expect(40, []int{0, 3})
+		checkFloors(t, eng, "registration")
+		reopens := 0
+		for i, rd := range reads {
+			eng.Add([]dna.Seq{rd}, nil)
+			checkFloors(t, eng, "after a read")
+			if reopens < 2 && eng.Done(17) {
+				eng.Reopen(17)
+				reopens++
+				checkFloors(t, eng, "after Reopen")
+			}
+			if i == len(reads)/2 {
+				// Re-registering a target recounts it from scratch.
+				eng.Expect(2, []int{0})
+				checkFloors(t, eng, "after re-Expect")
+			}
+		}
+		if reopens != 2 || !eng.Done(17) || !eng.Done(2) || eng.Done(40) {
+			t.Fatalf("slack %d: %d reopens, done 2/17/40 = %v/%v/%v; want 2 reopens and 2, 17 done",
+				eng.slack, reopens, eng.Done(2), eng.Done(17), eng.Done(40))
 		}
 	}
 }
