@@ -366,7 +366,7 @@ func (e *Engine) SetSlack(n int) {
 	}
 	e.slack = n
 	for _, b := range e.targets {
-		e.refloor(b, e.floors[b].met())
+		e.refloor(b)
 	}
 }
 
@@ -409,19 +409,16 @@ func (e *Engine) Expect(block int, versions []int) {
 		e.laneTargets[li] = append(e.laneTargets[li], block)
 		f = &floorState{}
 		e.floors[block] = f
-		e.pending++
 	}
-	was := f.met()
 	f.versions = append([]int(nil), versions...)
 	f.short = make([]int, len(versions))
-	e.refloor(block, was)
+	e.refloor(block)
 }
 
 // refloor rebuilds a target's short-slot counts from the coverage
 // counts — at registration, and whenever its floor or the slack moves —
-// and keeps pending in step; was is whether the target counted as met
-// before the change.
-func (e *Engine) refloor(block int, was bool) {
+// and recounts the pending targets.
+func (e *Engine) refloor(block int) {
 	f := e.floors[block]
 	floor := e.effFloor(block)
 	f.over = 0
@@ -437,11 +434,11 @@ func (e *Engine) refloor(block int, was bool) {
 			f.over++
 		}
 	}
-	switch now := f.met(); {
-	case now && !was:
-		e.pending--
-	case was && !now:
-		e.pending++
+	e.pending = 0
+	for _, b := range e.targets {
+		if !e.floors[b].met() {
+			e.pending++
+		}
 	}
 }
 
@@ -532,17 +529,12 @@ func (e *Engine) Add(batch []dna.Seq, admit func(i int) bool) int {
 		}
 	}
 	// Forget the kept reads past the cut: their spans are the arena's
-	// tail.
-	trimmed := false
-	for i := cut; i < n; i++ {
-		if e.offs[i] < 0 {
-			continue
-		}
-		if !trimmed {
+	// tail, so trimming back to each in turn ends at the first.
+	for i := n - 1; i >= cut; i-- {
+		if e.offs[i] >= 0 {
 			e.spans, e.arena = e.spans[:e.riOf[i]], e.arena[:e.offs[i]]
-			trimmed = true
+			e.bases -= len(batch[i])
 		}
-		e.bases -= len(batch[i])
 	}
 	// Route each kept read to its shard (serial: appends riLane in
 	// input order).
@@ -665,8 +657,8 @@ func (e *Engine) CoverageEstimate(block int) (float64, bool) {
 // fills.
 func (e *Engine) Reopen(block int) {
 	e.reopened[block]++
-	if f := e.floors[block]; f != nil {
-		e.refloor(block, f.met())
+	if e.floors[block] != nil {
+		e.refloor(block)
 	}
 }
 
