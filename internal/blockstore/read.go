@@ -230,7 +230,9 @@ func (p *Partition) fanWorkers(n int) int {
 // reads give other blocks fragmentary coverage whose single-read
 // consensus would overwrite good results from their own reaction —
 // even on a failed decode, whose partial map carries the typed
-// per-block failures.
+// per-block failures. The amplified pool lives only as long as the
+// reaction: it is released when react returns, so the next reaction's
+// PCR reuses the storage it wrote.
 func (p *Partition) react(rx reaction, pcrWorkers int, wet wetMode, scale float64, screen bool) (map[int]*decode.BlockResult, wetInfo, error) {
 	var info wetInfo
 	budget, err := scaledBudget(p.store.ReadBudget(rx.units), scale)
@@ -248,6 +250,7 @@ func (p *Partition) react(rx reaction, pcrWorkers int, wet wetMode, scale float6
 	if err != nil {
 		return nil, info, err
 	}
+	defer amplified.Release()
 	info.gain = st.Gain()
 	info.quarantined, info.foreignFrac = rep.quarantined, rep.foreignFrac
 	info.budget = budget

@@ -3,6 +3,8 @@ package blockstore
 import (
 	"bytes"
 	"errors"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"dnastore/internal/update"
@@ -108,5 +110,51 @@ func TestLongOverflowChainReadable(t *testing.T) {
 	cs, hs, err := p.ReadBlocksHealth([]int{b})
 	if err != nil || !hs[0].Recovered || !bytes.Equal(cs[0], want) {
 		t.Fatalf("ReadBlocksHealth: err %v, health %+v", err, hs[0])
+	}
+}
+
+// TestWarmReactionBytes pins reaction recycling end to end: once one
+// read of a block has run, reading it again reuses the reaction's
+// tube-sized storage — the PCR tables, the stream's alias table, the
+// amplified pool's segments, chunks and index — so the second read
+// allocates at most warmReadFraction of the first. Without recycling
+// the second read still allocated 65% of the first (its binding lookups
+// hit the cache); with it, about 26%. The collector is off so the
+// released storage is still there to reuse, and the free lists are
+// emptied by a collection before the first read.
+func TestWarmReactionBytes(t *testing.T) {
+	const warmReadFraction = 0.4
+	cfg := testConfig()
+	cfg.Workers = 1
+	s := newTestStore(t, cfg)
+	p, err := s.CreatePartition("warm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := map[int][]byte{}
+	for b := 0; b < 64; b++ {
+		blocks[b] = bytes.Repeat([]byte{byte('a' + b%26)}, 60)
+	}
+	if err := p.WriteBlocks(blocks); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	read := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := p.ReadBlock(5)
+		runtime.ReadMemStats(&after)
+		if err != nil || !bytes.Equal(got[:60], blocks[5]) {
+			t.Fatalf("ReadBlock(5): %v", err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first := read()
+	second := read()
+	t.Logf("first read %d bytes, second %d (%.2f)", first, second, float64(second)/float64(first))
+	if float64(second) > warmReadFraction*float64(first) {
+		t.Errorf("second read of a block allocated %d bytes, over %.0f%% of the first read's %d",
+			second, 100*warmReadFraction, first)
 	}
 }

@@ -133,6 +133,7 @@ func (p *Partition) openPore(r *rng.Source, amplified *pool.Pool, ceiling int, s
 	workers := p.store.workers
 	eng, err := streamdecode.NewSharded(p.pipeline, 0, workers, p.store.cfg.StreamShards)
 	if err != nil {
+		st.Close()
 		return nil, err
 	}
 	eng.Overlap(parallel.NewPool(workers))
@@ -177,7 +178,10 @@ func (s *pore) fill(done func() bool) {
 	for !s.spent() && !done() {
 		s.batch, s.draws = s.batch[:0], s.draws[:0]
 		for len(s.batch) < s.chunk && !s.spent() {
-			rd, ok := s.st.Next(s.gate)
+			// Each chunk slot keeps its read buffer across chunks: the
+			// engine packs what it keeps into its own arena.
+			i := len(s.batch)
+			rd, ok := s.st.AppendNext(s.batch[:i+1][i][:0], s.gate)
 			if !ok {
 				s.ejected++
 				continue
@@ -204,14 +208,15 @@ func (s *pore) fill(done func() bool) {
 	}
 }
 
-// closePore charges the stream's reads and ejections, drains the
-// engine's background jobs and folds its per-stage accounting into the
-// store's streaming totals.
+// closePore charges the stream's reads and ejections, closes the
+// stream, drains the engine's background jobs and folds its per-stage
+// accounting into the store's streaming totals.
 func (p *Partition) closePore(s *pore) {
 	p.store.addCosts(func(c *Costs) {
 		c.ReadsSequenced += s.sequenced
 		c.ReadsEjected += s.ejected
 	})
+	s.st.Close()
 	s.eng.Close()
 	p.store.addStreamStats(s.eng.Stats())
 }

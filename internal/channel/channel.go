@@ -56,8 +56,20 @@ func Noiseless() Rates { return Rates{} }
 // sequencers exhibit, that is a ~100x reduction in draws on the
 // sequencing hot path.
 func Corrupt(r *rng.Source, seq dna.Seq, rates Rates) dna.Seq {
+	return AppendCorrupt(nil, r, seq, rates)
+}
+
+// AppendCorrupt appends a noisy copy of seq to dst and returns the
+// extended slice. It consumes r exactly as Corrupt does, so a caller
+// that reuses one buffer per read (dst[:0]) draws the same reads
+// without allocating them. seq must not overlap dst's spare capacity.
+func AppendCorrupt(dst dna.Seq, r *rng.Source, seq dna.Seq, rates Rates) dna.Seq {
 	n := len(seq)
-	out := make(dna.Seq, 0, n+4)
+	out := dst
+	if cap(out)-len(out) < n+4 {
+		out = make(dna.Seq, len(dst), len(dst)+n+4)
+		copy(out, dst)
+	}
 	perBase := rates.Del + rates.Sub
 	if rates.Ins <= 0 && perBase <= 0 {
 		return append(out, seq...)

@@ -132,3 +132,35 @@ func TestMeanErrorCountPoissonLike(t *testing.T) {
 		t.Errorf("mean read length %.2f want %.2f", mean, want)
 	}
 }
+
+// TestAppendCorruptMatchesCorrupt pins the append form to Corrupt: the
+// same bases after any prefix already in dst, the prefix untouched, and
+// the source left in the same state, at every rate mix including none.
+// A buffer with room takes a read without allocating.
+func TestAppendCorruptMatchesCorrupt(t *testing.T) {
+	for _, rates := range []Rates{
+		Illumina(), Nanopore(), Noiseless(),
+		{Sub: 0.05}, {Ins: 0.05}, {Del: 0.05}, {Sub: 0.2, Ins: 0.2, Del: 0.2},
+	} {
+		seqs := rng.New(3)
+		want, got := rng.New(11), rng.New(11)
+		var buf dna.Seq
+		for i := 0; i < 300; i++ {
+			seq := randomSeq(seqs, 1+seqs.Intn(200))
+			ref := Corrupt(want, seq, rates)
+			prefix := randomSeq(seqs, seqs.Intn(3))
+			buf = AppendCorrupt(append(buf[:0], prefix...), got, seq, rates)
+			if !buf[:len(prefix)].Equal(prefix) || !buf[len(prefix):].Equal(ref) {
+				t.Fatalf("%+v read %d: append form %v, want %v after %v", rates, i, buf, ref, prefix)
+			}
+			if *got != *want {
+				t.Fatalf("%+v read %d: sources diverged", rates, i)
+			}
+		}
+		seq := randomSeq(seqs, 150)
+		buf = make(dna.Seq, 0, 400)
+		if n := testing.AllocsPerRun(50, func() { buf = AppendCorrupt(buf[:0], got, seq, rates) }); n != 0 {
+			t.Errorf("%+v: %.1f allocations per read into a roomy buffer, want 0", rates, n)
+		}
+	}
+}

@@ -28,6 +28,7 @@ import (
 	"dnastore/internal/dna"
 	"dnastore/internal/parallel"
 	"dnastore/internal/pool"
+	"dnastore/internal/recycle"
 )
 
 // Primer is one primer pair participating in a reaction. Conc is the
@@ -74,6 +75,9 @@ type Params struct {
 
 	// MaxBindDist bounds the edit distance at which binding is
 	// considered at all; beyond it the probability is treated as zero.
+	// A binding's distance is a forward plus a reverse edit distance
+	// over primers of at most dna.MaxPatternLen bases, so Validate
+	// refuses values above MaxBindDistLimit.
 	MaxBindDist int
 
 	// Workers fans the per-cycle scoring loop (binding alignments and
@@ -92,6 +96,15 @@ type Params struct {
 	// pool is byte-identical with any provider.
 	Provider binding.Provider
 }
+
+// MaxBindDistLimit is the largest MaxBindDist Validate accepts: a
+// forward plus a reverse edit distance, each at most a primer's length.
+const MaxBindDistLimit = 2 * dna.MaxPatternLen
+
+// ErrMaxBindDist is wrapped by Validate's error for a MaxBindDist that
+// is negative or over MaxBindDistLimit. Run sizes a per-distance table
+// from it, so an unbounded value would exhaust memory.
+var ErrMaxBindDist = errors.New("pcr: MaxBindDist out of range")
 
 // DefaultParams returns parameters calibrated to the paper's wetlab
 // protocol (touchdown 65->55 over 10 cycles plus 18 cycles at 55).
@@ -131,8 +144,9 @@ func (p Params) Validate() error {
 	if p.Capacity <= 0 {
 		return fmt.Errorf("pcr: capacity must be positive (set it relative to the input pool)")
 	}
-	if p.MaxBindDist < 0 {
-		return fmt.Errorf("pcr: negative MaxBindDist")
+	if p.MaxBindDist < 0 || p.MaxBindDist > MaxBindDistLimit {
+		return fmt.Errorf("%w: %d outside [0, %d] (forward plus reverse distance of %d-base primers)",
+			ErrMaxBindDist, p.MaxBindDist, MaxBindDistLimit, dna.MaxPatternLen)
 	}
 	return nil
 }
@@ -197,6 +211,21 @@ type delta struct {
 	amount  float64
 }
 
+// workspace is one reaction's tube-sized scratch: the binding table,
+// the product index, the per-chunk delta buffers, the penalty table and
+// the product buffer. Run takes one from workspaces and puts it back
+// when it ends, so a reaction over an unchanged tube reuses the last
+// one's tables instead of allocating them again.
+type workspace struct {
+	cache   []binding.Binding
+	prodIdx []int32
+	deltas  [][]delta
+	expPen  []float64
+	prodSeq dna.Seq
+}
+
+var workspaces recycle.List[workspace]
+
 // ErrPrimer is wrapped by Run's errors for a primer sequence it cannot
 // align: empty, or longer than dna.MaxPatternLen bases.
 var ErrPrimer = errors.New("pcr: invalid primer sequence")
@@ -244,13 +273,17 @@ func Run(input *pool.Pool, primers []Primer, params Params) (*pool.Pool, Stats, 
 	// During the parallel scoring phase each chunk touches only its own
 	// species' rows, so writes never race.
 	np := len(primers)
-	var cache []binding.Binding
+	ws := workspaces.Get()
+	if ws == nil {
+		ws = new(workspace)
+	}
+	cache := ws.cache[:0]
 	// prodIdx memoizes, per (species, primer) slot, 1 + the pool index
 	// of the slot's misprime product once the apply phase has created
 	// it (0 = no product yet, so freshly zeroed growth is correct):
 	// re-deriving the same sequence every cycle dominated the warm
 	// profile once bindings were cached.
-	var prodIdx []int32
+	prodIdx := ws.prodIdx[:0]
 	prov := params.Provider
 	if prov == nil {
 		prov = binding.Direct{}
@@ -276,9 +309,23 @@ func Run(input *pool.Pool, primers []Primer, params Params) (*pool.Pool, Stats, 
 	if workers > 1 {
 		nchunks = 4 * workers
 	}
-	chunkDeltas := make([][]delta, nchunks)
-	var prodSeq dna.Seq // the apply phase's product buffer
-	expPen := make([]float64, params.MaxBindDist+1)
+	// Each chunk's buffer is reset by its scorer every cycle, so stale
+	// deltas of an earlier reaction are never read.
+	chunkDeltas := ws.deltas
+	if cap(chunkDeltas) < nchunks {
+		chunkDeltas = make([][]delta, nchunks)
+	}
+	chunkDeltas = chunkDeltas[:nchunks]
+	prodSeq := ws.prodSeq // the apply phase's product buffer
+	expPen := ws.expPen
+	if cap(expPen) < params.MaxBindDist+1 {
+		expPen = make([]float64, params.MaxBindDist+1)
+	}
+	expPen = expPen[:params.MaxBindDist+1]
+	defer func() {
+		*ws = workspace{cache: cache, prodIdx: prodIdx, deltas: chunkDeltas, expPen: expPen, prodSeq: prodSeq}
+		workspaces.Put(ws)
+	}()
 
 	// The scoring phase reads the cycle's saturation and species count
 	// through these, so its closure is built once per reaction.
@@ -347,12 +394,16 @@ func Run(input *pool.Pool, primers []Primer, params Params) (*pool.Pool, Stats, 
 		n = out.Len()
 		// Grow the reaction tables with doubling: products append a few
 		// species every cycle, and regrowing exactly-sized tables each
-		// cycle was measurable zeroing + copy traffic. Fresh capacity
-		// is zeroed by allocation, which is the Unknown state for both
-		// tables.
+		// cycle was measurable zeroing + copy traffic. Zero is the
+		// Unknown state for both tables: fresh capacity is zeroed by
+		// allocation, and capacity extended in place (it may hold an
+		// earlier reaction's slots) is cleared.
 		if need := n * np; len(cache) < need {
 			if cap(cache) >= need {
+				old := len(cache)
 				cache, prodIdx = cache[:need], prodIdx[:need]
+				clear(cache[old:])
+				clear(prodIdx[old:])
 			} else {
 				nc := make([]binding.Binding, need, 2*need)
 				copy(nc, cache)

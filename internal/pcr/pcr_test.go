@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
@@ -720,5 +721,88 @@ func TestRunMisprimeAllocs(t *testing.T) {
 	t.Logf("%.0f allocs per reaction, %d misprime species, %.4f allocs per misprime", allocs, stats.MisprimeSpecies, per)
 	if per >= 0.1 {
 		t.Errorf("%.3f allocs per misprime species, want < 0.1", per)
+	}
+}
+
+// TestValidateMaxBindDist pins the MaxBindDist bound: a binding's
+// distance is a forward plus a reverse edit distance of primers of at
+// most dna.MaxPatternLen bases, so anything above twice that is
+// refused before Run sizes its per-distance table.
+func TestValidateMaxBindDist(t *testing.T) {
+	pm := params(1e6)
+	pm.MaxBindDist = 2 * dna.MaxPatternLen
+	if err := pm.Validate(); err != nil {
+		t.Errorf("MaxBindDist %d rejected: %v", pm.MaxBindDist, err)
+	}
+	for _, d := range []int{2*dna.MaxPatternLen + 1, 1 << 40, -1} {
+		pm.MaxBindDist = d
+		if err := pm.Validate(); !errors.Is(err, ErrMaxBindDist) {
+			t.Errorf("MaxBindDist %d: %v, want ErrMaxBindDist", d, err)
+		}
+	}
+	p := pool.New()
+	p.Add(strand("ACGTACGTAC", 1), 100, pool.Meta{})
+	pm.MaxBindDist = 1 << 40
+	if _, _, err := Run(p, []Primer{{Fwd: fwdP, Rev: revP, Conc: 1}}, pm); !errors.Is(err, ErrMaxBindDist) {
+		t.Errorf("Run with MaxBindDist 1<<40: %v, want ErrMaxBindDist", err)
+	}
+}
+
+// TestRunWorkspaceReuse pins the recycled reaction workspace: reactions
+// over pools of different sizes, primer sets and worker counts, run
+// back to back so each takes over the last one's tables, must give the
+// digests they give on fresh tables, as in a fresh process. The
+// collector is off so every reaction really reuses the workspace.
+func TestRunWorkspaceReuse(t *testing.T) {
+	type reaction struct {
+		input   *pool.Pool
+		primers []Primer
+		params  Params
+	}
+	large := misprimeHeavyPool(2048)
+	lpr, lps := misprimeHeavyReaction(large)
+	small := misprimeHeavyPool(300)
+	spr := []Primer{
+		{Fwd: elongated("ACGAACGTAC"), Rev: revP, Conc: 1},
+		{Fwd: elongated("ACGTACCTAC"), Rev: revP, Conc: 0.5},
+		{Fwd: fwdP, Rev: revP, Conc: 0.05},
+	}
+	sps := params(float64(small.Len()) * 60 * 40)
+	sps.MaxBindDist = 7
+	lps4 := lps
+	lps4.Workers = 4
+	runs := []reaction{{large, lpr, lps4}, {small, spr, sps}, {large, lpr, lps}}
+	drain := func() {
+		for workspaces.Get() != nil {
+		}
+	}
+	digest := func(rx reaction) string {
+		out, st, err := Run(rx.input, rx.primers, rx.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reactionDigest(out, st)
+	}
+	want := make([]string, len(runs))
+	for i, rx := range runs {
+		drain()
+		want[i] = digest(rx)
+	}
+	if want[0] != misprimeHeavyGolden || want[2] != misprimeHeavyGolden {
+		t.Fatalf("fresh large reactions: %s, %s, want %s", want[0], want[2], misprimeHeavyGolden)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	drain()
+	for i, rx := range runs {
+		if got := digest(rx); got != want[i] {
+			t.Errorf("reaction %d on a reused workspace: digest %s, want %s", i, got, want[i])
+		}
+		if i < len(runs)-1 {
+			ws := workspaces.Get()
+			if ws == nil || cap(ws.cache) == 0 {
+				t.Fatalf("reaction %d left no workspace to reuse", i)
+			}
+			workspaces.Put(ws)
+		}
 	}
 }

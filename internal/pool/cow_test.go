@@ -2,6 +2,7 @@ package pool
 
 import (
 	"math"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -227,5 +228,95 @@ func BenchmarkMixInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst.MixInto(src, 0.001)
+	}
+}
+
+// mutateRandomly boosts and overwrites species in the first segment and
+// appends new ones, so the pool copies some segments, leaves the others
+// shared and opens arena chunks.
+func mutateRandomly(p *Pool, seed uint64) {
+	r := rng.New(seed)
+	for k := 0; k < 200; k++ {
+		p.Boost(r.Intn(segLen), 1+r.Float64())
+		p.SetAbundance(r.Intn(segLen), r.Float64())
+	}
+	s := make(dna.Seq, 150)
+	for k := 0; k < 400; k++ {
+		for j := range s {
+			s[j] = dna.Base(r.Intn(4))
+		}
+		p.Add(s, 1+r.Float64(), Meta{Partition: "m", Block: k, Misprimed: k%2 == 0})
+	}
+}
+
+// TestReleaseKeepsSharedStorage pins Release's ownership rule: a pool
+// hands back only what it wrote since its latest Clone. After either
+// side of a clone chain is released and fresh pools overwrite the
+// recycled storage, the tube and every surviving clone keep their
+// digests. The collector is off so the fresh pools really draw the
+// released segments and chunks.
+func TestReleaseKeepsSharedStorage(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, victim := range []string{"a", "b"} {
+		tube := randomPool(11, 3000, 150)
+		a := tube.Clone()
+		mutateRandomly(a, 1)
+		b := a.Clone()
+		c := b.Clone()
+		mutateRandomly(a, 2)
+		mutateRandomly(b, 3)
+		pools := map[string]*Pool{"tube": tube, "a": a, "b": b, "c": c}
+		want := map[string][32]byte{}
+		for name, p := range pools {
+			want[name] = p.Digest()
+		}
+		rel := pools[victim]
+		delete(pools, victim)
+		g := rel.gen.Load()
+		segs, chunks := map[*segment]bool{}, map[*byte]bool{}
+		for _, s := range rel.segs {
+			if s.gen == g {
+				segs[s] = true
+			}
+		}
+		for _, ch := range rel.chunks {
+			if ch.gen == g {
+				chunks[&ch.b[0]] = true
+			}
+		}
+		if len(segs) == 0 || len(chunks) == 0 {
+			t.Fatalf("%s owns %d segments and %d chunks, want some of each", victim, len(segs), len(chunks))
+		}
+		rel.Release()
+		if rel.Len() != 0 || rel.Total() != 0 {
+			t.Fatalf("released %s holds %d species, total %v", victim, rel.Len(), rel.Total())
+		}
+		// Fresh pools draw the released storage and overwrite it.
+		reusedSegs, reusedChunks := 0, 0
+		for i := uint64(0); i < 3; i++ {
+			f := tube.Clone()
+			mutateRandomly(f, 10+i)
+			g := randomPool(20+i, 1500, 150)
+			for _, p := range []*Pool{f, g} {
+				for _, s := range p.segs {
+					if segs[s] {
+						reusedSegs++
+					}
+				}
+				for _, ch := range p.chunks {
+					if chunks[&ch.b[0]] {
+						reusedChunks++
+					}
+				}
+			}
+		}
+		if reusedSegs == 0 || reusedChunks == 0 {
+			t.Errorf("release of %s: fresh pools reused %d segments and %d chunks, want some of each", victim, reusedSegs, reusedChunks)
+		}
+		for name, p := range pools {
+			if p.Digest() != want[name] {
+				t.Errorf("release of %s changed the digest of %s", victim, name)
+			}
+		}
 	}
 }

@@ -27,6 +27,21 @@
 // and an unmutated snapshot stays free. The COW contract is what makes
 // zero-copy views safe: sequences in the arena are immutable for the
 // life of every pool that can address them.
+//
+// # Release and epoch ownership
+//
+// Every segment and arena chunk is stamped with the write epoch that
+// created it, and Clone moves both sides to fresh epochs. Storage
+// stamped with a pool's current epoch was therefore written since its
+// latest Clone and is reachable from no other pool. Release hands
+// exactly that storage, plus the pool's species index, to free lists
+// that later pools draw from, and leaves the pool empty; anything
+// older is shared with a snapshot and is never released. A short-lived
+// pool built from a long-lived one (a PCR product of the tube) thus
+// returns what it wrote without touching what it shares, and the next
+// such pool reuses it instead of allocating. The free lists hold weak
+// pointers, so released storage nobody takes back is collected as
+// usual. A released pool's PackedSeq views end with it.
 package pool
 
 import (
@@ -35,10 +50,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 
 	"dnastore/internal/dna"
+	"dnastore/internal/recycle"
 	"dnastore/internal/rng"
 )
 
@@ -107,6 +124,14 @@ const (
 	growShift = 3 // successive owned chunks grow 8x until chunkSize
 )
 
+// arenaChunk is one arena chunk, stamped with the write epoch that
+// opened it: only that epoch may append to it, and a pool releases it
+// only while the epoch is still its own.
+type arenaChunk struct {
+	b   []byte
+	gen uint64
+}
+
 // segment is one fixed-capacity run of records, tagged with the write
 // epoch that owns it. A pool may write a segment in place only when the
 // tags match; otherwise the segment is shared with a snapshot and is
@@ -134,12 +159,12 @@ var lastEpoch atomic.Uint64
 // fully isolated: mutating one never perturbs the other.
 type Pool struct {
 	// Arena: chunks of 2-bit packed sequence bytes. All chunks but the
-	// tail are sealed; the tail accepts appends only while tailGen
-	// matches the pool's epoch (a clone on either side retires it).
-	chunks  [][]byte
-	tail    int    // bytes used in the tail chunk
-	tailGen uint64 // epoch that opened the tail chunk
-	grown   int    // chunks opened by this pool, for geometric sizing
+	// tail are sealed; the tail accepts appends only while its epoch
+	// stamp matches the pool's epoch (a clone on either side retires
+	// it).
+	chunks []arenaChunk
+	tail   int // bytes used in the tail chunk
+	grown  int // chunks opened by this pool, for geometric sizing
 
 	segs []*segment
 	n    int // total records across segs
@@ -203,7 +228,7 @@ func (p *Pool) ensureOwned() {
 		return
 	}
 	p.segs = append([]*segment(nil), p.segs...)
-	p.chunks = append([][]byte(nil), p.chunks...)
+	p.chunks = append([]arenaChunk(nil), p.chunks...)
 	p.parts = append([]string(nil), p.parts...)
 	p.partIdx = nil
 	p.shared.Store(false)
@@ -220,7 +245,8 @@ func (p *Pool) writableSeg(si int) *segment {
 	if s.gen == g {
 		return s
 	}
-	ns := &segment{gen: g, recs: append([]record(nil), s.recs...)}
+	ns := newSeg(g)
+	ns.recs = append(ns.recs, s.recs...)
 	p.segs[si] = ns
 	return ns
 }
@@ -229,7 +255,7 @@ func packedLen(n int32) int { return (int(n) + 3) / 4 }
 
 // span returns the arena bytes of a record's packed sequence.
 func (p *Pool) span(r *record) []byte {
-	c := p.chunks[r.off>>chunkShift]
+	c := p.chunks[r.off>>chunkShift].b
 	o := int(r.off & chunkMask)
 	return c[o : o+packedLen(r.n)]
 }
@@ -241,7 +267,7 @@ func (p *Pool) appendSpan(b []byte) uint32 {
 	g := p.gen.Load()
 	need := len(b)
 	ci := len(p.chunks) - 1
-	if ci < 0 || p.tailGen != g || p.tail+need > len(p.chunks[ci]) || p.tail+need > chunkSize {
+	if ci < 0 || p.chunks[ci].gen != g || p.tail+need > len(p.chunks[ci].b) || p.tail+need > chunkSize {
 		size := chunkSize
 		if s := minChunk << (growShift * p.grown); s < chunkSize && s > 0 {
 			size = s
@@ -252,13 +278,12 @@ func (p *Pool) appendSpan(b []byte) uint32 {
 		if len(p.chunks) >= maxChunks {
 			panic("pool: arena address space exhausted")
 		}
-		p.chunks = append(p.chunks, make([]byte, size))
+		p.chunks = append(p.chunks, arenaChunk{b: newChunk(size), gen: g})
 		p.grown++
 		p.tail = 0
-		p.tailGen = g
 		ci = len(p.chunks) - 1
 	}
-	copy(p.chunks[ci][p.tail:], b)
+	copy(p.chunks[ci].b[p.tail:], b)
 	off := uint32(ci)<<chunkShift | uint32(p.tail)
 	p.tail += need
 	return off
@@ -269,11 +294,103 @@ func (p *Pool) appendSpan(b []byte) uint32 {
 func (p *Pool) appendRecord(r record) {
 	si := p.n >> segShift
 	if si == len(p.segs) {
-		p.segs = append(p.segs, &segment{gen: p.gen.Load()})
+		p.segs = append(p.segs, newSeg(p.gen.Load()))
 	}
 	s := p.writableSeg(si)
 	s.recs = append(s.recs, r)
 	p.n++
+}
+
+// --- recycling ------------------------------------------------------------
+
+// Free lists of storage released pools owned exclusively, drawn from
+// by writableSeg, appendRecord, appendSpan and reindex. They hold weak
+// pointers (package recycle), so a garbage collection still frees
+// whatever no pool has taken back. Chunks are kept per geometric size
+// class and indexes per power-of-two size, so a taker gets exactly the
+// size it would have allocated.
+var (
+	freeSegs   recycle.List[segment]
+	freeChunks [chunkClasses]recycle.List[[]byte]
+	freeIdx    [32]recycle.List[[]int32] // by log2 of the slot count
+)
+
+// chunkClasses counts the chunk sizes appendSpan opens other than
+// oversize ones: minChunk grown 8x at a time, capped at chunkSize.
+const chunkClasses = 4
+
+// chunkClass returns the free-list class of a chunk size, or -1 for an
+// oversize chunk, which is never recycled.
+func chunkClass(size int) int {
+	for k := 0; k < chunkClasses; k++ {
+		if size == min(minChunk<<(growShift*k), chunkSize) {
+			return k
+		}
+	}
+	return -1
+}
+
+// newSeg returns an empty segment owned by epoch gen, recycled when one
+// is free.
+func newSeg(gen uint64) *segment {
+	s := freeSegs.Get()
+	if s == nil {
+		s = new(segment)
+	}
+	s.gen, s.recs = gen, s.recs[:0]
+	return s
+}
+
+// newChunk returns an arena chunk of size bytes, recycled when one is
+// free. Its bytes are stale; appendSpan reads only what it wrote.
+func newChunk(size int) []byte {
+	if k := chunkClass(size); k >= 0 {
+		if b := freeChunks[k].Get(); b != nil {
+			return *b
+		}
+	}
+	return make([]byte, size)
+}
+
+// newIdx returns a zeroed species index of size slots (a power of two).
+func newIdx(size int) []int32 {
+	if b := freeIdx[bits.TrailingZeros(uint(size))].Get(); b != nil {
+		clear(*b)
+		return *b
+	}
+	return make([]int32, size)
+}
+
+// Release empties the pool and hands the storage it owns exclusively
+// to the free lists that later pools draw from: the record segments
+// and arena chunks stamped with its current write epoch, and its
+// species index. Everything written before the pool's latest Clone is
+// shared with a snapshot and stays where it is. Release is for a pool
+// whose life has ended, such as a reaction's amplified product once the
+// reaction is read out: every PackedSeq view taken from the pool ends
+// with it, as the released bytes may be overwritten by any other pool.
+// It must not race with any other use of the pool.
+func (p *Pool) Release() {
+	g := p.gen.Load()
+	for _, s := range p.segs {
+		if s.gen == g {
+			freeSegs.Put(s)
+		}
+	}
+	for _, c := range p.chunks {
+		if k := chunkClass(len(c.b)); c.gen == g && k >= 0 {
+			freeChunks[k].Put(&c.b)
+		}
+	}
+	if idx := p.idx; len(idx) > 0 {
+		freeIdx[bits.TrailingZeros(uint(len(idx)))].Put(&idx)
+	}
+	p.chunks, p.tail, p.grown, p.segs, p.n = nil, 0, 0, nil, 0
+	p.parts, p.partIdx, p.idx, p.idxUsed = nil, nil, nil, 0
+	p.total.Store(0)
+	p.totalDirty.Store(false)
+	p.shared.Store(false)
+	p.rev++
 }
 
 // --- species index over arena spans --------------------------------------
@@ -328,7 +445,7 @@ func (p *Pool) reindex() {
 	for size*3 < (p.n+1)*4 {
 		size *= 2
 	}
-	p.idx = make([]int32, size)
+	p.idx = newIdx(size)
 	p.idxUsed = 0
 	for i := 0; i < p.n; i++ {
 		p.insertIdx(i)

@@ -17,6 +17,7 @@ import (
 	"dnastore/internal/channel"
 	"dnastore/internal/dna"
 	"dnastore/internal/pool"
+	"dnastore/internal/recycle"
 	"dnastore/internal/rng"
 )
 
@@ -44,8 +45,7 @@ type Profile struct {
 func IlluminaProfile() Profile { return Profile{Rates: channel.Illumina()} }
 
 // aliasCacheSize is how many pools a Sampler remembers alias tables
-// for. Repeated-sampling experiments revisit one pool; the read engine
-// samples a handful of per-reaction pools concurrently.
+// for, for Sample. Repeated-sampling experiments revisit one pool.
 const aliasCacheSize = 4
 
 // aliasTable is a Walker/Vose alias table over a pool's positive-
@@ -59,21 +59,42 @@ type aliasTable struct {
 	idx         []int32   // compacted index -> species index
 }
 
-// buildAlias constructs the alias table for the pool's current
-// contents. Zero-abundance records (diluted-away or fully consumed
-// species) cannot be drawn, so they are dropped from the table. The
-// construction is deterministic, so the sampling stream is a pure
-// function of (seed, pool contents).
-func buildAlias(p *pool.Pool) (*aliasTable, error) {
+// aliasScratch is the construction's working storage.
+type aliasScratch struct {
+	scaled       []float64
+	small, large []int32
+}
+
+// streamTables holds the tables of closed Streams and buildScratch the
+// construction scratch, both for reuse: a reaction's pool is sampled by
+// one Stream and then dropped, so its table is dead storage the next
+// reaction's build can fill.
+var (
+	streamTables recycle.List[aliasTable]
+	buildScratch recycle.List[aliasScratch]
+)
+
+// buildAlias fills t with the alias table for the pool's current
+// contents, reusing t's storage. Zero-abundance records (diluted-away
+// or fully consumed species) cannot be drawn, so they are dropped from
+// the table. The construction is deterministic, so the sampling stream
+// is a pure function of (seed, pool contents).
+func buildAlias(t *aliasTable, p *pool.Pool) error {
 	n := p.Len()
 	if n == 0 {
-		return nil, fmt.Errorf("%w: no species", ErrEmptyPool)
+		return fmt.Errorf("%w: no species", ErrEmptyPool)
 	}
-	t := &aliasTable{
-		idx: make([]int32, 0, n),
+	sc := buildScratch.Get()
+	if sc == nil {
+		sc = new(aliasScratch)
 	}
+	defer buildScratch.Put(sc)
+	if cap(t.idx) < n {
+		t.idx = make([]int32, 0, n)
+	}
+	t.idx = t.idx[:0]
 	t.poolID, t.rev = p.Version()
-	scaled := make([]float64, 0, n)
+	scaled := resize(sc.scaled, n)[:0]
 	total := 0.0
 	for i := 0; i < n; i++ {
 		a := p.Abundance(i)
@@ -85,14 +106,14 @@ func buildAlias(p *pool.Pool) (*aliasTable, error) {
 		scaled = append(scaled, a)
 	}
 	if total <= 0 {
-		return nil, fmt.Errorf("%w: zero total abundance", ErrEmptyPool)
+		return fmt.Errorf("%w: zero total abundance", ErrEmptyPool)
 	}
 	k := len(t.idx)
-	t.prob = make([]float64, k)
-	t.alias = make([]int32, k)
+	// Every slot is written below: each index starts on one stack and
+	// is assigned when it leaves it, or by the residue loops.
+	t.prob, t.alias = resize(t.prob, k), resize(t.alias, k)
 	// Vose's method: pair each under-full slot with an over-full donor.
-	small := make([]int32, 0, k)
-	large := make([]int32, 0, k)
+	small, large := resize(sc.small, k)[:0], resize(sc.large, k)[:0]
 	for i := range scaled {
 		scaled[i] *= float64(k) / total
 		if scaled[i] < 1 {
@@ -120,7 +141,17 @@ func buildAlias(p *pool.Pool) (*aliasTable, error) {
 	for _, s := range small {
 		t.prob[s], t.alias[s] = 1, s
 	}
-	return t, nil
+	sc.scaled, sc.small, sc.large = scaled, small, large
+	return nil
+}
+
+// resize returns s with length n, reusing its storage when it has the
+// capacity. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // draw picks one species index using a single uniform: the integer part
@@ -139,10 +170,12 @@ func (t *aliasTable) draw(r *rng.Source) int32 {
 
 // Sampler draws reads under a profile whose rates were validated once
 // at construction, keeping validation out of per-reaction hot paths.
-// It memoizes the alias tables of recently sampled pools, rebuilding a
-// table only when its pool's Version changes, which makes repeated
-// sampling of one pool O(1) per read. A Sampler is safe for concurrent
-// use.
+// For Sample it memoizes the alias tables of the last aliasCacheSize
+// pools sampled, rebuilding a table only when its pool's Version
+// changes, which makes repeated sampling of one pool O(1) per read. A
+// Stream builds a private table instead and hands its storage back on
+// Close, so the cache never pins the tables of per-reaction pools that
+// were streamed once and dropped. A Sampler is safe for concurrent use.
 type Sampler struct {
 	prof Profile
 
@@ -175,8 +208,8 @@ func (sm *Sampler) table(p *pool.Pool) (*aliasTable, error) {
 		}
 	}
 	sm.mu.Unlock()
-	t, err := buildAlias(p)
-	if err != nil {
+	t := new(aliasTable)
+	if err := buildAlias(t, p); err != nil {
 		return nil, err
 	}
 	sm.mu.Lock()
@@ -212,8 +245,8 @@ func Sample(r *rng.Source, p *pool.Pool, n int, prof Profile) ([]Read, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("seqsim: negative read count %d", n)
 	}
-	t, err := buildAlias(p)
-	if err != nil {
+	t := new(aliasTable)
+	if err := buildAlias(t, p); err != nil {
 		return nil, err
 	}
 	return sampleTable(r, p, n, t, prof), nil
@@ -245,7 +278,9 @@ func sampleTable(r *rng.Source, p *pool.Pool, n int, t *aliasTable, prof Profile
 // rejected molecule is ejected from the pore before being sequenced —
 // it costs a draw but produces no read and consumes no channel
 // randomness. The pool must not be mutated while a Stream is open; the
-// alias table is a snapshot of the composition at Stream() time.
+// alias table is a snapshot of the composition at Stream() time. The
+// table is the Stream's own, built from recycled storage; Close hands
+// it back.
 type Stream struct {
 	r    *rng.Source
 	p    *pool.Pool
@@ -259,13 +294,27 @@ type Stream struct {
 	Ejected   int
 }
 
-// Stream opens an incremental sequencing reaction over the pool.
+// Stream opens an incremental sequencing reaction over the pool. It
+// builds the stream's own alias table; the Sampler's cache is neither
+// consulted nor filled.
 func (sm *Sampler) Stream(r *rng.Source, p *pool.Pool) (*Stream, error) {
-	t, err := sm.table(p)
-	if err != nil {
+	t := streamTables.Get()
+	if t == nil {
+		t = new(aliasTable)
+	}
+	if err := buildAlias(t, p); err != nil {
+		streamTables.Put(t)
 		return nil, err
 	}
 	return &Stream{r: r, p: p, t: t, prof: sm.prof}, nil
+}
+
+// Close ends the stream and hands its alias table back for reuse by
+// later streams. The stream must not be used afterwards; closing it
+// again is a no-op.
+func (s *Stream) Close() {
+	streamTables.Put(s.t)
+	s.t = nil
 }
 
 // Next draws one molecule into the pore. A nil gate sequences every
@@ -275,6 +324,13 @@ func (sm *Sampler) Stream(r *rng.Source, p *pool.Pool) (*Stream, error) {
 // stable key into the streamed pool (p.AppendSeq / p.MetaAt), so gates
 // can memoize their per-species decision.
 func (s *Stream) Next(gate func(species int) bool) (Read, bool) {
+	return s.AppendNext(nil, gate)
+}
+
+// AppendNext is Next with the read's bases appended to dst, so a
+// caller that recycles its read buffers draws without allocating. It
+// consumes the rng exactly as Next does.
+func (s *Stream) AppendNext(dst dna.Seq, gate func(species int) bool) (Read, bool) {
 	si := int(s.t.draw(s.r))
 	if gate != nil && !gate(si) {
 		s.Ejected++
@@ -283,7 +339,7 @@ func (s *Stream) Next(gate func(species int) bool) (Read, bool) {
 	s.tmpl = s.p.AppendSeq(s.tmpl[:0], si)
 	s.Sequenced++
 	return Read{
-		Seq:  channel.Corrupt(s.r, s.tmpl, s.prof.Rates),
+		Seq:  channel.AppendCorrupt(dst, s.r, s.tmpl, s.prof.Rates),
 		Meta: s.p.MetaAt(si),
 	}, true
 }

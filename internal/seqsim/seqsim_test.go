@@ -2,6 +2,7 @@ package seqsim
 
 import (
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"dnastore/internal/channel"
@@ -419,5 +420,73 @@ func TestStreamGateEjects(t *testing.T) {
 	// Block 1 is 10% of the pool; ejection must not distort the draw.
 	if kept < 130 || kept > 270 {
 		t.Errorf("kept %d of 2000, want ~200", kept)
+	}
+}
+
+// randomPool builds n random species with uneven, partly zero
+// abundances.
+func randomPool(seed uint64, n int) *pool.Pool {
+	r := rng.New(seed)
+	p := pool.New()
+	s := make(dna.Seq, 40)
+	for i := 0; i < n; i++ {
+		for j := range s {
+			s[j] = dna.Base(r.Intn(4))
+		}
+		a := float64(r.Intn(50))
+		if i == 0 {
+			a = 1 // at least one drawable species
+		}
+		p.Add(s, max(a, 1), pool.Meta{Block: i})
+		if a == 0 {
+			p.SetAbundance(p.Len()-1, 0)
+		}
+	}
+	return p
+}
+
+// TestStreamTableReuse pins the recycled stream tables: streams over
+// pools of different sizes, each closed before the next opens, take
+// over the last stream's alias table and draw exactly what Sample draws
+// from a table of its own. Both sides read through AppendNext and Next
+// into a reused buffer. The collector is off so every stream after the
+// first really reuses a table.
+func TestStreamTableReuse(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	sm, err := NewSampler(Profile{Rates: channel.Illumina()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last *aliasTable
+	var buf dna.Seq
+	for i, n := range []int{3000, 20, 700, 3000, 1} {
+		p := randomPool(uint64(40+i), n)
+		want, err := Sample(rng.New(9), p, 500, Profile{Rates: channel.Illumina()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := sm.Stream(rng.New(9), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && st.t != last {
+			t.Fatalf("stream %d built a new table instead of reusing the closed one", i)
+		}
+		last = st.t
+		for j, w := range want {
+			var rd Read
+			var ok bool
+			if j%2 == 0 {
+				rd, ok = st.AppendNext(buf[:0], nil)
+				buf = rd.Seq
+			} else {
+				rd, ok = st.Next(nil)
+			}
+			if !ok || !rd.Seq.Equal(w.Seq) || rd.Meta != w.Meta {
+				t.Fatalf("pool of %d species, read %d: stream diverges from Sample", n, j)
+			}
+		}
+		st.Close()
+		st.Close() // a second Close is a no-op
 	}
 }
