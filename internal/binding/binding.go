@@ -13,11 +13,16 @@
 // for durability across pools, with index-addressed per-pool rows as a
 // lock-free fast path — so a range read over K blocks aligns each
 // primer against the mostly-unchanged tube once instead of K times.
+//
+// A primer anneals only at the template's ends, so the alignment reads
+// just the first and last primer-length-plus-AlignSlack bases. Cache
+// keys its content store on those windows and the base count, not on
+// the whole template: decay mutants that differ only in payload bases
+// share one entry.
 package binding
 
 import (
 	"encoding/binary"
-	"sync"
 
 	"dnastore/internal/dna"
 	"dnastore/internal/pool"
@@ -85,60 +90,21 @@ type compiledPair struct {
 	rev *dna.Pattern
 }
 
-// bind aligns a compiled primer pair against a template. Both
-// alignments are bounded by the remaining distance budget and allocate
-// nothing.
-func (cp compiledPair) bind(template dna.Seq, maxDist int) Binding {
-	fn := cp.fwd.Len() + AlignSlack
-	if fn > len(template) {
-		fn = len(template)
-	}
-	dFwd, end, ok := cp.fwd.PrefixAlignmentAtMost(template[:fn], maxDist)
-	if !ok {
-		return Binding{State: None}
-	}
-	rn := cp.rev.Len() + AlignSlack
-	if rn > len(template) {
-		rn = len(template)
-	}
-	dRev, ok := cp.rev.SuffixAlignmentAtMost(template[len(template)-rn:], maxDist-dFwd)
-	if !ok {
-		return Binding{State: None}
-	}
-	return Binding{Dist: int32(dFwd + dRev), End: int32(end), State: OK}
-}
-
-// seqBufs recycles the small prefix/suffix unpack scratch across Bind
-// calls and goroutines; a primer-length window is ~30 bases.
-var seqBufs = sync.Pool{New: func() any { s := make(dna.Seq, 0, 128); return &s }}
-
 // bindPacked aligns a compiled primer pair against a packed template
 // view, unpacking only the forward window (primer length plus slack
-// from the front) and the reverse window (from the back) — never the
-// payload between them. The alignments see exactly the bases the Seq
-// form of bind sees, so the outcome is bit-identical.
+// from the front) and the reverse window (from the back) into a stack
+// array — never the payload between them. Both alignments are bounded
+// by the remaining distance budget and allocate nothing.
 func (cp compiledPair) bindPacked(template dna.Packed, maxDist int) Binding {
 	n := template.Len()
-	fn := cp.fwd.Len() + AlignSlack
-	if fn > n {
-		fn = n
-	}
-	sp := seqBufs.Get().(*dna.Seq)
-	buf := template.AppendRange((*sp)[:0], 0, fn)
-	dFwd, end, ok := cp.fwd.PrefixAlignmentAtMost(buf, maxDist)
+	var buf [dna.MaxPatternLen + AlignSlack]dna.Base
+	w := template.AppendRange(buf[:0], 0, min(cp.fwd.Len()+AlignSlack, n))
+	dFwd, end, ok := cp.fwd.PrefixAlignmentAtMost(w, maxDist)
 	if !ok {
-		*sp = buf[:0]
-		seqBufs.Put(sp)
 		return Binding{State: None}
 	}
-	rn := cp.rev.Len() + AlignSlack
-	if rn > n {
-		rn = n
-	}
-	buf = template.AppendRange(buf[:0], n-rn, n)
-	dRev, ok := cp.rev.SuffixAlignmentAtMost(buf, maxDist-dFwd)
-	*sp = buf[:0]
-	seqBufs.Put(sp)
+	w = template.AppendRange(buf[:0], n-min(cp.rev.Len()+AlignSlack, n), n)
+	dRev, ok := cp.rev.SuffixAlignmentAtMost(w, maxDist-dFwd)
 	if !ok {
 		return Binding{State: None}
 	}

@@ -300,8 +300,8 @@ func TestDirectBindAllocs(t *testing.T) {
 }
 
 // TestCachedHitAllocs pins the warm paths: neither a row hit (atomic
-// load) nor a content hit (an index probe over the template's packed
-// bytes in place) may allocate.
+// load) nor a content hit (a window key built in a stack buffer and an
+// index probe) may allocate.
 func TestCachedHitAllocs(t *testing.T) {
 	pairs, templates := testWorkload(17)
 	p := templatePool(templates)
@@ -373,8 +373,9 @@ func BenchmarkBindDirect(b *testing.B) {
 // TestEvictionVariableKeys cycles templates of 130–170 bases (the
 // spread decay indels give a tube) through pairs of different
 // elongation lengths at ten times a small entry budget, so victims and
-// their replacements rarely share a key length; a few templates are
-// longer than an arena chunk, and one is empty. Answers must equal
+// their replacements often differ in window key length; a few templates
+// are longer than an arena chunk (their keys are not), and one is
+// empty. Answers must equal
 // Direct, residency must stay within budget, and each shard's arena
 // must stay within twice its live key bytes.
 func TestEvictionVariableKeys(t *testing.T) {
@@ -452,7 +453,7 @@ func checkShards(t *testing.T, c *Cache) {
 			if v != 0 {
 				i := int(v - 1)
 				e := sh.ent(i)
-				if sh.find(sh.hashOf(i), e.pair, dna.PackedView(span(sh.chunks, e), int(e.n))) != i {
+				if sh.find(sh.hashOf(i), e.pair, span(sh.chunks, e)) != i {
 					t.Fatalf("shard %d: entry %d unreachable from its hash", s, i)
 				}
 				linked++
@@ -515,26 +516,153 @@ func TestContentStoreBytesPerEntry(t *testing.T) {
 	}
 	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(entries)
 	t.Logf("%d entries, %.1f live heap bytes per entry", entries, per)
-	if per > 80 {
-		t.Errorf("content store costs %.1f bytes per entry, want <= 80", per)
+	if per > 56 {
+		t.Errorf("content store costs %.1f bytes per entry, want <= 56", per)
 	}
 }
 
 // TestHashMatchNeverAnswers pins full-key comparison: a probe for a
-// different template that starts at a resident entry's slot — same
-// pair, same length, same hash — must miss.
+// different window key that starts at a resident entry's slot — same
+// pair, same key length, same hash — must miss.
 func TestHashMatchNeverAnswers(t *testing.T) {
 	r := rng.New(43)
 	a, b := dna.Pack(randSeq(r, 150)), dna.Pack(randSeq(r, 150))
+	ka := appendWindowKey(nil, a, 26, 26)
+	kb := appendWindowKey(nil, b, 26, 26)
+	if len(ka) != len(kb) || string(ka) == string(kb) {
+		t.Fatalf("keys %x and %x: want equal lengths and different bytes", ka, kb)
+	}
 	want := Binding{State: OK, Dist: 1, End: 20}
 	c := NewCache(0)
-	h := hashKey(0, a)
-	c.put(h, 0, a, want)
-	if got, ok := c.get(h, 0, b); ok {
-		t.Fatalf("a hash match answered %+v for a different template", got)
+	h := hashKey(0, ka)
+	c.put(h, 0, ka, want)
+	if got, ok := c.get(h, 0, kb); ok {
+		t.Fatalf("a hash match answered %+v for a different window key", got)
 	}
-	if got, ok := c.get(h, 0, a); !ok || got != want {
+	if got, ok := c.get(h, 0, ka); !ok || got != want {
 		t.Fatalf("resident key: %+v, %v; want %+v", got, ok, want)
+	}
+}
+
+// windowPairs returns primer pairs whose forward and reverse windows
+// (primer length plus AlignSlack) take every length mod 4.
+func windowPairs(r *rng.Source) []Pair {
+	var pairs []Pair
+	for i := 0; i < 4; i++ {
+		pairs = append(pairs, Pair{Fwd: randSeq(r, 20+i), Rev: randSeq(r, 23-i)})
+	}
+	return pairs
+}
+
+// packTwin returns s with an A inserted before its trailing partial
+// group of bases: a template one base longer whose packed bytes equal
+// s's. Only the base count tells the two apart.
+func packTwin(s dna.Seq) dna.Seq {
+	g := len(s) / 4 * 4
+	return dna.Concat(s[:g], dna.Seq{dna.A}, s[g:])
+}
+
+// TestWindowKeyMatchesDirect pins the window key's soundness: over
+// one shared, rowless cache, every binding equals Direct's. The
+// templates cover every length from empty to past both windows (so
+// n < fn, n < fn+rn with overlapping windows, and every n%4), twins
+// that pack to the same bytes at a different length, and single-base
+// edits on both edges of each window and of the bytes covering it. A
+// key that dropped the base count, the trailing partial byte or the
+// reverse window would let one of these answer for another.
+func TestWindowKeyMatchesDirect(t *testing.T) {
+	r := rng.New(47)
+	pairs := windowPairs(r)
+	const maxDist = 5
+	var templates []dna.Seq
+	add := func(s dna.Seq) {
+		templates = append(templates, s)
+		if len(s)%4 != 3 {
+			templates = append(templates, packTwin(s))
+		}
+	}
+	for _, p := range pairs {
+		fn, rn := len(p.Fwd)+AlignSlack, len(p.Rev)+AlignSlack
+		for n := 0; n <= fn+rn+8; n++ {
+			add(randSeq(r, n))
+		}
+		for n := len(p.Fwd) + len(p.Rev); n <= 2*(len(p.Fwd)+len(p.Rev))+4; n++ {
+			add(dna.Concat(p.Fwd, randSeq(r, n-len(p.Fwd)-len(p.Rev)), p.Rev))
+		}
+		for n := 148; n < 152; n++ {
+			base := dna.Concat(p.Fwd, randSeq(r, n-len(p.Fwd)-len(p.Rev)), p.Rev)
+			add(base)
+			// The forward window ends at f and its bytes at fb; the
+			// reverse window starts at b and its bytes at bb.
+			f, b := min(fn, n), n-min(rn, n)
+			fb, bb := (f+3)/4*4, b/4*4
+			edges := []int{
+				0, len(p.Fwd) - 1, f - 1, f, fb - 1, fb,
+				bb - 1, bb, b - 1, b, n - len(p.Rev), n - 1,
+			}
+			for _, i := range edges {
+				if i < 0 || i >= n {
+					continue
+				}
+				e := base.Clone()
+				e[i] = (e[i] + 1) % 4
+				add(e)
+			}
+		}
+	}
+	pts := packAll(templates)
+	direct := Direct{}.Begin(pairs, maxDist, nil)
+	cache := NewCache(0)
+	rx := cache.Begin(pairs, maxDist, nil)
+	oks := 0
+	for pass := 0; pass < 2; pass++ {
+		for ti, tmpl := range pts {
+			for pi := range pairs {
+				got, want := rx.Bind(pi, ti, tmpl), direct.Bind(pi, ti, tmpl)
+				if got != want {
+					t.Fatalf("pass %d pair %d template %d (%d bases): cached %+v, direct %+v",
+						pass, pi, ti, tmpl.Len(), got, want)
+				}
+				if want.State == OK {
+					oks++
+				}
+			}
+		}
+	}
+	if st := cache.Stats(); st.Hits == 0 || oks == 0 {
+		t.Fatalf("%d content hits and %d OK bindings, want both > 0", st.Hits, oks)
+	}
+}
+
+// TestWindowKeySharesMutants pins what the window key buys: a decay
+// edit between the windows leaves the key alone, so the mutant is a
+// content hit on its parent's entry, while an edit inside a window
+// makes an entry of its own.
+func TestWindowKeySharesMutants(t *testing.T) {
+	r := rng.New(53)
+	p := Pair{Fwd: randSeq(r, 20), Rev: randSeq(r, 20)}
+	parent := dna.Concat(p.Fwd, randSeq(r, 110), p.Rev)
+	payload, window := parent.Clone(), parent.Clone()
+	payload[75] = (payload[75] + 1) % 4
+	window[10] = (window[10] + 1) % 4
+	cache := NewCache(0)
+	rx := cache.Begin([]Pair{p}, 5, nil)
+	direct := Direct{}.Begin([]Pair{p}, 5, nil)
+	bind := func(s dna.Seq) {
+		t.Helper()
+		pt := dna.Pack(s)
+		if got, want := rx.Bind(0, 0, pt), direct.Bind(0, 0, pt); got != want {
+			t.Fatalf("cached %+v, direct %+v", got, want)
+		}
+	}
+	bind(parent)
+	bind(payload)
+	if st := cache.Stats(); st.Entries != 1 || st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("payload edit: %d entries, %d hits, %d misses; want 1, 1, 1", st.Entries, st.Hits, st.Misses)
+	}
+	bind(window)
+	if st := cache.Stats(); st.Entries != 2 || st.Hits != 1 || st.Misses != 2 {
+		t.Errorf("window edit: %d entries, %d hits, %d misses; want 2, 1, 2", st.Entries, st.Hits, st.Misses)
 	}
 }
 

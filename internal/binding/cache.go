@@ -11,13 +11,15 @@ import (
 )
 
 // DefaultEntries is the content-store entry budget of a Cache created
-// with a non-positive size. An entry costs a 24-byte record, its
-// template's packed bytes (38 for a 150-base strand) and a share of a
-// uint32 index: 70–75 bytes of live heap per resident 150-base entry
-// between 10^5 and 10^6 entries (TestContentStoreBytesPerEntry pins
-// <= 80), and a full default cache measures 75 MB. It is sized for the
-// 10^5–10^6-strand pools the scale experiments target (each species
-// costs one entry per primer pair it has been aligned against).
+// with a non-positive size. An entry costs a 24-byte record, its window
+// key (17 bytes for a 150-base strand and 20–23-base primers; the
+// template's payload is not stored) and a share of a uint32 index:
+// 49–51 bytes of live heap per resident entry between 10^5 and 10^6
+// entries (TestContentStoreBytesPerEntry pins <= 56), and a full
+// default cache measures 51 MB. It is sized for the 10^5–10^6-strand
+// pools the scale experiments target (each species costs at most one
+// entry per primer pair it has been aligned against; decay mutants
+// that differ only in payload share their parent's).
 const DefaultEntries = 1 << 20
 
 // shardCount spreads the content store over independently locked
@@ -79,14 +81,17 @@ func (s Stats) HitRateSince(prev Stats) (rate float64, any bool) {
 // facts:
 //
 //   - A content-addressed store keyed by (primer pair, distance budget,
-//     template sequence) — all content, no identity — bounded by the
-//     entry budget with clock (second-chance) eviction. Entries never
-//     need invalidation: a pool gaining or losing species changes no
-//     key, and pools that share sequences (a tube and its PCR products,
-//     two stores with the same corpus) share entries. The pair and
-//     budget are interned at Begin as a dense id, so an entry is a
-//     pointer-free record holding that id, the binding and the
-//     template's packed bytes in a per-shard arena.
+//     template window key) — all content, no identity — bounded by the
+//     entry budget with clock (second-chance) eviction. A window key
+//     (appendWindowKey) holds the template's base count and the packed
+//     bytes covering the two windows the alignments read, so templates
+//     that differ only in payload, such as decay mutants of one strand,
+//     share an entry. Entries never need invalidation: a pool gaining
+//     or losing species changes no key, and pools that share sequences
+//     (a tube and its PCR products, two stores with the same corpus)
+//     share entries. The pair and budget are interned at Begin as a
+//     dense id, so an entry is a pointer-free record holding that id,
+//     the binding and the window key's bytes in a per-shard arena.
 //
 //   - Per (primer pair, pool identity) dense rows indexed by species
 //     position, assembled at Begin from pool.Version()'s id. Pools are
@@ -135,7 +140,7 @@ type rowKey struct {
 
 // shard is one independently locked part of the content store. Its
 // entries are flat records with no pointers, so the GC never scans
-// them, and their template bytes live in an arena of chunks; idx is an
+// them, and their window keys live in an arena of chunks; idx is an
 // open-addressed index over entries (0 = empty slot, otherwise entry
 // index + 1). Entries and arena grow a fixed-size block or chunk at a
 // time, so growth never copies and over-allocates at most one of each.
@@ -153,10 +158,32 @@ type shard struct {
 // entry is one resident content-store binding.
 type entry struct {
 	b    uint64 // packBinding word
-	off  uint32 // template span address: chunk<<chunkShift | byte offset
-	n    uint32 // template base count; the span holds (n+3)/4 bytes
+	off  uint32 // window key span address: chunk<<chunkShift | byte offset
 	pair uint32 // interned (fwd, rev, maxDist) id
+	klen uint8  // window key bytes in the span
 	ref  bool   // clock reference bit
+}
+
+// maxKeyLen bounds a window key: a base-count uvarint, the bytes
+// covering a forward window of at most dna.MaxPatternLen+AlignSlack
+// bases, and those covering a reverse window as long, which may
+// straddle one byte more.
+const maxKeyLen = binary.MaxVarintLen64 + 2*((dna.MaxPatternLen+AlignSlack+3)/4) + 1
+
+// appendWindowKey appends template t's window key for a pair whose
+// alignments read the first fn and the last rn bases: t's base count
+// as a uvarint, the packed bytes covering bases [0, min(fn, n)), and
+// the packed bytes covering [n-min(rn, n), n). bindPacked reads no
+// other base, so under one interned pair (which fixes fn, rn and the
+// budget) equal keys mean equal bindings. The base count fixes both
+// byte ranges' lengths and how the trailing partial byte packs, so
+// the key is unambiguous; the ranges may overlap on short templates.
+// The bytes come straight from t's packed storage, never unpacked.
+func appendWindowKey(buf []byte, t dna.Packed, fn, rn int) []byte {
+	n, b := t.Len(), t.Bytes()
+	buf = binary.AppendUvarint(buf, uint64(n))
+	buf = append(buf, b[:(min(fn, n)+3)/4]...)
+	return append(buf, b[(n-min(rn, n))/4:]...)
 }
 
 const (
@@ -388,11 +415,13 @@ func (r *cachedReaction) Bind(pi, si int, template dna.Packed) Binding {
 			return unpackBinding(x)
 		}
 	}
-	h := hashKey(p.id, template)
-	b, ok := r.c.get(h, p.id, template)
+	var kb [maxKeyLen]byte
+	k := appendWindowKey(kb[:0], template, p.cp.fwd.Len()+AlignSlack, p.cp.rev.Len()+AlignSlack)
+	h := hashKey(p.id, k)
+	b, ok := r.c.get(h, p.id, k)
 	if !ok {
 		b = p.cp.bindPacked(template, r.maxDist)
-		r.c.put(h, p.id, template, b)
+		r.c.put(h, p.id, k, b)
 	}
 	if inRow {
 		p.row.store(si, packBinding(b))
@@ -402,15 +431,13 @@ func (r *cachedReaction) Bind(pi, si int, template dna.Packed) Binding {
 
 // --- the content store ----------------------------------------------------
 
-// hashKey hashes a content key — interned pair id, template base count
-// and packed template bytes — eight bytes at a time, straight from the
-// template's storage. It is deterministic, so shard placement and
+// hashKey hashes a content key — interned pair id and window key —
+// eight bytes at a time. It is deterministic, so shard placement and
 // eviction order reproduce run to run. The top shardBits bits pick the
 // shard and the low bits the index slot.
-func hashKey(pair uint32, t dna.Packed) uint64 {
+func hashKey(pair uint32, b []byte) uint64 {
 	const m = 0x9e3779b97f4a7c15
-	h := (uint64(pair)<<32 | uint64(uint32(t.Len()))) * m
-	b := t.Bytes()
+	h := (uint64(pair)<<32 | uint64(len(b))) * m
 	for ; len(b) >= 8; b = b[8:] {
 		h = (h ^ binary.LittleEndian.Uint64(b)) * m
 		h ^= h >> 32
@@ -427,22 +454,22 @@ func (c *Cache) shard(h uint64) *shard { return &c.shards[h>>(64-shardBits)] }
 
 func (sh *shard) ent(i int) *entry { return &sh.blocks[i>>blockShift][i&blockMask] }
 
-// span returns an entry's template bytes in an arena.
+// span returns an entry's window key bytes in an arena.
 func span(chunks [][]byte, e *entry) []byte {
 	o := e.off & chunkMask
-	return chunks[e.off>>chunkShift][o : o+(e.n+3)/4]
+	return chunks[e.off>>chunkShift][o : o+uint32(e.klen)]
 }
 
 // hashOf rehashes resident entry i, for index growth and deletion.
 func (sh *shard) hashOf(i int) uint64 {
 	e := sh.ent(i)
-	return hashKey(e.pair, dna.PackedView(span(sh.chunks, e), int(e.n)))
+	return hashKey(e.pair, span(sh.chunks, e))
 }
 
-// find returns the index of the entry for (pair, t), or -1. A slot
-// answers only when the full key — pair, base count and every packed
-// byte — matches; the hash just picks where the probe starts.
-func (sh *shard) find(h uint64, pair uint32, t dna.Packed) int {
+// find returns the index of the entry for (pair, k), or -1. A slot
+// answers only when the full key — pair and every window key byte —
+// matches; the hash just picks where the probe starts.
+func (sh *shard) find(h uint64, pair uint32, k []byte) int {
 	if len(sh.idx) == 0 {
 		return -1
 	}
@@ -452,7 +479,7 @@ func (sh *shard) find(h uint64, pair uint32, t dna.Packed) int {
 		if v == 0 {
 			return -1
 		}
-		if e := sh.ent(int(v - 1)); e.pair == pair && int(e.n) == t.Len() && bytes.Equal(span(sh.chunks, e), t.Bytes()) {
+		if e := sh.ent(int(v - 1)); e.pair == pair && bytes.Equal(span(sh.chunks, e), k) {
 			return int(v - 1)
 		}
 	}
@@ -506,14 +533,14 @@ func (sh *shard) reserve() {
 
 // appendKey copies k into the arena and returns its span address. A
 // span never starts at a chunk's end, so its byte offset fits under
-// chunkMask; a key longer than a chunk gets a chunk of its own.
+// chunkMask; keys are at most maxKeyLen bytes, far below a chunk.
 func (sh *shard) appendKey(k []byte) uint32 {
 	last := len(sh.chunks) - 1
 	if last < 0 || len(sh.chunks[last])+len(k) >= chunkSize {
 		if len(sh.chunks) == maxChunks {
 			panic("binding: content arena address space exhausted")
 		}
-		sh.chunks = append(sh.chunks, make([]byte, 0, max(chunkSize, len(k))))
+		sh.chunks = append(sh.chunks, make([]byte, 0, chunkSize))
 		last++
 	}
 	off := uint32(last)<<chunkShift | uint32(len(sh.chunks[last]))
@@ -522,7 +549,7 @@ func (sh *shard) appendKey(k []byte) uint32 {
 	return off
 }
 
-// compact rewrites the arena with only the live template bytes. put
+// compact rewrites the arena with only the live window key bytes. put
 // calls it once dead bytes outnumber live ones, so the arena stays
 // within twice the live key bytes, and each copy is paid for by the
 // evictions that made the garbage.
@@ -537,12 +564,12 @@ func (sh *shard) compact() {
 }
 
 // get looks a key up in the content store, marking the entry
-// referenced. The probe reads the template's packed bytes in place, so
+// referenced. The caller builds the window key in a stack buffer, so
 // hits allocate nothing.
-func (c *Cache) get(h uint64, pair uint32, t dna.Packed) (Binding, bool) {
+func (c *Cache) get(h uint64, pair uint32, k []byte) (Binding, bool) {
 	sh := c.shard(h)
 	sh.mu.Lock()
-	if i := sh.find(h, pair, t); i >= 0 {
+	if i := sh.find(h, pair, k); i >= 0 {
 		e := sh.ent(i)
 		e.ref = true
 		x := e.b
@@ -559,18 +586,17 @@ func (c *Cache) get(h uint64, pair uint32, t dna.Packed) (Binding, bool) {
 // shard is at budget. Concurrent reactions may compute the same miss
 // and both put it; the second insert just overwrites the identical
 // value (bindings are pure, so the race is benign).
-func (c *Cache) put(h uint64, pair uint32, t dna.Packed, b Binding) {
+func (c *Cache) put(h uint64, pair uint32, k []byte, b Binding) {
 	sh := c.shard(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	x := packBinding(b)
-	if i := sh.find(h, pair, t); i >= 0 {
+	if i := sh.find(h, pair, k); i >= 0 {
 		e := sh.ent(i)
 		e.b, e.ref = x, true
 		return
 	}
-	k := t.Bytes()
-	e := entry{b: x, n: uint32(t.Len()), pair: pair, ref: true}
+	e := entry{b: x, pair: pair, klen: uint8(len(k)), ref: true}
 	if sh.n < c.budget {
 		sh.reserve()
 		if sh.n&blockMask == 0 {

@@ -320,3 +320,29 @@ func TestReleaseKeepsSharedStorage(t *testing.T) {
 		}
 	}
 }
+
+// TestReleaseRecyclesWholeReaction pins that the free lists take back
+// all the record segments of a reaction-sized pool: a fresh pool of the
+// same size draws every one of them instead of allocating. The pool is
+// as large as an aged tube's amplified product. The collector is off
+// so the weak free lists keep what was put.
+func TestReleaseRecyclesWholeReaction(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n = 23 * segLen
+	rel := randomPool(61, n, 150)
+	segs := map[*segment]bool{}
+	for _, s := range rel.segs {
+		segs[s] = true
+	}
+	rel.Release()
+	fresh := randomPool(62, n, 150)
+	reused := 0
+	for _, s := range fresh.segs {
+		if segs[s] {
+			reused++
+		}
+	}
+	if reused != len(segs) {
+		t.Errorf("fresh pool reused %d of %d released segments", reused, len(segs))
+	}
+}

@@ -16,8 +16,12 @@ import (
 	"weak"
 )
 
-// Max bounds the entries a List holds; Put drops items past it.
-const Max = 8
+// Max bounds the entries a List holds; Put drops items past it. It is
+// sized so one list can take back every record segment a reaction over
+// an aged 13k-species tube releases (23 of 1024 records each), with
+// room to spare: a smaller bound drops the rest, and the next reaction
+// allocates them anew.
+const Max = 32
 
 // List is a bounded free list of *T. The zero value is an empty list
 // ready to use; it is safe for concurrent use. Its entries live in the
