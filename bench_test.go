@@ -510,7 +510,7 @@ func benchReadBlocks(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.ReadBlocks(batch); err != nil {
+		if _, err := p.Read(ReadRequest{Blocks: batch}); err != nil {
 			b.Fatal(err)
 		}
 	}

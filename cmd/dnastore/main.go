@@ -419,12 +419,13 @@ func runCommand(journalPath string, workers int, decayName string, args []string
 		if !ok {
 			return fmt.Errorf("unknown partition %q", args[1])
 		}
-		blocks, err := p.ReadRange(lo, hi)
+		// Unwritten and log blocks have no entry: label each by its report.
+		res, err := p.Read(dnastore.ReadRequest{Range: &dnastore.Span{Lo: lo, Hi: hi}})
 		if err != nil {
 			return err
 		}
-		for i, b := range blocks {
-			fmt.Printf("block %d: %s\n", lo+i, trimZeros(b))
+		for i, b := range res.Content {
+			fmt.Printf("block %d: %s\n", res.Health[i].Block, trimZeros(b))
 		}
 	case "advance":
 		if len(args) != 2 {
@@ -482,12 +483,12 @@ func runCommand(journalPath string, workers int, decayName string, args []string
 		if !ok {
 			return fmt.Errorf("unknown partition %q", args[1])
 		}
-		_, health, err := p.ReadRangeHealth(lo, hi)
+		res, err := p.Read(dnastore.ReadRequest{Range: &dnastore.Span{Lo: lo, Hi: hi}, Mode: dnastore.ReadHealth})
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%-6s %-12s %9s %9s %8s\n", "block", "status", "coverage", "rsmargin", "missing")
-		for _, h := range health {
+		for _, h := range res.Health {
 			status := "ok"
 			switch {
 			case errors.Is(h.Err, dnastore.ErrRSMarginExceeded):
@@ -514,6 +515,7 @@ func runCommand(journalPath string, workers int, decayName string, args []string
 		fmt.Printf("elongated primers:    %d\n", c.ElongatedPrimersSynthesized)
 		fmt.Printf("reads sequenced:      %d\n", c.ReadsSequenced)
 		fmt.Printf("PCR reactions:        %d\n", c.PCRReactions)
+		fmt.Printf("reads ejected:        %d\n", c.ReadsEjected)
 	default:
 		usage()
 		return fmt.Errorf("unknown command %q", args[0])

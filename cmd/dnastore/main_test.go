@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,11 +49,19 @@ func TestUpdateThroughJournal(t *testing.T) {
 		{"write", "docs", "0", "hello world"},
 		{"update", "docs", "0", "0", "5", "0", "howdy"},
 		{"read", "docs", "0"},
-		{"costs"},
 	}
 	for _, args := range steps {
 		if err := runCommand(j, -1, "", args); err != nil {
 			t.Fatalf("%v: %v", args, err)
+		}
+	}
+	costs, err := captureStdout(t, func() error { return runCommand(j, -1, "", []string{"costs"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"PCR reactions:", "reads ejected:"} {
+		if !strings.Contains(costs, line) {
+			t.Errorf("costs output lacks %q:\n%s", line, costs)
 		}
 	}
 	// Replay from the journal must reproduce the updated state.
@@ -166,19 +175,57 @@ func TestCorruptJournal(t *testing.T) {
 	}
 }
 
+// TestRangeCommand checks that range output labels each entry with its
+// own block, including across an unwritten block inside the range.
 func TestRangeCommand(t *testing.T) {
 	j := journalPath(t)
 	steps := [][]string{
 		{"create", "docs"},
 		{"write", "docs", "0", "block zero"},
 		{"write", "docs", "1", "block one"},
-		{"range", "docs", "0", "1"},
+		{"write", "docs", "3", "block three"},
 	}
 	for _, args := range steps {
 		if err := runCommand(j, -1, "", args); err != nil {
 			t.Fatalf("%v: %v", args, err)
 		}
 	}
+	for _, tc := range []struct {
+		lo, hi string
+		want   string
+	}{
+		{"0", "1", "block 0: block zero\nblock 1: block one\n"},
+		{"0", "3", "block 0: block zero\nblock 1: block one\nblock 3: block three\n"},
+	} {
+		out, err := captureStdout(t, func() error { return runCommand(j, -1, "", []string{"range", "docs", tc.lo, tc.hi}) })
+		if err != nil {
+			t.Fatalf("range %s %s: %v", tc.lo, tc.hi, err)
+		}
+		if out != tc.want {
+			t.Errorf("range %s %s printed\n%s\nwant\n%s", tc.lo, tc.hi, out, tc.want)
+		}
+	}
+}
+
+// captureStdout runs fn and returns what it printed to standard output.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	done := make(chan string)
+	go func() {
+		var b strings.Builder
+		io.Copy(&b, r)
+		done <- b.String()
+	}()
+	err = fn()
+	os.Stdout = saved
+	w.Close()
+	return <-done, err
 }
 
 // TestAgingThroughJournal exercises the durability verbs end to end:

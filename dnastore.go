@@ -97,13 +97,16 @@ var (
 	ErrRSMarginExceeded = blockstore.ErrRSMarginExceeded
 	// ErrDepthScale reports a sequencing-depth scale that is not
 	// positive and finite, or whose scaled read budget overflows an
-	// int. It is returned in three places: by ReadBlockHealth for its
-	// scale argument; by Scrub for a ScrubPolicy whose
+	// int. It is returned in three places: by Read for a block
+	// request's Scale; by Scrub for a ScrubPolicy whose
 	// ProbeDepthFactor gives such a probe budget; and in the Health of
 	// a supervised read whose escalated retry depth overflows, wrapped
 	// together with ErrRetryBudgetExhausted. The refused reaction
 	// sequences nothing.
 	ErrDepthScale = blockstore.ErrDepthScale
+	// ErrReadRequest reports a ReadRequest with two targets, an unknown
+	// mode, or a Scale other than 1 on a Range or All read.
+	ErrReadRequest = blockstore.ErrReadRequest
 )
 
 // Typed operational-failure classes reported through Health records by
@@ -198,12 +201,12 @@ type Options struct {
 	// without fault hooks. Use UniformFaults for a flat per-stage rate.
 	Faults *FaultPlan
 
-	// Retry tunes the supervised recovery engine behind
-	// ReadBlocksSupervised / ReadRangeSupervised (retry and hedge
-	// budgets, depth escalation, contamination quarantine) and enables
-	// write-side QC: batch commits re-order synthesis units the vendor
-	// dropped. nil selects DefaultRetryPolicy for supervised reads but
-	// leaves write-side QC off. Ignored without Faults.
+	// Retry tunes the supervised recovery engine behind ReadSupervised
+	// reads (retry and hedge budgets, depth escalation, contamination
+	// quarantine) and enables write-side QC: batch commits re-order
+	// synthesis units the vendor dropped. nil selects DefaultRetryPolicy
+	// for supervised reads but leaves write-side QC off. Ignored without
+	// Faults.
 	Retry *RetryPolicy
 }
 
@@ -254,7 +257,35 @@ func RoomTempDecay() DecayProfile { return decay.RoomTemp() }
 // choice for simulation horizons measured in hundreds of days.
 func AcceleratedDecay() DecayProfile { return decay.Accelerated() }
 
-// Health is the per-block condition report of a health-aware read or a
+// ReadRequest names one Partition.Read access: one target — Blocks, a
+// Range, or All — a ReadMode, and for block reads a sequencing-depth
+// Scale (0 means 1; > 1 probes deeper before declaring a block dead).
+// Two targets, or a Scale other than 1 on a Range or All read, are
+// rejected with ErrReadRequest before anything is charged.
+type ReadRequest = blockstore.ReadRequest
+
+// ReadResult is one read's content and per-block Health reports (entry
+// i is block Health[i].Block) plus a supervised read's RecoveryReport.
+type ReadResult = blockstore.ReadResult
+
+// ReadMode selects what a read does with its per-block Health reports.
+type ReadMode = blockstore.ReadMode
+
+// Read modes: ReadStrict (the zero value) fails on the first block that
+// cannot be fully recovered; ReadHealth returns nil content and a typed
+// Health.Err for it; ReadSupervised re-reads it under the system's
+// RetryPolicy, leaving it nil with Health.Err wrapping
+// ErrRetryBudgetExhausted when the retries run out.
+const (
+	ReadStrict     = blockstore.ReadStrict
+	ReadHealth     = blockstore.ReadHealth
+	ReadSupervised = blockstore.ReadSupervised
+)
+
+// Span is an inclusive block interval, a ReadRequest's Range.
+type Span = blockstore.Span
+
+// Health is the per-block condition report of a read or a
 // scrub probe: typed failure class, estimated sequencing coverage, and
 // the worst unit's consumed Reed-Solomon erasure margin.
 type Health = blockstore.Health
@@ -390,8 +421,8 @@ func (s *System) DecayStats() DecayStats { return s.store.DecayStats() }
 // Scrub probes every written block, flags blocks whose health has
 // dipped below the policy's floors, and — policy permitting — repairs
 // them by re-amplification or re-synthesis. A probe is a floor-stopped
-// strict stream by default; under Options.BatchDecode it sequences the
-// full budget scaled by the policy's ProbeDepthFactor. The zero
+// zero-slack stream by default; under Options.BatchDecode it sequences
+// the full budget scaled by the policy's ProbeDepthFactor. The zero
 // ScrubPolicy selects the defaults; a policy with a NaN or infinite
 // field is rejected before any probe runs.
 func (s *System) Scrub(pol ScrubPolicy) (*ScrubReport, error) { return s.store.Scrub(pol) }
@@ -463,67 +494,23 @@ func (p *Partition) WriteBlocks(blocks map[int][]byte) error { return p.p.WriteB
 // version slots, overflow chains included. On error nothing is written.
 func (p *Partition) UpdateBlocks(patches []BlockPatch) error { return p.p.UpdateBlocks(patches) }
 
-// ReadBlock retrieves one block through the full wet protocol and
-// returns its content with all updates applied. A block whose original
-// or any update fails to decode is an error (errors.Is against
-// ErrInsufficientCoverage / ErrRSMarginExceeded), never older content.
+// Read is the partition's one read call. The request's target picks
+// the primer — each block's fully elongated primer, one partially
+// elongated primer per prefix cover of a Range, the main primer for
+// All — and its mode what the read does with the per-block Health
+// reports. Deterministic at any worker count.
+func (p *Partition) Read(req ReadRequest) (ReadResult, error) { return p.p.Read(req) }
+
+// ReadBlock is a strict one-block Read returning the block's content
+// with all updates applied. A block whose original or any update fails
+// to decode is an error (errors.Is against ErrInsufficientCoverage /
+// ErrRSMarginExceeded), never older content.
 func (p *Partition) ReadBlock(block int) ([]byte, error) { return p.p.ReadBlock(block) }
 
-// ReadBlocks retrieves several blocks in one batched access, one
-// elongated PCR per block, fanned across the configured workers.
-// Results are returned in request order.
-func (p *Partition) ReadBlocks(blocks []int) ([][]byte, error) { return p.p.ReadBlocks(blocks) }
-
-// ReadRange retrieves blocks lo..hi (inclusive) using the minimal set
-// of index-tree prefixes, one PCR per prefix — the paper's sequential
-// access — with the per-prefix reactions fanned across the configured
-// workers.
+// ReadRange is a strict Range Read of lo..hi (inclusive) — the paper's
+// sequential access — returning the written data blocks' content; use
+// Read to learn which block each entry is.
 func (p *Partition) ReadRange(lo, hi int) ([][]byte, error) { return p.p.ReadRange(lo, hi) }
-
-// ReadBlocksHealth is ReadBlocks with graceful degradation: blocks
-// that fail to decode return nil instead of aborting the batch, and
-// every block gets a Health report with a typed failure class
-// (errors.Is against ErrInsufficientCoverage / ErrRSMarginExceeded).
-func (p *Partition) ReadBlocksHealth(blocks []int) ([][]byte, []Health, error) {
-	return p.p.ReadBlocksHealth(blocks)
-}
-
-// ReadRangeHealth is ReadRange with graceful degradation: one entry
-// per written data block of [lo, hi] in block order, nil where
-// recovery failed, plus per-block Health reports.
-func (p *Partition) ReadRangeHealth(lo, hi int) ([][]byte, []Health, error) {
-	return p.p.ReadRangeHealth(lo, hi)
-}
-
-// ReadBlockHealth reads one block with its sequencing depth scaled by
-// scale (> 1 probes deeper before declaring the block dead, < 1 reads
-// shallow, as Scrub's probes do under Options.BatchDecode). A scale
-// that is not positive and finite, or whose scaled read budget
-// overflows an int, is rejected with an error wrapping ErrDepthScale.
-func (p *Partition) ReadBlockHealth(block int, scale float64) ([]byte, Health, error) {
-	return p.p.ReadBlockHealth(block, scale)
-}
-
-// ReadBlocksSupervised is ReadBlocksHealth with the recovery engine on
-// top: blocks failing the initial pass are re-read under the system's
-// RetryPolicy — sequencing depth escalated per retry, amplified pools
-// screened and quarantined for contamination, recovered-but-marginal
-// blocks hedged with one deeper read. Blocks exhausting the budget
-// stay nil with Health.Err wrapping ErrRetryBudgetExhausted; the
-// report says what recovery did and cost. Deterministic at any worker
-// count.
-func (p *Partition) ReadBlocksSupervised(blocks []int) ([][]byte, []Health, *RecoveryReport, error) {
-	return p.p.ReadBlocksSupervised(blocks)
-}
-
-// ReadRangeSupervised is ReadRangeHealth with the recovery engine on
-// top; see ReadBlocksSupervised.
-func (p *Partition) ReadRangeSupervised(lo, hi int) ([][]byte, []Health, *RecoveryReport, error) {
-	return p.p.ReadRangeSupervised(lo, hi)
-}
-
-// ReadAll retrieves every written block with a whole-partition PCR.
-func (p *Partition) ReadAll() ([][]byte, error) { return p.p.ReadAll() }
 
 // UpdateBlock logs a patch against a block. The first two updates live
 // in the block's own version slots; later ones overflow into a log

@@ -3,6 +3,9 @@ package dnastore
 import (
 	"bytes"
 	"errors"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -15,6 +18,21 @@ func newSystem(t testing.TB) *System {
 		t.Fatal(err)
 	}
 	return sys
+}
+
+// TestPublicReadSurface pins the one-read-call API: every access goes
+// through Read, with ReadBlock and ReadRange its only shorthands.
+func TestPublicReadSurface(t *testing.T) {
+	typ := reflect.TypeOf(&Partition{})
+	var reads []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		if name := typ.Method(i).Name; strings.HasPrefix(name, "Read") {
+			reads = append(reads, name)
+		}
+	}
+	if want := []string{"Read", "ReadBlock", "ReadRange"}; !slices.Equal(reads, want) {
+		t.Errorf("Partition read methods %v, want %v", reads, want)
+	}
 }
 
 func TestNewDefaults(t *testing.T) {
@@ -127,19 +145,19 @@ func TestReadBlocksBatched(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := p.ReadBlocks([]int{11, 2, 5})
+	res, err := p.Read(ReadRequest{Blocks: []int{11, 2, 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("batch returned %d blocks", len(got))
+	if len(res.Content) != 3 {
+		t.Fatalf("batch returned %d blocks", len(res.Content))
 	}
 	for i, b := range []int{11, 2, 5} {
-		if !bytes.HasPrefix(got[i], want[b]) {
-			t.Errorf("slot %d (block %d) content %q", i, b, got[i][:8])
+		if res.Health[i].Block != b || !bytes.HasPrefix(res.Content[i], want[b]) {
+			t.Errorf("slot %d (block %d) content %q health %+v", i, b, res.Content[i][:8], res.Health[i])
 		}
 	}
-	if _, err := p.ReadBlocks([]int{3}); err == nil {
+	if _, err := p.Read(ReadRequest{Blocks: []int{3}}); err == nil {
 		t.Error("unwritten block accepted")
 	}
 }
@@ -174,13 +192,13 @@ func TestBatchAPI(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.ReadBlocks([]int{1, 2, 4})
+	res, err := p.Read(ReadRequest{Blocks: []int{1, 2, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range []string{"won one", "v1 two", "our"} {
-		if !bytes.HasPrefix(got[i], []byte(want)) {
-			t.Errorf("slot %d content %q want prefix %q", i, got[i][:8], want)
+		if got := res.Content[i]; !bytes.HasPrefix(got, []byte(want)) {
+			t.Errorf("slot %d content %q want prefix %q", i, got[:8], want)
 		}
 	}
 

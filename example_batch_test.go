@@ -44,12 +44,12 @@ func ExamplePartition_Batch() {
 		}
 	}
 
-	blocks, err := p.ReadBlocks([]int{0, 1})
+	res, err := p.Read(dnastore.ReadRequest{Blocks: []int{0, 1}})
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("%s %s\n",
-		bytes.TrimRight(blocks[0], "\x00"), bytes.TrimRight(blocks[1], "\x00"))
+		bytes.TrimRight(res.Content[0], "\x00"), bytes.TrimRight(res.Content[1], "\x00"))
 	// Output:
 	// op 0 on block 1: write-once violation: true
 	// op 1 on block 63: write-once violation: false

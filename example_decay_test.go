@@ -37,11 +37,11 @@ func ExampleSystem_Advance() {
 	}
 	fmt.Printf("aged %.0f days\n", sys.AgeDays())
 
-	_, health, err := p.ReadBlocksHealth([]int{0, 1, 2, 3})
+	res, err := p.Read(dnastore.ReadRequest{Blocks: []int{0, 1, 2, 3}, Mode: dnastore.ReadHealth})
 	if err != nil {
 		panic(err)
 	}
-	for _, h := range health {
+	for _, h := range res.Health {
 		status := "ok"
 		switch {
 		case errors.Is(h.Err, dnastore.ErrRSMarginExceeded):

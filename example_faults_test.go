@@ -36,13 +36,14 @@ func ExampleOptions_faults() {
 	// The supervised read retries failed reactions with escalating
 	// sequencing depth and quarantines contaminated pools; every block
 	// comes back despite the 50% per-stage fault rate.
-	blocks, _, report, err := p.ReadBlocksSupervised([]int{0, 1, 2, 3})
+	res, err := p.Read(dnastore.ReadRequest{Blocks: []int{0, 1, 2, 3}, Mode: dnastore.ReadSupervised})
 	if err != nil {
 		panic(err)
 	}
-	for b, data := range blocks {
-		fmt.Printf("block %d: %q\n", b, bytes.TrimRight(data, "\x00"))
+	for i, data := range res.Content {
+		fmt.Printf("block %d: %q\n", res.Health[i].Block, bytes.TrimRight(data, "\x00"))
 	}
+	report := res.Recovery
 	fmt.Printf("failures %d, recovered %d, retries %d\n",
 		report.Failures, report.Recovered, report.Retries)
 

@@ -67,11 +67,11 @@ func main() {
 	}
 
 	// Read the updated blocks back through the full wet protocol.
-	blocks, err := ledger.ReadBlocks([]int{3, 17})
+	res, err := ledger.Read(dnastore.ReadRequest{Blocks: []int{3, 17}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i, blk := range []int{3, 17} {
-		fmt.Printf("block %d: %q\n", blk, bytes.TrimRight(blocks[i], "\x00"))
+	for i, c := range res.Content {
+		fmt.Printf("block %d: %q\n", res.Health[i].Block, bytes.TrimRight(c, "\x00"))
 	}
 }

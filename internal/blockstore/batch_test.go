@@ -79,7 +79,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	if err := stageMixedBatch(p).Apply(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.ReadBlocks([]int{3, 9, 0})
+	got, err := readContent(p.Read(ReadRequest{Blocks: []int{3, 9, 0}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +531,7 @@ func TestWriteBlocksAndUpdateBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.ReadBlocks([]int{2, 5, 8})
+	got, err := readContent(p.Read(ReadRequest{Blocks: []int{2, 5, 8}}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,11 +48,11 @@ func TestBindingCacheByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refBlocks, err := refPart.ReadBlocks([]int{7, 3, 9, 0})
+	refBlocks, err := readContent(refPart.Read(ReadRequest{Blocks: []int{7, 3, 9, 0}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	refAll, err := refPart.ReadAll()
+	refAll, err := readContent(refPart.Read(ReadRequest{All: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +69,12 @@ func TestBindingCacheByteIdentity(t *testing.T) {
 					t.Fatal(err)
 				}
 				equalBlockSets(t, "ReadRange", refRange, gotRange)
-				gotBlocks, err := p.ReadBlocks([]int{7, 3, 9, 0})
+				gotBlocks, err := readContent(p.Read(ReadRequest{Blocks: []int{7, 3, 9, 0}}))
 				if err != nil {
 					t.Fatal(err)
 				}
 				equalBlockSets(t, "ReadBlocks", refBlocks, gotBlocks)
-				gotAll, err := p.ReadAll()
+				gotAll, err := readContent(p.Read(ReadRequest{All: true}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -148,7 +148,7 @@ func TestBindingCacheConcurrentReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBlocks, err := p.ReadBlocks([]int{1, 5, 11})
+	wantBlocks, err := readContent(p.Read(ReadRequest{Blocks: []int{1, 5, 11}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestBindingCacheConcurrentReads(t *testing.T) {
 				}
 				equalBlockSets(t, "concurrent ReadRange", wantRange, got)
 			case 1:
-				got, err := p.ReadBlocks([]int{1, 5, 11})
+				got, err := readContent(p.Read(ReadRequest{Blocks: []int{1, 5, 11}}))
 				if err != nil {
 					t.Error(err)
 					return

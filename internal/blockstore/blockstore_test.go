@@ -296,7 +296,7 @@ func TestSequentialWriteReadAll(t *testing.T) {
 	if n != (len(data)+p.BlockSize()-1)/p.BlockSize() {
 		t.Errorf("blocks written %d", n)
 	}
-	blocks, err := p.ReadAll()
+	blocks, err := readContent(p.Read(ReadRequest{All: true}))
 	if err != nil {
 		t.Fatal(err)
 	}

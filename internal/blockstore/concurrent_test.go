@@ -68,21 +68,21 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	equalBlockSets(t, "ReadRange", r1, r8)
 
-	b1, err := p1.ReadBlocks([]int{7, 3, 9, 0})
+	b1, err := readContent(p1.Read(ReadRequest{Blocks: []int{7, 3, 9, 0}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b8, err := p8.ReadBlocks([]int{7, 3, 9, 0})
+	b8, err := readContent(p8.Read(ReadRequest{Blocks: []int{7, 3, 9, 0}}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	equalBlockSets(t, "ReadBlocks", b1, b8)
 
-	a1, err := p1.ReadAll()
+	a1, err := readContent(p1.Read(ReadRequest{All: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a8, err := p8.ReadAll()
+	a8, err := readContent(p8.Read(ReadRequest{All: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestReadBlocksMatchesReadBlock(t *testing.T) {
 		}
 		single = append(single, got)
 	}
-	batched, err := p2.ReadBlocks(order)
+	batched, err := readContent(p2.Read(ReadRequest{Blocks: order}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +116,13 @@ func TestReadBlocksMatchesReadBlock(t *testing.T) {
 
 func TestReadBlocksValidation(t *testing.T) {
 	_, p := buildSeeded(t, 2)
-	if _, err := p.ReadBlocks([]int{0, 99}); err == nil {
+	if _, err := readContent(p.Read(ReadRequest{Blocks: []int{0, 99}})); err == nil {
 		t.Error("out-of-range block accepted")
 	}
-	if _, err := p.ReadBlocks([]int{0, 30}); err == nil {
+	if _, err := readContent(p.Read(ReadRequest{Blocks: []int{0, 30}})); err == nil {
 		t.Error("unwritten block accepted")
 	}
-	out, err := p.ReadBlocks(nil)
+	out, err := readContent(p.Read(ReadRequest{}))
 	if err != nil || len(out) != 0 {
 		t.Errorf("empty batch: %v, %d results", err, len(out))
 	}
@@ -280,11 +280,11 @@ func TestOverflowChainCostsDeterministic(t *testing.T) {
 	}
 	s1, p1, c1 := build(1)
 	s8, p8, c8 := build(8)
-	a, err := p1.ReadBlocks([]int{0, 1})
+	a, err := readContent(p1.Read(ReadRequest{Blocks: []int{0, 1}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p8.ReadBlocks([]int{0, 1})
+	b, err := readContent(p8.Read(ReadRequest{Blocks: []int{0, 1}}))
 	if err != nil {
 		t.Fatal(err)
 	}

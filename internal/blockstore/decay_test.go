@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"dnastore/internal/decay"
@@ -145,11 +146,11 @@ func TestDecayDisabledByteIdentity(t *testing.T) {
 func TestHealthReadsMatchClassicContent(t *testing.T) {
 	_, p := buildSeeded(t, 4)
 	blocks := []int{0, 3, 9, 11}
-	want, err := p.ReadBlocks(blocks)
+	want, err := readContent(p.Read(ReadRequest{Blocks: blocks}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, health, err := p.ReadBlocksHealth(blocks)
+	got, health, err := readReports(p.Read(ReadRequest{Blocks: blocks, Mode: ReadHealth}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestHealthReadsMatchClassicContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRange, rangeHealth, err := p.ReadRangeHealth(2, 10)
+	gotRange, rangeHealth, err := readReports(p.Read(ReadRequest{Range: &Span{Lo: 2, Hi: 10}, Mode: ReadHealth}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,12 +259,12 @@ func TestHealthReadsDegradeGracefully(t *testing.T) {
 	// Classic path still aborts, with a typed error wrapping the
 	// generic decode sentinel (its coverage-vs-margin pick is
 	// best-effort: phantom clusters can blur the class).
-	if _, err := p.ReadBlocks([]int{5}); !errors.Is(err, decode.ErrDecode) {
+	if _, err := readContent(p.Read(ReadRequest{Blocks: []int{5}})); !errors.Is(err, decode.ErrDecode) {
 		t.Errorf("classic ReadBlocks error = %v, want an ErrDecode wrap", err)
 	}
 
 	blocks := []int{3, 5, 7}
-	out, health, err := p.ReadBlocksHealth(blocks)
+	out, health, err := readReports(p.Read(ReadRequest{Blocks: blocks, Mode: ReadHealth}))
 	if err != nil {
 		t.Fatalf("health read aborted: %v", err)
 	}
@@ -287,7 +288,7 @@ func TestHealthReadsDegradeGracefully(t *testing.T) {
 	}
 
 	// Range reads degrade per block instead of aborting.
-	outRange, rangeHealth, err := p.ReadRangeHealth(0, 11)
+	outRange, rangeHealth, err := readReports(p.Read(ReadRequest{Range: &Span{Lo: 0, Hi: 11}, Mode: ReadHealth}))
 	if err != nil {
 		t.Fatalf("health range read aborted: %v", err)
 	}
@@ -322,7 +323,7 @@ func TestHealthReadsDegradeGracefully(t *testing.T) {
 // back to full health.
 func TestScrubRepairsForcedDamage(t *testing.T) {
 	s, p := buildSeeded(t, 4)
-	want, err := p.ReadBlocks([]int{4, 9})
+	want, err := readContent(p.Read(ReadRequest{Blocks: []int{4, 9}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +359,7 @@ func TestScrubRepairsForcedDamage(t *testing.T) {
 		t.Error("scrub pass reported zero wet costs")
 	}
 
-	got, health, err := p.ReadBlocksHealth([]int{4, 9})
+	got, health, err := readReports(p.Read(ReadRequest{Blocks: []int{4, 9}, Mode: ReadHealth}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,47 +481,81 @@ func TestWearChargesAccesses(t *testing.T) {
 }
 
 // TestReadBlockHealthEscalated pins the single-block escalated read:
-// content matches the classic read, health reports recovered, wear is
-// charged, and digital errors come back typed.
+// content matches the classic read, health reports recovered, a zero
+// Scale is the configured depth, wear is charged, and digital errors
+// and malformed requests come back typed without charging anything.
 func TestReadBlockHealthEscalated(t *testing.T) {
 	prof := decay.RoomTemp()
 	s, p := buildAged(t, 1, &prof)
+	_, twin := buildAged(t, 1, &prof)
 	want, err := p.ReadBlock(3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := twin.ReadBlock(3); err != nil {
+		t.Fatal(err)
+	}
+	var configured ReadResult
 	for _, scale := range []float64{1, 4} {
-		c, h, err := p.ReadBlockHealth(3, scale)
+		res, err := p.Read(ReadRequest{Blocks: []int{3}, Mode: ReadHealth, Scale: scale})
 		if err != nil {
 			t.Fatalf("scale %g: %v", scale, err)
 		}
-		if !h.Recovered || h.Err != nil {
+		if h := res.Health[0]; !h.Recovered || h.Err != nil {
 			t.Fatalf("scale %g: unhealthy read of a pristine block: %+v", scale, h)
 		}
-		if !bytes.Equal(c, want) {
+		if !bytes.Equal(res.Content[0], want) {
 			t.Errorf("scale %g: content diverges from classic read", scale)
 		}
+		if scale == 1 {
+			configured = res
+		}
 	}
-	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1), 1e300} {
-		if _, _, err := p.ReadBlockHealth(3, scale); !errors.Is(err, ErrDepthScale) {
-			t.Errorf("scale %g: want ErrDepthScale, got %v", scale, err)
+	// The twin has p's history up to the Scale 1 read, so a Scale 0
+	// read must match it exactly, health included.
+	zero, err := twin.Read(ReadRequest{Blocks: []int{3}, Mode: ReadHealth})
+	if err != nil || !reflect.DeepEqual(zero, configured) {
+		t.Errorf("scale 0: %v, %+v; want the scale 1 read %+v", err, zero.Health, configured.Health)
+	}
+	costs, digest := s.Costs(), s.TubeDigest()
+	for _, tc := range []struct {
+		name string
+		req  ReadRequest
+		want error
+	}{
+		{"scale -1", ReadRequest{Blocks: []int{3}, Mode: ReadHealth, Scale: -1}, ErrDepthScale},
+		{"scale NaN", ReadRequest{Blocks: []int{3}, Mode: ReadHealth, Scale: math.NaN()}, ErrDepthScale},
+		{"scale +Inf", ReadRequest{Blocks: []int{3}, Mode: ReadHealth, Scale: math.Inf(1)}, ErrDepthScale},
+		{"scale 1e300", ReadRequest{Blocks: []int{3}, Mode: ReadHealth, Scale: 1e300}, ErrDepthScale},
+		{"blocks and range", ReadRequest{Blocks: []int{3}, Range: &Span{Lo: 0, Hi: 3}}, ErrReadRequest},
+		{"blocks and all", ReadRequest{Blocks: []int{3}, All: true}, ErrReadRequest},
+		{"range and all", ReadRequest{Range: &Span{Lo: 0, Hi: 3}, All: true}, ErrReadRequest},
+		{"scaled range", ReadRequest{Range: &Span{Lo: 0, Hi: 3}, Mode: ReadHealth, Scale: 2}, ErrReadRequest},
+		{"scaled all", ReadRequest{All: true, Scale: 0.5}, ErrReadRequest},
+		{"unknown mode", ReadRequest{Blocks: []int{3}, Mode: ReadSupervised + 1}, ErrReadRequest},
+	} {
+		if _, err := p.Read(tc.req); !errors.Is(err, tc.want) {
+			t.Errorf("%s: want %v, got %v", tc.name, tc.want, err)
+		}
+		if s.Costs() != costs || s.TubeDigest() != digest {
+			t.Errorf("%s: rejected request charged the store", tc.name)
 		}
 	}
 	wear := s.DecayStats()
 	if wear.Accesses == 0 {
 		t.Error("escalated reads charged no wear accesses")
 	}
-	if _, _, err := p.ReadBlockHealth(-1, 1); !errors.Is(err, ErrBlockRange) {
+	if _, _, err := readOne(p.Read(ReadRequest{Blocks: []int{-1}, Mode: ReadHealth})); !errors.Is(err, ErrBlockRange) {
 		t.Errorf("negative block: %v", err)
 	}
-	if _, _, err := p.ReadBlockHealth(11, 1); err != nil {
+	if _, _, err := readOne(p.Read(ReadRequest{Blocks: []int{11}, Mode: ReadHealth})); err != nil {
 		t.Errorf("written block rejected: %v", err)
 	}
 
 	// A block starved past shallow recovery must still degrade to a
 	// typed report, not an error, at any scale.
 	killSlots(t, s, "alice", 5, 15) // every slot extinct: unobservable
-	c, h, err := p.ReadBlockHealth(5, 4)
+	c, h, err := readOne(p.Read(ReadRequest{Blocks: []int{5}, Mode: ReadHealth, Scale: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}

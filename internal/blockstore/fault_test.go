@@ -98,11 +98,11 @@ func TestNilInjectorByteIdentity(t *testing.T) {
 		if zs.TubeDigest() != s.TubeDigest() {
 			t.Errorf("workers=%d: zero-plan injector perturbed the tube digest", workers)
 		}
-		got, err := p.ReadBlocks([]int{3, 9, 0})
+		got, err := readContent(p.Read(ReadRequest{Blocks: []int{3, 9, 0}}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		zgot, err := zp.ReadBlocks([]int{3, 9, 0})
+		zgot, err := readContent(zp.Read(ReadRequest{Blocks: []int{3, 9, 0}}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestSupervisedRecovery(t *testing.T) {
 	want := seededContents()
 
 	_, up := buildFaultSeeded(t, 1, plan, nil)
-	ucontent, uhealth, err := up.ReadBlocksHealth(allBlocks())
+	ucontent, uhealth, err := readReports(up.Read(ReadRequest{Blocks: allBlocks(), Mode: ReadHealth}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestSynthesisDropoutQC(t *testing.T) {
 
 	us, up := build(nil)
 	write(up)
-	ucontent, _, err := up.ReadBlocksHealth(allBlocks())
+	ucontent, _, err := readReports(up.Read(ReadRequest{Blocks: allBlocks(), Mode: ReadHealth}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestSynthesisDropoutQC(t *testing.T) {
 
 	ss, sp := build(&fault.RetryPolicy{MaxSynthRetries: 8})
 	want := write(sp)
-	content, health, err := sp.ReadBlocksHealth(allBlocks())
+	content, health, err := readReports(sp.Read(ReadRequest{Blocks: allBlocks(), Mode: ReadHealth}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestContaminationQuarantine(t *testing.T) {
 	s, p := buildFaultSeeded(t, 1, plan, &pol)
 
 	// Unsupervised: every reaction is contaminated and under-amplifies.
-	c, h, err := p.ReadBlockHealth(7, 1)
+	c, h, err := readOne(p.Read(ReadRequest{Blocks: []int{7}, Mode: ReadHealth}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 // class and the curable coverage class.
 func TestSeqAbortClassified(t *testing.T) {
 	_, p := buildFaultSeeded(t, 1, fault.Plan{SeqAbort: 1, SeqAbortFrac: 0.05}, nil)
-	content, h, err := p.ReadBlockHealth(0, 1)
+	content, h, err := readOne(p.Read(ReadRequest{Blocks: []int{0}, Mode: ReadHealth}))
 	if err != nil {
 		t.Fatal(err)
 	}

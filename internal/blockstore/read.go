@@ -23,9 +23,10 @@ import (
 // access (validation, primer and wear charging, one noise source forked
 // per reaction in deterministic order), the reactions fan across the
 // store's workers, and assembly turns every block's decode result into
-// content plus a Health report. Plain reads stop at the first failed
-// report; health reads return them all; supervised reads loop a retry
-// policy around the same per-reaction function (supervise.go).
+// content plus a Health report. Read's mode picks what happens next:
+// strict reads stop at the first failed report, health reads return
+// them all, and supervised reads loop a retry policy around the same
+// per-reaction function (supervise.go).
 
 // wetMode selects one reaction's sequencing protocol.
 type wetMode int
@@ -36,10 +37,10 @@ const (
 	// wetStream runs the floor-stopped streaming engine; the floor
 	// tolerates the unit's erasure slack, optimizing for read cost.
 	wetStream
-	// wetStrict streams block reactions with zero slack, so slot-level
+	// wetNoSlack streams block reactions with zero slack, so slot-level
 	// health evidence is never forged by an early stop. Multi-target
 	// reactions always stream with slack.
-	wetStrict
+	wetNoSlack
 )
 
 // reaction is one planned primer-selected PCR → sequencing → decode.
@@ -266,7 +267,7 @@ func (p *Partition) react(rx reaction, pcrWorkers int, wet wetMode, scale float6
 		decoded, err = streamdecode.Decode(p.pipeline, seqs, rx.block)
 	case rx.block >= 0:
 		var res *decode.BlockResult
-		res, err = p.streamBlock(rx.src, amplified, rx.block, &info, wet == wetStrict)
+		res, err = p.streamBlock(rx.src, amplified, rx.block, &info, wet == wetNoSlack)
 		decoded = map[int]*decode.BlockResult{rx.block: res}
 	default:
 		decoded, err = p.streamTargets(rx.src, amplified, p.writtenIn(rx.lo, rx.hi), info.budget)
@@ -281,11 +282,11 @@ func (p *Partition) react(rx reaction, pcrWorkers int, wet wetMode, scale float6
 }
 
 // read runs a planned access and assembles every block into content
-// and a Health report. With strict set (plain reads) the access stops
+// and a Health report. With strict set (ReadStrict) the access stops
 // at the first failed report and returns its error; otherwise wet
 // failures land in the reports and leave the content slot nil.
 func (p *Partition) read(pl readPlan, strict bool) ([][]byte, []Health, error) {
-	wet := wetStrict
+	wet := wetNoSlack
 	if strict {
 		wet = wetStream
 	}
@@ -452,99 +453,132 @@ func (p *Partition) chase(r *rng.Source, log, pcrWorkers int) (*decode.BlockResu
 	return results[log], nil
 }
 
-// ReadBlock retrieves the block and returns its current content with all
-// updates applied. The result length may differ from BlockSize when
-// patches changed the data size.
-func (p *Partition) ReadBlock(block int) ([]byte, error) {
-	out, err := p.ReadBlocks([]int{block})
+// ReadMode selects what a read does with the per-block Health reports
+// every access builds.
+type ReadMode int
+
+const (
+	// ReadStrict aborts the access with the first failed block's error
+	// (a missing patch included); reactions stream with erasure slack.
+	ReadStrict ReadMode = iota
+	// ReadHealth leaves failed blocks' content nil, their typed failure
+	// in Health.Err; the error covers only digital failures. Block
+	// reactions stream with zero slack, so no early stop forges health.
+	ReadHealth
+	// ReadSupervised is ReadHealth plus the store's retry policy, which
+	// re-reads failed blocks (supervise); blocks exhausting it stay nil.
+	ReadSupervised
+)
+
+// Span is an inclusive block interval [Lo, Hi].
+type Span struct{ Lo, Hi int }
+
+// ReadRequest names one access: at most one target, a mode, and a
+// sequencing depth. A request naming no target reads no blocks.
+type ReadRequest struct {
+	// Blocks reads these written blocks in request order, one fully
+	// elongated-primer reaction each.
+	Blocks []int
+	// Range reads the written data blocks of [Lo, Hi] in block order,
+	// one partially elongated primer per minimal prefix cover.
+	Range *Span
+	// All reads every written data block with the main primer alone.
+	All  bool
+	Mode ReadMode
+	// Scale multiplies a block read's sequencing depth; 0 means 1. A
+	// scale leaving no representable budget is refused with
+	// ErrDepthScale, and any scale but 1 on a Range or All read with
+	// ErrReadRequest, before anything is charged.
+	Scale float64
+}
+
+// ReadResult is one access's outcome: Content[i] and Health[i] belong
+// to block Health[i].Block, Content[i] nil where it was not recovered.
+// Recovery is set by ReadSupervised reads only.
+type ReadResult struct {
+	Content  [][]byte
+	Health   []Health
+	Recovery *RecoveryReport
+}
+
+// Read is the store's one read call: it plans the request's reactions,
+// runs them, and assembles every block's content and Health report,
+// handled as req.Mode says. Outputs are byte-identical at any worker
+// count, and a block read equals reading its blocks one by one.
+func (p *Partition) Read(req ReadRequest) (ReadResult, error) {
+	pl, err := p.plan(req)
 	if err != nil {
-		return nil, err
+		return ReadResult{}, err
 	}
-	return out[0], nil
+	var res ReadResult
+	if res.Content, res.Health, err = p.read(pl, req.Mode == ReadStrict); err != nil {
+		return ReadResult{}, err
+	}
+	if req.Mode == ReadSupervised {
+		res.Recovery = p.supervise(res.Content, res.Health, pl.scale)
+	}
+	return res, nil
 }
 
-// ReadBlocks retrieves several blocks in one batched access, one
-// elongated PCR reaction per block, fanned across the store's workers.
-// Results are returned in the order requested; every block must have
-// been written. Outputs are byte-identical to reading the blocks one by
-// one in order. A block that cannot be fully recovered — a missing
-// patch included — fails the read.
-func (p *Partition) ReadBlocks(blocks []int) ([][]byte, error) {
-	return p.readPlain(p.planBlocks(blocks, true))
-}
-
-// ReadBlocksHealth is ReadBlocks with graceful degradation: blocks
-// that fail to decode do not abort the batch. The content slice holds
-// nil at failed positions, and the Health slice reports every block's
-// condition — typed Err, estimated coverage, RS margin consumed. The
-// returned error covers only digital failures (bad block number,
-// unwritten block); wet failures land in the per-block reports.
-func (p *Partition) ReadBlocksHealth(blocks []int) ([][]byte, []Health, error) {
-	return p.readHealth(p.planBlocks(blocks, true))
-}
-
-// ReadBlockHealth reads one block with graceful degradation at an
-// adjustable sequencing budget: scale multiplies the configured
-// per-strand read depth. A scale that leaves no representable budget
-// (see scaledBudget) returns ErrDepthScale before anything is charged.
-// Operators re-sequence deeper before declaring a block lost; a
-// scale > 1 retry distinguishes a genuinely degraded block from one
-// shallow read that happened to fall short.
-func (p *Partition) ReadBlockHealth(block int, scale float64) ([]byte, Health, error) {
-	if err := p.checkBlock(block); err != nil {
-		return nil, Health{}, err
+// plan validates a request and runs its serial front-end. Request and
+// depth-scale rejections happen before anything is charged.
+func (p *Partition) plan(req ReadRequest) (readPlan, error) {
+	scale := req.Scale
+	if scale == 0 {
+		scale = 1
 	}
-	if _, err := scaledBudget(p.store.ReadBudget(1+p.Versions(block)), scale); err != nil {
-		return nil, Health{}, err
+	multi := req.Range != nil || req.All
+	switch {
+	case req.Range != nil && req.All, multi && len(req.Blocks) > 0:
+		return readPlan{}, fmt.Errorf("%w: more than one target", ErrReadRequest)
+	case req.Mode < ReadStrict || req.Mode > ReadSupervised:
+		return readPlan{}, fmt.Errorf("%w: mode %d", ErrReadRequest, req.Mode)
+	case multi && scale != 1:
+		return readPlan{}, fmt.Errorf("%w: depth scale %g on a multi-block read", ErrReadRequest, scale)
+	case req.Range != nil:
+		return p.planRange(req.Range.Lo, req.Range.Hi)
+	case req.All:
+		pl := p.planCovers(nil)
+		if len(pl.reactions) == 0 {
+			return readPlan{}, ErrBlockNotFound
+		}
+		return pl, nil
 	}
-	pl, err := p.planBlocks([]int{block}, true)
-	if err != nil {
-		return nil, Health{}, err
+	for _, b := range req.Blocks {
+		if _, err := scaledBudget(p.store.ReadBudget(1+p.Versions(b)), scale); err != nil {
+			return readPlan{}, err
+		}
 	}
+	pl, err := p.planBlocks(req.Blocks, true)
 	pl.scale = scale
-	// A health read of a planned block reports every wet failure in its
-	// Health, never as an error.
-	out, health, _ := p.read(pl, false)
-	return out[0], health[0], nil
+	return pl, err
 }
 
-// ReadRange retrieves blocks lo..hi (inclusive) using the minimal prefix
-// cover: one PCR per cover prefix with a partially elongated primer
-// (Section 4's sequential access), the reactions fanned across the
-// store's workers. Updates are applied per block; a block that cannot
-// be fully recovered fails the read.
-func (p *Partition) ReadRange(lo, hi int) ([][]byte, error) {
-	return p.readPlain(p.planRange(lo, hi))
-}
-
-// ReadRangeHealth is ReadRange with graceful degradation: per-block
-// decode failures do not abort the range. It returns one entry per
-// written data block of [lo, hi], in block order — content nil where
-// recovery failed — plus the per-block Health reports. The returned
-// error covers only digital failures.
-func (p *Partition) ReadRangeHealth(lo, hi int) ([][]byte, []Health, error) {
-	return p.readHealth(p.planRange(lo, hi))
-}
-
-// ReadAll retrieves the entire partition with the main primers (the
-// baseline random access of Figure 9a) and returns all written blocks in
-// order.
-func (p *Partition) ReadAll() ([][]byte, error) {
-	pl := p.planCovers(nil)
-	if len(pl.reactions) == 0 {
-		return nil, ErrBlockNotFound
-	}
-	return p.readPlain(pl, nil)
-}
-
-// readPlain runs a plan as a plain read: content only, the first failed
-// block aborting the access with its error.
-func (p *Partition) readPlain(pl readPlan, err error) ([][]byte, error) {
+// ReadBlock reads one block strictly and returns its current content
+// with all updates applied; the length may differ from BlockSize when
+// patches changed the data size. Kept beside Read because the
+// point-access benchmark workloads call it.
+func (p *Partition) ReadBlock(block int) ([]byte, error) {
+	res, err := p.Read(ReadRequest{Blocks: []int{block}})
 	if err != nil {
 		return nil, err
 	}
-	out, _, err := p.read(pl, true)
-	return out, err
+	return res.Content[0], nil
+}
+
+// ReadRange reads the written data blocks of [lo, hi] strictly, with
+// prefix-cover primers. Kept beside Read because the range-scan
+// benchmark workload calls it.
+func (p *Partition) ReadRange(lo, hi int) ([][]byte, error) {
+	res, err := p.Read(ReadRequest{Range: &Span{Lo: lo, Hi: hi}})
+	return res.Content, err
+}
+
+// ReadBlocksSupervised is a ReadSupervised block read. Kept beside Read
+// because the aged-faulty benchmark workload calls it.
+func (p *Partition) ReadBlocksSupervised(blocks []int) ([][]byte, []Health, *RecoveryReport, error) {
+	res, err := p.Read(ReadRequest{Blocks: blocks, Mode: ReadSupervised})
+	return res.Content, res.Health, res.Recovery, err
 }
 
 // scaledBudget multiplies a reaction's read budget by a depth scale,
@@ -561,14 +595,6 @@ func scaledBudget(budget int, scale float64) (int, error) {
 		return 0, fmt.Errorf("%w: %g", ErrDepthScale, scale)
 	}
 	return max(int(scaled), 1), nil
-}
-
-// readHealth runs a plan as a health read, reporting every block.
-func (p *Partition) readHealth(pl readPlan, err error) ([][]byte, []Health, error) {
-	if err != nil {
-		return nil, nil, err
-	}
-	return p.read(pl, false)
 }
 
 // BlockVersions holds the decoded raw units of one block retrieval.

@@ -10,6 +10,23 @@ import (
 	"dnastore/internal/update"
 )
 
+// readContent keeps a Read's content, for tests that compare plain
+// reads.
+func readContent(res ReadResult, err error) ([][]byte, error) { return res.Content, err }
+
+// readReports splits a Read into content and Health reports.
+func readReports(res ReadResult, err error) ([][]byte, []Health, error) {
+	return res.Content, res.Health, err
+}
+
+// readOne unpacks a one-block Read.
+func readOne(res ReadResult, err error) ([]byte, Health, error) {
+	if err != nil {
+		return nil, Health{}, err
+	}
+	return res.Content[0], res.Health[0], nil
+}
+
 // TestPlainReadsRefuseMissingPatch pins the silent-stale-read fix: when
 // every strand of one patch unit is gone, plain reads must fail with a
 // coverage error instead of returning the block without that patch.
@@ -62,11 +79,11 @@ func TestPlainReadsRefuseMissingPatch(t *testing.T) {
 	}
 	c, err := p.ReadBlock(b)
 	check("ReadBlock", c, err)
-	cs, err := p.ReadBlocks([]int{4, b, 6})
+	cs, err := readContent(p.Read(ReadRequest{Blocks: []int{4, b, 6}}))
 	check("ReadBlocks", cs, err)
 	cs, err = p.ReadRange(3, 7)
 	check("ReadRange", cs, err)
-	cs, err = p.ReadAll()
+	cs, err = readContent(p.Read(ReadRequest{All: true}))
 	check("ReadAll", cs, err)
 }
 
@@ -107,7 +124,7 @@ func TestLongOverflowChainReadable(t *testing.T) {
 	if err != nil || len(rng) != 3 || !bytes.Equal(rng[1], want) {
 		t.Fatalf("ReadRange: err %v, %d blocks", err, len(rng))
 	}
-	cs, hs, err := p.ReadBlocksHealth([]int{b})
+	cs, hs, err := readReports(p.Read(ReadRequest{Blocks: []int{b}, Mode: ReadHealth}))
 	if err != nil || !hs[0].Recovered || !bytes.Equal(cs[0], want) {
 		t.Fatalf("ReadBlocksHealth: err %v, health %+v", err, hs[0])
 	}

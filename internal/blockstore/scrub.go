@@ -226,7 +226,7 @@ func (p *Partition) scrub(pol ScrubPolicy, report *ScrubReport) error {
 	pcrWorkers := p.fanWorkers(len(blocks))
 	health := make([]Health, len(blocks))
 	parallel.Run(p.workers, len(blocks), func(i int) error {
-		results, info, err := p.react(pl.reactions[i], pcrWorkers, wetStrict, scale, false)
+		results, info, err := p.react(pl.reactions[i], pcrWorkers, wetNoSlack, scale, false)
 		health[i] = p.healthOf(blocks[i], results[blocks[i]], err)
 		if info.covAvg > 0 && info.entries > 0 {
 			// The engine's live per-slot coverage, normalized by the

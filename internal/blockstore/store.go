@@ -56,6 +56,7 @@ var (
 	ErrBatchConflict = errors.New("blockstore: batch conflicts with a concurrent mutation")
 	ErrNoPrimers     = errors.New("blockstore: primer budget exhausted")
 	ErrDepthScale    = errors.New("blockstore: invalid sequencing depth scale")
+	ErrReadRequest   = errors.New("blockstore: invalid read request")
 )
 
 // Typed health errors, re-exported from the decode pipeline so callers
@@ -138,9 +139,8 @@ type Config struct {
 	// fault hooks existed.
 	Faults *fault.Injector
 
-	// Retry is the supervised recovery policy consulted by the
-	// supervised read paths (ReadBlocksSupervised, ReadRangeSupervised)
-	// and by batch prepare's synthesis QC. nil selects
+	// Retry is the supervised recovery policy consulted by ReadSupervised
+	// reads and by batch prepare's synthesis QC. nil selects
 	// fault.DefaultRetryPolicy for supervised reads but disables
 	// write-side QC retries — an unsupervised store ships whatever the
 	// vendor delivered, dropped orders included.

@@ -78,8 +78,8 @@ func TestStreamingReadsMatchBatch(t *testing.T) {
 		}
 	}
 
-	sgot, serr := spart.ReadBlocks([]int{7, 0, 12})
-	bgot, berr := bpart.ReadBlocks([]int{7, 0, 12})
+	sgot, serr := readContent(spart.Read(ReadRequest{Blocks: []int{7, 0, 12}}))
+	bgot, berr := readContent(bpart.Read(ReadRequest{Blocks: []int{7, 0, 12}}))
 	if serr != nil || berr != nil {
 		t.Fatalf("ReadBlocks: streaming err %v, batch err %v", serr, berr)
 	}
@@ -100,8 +100,8 @@ func TestStreamingReadsMatchBatch(t *testing.T) {
 		}
 	}
 
-	sgot, serr = spart.ReadAll()
-	bgot, berr = bpart.ReadAll()
+	sgot, serr = readContent(spart.Read(ReadRequest{All: true}))
+	bgot, berr = readContent(bpart.Read(ReadRequest{All: true}))
 	if serr != nil || berr != nil {
 		t.Fatalf("ReadAll: streaming err %v, batch err %v", serr, berr)
 	}
@@ -244,7 +244,7 @@ func TestStreamingSeqAbortClassified(t *testing.T) {
 	if err := p.WriteBlock(0, bytes.Repeat([]byte{'a'}, 40)); err != nil {
 		t.Fatal(err)
 	}
-	content, h, err := p.ReadBlockHealth(0, 1)
+	content, h, err := readOne(p.Read(ReadRequest{Blocks: []int{0}, Mode: ReadHealth}))
 	if err != nil {
 		t.Fatal(err)
 	}

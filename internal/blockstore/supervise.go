@@ -55,7 +55,7 @@ func (p *Partition) superviseAttempt(block int, scale float64, screen bool) ([]b
 	}
 	rx := pl.reactions[0]
 	workers := p.store.cfg.Workers
-	results, info, err := p.react(rx, workers, wetStrict, scale, screen)
+	results, info, err := p.react(rx, workers, wetNoSlack, scale, screen)
 	content, h, _ := p.assemble(rx.src, block, results[block], err, info, workers) // h.Err carries the failure
 	return content, h, info
 }
@@ -68,13 +68,10 @@ func (p *Partition) superviseAttempt(block int, scale float64, screen bool) ([]b
 // re-read repeats the same depth. Retries screen the amplified pool
 // for contamination unless the policy disables quarantine. Recovered
 // blocks whose coverage landed below the policy's Heckel floor get one
-// hedged deeper re-read. The loop is serial and in access order, so
-// supervised results are byte-identical at any worker count. A digital
-// failure of the initial pass (err) passes through untouched.
-func (p *Partition) supervise(content [][]byte, health []Health, err error) ([][]byte, []Health, *RecoveryReport, error) {
-	if err != nil {
-		return nil, nil, nil, err
-	}
+// hedged deeper re-read. Escalation starts from base, the initial
+// pass's depth scale. The loop is serial and in access order, so
+// supervised results are byte-identical at any worker count.
+func (p *Partition) supervise(content [][]byte, health []Health, base float64) *RecoveryReport {
 	pol := fault.DefaultRetryPolicy()
 	if p.store.cfg.Retry != nil {
 		pol = *p.store.cfg.Retry
@@ -105,7 +102,7 @@ func (p *Partition) supervise(content [][]byte, health []Health, err error) ([][
 				// The block decoded, but on coverage one thinning away
 				// from failure: hedge with one deeper read while the
 				// evidence is fresh, adopting the result if it holds.
-				c, h, info := p.superviseAttempt(block, pol.DepthGrowth, screen)
+				c, h, info := p.superviseAttempt(block, base*pol.DepthGrowth, screen)
 				rep.Hedges++
 				record(i, h, info)
 				if h.Recovered {
@@ -116,7 +113,7 @@ func (p *Partition) supervise(content [][]byte, health []Health, err error) ([][
 		}
 		rep.Failures++
 		last := health[i]
-		scale := 1.0
+		scale := base
 		recovered := false
 		for attempt := 0; attempt < pol.MaxRetries; attempt++ {
 			if !errors.Is(last.Err, fault.ErrReactionFailed) {
@@ -144,23 +141,5 @@ func (p *Partition) supervise(content [][]byte, health []Health, err error) ([][
 	for _, a := range rep.Attempts {
 		rep.MaxAttempts = max(rep.MaxAttempts, a)
 	}
-	return content, health, rep, nil
-}
-
-// ReadBlocksSupervised is ReadBlocksHealth with the recovery engine on
-// top: blocks that fail the initial pass are re-read under the store's
-// retry policy (depth escalation, contamination quarantine, hedged
-// re-sequencing), and the report says what recovery did and cost.
-// Blocks that exhaust the retry budget stay nil, their Health.Err
-// wrapping fault.ErrRetryBudgetExhausted around the last failure
-// class. Results are byte-identical at any worker count.
-func (p *Partition) ReadBlocksSupervised(blocks []int) ([][]byte, []Health, *RecoveryReport, error) {
-	return p.supervise(p.ReadBlocksHealth(blocks))
-}
-
-// ReadRangeSupervised is ReadRangeHealth with the recovery engine on
-// top; see ReadBlocksSupervised. Entries follow the written data
-// blocks of [lo, hi] in block order.
-func (p *Partition) ReadRangeSupervised(lo, hi int) ([][]byte, []Health, *RecoveryReport, error) {
-	return p.supervise(p.ReadRangeHealth(lo, hi))
+	return rep
 }

@@ -253,27 +253,29 @@ func readTranscript(t *testing.T, streaming bool) []string {
 		return out
 	}
 
+	// Each label names an access by target and mode in the golden files
+	// (ReadBlocksHealth is a ReadHealth block Read, ReadAll an All Read).
 	c, err := p.ReadBlock(5)
 	tr.record("ReadBlock(5)", []int{5}, [][]byte{c}, err, nil)
 	c, err = p.ReadBlock(9)
 	tr.record("ReadBlock(9)", []int{9}, [][]byte{c}, err, nil)
 	blocks := []int{0, 5, 9, 12, 14}
-	cs, err := p.ReadBlocks(blocks)
+	cs, err := readContent(p.Read(ReadRequest{Blocks: blocks}))
 	tr.record("ReadBlocks(0,5,9,12,14)", blocks, cs, err, nil)
 	cs, err = p.ReadRange(1, 14)
 	tr.record("ReadRange(1,14)", written(1, 14), cs, err, nil)
 	cs, err = p.ReadRange(3, 6)
 	tr.record("ReadRange(3,6)", written(3, 6), cs, err, nil)
-	cs, err = p.ReadAll()
+	cs, err = readContent(p.Read(ReadRequest{All: true}))
 	tr.record("ReadAll", written(0, 63), cs, err, nil)
 
 	blocks = []int{2, 5, 9, 17}
-	cs, hs, err := p.ReadBlocksHealth(blocks)
+	cs, hs, err := readReports(p.Read(ReadRequest{Blocks: blocks, Mode: ReadHealth}))
 	tr.record("ReadBlocksHealth(2,5,9,17)", blocks, cs, err, hs)
-	cs, hs, err = p.ReadRangeHealth(0, 11)
+	cs, hs, err = readReports(p.Read(ReadRequest{Range: &Span{Lo: 0, Hi: 11}, Mode: ReadHealth}))
 	tr.record("ReadRangeHealth(0,11)", written(0, 11), cs, err, hs)
 	for _, scale := range []float64{0.5, 2} {
-		c, h, err := p.ReadBlockHealth(5, scale)
+		c, h, err := readOne(p.Read(ReadRequest{Blocks: []int{5}, Mode: ReadHealth, Scale: scale}))
 		tr.record(fmt.Sprintf("ReadBlockHealth(5,%v)", scale), []int{5}, [][]byte{c}, err, []Health{h})
 	}
 
@@ -290,9 +292,9 @@ func readTranscript(t *testing.T, streaming bool) []string {
 	cs, hs, rep, err := p.ReadBlocksSupervised(blocks)
 	tr.record("ReadBlocksSupervised(1,5,9,13)", blocks, cs, err, hs)
 	tr.recovery(rep)
-	cs, hs, rep, err = p.ReadRangeSupervised(4, 12)
-	tr.record("ReadRangeSupervised(4,12)", written(4, 12), cs, err, hs)
-	tr.recovery(rep)
+	res, err := p.Read(ReadRequest{Range: &Span{Lo: 4, Hi: 12}, Mode: ReadSupervised})
+	tr.record("ReadRangeSupervised(4,12)", written(4, 12), res.Content, err, res.Health)
+	tr.recovery(res.Recovery)
 
 	srep, err := s.Scrub(DefaultScrubPolicy())
 	tr.record("Scrub", nil, nil, err, nil)

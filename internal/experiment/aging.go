@@ -105,17 +105,18 @@ func decodedFrac(p *blockstore.Partition, payload [][]byte) (float64, error) {
 		blocks[i] = i
 		total += len(payload[i])
 	}
-	content, _, err := p.ReadBlocksHealth(blocks)
+	res, err := p.Read(blockstore.ReadRequest{Blocks: blocks, Mode: blockstore.ReadHealth})
 	if err != nil {
 		return 0, err
 	}
 	got := 0
-	for i, c := range content {
+	for i, c := range res.Content {
 		if c == nil {
-			c, _, err = p.ReadBlockHealth(i, 4)
+			deep, err := p.Read(blockstore.ReadRequest{Blocks: []int{i}, Mode: blockstore.ReadHealth, Scale: 4})
 			if err != nil {
 				return 0, err
 			}
+			c = deep.Content[0]
 		}
 		if c != nil && bytes.Equal(c[:len(payload[i])], payload[i]) {
 			got += len(payload[i])

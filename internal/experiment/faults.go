@@ -167,11 +167,12 @@ func runFaultArm(primers []dna.Seq, rate float64, supervised bool, workers int) 
 	arm := FaultArm{Rate: rate, Supervised: supervised, P99Attempts: 1, MaxAttempts: 1}
 	before := s.Costs().ReadsSequenced
 	if supervised {
-		content, _, rep, err := p.ReadBlocksSupervised(blocks)
+		res, err := p.Read(blockstore.ReadRequest{Blocks: blocks, Mode: blockstore.ReadSupervised})
 		if err != nil {
 			return FaultArm{}, err
 		}
-		arm.SuccessFrac = successFrac(content, payload)
+		arm.SuccessFrac = successFrac(res.Content, payload)
+		rep := res.Recovery
 		attempts := append([]int(nil), rep.Attempts...)
 		sort.Ints(attempts)
 		arm.P99Attempts = attempts[(99*len(attempts)-1)/100]
@@ -181,11 +182,11 @@ func runFaultArm(primers []dna.Seq, rate float64, supervised bool, workers int) 
 		arm.Exhausted = rep.Exhausted
 		arm.Quarantined = rep.QuarantinedSpecies
 	} else {
-		content, _, err := p.ReadBlocksHealth(blocks)
+		res, err := p.Read(blockstore.ReadRequest{Blocks: blocks, Mode: blockstore.ReadHealth})
 		if err != nil {
 			return FaultArm{}, err
 		}
-		arm.SuccessFrac = successFrac(content, payload)
+		arm.SuccessFrac = successFrac(res.Content, payload)
 	}
 	arm.Reads = s.Costs().ReadsSequenced - before
 	return arm, nil
@@ -211,15 +212,16 @@ func identicalGate(primers []dna.Seq, workers int) (bool, error) {
 	for i := range blocks {
 		blocks[i] = i
 	}
-	ncontent, _, err := np.ReadBlocksHealth(blocks)
+	req := blockstore.ReadRequest{Blocks: blocks, Mode: blockstore.ReadHealth}
+	nres, err := np.Read(req)
 	if err != nil {
 		return false, err
 	}
-	zcontent, _, err := zp.ReadBlocksHealth(blocks)
+	zres, err := zp.Read(req)
 	if err != nil {
 		return false, err
 	}
-	if !reflect.DeepEqual(ncontent, zcontent) {
+	if !reflect.DeepEqual(nres.Content, zres.Content) {
 		return false, nil
 	}
 	return ns.TubeDigest() == zs.TubeDigest(), nil
@@ -248,11 +250,11 @@ func deterministicGate(primers []dna.Seq, rate float64, workers int) (bool, erro
 		for i := range blocks {
 			blocks[i] = i
 		}
-		content, _, rep, err := p.ReadBlocksSupervised(blocks)
+		res, err := p.Read(blockstore.ReadRequest{Blocks: blocks, Mode: blockstore.ReadSupervised})
 		if err != nil {
 			return snap{}, err
 		}
-		return snap{s.TubeDigest(), content, rep}, nil
+		return snap{s.TubeDigest(), res.Content, res.Recovery}, nil
 	}
 	a, err := run(1)
 	if err != nil {
