@@ -169,9 +169,12 @@ type Options struct {
 	// the one decode engine takes in a single pass. By default reads
 	// stream through the same engine instead: sequencing stops once
 	// every target's coverage floor is met and off-target molecules are
-	// ejected, so reads cost less. Scaled reads, supervised retries,
-	// scrub repairs and (under faults) unamplified reactions use the
-	// full budget either way; every other faulted read streams.
+	// ejected, so reads cost less. Scaled reads, scrub repairs and
+	// (under faults) unamplified reactions use the full budget either
+	// way, and so do supervised hedges and the retries that escalate
+	// depth. A retry after a classified reaction failure keeps the
+	// read's depth scale, so an unscaled one streams once its re-run
+	// PCR amplifies, like every other faulted read.
 	BatchDecode bool
 
 	// BindingCache is the entry budget of the store-level binding

@@ -61,21 +61,6 @@ func (s Stats) HitRate() float64 {
 	return float64(served) / float64(total)
 }
 
-// HitRateSince returns the hit rate over the window between an earlier
-// snapshot and this one, and whether the window saw any Bind calls at
-// all — the per-study accounting dnabench and the binding study share.
-func (s Stats) HitRateSince(prev Stats) (rate float64, any bool) {
-	w := Stats{
-		RowHits: s.RowHits - prev.RowHits,
-		Hits:    s.Hits - prev.Hits,
-		Misses:  s.Misses - prev.Misses,
-	}
-	if w.RowHits+w.Hits+w.Misses == 0 {
-		return 0, false
-	}
-	return w.HitRate(), true
-}
-
 // Cache is a bounded, store-level binding cache shared across
 // reactions. It layers two structures, both holding the same immutable
 // facts:

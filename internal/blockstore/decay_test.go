@@ -517,7 +517,7 @@ func TestReadBlockHealthEscalated(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(zero, configured) {
 		t.Errorf("scale 0: %v, %+v; want the scale 1 read %+v", err, zero.Health, configured.Health)
 	}
-	costs, digest := s.Costs(), s.TubeDigest()
+	costs, digest, noise := s.Costs(), s.TubeDigest(), *p.noise
 	for _, tc := range []struct {
 		name string
 		req  ReadRequest
@@ -533,11 +533,12 @@ func TestReadBlockHealthEscalated(t *testing.T) {
 		{"scaled range", ReadRequest{Range: &Span{Lo: 0, Hi: 3}, Mode: ReadHealth, Scale: 2}, ErrReadRequest},
 		{"scaled all", ReadRequest{All: true, Scale: 0.5}, ErrReadRequest},
 		{"unknown mode", ReadRequest{Blocks: []int{3}, Mode: ReadSupervised + 1}, ErrReadRequest},
+		{"written then unwritten", ReadRequest{Blocks: []int{3, 12}}, ErrBlockNotFound},
 	} {
 		if _, err := p.Read(tc.req); !errors.Is(err, tc.want) {
 			t.Errorf("%s: want %v, got %v", tc.name, tc.want, err)
 		}
-		if s.Costs() != costs || s.TubeDigest() != digest {
+		if s.Costs() != costs || s.TubeDigest() != digest || *p.noise != noise {
 			t.Errorf("%s: rejected request charged the store", tc.name)
 		}
 	}

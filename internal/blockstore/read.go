@@ -93,7 +93,8 @@ func (p *Partition) blockReaction(block, units int, src *rng.Source) (reaction, 
 	return reaction{prefix: idx, block: block, lo: block, hi: block, units: units, src: src}, nil
 }
 
-// planBlocks is the serial front-end of a block access: validate,
+// planBlocks is the serial front-end of a block access: validate every
+// block before anything is charged, so a rejected request is free;
 // charge each block's elongated primer — and, with chase set, the
 // overflow chain assembly will retrieve — fork one noise source per
 // reaction in request order, and charge the wear of every access.
@@ -106,12 +107,14 @@ func (p *Partition) planBlocks(blocks []int, chase bool) (readPlan, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	pl := readPlan{reactions: make([]reaction, len(blocks)), scale: 1}
-	accesses := 0
-	for i, b := range blocks {
+	for _, b := range blocks {
 		if !p.written[b] {
 			return readPlan{}, fmt.Errorf("%w: block %d", ErrBlockNotFound, b)
 		}
+	}
+	pl := readPlan{reactions: make([]reaction, len(blocks)), scale: 1}
+	accesses := 0
+	for i, b := range blocks {
 		p.chargeElongated(blockPrimerKey(b))
 		accesses++
 		if chase {

@@ -19,7 +19,6 @@ type AgingPoint struct {
 	Flagged        int     // blocks the checkpoint's scrub flagged
 	Repaired       int
 	Failed         int
-	RepairStrands  int // cumulative strands re-synthesized by repairs
 	RepairReads    int // cumulative reads spent probing and repairing
 }
 
@@ -35,27 +34,6 @@ type AgingResult struct {
 	MonotoneDecline bool    // unattended fraction never rose
 	FirstLossDays   float64 // first checkpoint where the unattended arm lost bytes (0 = never)
 	RecoveredFrac   float64 // maintained fraction at that checkpoint
-}
-
-// Metrics returns the study's headline numbers for the -json report.
-func (r *AgingResult) Metrics() map[string]float64 {
-	monotone := 0.0
-	if r.MonotoneDecline {
-		monotone = 1
-	}
-	last := r.Points[len(r.Points)-1]
-	return map[string]float64{
-		"blocks":               float64(r.Blocks),
-		"horizon_days":         r.Days,
-		"steps":                float64(r.Steps),
-		"monotone_decline":     monotone,
-		"first_loss_days":      r.FirstLossDays,
-		"recovered_frac":       r.RecoveredFrac,
-		"final_unattended":     last.UnattendedFrac,
-		"final_maintained":     last.MaintainedFrac,
-		"repair_strands_total": float64(last.RepairStrands),
-		"repair_reads_total":   float64(last.RepairReads),
-	}
 }
 
 // agingStore builds one arm of the study: a 16-block tube aging under
@@ -152,7 +130,7 @@ func AgingStudy(days float64, steps, workers int) (*AgingResult, error) {
 	r := &AgingResult{Blocks: len(payload), Days: days, Steps: steps, MonotoneDecline: true}
 	step := days / float64(steps)
 	prevFrac := 1.0
-	repairStrands, repairReads := 0, 0
+	repairReads := 0
 	for i := 1; i <= steps; i++ {
 		if _, err := rawStore.Advance(step); err != nil {
 			return nil, err
@@ -166,7 +144,6 @@ func AgingStudy(days float64, steps, workers int) (*AgingResult, error) {
 			return nil, err
 		}
 		after := maintStore.Costs()
-		repairStrands += after.StrandsSynthesized - before.StrandsSynthesized
 		repairReads += after.ReadsSequenced - before.ReadsSequenced
 
 		uf, err := decodedFrac(rawPart, payload)
@@ -184,7 +161,6 @@ func AgingStudy(days float64, steps, workers int) (*AgingResult, error) {
 			Flagged:        report.BlocksFlagged,
 			Repaired:       report.Repaired,
 			Failed:         report.Failed,
-			RepairStrands:  repairStrands,
 			RepairReads:    repairReads,
 		}
 		r.Points = append(r.Points, pt)

@@ -58,48 +58,6 @@ type FaultsResult struct {
 	Deterministic bool
 }
 
-// Metrics returns the study's headline numbers for the -json report.
-func (r *FaultsResult) Metrics() map[string]float64 {
-	b2f := func(b bool) float64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	m := map[string]float64{
-		"blocks":        float64(r.Blocks),
-		"identical":     b2f(r.Identical),
-		"deterministic": b2f(r.Deterministic),
-	}
-	supMin, unsupMin := 1.0, 1.0
-	extraMax := 0.0
-	p99Max, exhausted, quarantined := 0, 0, 0
-	for _, a := range r.Arms {
-		if a.Supervised {
-			if a.SuccessFrac < supMin {
-				supMin = a.SuccessFrac
-			}
-			if a.ExtraReadFrac > extraMax {
-				extraMax = a.ExtraReadFrac
-			}
-			if a.P99Attempts > p99Max {
-				p99Max = a.P99Attempts
-			}
-			exhausted += a.Exhausted
-			quarantined += a.Quarantined
-		} else if a.SuccessFrac < unsupMin {
-			unsupMin = a.SuccessFrac
-		}
-	}
-	m["sup_success_min"] = supMin
-	m["unsup_success_min"] = unsupMin
-	m["sup_extra_read_frac_max"] = extraMax
-	m["sup_p99_attempts_max"] = float64(p99Max)
-	m["sup_exhausted_total"] = float64(exhausted)
-	m["quarantined_total"] = float64(quarantined)
-	return m
-}
-
 // faultStore builds one campaign store: a 16-block partition written
 // through the batch engine under the given fault plan. plan nil means
 // no injector at all (the no-op baseline); supervised arms the write

@@ -64,45 +64,6 @@ const BigPoolScale = 12
 // bigPoolBlocks x 15 molecules per unit ≈ a 10^6-strand tube.
 const bigPoolBlocks = 66_667
 
-// Metrics returns the study's headline numbers for the -json report.
-func (r *StreamResult) Metrics() map[string]float64 {
-	identical := 0.0
-	if r.Identical {
-		identical = 1
-	}
-	m := map[string]float64{
-		"scale":            float64(r.Scale),
-		"blocks":           float64(r.Blocks),
-		"range_blocks":     float64(r.RangeReads),
-		"batch_s":          r.BatchSeconds,
-		"stream_s":         r.StreamSeconds,
-		"speedup":          r.Speedup,
-		"batch_reads":      float64(r.BatchReads),
-		"stream_reads":     float64(r.StreamReads),
-		"stream_ejected":   float64(r.StreamEjected),
-		"reads_saved":      r.ReadsSaved,
-		"identical":        identical,
-		"shards":           float64(r.Shards),
-		"stage_a_s":        r.StageASeconds,
-		"stage_b_s":        r.StageBSeconds,
-		"finalize_s":       r.FinalizeSeconds,
-		"finalize_overlap": r.FinalizeOverlap,
-		"residue_frac":     r.ResidueFrac,
-	}
-	if r.BigStrands > 0 {
-		ok := 0.0
-		if r.BigOK {
-			ok = 1
-		}
-		m["big_strands"] = float64(r.BigStrands)
-		m["big_s"] = r.BigSeconds
-		m["big_reads"] = float64(r.BigReads)
-		m["big_budget"] = float64(r.BigBudget)
-		m["big_ok"] = ok
-	}
-	return m
-}
-
 // streamBenchStore builds one twin: the paper's depth-5 geometry, the
 // study seed, and the requested decode mode, with blocks sequential
 // payloads committed in one batch plus a small update history (an

@@ -58,13 +58,6 @@ func (r Result) Imbalance() float64 {
 	return a / b
 }
 
-func perStrand(p *pool.Pool, uniques int) float64 {
-	if uniques == 0 {
-		return 0
-	}
-	return p.Total() / float64(uniques)
-}
-
 func summarize(mixed *pool.Pool) Result {
 	res := Result{Mixed: mixed}
 	var origMass, updMass float64
