@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"dnastore/internal/decode"
 	"dnastore/internal/indextree"
 	"dnastore/internal/layout"
 	"dnastore/internal/primer"
@@ -71,6 +72,28 @@ func TestNewValidation(t *testing.T) {
 	cfg.CapacityFactor = 1
 	if _, err := New(cfg, primers); err == nil {
 		t.Error("capacity factor 1 accepted")
+	}
+}
+
+// TestNewRejectsNegativeDecodeTolerance: a negative primer tolerance
+// would discard every read and a negative index tolerance would resolve
+// no index, so New refuses both with the decoder's typed error.
+func TestNewRejectsNegativeDecodeTolerance(t *testing.T) {
+	lib := primer.NewLibrary(primer.DefaultConstraints())
+	lib.Search(rng.New(5), 4, 200000)
+	primers := lib.Primers()
+	for _, c := range []struct {
+		name string
+		set  func(*decode.Config)
+	}{
+		{"MaxPrimerDist", func(d *decode.Config) { d.MaxPrimerDist = -1 }},
+		{"MaxIndexDist", func(d *decode.Config) { d.MaxIndexDist = -1 }},
+	} {
+		cfg := testConfig()
+		c.set(&cfg.Decode)
+		if _, err := New(cfg, primers); !errors.Is(err, decode.ErrConfig) {
+			t.Errorf("negative %s: %v, want decode.ErrConfig", c.name, err)
+		}
 	}
 }
 

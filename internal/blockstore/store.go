@@ -279,7 +279,11 @@ const decaySeedSalt = 0x6465636179 // "decay"
 // primer library (two are consumed per partition); it must contain at
 // least two primers.
 func New(cfg Config, primers []dna.Seq) (*Store, error) {
-	if err := cfg.Geometry.Validate(); err != nil {
+	// The partitions' decode pipelines run cfg.Decode over the store's
+	// geometry; check both here rather than at the first partition.
+	dcfg := cfg.Decode
+	dcfg.Geometry = cfg.Geometry
+	if err := dcfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.TreeDepth < 1 || cfg.TreeDepth > indextree.MaxDepth {

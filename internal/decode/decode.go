@@ -27,6 +27,10 @@ import (
 // given reads.
 var ErrDecode = errors.New("decode: cannot reconstruct block")
 
+// ErrConfig is returned by New (and Config.Validate) for a distance
+// tolerance the pipeline cannot run with.
+var ErrConfig = errors.New("decode: invalid configuration")
+
 // Typed health errors classify why a unit failed, so callers can
 // distinguish a transient sequencing shortfall from permanent data
 // loss. Both wrap ErrDecode, so existing errors.Is(err, ErrDecode)
@@ -79,6 +83,22 @@ type Config struct {
 	Workers int
 }
 
+// Validate checks the geometry and the distance tolerances. A negative
+// MaxPrimerDist would make Keep discard every read, and a negative
+// MaxIndexDist would let no index resolve, so each wraps ErrConfig.
+func (c Config) Validate() error {
+	if err := c.Geometry.Validate(); err != nil {
+		return err
+	}
+	if c.MaxPrimerDist < 0 {
+		return fmt.Errorf("%w: MaxPrimerDist %d is negative", ErrConfig, c.MaxPrimerDist)
+	}
+	if c.MaxIndexDist < 0 {
+		return fmt.Errorf("%w: MaxIndexDist %d is negative", ErrConfig, c.MaxIndexDist)
+	}
+	return nil
+}
+
 // PatternCompiler memoizes dna.CompilePattern results across
 // consumers. *binding.Cache implements it; the interface is declared
 // here structurally so the pipeline does not depend on the cache.
@@ -115,7 +135,7 @@ type Pipeline struct {
 // New constructs a pipeline for a partition defined by its primer pair,
 // index tree and randomization seed.
 func New(cfg Config, tree *indextree.Tree, fwd, rev dna.Seq, rand *codec.Randomizer) (*Pipeline, error) {
-	if err := cfg.Geometry.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if tree == nil || rand == nil {
@@ -227,18 +247,11 @@ func (p *Pipeline) reconstruct(ws *workspace, reads []dna.Seq, size int) (strand
 	pos := g.PrimerLen + 1 // skip forward primer and sync base
 	idx := cons[pos : pos+g.IndexLen]
 	pos += g.IndexLen
-	// Fast path: a strict tree decode succeeds for the vast majority of
-	// consensus strands; only corrupted indexes pay for the tolerant
-	// nearest-leaf scan.
-	block, dist := 0, 0
-	if b, err := p.tree.Decode(idx); err == nil {
-		block = b
-	} else {
-		b, d, err := p.tree.NearestLeaf(idx, p.cfg.MaxIndexDist)
-		if err != nil {
-			return strandCandidate{}, false
-		}
-		block, dist = b, d
+	// The strict walk settles the vast majority of consensus indexes;
+	// only corrupted ones pay for the pruned tolerant search.
+	block, dist, ok := p.tree.Resolve(idx, p.cfg.MaxIndexDist)
+	if !ok {
+		return strandCandidate{}, false
 	}
 	version := 0
 	for i := 0; i < g.VersionBases; i++ {
@@ -288,11 +301,7 @@ func (p *Pipeline) ProvisionalAddress(read dna.Seq) (block, version, intra int, 
 	}
 	idx := read[pos : pos+g.IndexLen]
 	pos += g.IndexLen
-	if b, err := p.tree.Decode(idx); err == nil {
-		block = b
-	} else if b, _, nerr := p.tree.NearestLeaf(idx, p.cfg.MaxIndexDist); nerr == nil {
-		block = b
-	} else {
+	if block, _, ok = p.tree.Resolve(idx, p.cfg.MaxIndexDist); !ok {
 		return 0, 0, 0, false
 	}
 	for i := 0; i < g.VersionBases; i++ {

@@ -116,6 +116,16 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(cfg, e.tree, fwdP, revP, e.rand); err == nil {
 		t.Error("invalid geometry accepted")
 	}
+	cfg = DefaultConfig()
+	cfg.MaxPrimerDist = -1
+	if _, err := New(cfg, e.tree, fwdP, revP, e.rand); !errors.Is(err, ErrConfig) {
+		t.Errorf("negative MaxPrimerDist: %v, want ErrConfig", err)
+	}
+	cfg = DefaultConfig()
+	cfg.MaxIndexDist = -1
+	if _, err := New(cfg, e.tree, fwdP, revP, e.rand); !errors.Is(err, ErrConfig) {
+		t.Errorf("negative MaxIndexDist: %v, want ErrConfig", err)
+	}
 }
 
 func TestDecodeSingleBlockClean(t *testing.T) {

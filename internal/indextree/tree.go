@@ -272,48 +272,186 @@ func (t *Tree) Prefix(leaf, levels int) (dna.Seq, error) {
 	if err != nil {
 		return nil, err
 	}
-	per := 2
-	if t.variant == Dense {
-		per = 1
-	}
-	return full[:levels*per], nil
+	return full[:levels*t.basesPerLevel()], nil
 }
 
 // Decode maps a full DNA index back to its leaf number, validating both
 // the edge letters and the sparsity letters. It returns ErrInvalidIndex
 // for sequences that are not produced by Encode.
 func (t *Tree) Decode(seq dna.Seq) (int, error) {
-	if len(seq) != t.IndexLen() {
+	leaf, level, id, ok := t.walk(seq)
+	if ok {
+		return leaf, nil
+	}
+	if level < 0 {
 		return 0, fmt.Errorf("%w: length %d, want %d", ErrInvalidIndex, len(seq), t.IndexLen())
 	}
-	leaf := 0
-	id := rootID
-	pos := 0
-	for level := 0; level < t.depth; level++ {
+	p := t.node(id)
+	pos := level * t.basesPerLevel()
+	edge := seq[pos]
+	rank := p.rank(edge)
+	if rank < 0 {
+		return 0, fmt.Errorf("%w: no edge %v at level %d", ErrInvalidIndex, edge, level)
+	}
+	return 0, fmt.Errorf("%w: spacer %v at level %d, want %v",
+		ErrInvalidIndex, seq[pos+1], level, p.spacer[rank])
+}
+
+// basesPerLevel is the number of index bases each tree level appends:
+// the edge letter, plus the sparsity letter in the sparse variants.
+func (t *Tree) basesPerLevel() int {
+	if t.variant == Dense {
+		return 1
+	}
+	return 2
+}
+
+// rank returns the child rank whose edge letter is edge, or -1.
+func (p *nodeParams) rank(edge dna.Base) int {
+	for rk := 0; rk < 4; rk++ {
+		if p.edge[rk] == edge {
+			return rk
+		}
+	}
+	return -1
+}
+
+// walk follows seq strictly down the tree, one edge letter (and
+// sparsity letter) per level, without allocating. For a valid full
+// index it returns the leaf and ok. Otherwise level is the level whose
+// letters failed to match, at the node id, or -1 when seq has the wrong
+// length.
+func (t *Tree) walk(seq dna.Seq) (leaf, level int, id uint64, ok bool) {
+	if len(seq) != t.IndexLen() {
+		return 0, -1, 0, false
+	}
+	per := t.basesPerLevel()
+	id = rootID
+	for level = 0; level < t.depth; level++ {
 		p := t.node(id)
-		edge := seq[pos]
-		pos++
-		rank := -1
-		for rk := 0; rk < 4; rk++ {
-			if p.edge[rk] == edge {
-				rank = rk
-				break
-			}
-		}
-		if rank < 0 {
-			return 0, fmt.Errorf("%w: no edge %v at level %d", ErrInvalidIndex, edge, level)
-		}
-		if t.variant != Dense {
-			if spacer := seq[pos]; spacer != p.spacer[rank] {
-				return 0, fmt.Errorf("%w: spacer %v at level %d, want %v",
-					ErrInvalidIndex, spacer, level, p.spacer[rank])
-			}
-			pos++
+		pos := level * per
+		rank := p.rank(seq[pos])
+		if rank < 0 || (per == 2 && seq[pos+1] != p.spacer[rank]) {
+			return 0, level, id, false
 		}
 		leaf = leaf<<2 | rank
 		id = childID(id, rank)
 	}
-	return leaf, nil
+	return leaf, 0, 0, true
+}
+
+// Resolve maps a possibly damaged index to the leaf whose index is
+// nearest to seq in edit distance, provided that distance is at most
+// maxDist; ties go to the lowest leaf. A valid index resolves by the
+// strict walk Decode uses. Any other sequence walks the tree depth-first
+// in rank order, so leaves are visited in ascending order, carrying one
+// Levenshtein DP row per appended index base (edge letter, then
+// sparsity letter). A subtree is pruned as soon as its row rules out a
+// leaf closer than the best one found, which is why the first leaf at
+// the least distance is the one kept. Resolve allocates nothing for
+// queries up to twice the index length and is safe for concurrent use.
+func (t *Tree) Resolve(seq dna.Seq, maxDist int) (leaf, dist int, ok bool) {
+	if maxDist < 0 {
+		return 0, 0, false
+	}
+	if leaf, _, _, ok := t.walk(seq); ok {
+		return leaf, 0, true
+	}
+	// Every leaf index is at least the length difference away, and
+	// none is exact once the strict walk has failed.
+	n := t.IndexLen()
+	lower := max(len(seq)-n, n-len(seq), 1)
+	if lower > maxDist {
+		return 0, 0, false
+	}
+	return t.search(seq, maxDist, lower)
+}
+
+// searchCells sizes search's stack-held DP table: one row per index
+// prefix length of the deepest tree, each row wide enough for a query
+// of twice the longest index.
+const searchCells = (2*MaxDepth + 1) * (4*MaxDepth + 1)
+
+// search is Resolve's pruned depth-first walk. Row j of the DP table
+// holds the edit distances between the first j bases of the current
+// path's index and every prefix of seq. The walk stops early once a
+// leaf reaches lower, the least distance any leaf can have.
+func (t *Tree) search(seq dna.Seq, maxDist, lower int) (leaf, dist int, ok bool) {
+	n, cols := t.IndexLen(), len(seq)+1
+	var buf [searchCells]int32
+	cells := buf[:]
+	if need := (n + 1) * cols; need > len(buf) {
+		cells = make([]int32, need)
+	}
+	for i := 0; i < cols; i++ {
+		cells[i] = int32(i)
+	}
+	row := func(j int) []int32 { return cells[j*cols : (j+1)*cols] }
+	per := t.basesPerLevel()
+	last := t.depth - 1
+	var nodes [MaxDepth]nodeParams
+	var ids [MaxDepth]uint64
+	var next [MaxDepth]int // next child rank to visit at each level
+	nodes[0], ids[0] = t.node(rootID), rootID
+	best, bestLeaf := int32(maxDist+1), -1
+	for level := 0; level >= 0; {
+		rank := next[level]
+		if rank == 4 {
+			level--
+			continue
+		}
+		next[level]++
+		p := &nodes[level]
+		j := level*per + 1 // the row the edge letter fills
+		low := extendRow(row(j-1), row(j), seq, p.edge[rank], n-j)
+		if per == 2 && low < best {
+			j++
+			low = extendRow(row(j-1), row(j), seq, p.spacer[rank], n-j)
+		}
+		if low >= best {
+			continue
+		}
+		if level < last {
+			level++
+			ids[level] = childID(ids[level-1], rank)
+			nodes[level], next[level] = t.node(ids[level]), 0
+			continue
+		}
+		// On a leaf's last row the bound is the leaf's distance itself.
+		best, bestLeaf = low, 0
+		for l := 0; l <= last; l++ {
+			bestLeaf = bestLeaf<<2 | (next[l] - 1)
+		}
+		if int(best) <= lower {
+			break
+		}
+	}
+	if bestLeaf < 0 {
+		return 0, 0, false
+	}
+	return bestLeaf, int(best), true
+}
+
+// extendRow fills cur, the DP row for an index prefix one base b longer
+// than prev's, and returns a lower bound on the distance from seq to any
+// full index extending that prefix, which has rest bases still to come:
+// the least over cur's cells of the cell's distance plus the length
+// difference between the two remainders it leaves.
+func extendRow(prev, cur []int32, seq dna.Seq, b dna.Base, rest int) int32 {
+	r := int32(rest)
+	m := int32(len(seq))
+	cur[0] = prev[0] + 1
+	low := cur[0] + max(r-m, m-r)
+	for i := 1; i < len(cur); i++ {
+		d := min(prev[i]+1, cur[i-1]+1, prev[i-1]+1)
+		if seq[i-1] == b {
+			d = min(d, prev[i-1])
+		}
+		cur[i] = d
+		left := m - int32(i)
+		low = min(low, d+max(r-left, left-r))
+	}
+	return low
 }
 
 // CoverRange is one element of a range cover: a subtree prefix and the
@@ -358,55 +496,4 @@ func (t *Tree) Cover(lo, hi int) ([]CoverRange, error) {
 	}
 	walk(rootID, make(dna.Seq, 0, t.IndexLen()), 0, t.Leaves())
 	return out, nil
-}
-
-// NearestLeaf scans all leaf indexes and returns the leaf whose index is
-// closest in edit distance to seq, together with that distance. maxDist
-// bounds the search; if no leaf is within maxDist the function returns
-// ErrInvalidIndex. Intended for misprime analysis and tolerant decoding
-// on trees of moderate depth (the scan is linear in the leaf count).
-func (t *Tree) NearestLeaf(seq dna.Seq, maxDist int) (leaf, dist int, err error) {
-	// The query is compiled once; each candidate leaf index then costs
-	// one bit-parallel pass bounded by the best distance so far.
-	pat := dna.CompilePattern(seq)
-	bestLeaf, bestDist := -1, maxDist+1
-	for l := 0; l < t.Leaves(); l++ {
-		idx, err := t.Encode(l)
-		if err != nil {
-			return 0, 0, err
-		}
-		d, ok := pat.DistanceAtMost(idx, bestDist-1)
-		if !ok {
-			continue
-		}
-		bestLeaf, bestDist = l, d
-		if d == 0 {
-			break
-		}
-	}
-	if bestLeaf < 0 {
-		return 0, 0, fmt.Errorf("%w: no leaf within distance %d", ErrInvalidIndex, maxDist)
-	}
-	return bestLeaf, bestDist, nil
-}
-
-// LeavesWithin returns all leaves whose index is within edit distance
-// maxDist of the given index, excluding the exact leaf itself when
-// excludeExact is set. Used by the Section 8.1 misprime analysis.
-func (t *Tree) LeavesWithin(seq dna.Seq, maxDist int, excludeExact bool) []int {
-	pat := dna.CompilePattern(seq)
-	var out []int
-	for l := 0; l < t.Leaves(); l++ {
-		idx, err := t.Encode(l)
-		if err != nil {
-			continue
-		}
-		if excludeExact && idx.Equal(seq) {
-			continue
-		}
-		if pat.LevenshteinAtMost(idx, maxDist) {
-			out = append(out, l)
-		}
-	}
-	return out
 }

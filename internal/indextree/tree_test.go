@@ -347,52 +347,6 @@ func TestCoverMinimality(t *testing.T) {
 	}
 }
 
-func TestNearestLeaf(t *testing.T) {
-	tr := MustNew(5, 31)
-	idx, _ := tr.Encode(531)
-	leaf, dist, err := tr.NearestLeaf(idx, 3)
-	if err != nil || leaf != 531 || dist != 0 {
-		t.Fatalf("exact index: leaf=%d dist=%d err=%v", leaf, dist, err)
-	}
-	// One substitution still resolves to the right leaf (sibling distance
-	// guarantees make radius-1 balls disjoint at the last level).
-	mut := idx.Clone()
-	mut[9] = mut[8] // invalid spacer, distance 1 from true index
-	leaf, dist, err = tr.NearestLeaf(mut, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dist > 1 {
-		t.Errorf("mutated index: dist=%d want <=1", dist)
-	}
-	if _, _, err := tr.NearestLeaf(dna.MustFromString("AAAAAAAAAA"), 0); err == nil {
-		// An all-A sequence is GC-imbalanced and cannot be a valid index,
-		// so no leaf should be within distance 0.
-		t.Error("all-A index matched at distance 0")
-	}
-}
-
-func TestLeavesWithin(t *testing.T) {
-	tr := MustNew(5, 37)
-	idx, _ := tr.Encode(144)
-	within := tr.LeavesWithin(idx, 0, false)
-	if len(within) != 1 || within[0] != 144 {
-		t.Fatalf("radius 0: %v", within)
-	}
-	if got := tr.LeavesWithin(idx, 0, true); len(got) != 0 {
-		t.Fatalf("radius 0 excluding exact: %v", got)
-	}
-	// Radius 3 should include some other blocks (the paper's misprime
-	// sources are 2-3 edit distance away) but only a handful out of 1024.
-	neighbors := tr.LeavesWithin(idx, 3, true)
-	if len(neighbors) == 0 {
-		t.Error("no neighbors within distance 3; tree is implausibly spread")
-	}
-	if len(neighbors) > 200 {
-		t.Errorf("%d neighbors within distance 3; tree is implausibly dense", len(neighbors))
-	}
-}
-
 func TestVariantString(t *testing.T) {
 	if Sparse.String() != "sparse" || SparseRandom.String() != "sparse-random" ||
 		Dense.String() != "dense" || Variant(9).String() == "" {
