@@ -57,7 +57,7 @@ type Provider interface {
 	// Begin starts one reaction over the given primer pairs with the
 	// given per-pair edit-distance budget and returns its binding view.
 	// input is the reaction's template pool before amplification; a
-	// caching provider may use its identity (pool.Version) to assemble
+	// caching provider may use its identity (pool.ID) to assemble
 	// index-addressed rows, while Direct ignores it.
 	Begin(pairs []Pair, maxDist int, input *pool.Pool) Reaction
 }

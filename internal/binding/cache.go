@@ -79,7 +79,7 @@ func (s Stats) HitRate() float64 {
 //     the binding and the window key's bytes in a per-shard arena.
 //
 //   - Per (primer pair, pool identity) dense rows indexed by species
-//     position, assembled at Begin from pool.Version()'s id. Pools are
+//     position, assembled at Begin from pool.ID(). Pools are
 //     append-only, so a row slot, once filled, is valid forever; the
 //     id is purely an assembly address, never an invalidation hook.
 //     Rows exist because the bit-parallel engine made a single
@@ -357,7 +357,7 @@ func (c *Cache) Begin(pairs []Pair, maxDist int, input *pool.Pool) Reaction {
 	rx := &cachedReaction{c: c, maxDist: maxDist, pairs: make([]cachedPair, len(pairs))}
 	var id uint64
 	if input != nil {
-		id, _ = input.Version()
+		id = input.ID()
 		rx.n0 = input.Len()
 	}
 	var key []byte

@@ -258,22 +258,26 @@ func (p *Partition) react(rx reaction, pcrWorkers int, wet wetMode, scale float6
 	info.gain = st.Gain()
 	info.quarantined, info.foreignFrac = rep.quarantined, rep.foreignFrac
 	info.budget = budget
+	// Both protocols draw the injected delivery ceiling before the
+	// first read, so a stream's adaptive early stop never looks like an
+	// abort.
+	ceiling := p.store.faultBudget(rx.src, budget)
+	info.truncated = ceiling < budget
 	var decoded map[int]*decode.BlockResult
 	switch {
 	case !p.streams(wet, scale, info.gain):
-		info.delivered = p.store.faultBudget(rx.src, info.budget)
-		info.truncated = info.delivered < info.budget
+		info.delivered = ceiling
 		var seqs []dna.Seq
-		if seqs, err = p.store.sequence(rx.src, amplified, info.delivered); err != nil {
+		if seqs, err = p.store.sequence(rx.src, amplified, ceiling); err != nil {
 			return nil, info, err
 		}
 		decoded, err = streamdecode.Decode(p.pipeline, seqs, rx.block)
 	case rx.block >= 0:
 		var res *decode.BlockResult
-		res, err = p.streamBlock(rx.src, amplified, rx.block, &info, wet == wetNoSlack)
+		res, err = p.streamBlock(rx.src, amplified, rx.block, ceiling, &info, wet == wetNoSlack)
 		decoded = map[int]*decode.BlockResult{rx.block: res}
 	default:
-		decoded, err = p.streamTargets(rx.src, amplified, p.writtenIn(rx.lo, rx.hi), info.budget)
+		decoded, err = p.streamTargets(rx.src, amplified, p.writtenIn(rx.lo, rx.hi), ceiling)
 	}
 	results := make(map[int]*decode.BlockResult, len(decoded))
 	for b, got := range decoded {

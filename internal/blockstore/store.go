@@ -326,7 +326,7 @@ func New(cfg Config, primers []dna.Seq) (*Store, error) {
 		prof := *cfg.Decay
 		cfg.Decay = &prof
 	}
-	sampler, err := seqsim.NewSampler(seqsim.Profile{Rates: cfg.Rates})
+	sampler, err := seqsim.NewSampler(cfg.Rates)
 	if err != nil {
 		return nil, err
 	}
@@ -815,17 +815,20 @@ func (s *Store) quarantine(amplified *pool.Pool) (zeroed int, foreignFrac float6
 // no injector is configured.
 func (s *Store) FaultStats() fault.Stats { return s.cfg.Faults.Stats() }
 
-// sequence samples n reads from an amplified pool, counts them, and
-// returns their sequences. The store's sampler was validated at
-// construction, so no per-reaction profile checks run here.
+// sequence draws n ungated reads off one stream over an amplified
+// pool, counts them, and returns their sequences. The store's sampler
+// was validated at construction, so no per-reaction rate checks run
+// here.
 func (s *Store) sequence(r *rng.Source, amplified *pool.Pool, n int) ([]dna.Seq, error) {
 	s.addCosts(func(c *Costs) { c.ReadsSequenced += n })
-	reads, err := s.sampler.Sample(r, amplified, n)
+	st, err := s.sampler.Stream(r, amplified)
 	if err != nil {
 		return nil, err
 	}
-	seqs := make([]dna.Seq, len(reads))
-	for i, rd := range reads {
+	defer st.Close()
+	seqs := make([]dna.Seq, n)
+	for i := range seqs {
+		rd, _ := st.Next(nil)
 		seqs[i] = rd.Seq
 	}
 	return seqs, nil

@@ -227,17 +227,13 @@ func (p *Partition) closePore(s *pore) {
 // 10^6-strand tube scale the carryover junk would otherwise consume
 // the whole read budget before the floor filled. If the floor proves
 // too shallow (the finalize cannot serve an expected version), Reopen
-// doubles it and the stream continues, degrading toward the full
-// budget spent entirely on admissible molecules. An injected
-// sequencing abort truncates the reaction's delivery ceiling below the
-// budget before the first draw, exactly as it truncates a full-budget
-// run. The stream reads info.budget and records its evidence in info:
-// reads sequenced, whether the ceiling was truncated, total pore
-// entries (the stream's true effort), and the engine's live mean
+// doubles it and the stream continues, degrading toward the delivery
+// ceiling spent entirely on admissible molecules. The ceiling is the
+// reaction's budget after any injected sequencing abort (react draws
+// it). The stream records its evidence in info: reads sequenced, total
+// pore entries (the stream's true effort), and the engine's live mean
 // per-slot coverage of the target.
-func (p *Partition) streamBlock(r *rng.Source, amplified *pool.Pool, block int, info *wetInfo, strict bool) (*decode.BlockResult, error) {
-	ceiling := p.store.faultBudget(r, info.budget)
-	info.truncated = ceiling < info.budget
+func (p *Partition) streamBlock(r *rng.Source, amplified *pool.Pool, block, ceiling int, info *wetInfo, strict bool) (*decode.BlockResult, error) {
 	s, err := p.openPore(r, amplified, ceiling, strict)
 	if err != nil {
 		return nil, err
@@ -310,11 +306,17 @@ func (p *Partition) poreGate(amplified *pool.Pool, eng *streamdecode.Engine) fun
 // once — by the same provisional-address parser the engine uses, never
 // the simulator's ground-truth metadata — and molecules of finished
 // targets or of blocks outside the target set are ejected unsequenced.
-// Targets that still fail to decode at the floor are reopened — their
-// floors double per round — and the stream escalates until every target
-// decodes or the full budget (or the pore-entry bound) is exhausted.
-func (p *Partition) streamTargets(r *rng.Source, amplified *pool.Pool, targets []int, budget int) (map[int]*decode.BlockResult, error) {
-	s, err := p.openPore(r, amplified, p.store.faultBudget(r, budget), false)
+// Once the first finalize at the floors has produced a result for some
+// target, targets that lack one of their expected versions are
+// reopened — their floors double per round — and the stream escalates
+// until every target serves its versions or the delivery ceiling (or
+// the pore-entry bound) is exhausted. If that first finalize fails
+// outright (Engine.Finalize errors only when no target produced a
+// result), the stream gives up at the floors without escalating,
+// unlike streamBlock, which reopens a failed lone target. The ceiling
+// is the reaction's budget after any injected sequencing abort.
+func (p *Partition) streamTargets(r *rng.Source, amplified *pool.Pool, targets []int, ceiling int) (map[int]*decode.BlockResult, error) {
+	s, err := p.openPore(r, amplified, ceiling, false)
 	if err != nil {
 		return nil, err
 	}

@@ -259,6 +259,48 @@ func TestStreamingSeqAbortClassified(t *testing.T) {
 	}
 }
 
+// TestStreamingCoverSeqAbortCapped pins that a streamed cover reaction
+// honours an injected abort's delivery ceiling: every run aborts at 5%
+// of its budget, so a range read may sequence at most the truncated
+// budgets of its cover reactions.
+func TestStreamingCoverSeqAbortCapped(t *testing.T) {
+	const frac = 0.05
+	cfg := testConfig()
+	cfg.Workers = 1
+	cfg.Streaming = true
+	inj, err := fault.NewInjector(fault.Plan{SeqAbort: 1, SeqAbortFrac: frac})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = inj
+	s := newTestStore(t, cfg)
+	p, err := s.CreatePartition("cover-abort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 8; b++ {
+		if err := p.WriteBlock(b, bytes.Repeat([]byte{byte('a' + b)}, 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := s.Costs().ReadsSequenced
+	if _, err := p.Read(ReadRequest{Range: &Span{Lo: 0, Hi: 7}, Mode: ReadHealth}); err != nil {
+		t.Fatal(err)
+	}
+	got := s.Costs().ReadsSequenced - before
+	pl, err := p.planRange(0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ceiling := 0
+	for _, rx := range pl.reactions {
+		ceiling += max(int(float64(s.ReadBudget(rx.units))*frac), 1)
+	}
+	if got == 0 || got > ceiling {
+		t.Errorf("aborted range read sequenced %d reads, want 1..%d (the truncated budgets)", got, ceiling)
+	}
+}
+
 // amplifyBlock plans one block's read and runs its elongated PCR,
 // returning the amplified aliquot, the reaction's noise source after
 // PCR, and the reaction's read budget.
@@ -315,10 +357,12 @@ func TestStreamLeavesSourceUnmoved(t *testing.T) {
 		amplified, src, budget := amplifyBlock(t, p, b)
 		strictSrc, slackSrc := *src, *src
 		strictInfo, slackInfo := wetInfo{budget: budget}, wetInfo{budget: budget}
-		if _, err := p.streamBlock(&strictSrc, amplified, b, &strictInfo, true); err != nil {
+		strictCeil := p.store.faultBudget(&strictSrc, budget)
+		slackCeil := p.store.faultBudget(&slackSrc, budget)
+		if _, err := p.streamBlock(&strictSrc, amplified, b, strictCeil, &strictInfo, true); err != nil {
 			t.Fatalf("block %d strict: %v", b, err)
 		}
-		if _, err := p.streamBlock(&slackSrc, amplified, b, &slackInfo, false); err != nil {
+		if _, err := p.streamBlock(&slackSrc, amplified, b, slackCeil, &slackInfo, false); err != nil {
 			t.Fatalf("block %d slack: %v", b, err)
 		}
 		if strictSrc != slackSrc {

@@ -315,7 +315,7 @@ func readTranscript(t *testing.T, streaming bool) []string {
 			sample.Add(tube.SeqAt(i), tube.Abundance(i), m)
 		}
 	}
-	reads, err := seqsim.Sample(rng.New(77), sample, 900, seqsim.Profile{Rates: s.Config().Rates})
+	reads, err := seqsim.Sample(rng.New(77), sample, 900, s.Config().Rates)
 	if err != nil {
 		t.Fatal(err)
 	}

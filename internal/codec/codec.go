@@ -42,29 +42,6 @@ func BasesToBytes(seq dna.Seq) ([]byte, error) {
 	return out, nil
 }
 
-// NibblesToBases maps GF(16) symbols (low 4 bits used) to base pairs.
-func NibblesToBases(nibbles []byte) dna.Seq {
-	out := make(dna.Seq, len(nibbles)*2)
-	for i, n := range nibbles {
-		out[i*2] = dna.Base(n >> 2 & 3)
-		out[i*2+1] = dna.Base(n & 3)
-	}
-	return out
-}
-
-// BasesToNibbles is the inverse of NibblesToBases. The sequence length
-// must be even.
-func BasesToNibbles(seq dna.Seq) ([]byte, error) {
-	if len(seq)%2 != 0 {
-		return nil, fmt.Errorf("codec: sequence length %d not even", len(seq))
-	}
-	out := make([]byte, len(seq)/2)
-	for i := range out {
-		out[i] = byte(seq[i*2])<<2 | byte(seq[i*2+1])
-	}
-	return out, nil
-}
-
 // BytesToNibbles splits bytes into 4-bit symbols, high nibble first.
 func BytesToNibbles(data []byte) []byte {
 	out := make([]byte, len(data)*2)

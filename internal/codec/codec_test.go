@@ -40,24 +40,6 @@ func TestBasesToBytesRejectsBadLength(t *testing.T) {
 	}
 }
 
-func TestNibblesBasesRoundTrip(t *testing.T) {
-	f := func(data []byte) bool {
-		nibbles := make([]byte, len(data))
-		for i, v := range data {
-			nibbles[i] = v & 0x0f
-		}
-		seq := NibblesToBases(nibbles)
-		back, err := BasesToNibbles(seq)
-		if err != nil || len(back) != len(nibbles) {
-			return false
-		}
-		return bytes.Equal(back, nibbles)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestBytesNibblesRoundTrip(t *testing.T) {
 	f := func(data []byte) bool {
 		n := BytesToNibbles(data)
@@ -74,12 +56,6 @@ func TestBytesNibblesRoundTrip(t *testing.T) {
 	}
 	if _, err := NibblesToBytes([]byte{1}); err == nil {
 		t.Error("odd nibble count should fail")
-	}
-}
-
-func TestBasesToNibblesRejectsOdd(t *testing.T) {
-	if _, err := BasesToNibbles(dna.MustFromString("ACG")); err == nil {
-		t.Error("odd length should fail")
 	}
 }
 

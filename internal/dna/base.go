@@ -40,9 +40,6 @@ func (b Base) Rune() rune {
 // String implements fmt.Stringer.
 func (b Base) String() string { return string(b.Rune()) }
 
-// Valid reports whether b is one of the four bases.
-func (b Base) Valid() bool { return b < NumBases }
-
 // IsGC reports whether the base is guanine or cytosine. GC-content
 // constraints on primers are expressed in terms of this predicate.
 func (b Base) IsGC() bool { return b == G || b == C }

@@ -44,7 +44,7 @@ func Decode8(w *Wetlab, b *Fig9bResult, startReads int) (*DecodeResult, error) {
 	want := startReads
 	for {
 		grow := want - total
-		reads, err := seqsim.Sample(w.Rng, b.Product, grow, seqsim.Profile{Rates: w.Store.Config().Rates})
+		reads, err := seqsim.Sample(w.Rng, b.Product, grow, w.Store.Config().Rates)
 		if err != nil {
 			return nil, err
 		}

@@ -66,7 +66,7 @@ func Fig10(w *Wetlab, protocol string, nReads int) (*Fig10Result, error) {
 	}
 	res.Imbalance = mixed.Imbalance()
 
-	reads, err := seqsim.Sample(w.Rng, mixed.Mixed, nReads, seqsim.Profile{Rates: cfg.Rates})
+	reads, err := seqsim.Sample(w.Rng, mixed.Mixed, nReads, cfg.Rates)
 	if err != nil {
 		return nil, err
 	}

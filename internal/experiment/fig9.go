@@ -38,7 +38,7 @@ func Fig9a(w *Wetlab, nReads int) (*Fig9aResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	reads, err := seqsim.Sample(w.Rng, amplified, nReads, seqsim.Profile{Rates: w.Store.Config().Rates})
+	reads, err := seqsim.Sample(w.Rng, amplified, nReads, w.Store.Config().Rates)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +157,7 @@ func Fig9Elongated(w *Wetlab, stage1 *pool.Pool, block, nReads int) (*Fig9bResul
 	if err != nil {
 		return nil, err
 	}
-	reads, err := seqsim.Sample(w.Rng, product, nReads, seqsim.Profile{Rates: cfg.Rates})
+	reads, err := seqsim.Sample(w.Rng, product, nReads, cfg.Rates)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +213,7 @@ func Fig9Multiplex(w *Wetlab, stage1 *pool.Pool, blocks []int, nReads int) (*Mul
 	if err != nil {
 		return nil, err
 	}
-	reads, err := seqsim.Sample(w.Rng, product, nReads, seqsim.Profile{Rates: cfg.Rates})
+	reads, err := seqsim.Sample(w.Rng, product, nReads, cfg.Rates)
 	if err != nil {
 		return nil, err
 	}

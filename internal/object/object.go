@@ -278,7 +278,7 @@ func (s *Store) Get(name string) ([]byte, error) {
 	}
 	nreads := int(math.Ceil(float64(obj.units*obj.unit.Molecules()) * s.cfg.CoverageDepth * 1.5))
 	s.costs.ReadsSequenced += nreads
-	reads, err := seqsim.Sample(obj.noise, amplified, nreads, seqsim.Profile{Rates: s.cfg.Rates})
+	reads, err := seqsim.Sample(obj.noise, amplified, nreads, s.cfg.Rates)
 	if err != nil {
 		return nil, err
 	}

@@ -142,7 +142,7 @@ type segment struct {
 }
 
 // lastPoolID hands out process-unique pool identities; ids are never
-// reused, so (id, revision) pairs from different pools never collide.
+// reused, so two pools never share one.
 var lastPoolID atomic.Uint64
 
 // lastEpoch hands out process-unique write epochs. Clone gives both
@@ -195,7 +195,6 @@ type Pool struct {
 
 	keyBuf []byte // reusable scratch for packed lookup keys
 	id     uint64 // process-unique identity, assigned on first use
-	rev    uint64 // bumped by every mutating operation
 }
 
 // New returns an empty pool.
@@ -214,11 +213,11 @@ func (p *Pool) init() {
 	}
 }
 
-// Version identifies the pool's current contents: a process-unique pool
-// id plus a revision bumped by every mutating operation. External
-// caches over pool contents (e.g. seqsim's alias sampling tables) use
-// it to detect staleness without hashing species.
-func (p *Pool) Version() (id, rev uint64) { return p.id, p.rev }
+// ID is the pool's process-unique identity; a zero-value pool reports
+// 0 until its first Add. Pools are append-only, so an external
+// table indexed by species position (binding's per-pool rows) stays
+// valid under one id for the pool's lifetime.
+func (p *Pool) ID() uint64 { return p.id }
 
 // ensureOwned makes the pool's slice headers private before the first
 // mutation after a Clone. The segments and chunks they point at stay
@@ -390,7 +389,6 @@ func (p *Pool) Release() {
 	p.total.Store(0)
 	p.totalDirty.Store(false)
 	p.shared.Store(false)
-	p.rev++
 }
 
 // --- species index over arena spans --------------------------------------
@@ -524,7 +522,6 @@ func (p *Pool) AddPacked(seq dna.Packed, abundance float64, meta Meta) int {
 // marker) of a sequence of n bases.
 func (p *Pool) add(key []byte, n int, abundance float64, meta Meta) int {
 	p.ensureOwned()
-	p.rev++
 	if p.idx == nil {
 		p.reindex()
 	}
@@ -553,11 +550,9 @@ func (p *Pool) add(key []byte, n int, abundance float64, meta Meta) int {
 }
 
 // Boost adds amount to the abundance of the species at index i. It is
-// the in-place growth operation of the PCR apply phase; routing it
-// through the pool keeps Version tracking sound.
+// the in-place growth operation of the PCR apply phase.
 func (p *Pool) Boost(i int, amount float64) {
 	p.ensureOwned()
-	p.rev++
 	s := p.writableSeg(i >> segShift)
 	s.recs[i&segMask].abundance += amount
 	p.totalDirty.Store(true)
@@ -566,7 +561,6 @@ func (p *Pool) Boost(i int, amount float64) {
 // SetAbundance overwrites the abundance of the species at index i.
 func (p *Pool) SetAbundance(i int, v float64) {
 	p.ensureOwned()
-	p.rev++
 	s := p.writableSeg(i >> segShift)
 	s.recs[i&segMask].abundance = v
 	p.totalDirty.Store(true)
@@ -580,7 +574,6 @@ func (p *Pool) Scale(factor float64) {
 	}
 	p.init()
 	p.ensureOwned()
-	p.rev++
 	for si := range p.segs {
 		s := p.writableSeg(si)
 		for j := range s.recs {

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"dnastore/internal/channel"
 	"dnastore/internal/dna"
@@ -36,27 +35,14 @@ type Read struct {
 	Meta pool.Meta
 }
 
-// Profile configures the read channel.
-type Profile struct {
-	Rates channel.Rates
-}
-
-// IlluminaProfile returns the default Illumina-like error profile.
-func IlluminaProfile() Profile { return Profile{Rates: channel.Illumina()} }
-
-// aliasCacheSize is how many pools a Sampler remembers alias tables
-// for, for Sample. Repeated-sampling experiments revisit one pool.
-const aliasCacheSize = 4
-
 // aliasTable is a Walker/Vose alias table over a pool's positive-
 // abundance species: one uniform draw picks a species in O(1) instead
 // of the O(log n) binary search over a cumulative table. The table is a
-// pure function of the pool contents identified by (poolID, rev).
+// pure function of the pool's contents when it was built.
 type aliasTable struct {
-	poolID, rev uint64
-	prob        []float64 // per-slot acceptance threshold in [0, 1]
-	alias       []int32   // per-slot alternative, as a compacted index
-	idx         []int32   // compacted index -> species index
+	prob  []float64 // per-slot acceptance threshold in [0, 1]
+	alias []int32   // per-slot alternative, as a compacted index
+	idx   []int32   // compacted index -> species index
 }
 
 // aliasScratch is the construction's working storage.
@@ -93,7 +79,6 @@ func buildAlias(t *aliasTable, p *pool.Pool) error {
 		t.idx = make([]int32, 0, n)
 	}
 	t.idx = t.idx[:0]
-	t.poolID, t.rev = p.Version()
 	scaled := resize(sc.scaled, n)[:0]
 	total := 0.0
 	for i := 0; i < n; i++ {
@@ -168,110 +153,50 @@ func (t *aliasTable) draw(r *rng.Source) int32 {
 	return t.idx[t.alias[s]]
 }
 
-// Sampler draws reads under a profile whose rates were validated once
-// at construction, keeping validation out of per-reaction hot paths.
-// For Sample it memoizes the alias tables of the last aliasCacheSize
-// pools sampled, rebuilding a table only when its pool's Version
-// changes, which makes repeated sampling of one pool O(1) per read. A
-// Stream builds a private table instead and hands its storage back on
-// Close, so the cache never pins the tables of per-reaction pools that
-// were streamed once and dropped. A Sampler is safe for concurrent use.
+// Sampler draws reads under channel rates that were validated once at
+// construction, keeping validation out of per-reaction hot paths. A
+// Sampler is safe for concurrent use.
 type Sampler struct {
-	prof Profile
-
-	mu     sync.Mutex
-	tables [aliasCacheSize]*aliasTable
-	next   int // round-robin eviction cursor
+	rates channel.Rates
 }
 
-// NewSampler validates the profile and returns a Sampler for it.
-func NewSampler(prof Profile) (*Sampler, error) {
-	if err := prof.Rates.Validate(); err != nil {
+// NewSampler validates the rates and returns a Sampler for them.
+func NewSampler(rates channel.Rates) (*Sampler, error) {
+	if err := rates.Validate(); err != nil {
 		return nil, err
 	}
-	return &Sampler{prof: prof}, nil
-}
-
-// table returns the cached alias table for the pool's current version,
-// building and memoizing it on a miss. The build runs outside the lock:
-// concurrent reactions sample distinct per-reaction pools (every miss),
-// and an O(species) build under a shared mutex would serialize them. A
-// duplicate build during a race is harmless — tables are pure functions
-// of (id, rev).
-func (sm *Sampler) table(p *pool.Pool) (*aliasTable, error) {
-	id, rev := p.Version()
-	sm.mu.Lock()
-	for _, t := range sm.tables {
-		if t != nil && t.poolID == id && t.rev == rev {
-			sm.mu.Unlock()
-			return t, nil
-		}
-	}
-	sm.mu.Unlock()
-	t := new(aliasTable)
-	if err := buildAlias(t, p); err != nil {
-		return nil, err
-	}
-	sm.mu.Lock()
-	sm.tables[sm.next] = t
-	sm.next = (sm.next + 1) % aliasCacheSize
-	sm.mu.Unlock()
-	return t, nil
+	return &Sampler{rates: rates}, nil
 }
 
 // Sample draws n reads from the pool, each species chosen with
 // probability proportional to its abundance, and corrupts each read
-// through the IDS channel.
-func (sm *Sampler) Sample(r *rng.Source, p *pool.Pool, n int) ([]Read, error) {
+// through the IDS channel. It is n ungated draws off one Stream.
+func Sample(r *rng.Source, p *pool.Pool, n int, rates channel.Rates) ([]Read, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("seqsim: negative read count %d", n)
 	}
-	t, err := sm.table(p)
+	sm, err := NewSampler(rates)
 	if err != nil {
 		return nil, err
 	}
-	return sampleTable(r, p, n, t, sm.prof), nil
-}
-
-// Sample draws n reads from the pool, each species chosen with
-// probability proportional to its abundance, and corrupts each read
-// through the IDS channel. The profile is validated and the alias
-// table built on every call; use a Sampler where the profile is fixed
-// across many reactions or one pool is sampled repeatedly.
-func Sample(r *rng.Source, p *pool.Pool, n int, prof Profile) ([]Read, error) {
-	if err := prof.Rates.Validate(); err != nil {
+	st, err := sm.Stream(r, p)
+	if err != nil {
 		return nil, err
 	}
-	if n < 0 {
-		return nil, fmt.Errorf("seqsim: negative read count %d", n)
+	defer st.Close()
+	reads := make([]Read, n)
+	for i := range reads {
+		reads[i], _ = st.Next(nil)
 	}
-	t := new(aliasTable)
-	if err := buildAlias(t, p); err != nil {
-		return nil, err
-	}
-	return sampleTable(r, p, n, t, prof), nil
-}
-
-func sampleTable(r *rng.Source, p *pool.Pool, n int, t *aliasTable, prof Profile) []Read {
-	reads := make([]Read, 0, n)
-	var tmpl dna.Seq // reused decode buffer; Corrupt copies out of it
-	for i := 0; i < n; i++ {
-		si := int(t.draw(r))
-		tmpl = p.AppendSeq(tmpl[:0], si)
-		reads = append(reads, Read{
-			Seq:  channel.Corrupt(r, tmpl, prof.Rates),
-			Meta: p.MetaAt(si),
-		})
-	}
-	return reads
+	return reads, nil
 }
 
 // Stream is an incremental view of one sequencing reaction: reads are
 // drawn one at a time from a fixed snapshot of the pool's composition,
 // so a streaming decoder can consume them as they come off the
-// sequencer and stop — or redirect — the reaction early. An ungated
-// Stream consumes the rng exactly as Sample does, so the first n gated-
-// through reads of a Stream are bit-identical to Sample(r, p, n).
+// sequencer and stop — or redirect — the reaction early. Sample is n
+// ungated draws off one Stream, so the first n reads of an ungated
+// Stream are bit-identical to Sample(r, p, n, rates).
 //
 // The gate models nanopore adaptive sampling ("read-until"): the
 // decision callback sees only the drawn species' identity, and a
@@ -282,11 +207,11 @@ func sampleTable(r *rng.Source, p *pool.Pool, n int, t *aliasTable, prof Profile
 // table is the Stream's own, built from recycled storage; Close hands
 // it back.
 type Stream struct {
-	r    *rng.Source
-	p    *pool.Pool
-	t    *aliasTable
-	prof Profile
-	tmpl dna.Seq
+	r     *rng.Source
+	p     *pool.Pool
+	t     *aliasTable
+	rates channel.Rates
+	tmpl  dna.Seq
 	// Sequenced counts reads fully sequenced and returned; Ejected
 	// counts molecules the gate rejected. Their sum is the number of
 	// pore entries (draws).
@@ -295,8 +220,8 @@ type Stream struct {
 }
 
 // Stream opens an incremental sequencing reaction over the pool. It
-// builds the stream's own alias table; the Sampler's cache is neither
-// consulted nor filled.
+// builds the stream's alias table, in a closed stream's storage when
+// one is free.
 func (sm *Sampler) Stream(r *rng.Source, p *pool.Pool) (*Stream, error) {
 	t := streamTables.Get()
 	if t == nil {
@@ -306,7 +231,7 @@ func (sm *Sampler) Stream(r *rng.Source, p *pool.Pool) (*Stream, error) {
 		streamTables.Put(t)
 		return nil, err
 	}
-	return &Stream{r: r, p: p, t: t, prof: sm.prof}, nil
+	return &Stream{r: r, p: p, t: t, rates: sm.rates}, nil
 }
 
 // Close ends the stream and hands its alias table back for reuse by
@@ -339,7 +264,7 @@ func (s *Stream) AppendNext(dst dna.Seq, gate func(species int) bool) (Read, boo
 	s.tmpl = s.p.AppendSeq(s.tmpl[:0], si)
 	s.Sequenced++
 	return Read{
-		Seq:  channel.AppendCorrupt(dst, s.r, s.tmpl, s.prof.Rates),
+		Seq:  channel.AppendCorrupt(dst, s.r, s.tmpl, s.rates),
 		Meta: s.p.MetaAt(si),
 	}, true
 }

@@ -11,6 +11,27 @@ import (
 	"dnastore/internal/rng"
 )
 
+// referenceSample is the batch draw loop over a freshly built alias
+// table, kept as the definition that Sample, Stream and the recycled
+// stream tables are pinned to draw for draw.
+func referenceSample(r *rng.Source, p *pool.Pool, n int, rates channel.Rates) ([]Read, error) {
+	t := new(aliasTable)
+	if err := buildAlias(t, p); err != nil {
+		return nil, err
+	}
+	reads := make([]Read, 0, n)
+	var tmpl dna.Seq
+	for i := 0; i < n; i++ {
+		si := int(t.draw(r))
+		tmpl = p.AppendSeq(tmpl[:0], si)
+		reads = append(reads, Read{
+			Seq:  channel.Corrupt(r, tmpl, rates),
+			Meta: p.MetaAt(si),
+		})
+	}
+	return reads, nil
+}
+
 func buildPool() *pool.Pool {
 	p := pool.New()
 	p.Add(dna.MustFromString("AAAACCCCGGGGTTTT"), 900, pool.Meta{Block: 0, OriginBlock: 0})
@@ -21,7 +42,7 @@ func buildPool() *pool.Pool {
 func TestSampleProportionalToAbundance(t *testing.T) {
 	p := buildPool()
 	r := rng.New(1)
-	reads, err := Sample(r, p, 10000, Profile{Rates: channel.Noiseless()})
+	reads, err := Sample(r, p, 10000, channel.Noiseless())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +64,7 @@ func TestSampleProportionalToAbundance(t *testing.T) {
 func TestSampleAppliesChannel(t *testing.T) {
 	p := buildPool()
 	r := rng.New(2)
-	reads, err := Sample(r, p, 500, Profile{Rates: channel.Rates{Sub: 0.1}})
+	reads, err := Sample(r, p, 500, channel.Rates{Sub: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,19 +86,19 @@ func TestSampleAppliesChannel(t *testing.T) {
 func TestSampleValidation(t *testing.T) {
 	p := buildPool()
 	r := rng.New(3)
-	if _, err := Sample(r, p, -1, Profile{}); err == nil {
+	if _, err := Sample(r, p, -1, channel.Rates{}); err == nil {
 		t.Error("negative read count accepted")
 	}
-	if _, err := Sample(r, pool.New(), 10, Profile{}); err == nil {
+	if _, err := Sample(r, pool.New(), 10, channel.Rates{}); err == nil {
 		t.Error("empty pool accepted")
 	}
-	if _, err := Sample(r, p, 10, Profile{Rates: channel.Rates{Sub: 2}}); err == nil {
+	if _, err := Sample(r, p, 10, channel.Rates{Sub: 2}); err == nil {
 		t.Error("invalid rates accepted")
 	}
 	empty := pool.New()
 	empty.Add(dna.MustFromString("ACGT"), 1, pool.Meta{})
 	empty.Scale(0)
-	if _, err := Sample(r, empty, 10, Profile{}); err == nil {
+	if _, err := Sample(r, empty, 10, channel.Rates{}); err == nil {
 		t.Error("zero-abundance pool accepted")
 	}
 }
@@ -161,29 +182,23 @@ func TestCoverageReadsNeeded(t *testing.T) {
 func BenchmarkSample50k(b *testing.B) {
 	p := buildPool()
 	r := rng.New(9)
-	prof := IlluminaProfile()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Sample(r, p, 50000, prof); err != nil {
+		if _, err := Sample(r, p, 50000, channel.Illumina()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// TestSamplerMatchesSample pins that the pre-validated Sampler draws
-// the exact stream of the package-level Sample.
-func TestSamplerMatchesSample(t *testing.T) {
+// TestSampleMatchesReference pins Sample, which draws through a
+// Stream, to the batch reference loop draw for draw.
+func TestSampleMatchesReference(t *testing.T) {
 	p := buildPool()
-	prof := IlluminaProfile()
-	sm, err := NewSampler(prof)
+	a, err := referenceSample(rng.New(77), p, 500, channel.Illumina())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Sample(rng.New(77), p, 500, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sm.Sample(rng.New(77), p, 500)
+	b, err := Sample(rng.New(77), p, 500, channel.Illumina())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +207,14 @@ func TestSamplerMatchesSample(t *testing.T) {
 	}
 	for i := range a {
 		if !a[i].Seq.Equal(b[i].Seq) || a[i].Meta != b[i].Meta {
-			t.Fatalf("read %d differs between Sample and Sampler", i)
+			t.Fatalf("read %d differs between Sample and the reference", i)
 		}
 	}
 }
 
 // TestNewSamplerValidates pins the hoisted validation.
 func TestNewSamplerValidates(t *testing.T) {
-	if _, err := NewSampler(Profile{Rates: channel.Rates{Sub: -1}}); err == nil {
+	if _, err := NewSampler(channel.Rates{Sub: -1}); err == nil {
 		t.Error("negative rate accepted")
 	}
 }
@@ -211,7 +226,7 @@ func TestSampleSkipsZeroAbundance(t *testing.T) {
 	p.Add(dna.MustFromString("AAAACCCCGGGGTTTT"), 10, pool.Meta{Block: 0})
 	p.Add(dna.MustFromString("TTTTGGGGCCCCAAAA"), 5, pool.Meta{Block: 1})
 	p.Scale(1) // no-op; keep both positive first
-	reads, err := Sample(rng.New(3), p, 200, Profile{Rates: channel.Noiseless()})
+	reads, err := Sample(rng.New(3), p, 200, channel.Noiseless())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +239,7 @@ func TestSampleSkipsZeroAbundance(t *testing.T) {
 	}
 	// Zero one species out; only the other may appear.
 	p.SetAbundance(0, 0)
-	reads, err = Sample(rng.New(4), p, 200, Profile{Rates: channel.Noiseless()})
+	reads, err = Sample(rng.New(4), p, 200, channel.Noiseless())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,31 +250,29 @@ func TestSampleSkipsZeroAbundance(t *testing.T) {
 	}
 }
 
-// TestSampleAllocs bounds Sample's allocations: the read slice, the two
-// sampling tables, and one sequence per read — nothing per-base or
-// per-species beyond the tables.
+// TestSampleAllocs bounds Sample's allocations: one sequence per read,
+// the read slice, and the Stream — nothing per-base, and no alias table
+// while a closed stream's table is free to reuse.
 func TestSampleAllocs(t *testing.T) {
 	p := buildPool()
 	r := rng.New(11)
-	sm, err := NewSampler(IlluminaProfile())
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 100
 	avg := testing.AllocsPerRun(50, func() {
-		if _, err := sm.Sample(r, p, n); err != nil {
+		if _, err := Sample(r, p, n, channel.Illumina()); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// n read sequences + reads slice + cum + idx, with a little slack
-	// for the occasional append growth inside Corrupt.
+	// n read sequences + reads slice + the Stream + its template
+	// buffer (two append growths for these 16-base species) is n+4;
+	// the slack covers the occasional growth inside AppendCorrupt and a
+	// table rebuilt after a collection freed the recycled one.
 	if limit := float64(n) + 8; avg > limit {
 		t.Errorf("Sample allocates %.1f times per call, want <= %.0f", avg, limit)
 	}
 }
 
-// BenchmarkSample is the satellite micro-benchmark: 50k reads off a
-// large pool through the validated Sampler.
+// BenchmarkSample times one sequencing run over a large pool: an alias
+// table build plus 50k draws.
 func BenchmarkSample(b *testing.B) {
 	r := rng.New(21)
 	p := pool.New()
@@ -270,33 +283,26 @@ func BenchmarkSample(b *testing.B) {
 		}
 		p.Add(s, 50+float64(i%13), pool.Meta{Block: i})
 	}
-	sm, err := NewSampler(IlluminaProfile())
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sm.Sample(r, p, 50000); err != nil {
+		if _, err := Sample(r, p, 50000, channel.Illumina()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// TestSamplerTracksPoolMutation pins the alias-cache invalidation: a
-// pool mutated after being sampled must be resampled under its new
-// composition, not the memoized table.
+// TestSamplerTracksPoolMutation pins that sampling follows the pool's
+// current composition: a pool mutated after being sampled must be
+// resampled under its new contents.
 func TestSamplerTracksPoolMutation(t *testing.T) {
 	p := pool.New()
 	a := dna.MustFromString("AAAACCCCGGGGTTTT")
 	b := dna.MustFromString("TTTTGGGGCCCCAAAA")
 	p.Add(a, 1000, pool.Meta{Block: 0})
-	sm, err := NewSampler(Profile{}) // error-free channel: reads identify species
-	if err != nil {
-		t.Fatal(err)
-	}
 	r := rng.New(9)
-	reads, err := sm.Sample(r, p, 200)
+	// Error-free channel: reads identify species.
+	reads, err := Sample(r, p, 200, channel.Rates{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +313,7 @@ func TestSamplerTracksPoolMutation(t *testing.T) {
 	}
 	// Swamp the pool with species b; a stale table would keep drawing a.
 	p.Add(b, 1e9, pool.Meta{Block: 1})
-	reads, err = sm.Sample(r, p, 200)
+	reads, err = Sample(r, p, 200, channel.Rates{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,50 +328,21 @@ func TestSamplerTracksPoolMutation(t *testing.T) {
 	}
 	// Scale is also a mutation: zeroing the pool must surface as an error.
 	p.Scale(0)
-	if _, err := sm.Sample(r, p, 10); err == nil {
+	if _, err := Sample(r, p, 10, channel.Rates{}); err == nil {
 		t.Error("zero-abundance pool sampled without error")
 	}
 }
 
-// TestSamplerCacheReused pins the satellite's point: repeated sampling
-// of an unchanged pool must not rebuild the table (no allocations
-// beyond the reads themselves).
-func TestSamplerCacheReused(t *testing.T) {
-	p := buildPool()
-	sm, err := NewSampler(IlluminaProfile())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(13)
-	if _, err := sm.Sample(r, p, 10); err != nil {
-		t.Fatal(err) // builds and memoizes the table
-	}
-	id, rev := p.Version()
-	avg := testing.AllocsPerRun(30, func() {
-		if _, err := sm.Sample(r, p, 1); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if id2, rev2 := p.Version(); id2 != id || rev2 != rev {
-		t.Fatal("sampling mutated the pool version")
-	}
-	// One read: the reads slice + the read sequence (+ rare channel
-	// growth); a table rebuild would add several slots-sized slices.
-	if avg > 4 {
-		t.Errorf("steady-state Sample(1) allocates %.1f times, want <= 4 (alias table rebuilt?)", avg)
-	}
-}
-
 // TestStreamMatchesSample pins the streaming rng contract: an ungated
-// Stream produces bit-identical reads, in order, to a batch Sample off
-// the same seed.
+// Stream produces bit-identical reads, in order, to the batch reference
+// loop off the same seed.
 func TestStreamMatchesSample(t *testing.T) {
 	p := buildPool()
-	sm, err := NewSampler(Profile{Rates: channel.Nanopore()})
+	sm, err := NewSampler(channel.Nanopore())
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := sm.Sample(rng.New(7), p, 200)
+	batch, err := referenceSample(rng.New(7), p, 200, channel.Nanopore())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +356,7 @@ func TestStreamMatchesSample(t *testing.T) {
 			t.Fatalf("read %d: ungated Next rejected", i)
 		}
 		if !got.Seq.Equal(want.Seq) || got.Meta != want.Meta {
-			t.Fatalf("read %d diverges from batch Sample", i)
+			t.Fatalf("read %d diverges from the batch reference", i)
 		}
 	}
 	if st.Sequenced != len(batch) || st.Ejected != 0 {
@@ -394,7 +371,7 @@ func TestStreamMatchesSample(t *testing.T) {
 // composition is asserted).
 func TestStreamGateEjects(t *testing.T) {
 	p := buildPool()
-	sm, err := NewSampler(Profile{Rates: channel.Noiseless()})
+	sm, err := NewSampler(channel.Noiseless())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,13 +424,13 @@ func randomPool(seed uint64, n int) *pool.Pool {
 
 // TestStreamTableReuse pins the recycled stream tables: streams over
 // pools of different sizes, each closed before the next opens, take
-// over the last stream's alias table and draw exactly what Sample draws
-// from a table of its own. Both sides read through AppendNext and Next
+// over the last stream's alias table and draw exactly what the reference
+// loop draws from a fresh table. Both sides read through AppendNext and Next
 // into a reused buffer. The collector is off so every stream after the
 // first really reuses a table.
 func TestStreamTableReuse(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	sm, err := NewSampler(Profile{Rates: channel.Illumina()})
+	sm, err := NewSampler(channel.Illumina())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +438,7 @@ func TestStreamTableReuse(t *testing.T) {
 	var buf dna.Seq
 	for i, n := range []int{3000, 20, 700, 3000, 1} {
 		p := randomPool(uint64(40+i), n)
-		want, err := Sample(rng.New(9), p, 500, Profile{Rates: channel.Illumina()})
+		want, err := referenceSample(rng.New(9), p, 500, channel.Illumina())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,7 +460,7 @@ func TestStreamTableReuse(t *testing.T) {
 				rd, ok = st.Next(nil)
 			}
 			if !ok || !rd.Seq.Equal(w.Seq) || rd.Meta != w.Meta {
-				t.Fatalf("pool of %d species, read %d: stream diverges from Sample", n, j)
+				t.Fatalf("pool of %d species, read %d: stream diverges from the reference", n, j)
 			}
 		}
 		st.Close()

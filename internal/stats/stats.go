@@ -1,8 +1,6 @@
-// Package stats provides the small statistics toolkit used by the
-// experiment harness: histograms, summaries, and a Zipf workload
-// generator for the elongated-primer cache study (Section 7.7.4: "In all
-// storage systems the popularity of objects follows the Zipfian
-// distribution").
+// Package stats provides the Zipf workload generator for the
+// elongated-primer cache study (Section 7.7.4: "In all storage systems
+// the popularity of objects follows the Zipfian distribution").
 package stats
 
 import (
@@ -12,81 +10,6 @@ import (
 
 	"dnastore/internal/rng"
 )
-
-// Summary holds order statistics of a sample.
-type Summary struct {
-	N              int
-	Mean, Min, Max float64
-	P50, P90, P99  float64
-}
-
-// Summarize computes a Summary. It returns a zero Summary for an empty
-// sample.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	sum := 0.0
-	for _, x := range cp {
-		sum += x
-	}
-	q := func(p float64) float64 {
-		i := int(p * float64(len(cp)-1))
-		return cp[i]
-	}
-	return Summary{
-		N:    len(cp),
-		Mean: sum / float64(len(cp)),
-		Min:  cp[0],
-		Max:  cp[len(cp)-1],
-		P50:  q(0.50),
-		P90:  q(0.90),
-		P99:  q(0.99),
-	}
-}
-
-// Histogram counts values into fixed-width bins over [min, max).
-type Histogram struct {
-	Min, Max float64
-	Bins     []int
-	under    int
-	over     int
-}
-
-// NewHistogram creates a histogram with the given bin count.
-func NewHistogram(min, max float64, bins int) (*Histogram, error) {
-	if bins <= 0 || max <= min {
-		return nil, fmt.Errorf("stats: invalid histogram [%v, %v) x %d", min, max, bins)
-	}
-	return &Histogram{Min: min, Max: max, Bins: make([]int, bins)}, nil
-}
-
-// Add records a value.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Min:
-		h.under++
-	case x >= h.Max:
-		h.over++
-	default:
-		i := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Bins)))
-		if i >= len(h.Bins) {
-			i = len(h.Bins) - 1
-		}
-		h.Bins[i]++
-	}
-}
-
-// Total returns the number of recorded values, including out-of-range.
-func (h *Histogram) Total() int {
-	n := h.under + h.over
-	for _, b := range h.Bins {
-		n += b
-	}
-	return n
-}
 
 // Zipf generates ranks with Zipfian popularity: rank r (1-based) is
 // drawn with probability proportional to 1/r^S.

@@ -7,52 +7,6 @@ import (
 	"dnastore/internal/rng"
 )
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{5, 1, 3, 2, 4})
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.Mean != 3 || s.P50 != 3 {
-		t.Errorf("summary %+v", s)
-	}
-	if got := Summarize(nil); got.N != 0 {
-		t.Error("empty sample should be zero summary")
-	}
-}
-
-func TestSummarizeDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Summarize(xs)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Error("input mutated")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 50} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Errorf("total %d", h.Total())
-	}
-	if h.Bins[0] != 2 { // 0 and 1.9
-		t.Errorf("bin 0 = %d", h.Bins[0])
-	}
-	if h.Bins[4] != 1 { // 9.99
-		t.Errorf("bin 4 = %d", h.Bins[4])
-	}
-	if h.under != 1 || h.over != 2 {
-		t.Errorf("under/over %d/%d", h.under, h.over)
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("empty range accepted")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-}
-
 func TestZipfShape(t *testing.T) {
 	z, err := NewZipf(100, 1.0)
 	if err != nil {
