@@ -24,6 +24,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"dnastore/internal/experiment"
@@ -187,6 +188,14 @@ func runExperiments(run string, reads int, seed uint64, workers, scale, shards i
 	if scale > 1 {
 		aliceBlocks *= scale
 	}
+	// Retained heap of the built store, also per tube strand: the
+	// -scale trajectory the ROADMAP's 10^6-strand target tracks. It is
+	// the live heap the build adds, with the runtime's threads started
+	// beforehand (see parkThreads). Map layouts and the runtime's
+	// semaphore waiters still move it by a few hundred bytes between
+	// runs, so the per-strand figure is printed in whole bytes.
+	parkThreads(2 * runtime.GOMAXPROCS(0))
+	before := liveHeap()
 	t0 := time.Now()
 	fmt.Fprintf(out, "building the Section 6 wetlab (13 files, %d-block Alice partition)...\n",
 		aliceBlocks)
@@ -194,14 +203,11 @@ func runExperiments(run string, reads int, seed uint64, workers, scale, shards i
 	if err != nil {
 		return err
 	}
-	// Retained heap of the built store, also per tube strand: the
-	// -scale trajectory the ROADMAP's 10^6-strand target tracks.
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	fmt.Fprintf(out, "built in %v: %d strands in the Alice pool, %d in the IDT update pool (heap %.1f MB, %.1f B per tube strand)\n\n",
-		time.Since(t0).Round(time.Millisecond), w.AliceStrands(), w.IDTPool.Len(),
-		float64(ms.HeapAlloc)/(1<<20), float64(ms.HeapAlloc)/float64(w.Store.Tube().Len()))
+	built := time.Since(t0)
+	heap := float64(liveHeap()) - float64(before)
+	fmt.Fprintf(out, "built in %v: %d strands in the Alice pool, %d in the IDT update pool (heap %.1f MB, %.0f B per tube strand)\n\n",
+		built.Round(time.Millisecond), w.AliceStrands(), w.IDTPool.Len(),
+		heap/(1<<20), heap/float64(w.Store.Tube().Len()))
 
 	a, err := experiment.Fig9a(w, reads)
 	if err != nil {
@@ -293,6 +299,43 @@ func runExperiments(run string, reads int, seed uint64, workers, scale, shards i
 		}
 	}
 	return nil
+}
+
+// liveHeap returns the live heap after two collections: the first
+// moves sync.Pool contents to their victim caches, the second frees
+// them.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// parkThreads has the runtime start n OS threads, then leaves them
+// idle. A thread's records (its m and g0 and their profiling stacks,
+// about 5 KB) live on the Go heap, and the scheduler starts threads
+// only when it needs them, so a thread first started during a
+// measured build would add to the measured heap in some runs and not
+// in others. Each goroutine holds its own thread while it waits, and
+// unlocks before it exits, so the thread stays for later reuse.
+func parkThreads(n int) {
+	var started, done sync.WaitGroup
+	release := make(chan struct{})
+	for i := 0; i < n; i++ {
+		started.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			runtime.LockOSThread()
+			started.Done()
+			<-release
+			runtime.UnlockOSThread()
+		}()
+	}
+	started.Wait()
+	close(release)
+	done.Wait()
 }
 
 func contains(ids []string, id string) bool {

@@ -328,8 +328,8 @@ func DefaultScrubPolicy() ScrubPolicy { return blockstore.DefaultScrubPolicy() }
 
 // BindingStats is a snapshot of the system's binding-cache counters:
 // row and content hits (alignments skipped), misses (alignments
-// performed), evictions, resident entries, and compiled-pattern memo
-// traffic.
+// performed), declined first sightings of row-held bindings,
+// evictions, resident entries, and compiled-pattern memo traffic.
 type BindingStats = blockstore.BindingStats
 
 // System is one simulated DNA tube and its partitions.

@@ -1,6 +1,7 @@
 package binding
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -535,7 +536,7 @@ func TestHashMatchNeverAnswers(t *testing.T) {
 	want := Binding{State: OK, Dist: 1, End: 20}
 	c := NewCache(0)
 	h := hashKey(0, ka)
-	c.put(h, 0, ka, want)
+	c.put(h, 0, ka, want, false)
 	if got, ok := c.get(h, 0, kb); ok {
 		t.Fatalf("a hash match answered %+v for a different window key", got)
 	}
@@ -666,9 +667,123 @@ func TestWindowKeySharesMutants(t *testing.T) {
 	}
 }
 
+// scanWorkload returns more primer pairs than maxRows and a pool of
+// row-held species: for each pair an exact template and one whose
+// forward primer carries two substitutions, each with its own body,
+// plus unrelated strands. Every (pair, species) window key is distinct,
+// so no binding is sighted twice within one pass over the pool.
+func scanWorkload(seed uint64) ([]Pair, *pool.Pool) {
+	r := rng.New(seed)
+	pairs := make([]Pair, maxRows+16)
+	var templates []dna.Seq
+	for i := range pairs {
+		p := Pair{Fwd: randSeq(r, 20+i%4), Rev: randSeq(r, 20)}
+		pairs[i] = p
+		templates = append(templates,
+			dna.Concat(p.Fwd, randSeq(r, 110), p.Rev),
+			dna.Concat(mutate(r, p.Fwd, 2), randSeq(r, 110), p.Rev))
+	}
+	for i := 0; i < 100; i++ {
+		templates = append(templates, randSeq(r, 150))
+	}
+	return pairs, templatePool(templates)
+}
+
+// bindAll binds every species of p against every pair of one reaction.
+func bindAll(rx Reaction, npairs int, p *pool.Pool) [][]Binding {
+	out := make([][]Binding, npairs)
+	for pi := range out {
+		out[pi] = make([]Binding, p.Len())
+		for si := range out[pi] {
+			out[pi][si] = rx.Bind(pi, si, p.PackedSeq(si))
+		}
+	}
+	return out
+}
+
+// TestAdmissionMatchesDirect is the differential over the admission
+// rule: a Cache whose budget is far below the pool's row-held species
+// returns Direct's binding for every (pair, species). Each pair reacts
+// with the pool (first sightings, declined), two clones (the second
+// sighting admits, the third hits what the clock kept) and no pool
+// (rowless, admitted at once); a last reaction scores every pair over
+// the pool again, and since there are more pairs than maxRows, Begin
+// has evicted their rows, so these lookups go to the content store.
+func TestAdmissionMatchesDirect(t *testing.T) {
+	pairs, p := scanWorkload(59)
+	const budget, maxDist = 64, 5
+	if p.Len() <= budget || len(pairs) <= maxRows {
+		t.Fatalf("%d species and %d pairs: want more than %d and %d", p.Len(), len(pairs), budget, maxRows)
+	}
+	want := bindAll(Direct{}.Begin(pairs, maxDist, p), len(pairs), p)
+	cache := NewCache(budget)
+	check := func(what string, got [][]Binding, from int) {
+		t.Helper()
+		for i, row := range got {
+			for si, b := range row {
+				if b != want[from+i][si] {
+					t.Fatalf("%s: pair %d species %d: cached %+v, direct %+v", what, from+i, si, b, want[from+i][si])
+				}
+			}
+		}
+	}
+	pools := []*pool.Pool{p, p.Clone(), p.Clone(), nil}
+	for pi := range pairs {
+		for i, pp := range pools {
+			rx := cache.Begin(pairs[pi:pi+1], maxDist, pp)
+			check(fmt.Sprintf("pool %d", i), bindAll(rx, 1, p), pi)
+		}
+	}
+	check("all pairs", bindAll(cache.Begin(pairs, maxDist, p), len(pairs), p), 0)
+	st := cache.Stats()
+	if st.Declined == 0 || st.Evictions == 0 || st.Hits == 0 {
+		t.Errorf("stats %+v: want declines, evictions and content hits", st)
+	}
+	if st.Entries > budget {
+		t.Errorf("resident entries %d exceed the %d-entry budget", st.Entries, budget)
+	}
+}
+
+// TestAdmissionScanResistant pins what admission on second sighting
+// buys, with the differential's pool and budget: a one-shot reaction
+// over a pool whose species its row holds, four times as many as the
+// budget, declines exactly its misses, so it fills no content entry
+// and evicts nothing. The same pair over a clone of the pool (a new
+// row) admits those bindings, and a third reaction, over another
+// clone, hits what the budget kept.
+func TestAdmissionScanResistant(t *testing.T) {
+	pairs, p := scanWorkload(59)
+	const budget, maxDist = 64, 5
+	n := uint64(p.Len())
+	cache := NewCache(budget)
+	one := pairs[:1]
+	bindAll(cache.Begin(one, maxDist, p), 1, p)
+	st := cache.Stats()
+	if st.Misses != n || st.Declined != n {
+		t.Fatalf("one-shot reaction: %d misses, %d declined; want %d of each", st.Misses, st.Declined, n)
+	}
+	if st.Entries != 0 || st.Evictions != 0 || st.Hits != 0 {
+		t.Fatalf("one-shot reaction left %d entries, %d evictions, %d hits; want none", st.Entries, st.Evictions, st.Hits)
+	}
+	clone := p.Clone()
+	bindAll(cache.Begin(one, maxDist, clone), 1, clone)
+	st = cache.Stats()
+	if st.Misses != 2*n || st.Declined != n || st.Entries == 0 || st.Evictions == 0 {
+		t.Fatalf("clone reaction: %d misses, %d declined, %d entries, %d evictions; want %d misses, %d declined and admissions",
+			st.Misses, st.Declined, st.Entries, st.Evictions, 2*n, n)
+	}
+	clone = p.Clone()
+	bindAll(cache.Begin(one, maxDist, clone), 1, clone)
+	if st = cache.Stats(); st.Hits == 0 || st.Declined != n {
+		t.Fatalf("third reaction: %d hits, %d declined; want hits and no new decline", st.Hits, st.Declined)
+	}
+}
+
 // TestContentMissAllocs pins the cold path: a content-store miss — the
 // alignment plus the put into a shard with spare capacity — allocates
-// nothing, amortized over many distinct keys.
+// nothing, amortized over many distinct keys. Nor does a miss the
+// store declines (a row-held first sighting) once its shard has a
+// doorkeeper.
 func TestContentMissAllocs(t *testing.T) {
 	pairs, pts := contentWorkload(37, 2, 20000)
 	cache := NewCache(0)
@@ -687,5 +802,29 @@ func TestContentMissAllocs(t *testing.T) {
 	}
 	if avg != 0 {
 		t.Errorf("content miss+put allocates %.1f times per call, want 0", avg)
+	}
+
+	r := rng.New(41)
+	held := pool.New()
+	for i := 0; i < 20000; i++ {
+		held.Add(randSeq(r, 150), 1, pool.Meta{Block: i})
+	}
+	rx = cache.Begin(pairs[1:], 5, held)
+	next = 0
+	for ; next < 2000; next++ { // give every shard its doorkeeper
+		rx.Bind(0, next, held.PackedSeq(next))
+	}
+	before := cache.Stats()
+	avg = testing.AllocsPerRun(2000, func() {
+		rx.Bind(0, next, held.PackedSeq(next))
+		next++
+	})
+	st := cache.Stats()
+	if d := st.Declined - before.Declined; d != st.Misses-before.Misses || st.Entries != before.Entries {
+		t.Fatalf("%d of %d measured misses declined, entries %d -> %d; every one must decline",
+			d, st.Misses-before.Misses, before.Entries, st.Entries)
+	}
+	if avg != 0 {
+		t.Errorf("declined miss allocates %.1f times per call, want 0", avg)
 	}
 }

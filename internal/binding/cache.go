@@ -17,9 +17,11 @@ import (
 // 49–51 bytes of live heap per resident entry between 10^5 and 10^6
 // entries (TestContentStoreBytesPerEntry pins <= 56), and a full
 // default cache measures 51 MB. It is sized for the 10^5–10^6-strand
-// pools the scale experiments target (each species costs at most one
-// entry per primer pair it has been aligned against; decay mutants
-// that differ only in payload share their parent's).
+// pools the scale experiments target: each species costs at most one
+// entry per primer pair that has aligned it twice (a binding a pool
+// row already holds is admitted only on its second sighting, so a
+// one-shot reaction fills its row, not the store), and decay mutants
+// that differ only in payload share their parent's.
 const DefaultEntries = 1 << 20
 
 // shardCount spreads the content store over independently locked
@@ -36,11 +38,31 @@ const (
 // input species, so the worst case is maxRows x pool size x 8 bytes.
 const maxRows = 64
 
+// The doorkeeper records a shard's first sightings of row-held
+// bindings (TinyLFU's doorkeeper; Einziger, Friedman and Manes, 2017),
+// so the content store admits one only when it is seen again.
+//
+// doorBits is its size: 2^15 bits, 4 KiB per shard and 256 KiB per
+// cache, allocated on the shard's first decline. Two probes per key.
+//
+// doorResetMarks is how many first sightings the shard marks before it
+// clears the doorkeeper. At most 2 x 4,096 of its 32,768 bits are then
+// set, so a binding never seen passes for a second sighting with
+// probability under 5% (an early admission, never a wrong answer).
+// The cache still remembers about its last 2^18 first sightings, far
+// more than one reaction over a 13k-species aged tube makes; a
+// sighting forgotten sooner is only declined once more.
+const (
+	doorBits       = 1 << 15
+	doorResetMarks = 1 << 12
+)
+
 // Stats is a snapshot of a Cache's counters.
 type Stats struct {
 	RowHits   uint64 // Bind answered by an index-addressed row (lock-free)
 	Hits      uint64 // Bind answered by the content store
 	Misses    uint64 // Bind computed an alignment
+	Declined  uint64 // row-held misses not admitted: first sightings
 	Evictions uint64 // content entries displaced by the clock hand
 	Entries   int    // content entries currently resident
 
@@ -77,6 +99,10 @@ func (s Stats) HitRate() float64 {
 //     share entries. The pair and budget are interned at Begin as a
 //     dense id, so an entry is a pointer-free record holding that id,
 //     the binding and the window key's bytes in a per-shard arena.
+//     Admission is scan-resistant: a binding a row already holds is
+//     stored only on its second sighting (see put), since a one-shot
+//     reaction, such as a point read with its block's own elongated
+//     pair, never looks it up again.
 //
 //   - Per (primer pair, pool identity) dense rows indexed by species
 //     position, assembled at Begin from pool.ID(). Pools are
@@ -102,6 +128,7 @@ type Cache struct {
 	rowHits   atomic.Uint64
 	hits      atomic.Uint64
 	misses    atomic.Uint64
+	declined  atomic.Uint64
 	evictions atomic.Uint64
 	patHits   atomic.Uint64
 	patMisses atomic.Uint64
@@ -138,6 +165,9 @@ type shard struct {
 	dead   int       // arena bytes no entry references
 	idx    []uint32
 	hand   int // clock hand over entries
+
+	door  []uint64 // doorkeeper bitset; nil until the first decline
+	marks int      // first sightings marked since door was cleared
 }
 
 // entry is one resident content-store binding.
@@ -205,6 +235,7 @@ func (c *Cache) Stats() Stats {
 		RowHits:       c.rowHits.Load(),
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
+		Declined:      c.declined.Load(),
 		Evictions:     c.evictions.Load(),
 		PatternHits:   c.patHits.Load(),
 		PatternMisses: c.patMisses.Load(),
@@ -406,7 +437,7 @@ func (r *cachedReaction) Bind(pi, si int, template dna.Packed) Binding {
 	b, ok := r.c.get(h, p.id, k)
 	if !ok {
 		b = p.cp.bindPacked(template, r.maxDist)
-		r.c.put(h, p.id, k, b)
+		r.c.put(h, p.id, k, b, inRow)
 	}
 	if inRow {
 		p.row.store(si, packBinding(b))
@@ -567,14 +598,47 @@ func (c *Cache) get(h uint64, pair uint32, k []byte) (Binding, bool) {
 	return Binding{}, false
 }
 
+// seen reports whether the doorkeeper has marked h since it was last
+// cleared, marking it if not.
+func (sh *shard) seen(h uint64) bool {
+	if sh.door == nil {
+		sh.door = make([]uint64, doorBits/64)
+	}
+	// The shard takes h's top bits; the probes take two 15-bit fields
+	// below them.
+	i, j := h>>16&(doorBits-1), h>>32&(doorBits-1)
+	wi, bi := &sh.door[i>>6], uint64(1)<<(i&63)
+	wj, bj := &sh.door[j>>6], uint64(1)<<(j&63)
+	if *wi&bi != 0 && *wj&bj != 0 {
+		return true
+	}
+	*wi |= bi
+	*wj |= bj
+	if sh.marks++; sh.marks == doorResetMarks {
+		clear(sh.door)
+		sh.marks = 0
+	}
+	return false
+}
+
 // put inserts a freshly computed binding, evicting by clock when the
-// shard is at budget. Concurrent reactions may compute the same miss
-// and both put it; the second insert just overwrites the identical
-// value (bindings are pure, so the race is benign).
-func (c *Cache) put(h uint64, pair uint32, k []byte, b Binding) {
+// shard is at budget. A held binding (one a pool row now holds) enters
+// only on its second sighting: its own reaction reads it from the row,
+// so the store pays off only when another row or a rowless reaction
+// asks for it, and a first sighting just marks the doorkeeper. Bindings
+// outside any row (misprime products appended during a reaction, pools
+// without an identity) enter at once; they are what warm reactions
+// hit. Concurrent reactions may compute the same miss and both put it;
+// the second insert just overwrites the identical value (bindings are
+// pure, so the race is benign).
+func (c *Cache) put(h uint64, pair uint32, k []byte, b Binding, held bool) {
 	sh := c.shard(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if held && !sh.seen(h) {
+		c.declined.Add(1)
+		return
+	}
 	x := packBinding(b)
 	if i := sh.find(h, pair, k); i >= 0 {
 		e := sh.ent(i)

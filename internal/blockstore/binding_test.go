@@ -103,11 +103,14 @@ func TestBindingCacheByteIdentity(t *testing.T) {
 // TestBindingProviderShared pins the cross-store sharing contract: a
 // caller-supplied provider survives New (it is not displaced by a
 // store-private cache), is adopted for stats when it is a
-// binding.Cache, and actually accumulates traffic from both stores.
+// binding.Cache, and actually accumulates traffic from every store.
+// Three stores read one block of the same corpus: the first read's
+// bindings are first sightings, which the content store declines, the
+// second admits them, and the third hits them.
 func TestBindingProviderShared(t *testing.T) {
 	shared := binding.NewCache(0)
 	var stores []*Store
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		cfg := testConfig()
 		cfg.PCR.Provider = shared
 		s := newTestStore(t, cfg)
@@ -126,15 +129,14 @@ func TestBindingProviderShared(t *testing.T) {
 	if stores[0].Config().PCR.Provider != binding.Provider(shared) {
 		t.Fatal("New displaced the caller-supplied provider")
 	}
-	st, ok := stores[1].BindingStats()
+	st, ok := stores[2].BindingStats()
 	if !ok {
 		t.Fatal("shared cache not adopted for stats")
 	}
-	// The two stores share one corpus-free tube each; the second
-	// store's read must at least have hit the entries its own reaction
-	// filled, and both stores' traffic lands in one counter set.
-	if st.Misses == 0 || st.RowHits+st.Hits == 0 {
-		t.Errorf("shared cache saw no traffic from both stores: %+v", st)
+	// Every store's traffic lands in one counter set, and the third
+	// store's read hits the entries the earlier stores' reads admitted.
+	if st.Misses == 0 || st.Declined == 0 || st.Hits == 0 {
+		t.Errorf("shared cache saw no traffic across stores: %+v", st)
 	}
 }
 

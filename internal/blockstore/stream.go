@@ -306,15 +306,16 @@ func (p *Partition) poreGate(amplified *pool.Pool, eng *streamdecode.Engine) fun
 // once — by the same provisional-address parser the engine uses, never
 // the simulator's ground-truth metadata — and molecules of finished
 // targets or of blocks outside the target set are ejected unsequenced.
-// Once the first finalize at the floors has produced a result for some
-// target, targets that lack one of their expected versions are
-// reopened — their floors double per round — and the stream escalates
-// until every target serves its versions or the delivery ceiling (or
-// the pore-entry bound) is exhausted. If that first finalize fails
-// outright (Engine.Finalize errors only when no target produced a
-// result), the stream gives up at the floors without escalating,
-// unlike streamBlock, which reopens a failed lone target. The ceiling
-// is the reaction's budget after any injected sequencing abort.
+// After the first finalize at the floors, targets that lack one of
+// their expected versions are reopened — their floors double per
+// round — and the stream escalates until every target serves its
+// versions or the delivery ceiling (or the pore-entry bound) is
+// exhausted. That holds also when the first finalize fails outright
+// (Engine.Finalize errors only when no target produced a result):
+// every target is reopened, as streamBlock reopens a failed lone
+// target, and the reaction fails with that finalize's error only if
+// escalation never produces a result. The ceiling is the reaction's
+// budget after any injected sequencing abort.
 func (p *Partition) streamTargets(r *rng.Source, amplified *pool.Pool, targets []int, ceiling int) (map[int]*decode.BlockResult, error) {
 	s, err := p.openPore(r, amplified, ceiling, false)
 	if err != nil {
@@ -325,8 +326,17 @@ func (p *Partition) streamTargets(r *rng.Source, amplified *pool.Pool, targets [
 		s.eng.Expect(b, p.expectedVersions(b))
 	}
 	s.fill(s.eng.AllDone)
+	return p.escalate(s, targets)
+}
+
+// escalate finalizes a cover stream's targets and reopens the failed
+// ones until all serve their versions or the stream is spent.
+func (p *Partition) escalate(s *pore, targets []int) (map[int]*decode.BlockResult, error) {
 	results, derr := s.eng.Finalize()
-	for derr == nil {
+	if derr != nil {
+		results = make(map[int]*decode.BlockResult, len(targets))
+	}
+	for {
 		// A target fails until every version the front-end wrote has
 		// decoded. Unit errors on other versions are phantom slots
 		// conjured by mis-parsed stray reads, which assembly ignores.
@@ -355,7 +365,10 @@ func (p *Partition) streamTargets(r *rng.Source, amplified *pool.Pool, targets [
 			}
 		}
 	}
-	return results, derr
+	if derr != nil && len(results) == 0 {
+		return nil, derr
+	}
+	return results, nil
 }
 
 // servesExpected reports whether a decode result carries content for

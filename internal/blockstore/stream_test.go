@@ -499,3 +499,59 @@ func TestPoreStopsOnFloorRead(t *testing.T) {
 		}
 	}
 }
+
+// TestCoverEscalatesFailedFinalize pins cover escalation from a first
+// finalize that fails outright. A cover stream whose pore has credited
+// no read yet has no target with a result, so Engine.Finalize errors;
+// escalate must reopen every target and stream on, as streamBlock does
+// for a lone target, until each serves its expected versions. A store's
+// own cover streams reach that state only when spent, where escalation
+// stops at once, so the test opens the pore itself and skips the fill.
+func TestCoverEscalatesFailedFinalize(t *testing.T) {
+	cfg := testConfig()
+	cfg.Streaming = true
+	cfg.Workers = 1
+	s := newTestStore(t, cfg)
+	p, err := s.CreatePartition("escalate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 8; b++ {
+		if err := p.WriteBlock(b, bytes.Repeat([]byte{byte('a' + b)}, 40+b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pl, err := p.planRange(0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pl.reactions) != 1 {
+		t.Fatalf("[0, 3] planned %d reactions, want one 4-block cover", len(pl.reactions))
+	}
+	amplified, src, budget := amplify(t, p, pl.reactions[0])
+	pore, err := p.openPore(src, amplified, budget, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.closePore(pore)
+	targets := []int{0, 1, 2, 3}
+	for _, b := range targets {
+		pore.eng.Expect(b, p.expectedVersions(b))
+	}
+	if _, err := pore.eng.Finalize(); err == nil {
+		t.Fatal("finalize with no read credited succeeded; the test reaches nothing")
+	}
+	results, err := p.escalate(pore, targets)
+	if err != nil {
+		t.Fatalf("escalation from a failed first finalize: %v", err)
+	}
+	for _, b := range targets {
+		if !servesExpected(results[b], p.expectedVersions(b)) {
+			t.Errorf("block %d: escalated cover does not serve its versions", b)
+		}
+	}
+	if pore.spent() {
+		t.Errorf("cover spent its whole ceiling (%d reads) escalating", pore.sequenced)
+	}
+	t.Logf("escalated cover: %d reads, %d ejections of a %d-read ceiling", pore.sequenced, pore.ejected, budget)
+}

@@ -479,9 +479,12 @@ func TestRunWorkersDeterministic(t *testing.T) {
 // TestRunProviderByteIdentical pins the provider contract: a reaction
 // scored through a shared binding.Cache — cold, warm, or starved into
 // eviction — produces a pool byte-identical to the default Direct
-// provider at every worker count.
+// provider at every worker count. The third pass runs over a clone of
+// the input: its fresh row sees every binding a second time, so the
+// content store admits them and the tiny cache must evict.
 func TestRunProviderByteIdentical(t *testing.T) {
 	input := buildPool(64)
+	inputs := []*pool.Pool{input, input, input.Clone()} // cold, warm, clone
 	pr := []Primer{
 		{Fwd: elongated("ACGTACGTAC"), Rev: revP, Conc: 1},
 		{Fwd: fwdP, Rev: revP, Conc: 0.02},
@@ -498,11 +501,11 @@ func TestRunProviderByteIdentical(t *testing.T) {
 	}
 	for name, prov := range providers {
 		for _, workers := range []int{1, 4, -1} {
-			for pass := 0; pass < 2; pass++ { // cold then warm
+			for pass, in := range inputs {
 				ps := base
 				ps.Provider = prov
 				ps.Workers = workers
-				out, stats, err := Run(input, pr, ps)
+				out, stats, err := Run(in, pr, ps)
 				if err != nil {
 					t.Fatal(err)
 				}
