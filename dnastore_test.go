@@ -257,3 +257,46 @@ func TestCacheIntegration(t *testing.T) {
 		t.Errorf("elongated primers synthesized %d want 1 (cache)", got)
 	}
 }
+
+// TestDecayStatsAccumulate checks that DecayStats is the running sum of
+// what each Advance returned, and that a read adds only its mechanical
+// wear on top.
+func TestDecayStatsAccumulate(t *testing.T) {
+	prof := AcceleratedDecay()
+	sys, err := New(Options{Seed: 7, TreeDepth: 3, MaxPartitions: 1, Decay: &prof})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := sys.CreatePartition("aging")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WriteBlock(0, []byte("aging record")); err != nil {
+		t.Fatal(err)
+	}
+	var want DecayStats
+	for _, days := range []float64{100, 250} {
+		st, err := sys.Advance(days)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Merge(st)
+		if got := sys.DecayStats(); got != want {
+			t.Fatalf("after %g more days: DecayStats %+v, want the Advance sum %+v", days, got, want)
+		}
+	}
+	if want.Days != 350 || want.SpeciesAged == 0 || want.StrandsLost <= 0 {
+		t.Fatalf("350 accelerated days aged nothing: %+v", want)
+	}
+	if _, err := p.ReadBlock(0); err != nil {
+		t.Fatal(err)
+	}
+	got := sys.DecayStats()
+	if got.Accesses == 0 || got.WearLost <= 0 {
+		t.Fatalf("a read charged no wear: %+v", got)
+	}
+	got.Accesses, got.WearLost = want.Accesses, want.WearLost
+	if got != want {
+		t.Fatalf("a read changed more than wear: %+v, want %+v", got, want)
+	}
+}

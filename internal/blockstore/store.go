@@ -390,9 +390,8 @@ func (s *Store) addCosts(f func(*Costs)) {
 
 // StreamStats returns the merged per-stage accounting of every
 // streaming decode engine the store has run: stage A filter/sign time,
-// stage B assignment time, finalize compute vs. the wall time reads
-// actually waited on it (their complement is the overlap won by
-// backgrounding finalization), and the kept/residue read split.
+// stage B assignment time, finalize compute and lane decodes, and the
+// kept/residue read split.
 func (s *Store) StreamStats() streamdecode.Stats {
 	s.streamMu.Lock()
 	defer s.streamMu.Unlock()
@@ -422,9 +421,6 @@ func (s *Store) TubeDigest() [32]byte { return s.tube.Digest() }
 
 // Config returns the store configuration.
 func (s *Store) Config() Config { return s.cfg }
-
-// Workers returns the resolved read-engine parallelism.
-func (s *Store) Workers() int { return s.workers }
 
 // Partition returns a previously created partition by name.
 func (s *Store) Partition(name string) (*Partition, bool) {

@@ -3,7 +3,6 @@ package blockstore
 import (
 	"dnastore/internal/decode"
 	"dnastore/internal/dna"
-	"dnastore/internal/parallel"
 	"dnastore/internal/pool"
 	"dnastore/internal/rng"
 	"dnastore/internal/seqsim"
@@ -15,10 +14,10 @@ import (
 // streamdecode engine and stopping (or, for multi-target reactions,
 // redirecting via an adaptive-sampling gate) on the read that meets
 // every target's coverage floor. The engine's assignment state is
-// sharded by provisional block address and its block finalizes run on
-// a background pool, overlapping the decode back half with ongoing
-// sequencing. The other protocol, the full budget, decodes with the
-// same engine (streamdecode.Decode, called from react).
+// sharded by provisional block address, and the decode back half runs
+// once the stream stops, on the reaction's own goroutine. The other
+// protocol, the full budget, decodes with the same engine
+// (streamdecode.Decode, called from react).
 //
 // Failure classification survives the early stop because the stream
 // draws its injected delivery ceiling up front, so "truncated" is a
@@ -116,11 +115,10 @@ type draw struct {
 // makes after it (fault draws, assembly's overflow-chain reactions):
 // those depend only on how many draws preceded the fork. The engine's
 // assignment is sharded per Config.StreamShards (0 =
-// streamdecode.DefaultShards) and block finalization overlapped on a
-// background pool; it fans out on the store's worker budget even when
-// the reaction fan-out is 1 — its output is worker-invariant, so this
-// only moves wall-clock. strict zeroes the coverage floor's erasure
-// slack.
+// streamdecode.DefaultShards); it fans out on the store's worker budget
+// even when the reaction fan-out is 1 — its output is worker-invariant,
+// so this only moves wall-clock. strict zeroes the coverage floor's
+// erasure slack.
 func (p *Partition) openPore(r *rng.Source, amplified *pool.Pool, ceiling int, strict bool) (*pore, error) {
 	src := r.Fork()
 	st, err := p.store.sampler.Stream(src, amplified)
@@ -130,13 +128,11 @@ func (p *Partition) openPore(r *rng.Source, amplified *pool.Pool, ceiling int, s
 		p.store.addCosts(func(c *Costs) { c.ReadsSequenced += ceiling })
 		return nil, err
 	}
-	workers := p.store.workers
-	eng, err := streamdecode.NewSharded(p.pipeline, 0, workers, p.store.cfg.StreamShards)
+	eng, err := streamdecode.NewSharded(p.pipeline, 0, p.store.workers, p.store.cfg.StreamShards)
 	if err != nil {
 		st.Close()
 		return nil, err
 	}
-	eng.Overlap(parallel.NewPool(workers))
 	if strict {
 		eng.SetSlack(0)
 	}
@@ -209,15 +205,14 @@ func (s *pore) fill(done func() bool) {
 }
 
 // closePore charges the stream's reads and ejections, closes the
-// stream, drains the engine's background jobs and folds its per-stage
-// accounting into the store's streaming totals.
+// stream and folds the engine's per-stage accounting into the store's
+// streaming totals.
 func (p *Partition) closePore(s *pore) {
 	p.store.addCosts(func(c *Costs) {
 		c.ReadsSequenced += s.sequenced
 		c.ReadsEjected += s.ejected
 	})
 	s.st.Close()
-	s.eng.Close()
 	p.store.addStreamStats(s.eng.Stats())
 }
 

@@ -198,9 +198,10 @@ func TestStreamingShardInvariance(t *testing.T) {
 }
 
 // TestStreamingStatsAccumulate checks the store-level roll-up of
-// engine stage timings: after streamed reads with overlapped
-// finalization the store has accounted kept reads, finalize jobs, and
-// stage compute.
+// engine stage timings: after streamed reads the store has accounted
+// kept reads, lane decodes and stage compute, and every finalize ran on
+// the reading goroutine, so the time waited on finalizes equals their
+// compute.
 func TestStreamingStatsAccumulate(t *testing.T) {
 	spart, _, sstore, _ := twinStores(t, 4, 1, 4)
 	if _, err := spart.ReadRange(0, 14); err != nil {
@@ -211,7 +212,14 @@ func TestStreamingStatsAccumulate(t *testing.T) {
 		t.Error("no kept reads accumulated")
 	}
 	if st.FinalizeJobs == 0 {
-		t.Error("no overlapped finalize jobs recorded")
+		t.Error("no lane decodes recorded")
+	}
+	if st.FinalizeWaitSeconds != st.FinalizeSeconds {
+		t.Errorf("finalize wait %.6fs != compute %.6fs", st.FinalizeWaitSeconds, st.FinalizeSeconds)
+	}
+	if st.HandoffSeconds != 0 || st.FinalizeDiscarded != 0 {
+		t.Errorf("handoff %.6fs, %d discarded: no finalize cuts a snapshot or is abandoned",
+			st.HandoffSeconds, st.FinalizeDiscarded)
 	}
 	if st.StageBSeconds <= 0 || st.FinalizeSeconds <= 0 {
 		t.Errorf("stage timings not accumulated: stageB %.3fs finalize %.3fs",

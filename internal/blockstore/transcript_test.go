@@ -130,7 +130,7 @@ func (tr *transcript) record(call string, blocks []int, content [][]byte, err er
 	}
 	st := tr.s.StreamStats()
 	tr.add("  costs %+v", tr.s.Costs())
-	tr.add("  stream kept=%d residue=%d jobs=%d discarded=%d", st.Kept, st.Residue, st.FinalizeJobs, st.FinalizeDiscarded)
+	tr.add("  stream kept=%d residue=%d", st.Kept, st.Residue)
 	tr.add("  tube %x", tr.s.TubeDigest())
 }
 

@@ -36,14 +36,11 @@ type StreamResult struct {
 
 	// Per-stage breakdown of the timed streaming read, from the
 	// engine's own stage clocks: parse/sign (stage A), sharded
-	// assignment (stage B), and overlapped finalization, with the
-	// overlap ratio (1 - wait/compute: 1 means every finalize ran
-	// fully hidden behind sequencing, 0 means every job was waited
-	// on) and the fraction of kept reads routed to the residue lane.
+	// assignment (stage B) and finalization, with the fraction of kept
+	// reads routed to the residue lane.
 	StageASeconds   float64
 	StageBSeconds   float64
 	FinalizeSeconds float64
-	FinalizeOverlap float64
 	ResidueFrac     float64
 
 	// The big-pool point, run when the study's scale reaches
@@ -161,12 +158,11 @@ func StreamStudy(scale, workers, shards int) (*StreamResult, error) {
 			ejected: after.ReadsEjected - before.ReadsEjected,
 			out:     out,
 			stages: streamdecode.Stats{
-				Kept:                stAfter.Kept - stBefore.Kept,
-				Residue:             stAfter.Residue - stBefore.Residue,
-				StageASeconds:       stAfter.StageASeconds - stBefore.StageASeconds,
-				StageBSeconds:       stAfter.StageBSeconds - stBefore.StageBSeconds,
-				FinalizeSeconds:     stAfter.FinalizeSeconds - stBefore.FinalizeSeconds,
-				FinalizeWaitSeconds: stAfter.FinalizeWaitSeconds - stBefore.FinalizeWaitSeconds,
+				Kept:            stAfter.Kept - stBefore.Kept,
+				Residue:         stAfter.Residue - stBefore.Residue,
+				StageASeconds:   stAfter.StageASeconds - stBefore.StageASeconds,
+				StageBSeconds:   stAfter.StageBSeconds - stBefore.StageBSeconds,
+				FinalizeSeconds: stAfter.FinalizeSeconds - stBefore.FinalizeSeconds,
 			},
 		}, nil
 	}
@@ -183,12 +179,6 @@ func StreamStudy(scale, workers, shards int) (*StreamResult, error) {
 	res.StageASeconds = stream.stages.StageASeconds
 	res.StageBSeconds = stream.stages.StageBSeconds
 	res.FinalizeSeconds = stream.stages.FinalizeSeconds
-	if stream.stages.FinalizeSeconds > 0 {
-		res.FinalizeOverlap = 1 - stream.stages.FinalizeWaitSeconds/stream.stages.FinalizeSeconds
-		if res.FinalizeOverlap < 0 {
-			res.FinalizeOverlap = 0
-		}
-	}
 	if stream.stages.Kept > 0 {
 		res.ResidueFrac = float64(stream.stages.Residue) / float64(stream.stages.Kept)
 	}
@@ -273,9 +263,8 @@ func PrintStreamStudy(w io.Writer, r *StreamResult) {
 	fmt.Fprintf(w, "  batch read:     %8.3fs, %6d reads sequenced\n", r.BatchSeconds, r.BatchReads)
 	fmt.Fprintf(w, "  streaming read: %8.3fs, %6d reads sequenced + %d ejected (%.2fx, %.0f%% reads saved)\n",
 		r.StreamSeconds, r.StreamReads, r.StreamEjected, r.Speedup, 100*r.ReadsSaved)
-	fmt.Fprintf(w, "  streaming stages: parse/sign %.3fs, assign %.3fs (%d shards), finalize %.3fs (overlap %.0f%%, residue %.1f%%)\n",
-		r.StageASeconds, r.StageBSeconds, r.Shards, r.FinalizeSeconds,
-		100*r.FinalizeOverlap, 100*r.ResidueFrac)
+	fmt.Fprintf(w, "  streaming stages: parse/sign %.3fs, assign %.3fs (%d shards), finalize %.3fs (residue %.1f%%)\n",
+		r.StageASeconds, r.StageBSeconds, r.Shards, r.FinalizeSeconds, 100*r.ResidueFrac)
 	if r.Identical {
 		fmt.Fprintf(w, "  streaming content byte-identical to batch: yes\n")
 	} else {

@@ -176,14 +176,6 @@ func NewInjector(p Plan) (*Injector, error) {
 	return &Injector{plan: p.withDefaults()}, nil
 }
 
-// Plan returns the injector's (defaults-filled) plan; zero on nil.
-func (in *Injector) Plan() Plan {
-	if in == nil {
-		return Plan{}
-	}
-	return in.plan
-}
-
 // Stats snapshots the fired-fault counters; zero on nil.
 func (in *Injector) Stats() Stats {
 	if in == nil {

@@ -60,9 +60,6 @@ func (f *Field) SymbolBits() uint { return f.m }
 // Add returns a+b. In characteristic 2, addition and subtraction are XOR.
 func (f *Field) Add(a, b byte) byte { return a ^ b }
 
-// Sub returns a-b, identical to Add in characteristic 2.
-func (f *Field) Sub(a, b byte) byte { return a ^ b }
-
 // Mul returns the product a*b.
 func (f *Field) Mul(a, b byte) byte {
 	if a == 0 || b == 0 {

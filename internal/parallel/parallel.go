@@ -90,36 +90,3 @@ func Run(workers, n int, fn func(i int) error) error {
 	wg.Wait()
 	return firstErr
 }
-
-// Pool is a bounded background worker pool for fire-and-forget tasks
-// whose results the caller collects through its own channels: the
-// streaming decode engine hands completed blocks to it so consensus
-// and RS decoding overlap ongoing sequencing. Unlike Run, submission
-// does not block (each task gets a goroutine that waits for a slot),
-// and completion order carries no meaning — determinism is the
-// submitter's contract: each task must be a pure function of state
-// captured at submission.
-type Pool struct {
-	slots chan struct{}
-	wg    sync.WaitGroup
-}
-
-// NewPool returns a pool running at most workers tasks concurrently
-// (resolved as in Resolve: 0 means 1, negative means GOMAXPROCS).
-func NewPool(workers int) *Pool {
-	return &Pool{slots: make(chan struct{}, Resolve(workers))}
-}
-
-// Go schedules fn on the pool. It never blocks the caller.
-func (p *Pool) Go(fn func()) {
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		p.slots <- struct{}{}
-		defer func() { <-p.slots }()
-		fn()
-	}()
-}
-
-// Wait blocks until every task submitted so far has finished.
-func (p *Pool) Wait() { p.wg.Wait() }

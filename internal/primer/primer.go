@@ -95,9 +95,6 @@ func (l *Library) Primers() []dna.Seq { return l.primers }
 // Len returns the number of primers in the library.
 func (l *Library) Len() int { return len(l.primers) }
 
-// Constraints returns the library's constraint set.
-func (l *Library) Constraints() Constraints { return l.constraints }
-
 // Add attempts to add a primer, returning an error if it violates the
 // single-primer constraints or is too close to an existing member.
 func (l *Library) Add(s dna.Seq) error {

@@ -31,9 +31,6 @@ func (s *EpochSet) Extend(n int) {
 	}
 }
 
-// Len returns the current id-space size.
-func (s *EpochSet) Len() int { return len(s.stamp) }
-
 // Seen stamps id for the current epoch and reports whether it had
 // already been stamped since Begin.
 func (s *EpochSet) Seen(id int) bool {
@@ -61,9 +58,6 @@ type Index struct {
 func NewIndex() *Index {
 	return &Index{buckets: make(map[uint64][]int32)}
 }
-
-// Len returns how many ids have been registered.
-func (x *Index) Len() int { return x.n }
 
 // bucketKey mixes a hash function index into its min-hash value so all
 // signatures share one bucket map.

@@ -40,19 +40,18 @@
 // on the read that completes a floor, and the engine then holds exactly
 // what one Add per read would hold.
 //
-// With a finalize pool attached (Overlap), a shard whose targets have
-// all met their floors is handed to a background worker the moment the
-// last floor fills: consensus, bit-parallel trace refinement, and RS
-// decoding overlap the sequencing still streaming for other shards.
-// Finalize then drains the jobs in block order; Reopen invalidates a
-// shard's in-flight job (its result is abandoned — the decode stages
-// are pure functions of the snapshot, so abandonment is cancellation)
-// and the shard resubmits when the raised floor fills.
+// Finalization runs on demand, on the caller. A target's finalize
+// decodes its shard's lane set — the shard plus the residue shard — in
+// one pass over every block visible there, and Finalize decodes each
+// lane set that holds a target once and splits the result per target.
+// A target therefore decodes the same bytes alone or with its
+// shard-mates, and escalation needs no bookkeeping: the next finalize
+// sees every read added since the last.
 //
 // Kept reads are retained 2-bit packed in one arena (a quarter of the
 // Seq footprint — the difference between holding 10^6–10^7 kept reads
 // and not), with signatures computed directly over the packed spans;
-// reads are unpacked only when a finalize snapshot is cut.
+// reads are unpacked only when a finalize materializes a lane set.
 package streamdecode
 
 import (
@@ -163,18 +162,18 @@ type Stats struct {
 	// StageBSeconds covers the sharded greedy assignment.
 	StageASeconds float64
 	StageBSeconds float64
-	// FinalizeSeconds is total finalize compute (background jobs plus
-	// synchronous finalizes); FinalizeWaitSeconds is the wall time the
-	// caller spent blocked on that compute. Their ratio is the overlap:
-	// 1 - wait/compute is the fraction of decode work hidden behind
-	// sequencing. HandoffSeconds is the cost of cutting job snapshots.
+	// FinalizeSeconds is total finalize compute. Every finalize runs on
+	// the caller, so FinalizeWaitSeconds, the time callers waited on
+	// it, equals it.
 	FinalizeSeconds     float64
 	FinalizeWaitSeconds float64
-	HandoffSeconds      float64
-	// FinalizeJobs counts background finalizes submitted;
-	// FinalizeDiscarded counts jobs abandoned by Reopen escalation
-	// before any of their results were consumed.
-	FinalizeJobs      int
+	// FinalizeJobs counts lane decodes: finalizes of a target's whole
+	// shard (plus the residue shard).
+	FinalizeJobs int
+	// HandoffSeconds and FinalizeDiscarded are always 0: no finalize
+	// cuts a snapshot or is abandoned. They stay only for the benchmark
+	// harness's reads; ROADMAP item 1 deletes them together with those.
+	HandoffSeconds    float64
 	FinalizeDiscarded int
 }
 
@@ -190,30 +189,6 @@ func (s *Stats) Accumulate(o Stats) {
 	s.HandoffSeconds += o.HandoffSeconds
 	s.FinalizeJobs += o.FinalizeJobs
 	s.FinalizeDiscarded += o.FinalizeDiscarded
-}
-
-// laneJob is one background finalize of a shard's accumulated clusters
-// (plus the residue shard's). Its inputs are a snapshot cut at
-// submission, so it shares nothing mutable with the engine.
-type laneJob struct {
-	done     chan struct{}
-	results  map[int]*decode.BlockResult
-	err      error
-	secs     float64     // compute seconds, written before done closes
-	gens     map[int]int // reopened[target] at submission
-	consumed bool
-	counted  bool
-}
-
-// fresh reports whether the job still reflects the targets' escalation
-// state — false once any of them was reopened after submission.
-func (j *laneJob) fresh(reopened map[int]int, targets []int) bool {
-	for _, b := range targets {
-		if j.gens[b] != reopened[b] {
-			return false
-		}
-	}
-	return true
 }
 
 // Engine accumulates one reaction's read stream. It is not safe for
@@ -238,15 +213,12 @@ type Engine struct {
 	bases  int      // total kept bases, sizing finalize slabs
 	riLane []uint16 // per kept read, the lane it was assigned in
 
-	cov         map[slotKey]int
-	floors      map[int]*floorState // by Expect'd block
-	pending     int                 // Expect'd blocks not yet Done
-	targets     []int               // Expect'd blocks, ascending
-	laneTargets [][]int             // targets grouped by shard
-	reopened    map[int]int         // escalation rounds: effective floor is floor << n
+	cov      map[slotKey]int
+	floors   map[int]*floorState // by Expect'd block
+	pending  int                 // Expect'd blocks not yet Done
+	targets  []int               // Expect'd blocks, ascending
+	reopened map[int]int         // escalation rounds: effective floor is floor << n
 
-	pool  *parallel.Pool   // overlapped finalization; nil = synchronous
-	jobs  map[int]*laneJob // in-flight/completed jobs by shard
 	stats Stats
 
 	keepf    []bool
@@ -300,19 +272,17 @@ func NewSharded(pipe *decode.Pipeline, floor, workers, shards int) (*Engine, err
 		shards = DefaultShards
 	}
 	e := &Engine{
-		pipe:        pipe,
-		signer:      cfg.Cluster.Signer(),
-		maxDist:     cfg.Cluster.MaxDist,
-		mol:         pipe.Unit().Molecules(),
-		floor:       floor,
-		slack:       (pipe.Unit().Molecules() - pipe.Unit().DataMolecules()) / 2,
-		workers:     w,
-		shards:      shards,
-		cov:         make(map[slotKey]int),
-		floors:      make(map[int]*floorState),
-		laneTargets: make([][]int, shards),
-		reopened:    make(map[int]int),
-		jobs:        make(map[int]*laneJob),
+		pipe:     pipe,
+		signer:   cfg.Cluster.Signer(),
+		maxDist:  cfg.Cluster.MaxDist,
+		mol:      pipe.Unit().Molecules(),
+		floor:    floor,
+		slack:    (pipe.Unit().Molecules() - pipe.Unit().DataMolecules()) / 2,
+		workers:  w,
+		shards:   shards,
+		cov:      make(map[slotKey]int),
+		floors:   make(map[int]*floorState),
+		reopened: make(map[int]int),
 	}
 	lanes := shards
 	if shards > 1 {
@@ -370,23 +340,6 @@ func (e *Engine) SetSlack(n int) {
 	}
 }
 
-// Overlap attaches a background pool for finalize jobs: a shard whose
-// targets have all met their floors is decoded concurrently with
-// ongoing sequencing. nil detaches (synchronous finalization, the
-// default). The jobs are pure functions of snapshots cut at
-// deterministic points of the read stream, so results are identical at
-// any worker count.
-func (e *Engine) Overlap(pool *parallel.Pool) { e.pool = pool }
-
-// Close waits for any in-flight finalize jobs, releasing their workers.
-// Abandoned jobs hold only private snapshots, so Close is about bounding
-// background work, not correctness.
-func (e *Engine) Close() {
-	if e.pool != nil {
-		e.pool.Wait()
-	}
-}
-
 // Stats returns the engine's accumulated per-stage accounting.
 func (e *Engine) Stats() Stats { return e.stats }
 
@@ -405,8 +358,6 @@ func (e *Engine) Expect(block int, versions []int) {
 		e.targets = append(e.targets, 0)
 		copy(e.targets[at+1:], e.targets[at:])
 		e.targets[at] = block
-		li := e.laneFor(block)
-		e.laneTargets[li] = append(e.laneTargets[li], block)
 		f = &floorState{}
 		e.floors[block] = f
 	}
@@ -565,9 +516,6 @@ func (e *Engine) Add(batch []dna.Seq, admit func(i int) bool) int {
 	parallel.Run(e.workers, len(e.lanes), e.fnB)
 	e.stats.StageBSeconds += time.Since(tB).Seconds()
 	e.curBatch = nil
-	if e.pool != nil {
-		e.maybeSubmit()
-	}
 	return cut
 }
 
@@ -651,92 +599,14 @@ func (e *Engine) CoverageEstimate(block int) (float64, bool) {
 // (and gating) resumes for its strands until the raised floor — or the
 // caller's read budget — is hit. The floor proved too shallow once, so
 // the next stop demands twice the evidence; repeated failures degrade
-// exponentially fast into the full-budget behavior. An in-flight background
-// finalize of the block's shard is invalidated for this block — its
-// result is abandoned, and the shard resubmits when the raised floor
-// fills.
+// exponentially fast into the full-budget behavior. Nothing of an
+// earlier finalize is kept, so the next one decodes every read the
+// escalation adds.
 func (e *Engine) Reopen(block int) {
 	e.reopened[block]++
 	if e.floors[block] != nil {
 		e.refloor(block)
 	}
-}
-
-// maybeSubmit hands every shard whose targets have all just met their
-// floors to the finalize pool. Shards are visited in index order and
-// jobs snapshot deterministic points of the read stream, so the
-// submission sequence is identical at any worker count.
-func (e *Engine) maybeSubmit() {
-	for li := 0; li < e.shards; li++ {
-		ts := e.laneTargets[li]
-		if len(ts) == 0 {
-			continue
-		}
-		ready := true
-		for _, b := range ts {
-			if !e.Done(b) {
-				ready = false
-				break
-			}
-		}
-		if !ready {
-			continue
-		}
-		if j := e.jobs[li]; j != nil && j.fresh(e.reopened, ts) {
-			continue // already submitted for this escalation state
-		}
-		e.submitLane(li, ts)
-	}
-}
-
-// submitLane cuts a snapshot of one shard's clusters (plus the residue
-// shard's) and decodes it on the background pool.
-func (e *Engine) submitLane(li int, targets []int) {
-	if old := e.jobs[li]; old != nil && !old.consumed {
-		e.stats.FinalizeDiscarded++
-	}
-	t0 := time.Now()
-	kept, clusters := e.materializeLanes(e.laneSet(li), true)
-	e.stats.HandoffSeconds += time.Since(t0).Seconds()
-	j := &laneJob{done: make(chan struct{}), gens: make(map[int]int, len(targets))}
-	for _, b := range targets {
-		j.gens[b] = e.reopened[b]
-	}
-	e.jobs[li] = j
-	e.stats.FinalizeJobs++
-	pipe := e.pipe
-	e.pool.Go(func() {
-		t := time.Now()
-		j.results, j.err = pipe.DecodeClusters(kept, clusters, -1)
-		j.secs = time.Since(t).Seconds()
-		close(j.done)
-	})
-}
-
-// consumeJob serves a finalize from the block's shard job when one is
-// in flight (or done) and still fresh for this block's escalation
-// round.
-func (e *Engine) consumeJob(block int) (*decode.BlockResult, error, bool) {
-	if e.pool == nil {
-		return nil, nil, false
-	}
-	j := e.jobs[e.laneFor(block)]
-	if j == nil {
-		return nil, nil, false
-	}
-	if gen, ok := j.gens[block]; !ok || gen != e.reopened[block] {
-		return nil, nil, false
-	}
-	t0 := time.Now()
-	<-j.done
-	e.stats.FinalizeWaitSeconds += time.Since(t0).Seconds()
-	if !j.counted {
-		e.stats.FinalizeSeconds += j.secs
-		j.counted = true
-	}
-	j.consumed = true
-	res, err := decode.FinishBlock(j.results, j.err, block)
-	return res, err, true
 }
 
 // laneSet lists the shards participating in one shard's finalize: the
@@ -754,19 +624,24 @@ func (e *Engine) laneSet(li int) []int {
 // founding order — reproducing cluster.Group's output contract over
 // the accumulated state (bit-identical at one shard).
 func (e *Engine) materialize() ([]dna.Seq, [][]int) {
+	return e.materializeLanes(e.allLanes())
+}
+
+// allLanes lists every shard, the residue shard included.
+func (e *Engine) allLanes() []int {
 	set := make([]int, len(e.lanes))
 	for i := range set {
 		set[i] = i
 	}
-	return e.materializeLanes(set, false)
+	return set
 }
 
 // materializeLanes unpacks the kept reads of the given shards into a
 // fresh slab and returns their clusters — reindexed against the
 // returned read slice, founding-order merged across shards, stable-
-// sorted by descending size. copy forces private member lists (job
-// snapshots must not alias lanes that keep growing).
-func (e *Engine) materializeLanes(set []int, copyMembers bool) ([]dna.Seq, [][]int) {
+// sorted by descending size. With every shard in the set the clusters
+// alias the lanes' member lists.
+func (e *Engine) materializeLanes(set []int) ([]dna.Seq, [][]int) {
 	all := len(set) == len(e.lanes)
 	if cap(e.laneMask) < len(e.lanes) {
 		e.laneMask = make([]bool, len(e.lanes))
@@ -829,62 +704,82 @@ func (e *Engine) materializeLanes(set []int, copyMembers bool) ([]dna.Seq, [][]i
 	sort.SliceStable(refs, func(i, j int) bool { return len(refs[i].members) > len(refs[j].members) })
 	clusters := make([][]int, len(refs))
 	for i, ref := range refs {
-		switch {
-		case all && !copyMembers:
+		if all {
 			clusters[i] = ref.members
-		case all:
-			clusters[i] = append([]int(nil), ref.members...)
-		default:
-			m := make([]int, len(ref.members))
-			for k, ri := range ref.members {
-				m[k] = int(local[ri])
-			}
-			clusters[i] = m
+			continue
 		}
+		m := make([]int, len(ref.members))
+		for k, ri := range ref.members {
+			m[k] = int(local[ri])
+		}
+		clusters[i] = m
 	}
 	return kept, clusters
 }
 
-// FinalizeBlock runs the back half of the decode pipeline — trace
-// reconstruction, RS decoding, candidate recursion — over the
-// accumulated clusters of the block's shard (and the residue shard),
-// consuming the shard's background job when a fresh one exists. The
-// engine remains usable afterwards: escalation adds more reads and
-// finalizes again.
-func (e *Engine) FinalizeBlock(block int) (*decode.BlockResult, error) {
-	if res, err, ok := e.consumeJob(block); ok {
-		return res, err
-	}
+// decodeLanes runs the back half of the decode pipeline — trace
+// reconstruction, RS decoding, candidate recursion — over the given
+// shards' accumulated clusters, on the caller.
+func (e *Engine) decodeLanes(set []int, target int) (map[int]*decode.BlockResult, error) {
 	t0 := time.Now()
-	kept, clusters := e.materializeLanes(e.laneSet(e.laneFor(block)), false)
-	results, err := e.pipe.DecodeClusters(kept, clusters, block)
+	kept, clusters := e.materializeLanes(set)
+	results, err := e.pipe.DecodeClusters(kept, clusters, target)
 	d := time.Since(t0).Seconds()
 	e.stats.FinalizeSeconds += d
 	e.stats.FinalizeWaitSeconds += d
+	return results, err
+}
+
+// decodeLane is one lane decode: every block visible in a shard's lane
+// set, decoded in one pass.
+func (e *Engine) decodeLane(li int) (map[int]*decode.BlockResult, error) {
+	e.stats.FinalizeJobs++
+	return e.decodeLanes(e.laneSet(li), -1)
+}
+
+// FinalizeBlock decodes the block from the accumulated clusters of its
+// shard and the residue shard. A target registered via Expect gets a
+// lane decode, so it decodes exactly as it would in Finalize; any other
+// block (Decode's lone target) stops as soon as its units are complete.
+// The engine remains usable afterwards: escalation adds more reads and
+// finalizes again.
+func (e *Engine) FinalizeBlock(block int) (*decode.BlockResult, error) {
+	var results map[int]*decode.BlockResult
+	var err error
+	if e.IsTarget(block) {
+		results, err = e.decodeLane(e.laneFor(block))
+	} else {
+		results, err = e.decodeLanes(e.laneSet(e.laneFor(block)), block)
+	}
 	return decode.FinishBlock(results, err, block)
 }
 
-// Finalize drains the engine. With targets registered it finalizes
-// them in ascending block order — consuming background jobs where
-// fresh ones exist — and aggregates deterministically: the result map
-// holds every target that produced a decode, and the returned error is
+// Finalize drains the engine. With targets registered it decodes each
+// shard that holds one once, then finalizes the targets in ascending
+// block order and aggregates deterministically: the result map holds
+// every target that produced a decode, and the returned error is
 // non-nil only when no target did (the first failure, by block order).
 // Without targets (Decode's full-budget protocol) it decodes every
 // block visible in the accumulated clusters in one pass.
 func (e *Engine) Finalize() (map[int]*decode.BlockResult, error) {
 	if len(e.targets) == 0 {
-		t0 := time.Now()
-		kept, clusters := e.materialize()
-		results, err := e.pipe.DecodeClusters(kept, clusters, -1)
-		d := time.Since(t0).Seconds()
-		e.stats.FinalizeSeconds += d
-		e.stats.FinalizeWaitSeconds += d
-		return results, err
+		return e.decodeLanes(e.allLanes(), -1)
 	}
+	type laneResult struct {
+		results map[int]*decode.BlockResult
+		err     error
+	}
+	decoded := make(map[int]laneResult, e.shards)
 	out := make(map[int]*decode.BlockResult, len(e.targets))
 	var firstErr error
 	for _, b := range e.targets {
-		res, err := e.FinalizeBlock(b)
+		li := e.laneFor(b)
+		lr, ok := decoded[li]
+		if !ok {
+			lr.results, lr.err = e.decodeLane(li)
+			decoded[li] = lr
+		}
+		res, err := decode.FinishBlock(lr.results, lr.err, b)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}

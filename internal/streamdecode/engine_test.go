@@ -13,7 +13,6 @@ import (
 	"dnastore/internal/dna"
 	"dnastore/internal/indextree"
 	"dnastore/internal/layout"
-	"dnastore/internal/parallel"
 	"dnastore/internal/rng"
 )
 
@@ -417,11 +416,10 @@ func TestEngineShardedMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestEngineOverlapReopen exercises the background finalize pool: jobs
-// are submitted as shards meet their floors, a mid-flight Reopen
-// invalidates the stale job (it is discarded, never consumed), and the
-// drain still matches the oracle decode.
-func TestEngineOverlapReopen(t *testing.T) {
+// TestEngineReopen escalates a target after its floor was met: Reopen
+// clears its verdict until a doubled floor fills, and the drain after
+// the escalation still matches the oracle decode.
+func TestEngineReopen(t *testing.T) {
 	enc := newEncoder(t)
 	pipe := newPipeline(t, enc)
 	reads := poolReads(t, enc, rng.New(11), channel.Illumina(), false)
@@ -430,8 +428,6 @@ func TestEngineOverlapReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Overlap(parallel.NewPool(4))
-	defer eng.Close()
 	for _, b := range blocks {
 		eng.Expect(b, []int{0})
 	}
@@ -439,12 +435,6 @@ func TestEngineOverlapReopen(t *testing.T) {
 	if !eng.AllDone() {
 		t.Fatal("eight noisy copies per strand did not satisfy the floor")
 	}
-	if jobs := eng.Stats().FinalizeJobs; jobs < 3 {
-		t.Fatalf("%d finalize jobs for 3 targets on distinct shards", jobs)
-	}
-	// Escalate block 17 while its shard's job is in flight (or done):
-	// the job must not serve block 17 anymore, and once the doubled
-	// floor fills, the shard resubmits, discarding the stale job.
 	eng.Reopen(17)
 	if eng.Done(17) {
 		t.Fatal("reopened block reported done")
@@ -452,10 +442,6 @@ func TestEngineOverlapReopen(t *testing.T) {
 	feed(eng, reads, 97) // same pool again: doubles every slot's coverage
 	if !eng.Done(17) {
 		t.Fatal("doubled floor not met by a second pass of the pool")
-	}
-	st := eng.Stats()
-	if st.FinalizeDiscarded < 1 {
-		t.Fatalf("stale job not discarded (discarded=%d)", st.FinalizeDiscarded)
 	}
 	all, err := eng.Finalize()
 	if err != nil {
@@ -470,6 +456,59 @@ func TestEngineOverlapReopen(t *testing.T) {
 	}
 	if eng.Stats().FinalizeSeconds <= 0 {
 		t.Fatal("finalize compute unaccounted")
+	}
+}
+
+// TestEngineFinalizeSharesLaneDecodes pins on-demand finalization:
+// Finalize over targets that share a shard runs one lane decode per
+// shard, and each target's FinalizeBlock equals — and agrees with
+// Finalize on — the oracle decode of every block in its lane set (its
+// shard plus the residue shard) in one DecodeClusters(…, -1) pass.
+func TestEngineFinalizeSharesLaneDecodes(t *testing.T) {
+	enc := newEncoder(t)
+	pipe := newPipeline(t, enc)
+	reads := poolReads(t, enc, rng.New(11), channel.Illumina(), true)
+	blocks := []int{2, 17, 40} // blocks 2 and 40 share shard 0 of 2
+	const shards = 2
+	eng, err := NewSharded(pipe, 0, 1, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range blocks {
+		eng.Expect(b, []int{0})
+	}
+	feed(eng, reads, 97)
+	all, err := eng.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := eng.Stats()
+	if st.FinalizeJobs != shards {
+		t.Fatalf("Finalize ran %d lane decodes for 3 targets on %d shards", st.FinalizeJobs, shards)
+	}
+	if st.FinalizeWaitSeconds != st.FinalizeSeconds {
+		t.Fatalf("finalize wait %.6fs != compute %.6fs", st.FinalizeWaitSeconds, st.FinalizeSeconds)
+	}
+	for _, b := range blocks {
+		kept, clusters := eng.materializeLanes(eng.laneSet(cluster.ShardOf(b, shards)))
+		results, err := pipe.DecodeClusters(kept, clusters, -1)
+		want, wantErr := decode.FinishBlock(results, err, b)
+		if wantErr != nil {
+			t.Fatalf("block %d: oracle lane decode failed: %v", b, wantErr)
+		}
+		got, err := eng.FinalizeBlock(b)
+		if err != nil {
+			t.Fatalf("block %d: %v", b, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("block %d: FinalizeBlock diverges from the oracle lane decode", b)
+		}
+		if !reflect.DeepEqual(all[b], want) {
+			t.Fatalf("block %d: Finalize diverges from the oracle lane decode", b)
+		}
+	}
+	if jobs := eng.Stats().FinalizeJobs; jobs != shards+len(blocks) {
+		t.Fatalf("%d lane decodes after %d FinalizeBlock calls, want %d", jobs, len(blocks), shards+len(blocks))
 	}
 }
 
@@ -526,8 +565,8 @@ func TestEngineAssignAllocs(t *testing.T) {
 
 // TestEngineAddAllocs pins the whole warm streaming path — stage A
 // filter/pack/sign/parse, shard routing, assignment, coverage, and the
-// finalize-submission gate with a pool attached — as allocation-free
-// per read once capacities have grown.
+// floor accounting of a registered target — as allocation-free per
+// read once capacities have grown.
 func TestEngineAddAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; pin is meaningless")
@@ -540,10 +579,7 @@ func TestEngineAddAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Overlap(parallel.NewPool(1))
-	defer eng.Close()
-	// The target's floor is never met (only strand 0's slot fills), so
-	// the submission gate runs on every Add without ever firing.
+	// A registered target puts the floor accounting on the pinned path.
 	eng.Expect(17, []int{0})
 	var warm []dna.Seq
 	for _, s := range strands {
