@@ -155,7 +155,7 @@ func BenchmarkLatencyModels(b *testing.B) {
 
 // BenchmarkUpdateCosts regenerates Section 7.5 (synthesis ~580x and
 // sequencing ~146x reductions), including a real run of the naïve
-// object-store baseline.
+// baseline on a Dense block-store partition per object generation.
 func BenchmarkUpdateCosts(b *testing.B) {
 	w, _, bb := benchSetup(b)
 	b.ResetTimer()

@@ -75,7 +75,8 @@ type Config struct {
 	Seed      uint64 // master seed for trees, randomizers, noise
 
 	// Variant selects the index scheme (paper: Sparse). The Dense
-	// variant exists for the prior-work baseline and ablations.
+	// variant exists for the prior-work baseline (experiment.UpdateCost)
+	// and ablations.
 	Variant indextree.Variant
 
 	// PadBytes is the per-unit random padding (paper: 8, making a

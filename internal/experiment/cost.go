@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"dnastore/internal/object"
+	"dnastore/internal/blockstore"
+	"dnastore/internal/dna"
+	"dnastore/internal/indextree"
 	"dnastore/internal/seqsim"
 )
 
@@ -128,33 +130,63 @@ type UpdateCostResult struct {
 	OursPrimerPairsWasted     int
 }
 
-// UpdateCost measures the naïve baseline with a real object-store run
-// and compares against the versioned update path.
+// baselineStore builds the prior-work store Section 7.5 compares
+// against: dense addresses over the whole 10-base index field (up to
+// 4^10 units per object) and unpadded, unsealed 264-byte units, so an
+// object packs at full density.
+func baselineStore(primers []dna.Seq) (*blockstore.Store, error) {
+	cfg := blockstore.DefaultConfig()
+	cfg.Variant = indextree.Dense
+	cfg.TreeDepth = cfg.Geometry.IndexLen
+	cfg.PadBytes = 0
+	return blockstore.New(cfg, primers)
+}
+
+// naiveUpdate writes data whole as generation gen of the named object
+// (Section 5.1): a fresh partition "name#gen" under the next primer
+// pair. Generation 0 is the object's first write; every later one is a
+// naïve update, which leaves the old copy in the tube and its primer
+// pair wasted.
+func naiveUpdate(s *blockstore.Store, name string, gen int, data []byte) (*blockstore.Partition, error) {
+	p, err := s.CreatePartition(fmt.Sprintf("%s#%d", name, gen))
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.Write(data); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// UpdateCost measures the naïve baseline with a real run on a baseline
+// store and compares against the versioned update path.
 func UpdateCost(w *Wetlab, b *Fig9bResult) (UpdateCostResult, error) {
 	var res UpdateCostResult
 
 	// Baseline: store the same corpus as one object, then perform one
-	// naïve update and read the costs off the object store's meters.
+	// naïve update and read the costs off the baseline store's meters.
 	primers, err := SearchPrimers(99, 4)
 	if err != nil {
 		return res, err
 	}
-	baseline, err := object.New(object.DefaultConfig(), primers)
+	baseline, err := baselineStore(primers)
 	if err != nil {
 		return res, err
 	}
-	if err := baseline.Put("alice", w.Book); err != nil {
+	if _, err := naiveUpdate(baseline, "alice", 0, w.Book); err != nil {
 		return res, err
 	}
 	before := baseline.Costs()
 	updated := append([]byte(nil), w.Book...)
 	updated[b.Block*BlockBytes] ^= 0xff
-	if err := baseline.Update("alice", updated); err != nil {
+	if _, err := naiveUpdate(baseline, "alice", 1, updated); err != nil {
 		return res, err
 	}
-	after := baseline.Costs()
-	res.BaselineSynthesis = after.StrandsSynthesized - before.StrandsSynthesized
-	res.BaselinePrimerPairsWasted = after.PrimerPairsWasted
+	delta := baseline.Costs().Sub(before)
+	res.BaselineSynthesis = delta.StrandsSynthesized
+	// Each update takes a fresh pair while the old one still tags the
+	// dead copy: one pair wasted per update.
+	res.BaselinePrimerPairsWasted = delta.PrimerPairsUsed
 
 	// Ours: a patch is one encoding unit of 15 molecules.
 	res.OursSynthesis = 15

@@ -249,7 +249,7 @@ func TestUpdateCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The object baseline packs the corpus at full density (264 B/unit,
+	// The baseline partition packs the corpus at full density (264 B/unit,
 	// no 256 B block alignment), so it resynthesizes ceil(150272/264)*15
 	// = 8550 strands vs the paper's 8805 — same ~580x order.
 	wantBaseline := (len(sharedWetlab(t).Book) + 263) / 264 * 15

@@ -37,7 +37,10 @@ type StreamResult struct {
 	// Per-stage breakdown of the timed streaming read, from the
 	// engine's own stage clocks: parse/sign (stage A), sharded
 	// assignment (stage B) and finalization, with the fraction of kept
-	// reads routed to the residue lane.
+	// reads routed to the residue lane. Each is summed stage time, not
+	// wall time: the clocks add up over the read's cover reactions,
+	// which run concurrently when Workers > 1, so a stage can exceed
+	// StreamSeconds.
 	StageASeconds   float64
 	StageBSeconds   float64
 	FinalizeSeconds float64
@@ -263,7 +266,7 @@ func PrintStreamStudy(w io.Writer, r *StreamResult) {
 	fmt.Fprintf(w, "  batch read:     %8.3fs, %6d reads sequenced\n", r.BatchSeconds, r.BatchReads)
 	fmt.Fprintf(w, "  streaming read: %8.3fs, %6d reads sequenced + %d ejected (%.2fx, %.0f%% reads saved)\n",
 		r.StreamSeconds, r.StreamReads, r.StreamEjected, r.Speedup, 100*r.ReadsSaved)
-	fmt.Fprintf(w, "  streaming stages: parse/sign %.3fs, assign %.3fs (%d shards), finalize %.3fs (residue %.1f%%)\n",
+	fmt.Fprintf(w, "  streaming stages (summed stage time, not wall time): parse/sign %.3fs, assign %.3fs (%d shards), finalize %.3fs (residue %.1f%%)\n",
 		r.StageASeconds, r.StageBSeconds, r.Shards, r.FinalizeSeconds, 100*r.ResidueFrac)
 	if r.Identical {
 		fmt.Fprintf(w, "  streaming content byte-identical to batch: yes\n")

@@ -79,14 +79,6 @@ func (f *Field) Div(a, b byte) byte {
 	return f.exp[f.log[a]+f.nonZero-f.log[b]]
 }
 
-// Inv returns the multiplicative inverse of a. It panics for a == 0.
-func (f *Field) Inv(a byte) byte {
-	if a == 0 {
-		panic("gf: inverse of zero")
-	}
-	return f.exp[f.nonZero-f.log[a]]
-}
-
 // Exp returns alpha^i for the field generator alpha, with i reduced
 // modulo the group order (negative i allowed).
 func (f *Field) Exp(i int) byte {
@@ -140,15 +132,6 @@ func (f *Field) PolyMul(a, b []byte) []byte {
 		for j, bj := range b {
 			out[i+j] ^= f.Mul(ai, bj)
 		}
-	}
-	return out
-}
-
-// PolyScale returns c * p.
-func (f *Field) PolyScale(p []byte, c byte) []byte {
-	out := make([]byte, len(p))
-	for i, v := range p {
-		out[i] = f.Mul(v, c)
 	}
 	return out
 }

@@ -166,33 +166,6 @@ func (s *Source) Bool() bool { return s.Uint64()&1 == 1 }
 // one subsystem does not perturb another.
 func (s *Source) Fork() *Source { return New(s.Uint64()) }
 
-// Poisson returns a Poisson variate with the given mean using Knuth's
-// method for small means and normal approximation for large means.
-func (s *Source) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 60 {
-		// Normal approximation with continuity correction; adequate for
-		// the read-count sampling this package serves.
-		v := mean + math.Sqrt(mean)*s.NormFloat64() + 0.5
-		if v < 0 {
-			return 0
-		}
-		return int(v)
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= s.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Binomial returns a binomial(n, p) variate. For large n it uses a normal
 // approximation; otherwise it sums Bernoulli trials.
 func (s *Source) Binomial(n int, p float64) int {

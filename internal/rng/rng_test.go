@@ -168,24 +168,6 @@ func TestForkIndependence(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	s := New(31)
-	for _, mean := range []float64{0.5, 4, 20, 200} {
-		const n = 20000
-		sum := 0
-		for i := 0; i < n; i++ {
-			sum += s.Poisson(mean)
-		}
-		got := float64(sum) / n
-		if math.Abs(got-mean) > 0.05*mean+0.05 {
-			t.Errorf("Poisson(%v) sample mean %v", mean, got)
-		}
-	}
-	if s.Poisson(0) != 0 || s.Poisson(-1) != 0 {
-		t.Error("Poisson of non-positive mean should be 0")
-	}
-}
-
 func TestBinomialMoments(t *testing.T) {
 	s := New(37)
 	const n, p, draws = 100, 0.3, 20000

@@ -61,9 +61,6 @@ func (c *Code) N() int { return c.n }
 // K returns the number of data symbols per codeword.
 func (c *Code) K() int { return c.k }
 
-// ParitySymbols returns n-k.
-func (c *Code) ParitySymbols() int { return c.n - c.k }
-
 // Encode produces a systematic codeword: the k data symbols followed by
 // n-k parity symbols. data must have exactly k symbols, each valid for
 // the field.

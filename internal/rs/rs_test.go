@@ -52,8 +52,8 @@ func TestMustNewPanics(t *testing.T) {
 
 func TestEncodeShape(t *testing.T) {
 	c := paperCode(t)
-	if c.N() != 15 || c.K() != 11 || c.ParitySymbols() != 4 {
-		t.Fatalf("parameters: n=%d k=%d parity=%d", c.N(), c.K(), c.ParitySymbols())
+	if c.N() != 15 || c.K() != 11 {
+		t.Fatalf("parameters: n=%d k=%d", c.N(), c.K())
 	}
 	data := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
 	word, err := c.Encode(data)
