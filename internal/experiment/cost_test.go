@@ -23,7 +23,32 @@ func newBaselineStore(t *testing.T) *blockstore.Store {
 	return s
 }
 
-func TestNaiveUpdateCosts(t *testing.T) {
+func TestBaselineWriteReadBack(t *testing.T) {
+	// A first write stores the object whole under its own primer pair and
+	// reads back through the same partition.
+	s := newBaselineStore(t)
+	data := bytes.Repeat([]byte("object store baseline value. "), 30) // 870 B -> 4 units
+	p, err := naiveUpdate(s, "doc", 0, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Costs().StrandsSynthesized; got != 4*15 {
+		t.Errorf("strands %d want 60", got)
+	}
+	res, err := p.Read(blockstore.ReadRequest{All: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Content) != 4 {
+		t.Errorf("read back %d units want 4", len(res.Content))
+	}
+	got := bytes.Join(res.Content, nil)
+	if len(got) < len(data) || !bytes.Equal(got[:len(data)], data) {
+		t.Fatal("round trip mismatch")
+	}
+}
+
+func TestBaselineNaiveUpdateCosts(t *testing.T) {
 	// Section 5.1 / 7.5: a naïve update resynthesizes the whole object
 	// under a fresh primer pair, however small the change.
 	s := newBaselineStore(t)
@@ -62,15 +87,22 @@ func TestNaiveUpdateCosts(t *testing.T) {
 	}
 }
 
-func TestNaiveUpdatePrimerExhaustion(t *testing.T) {
+func TestBaselineGenerationWrittenOnce(t *testing.T) {
+	s := newBaselineStore(t)
+	if _, err := naiveUpdate(s, "doc", 0, []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := naiveUpdate(s, "doc", 0, []byte("2")); err == nil {
+		t.Error("generation 0 written twice")
+	}
+}
+
+func TestBaselinePrimerExhaustion(t *testing.T) {
 	s := newBaselineStore(t)
 	for gen := 0; gen < 2; gen++ {
 		if _, err := naiveUpdate(s, "doc", gen, []byte("x")); err != nil {
 			t.Fatalf("generation %d: %v", gen, err)
 		}
-	}
-	if _, err := naiveUpdate(s, "doc", 1, []byte("y")); err == nil {
-		t.Error("generation 1 written twice")
 	}
 	if _, err := naiveUpdate(s, "doc", 2, []byte("y")); !errors.Is(err, blockstore.ErrNoPrimers) {
 		t.Errorf("third generation on 4 primers: %v, want ErrNoPrimers", err)
