@@ -43,7 +43,6 @@ func main() {
 	seed := flag.Uint64("seed", 0, "wetlab seed (0 = default)")
 	workers := flag.Int("workers", runtime.NumCPU(), "read-engine workers for the aging, faults and decode-stream studies")
 	scale := flag.Int("scale", 1, "multiply the Alice partition's block count (12 ≈ a 10^5-strand pool)")
-	shards := flag.Int("shards", 0, "assignment shards for the streaming-decode study (0 = engine default)")
 	days := flag.Float64("days", 1000, "accelerated-aging horizon in days for the aging study")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
@@ -54,13 +53,13 @@ func main() {
 		}
 		return
 	}
-	if err := runExperiments(*run, *reads, *seed, *workers, *scale, *shards, *days); err != nil {
+	if err := runExperiments(*run, *reads, *seed, *workers, *scale, *days); err != nil {
 		fmt.Fprintln(os.Stderr, "dnabench:", err)
 		os.Exit(1)
 	}
 }
 
-func runExperiments(run string, reads int, seed uint64, workers, scale, shards int, days float64) error {
+func runExperiments(run string, reads int, seed uint64, workers, scale int, days float64) error {
 	want := map[string]bool{}
 	if run == "all" {
 		for _, id := range experimentIDs {
@@ -157,23 +156,23 @@ func runExperiments(run string, reads int, seed uint64, workers, scale, shards i
 		}
 	}
 	if want["decode-stream"] {
-		fmt.Fprintf(out, "running the streaming-decode study (scale=%d, workers=%d, shards=%d)...\n", scale, workers, shards)
-		r, err := experiment.StreamStudy(scale, workers, shards)
+		fmt.Fprintf(out, "running the streaming-decode study (scale=%d, workers=%d)...\n", scale, workers)
+		r, err := experiment.StreamStudy(scale, workers)
 		if err != nil {
 			return err
 		}
 		experiment.PrintStreamStudy(out, r)
 		fmt.Fprintln(out)
 		// The CI smoke step advertises these gates; make them bite.
-		if !r.Identical {
-			return fmt.Errorf("decode-stream: streaming content not byte-identical to batch")
+		if !r.RangeOK {
+			return fmt.Errorf("decode-stream: range read does not return the written content")
 		}
-		if r.StreamReads >= r.BatchReads {
-			return fmt.Errorf("decode-stream: streaming sequenced %d reads, batch %d — early stop saved nothing",
-				r.StreamReads, r.BatchReads)
+		if r.StreamReads >= r.RangeBudget {
+			return fmt.Errorf("decode-stream: range read sequenced %d reads of a %d-read budget — early stop saved nothing",
+				r.StreamReads, r.RangeBudget)
 		}
 		if r.BigStrands > 0 && !r.BigOK {
-			return fmt.Errorf("decode-stream: big-pool streaming decode failed")
+			return fmt.Errorf("decode-stream: big-pool decode failed")
 		}
 	}
 

@@ -9,9 +9,12 @@
 // (primer library, index-tree seeds, version counters). Partitions are
 // created per primer pair and expose a block-device-like API; every read
 // performs the full simulated wet protocol: PCR (with an elongated
-// primer narrowing the reaction to the requested blocks), sequencing at
-// a configured depth, clustering, trace reconstruction, Reed-Solomon
-// decoding, and update-patch application.
+// primer narrowing the reaction to the requested blocks), sequencing
+// until every requested block meets its per-slot coverage floor (a
+// depth-scaled read, a scrub repair read and, under fault injection, a
+// reaction whose PCR never amplified sequence their full read budget
+// instead), clustering, trace reconstruction, Reed-Solomon decoding,
+// and update-patch application.
 //
 // Quick start:
 //
@@ -97,12 +100,10 @@ var (
 	ErrRSMarginExceeded = blockstore.ErrRSMarginExceeded
 	// ErrDepthScale reports a sequencing-depth scale that is not
 	// positive and finite, or whose scaled read budget overflows an
-	// int. It is returned in three places: by Read for a block
-	// request's Scale; by Scrub for a ScrubPolicy whose
-	// ProbeDepthFactor gives such a probe budget; and in the Health of
-	// a supervised read whose escalated retry depth overflows, wrapped
-	// together with ErrRetryBudgetExhausted. The refused reaction
-	// sequences nothing.
+	// int. It is returned in two places: by Read for a block request's
+	// Scale, and in the Health of a supervised read whose escalated
+	// retry depth overflows, wrapped together with
+	// ErrRetryBudgetExhausted. The refused reaction sequences nothing.
 	ErrDepthScale = blockstore.ErrDepthScale
 	// ErrReadRequest reports a ReadRequest with two targets, an unknown
 	// mode, or a Scale other than 1 on a Range or All read.
@@ -164,18 +165,6 @@ type Options struct {
 	// synthesized unit draws noise from its own deterministically forked
 	// rng source, so results are byte-identical for every worker count.
 	Workers int
-
-	// BatchDecode makes every read sequence its full read budget, which
-	// the one decode engine takes in a single pass. By default reads
-	// stream through the same engine instead: sequencing stops once
-	// every target's coverage floor is met and off-target molecules are
-	// ejected, so reads cost less. Scaled reads, scrub repairs and
-	// (under faults) unamplified reactions use the full budget either
-	// way, and so do supervised hedges and the retries that escalate
-	// depth. A retry after a classified reaction failure keeps the
-	// read's depth scale, so an unscaled one streams once its re-run
-	// PCR amplifies, like every other faulted read.
-	BatchDecode bool
 
 	// BindingCache is the entry budget of the store-level binding
 	// cache: primer ⇄ species alignments are pure functions of their
@@ -293,10 +282,9 @@ type Span = blockstore.Span
 // the worst unit's consumed Reed-Solomon erasure margin.
 type Health = blockstore.Health
 
-// ScrubPolicy tunes System.Scrub: probe depth (which applies only under
-// Options.BatchDecode; streaming probes stop at the coverage floor),
-// coverage and RS-margin floors, repair mode, boost gain, and retry
-// budget.
+// ScrubPolicy tunes System.Scrub: coverage and RS-margin floors,
+// repair mode, boost gain, and retry budget. Probes stop at the
+// coverage floor, so the policy sets no probe depth.
 type ScrubPolicy = blockstore.ScrubPolicy
 
 // ScrubReport summarizes one scrub pass: blocks probed, flagged,
@@ -355,9 +343,6 @@ func New(opt Options) (*System, error) {
 	cfg.Seed = opt.Seed
 	cfg.Workers = opt.Workers
 	cfg.BindingEntries = opt.BindingCache
-	if opt.BatchDecode {
-		cfg.Streaming = false
-	}
 	cfg.Decay = opt.Decay
 	if opt.Faults != nil {
 		inj, err := fault.NewInjector(*opt.Faults)
@@ -424,10 +409,9 @@ func (s *System) DecayStats() DecayStats { return s.store.DecayStats() }
 // Scrub probes every written block, flags blocks whose health has
 // dipped below the policy's floors, and — policy permitting — repairs
 // them by re-amplification or re-synthesis. A probe is a floor-stopped
-// zero-slack stream by default; under Options.BatchDecode it sequences
-// the full budget scaled by the policy's ProbeDepthFactor. The zero
-// ScrubPolicy selects the defaults; a policy with a NaN or infinite
-// field is rejected before any probe runs.
+// zero-slack stream. The zero ScrubPolicy selects the defaults; a
+// policy with a NaN or infinite field is rejected before any probe
+// runs.
 func (s *System) Scrub(pol ScrubPolicy) (*ScrubReport, error) { return s.store.Scrub(pol) }
 
 // CreatePartition allocates the next primer pair and returns an empty

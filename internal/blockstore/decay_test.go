@@ -436,9 +436,6 @@ func TestScrubRejectsNonFinitePolicy(t *testing.T) {
 	for _, pol := range []ScrubPolicy{
 		{BoostFactor: math.NaN(), Repair: RepairBoost, MinCoverage: 1e9},
 		{BoostFactor: math.Inf(1), Repair: RepairBoost, MinCoverage: 1e9},
-		{ProbeDepthFactor: math.NaN()},
-		{ProbeDepthFactor: math.Inf(1)},
-		{ProbeDepthFactor: 1e300}, // finite, but the budget overflows
 		{MinCoverage: math.Inf(-1)},
 		{MaxRSMargin: math.NaN()},
 	} {

@@ -80,8 +80,8 @@ type wetInfo struct {
 	truncated   bool    // injected abort cut delivery below the budget
 	quarantined int     // foreign species mass-zeroed by the screen
 	foreignFrac float64 // fraction of amplified mass the screen removed
-	covAvg      float64 // streamed block reads: mean per-slot coverage
-	entries     int     // streamed block reads: pore entries (sequenced + ejected)
+	covAvg      float64 // streamed reactions: mean per-slot coverage over the targets
+	entries     int     // streamed reactions: pore entries (sequenced + ejected)
 }
 
 // blockReaction builds the fully elongated-primer reaction of one block.
@@ -264,20 +264,21 @@ func (p *Partition) react(rx reaction, pcrWorkers int, wet wetMode, scale float6
 	ceiling := p.store.faultBudget(rx.src, budget)
 	info.truncated = ceiling < budget
 	var decoded map[int]*decode.BlockResult
-	switch {
-	case !p.streams(wet, scale, info.gain):
+	if p.streams(wet, scale, info.gain) {
+		// A block reaction streams strictly under wetNoSlack; covers
+		// always keep the floor's erasure slack.
+		targets := []int{rx.block}
+		if rx.block < 0 {
+			targets = p.writtenIn(rx.lo, rx.hi)
+		}
+		decoded, err = p.streamTargets(rx.src, amplified, targets, ceiling, wet == wetNoSlack && rx.block >= 0, &info)
+	} else {
 		info.delivered = ceiling
 		var seqs []dna.Seq
 		if seqs, err = p.store.sequence(rx.src, amplified, ceiling); err != nil {
 			return nil, info, err
 		}
 		decoded, err = streamdecode.Decode(p.pipeline, seqs, rx.block)
-	case rx.block >= 0:
-		var res *decode.BlockResult
-		res, err = p.streamBlock(rx.src, amplified, rx.block, ceiling, &info, wet == wetNoSlack)
-		decoded = map[int]*decode.BlockResult{rx.block: res}
-	default:
-		decoded, err = p.streamTargets(rx.src, amplified, p.writtenIn(rx.lo, rx.hi), ceiling)
 	}
 	results := make(map[int]*decode.BlockResult, len(decoded))
 	for b, got := range decoded {

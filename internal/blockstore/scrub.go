@@ -44,15 +44,6 @@ func (m RepairMode) String() string {
 // ScrubPolicy tunes Store.Scrub. The zero value selects the defaults
 // noted per field (DefaultScrubPolicy spells them out).
 type ScrubPolicy struct {
-	// ProbeDepthFactor scales the sequencing read budget of the probe
-	// reads relative to a normal access (default 0.6), but only when
-	// Config.Streaming is off (dnastore's Options.BatchDecode): a
-	// full-budget probe then costs a fraction of a full read sweep.
-	// Below ~0.5 those probes start failing on healthy blocks and the
-	// scrubber over-repairs. With streaming on, the default, a probe is
-	// a floor-stopped strict stream at the full budget and the factor
-	// is only validated.
-	ProbeDepthFactor float64
 	// MinCoverage is the per-strand read floor below which a block is
 	// flagged even when it still decodes — the Heckel et al. coverage
 	// floor a durability policy defends (default 2 reads/strand at
@@ -76,12 +67,11 @@ type ScrubPolicy struct {
 // DefaultScrubPolicy returns the documented defaults.
 func DefaultScrubPolicy() ScrubPolicy {
 	return ScrubPolicy{
-		ProbeDepthFactor: 0.6,
-		MinCoverage:      2,
-		MaxRSMargin:      0.5,
-		Repair:           RepairAuto,
-		BoostFactor:      20,
-		MaxRetries:       3,
+		MinCoverage: 2,
+		MaxRSMargin: 0.5,
+		Repair:      RepairAuto,
+		BoostFactor: 20,
+		MaxRetries:  3,
 	}
 }
 
@@ -94,7 +84,6 @@ func (pol ScrubPolicy) normalize() (ScrubPolicy, error) {
 		name string
 		v    float64
 	}{
-		{"ProbeDepthFactor", pol.ProbeDepthFactor},
 		{"MinCoverage", pol.MinCoverage},
 		{"MaxRSMargin", pol.MaxRSMargin},
 		{"BoostFactor", pol.BoostFactor},
@@ -104,9 +93,6 @@ func (pol ScrubPolicy) normalize() (ScrubPolicy, error) {
 		}
 	}
 	def := DefaultScrubPolicy()
-	if pol.ProbeDepthFactor <= 0 {
-		pol.ProbeDepthFactor = def.ProbeDepthFactor
-	}
 	if pol.MinCoverage <= 0 {
 		pol.MinCoverage = def.MinCoverage
 	}
@@ -153,27 +139,20 @@ type ScrubReport struct {
 }
 
 // Scrub probes every written block of every partition (PCR behind the
-// store's binding cache; a floor-stopped strict stream when
-// Config.Streaming is on, else a full-budget read scaled by
-// ProbeDepthFactor), flags blocks whose coverage
-// or RS margin has dipped below the policy's floors, and repairs them:
-// re-amplification (pool boost of the block's surviving species) for
-// thinned-but-complete blocks, full re-synthesis through the batch
-// write engine for blocks with extinct slots or corrupted strands —
-// retrying a failed repair read with escalating sequencing depth.
-// The pass is deterministic: partitions in name order, blocks
-// in address order, one probe noise source forked per block in that
-// order. A policy with a NaN or infinite field, or a ProbeDepthFactor
-// that overflows the read budget, is rejected before any probe runs.
+// store's binding cache, then a floor-stopped zero-slack stream), flags
+// blocks whose coverage or RS margin has dipped below the policy's
+// floors, and repairs them: re-amplification (pool boost of the block's
+// surviving species) for thinned-but-complete blocks, full
+// re-synthesis through the batch write engine for blocks with extinct
+// slots or corrupted strands — retrying a failed repair read, a
+// full-budget read, with escalating sequencing depth. The pass is
+// deterministic: partitions in name order, blocks in address order,
+// one probe noise source forked per block in that order. A policy with
+// a NaN or infinite field is rejected before any probe runs.
 func (s *Store) Scrub(pol ScrubPolicy) (*ScrubReport, error) {
 	pol, err := pol.normalize()
 	if err != nil {
 		return nil, err
-	}
-	// A probe scale whose budget would not fit in an int is refused
-	// up front, tested against the largest block reaction's budget.
-	if _, err := scaledBudget(s.ReadBudget(s.cfg.Geometry.MaxVersions()), pol.ProbeDepthFactor); err != nil {
-		return nil, fmt.Errorf("blockstore: scrub policy ProbeDepthFactor: %w", err)
 	}
 	costBefore := s.Costs()
 	report := &ScrubReport{}
@@ -213,20 +192,14 @@ func (p *Partition) scrub(pol ScrubPolicy, report *ScrubReport) error {
 		return err
 	}
 
-	// Probe phase: probe reads fanned across the workers. With
-	// streaming on, a probe is a floor-stopped strict stream — usually
-	// cheaper than the scaled full-budget probe — and its Coverage
-	// comes from the engine's live per-slot accounting rather than
-	// being re-derived from the decode's read totals. With streaming
-	// off, the probe sequences the budget scaled by ProbeDepthFactor.
-	scale := pol.ProbeDepthFactor
-	if p.store.cfg.Streaming {
-		scale = 1
-	}
+	// Probe phase: probe reads fanned across the workers. A probe is a
+	// floor-stopped strict stream, and its Coverage comes from the
+	// engine's live per-slot accounting rather than being re-derived
+	// from the decode's read totals.
 	pcrWorkers := p.fanWorkers(len(blocks))
 	health := make([]Health, len(blocks))
 	parallel.Run(p.workers, len(blocks), func(i int) error {
-		results, info, err := p.react(pl.reactions[i], pcrWorkers, wetNoSlack, scale, false)
+		results, info, err := p.react(pl.reactions[i], pcrWorkers, wetNoSlack, 1, false)
 		health[i] = p.healthOf(blocks[i], results[blocks[i]], err)
 		if info.covAvg > 0 && info.entries > 0 {
 			// The engine's live per-slot coverage, normalized by the

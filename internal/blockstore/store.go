@@ -101,19 +101,6 @@ type Config struct {
 	// primers participating in elongated-primer reactions.
 	CarryoverConc float64
 
-	// Streaming selects the reads' sequencing protocol, with the
-	// exceptions Partition.streams lists: true streams reads through
-	// the decode engine and stops at the targets' coverage floors,
-	// false sequences the full budget, which the same engine decodes at
-	// one shard. StreamShards partitions a stream's assignment state by
-	// block address, each shard with its own leader loop and sketch
-	// index, plus a residue shard for reads whose address fails to
-	// parse. 0 selects streamdecode.DefaultShards, a fixed constant:
-	// the partition shapes decode results, so it must not vary with
-	// the machine's parallelism.
-	Streaming    bool
-	StreamShards int
-
 	// Workers sets the engine parallelism: how many PCR → sequence →
 	// decode reactions of one range or batched read, how many per-block
 	// decodes inside the pipeline, and how many unit encode+synthesis
@@ -191,7 +178,6 @@ func DefaultConfig() Config {
 		PCR:            pcr.DefaultParams(),
 		Rates:          channel.Illumina(),
 		Decode:         decode.DefaultConfig(),
-		Streaming:      true,
 		CoverageDepth:  10,
 		WasteFactor:    2.5,
 		CapacityFactor: 6,

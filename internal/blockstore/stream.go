@@ -11,9 +11,9 @@ import (
 
 // This file is the wet half of the floor-stopped streaming protocol: a
 // reaction sequences incrementally, feeding each chunk through the
-// streamdecode engine and stopping (or, for multi-target reactions,
-// redirecting via an adaptive-sampling gate) on the read that meets
-// every target's coverage floor. The engine's assignment state is
+// streamdecode engine, ejecting molecules no open target needs through
+// an adaptive-sampling gate, and stopping on the read that meets every
+// target's coverage floor. The engine's assignment state is
 // sharded by provisional block address, and the decode back half runs
 // once the stream stops, on the reaction's own goroutine. The other
 // protocol, the full budget, decodes with the same engine
@@ -58,14 +58,14 @@ func chunkSize(budget int) int {
 const ejectOverhead = 4
 
 // streams picks a reaction's sequencing protocol after its PCR: the
-// floor-stopped stream (true) or the full budget. It streams only when
-// Config.Streaming is set, the mode is not wetBatch, the budget is
-// unscaled (a deliberate depth choice the floor would override), and,
-// under fault injection, the PCR really amplified: a failed reaction's
+// floor-stopped stream (true) or the full budget. Every read streams
+// except a scrub repair read (wetBatch), a depth-scaled read (a
+// deliberate depth choice the floor would override) and, under fault
+// injection, a reaction whose PCR never amplified: a failed reaction's
 // aliquot cannot be loaded for adaptive sampling, and supervisors
 // classify it on full-budget gain and foreign-mass evidence.
 func (p *Partition) streams(wet wetMode, scale, gain float64) bool {
-	return p.store.cfg.Streaming && wet != wetBatch && scale == 1 &&
+	return wet != wetBatch && scale == 1 &&
 		(p.store.cfg.Faults == nil || gain > failedGainCeiling)
 }
 
@@ -114,11 +114,10 @@ type draw struct {
 // reaction's, so where it stops never moves the draws the reaction
 // makes after it (fault draws, assembly's overflow-chain reactions):
 // those depend only on how many draws preceded the fork. The engine's
-// assignment is sharded per Config.StreamShards (0 =
-// streamdecode.DefaultShards); it fans out on the store's worker budget
-// even when the reaction fan-out is 1 — its output is worker-invariant,
-// so this only moves wall-clock. strict zeroes the coverage floor's
-// erasure slack.
+// assignment runs on streamdecode.DefaultShards shards; it fans out on
+// the store's worker budget even when the reaction fan-out is 1 — its
+// output is worker-invariant, so this only moves wall-clock. strict
+// zeroes the coverage floor's erasure slack.
 func (p *Partition) openPore(r *rng.Source, amplified *pool.Pool, ceiling int, strict bool) (*pore, error) {
 	src := r.Fork()
 	st, err := p.store.sampler.Stream(src, amplified)
@@ -128,7 +127,7 @@ func (p *Partition) openPore(r *rng.Source, amplified *pool.Pool, ceiling int, s
 		p.store.addCosts(func(c *Costs) { c.ReadsSequenced += ceiling })
 		return nil, err
 	}
-	eng, err := streamdecode.NewSharded(p.pipeline, 0, p.store.workers, p.store.cfg.StreamShards)
+	eng, err := streamdecode.New(p.pipeline, p.store.workers, 0)
 	if err != nil {
 		st.Close()
 		return nil, err
@@ -216,40 +215,6 @@ func (p *Partition) closePore(s *pore) {
 	p.store.addStreamStats(s.eng.Stats())
 }
 
-// streamBlock sequences one elongated-PCR reaction incrementally until
-// the target block's coverage floor is met, then decodes. The pore
-// gate ejects molecules that cannot contribute to the target — at
-// 10^6-strand tube scale the carryover junk would otherwise consume
-// the whole read budget before the floor filled. If the floor proves
-// too shallow (the finalize cannot serve an expected version), Reopen
-// doubles it and the stream continues, degrading toward the delivery
-// ceiling spent entirely on admissible molecules. The ceiling is the
-// reaction's budget after any injected sequencing abort (react draws
-// it). The stream records its evidence in info: reads sequenced, total
-// pore entries (the stream's true effort), and the engine's live mean
-// per-slot coverage of the target.
-func (p *Partition) streamBlock(r *rng.Source, amplified *pool.Pool, block, ceiling int, info *wetInfo, strict bool) (*decode.BlockResult, error) {
-	s, err := p.openPore(r, amplified, ceiling, strict)
-	if err != nil {
-		return nil, err
-	}
-	defer p.closePore(s)
-	expected := p.expectedVersions(block)
-	s.eng.Expect(block, expected)
-	done := func() bool { return s.eng.Done(block) }
-	s.fill(done)
-	res, derr := s.eng.FinalizeBlock(block)
-	for (derr != nil || !servesExpected(res, expected)) && !s.spent() {
-		s.eng.Reopen(block)
-		s.fill(done)
-		res, derr = s.eng.FinalizeBlock(block)
-	}
-	info.delivered = s.sequenced
-	info.entries = s.entries()
-	info.covAvg, _ = s.eng.CoverageEstimate(block)
-	return res, derr
-}
-
 // poreGate builds the adaptive-sampling admission decision for one
 // reaction: each molecule's clean template is parsed once — by the
 // same provisional-address parser the engine uses, never the
@@ -295,24 +260,23 @@ func (p *Partition) poreGate(amplified *pool.Pool, eng *streamdecode.Engine) fun
 	}
 }
 
-// streamTargets sequences one multi-block reaction (a range cover or a
-// whole-partition read) incrementally. The gate implements nanopore
-// adaptive sampling: each drawn molecule's clean template is parsed
-// once — by the same provisional-address parser the engine uses, never
-// the simulator's ground-truth metadata — and molecules of finished
-// targets or of blocks outside the target set are ejected unsequenced.
-// After the first finalize at the floors, targets that lack one of
-// their expected versions are reopened — their floors double per
-// round — and the stream escalates until every target serves its
-// versions or the delivery ceiling (or the pore-entry bound) is
-// exhausted. That holds also when the first finalize fails outright
-// (Engine.Finalize errors only when no target produced a result):
-// every target is reopened, as streamBlock reopens a failed lone
-// target, and the reaction fails with that finalize's error only if
-// escalation never produces a result. The ceiling is the reaction's
-// budget after any injected sequencing abort.
-func (p *Partition) streamTargets(r *rng.Source, amplified *pool.Pool, targets []int, ceiling int) (map[int]*decode.BlockResult, error) {
-	s, err := p.openPore(r, amplified, ceiling, false)
+// streamTargets sequences one reaction incrementally — a block's
+// elongated-primer reaction, a range cover or a whole-partition read —
+// until every target's coverage floor is met. The gate implements
+// nanopore adaptive sampling: each drawn molecule's clean template is
+// parsed once — by the same provisional-address parser the engine
+// uses, never the simulator's ground-truth metadata — and molecules of
+// finished targets or of blocks outside the target set are ejected
+// unsequenced (at 10^6-strand tube scale the carryover junk would
+// otherwise consume the whole read budget before the floor filled).
+// escalate then reopens the targets the floors proved too shallow for.
+// The ceiling is the reaction's budget after any injected sequencing
+// abort; strict zeroes the floors' erasure slack. The stream records
+// its evidence in info: reads sequenced, total pore entries (the
+// stream's true effort), and the engine's live mean per-slot coverage
+// over the targets.
+func (p *Partition) streamTargets(r *rng.Source, amplified *pool.Pool, targets []int, ceiling int, strict bool, info *wetInfo) (map[int]*decode.BlockResult, error) {
+	s, err := p.openPore(r, amplified, ceiling, strict)
 	if err != nil {
 		return nil, err
 	}
@@ -321,11 +285,20 @@ func (p *Partition) streamTargets(r *rng.Source, amplified *pool.Pool, targets [
 		s.eng.Expect(b, p.expectedVersions(b))
 	}
 	s.fill(s.eng.AllDone)
-	return p.escalate(s, targets)
+	results, err := p.escalate(s, targets)
+	info.delivered = s.sequenced
+	info.entries = s.entries()
+	info.covAvg = s.eng.CoverageEstimate()
+	return results, err
 }
 
-// escalate finalizes a cover stream's targets and reopens the failed
-// ones until all serve their versions or the stream is spent.
+// escalate finalizes a stream's targets and reopens the failed ones —
+// their floors double per round — until all serve their versions or
+// the delivery ceiling (or the pore-entry bound) is exhausted. That
+// holds also when the first finalize fails outright (Engine.Finalize
+// errors only when no target produced a result): every target is
+// reopened, and the reaction fails with that finalize's error only if
+// escalation never produces a result.
 func (p *Partition) escalate(s *pore, targets []int) (map[int]*decode.BlockResult, error) {
 	results, derr := s.eng.Finalize()
 	if derr != nil {

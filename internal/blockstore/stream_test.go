@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"dnastore/internal/decode"
@@ -16,132 +15,114 @@ import (
 	"dnastore/internal/update"
 )
 
-// twinStores builds two stores over the same primer library and seed,
-// one streaming and one on the full budget, each with one partition holding the
-// same written blocks and update history (including an overflow
-// chain), so every read can be compared content for content. shards
-// sets the streaming store's assignment shard count (0 = default).
-func twinStores(t *testing.T, streamWorkers, batchWorkers, shards int) (stream, batch *Partition, ss, bs *Store) {
+// streamStore builds a store with one partition holding written blocks
+// and an update history (including an overflow chain), and the model
+// of what every written block must read back as.
+func streamStore(t *testing.T, workers int) (*Partition, *Store, *transcriptModel) {
 	t.Helper()
-	mk := func(streaming bool, workers int) (*Store, *Partition) {
-		cfg := testConfig()
-		cfg.Streaming = streaming
-		if streaming {
-			cfg.StreamShards = shards
-		}
-		cfg.Workers = workers
-		s := newTestStore(t, cfg)
-		p, err := s.CreatePartition("twin")
-		if err != nil {
-			t.Fatal(err)
-		}
-		blocks := map[int][]byte{}
-		for _, b := range []int{0, 3, 7, 12, 13, 14, 40} {
-			data := bytes.Repeat([]byte{byte('a' + b%26)}, 40+b)
-			blocks[b] = data
-		}
-		if err := p.WriteBlocks(blocks); err != nil {
-			t.Fatal(err)
-		}
-		// One in-slot update on block 3, and three on block 7 so its
-		// last version slot chains into the overflow log.
-		if err := p.UpdateBlock(3, update.Patch{DeleteStart: 0, DeleteCount: 4, Insert: []byte("EDIT")}); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			if err := p.UpdateBlock(7, update.Patch{InsertPos: i, Insert: []byte{byte('X' + i)}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return s, p
-	}
-	bstore, bpart := mk(false, batchWorkers)
-	sstore, spart := mk(true, streamWorkers)
-	return spart, bpart, sstore, bstore
-}
-
-// TestStreamingReadsMatchBatch is the system-level differential: with
-// the same seed and write history, every content read of the streaming
-// store must return byte-identical data to the batch store's, while
-// sequencing strictly fewer reads.
-func TestStreamingReadsMatchBatch(t *testing.T) {
-	spart, bpart, sstore, bstore := twinStores(t, 4, 1, 0)
-
-	for _, b := range []int{0, 3, 7, 40} {
-		sgot, serr := spart.ReadBlock(b)
-		bgot, berr := bpart.ReadBlock(b)
-		if serr != nil || berr != nil {
-			t.Fatalf("block %d: streaming err %v, batch err %v", b, serr, berr)
-		}
-		if !bytes.Equal(sgot, bgot) {
-			t.Fatalf("block %d: streaming content diverges from batch", b)
-		}
-	}
-
-	sgot, serr := readContent(spart.Read(ReadRequest{Blocks: []int{7, 0, 12}}))
-	bgot, berr := readContent(bpart.Read(ReadRequest{Blocks: []int{7, 0, 12}}))
-	if serr != nil || berr != nil {
-		t.Fatalf("ReadBlocks: streaming err %v, batch err %v", serr, berr)
-	}
-	for i := range bgot {
-		if !bytes.Equal(sgot[i], bgot[i]) {
-			t.Fatalf("ReadBlocks[%d]: streaming content diverges from batch", i)
-		}
-	}
-
-	sgot, serr = spart.ReadRange(3, 14)
-	bgot, berr = bpart.ReadRange(3, 14)
-	if serr != nil || berr != nil {
-		t.Fatalf("ReadRange: streaming err %v, batch err %v", serr, berr)
-	}
-	for i := range bgot {
-		if !bytes.Equal(sgot[i], bgot[i]) {
-			t.Fatalf("ReadRange[%d]: streaming content diverges from batch", i)
-		}
-	}
-
-	sgot, serr = readContent(spart.Read(ReadRequest{All: true}))
-	bgot, berr = readContent(bpart.Read(ReadRequest{All: true}))
-	if serr != nil || berr != nil {
-		t.Fatalf("ReadAll: streaming err %v, batch err %v", serr, berr)
-	}
-	if len(sgot) != len(bgot) {
-		t.Fatalf("ReadAll: %d streaming blocks, %d batch", len(sgot), len(bgot))
-	}
-	for i := range bgot {
-		if !bytes.Equal(sgot[i], bgot[i]) {
-			t.Fatalf("ReadAll[%d]: streaming content diverges from batch", i)
-		}
-	}
-
-	sc, bc := sstore.Costs(), bstore.Costs()
-	if sc.ReadsSequenced >= bc.ReadsSequenced {
-		t.Errorf("streaming sequenced %d reads, batch %d: early stop saved nothing",
-			sc.ReadsSequenced, bc.ReadsSequenced)
-	}
-	if bc.ReadsEjected != 0 {
-		t.Errorf("batch store ejected %d reads", bc.ReadsEjected)
-	}
-	if sc.ReadsEjected == 0 {
-		t.Error("streaming multi-target reads never engaged the adaptive-sampling gate")
-	}
-	t.Logf("reads sequenced: streaming %d vs batch %d (%.0f%%), ejected %d",
-		sc.ReadsSequenced, bc.ReadsSequenced,
-		100*float64(sc.ReadsSequenced)/float64(bc.ReadsSequenced), sc.ReadsEjected)
-}
-
-// TestStreamingWorkerInvariance pins that the streaming read path is
-// deterministic in the worker count: serial and parallel streaming
-// stores return identical content and identical read counts.
-func TestStreamingWorkerInvariance(t *testing.T) {
-	spart1, _, sstore1, _ := twinStores(t, 1, 1, 0)
-	spartN, _, sstoreN, _ := twinStores(t, -1, 1, 0)
-
-	a, err := spart1.ReadRange(0, 14)
+	cfg := testConfig()
+	cfg.Workers = workers
+	s := newTestStore(t, cfg)
+	p, err := s.CreatePartition("stream")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := spartN.ReadRange(0, 14)
+	model := &transcriptModel{size: p.BlockSize(), payload: map[int][]byte{}, patches: map[int][]update.Patch{}}
+	for _, b := range []int{0, 3, 7, 12, 13, 14, 40} {
+		model.payload[b] = bytes.Repeat([]byte{byte('a' + b%26)}, 40+b)
+	}
+	if err := p.WriteBlocks(model.payload); err != nil {
+		t.Fatal(err)
+	}
+	// One in-slot update on block 3, and three on block 7 so its last
+	// version slot chains into the overflow log.
+	model.patches[3] = []update.Patch{{DeleteStart: 0, DeleteCount: 4, Insert: []byte("EDIT")}}
+	for i := 0; i < 3; i++ {
+		model.patches[7] = append(model.patches[7], update.Patch{InsertPos: i, Insert: []byte{byte('X' + i)}})
+	}
+	for _, b := range []int{3, 7} {
+		for _, pt := range model.patches[b] {
+			if err := p.UpdateBlock(b, pt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return p, s, model
+}
+
+// TestStreamingReadsMatchWritten is the system-level check of the
+// streaming protocol against ground truth: block, batched-block, range
+// and whole-partition reads return every block's written payload with
+// its patches applied, while sequencing fewer reads than the full
+// budgets of the reactions the reads planned (the overflow-chain
+// retrievals' reads count against that sum too) and ejecting
+// off-target molecules through the adaptive-sampling gate.
+func TestStreamingReadsMatchWritten(t *testing.T) {
+	p, s, model := streamStore(t, 4)
+	check := func(call string, blocks []int, got [][]byte, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", call, err)
+		}
+		if len(got) != len(blocks) {
+			t.Fatalf("%s: %d blocks, want %d", call, len(got), len(blocks))
+		}
+		for i, b := range blocks {
+			if !bytes.Equal(got[i], model.content(t, b)) {
+				t.Fatalf("%s: block %d differs from its written payload with patches applied", call, b)
+			}
+		}
+	}
+	budget := 0 // the full budgets of the reactions the reads plan
+	for _, b := range []int{0, 3, 7, 40} {
+		got, err := p.ReadBlock(b)
+		check(fmt.Sprintf("ReadBlock(%d)", b), []int{b}, [][]byte{got}, err)
+		budget += s.ReadBudget(1 + p.Versions(b))
+	}
+	batch := []int{7, 0, 12}
+	got, err := readContent(p.Read(ReadRequest{Blocks: batch}))
+	check("Read(Blocks)", batch, got, err)
+	for _, b := range batch {
+		budget += s.ReadBudget(1 + p.Versions(b))
+	}
+	got, err = p.ReadRange(3, 14)
+	check("ReadRange(3, 14)", []int{3, 7, 12, 13, 14}, got, err)
+	got, err = readContent(p.Read(ReadRequest{All: true}))
+	check("Read(All)", []int{0, 3, 7, 12, 13, 14, 40}, got, err)
+
+	c := s.Costs()
+	rangePlan, err := p.planRange(3, 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pl := range []readPlan{rangePlan, p.planCovers(nil)} {
+		for _, rx := range pl.reactions {
+			budget += s.ReadBudget(rx.units)
+		}
+	}
+	if c.ReadsSequenced >= budget {
+		t.Errorf("streaming sequenced %d reads, the planned reactions' full budgets %d: early stop saved nothing",
+			c.ReadsSequenced, budget)
+	}
+	if c.ReadsEjected == 0 {
+		t.Error("streaming reads never engaged the adaptive-sampling gate")
+	}
+	t.Logf("reads sequenced: %d of a %d-read planned budget (%.0f%%), ejected %d",
+		c.ReadsSequenced, budget, 100*float64(c.ReadsSequenced)/float64(budget), c.ReadsEjected)
+}
+
+// TestStreamingWorkerInvariance pins that the streaming read path is
+// deterministic in the worker count: serial and parallel stores return
+// identical content and identical read counts.
+func TestStreamingWorkerInvariance(t *testing.T) {
+	p1, s1, _ := streamStore(t, 1)
+	pN, sN, _ := streamStore(t, -1)
+
+	a, err := p1.ReadRange(0, 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := pN.ReadRange(0, 14)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,50 +131,10 @@ func TestStreamingWorkerInvariance(t *testing.T) {
 			t.Fatalf("ReadRange[%d]: serial and parallel streaming diverge", i)
 		}
 	}
-	c1, cN := sstore1.Costs(), sstoreN.Costs()
+	c1, cN := s1.Costs(), sN.Costs()
 	if c1.ReadsSequenced != cN.ReadsSequenced || c1.ReadsEjected != cN.ReadsEjected {
 		t.Errorf("read accounting depends on workers: serial %d/%d, parallel %d/%d",
 			c1.ReadsSequenced, c1.ReadsEjected, cN.ReadsSequenced, cN.ReadsEjected)
-	}
-}
-
-// TestStreamingShardInvariance pins that the assignment shard count is
-// invisible to callers: for every shard count the streaming store
-// returns content byte-identical to the batch store and the read/eject
-// accounting is identical across shard counts.
-func TestStreamingShardInvariance(t *testing.T) {
-	type run struct {
-		shards  int
-		content [][]byte
-		costs   Costs
-	}
-	var runs []run
-	for _, shards := range []int{1, 4, runtime.GOMAXPROCS(0) + 1} {
-		spart, bpart, sstore, _ := twinStores(t, 4, 1, shards)
-		sgot, serr := spart.ReadRange(0, 14)
-		bgot, berr := bpart.ReadRange(0, 14)
-		if serr != nil || berr != nil {
-			t.Fatalf("shards=%d: streaming err %v, batch err %v", shards, serr, berr)
-		}
-		for i := range bgot {
-			if !bytes.Equal(sgot[i], bgot[i]) {
-				t.Fatalf("shards=%d ReadRange[%d]: streaming content diverges from batch", shards, i)
-			}
-		}
-		runs = append(runs, run{shards, sgot, sstore.Costs()})
-	}
-	for _, r := range runs[1:] {
-		for i := range runs[0].content {
-			if !bytes.Equal(r.content[i], runs[0].content[i]) {
-				t.Errorf("shards=%d block[%d] content diverges from shards=%d", r.shards, i, runs[0].shards)
-			}
-		}
-		if r.costs.ReadsSequenced != runs[0].costs.ReadsSequenced ||
-			r.costs.ReadsEjected != runs[0].costs.ReadsEjected {
-			t.Errorf("read accounting depends on shards: shards=%d %d/%d, shards=%d %d/%d",
-				runs[0].shards, runs[0].costs.ReadsSequenced, runs[0].costs.ReadsEjected,
-				r.shards, r.costs.ReadsSequenced, r.costs.ReadsEjected)
-		}
 	}
 }
 
@@ -203,11 +144,11 @@ func TestStreamingShardInvariance(t *testing.T) {
 // the reading goroutine, so the time waited on finalizes equals their
 // compute.
 func TestStreamingStatsAccumulate(t *testing.T) {
-	spart, _, sstore, _ := twinStores(t, 4, 1, 4)
-	if _, err := spart.ReadRange(0, 14); err != nil {
+	p, s, _ := streamStore(t, 4)
+	if _, err := p.ReadRange(0, 14); err != nil {
 		t.Fatal(err)
 	}
-	st := sstore.StreamStats()
+	st := s.StreamStats()
 	if st.Kept == 0 {
 		t.Error("no kept reads accumulated")
 	}
@@ -230,15 +171,14 @@ func TestStreamingStatsAccumulate(t *testing.T) {
 	}
 }
 
-// TestStreamingSeqAbortClassified is the streamed twin of
-// TestSeqAbortClassified: with streaming enabled the supervised
-// health read must classify an injected run abort from the true
-// delivered ceiling — not from a batch-only delivered count — and
-// keep the curable coverage class.
+// TestStreamingSeqAbortClassified is TestSeqAbortClassified on a
+// 4-worker store: the streamed health read must classify an injected
+// run abort from the true delivered ceiling — not from a delivered
+// count an early stop would forge — and keep the curable coverage
+// class.
 func TestStreamingSeqAbortClassified(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 4
-	cfg.Streaming = true
 	inj, err := fault.NewInjector(fault.Plan{SeqAbort: 1, SeqAbortFrac: 0.05})
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +215,6 @@ func TestStreamingCoverSeqAbortCapped(t *testing.T) {
 	const frac = 0.05
 	cfg := testConfig()
 	cfg.Workers = 1
-	cfg.Streaming = true
 	inj, err := fault.NewInjector(fault.Plan{SeqAbort: 1, SeqAbortFrac: frac})
 	if err != nil {
 		t.Fatal(err)
@@ -306,6 +245,52 @@ func TestStreamingCoverSeqAbortCapped(t *testing.T) {
 	}
 	if got == 0 || got > ceiling {
 		t.Errorf("aborted range read sequenced %d reads, want 1..%d (the truncated budgets)", got, ceiling)
+	}
+}
+
+// TestUnamplifiedCoverSequencesFullBudget pins the protocol rule for a
+// reaction whose PCR never amplified: it sequences its full budget
+// instead of streaming. Every PCR fails, and no block has an overflow
+// chain to chase, so a range read sequences exactly the summed read
+// budgets of its covers and ejects nothing — the one way a store's
+// multi-target reaction reaches the full-budget protocol.
+func TestUnamplifiedCoverSequencesFullBudget(t *testing.T) {
+	cfg := testConfig()
+	cfg.Workers = 1
+	inj, err := fault.NewInjector(fault.Plan{PCRFail: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = inj
+	s := newTestStore(t, cfg)
+	p, err := s.CreatePartition("unamplified")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 8; b++ {
+		if err := p.WriteBlock(b, bytes.Repeat([]byte{byte('a' + b)}, 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := s.Costs()
+	if _, err := p.Read(ReadRequest{Range: &Span{Lo: 0, Hi: 7}, Mode: ReadHealth}); err != nil {
+		t.Fatal(err)
+	}
+	got := s.Costs().Sub(before)
+	pl, err := p.planRange(0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, rx := range pl.reactions {
+		if rx.hi == rx.lo {
+			t.Fatalf("cover [%d, %d] holds one block: the test reaches no multi-target reaction", rx.lo, rx.hi)
+		}
+		want += s.ReadBudget(rx.units)
+	}
+	if got.ReadsSequenced != want || got.ReadsEjected != 0 {
+		t.Errorf("unamplified range read sequenced %d reads and ejected %d, want the covers' full budgets %d and no ejection",
+			got.ReadsSequenced, got.ReadsEjected, want)
 	}
 }
 
@@ -343,7 +328,6 @@ func amplify(t *testing.T, p *Partition, rx reaction) (*pool.Pool, *rng.Source, 
 // where the stream stopped.
 func TestStreamLeavesSourceUnmoved(t *testing.T) {
 	cfg := testConfig()
-	cfg.Streaming = true
 	cfg.Workers = 1
 	inj, err := fault.NewInjector(fault.Plan{SeqAbort: 0.5, SeqAbortFrac: 0.9})
 	if err != nil {
@@ -367,10 +351,10 @@ func TestStreamLeavesSourceUnmoved(t *testing.T) {
 		strictInfo, slackInfo := wetInfo{budget: budget}, wetInfo{budget: budget}
 		strictCeil := p.store.faultBudget(&strictSrc, budget)
 		slackCeil := p.store.faultBudget(&slackSrc, budget)
-		if _, err := p.streamBlock(&strictSrc, amplified, b, strictCeil, &strictInfo, true); err != nil {
+		if _, err := p.streamTargets(&strictSrc, amplified, []int{b}, strictCeil, true, &strictInfo); err != nil {
 			t.Fatalf("block %d strict: %v", b, err)
 		}
-		if _, err := p.streamBlock(&slackSrc, amplified, b, slackCeil, &slackInfo, false); err != nil {
+		if _, err := p.streamTargets(&slackSrc, amplified, []int{b}, slackCeil, false, &slackInfo); err != nil {
 			t.Fatalf("block %d slack: %v", b, err)
 		}
 		if strictSrc != slackSrc {
@@ -445,7 +429,6 @@ func runPore(t *testing.T, p *Partition, amplified *pool.Pool, src rng.Source, b
 // but charges none of those draws.
 func TestPoreStopsOnFloorRead(t *testing.T) {
 	cfg := testConfig()
-	cfg.Streaming = true
 	cfg.Workers = 1
 	s := newTestStore(t, cfg)
 	p, err := s.CreatePartition("floor")
@@ -511,13 +494,12 @@ func TestPoreStopsOnFloorRead(t *testing.T) {
 // TestCoverEscalatesFailedFinalize pins cover escalation from a first
 // finalize that fails outright. A cover stream whose pore has credited
 // no read yet has no target with a result, so Engine.Finalize errors;
-// escalate must reopen every target and stream on, as streamBlock does
-// for a lone target, until each serves its expected versions. A store's
-// own cover streams reach that state only when spent, where escalation
-// stops at once, so the test opens the pore itself and skips the fill.
+// escalate must reopen every target and stream on until each serves
+// its expected versions. A store's own cover streams reach that state
+// only when spent, where escalation stops at once, so the test opens
+// the pore itself and skips the fill.
 func TestCoverEscalatesFailedFinalize(t *testing.T) {
 	cfg := testConfig()
-	cfg.Streaming = true
 	cfg.Workers = 1
 	s := newTestStore(t, cfg)
 	p, err := s.CreatePartition("escalate")

@@ -144,22 +144,17 @@ func (tr *transcript) recovery(rep *RecoveryReport) {
 
 // TestReadTranscriptGolden is the read engine's oracle: one seeded store
 // with a multi-cover partition, a two-log-block overflow chain, an aged
-// tube and 5% stage faults, driven through every read form, once per
-// decode engine (streaming and batch, in parallel: the two stores share
-// nothing). Every call's content digest, error class, health, recovery
-// and scrub reports, cost and streaming counters and tube digest must
-// match the committed transcript exactly.
+// tube and 5% stage faults, driven through every read form. Every
+// call's content digest, error class, health, recovery and scrub
+// reports, cost and streaming counters and tube digest must match the
+// committed transcript exactly.
 func TestReadTranscriptGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wet-lab simulation is slow")
 	}
-	for _, engine := range []string{"streaming", "batch"} {
-		t.Run(engine, func(t *testing.T) {
-			t.Parallel()
-			golden := fmt.Sprintf("testdata/read_transcript_%s.golden", engine)
-			compareTranscript(t, golden, readTranscript(t, engine == "streaming"))
-		})
-	}
+	t.Run("streaming", func(t *testing.T) {
+		compareTranscript(t, "testdata/read_transcript_streaming.golden", readTranscript(t))
+	})
 }
 
 // compareTranscript diffs a transcript against its golden file line by
@@ -196,12 +191,10 @@ func compareTranscript(t *testing.T, golden string, got []string) {
 	}
 }
 
-// readTranscript drives the transcript store with the floor-stopped
-// stream or the full-budget sequencing protocol.
-func readTranscript(t *testing.T, streaming bool) []string {
+// readTranscript drives the transcript store.
+func readTranscript(t *testing.T) []string {
 	cfg := testConfig()
 	cfg.Workers = 1
-	cfg.Streaming = streaming
 	prof := decay.Accelerated()
 	cfg.Decay = &prof
 	inj, err := fault.NewInjector(fault.Uniform(0.05))

@@ -374,6 +374,27 @@ func TestScaleStudy(t *testing.T) {
 	}
 }
 
+// TestStreamStudy runs the decode-stream study at scale 1: its range
+// read returns the written content, patches applied, on fewer reads
+// than the full budget its covers provision, and ejects off-target
+// molecules on the way.
+func TestStreamStudy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wet-lab simulation is slow")
+	}
+	r, err := StreamStudy(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.RangeOK {
+		t.Error("range read does not return the written content")
+	}
+	if r.StreamReads <= 0 || r.StreamReads >= r.RangeBudget || r.StreamEjected == 0 {
+		t.Errorf("range read sequenced %d reads of a %d-read budget and ejected %d",
+			r.StreamReads, r.RangeBudget, r.StreamEjected)
+	}
+}
+
 func TestTreeAblationStudy(t *testing.T) {
 	r, err := TreeAblation()
 	if err != nil {

@@ -199,7 +199,6 @@ type Engine struct {
 	signer  sketch.Signer
 	maxDist int
 	mol     int
-	floor   int
 	slack   int
 	workers int
 	shards  int
@@ -217,7 +216,7 @@ type Engine struct {
 	floors   map[int]*floorState // by Expect'd block
 	pending  int                 // Expect'd blocks not yet Done
 	targets  []int               // Expect'd blocks, ascending
-	reopened map[int]int         // escalation rounds: effective floor is floor << n
+	reopened map[int]int         // escalation rounds: effective floor is DefaultFloor << n
 
 	stats Stats
 
@@ -237,35 +236,27 @@ type Engine struct {
 	fnA1, fnA2, fnB func(i int) error
 }
 
-// New builds a single-shard engine decoding into the pipeline's
-// partition; its assignments are bit-identical to cluster.Group on the
-// kept read sequence. floor <= 0 selects DefaultFloor; workers bounds
-// the engine's internal fan-out (0 means 1, negative means GOMAXPROCS).
-func New(pipe *decode.Pipeline, floor, workers int) (*Engine, error) {
-	return NewSharded(pipe, floor, workers, 1)
-}
-
-// DefaultShards is the shard count NewSharded substitutes for
-// shards <= 0. It is a fixed constant, not the worker count, on
-// purpose: the shard partition decides which clusters a block's
-// finalize can see, so deriving it from workers would make decode
-// results (and the health reports built on them) depend on the
-// machine's parallelism. Eight shards cut cross-block membership
-// probes by ~8x at the pool scales the engine targets while leaving
-// every lane enough reads to amortize its index.
+// DefaultShards is the shard count New substitutes for shards <= 0.
+// It is a fixed constant, not the worker count, on purpose: the shard
+// partition decides which clusters a block's finalize can see, so
+// deriving it from workers would make decode results (and the health
+// reports built on them) depend on the machine's parallelism. Eight
+// shards cut cross-block membership probes by ~8x at the pool scales
+// the engine targets while leaving every lane enough reads to amortize
+// its index.
 const DefaultShards = 8
 
-// NewSharded builds an engine with the given number of assignment
-// shards (plus the residue shard). shards <= 0 selects DefaultShards;
-// shards == 1 is the single-shard engine, whose clusters are
-// cluster.Group's.
-func NewSharded(pipe *decode.Pipeline, floor, workers, shards int) (*Engine, error) {
+// New builds an engine decoding into the pipeline's partition with the
+// given number of assignment shards (plus the residue shard) and the
+// DefaultFloor coverage floor. shards <= 0 selects DefaultShards;
+// shards == 1 is the single-shard engine, whose assignments are
+// bit-identical to cluster.Group on the kept read sequence. workers
+// bounds the engine's internal fan-out (0 means 1, negative means
+// GOMAXPROCS).
+func New(pipe *decode.Pipeline, workers, shards int) (*Engine, error) {
 	cfg := pipe.Config()
 	if err := cfg.Cluster.Validate(); err != nil {
 		return nil, err
-	}
-	if floor <= 0 {
-		floor = DefaultFloor
 	}
 	w := parallel.Resolve(workers)
 	if shards <= 0 {
@@ -276,7 +267,6 @@ func NewSharded(pipe *decode.Pipeline, floor, workers, shards int) (*Engine, err
 		signer:   cfg.Cluster.Signer(),
 		maxDist:  cfg.Cluster.MaxDist,
 		mol:      pipe.Unit().Molecules(),
-		floor:    floor,
 		slack:    (pipe.Unit().Molecules() - pipe.Unit().DataMolecules()) / 2,
 		workers:  w,
 		shards:   shards,
@@ -395,19 +385,6 @@ func (e *Engine) refloor(block int) {
 
 // IsTarget reports whether the block was registered via Expect.
 func (e *Engine) IsTarget(block int) bool { return e.floors[block] != nil }
-
-// Kept returns the number of reads that passed the primer filter.
-func (e *Engine) Kept() int { return len(e.spans) }
-
-// Clusters returns the number of clusters formed so far, over all
-// shards.
-func (e *Engine) Clusters() int {
-	n := 0
-	for _, l := range e.lanes {
-		n += len(l.members)
-	}
-	return n
-}
 
 // Add streams one chunk of sequencer output into the engine and
 // returns how many of its reads it consumed. Stage A — the per-read
@@ -543,7 +520,7 @@ func (e *Engine) bump(s slotAddr) {
 	}
 }
 
-// effFloor is the block's current coverage floor: the configured floor,
+// effFloor is the block's current coverage floor: DefaultFloor,
 // doubled per escalation round. The shift saturates so repeated
 // escalation of an unrecoverable block degrades into "never done" —
 // the stream then runs to its read budget.
@@ -552,7 +529,7 @@ func (e *Engine) effFloor(block int) int {
 	if n > 24 {
 		return int(^uint(0) >> 2)
 	}
-	return e.floor << n
+	return DefaultFloor << n
 }
 
 // Done reports whether every expected version of the block has reached
@@ -575,23 +552,24 @@ func (e *Engine) Done(block int) bool {
 func (e *Engine) AllDone() bool { return e.pending == 0 }
 
 // CoverageEstimate reports the mean per-slot read coverage across the
-// block's expected slots — the engine's live coverage state, which
-// health probes read in place of re-deriving coverage from a scaled
-// full-budget read. false when the block was never registered via
-// Expect.
-func (e *Engine) CoverageEstimate(block int) (float64, bool) {
-	f := e.floors[block]
-	if f == nil || len(f.versions) == 0 {
-		return 0, false
-	}
+// expected slots of every target registered via Expect — the engine's
+// live coverage state, which health probes read in place of
+// re-deriving coverage from a scaled full-budget read. 0 when no
+// target has an expected slot.
+func (e *Engine) CoverageEstimate() float64 {
 	total, slots := 0, 0
-	for _, v := range f.versions {
-		for intra := 0; intra < e.mol; intra++ {
-			total += e.cov[slotKey{block, v, intra}]
-			slots++
+	for _, b := range e.targets {
+		for _, v := range e.floors[b].versions {
+			for intra := 0; intra < e.mol; intra++ {
+				total += e.cov[slotKey{b, v, intra}]
+				slots++
+			}
 		}
 	}
-	return float64(total) / float64(slots), true
+	if slots == 0 {
+		return 0
+	}
+	return float64(total) / float64(slots)
 }
 
 // Reopen escalates a block after a failed finalize: its coverage floor
@@ -800,7 +778,7 @@ func (e *Engine) Finalize() (map[int]*decode.BlockResult, error) {
 // on failure, under target. At one shard the clusters are
 // cluster.Group's, so the outcome is the reference decode's exactly.
 func Decode(pipe *decode.Pipeline, reads []dna.Seq, target int) (map[int]*decode.BlockResult, error) {
-	e, err := New(pipe, 0, pipe.Workers())
+	e, err := New(pipe, pipe.Workers(), 1)
 	if err != nil {
 		return nil, err
 	}

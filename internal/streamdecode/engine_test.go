@@ -203,13 +203,13 @@ func TestEngineMatchesBatch(t *testing.T) {
 		wantAll, wantErr := ref.decode(-1)
 		wantBlk, wantBlkErr := ref.block(17)
 		for _, workers := range workerCounts {
-			eng, err := New(pipe, 0, workers)
+			eng, err := New(pipe, workers, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			feed(eng, reads, 97)
-			if eng.Kept() != len(kept) {
-				t.Fatalf("%s/w%d: kept %d reads, oracle kept %d", reg.name, workers, eng.Kept(), len(kept))
+			if len(eng.spans) != len(kept) {
+				t.Fatalf("%s/w%d: kept %d reads, oracle kept %d", reg.name, workers, len(eng.spans), len(kept))
 			}
 			gotKept, gotClusters := eng.materialize()
 			for i := range kept {
@@ -259,7 +259,7 @@ func TestEngineCoverageFloor(t *testing.T) {
 	pipe := newPipeline(t, enc)
 	r := rng.New(5)
 	strands := enc.encodeUnit(t, 17, 0, unitData(r, enc.unit.DataBytes()))
-	eng, err := New(pipe, 0, 1)
+	eng, err := New(pipe, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestEngineShardedMatchesBatch(t *testing.T) {
 		}
 	}
 	for _, shards := range []int{1, 4, runtime.GOMAXPROCS(0) + 1} {
-		eng, err := NewSharded(pipe, 0, 4, shards)
+		eng, err := New(pipe, 4, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +358,7 @@ func TestEngineShardedMatchesBatch(t *testing.T) {
 		// it and check the shard's clusters against cluster.Group run
 		// over just that subsequence.
 		laneReads := make([][]dna.Seq, len(eng.lanes))
-		local := make([]int, eng.Kept())
+		local := make([]int, len(eng.spans))
 		ri := 0
 		for _, rd := range reads {
 			if !pipe.Keep(rd) {
@@ -424,7 +424,7 @@ func TestEngineReopen(t *testing.T) {
 	pipe := newPipeline(t, enc)
 	reads := poolReads(t, enc, rng.New(11), channel.Illumina(), false)
 	blocks := []int{2, 17, 40}
-	eng, err := NewSharded(pipe, 0, 4, 4)
+	eng, err := New(pipe, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +470,7 @@ func TestEngineFinalizeSharesLaneDecodes(t *testing.T) {
 	reads := poolReads(t, enc, rng.New(11), channel.Illumina(), true)
 	blocks := []int{2, 17, 40} // blocks 2 and 40 share shard 0 of 2
 	const shards = 2
-	eng, err := NewSharded(pipe, 0, 1, shards)
+	eng, err := New(pipe, 1, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +523,7 @@ func TestEngineAssignAllocs(t *testing.T) {
 	pipe := newPipeline(t, enc)
 	r := rng.New(6)
 	strands := enc.encodeUnit(t, 17, 0, unitData(r, enc.unit.DataBytes()))
-	eng, err := New(pipe, 0, 1)
+	eng, err := New(pipe, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,8 +558,8 @@ func TestEngineAssignAllocs(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("assign allocates %.1f per read, want 0", avg)
 	}
-	if eng.Clusters() < len(strands) {
-		t.Fatalf("%d clusters for %d strands", eng.Clusters(), len(strands))
+	if len(l.members) < len(strands) {
+		t.Fatalf("%d clusters for %d strands", len(l.members), len(strands))
 	}
 }
 
@@ -575,7 +575,7 @@ func TestEngineAddAllocs(t *testing.T) {
 	pipe := newPipeline(t, enc)
 	r := rng.New(6)
 	strands := enc.encodeUnit(t, 17, 0, unitData(r, enc.unit.DataBytes()))
-	eng, err := NewSharded(pipe, 0, 1, 4)
+	eng, err := New(pipe, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,7 +663,7 @@ func TestEngineAdmitMatchesOneReadAdds(t *testing.T) {
 	}
 	for _, tc := range cases {
 		mk := func() *Engine {
-			eng, err := NewSharded(pipe, 0, 4, tc.shards)
+			eng, err := New(pipe, 4, tc.shards)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -729,9 +729,9 @@ func TestEngineAdmitMatchesOneReadAdds(t *testing.T) {
 		if !reflect.DeepEqual(oneKept, chKept) || !reflect.DeepEqual(oneClusters, chClusters) {
 			t.Fatalf("%s: chunked clusters diverge from one-read Adds", tc.name)
 		}
-		if one.Kept() != chunked.Kept() || one.bases != chunked.bases || len(one.arena) != len(chunked.arena) {
+		if len(one.spans) != len(chunked.spans) || one.bases != chunked.bases || len(one.arena) != len(chunked.arena) {
 			t.Fatalf("%s: kept state diverges: %d/%d reads, %d/%d bases, %d/%d arena bytes", tc.name,
-				one.Kept(), chunked.Kept(), one.bases, chunked.bases, len(one.arena), len(chunked.arena))
+				len(one.spans), len(chunked.spans), one.bases, chunked.bases, len(one.arena), len(chunked.arena))
 		}
 		for _, b := range tc.targets {
 			want, wantErr := one.FinalizeBlock(b)
@@ -804,7 +804,7 @@ func TestEngineFloorCountsMatchRecount(t *testing.T) {
 	}
 	r.Shuffle(len(reads), func(i, j int) { reads[i], reads[j] = reads[j], reads[i] })
 	for _, slack := range []int{0, -1} {
-		eng, err := NewSharded(pipe, 0, 1, 4)
+		eng, err := New(pipe, 1, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
