@@ -174,6 +174,45 @@ func TestConcurrentReaders(t *testing.T) {
 	}
 }
 
+// TestParallelReactionsRecycleScratch runs reactions in parallel on a
+// 4-worker store, from three readers at once and for three rounds
+// each, so reactions take stream engines and pore scratch from the
+// shared free lists and hand them back at the same time; run with
+// -race. Every block must read back exactly.
+func TestParallelReactionsRecycleScratch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wet-lab simulation is slow")
+	}
+	_, p := buildSeeded(t, 4)
+	want := seededContents()
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			blocks := []int{g, g + 4, g + 8}
+			for round := 0; round < 3; round++ {
+				got, err := readContent(p.Read(ReadRequest{Blocks: blocks}))
+				if err != nil {
+					errs <- fmt.Errorf("reader %d round %d: %v", g, round, err)
+					return
+				}
+				for i, b := range blocks {
+					if !hasContent(got[i], want[b]) {
+						errs <- fmt.Errorf("reader %d round %d: block %d content wrong", g, round, b)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 // TestConcurrentWritersAndReaders mixes writes, updates and reads of
 // disjoint blocks from multiple goroutines; run with -race.
 func TestConcurrentWritersAndReaders(t *testing.T) {

@@ -400,21 +400,26 @@ func TestRetryBudgetExhausted(t *testing.T) {
 // TestSeqAbortClassified verifies an aborted sequencing run is
 // classified as such: the run delivers a truncated read prefix, the
 // block starves, and the health error carries both the operational
-// class and the curable coverage class.
+// class and the curable coverage class. The read streams, so the
+// abort must be read off the true delivered ceiling, not off a
+// delivered count an early stop would forge; it runs on a serial and
+// a 4-worker store.
 func TestSeqAbortClassified(t *testing.T) {
-	_, p := buildFaultSeeded(t, 1, fault.Plan{SeqAbort: 1, SeqAbortFrac: 0.05}, nil)
-	content, h, err := readOne(p.Read(ReadRequest{Blocks: []int{0}, Mode: ReadHealth}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if content != nil || h.Recovered {
-		t.Fatal("read at 5% of the budget succeeded")
-	}
-	if !errors.Is(h.Err, fault.ErrRunAborted) {
-		t.Errorf("err %v, want ErrRunAborted", h.Err)
-	}
-	if !errors.Is(h.Err, decode.ErrInsufficientCoverage) {
-		t.Errorf("err %v lost the curable coverage class", h.Err)
+	for _, workers := range []int{1, 4} {
+		_, p := buildFaultSeeded(t, workers, fault.Plan{SeqAbort: 1, SeqAbortFrac: 0.05}, nil)
+		content, h, err := readOne(p.Read(ReadRequest{Blocks: []int{0}, Mode: ReadHealth}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if content != nil || h.Recovered {
+			t.Fatalf("workers %d: read at 5%% of the budget succeeded", workers)
+		}
+		if !errors.Is(h.Err, fault.ErrRunAborted) {
+			t.Errorf("workers %d: err %v, want ErrRunAborted", workers, h.Err)
+		}
+		if !errors.Is(h.Err, decode.ErrInsufficientCoverage) {
+			t.Errorf("workers %d: err %v lost the curable coverage class", workers, h.Err)
+		}
 	}
 }
 

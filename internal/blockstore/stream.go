@@ -1,9 +1,12 @@
 package blockstore
 
 import (
+	"slices"
+
 	"dnastore/internal/decode"
 	"dnastore/internal/dna"
 	"dnastore/internal/pool"
+	"dnastore/internal/recycle"
 	"dnastore/internal/rng"
 	"dnastore/internal/seqsim"
 	"dnastore/internal/streamdecode"
@@ -91,15 +94,28 @@ type pore struct {
 	gate  func(int) bool // the reaction's gate, recording each draw
 	admit func(int) bool // the engine's per-read cut test
 	done  func() bool    // the current fill's stop test
-	batch []dna.Seq
-	draws []draw // per batched read
-	at    draw   // the latest gate call: species and source state
+	*poreScratch
+	at    draw // the latest gate call: species and source state
 	chunk int
 	// sequenced and ejected are the pore's charged work: every read and
 	// ejection up to the last cut.
 	sequenced, ejected  int
 	ceiling, maxEntries int // sequenced-read ceiling; pore-entry bound
 }
+
+// poreScratch is the storage a pore hands to the next one when it
+// closes: the chunk's read slots with their buffers, the draw log, and
+// the gate's per-species verdicts with its template buffer.
+type poreScratch struct {
+	batch   []dna.Seq
+	draws   []draw // per batched read
+	blockOf map[int]int
+	tmpl    dna.Seq
+}
+
+// poreScratches holds closed pores' scratch; its entries are weak, so
+// a collection frees what no reaction took back.
+var poreScratches recycle.List[poreScratch]
 
 // draw records one sequenced read of a chunk: its species, the pore's
 // ejection count before it, and the stream source's state at its gate
@@ -136,10 +152,15 @@ func (p *Partition) openPore(r *rng.Source, amplified *pool.Pool, ceiling int, s
 		eng.SetSlack(0)
 	}
 	chunk := chunkSize(ceiling)
-	gate := p.poreGate(amplified, eng)
+	sc := poreScratches.Get()
+	if sc == nil {
+		sc = &poreScratch{blockOf: make(map[int]int)}
+	}
+	// Grow keeps the slots past the length, so each keeps its buffer.
+	sc.batch, sc.draws = slices.Grow(sc.batch[:0], chunk), slices.Grow(sc.draws[:0], chunk)
+	gate := p.poreGate(amplified, eng, sc)
 	s := &pore{
-		st: st, src: src, eng: eng,
-		batch: make([]dna.Seq, 0, chunk), draws: make([]draw, 0, chunk),
+		st: st, src: src, eng: eng, poreScratch: sc,
 		chunk: chunk, ceiling: ceiling, maxEntries: ejectOverhead * ceiling,
 	}
 	s.gate = func(si int) bool {
@@ -204,8 +225,9 @@ func (s *pore) fill(done func() bool) {
 }
 
 // closePore charges the stream's reads and ejections, closes the
-// stream and folds the engine's per-stage accounting into the store's
-// streaming totals.
+// stream, folds the engine's per-stage accounting into the store's
+// streaming totals, and hands the engine and the scratch to the next
+// reaction.
 func (p *Partition) closePore(s *pore) {
 	p.store.addCosts(func(c *Costs) {
 		c.ReadsSequenced += s.sequenced
@@ -213,33 +235,35 @@ func (p *Partition) closePore(s *pore) {
 	})
 	s.st.Close()
 	p.store.addStreamStats(s.eng.Stats())
+	s.eng.Release()
+	clear(s.blockOf)
+	poreScratches.Put(s.poreScratch)
+	s.eng, s.poreScratch = nil, nil
 }
 
 // poreGate builds the adaptive-sampling admission decision for one
 // reaction: each molecule's clean template is parsed once — by the
 // same provisional-address parser the engine uses, never the
 // simulator's ground-truth metadata — and the verdict memoized per
-// species.
-func (p *Partition) poreGate(amplified *pool.Pool, eng *streamdecode.Engine) func(int) bool {
+// species in the pore's scratch.
+func (p *Partition) poreGate(amplified *pool.Pool, eng *streamdecode.Engine, sc *poreScratch) func(int) bool {
 	const (
 		speciesFiltered    = -2 // fails the primer filter: junk to any protocol
 		speciesUnaddressed = -1 // keeps but does not parse: always sequence
 	)
-	blockOf := make(map[int]int)
-	var tmpl dna.Seq
 	return func(si int) bool {
-		b, ok := blockOf[si]
+		b, ok := sc.blockOf[si]
 		if !ok {
-			tmpl = amplified.AppendSeq(tmpl[:0], si)
-			switch pb, _, _, pok := p.pipeline.ProvisionalAddress(tmpl); {
+			sc.tmpl = amplified.AppendSeq(sc.tmpl[:0], si)
+			switch pb, _, _, pok := p.pipeline.ProvisionalAddress(sc.tmpl); {
 			case pok:
 				b = pb
-			case p.pipeline.Keep(tmpl):
+			case p.pipeline.Keep(sc.tmpl):
 				b = speciesUnaddressed
 			default:
 				b = speciesFiltered
 			}
-			blockOf[si] = b
+			sc.blockOf[si] = b
 		}
 		switch {
 		case b == speciesFiltered:

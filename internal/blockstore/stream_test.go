@@ -2,12 +2,10 @@ package blockstore
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 
-	"dnastore/internal/decode"
 	"dnastore/internal/fault"
 	"dnastore/internal/pcr"
 	"dnastore/internal/pool"
@@ -168,42 +166,6 @@ func TestStreamingStatsAccumulate(t *testing.T) {
 	}
 	if st.Residue == 0 {
 		t.Error("sharded engine saw no residue-lane reads under a decayed channel")
-	}
-}
-
-// TestStreamingSeqAbortClassified is TestSeqAbortClassified on a
-// 4-worker store: the streamed health read must classify an injected
-// run abort from the true delivered ceiling — not from a delivered
-// count an early stop would forge — and keep the curable coverage
-// class.
-func TestStreamingSeqAbortClassified(t *testing.T) {
-	cfg := testConfig()
-	cfg.Workers = 4
-	inj, err := fault.NewInjector(fault.Plan{SeqAbort: 1, SeqAbortFrac: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Faults = inj
-	s := newTestStore(t, cfg)
-	p, err := s.CreatePartition("abort")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.WriteBlock(0, bytes.Repeat([]byte{'a'}, 40)); err != nil {
-		t.Fatal(err)
-	}
-	content, h, err := readOne(p.Read(ReadRequest{Blocks: []int{0}, Mode: ReadHealth}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if content != nil || h.Recovered {
-		t.Fatal("read at 5% of the budget succeeded")
-	}
-	if !errors.Is(h.Err, fault.ErrRunAborted) {
-		t.Errorf("err %v, want ErrRunAborted", h.Err)
-	}
-	if !errors.Is(h.Err, decode.ErrInsufficientCoverage) {
-		t.Errorf("err %v lost the curable coverage class", h.Err)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"dnastore/internal/indextree"
 	"dnastore/internal/layout"
 	"dnastore/internal/parallel"
+	"dnastore/internal/recycle"
 	"dnastore/internal/trace"
 )
 
@@ -210,14 +211,28 @@ type strandCandidate struct {
 	indexDist   int
 }
 
-// workspace holds the reconstruction buffers one decode call reuses
-// across its clusters: the trace workspace, the gathered cluster reads
-// and fitLength's padding. It is never kept past the call, so a
-// Pipeline retains no scratch and stays safe for concurrent use.
+// workspace holds the reconstruction buffers a decode reuses across
+// clusters: the trace workspace, the gathered cluster reads and
+// fitLength's padding. A Pipeline holds none, so it stays safe for
+// concurrent use: a decode call (each task, on the parallel path)
+// takes one from workspaces and puts it back, and the next call, on
+// any pipeline, reuses it.
 type workspace struct {
 	trace trace.Workspace
 	seqs  []dna.Seq
 	pad   dna.Seq
+}
+
+// workspaces holds idle workspaces; its entries are weak, so a
+// collection frees the ones no decode took back.
+var workspaces recycle.List[workspace]
+
+// getWorkspace takes an idle workspace, or makes one.
+func getWorkspace() *workspace {
+	if ws := workspaces.Get(); ws != nil {
+		return ws
+	}
+	return new(workspace)
 }
 
 // reconstruct turns one cluster of full reads into a candidate strand.
@@ -478,24 +493,16 @@ func (p *Pipeline) DecodeClusters(kept []dna.Seq, clusters [][]int, target int) 
 		}
 		pre := make([]reconstructed, batch)
 		// parallel.Run names no worker, so each task takes a workspace
-		// from a free list and returns it: at most p.workers tasks run
-		// at once, so at most p.workers workspaces are ever made and a
-		// return never blocks.
-		free := make(chan *workspace, p.workers)
+		// from the free list and returns it.
 		for start := 0; start < len(clusters) && !stopped; start += batch {
 			end := start + batch
 			if end > len(clusters) {
 				end = len(clusters)
 			}
 			parallel.Run(p.workers, end-start, func(i int) error {
-				var ws *workspace
-				select {
-				case ws = <-free:
-				default:
-					ws = new(workspace)
-				}
+				ws := getWorkspace()
 				pre[i].cand, pre[i].ok = p.reconstructCluster(ws, kept, clusters[start+i])
-				free <- ws
+				workspaces.Put(ws)
 				return nil
 			})
 			for i := start; i < end && !stopped; i++ {
@@ -503,13 +510,14 @@ func (p *Pipeline) DecodeClusters(kept []dna.Seq, clusters [][]int, target int) 
 			}
 		}
 	} else {
-		var ws workspace
+		ws := getWorkspace()
 		for _, members := range clusters {
 			if stopped {
 				break
 			}
-			consume(p.reconstructCluster(&ws, kept, members))
+			consume(p.reconstructCluster(ws, kept, members))
 		}
+		workspaces.Put(ws)
 	}
 	// Step 4: assemble units and RS-decode, with candidate recursion on
 	// failure. Each (block, version) unit decodes independently off the

@@ -37,8 +37,8 @@ const maxStackBlocks = 8
 // per-base Eq bitmasks are precomputed once so every subsequent
 // comparison only streams the text. Compile a pattern for any sequence
 // compared repeatedly — a cluster representative, a primer, a consensus
-// draft — and call the kernels on it. A Pattern is immutable and safe
-// for concurrent use.
+// draft — and call the kernels on it. A Pattern is safe for concurrent
+// use until it is compiled over again.
 type Pattern struct {
 	m    int
 	peq  [4]uint64   // forward Eq masks (m <= 64)
@@ -48,21 +48,42 @@ type Pattern struct {
 
 // CompilePattern builds the Eq bitmask tables for seq: bit i of eq[c]
 // is set iff seq[i] == c. The tables are all the kernels read, so the
-// caller may mutate seq afterwards.
+// caller may mutate seq afterwards. It is kept out of line so the
+// Pattern it returns is always a heap object of its own: one
+// allocation, plus the per-block table past one word.
+//
+//go:noinline
 func CompilePattern(seq Seq) *Pattern {
-	p := &Pattern{m: len(seq)}
+	p := new(Pattern)
+	p.Compile(seq)
+	return p
+}
+
+// Compile rebuilds p's tables for seq in place, as CompilePattern
+// would build them, reusing p's per-block table when it is large
+// enough. Compiling over a Pattern changes it, so no other goroutine
+// may use p meanwhile.
+func (p *Pattern) Compile(seq Seq) {
+	p.m = len(seq)
+	p.peq, p.rpeq = [4]uint64{}, [4]uint64{}
 	if p.m <= wordBits {
+		p.bpeq = p.bpeq[:0]
 		for i, c := range seq {
 			p.peq[c] |= 1 << uint(i)
 			p.rpeq[c] |= 1 << uint(p.m-1-i)
 		}
-		return p
+		return
 	}
-	p.bpeq = make([][4]uint64, (p.m+wordBits-1)/wordBits)
+	nb := (p.m + wordBits - 1) / wordBits
+	if cap(p.bpeq) < nb {
+		p.bpeq = make([][4]uint64, nb)
+	} else {
+		p.bpeq = p.bpeq[:nb]
+		clear(p.bpeq)
+	}
 	for i, c := range seq {
 		p.bpeq[i/wordBits][c] |= 1 << uint(i%wordBits)
 	}
-	return p
 }
 
 // Len returns the pattern length in bases.

@@ -260,6 +260,37 @@ func TestCompilePatternOwnsNoInput(t *testing.T) {
 	}
 }
 
+// TestPatternCompileReuse compiles one Pattern over a run of sequences
+// whose lengths cross the one-word boundary both ways, and checks that
+// every compile gives what a fresh CompilePattern gives: no table of an
+// earlier, longer or shorter, sequence survives a recompile.
+func TestPatternCompileReuse(t *testing.T) {
+	r := rng.New(58)
+	var reused Pattern
+	for _, n := range []int{150, 20, 600, 64, 65, 130, 7, 300} {
+		seq := randomSeq(r, n)
+		text := Concat(randomSeq(r, 5), mutate(r, seq, 3), randomSeq(r, 6))
+		reused.Compile(seq)
+		fresh := CompilePattern(seq)
+		for _, k := range []int{2, 10, 40} {
+			gd, gok := reused.DistanceAtMost(text, k)
+			wd, wok := fresh.DistanceAtMost(text, k)
+			if gd != wd || gok != wok {
+				t.Fatalf("%d bases, k %d: recompiled distance %d/%v, fresh %d/%v", n, k, gd, gok, wd, wok)
+			}
+		}
+		if n <= MaxPatternLen {
+			ge, gfd := reused.FindApprox(text, 5)
+			we, wfd := fresh.FindApprox(text, 5)
+			gs, gsok := reused.SuffixAlignmentAtMost(text, 20)
+			ws, wsok := fresh.SuffixAlignmentAtMost(text, 20)
+			if ge != we || gfd != wfd || gs != ws || gsok != wsok {
+				t.Fatalf("%d bases: recompiled search/suffix kernels diverge from a fresh compile", n)
+			}
+		}
+	}
+}
+
 func b2i(b bool) int {
 	if b {
 		return 1

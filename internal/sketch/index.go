@@ -48,15 +48,35 @@ func (s *EpochSet) Seen(id int) bool {
 // the probe until one is accepted — exactly the candidate iteration
 // order of the batch clusterer, so greedy assignment through an Index
 // reproduces batch assignments bit for bit.
+//
+// Every bucket is a linked list threaded through one entry slice, so
+// no bucket owns storage of its own, and Reset empties the index while
+// keeping its map and slices for the next use.
 type Index struct {
-	buckets map[uint64][]int32
+	buckets map[uint64]bucket
+	entries []entry
 	seen    EpochSet
 	n       int
 }
 
+// bucket locates one bucket's first and last entry.
+type bucket struct{ head, tail int32 }
+
+// entry is one id in a bucket, linked to the bucket's next entry (-1
+// ends the bucket).
+type entry struct{ id, next int32 }
+
 // NewIndex returns an empty index.
 func NewIndex() *Index {
-	return &Index{buckets: make(map[uint64][]int32)}
+	return &Index{buckets: make(map[uint64]bucket)}
+}
+
+// Reset empties the index, keeping its storage: the next Add numbers
+// ids from 0 again.
+func (x *Index) Reset() {
+	clear(x.buckets)
+	x.entries = x.entries[:0]
+	x.n = 0
 }
 
 // bucketKey mixes a hash function index into its min-hash value so all
@@ -72,7 +92,14 @@ func (x *Index) Add(sigs []uint64) int {
 	x.seen.Extend(x.n)
 	for hi, sig := range sigs {
 		k := bucketKey(hi, sig)
-		x.buckets[k] = append(x.buckets[k], int32(id))
+		at := int32(len(x.entries))
+		x.entries = append(x.entries, entry{id: int32(id), next: -1})
+		if b, ok := x.buckets[k]; ok {
+			x.entries[b.tail].next = at
+			x.buckets[k] = bucket{b.head, at}
+		} else {
+			x.buckets[k] = bucket{at, at}
+		}
 	}
 	return id
 }
@@ -84,8 +111,12 @@ func (x *Index) Add(sigs []uint64) int {
 func (x *Index) Scan(sigs []uint64, probe func(id int) bool) int {
 	x.seen.Begin()
 	for hi, sig := range sigs {
-		for _, ci := range x.buckets[bucketKey(hi, sig)] {
-			id := int(ci)
+		b, ok := x.buckets[bucketKey(hi, sig)]
+		if !ok {
+			continue
+		}
+		for at := b.head; at >= 0; at = x.entries[at].next {
+			id := int(x.entries[at].id)
 			if x.seen.Seen(id) {
 				continue
 			}

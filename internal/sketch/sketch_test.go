@@ -192,3 +192,59 @@ func TestIndexScanAllocs(t *testing.T) {
 		t.Errorf("Scan allocates %.1f per call, want 0", avg)
 	}
 }
+
+// TestIndexResetScanOrder pins Reset: an index filled, reset and
+// refilled scans every query's candidates in exactly the order a fresh
+// index holding only the refill does, and never surfaces an id of the
+// earlier fill. Signature values come from a small alphabet so buckets
+// hold long chains and most queries reach many candidates.
+func TestIndexResetScanOrder(t *testing.T) {
+	r := rng.New(3)
+	const hashes = 4
+	sigSet := func(n int) [][]uint64 {
+		out := make([][]uint64, n)
+		for i := range out {
+			out[i] = make([]uint64, hashes)
+			for h := range out[i] {
+				out[i][h] = uint64(r.Intn(8))
+			}
+		}
+		return out
+	}
+	reused := NewIndex()
+	for _, sigs := range sigSet(300) {
+		reused.Add(sigs)
+	}
+	for _, sigs := range sigSet(50) {
+		reused.Scan(sigs, func(int) bool { return false }) // advance the epoch
+	}
+	reused.Reset()
+	fresh := NewIndex()
+	refill := sigSet(120)
+	for i, sigs := range refill {
+		if a, b := reused.Add(sigs), fresh.Add(sigs); a != i || b != i {
+			t.Fatalf("refill id %d: reset index numbered it %d, fresh %d", i, a, b)
+		}
+	}
+	order := func(x *Index, sigs []uint64) []int {
+		var out []int
+		x.Scan(sigs, func(id int) bool { out = append(out, id); return false })
+		return out
+	}
+	reached := 0
+	for qi, q := range sigSet(200) {
+		got, want := order(reused, q), order(fresh, q)
+		if len(got) != len(want) {
+			t.Fatalf("query %d: reset index visited %v, fresh %v", qi, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] || got[i] >= len(refill) {
+				t.Fatalf("query %d: reset index visited %v, fresh %v", qi, got, want)
+			}
+		}
+		reached += len(want)
+	}
+	if reached < 200*len(refill)/4 {
+		t.Fatalf("queries reached %d candidates in all: the buckets are too sparse to test order", reached)
+	}
+}

@@ -55,6 +55,8 @@
 package streamdecode
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -62,6 +64,7 @@ import (
 	"dnastore/internal/decode"
 	"dnastore/internal/dna"
 	"dnastore/internal/parallel"
+	"dnastore/internal/recycle"
 	"dnastore/internal/sketch"
 )
 
@@ -114,24 +117,36 @@ func (f *floorState) met() bool { return len(f.versions) > 0 && f.over == 0 }
 // lane is one shard of greedy-assignment state: its own sketch index,
 // member lists (global kept-read indices, in arrival order), compiled
 // representatives, and founder indices for the cross-shard merge order.
+// A reset lane keeps the storage of all of them: a cluster founded
+// after it reuses the member list and the compiled tables of the
+// cluster that held its number before.
 type lane struct {
 	index    *sketch.Index
 	members  [][]int
-	reps     []*dna.Pattern
+	reps     []dna.Pattern
 	founders []int
+	maxDist  int
 
 	// probe hot-path state: the closure is built once and reads the
-	// current read through the field, so Scan stays allocation-free.
+	// current read and the distance through the fields, so Scan stays
+	// allocation-free.
 	probeRead dna.Seq
 	probeFn   func(ci int) bool
 }
 
-func newLane(maxDist int) *lane {
+func newLane() *lane {
 	l := &lane{index: sketch.NewIndex()}
 	l.probeFn = func(ci int) bool {
-		return cluster.WithinDist(l.reps[ci], l.probeRead, maxDist)
+		return cluster.WithinDist(&l.reps[ci], l.probeRead, l.maxDist)
 	}
 	return l
+}
+
+// reset empties the lane, keeping its storage.
+func (l *lane) reset() {
+	l.index.Reset()
+	l.members, l.reps, l.founders = l.members[:0], l.reps[:0], l.founders[:0]
+	l.probeRead = nil
 }
 
 // assign joins the read to the first indexed cluster of this lane whose
@@ -145,8 +160,13 @@ func (l *lane) assign(read dna.Seq, ri int, sigs []uint64) {
 		return
 	}
 	l.index.Add(sigs)
-	l.members = append(l.members, []int{ri})
-	l.reps = append(l.reps, dna.CompilePattern(read))
+	// Grow keeps the slots past the length: a reset lane's old member
+	// list and compiled tables.
+	ci := len(l.members)
+	l.members = slices.Grow(l.members, 1)[:ci+1]
+	l.members[ci] = append(l.members[ci][:0], ri)
+	l.reps = slices.Grow(l.reps, 1)[:ci+1]
+	l.reps[ci].Compile(read)
 	l.founders = append(l.founders, ri)
 }
 
@@ -194,6 +214,14 @@ func (s *Stats) Accumulate(o Stats) {
 // Engine accumulates one reaction's read stream. It is not safe for
 // concurrent use: parallel reactions each own an Engine, and the
 // engine fans its own stage work across workers internally.
+//
+// The owner calls Release exactly once, after it has read all it needs
+// (Stats, CoverageEstimate, the decodes); the next New may hand the
+// same engine, storage and all, to another reaction. After Release
+// the engine must not be used, and neither may the kept reads and
+// clusters it materialized. The BlockResults it returned stay valid:
+// they hold fresh copies. A second Release panics rather than list the
+// engine twice, which would let two reactions share it.
 type Engine struct {
 	pipe    *decode.Pipeline
 	signer  sketch.Signer
@@ -234,7 +262,20 @@ type Engine struct {
 	curBatch        []dna.Seq
 	curN            int
 	fnA1, fnA2, fnB func(i int) error
+
+	// materializeLanes' output storage, reused by every finalize.
+	kept     []dna.Seq
+	slab     dna.Seq
+	refs     []clusterRef
+	clusters [][]int
+	flat     []int // the reindexed member lists of a partial lane set
+
+	released bool
 }
+
+// engines holds released engines for the next New. Its entries are
+// weak, so a collection frees every engine no reaction took back.
+var engines recycle.List[Engine]
 
 // DefaultShards is the shard count New substitutes for shards <= 0.
 // It is a fixed constant, not the worker count, on purpose: the shard
@@ -252,37 +293,56 @@ const DefaultShards = 8
 // shards == 1 is the single-shard engine, whose assignments are
 // bit-identical to cluster.Group on the kept read sequence. workers
 // bounds the engine's internal fan-out (0 means 1, negative means
-// GOMAXPROCS).
+// GOMAXPROCS). New takes a released engine when there is one and
+// binds it to the pipeline; a fresh engine and a reused one hold and
+// return the same.
 func New(pipe *decode.Pipeline, workers, shards int) (*Engine, error) {
 	cfg := pipe.Config()
 	if err := cfg.Cluster.Validate(); err != nil {
 		return nil, err
 	}
-	w := parallel.Resolve(workers)
 	if shards <= 0 {
 		shards = DefaultShards
 	}
-	e := &Engine{
-		pipe:     pipe,
-		signer:   cfg.Cluster.Signer(),
-		maxDist:  cfg.Cluster.MaxDist,
-		mol:      pipe.Unit().Molecules(),
-		slack:    (pipe.Unit().Molecules() - pipe.Unit().DataMolecules()) / 2,
-		workers:  w,
-		shards:   shards,
-		cov:      make(map[slotKey]int),
-		floors:   make(map[int]*floorState),
-		reopened: make(map[int]int),
+	e := engines.Get()
+	if e == nil {
+		e = newEngine()
 	}
+	e.pipe = pipe
+	e.signer = cfg.Cluster.Signer()
+	e.maxDist = cfg.Cluster.MaxDist
+	e.mol = pipe.Unit().Molecules()
+	e.slack = (pipe.Unit().Molecules() - pipe.Unit().DataMolecules()) / 2
+	e.workers = parallel.Resolve(workers)
+	e.shards = shards
+	e.released = false
 	lanes := shards
 	if shards > 1 {
 		lanes++ // the residue shard
 	}
-	e.lanes = make([]*lane, lanes)
-	for i := range e.lanes {
-		e.lanes[i] = newLane(e.maxDist)
+	// A released engine keeps every lane it ever had, reset, past the
+	// slice's length; Grow keeps them too.
+	e.lanes = slices.Grow(e.lanes[:0], lanes)[:lanes]
+	for i, l := range e.lanes {
+		if l == nil {
+			l = newLane()
+			e.lanes[i] = l
+		}
+		l.maxDist = e.maxDist
 	}
-	h := e.signer.NumHashes
+	return e, nil
+}
+
+// newEngine builds an empty engine with its per-stage task closures,
+// which read everything they use, the signature count included,
+// through the engine at call time: a reused engine may serve a
+// pipeline with another signer.
+func newEngine() *Engine {
+	e := &Engine{
+		cov:      make(map[slotKey]int),
+		floors:   make(map[int]*floorState),
+		reopened: make(map[int]int),
+	}
 	e.fnA1 = func(i int) error {
 		e.keepf[i] = e.pipe.Keep(e.curBatch[i])
 		return nil
@@ -295,6 +355,7 @@ func New(pipe *decode.Pipeline, workers, shards int) (*Engine, error) {
 		off := e.offs[i]
 		nb := (len(read) + 3) / 4
 		buf := dna.AppendPackedBytes(e.arena[off:off:off+nb], read)
+		h := e.signer.NumHashes
 		e.signer.IntoPacked(dna.PackedView(buf, len(read)), e.sigs[i*h:(i+1)*h])
 		b, v, in, ok := e.pipe.ProvisionalAddress(read)
 		e.addrs[i] = slotAddr{block: b, version: v, intra: in, ok: ok}
@@ -302,6 +363,7 @@ func New(pipe *decode.Pipeline, workers, shards int) (*Engine, error) {
 	}
 	e.fnB = func(li int) error {
 		l := e.lanes[li]
+		h := e.signer.NumHashes
 		for i := 0; i < e.curN; i++ {
 			if e.laneOf[i] != li {
 				continue
@@ -310,7 +372,28 @@ func New(pipe *decode.Pipeline, workers, shards int) (*Engine, error) {
 		}
 		return nil
 	}
-	return e, nil
+	return e
+}
+
+// Release resets the engine and hands it, storage and all, to the next
+// New, under the contract the Engine doc states.
+func (e *Engine) Release() {
+	if e.released {
+		panic("streamdecode: engine released twice")
+	}
+	for _, l := range e.lanes {
+		l.reset()
+	}
+	e.pipe = nil
+	e.arena, e.spans, e.riLane = e.arena[:0], e.spans[:0], e.riLane[:0]
+	e.bases, e.pending = 0, 0
+	clear(e.cov)
+	clear(e.floors)
+	clear(e.reopened)
+	e.targets = e.targets[:0]
+	e.stats = Stats{}
+	e.released = true
+	engines.Put(e)
 }
 
 // SetSlack overrides the erasure slack the coverage floor tolerates.
@@ -614,11 +697,20 @@ func (e *Engine) allLanes() []int {
 	return set
 }
 
-// materializeLanes unpacks the kept reads of the given shards into a
-// fresh slab and returns their clusters — reindexed against the
-// returned read slice, founding-order merged across shards, stable-
-// sorted by descending size. With every shard in the set the clusters
-// alias the lanes' member lists.
+// clusterRef is one lane cluster in the cross-shard merge: its founder
+// and its member list.
+type clusterRef struct {
+	founder int
+	members []int
+}
+
+// materializeLanes unpacks the kept reads of the given shards and
+// returns their clusters — reindexed against the returned read slice,
+// merged across shards in descending size, ties in founding order.
+// With every shard in the set the clusters alias the lanes'
+// member lists. The reads and the clusters live in the engine's
+// storage, which the next call reuses: a caller is done with them
+// before it materializes again.
 func (e *Engine) materializeLanes(set []int) ([]dna.Seq, [][]int) {
 	all := len(set) == len(e.lanes)
 	if cap(e.laneMask) < len(e.lanes) {
@@ -647,8 +739,11 @@ func (e *Engine) materializeLanes(set []int) ([]dna.Seq, [][]int) {
 			}
 		}
 	}
-	kept := make([]dna.Seq, n)
-	slab := make(dna.Seq, 0, bases)
+	e.kept = slices.Grow(e.kept[:0], n)[:n]
+	if cap(e.slab) < bases {
+		e.slab = make(dna.Seq, 0, bases)
+	}
+	kept, slab := e.kept, e.slab[:0]
 	k := 0
 	for i, s := range e.spans {
 		if !all && !mask[e.riLane[i]] {
@@ -660,38 +755,42 @@ func (e *Engine) materializeLanes(set []int) ([]dna.Seq, [][]int) {
 		kept[k] = slab[start:len(slab):len(slab)]
 		k++
 	}
-	type cref struct {
-		founder int
-		members []int
-	}
-	total := 0
-	for _, li := range set {
-		total += len(e.lanes[li].members)
-	}
-	refs := make([]cref, 0, total)
+	refs, members := e.refs[:0], 0
 	for _, li := range set {
 		l := e.lanes[li]
 		for ci := range l.members {
-			refs = append(refs, cref{l.founders[ci], l.members[ci]})
+			refs = append(refs, clusterRef{l.founders[ci], l.members[ci]})
+			members += len(l.members[ci])
 		}
 	}
-	// Founding order first (founder indices are unique), then a stable
-	// size sort: at one shard this is exactly cluster.Group's ordering,
-	// and across shards it is the canonical deterministic merge.
-	sort.Slice(refs, func(i, j int) bool { return refs[i].founder < refs[j].founder })
-	sort.SliceStable(refs, func(i, j int) bool { return len(refs[i].members) > len(refs[j].members) })
-	clusters := make([][]int, len(refs))
-	for i, ref := range refs {
-		if all {
-			clusters[i] = ref.members
-			continue
+	e.refs = refs
+	// Descending size, ties in founding order (founder indices are
+	// unique, so the order is total): at one shard this is exactly
+	// cluster.Group's ordering, and across shards it is the canonical
+	// deterministic merge.
+	slices.SortFunc(refs, func(a, b clusterRef) int {
+		if c := cmp.Compare(len(b.members), len(a.members)); c != 0 {
+			return c
 		}
-		m := make([]int, len(ref.members))
-		for k, ri := range ref.members {
-			m[k] = int(local[ri])
+		return cmp.Compare(a.founder, b.founder)
+	})
+	clusters := e.clusters[:0]
+	if all {
+		for _, ref := range refs {
+			clusters = append(clusters, ref.members)
 		}
-		clusters[i] = m
+	} else {
+		flat := slices.Grow(e.flat[:0], members)
+		for _, ref := range refs {
+			start := len(flat)
+			for _, ri := range ref.members {
+				flat = append(flat, int(local[ri]))
+			}
+			clusters = append(clusters, flat[start:len(flat):len(flat)])
+		}
+		e.flat = flat
 	}
+	e.clusters = clusters
 	return kept, clusters
 }
 
@@ -782,6 +881,7 @@ func Decode(pipe *decode.Pipeline, reads []dna.Seq, target int) (map[int]*decode
 	if err != nil {
 		return nil, err
 	}
+	defer e.Release()
 	e.Add(reads, nil)
 	if target < 0 {
 		return e.Finalize()
