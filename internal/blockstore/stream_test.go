@@ -169,6 +169,13 @@ func TestStreamingStatsAccumulate(t *testing.T) {
 	}
 }
 
+// TestStreamingSeqAbortClassified is TestSeqAbortClassified on a
+// 4-worker store: parallel reactions must classify an injected run
+// abort from the same delivered ceiling as the serial store.
+func TestStreamingSeqAbortClassified(t *testing.T) {
+	checkSeqAbortClassified(t, 4)
+}
+
 // TestStreamingCoverSeqAbortCapped pins that a streamed cover reaction
 // honours an injected abort's delivery ceiling: every run aborts at 5%
 // of its budget, so a range read may sequence at most the truncated
