@@ -456,11 +456,10 @@ func BenchmarkUpdateBatchParallel(b *testing.B) { benchUpdateBatch(b, -1) }
 // benchRangePartition builds a 64-block partition with 44 written
 // blocks whose unaligned range [2, 45] decomposes into ~11 prefix
 // covers — one PCR → sequence → decode reaction each, the unit of
-// read-engine parallelism. bindingCache sizes the store binding cache
-// (0 = default, negative = disabled).
-func benchRangePartition(b *testing.B, workers, bindingCache int) *Partition {
+// read-engine parallelism.
+func benchRangePartition(b *testing.B, workers int) *Partition {
 	b.Helper()
-	sys, err := New(Options{Seed: 9, MaxPartitions: 1, TreeDepth: 3, Workers: workers, BindingCache: bindingCache})
+	sys, err := New(Options{Seed: 9, MaxPartitions: 1, TreeDepth: 3, Workers: workers})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -476,8 +475,8 @@ func benchRangePartition(b *testing.B, workers, bindingCache int) *Partition {
 	return p
 }
 
-func benchReadRange(b *testing.B, workers, bindingCache int) {
-	p := benchRangePartition(b, workers, bindingCache)
+func benchReadRange(b *testing.B, workers int) {
+	p := benchRangePartition(b, workers)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -490,22 +489,16 @@ func benchReadRange(b *testing.B, workers, bindingCache int) {
 // BenchmarkReadRangeSerial is the workers=1 baseline for the parallel
 // read engine. Iterations after the first run against a warm store
 // binding cache, the steady state of repeated range reads.
-func BenchmarkReadRangeSerial(b *testing.B) { benchReadRange(b, 1, 0) }
+func BenchmarkReadRangeSerial(b *testing.B) { benchReadRange(b, 1) }
 
 // BenchmarkReadRangeParallel runs the same multi-cover range read with
 // GOMAXPROCS workers; compare against BenchmarkReadRangeSerial. Outputs
 // are byte-identical (see TestParallelMatchesSequential in package
 // blockstore); only the wall clock changes.
-func BenchmarkReadRangeParallel(b *testing.B) { benchReadRange(b, -1, 0) }
-
-// BenchmarkReadRangeNoBindingCache disables the store binding cache:
-// every reaction re-aligns every (species, primer) pair. The gap to
-// BenchmarkReadRangeSerial is the cross-reaction binding reuse win
-// (outputs are byte-identical — TestBindingCacheByteIdentity).
-func BenchmarkReadRangeNoBindingCache(b *testing.B) { benchReadRange(b, 1, -1) }
+func BenchmarkReadRangeParallel(b *testing.B) { benchReadRange(b, -1) }
 
 func benchReadBlocks(b *testing.B, workers int) {
-	p := benchRangePartition(b, workers, 0)
+	p := benchRangePartition(b, workers)
 	batch := []int{2, 7, 12, 19, 25, 31, 38, 45}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -26,16 +26,6 @@ import (
 // journalEntry appended by one acknowledged mutation.
 const journalMagic = "DNAJRNL1"
 
-// errSimulatedCrash is returned by the -crash-after-append testing
-// hook: the entry is durable in the journal, but the process dies
-// before acknowledging the operation — the window crash-recovery
-// replay must close.
-var errSimulatedCrash = errors.New("simulated crash after journal append")
-
-// crashAfterAppend arms the crash hook; set by the hidden
-// -crash-after-append flag.
-var crashAfterAppend = false
-
 // journalHeader is record 0: the tube parameters fixed at creation.
 type journalHeader struct {
 	Seed  uint64                 `json:"seed"`
@@ -175,10 +165,7 @@ func encodeFrame(v any) ([]byte, error) {
 func (j *journal) append(e journalEntry) error {
 	j.Entries = append(j.Entries, e)
 	if !j.framed {
-		if err := j.rewrite(); err != nil {
-			return err
-		}
-		return j.crashPoint()
+		return j.rewrite()
 	}
 	frame, err := encodeFrame(e)
 	if err != nil {
@@ -188,27 +175,7 @@ func (j *journal) append(e journalEntry) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(frame); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return j.crashPoint()
-}
-
-// crashPoint fires the simulated crash between the durable journal
-// append and the operation's acknowledgment.
-func (j *journal) crashPoint() error {
-	if crashAfterAppend {
-		return errSimulatedCrash
-	}
-	return nil
+	return writeSync(f, frame)
 }
 
 // rewrite serializes the whole journal in the framed format and
@@ -243,16 +210,20 @@ func writeFileAtomic(path string, data []byte) error {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
+	if err := writeSync(tmp, data); err != nil {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
+}
+
+// writeSync writes data to f, fsyncs it and closes it.
+func writeSync(f *os.File, data []byte) error {
+	_, err := f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -25,6 +25,11 @@
 // and maintenance (scrub) are journaled mutations like writes, so a
 // replay rebuilds the same aged tube byte for byte.
 //
+// A mutating verb's arguments parse into the journal entry it commits,
+// and one apply function runs every entry, live or replayed. The
+// read-only verbs (read, range, health, digest, costs) are not
+// journaled.
+//
 // The journal is crash-consistent: entries are length-prefixed,
 // checksummed, and fsynced before an operation is acknowledged, and a
 // torn tail left by a crash mid-append is detected and truncated on
@@ -43,6 +48,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 
 	"dnastore"
 )
@@ -79,6 +85,16 @@ type journalItem struct {
 	Insert      []byte `json:"insert,omitempty"`
 }
 
+// errSimulatedCrash is returned by the -crash-after-append testing
+// hook: the entry is durable in the journal, but the process dies
+// before acknowledging the operation — the window crash-recovery
+// replay must close.
+var errSimulatedCrash = errors.New("simulated crash after journal append")
+
+// crashAfterAppend arms the crash hook; set by the hidden
+// -crash-after-append flag.
+var crashAfterAppend = false
+
 // decayProfile resolves the -decay flag value to a profile.
 func decayProfile(name string) (*dnastore.DecayProfile, error) {
 	switch name {
@@ -94,6 +110,208 @@ func decayProfile(name string) (*dnastore.DecayProfile, error) {
 	return nil, fmt.Errorf("unknown decay profile %q (want off, room or accelerated)", name)
 }
 
+// verbs parses each journaled verb's arguments into the entry it
+// journals. A verb takes min arguments, or with a step, min plus any
+// whole number of step-argument repeats; usage is its arity error. A
+// verb missing here is read-only and never journaled.
+var verbs = map[string]struct {
+	min, step int
+	usage     string
+	parse     func(a []string) (journalEntry, error)
+}{
+	"create": {1, 0, "create needs a partition name",
+		func(a []string) (journalEntry, error) { return journalEntry{Partition: a[0]}, nil }},
+	"write": {3, 0, "write needs: partition block text",
+		func(a []string) (journalEntry, error) { return single(a, 2) }},
+	"writebatch": {3, 2, "writebatch needs: partition, then block/text pairs",
+		func(a []string) (journalEntry, error) { return batch(a, 2) }},
+	"update": {6, 0, "update needs: partition block delStart delCount insPos text",
+		func(a []string) (journalEntry, error) { return single(a, 5) }},
+	"updatebatch": {6, 5, "updatebatch needs: partition, then block/delStart/delCount/insPos/text 5-tuples",
+		func(a []string) (journalEntry, error) { return batch(a, 5) }},
+	"advance": {1, 0, "advance needs: days", func(a []string) (journalEntry, error) {
+		days, err := strconv.ParseFloat(a[0], 64)
+		if err != nil {
+			return journalEntry{}, fmt.Errorf("not a number of days: %q", a[0])
+		}
+		return journalEntry{Days: days}, nil
+	}},
+	"scrub": {0, 0, "scrub takes no arguments", func([]string) (journalEntry, error) {
+		// The policy is journaled so a replay repeats the same repairs.
+		pol := dnastore.DefaultScrubPolicy()
+		return journalEntry{Scrub: &pol}, nil
+	}},
+}
+
+// parseEntry parses a journaled verb's argv into its entry.
+func parseEntry(args []string) (journalEntry, error) {
+	v := verbs[args[0]]
+	a := args[1:]
+	if len(a) < v.min || len(a) > v.min && (v.step == 0 || (len(a)-v.min)%v.step != 0) {
+		return journalEntry{}, errors.New(v.usage)
+	}
+	e, err := v.parse(a)
+	e.Op = args[0]
+	return e, err
+}
+
+// batch parses a partition name followed by width-argument items:
+// "block text" pairs (width 2) or "block delStart delCount insPos
+// text" patch tuples (width 5).
+func batch(a []string, width int) (journalEntry, error) {
+	e := journalEntry{Partition: a[0], Items: make([]journalItem, 0, len(a)/width)}
+	for k := 1; k < len(a); k += width {
+		n, err := atois(a[k : k+width-1])
+		if err != nil {
+			return journalEntry{}, err
+		}
+		it := journalItem{Block: n[0], Data: []byte(a[k+1])}
+		if width == 5 {
+			it = journalItem{Block: n[0], DeleteStart: n[1], DeleteCount: n[2], InsertPos: n[3], Insert: []byte(a[k+4])}
+		}
+		e.Items = append(e.Items, it)
+	}
+	return e, nil
+}
+
+// single parses a one-item batch into the entry of write or update,
+// which journal the item's fields at the top level.
+func single(a []string, width int) (journalEntry, error) {
+	e, err := batch(a, width)
+	if err != nil {
+		return journalEntry{}, err
+	}
+	it := e.Items[0]
+	return journalEntry{
+		Partition: e.Partition, Block: it.Block, Data: it.Data,
+		DeleteStart: it.DeleteStart, DeleteCount: it.DeleteCount, InsertPos: it.InsertPos, Insert: it.Insert,
+	}, nil
+}
+
+// atois parses decimal integer arguments.
+func atois(args []string) ([]int, error) {
+	n := make([]int, len(args))
+	for i, s := range args {
+		v, err := strconv.Atoi(s)
+		if err != nil {
+			return nil, fmt.Errorf("not a number: %q", s)
+		}
+		n[i] = v
+	}
+	return n, nil
+}
+
+// apply runs one journaled mutation on sys, live or replayed, and
+// returns the line that acknowledges it.
+func apply(sys *dnastore.System, e journalEntry) (string, error) {
+	switch e.Op {
+	case "create":
+		if _, err := sys.CreatePartition(e.Partition); err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("created partition %q", e.Partition), nil
+	case "write":
+		p, err := partition(sys, e.Partition)
+		if err != nil {
+			return "", err
+		}
+		if err := p.WriteBlock(e.Block, e.Data); err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("synthesized block %d of %q (15 strands)", e.Block, e.Partition), nil
+	case "writebatch":
+		p, err := partition(sys, e.Partition)
+		if err != nil {
+			return "", err
+		}
+		b := p.Batch()
+		for _, it := range e.Items {
+			b.Write(it.Block, it.Data)
+		}
+		before := sys.Costs().StrandsSynthesized
+		if err := b.Apply(); err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("synthesized %d blocks of %q in one batch (%d strands)",
+			len(e.Items), e.Partition, sys.Costs().StrandsSynthesized-before), nil
+	case "update":
+		p, err := partition(sys, e.Partition)
+		if err != nil {
+			return "", err
+		}
+		patch := dnastore.Patch{DeleteStart: e.DeleteStart, DeleteCount: e.DeleteCount, InsertPos: e.InsertPos, Insert: e.Insert}
+		if err := p.UpdateBlock(e.Block, patch); err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("logged update %d for block %d of %q", p.Versions(e.Block), e.Block, e.Partition), nil
+	case "updatebatch":
+		p, err := partition(sys, e.Partition)
+		if err != nil {
+			return "", err
+		}
+		patches := make([]dnastore.BlockPatch, len(e.Items))
+		for k, it := range e.Items {
+			patches[k] = dnastore.BlockPatch{Block: it.Block, Patch: dnastore.Patch{
+				DeleteStart: it.DeleteStart, DeleteCount: it.DeleteCount, InsertPos: it.InsertPos, Insert: it.Insert,
+			}}
+		}
+		if err := p.UpdateBlocks(patches); err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("logged %d updates for %q in one batch", len(e.Items), e.Partition), nil
+	case "advance":
+		st, err := sys.Advance(e.Days)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("aged %g days (tube age %g): %.0f strands lost, %d species extinct, %d mutant species",
+			e.Days, sys.AgeDays(), st.StrandsLost, st.SpeciesExtinct, st.MutantSpecies), nil
+	case "scrub":
+		pol := dnastore.DefaultScrubPolicy()
+		if e.Scrub != nil {
+			pol = *e.Scrub
+		}
+		rep, err := sys.Scrub(pol)
+		if err != nil {
+			return "", err
+		}
+		var ack strings.Builder
+		fmt.Fprintf(&ack, "scrubbed %d blocks: %d flagged, %d repaired (%d boosts, %d resyntheses), %d beyond repair",
+			rep.BlocksProbed, rep.BlocksFlagged, rep.Repaired, rep.Boosts, rep.Resyntheses, rep.Failed)
+		for _, r := range rep.Flagged {
+			fmt.Fprintf(&ack, "\n  %s/%d: %s", r.Partition, r.Block, r.Action)
+			if r.Err != nil {
+				fmt.Fprintf(&ack, " FAILED: %v", r.Err)
+			}
+		}
+		return ack.String(), nil
+	}
+	return "", fmt.Errorf("unknown op %q", e.Op)
+}
+
+// partition looks up a partition by name.
+func partition(sys *dnastore.System, name string) (*dnastore.Partition, error) {
+	p, ok := sys.Partition(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown partition %q", name)
+	}
+	return p, nil
+}
+
+// blockArgs resolves a read-only verb's partition and its nums block
+// numbers; usage is the verb's arity error.
+func blockArgs(sys *dnastore.System, args []string, nums int, usage string) (*dnastore.Partition, []int, error) {
+	if len(args) != 2+nums {
+		return nil, nil, errors.New(usage)
+	}
+	n, err := atois(args[2:])
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := partition(sys, args[1])
+	return p, n, err
+}
+
 // replay rebuilds the in-memory system from the journal. workers sets
 // the read-engine parallelism; it is a per-invocation runtime knob, not
 // journal state, because results are byte-identical for every setting.
@@ -103,76 +321,8 @@ func (j *journal) replay(workers int) (*dnastore.System, error) {
 		return nil, err
 	}
 	for i, e := range j.Entries {
-		switch e.Op {
-		case "create":
-			if _, err := sys.CreatePartition(e.Partition); err != nil {
-				return nil, fmt.Errorf("journal entry %d: %v", i, err)
-			}
-		case "write":
-			p, ok := sys.Partition(e.Partition)
-			if !ok {
-				return nil, fmt.Errorf("journal entry %d: unknown partition %q", i, e.Partition)
-			}
-			if err := p.WriteBlock(e.Block, e.Data); err != nil {
-				return nil, fmt.Errorf("journal entry %d: %v", i, err)
-			}
-		case "update":
-			p, ok := sys.Partition(e.Partition)
-			if !ok {
-				return nil, fmt.Errorf("journal entry %d: unknown partition %q", i, e.Partition)
-			}
-			patch := dnastore.Patch{
-				DeleteStart: e.DeleteStart,
-				DeleteCount: e.DeleteCount,
-				InsertPos:   e.InsertPos,
-				Insert:      e.Insert,
-			}
-			if err := p.UpdateBlock(e.Block, patch); err != nil {
-				return nil, fmt.Errorf("journal entry %d: %v", i, err)
-			}
-		case "writebatch":
-			p, ok := sys.Partition(e.Partition)
-			if !ok {
-				return nil, fmt.Errorf("journal entry %d: unknown partition %q", i, e.Partition)
-			}
-			b := p.Batch()
-			for _, item := range e.Items {
-				b.Write(item.Block, item.Data)
-			}
-			if err := b.Apply(); err != nil {
-				return nil, fmt.Errorf("journal entry %d: %v", i, err)
-			}
-		case "updatebatch":
-			p, ok := sys.Partition(e.Partition)
-			if !ok {
-				return nil, fmt.Errorf("journal entry %d: unknown partition %q", i, e.Partition)
-			}
-			patches := make([]dnastore.BlockPatch, len(e.Items))
-			for k, item := range e.Items {
-				patches[k] = dnastore.BlockPatch{Block: item.Block, Patch: dnastore.Patch{
-					DeleteStart: item.DeleteStart,
-					DeleteCount: item.DeleteCount,
-					InsertPos:   item.InsertPos,
-					Insert:      item.Insert,
-				}}
-			}
-			if err := p.UpdateBlocks(patches); err != nil {
-				return nil, fmt.Errorf("journal entry %d: %v", i, err)
-			}
-		case "advance":
-			if _, err := sys.Advance(e.Days); err != nil {
-				return nil, fmt.Errorf("journal entry %d: %v", i, err)
-			}
-		case "scrub":
-			pol := dnastore.DefaultScrubPolicy()
-			if e.Scrub != nil {
-				pol = *e.Scrub
-			}
-			if _, err := sys.Scrub(pol); err != nil {
-				return nil, fmt.Errorf("journal entry %d: %v", i, err)
-			}
-		default:
-			return nil, fmt.Errorf("journal entry %d: unknown op %q", i, e.Op)
+		if _, err := apply(sys, e); err != nil {
+			return nil, fmt.Errorf("journal entry %d: %v", i, err)
 		}
 	}
 	return sys, nil
@@ -227,6 +377,16 @@ commands:
 }
 
 func runCommand(journalPath string, workers int, decayName string, args []string) error {
+	// A mutation's arguments are checked before the journal is
+	// replayed, so a usage error costs no replay.
+	_, mutates := verbs[args[0]]
+	var e journalEntry
+	if mutates {
+		var err error
+		if e, err = parseEntry(args); err != nil {
+			return err
+		}
+	}
 	j, fresh, err := loadJournal(journalPath)
 	if err != nil {
 		return err
@@ -243,247 +403,55 @@ func runCommand(journalPath string, workers int, decayName string, args []string
 	if err != nil {
 		return err
 	}
-	atoi := func(s string) (int, error) {
-		v, err := strconv.Atoi(s)
-		if err != nil {
-			return 0, fmt.Errorf("not a number: %q", s)
-		}
-		return v, nil
+	if !mutates {
+		return query(sys, args)
 	}
+	ack, err := apply(sys, e)
+	if err != nil {
+		return err
+	}
+	if err := j.append(e); err != nil {
+		return err
+	}
+	if crashAfterAppend {
+		return errSimulatedCrash
+	}
+	fmt.Println(ack)
+	return nil
+}
+
+// query runs a read-only verb: its reads are not journaled.
+func query(sys *dnastore.System, args []string) error {
 	switch args[0] {
-	case "create":
-		if len(args) != 2 {
-			return errors.New("create needs a partition name")
-		}
-		if _, err := sys.CreatePartition(args[1]); err != nil {
-			return err
-		}
-		if err := j.append(journalEntry{Op: "create", Partition: args[1]}); err != nil {
-			return err
-		}
-		fmt.Printf("created partition %q\n", args[1])
-	case "write":
-		if len(args) != 4 {
-			return errors.New("write needs: partition block text")
-		}
-		block, err := atoi(args[2])
-		if err != nil {
-			return err
-		}
-		p, ok := sys.Partition(args[1])
-		if !ok {
-			return fmt.Errorf("unknown partition %q", args[1])
-		}
-		if err := p.WriteBlock(block, []byte(args[3])); err != nil {
-			return err
-		}
-		if err := j.append(journalEntry{
-			Op: "write", Partition: args[1], Block: block, Data: []byte(args[3]),
-		}); err != nil {
-			return err
-		}
-		fmt.Printf("synthesized block %d of %q (15 strands)\n", block, args[1])
-	case "update":
-		if len(args) != 7 {
-			return errors.New("update needs: partition block delStart delCount insPos text")
-		}
-		block, err := atoi(args[2])
-		if err != nil {
-			return err
-		}
-		ds, err := atoi(args[3])
-		if err != nil {
-			return err
-		}
-		dc, err := atoi(args[4])
-		if err != nil {
-			return err
-		}
-		ip, err := atoi(args[5])
-		if err != nil {
-			return err
-		}
-		p, ok := sys.Partition(args[1])
-		if !ok {
-			return fmt.Errorf("unknown partition %q", args[1])
-		}
-		patch := dnastore.Patch{DeleteStart: ds, DeleteCount: dc, InsertPos: ip, Insert: []byte(args[6])}
-		if err := p.UpdateBlock(block, patch); err != nil {
-			return err
-		}
-		if err := j.append(journalEntry{
-			Op: "update", Partition: args[1], Block: block,
-			DeleteStart: ds, DeleteCount: dc, InsertPos: ip, Insert: []byte(args[6]),
-		}); err != nil {
-			return err
-		}
-		fmt.Printf("logged update %d for block %d of %q\n", p.Versions(block), block, args[1])
-	case "writebatch":
-		if len(args) < 4 || len(args)%2 != 0 {
-			return errors.New("writebatch needs: partition, then block/text pairs")
-		}
-		p, ok := sys.Partition(args[1])
-		if !ok {
-			return fmt.Errorf("unknown partition %q", args[1])
-		}
-		b := p.Batch()
-		items := make([]journalItem, 0, (len(args)-2)/2)
-		for k := 2; k < len(args); k += 2 {
-			block, err := atoi(args[k])
-			if err != nil {
-				return err
-			}
-			b.Write(block, []byte(args[k+1]))
-			items = append(items, journalItem{Block: block, Data: []byte(args[k+1])})
-		}
-		before := sys.Costs().StrandsSynthesized
-		if err := b.Apply(); err != nil {
-			return err
-		}
-		if err := j.append(journalEntry{Op: "writebatch", Partition: args[1], Items: items}); err != nil {
-			return err
-		}
-		fmt.Printf("synthesized %d blocks of %q in one batch (%d strands)\n",
-			len(items), args[1], sys.Costs().StrandsSynthesized-before)
-	case "updatebatch":
-		if len(args) < 7 || (len(args)-2)%5 != 0 {
-			return errors.New("updatebatch needs: partition, then block/delStart/delCount/insPos/text 5-tuples")
-		}
-		p, ok := sys.Partition(args[1])
-		if !ok {
-			return fmt.Errorf("unknown partition %q", args[1])
-		}
-		patches := make([]dnastore.BlockPatch, 0, (len(args)-2)/5)
-		items := make([]journalItem, 0, cap(patches))
-		for k := 2; k < len(args); k += 5 {
-			block, err := atoi(args[k])
-			if err != nil {
-				return err
-			}
-			ds, err := atoi(args[k+1])
-			if err != nil {
-				return err
-			}
-			dc, err := atoi(args[k+2])
-			if err != nil {
-				return err
-			}
-			ip, err := atoi(args[k+3])
-			if err != nil {
-				return err
-			}
-			patches = append(patches, dnastore.BlockPatch{Block: block, Patch: dnastore.Patch{
-				DeleteStart: ds, DeleteCount: dc, InsertPos: ip, Insert: []byte(args[k+4]),
-			}})
-			items = append(items, journalItem{
-				Block: block, DeleteStart: ds, DeleteCount: dc, InsertPos: ip, Insert: []byte(args[k+4]),
-			})
-		}
-		if err := p.UpdateBlocks(patches); err != nil {
-			return err
-		}
-		if err := j.append(journalEntry{Op: "updatebatch", Partition: args[1], Items: items}); err != nil {
-			return err
-		}
-		fmt.Printf("logged %d updates for %q in one batch\n", len(items), args[1])
 	case "read":
-		if len(args) != 3 {
-			return errors.New("read needs: partition block")
-		}
-		block, err := atoi(args[2])
+		p, n, err := blockArgs(sys, args, 1, "read needs: partition block")
 		if err != nil {
 			return err
 		}
-		p, ok := sys.Partition(args[1])
-		if !ok {
-			return fmt.Errorf("unknown partition %q", args[1])
-		}
-		data, err := p.ReadBlock(block)
+		data, err := p.ReadBlock(n[0])
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%s\n", trimZeros(data))
 	case "range":
-		if len(args) != 4 {
-			return errors.New("range needs: partition lo hi")
-		}
-		lo, err := atoi(args[2])
+		p, n, err := blockArgs(sys, args, 2, "range needs: partition lo hi")
 		if err != nil {
 			return err
-		}
-		hi, err := atoi(args[3])
-		if err != nil {
-			return err
-		}
-		p, ok := sys.Partition(args[1])
-		if !ok {
-			return fmt.Errorf("unknown partition %q", args[1])
 		}
 		// Unwritten and log blocks have no entry: label each by its report.
-		res, err := p.Read(dnastore.ReadRequest{Range: &dnastore.Span{Lo: lo, Hi: hi}})
+		res, err := p.Read(dnastore.ReadRequest{Range: &dnastore.Span{Lo: n[0], Hi: n[1]}})
 		if err != nil {
 			return err
 		}
 		for i, b := range res.Content {
 			fmt.Printf("block %d: %s\n", res.Health[i].Block, trimZeros(b))
 		}
-	case "advance":
-		if len(args) != 2 {
-			return errors.New("advance needs: days")
-		}
-		days, err := strconv.ParseFloat(args[1], 64)
-		if err != nil {
-			return fmt.Errorf("not a number of days: %q", args[1])
-		}
-		stats, err := sys.Advance(days)
-		if err != nil {
-			return err
-		}
-		if err := j.append(journalEntry{Op: "advance", Days: days}); err != nil {
-			return err
-		}
-		fmt.Printf("aged %g days (tube age %g): %.0f strands lost, %d species extinct, %d mutant species\n",
-			days, sys.AgeDays(), stats.StrandsLost, stats.SpeciesExtinct, stats.MutantSpecies)
-	case "scrub":
-		if len(args) != 1 {
-			return errors.New("scrub takes no arguments")
-		}
-		pol := dnastore.DefaultScrubPolicy()
-		report, err := sys.Scrub(pol)
-		if err != nil {
-			return err
-		}
-		if err := j.append(journalEntry{Op: "scrub", Scrub: &pol}); err != nil {
-			return err
-		}
-		fmt.Printf("scrubbed %d blocks: %d flagged, %d repaired (%d boosts, %d resyntheses), %d beyond repair\n",
-			report.BlocksProbed, report.BlocksFlagged, report.Repaired,
-			report.Boosts, report.Resyntheses, report.Failed)
-		for _, r := range report.Flagged {
-			fmt.Printf("  %s/%d: %s", r.Partition, r.Block, r.Action)
-			if r.Err != nil {
-				fmt.Printf(" FAILED: %v", r.Err)
-			}
-			fmt.Println()
-		}
 	case "health":
-		// Read-only diagnosis: like read/range, it is not journaled.
-		if len(args) != 4 {
-			return errors.New("health needs: partition lo hi")
-		}
-		lo, err := atoi(args[2])
+		p, n, err := blockArgs(sys, args, 2, "health needs: partition lo hi")
 		if err != nil {
 			return err
 		}
-		hi, err := atoi(args[3])
-		if err != nil {
-			return err
-		}
-		p, ok := sys.Partition(args[1])
-		if !ok {
-			return fmt.Errorf("unknown partition %q", args[1])
-		}
-		res, err := p.Read(dnastore.ReadRequest{Range: &dnastore.Span{Lo: lo, Hi: hi}, Mode: dnastore.ReadHealth})
+		res, err := p.Read(dnastore.ReadRequest{Range: &dnastore.Span{Lo: n[0], Hi: n[1]}, Mode: dnastore.ReadHealth})
 		if err != nil {
 			return err
 		}
@@ -502,7 +470,7 @@ func runCommand(journalPath string, workers int, decayName string, args []string
 				h.Block, status, h.Coverage, h.RSMarginUsed, h.MissingSlots)
 		}
 	case "digest":
-		// Read-only: the tube's physical state digest, for scripting
+		// The tube's physical state digest, for scripting
 		// crash-recovery and replay-equivalence checks.
 		if len(args) != 1 {
 			return errors.New("digest takes no arguments")

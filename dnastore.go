@@ -166,15 +166,6 @@ type Options struct {
 	// rng source, so results are byte-identical for every worker count.
 	Workers int
 
-	// BindingCache is the entry budget of the store-level binding
-	// cache: primer ⇄ species alignments are pure functions of their
-	// sequences, so every PCR of the system shares one cache and
-	// repeated or range reads skip most re-alignment work. 0 selects
-	// the default budget (~10^6 entries); a negative value disables
-	// the cache. Reads return byte-identical results either way — only
-	// the wall clock changes. BindingStats reports hit rates.
-	BindingCache int
-
 	// Decay enables the tube-aging channel: per-day thermal,
 	// hydrolytic, and oxidative strand loss, mutation accrual, and
 	// per-access mechanical wear, applied when System.Advance moves the
@@ -342,7 +333,6 @@ func New(opt Options) (*System, error) {
 	cfg := blockstore.DefaultConfig()
 	cfg.Seed = opt.Seed
 	cfg.Workers = opt.Workers
-	cfg.BindingEntries = opt.BindingCache
 	cfg.Decay = opt.Decay
 	if opt.Faults != nil {
 		inj, err := fault.NewInjector(*opt.Faults)
@@ -383,9 +373,14 @@ func (s *System) Costs() Costs { return s.store.Costs() }
 // their worker counts; useful for verifying deterministic replay.
 func (s *System) TubeDigest() [32]byte { return s.store.TubeDigest() }
 
-// BindingStats returns a snapshot of the binding cache's counters; ok
-// is false when the cache is disabled (negative Options.BindingCache).
-func (s *System) BindingStats() (st BindingStats, ok bool) { return s.store.BindingStats() }
+// BindingStats returns a snapshot of the system's binding-cache
+// counters. Every PCR of the system shares one cache: primer ⇄ species
+// alignments are pure functions of their sequences, so repeated and
+// range reads skip most re-alignment work.
+func (s *System) BindingStats() BindingStats {
+	st, _ := s.store.BindingStats()
+	return st
+}
 
 // FaultStats returns the injector's fired-fault counters; zero when
 // fault injection is disabled (Options.Faults nil).

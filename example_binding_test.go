@@ -9,15 +9,13 @@ import (
 // The store-level binding cache makes repeated and range reads cheap:
 // primer ⇄ species alignments are pure functions of their sequences,
 // so every PCR of the system reuses the alignments earlier reactions
-// computed. It is on by default; Options.BindingCache sizes it (or
-// disables it with a negative value), and BindingStats reports how
-// much wet-simulation work it absorbed.
+// computed. Every system has one, and BindingStats reports how much
+// wet-simulation work it absorbed.
 func ExampleOptions_bindingCache() {
 	sys, err := dnastore.New(dnastore.Options{
 		Seed:          1,
 		MaxPartitions: 1,
 		TreeDepth:     3,
-		BindingCache:  1 << 16, // entry budget; 0 means the default
 	})
 	if err != nil {
 		panic(err)
@@ -37,12 +35,10 @@ func ExampleOptions_bindingCache() {
 	if err != nil {
 		panic(err)
 	}
-	st, enabled := sys.BindingStats()
+	st := sys.BindingStats()
 	fmt.Println("reads equal:", string(first) == string(second))
-	fmt.Println("cache enabled:", enabled)
 	fmt.Println("warm read hit the cache:", st.RowHits+st.Hits > 0)
 	// Output:
 	// reads equal: true
-	// cache enabled: true
 	// warm read hit the cache: true
 }

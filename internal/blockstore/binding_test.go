@@ -8,20 +8,20 @@ import (
 	"dnastore/internal/binding"
 )
 
-// bindingConfig returns the small test config with the given binding
-// budget and worker count.
-func bindingConfig(entries, workers int) Config {
+// bindingConfig returns the small test config with the given PCR
+// binding provider and worker count.
+func bindingConfig(prov binding.Provider, workers int) Config {
 	cfg := testConfig()
-	cfg.BindingEntries = entries
+	cfg.PCR.Provider = prov
 	cfg.Workers = workers
 	return cfg
 }
 
 // buildBindingStore writes the seeded data set into a store built with
-// the given binding budget and worker count.
-func buildBindingStore(t testing.TB, entries, workers int) (*Store, *Partition) {
+// the given PCR binding provider and worker count.
+func buildBindingStore(t testing.TB, prov binding.Provider, workers int) (*Store, *Partition) {
 	t.Helper()
-	cfg := bindingConfig(entries, workers)
+	cfg := bindingConfig(prov, workers)
 	s := newTestStore(t, cfg)
 	p, err := s.CreatePartition("alice")
 	if err != nil {
@@ -36,13 +36,14 @@ func buildBindingStore(t testing.TB, entries, workers int) (*Store, *Partition) 
 	return s, p
 }
 
-// TestBindingCacheByteIdentity is the tentpole's differential oracle:
-// a store with the shared binding cache — default budget or a 64-entry
-// budget that evicts constantly — produces the same tube digest and
-// the same read bytes as a store with the cache disabled, at workers
-// 1, 4 and GOMAXPROCS, across every read path, warm and cold.
+// TestBindingCacheByteIdentity is the binding cache's differential
+// oracle: a store with the shared binding cache — default budget or a
+// 64-entry budget that evicts constantly — produces the same tube
+// digest and the same read bytes as a store whose reactions align
+// every pair afresh through binding.Direct, at workers 1, 4 and
+// GOMAXPROCS, across every read path, warm and cold.
 func TestBindingCacheByteIdentity(t *testing.T) {
-	refStore, refPart := buildBindingStore(t, -1, 1) // cache disabled
+	refStore, refPart := buildBindingStore(t, binding.Direct{}, 1) // no cache
 	refDigest := refStore.TubeDigest()
 	refRange, err := refPart.ReadRange(0, 11)
 	if err != nil {
@@ -59,7 +60,7 @@ func TestBindingCacheByteIdentity(t *testing.T) {
 
 	for _, entries := range []int{0 /* default budget */, 64 /* eviction pressure */} {
 		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-			s, p := buildBindingStore(t, entries, workers)
+			s, p := buildBindingStore(t, binding.NewCache(entries), workers)
 			if s.TubeDigest() != refDigest {
 				t.Fatalf("entries=%d workers=%d: tube digest differs after writes", entries, workers)
 			}
@@ -96,7 +97,7 @@ func TestBindingCacheByteIdentity(t *testing.T) {
 		}
 	}
 	if _, ok := refStore.BindingStats(); ok {
-		t.Error("disabled cache reports stats")
+		t.Error("Direct provider reports cache stats")
 	}
 }
 
@@ -145,7 +146,7 @@ func TestBindingProviderShared(t *testing.T) {
 // binding cache — and checks every result against the serial answers.
 // Run with -race (CI does).
 func TestBindingCacheConcurrentReads(t *testing.T) {
-	s, p := buildBindingStore(t, 0, 2)
+	s, p := buildBindingStore(t, nil, 2)
 	wantRange, err := p.ReadRange(2, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -193,3 +194,27 @@ func TestBindingCacheConcurrentReads(t *testing.T) {
 		t.Errorf("shared cache saw no hits across concurrent reads (stats %+v ok=%v)", st, ok)
 	}
 }
+
+// benchReadRange times a warm 12-block range read of the binding test
+// store built with the given PCR binding provider.
+func benchReadRange(b *testing.B, prov binding.Provider) {
+	_, p := buildBindingStore(b, prov, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.ReadRange(0, 11); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadRangeBindingCache reads through the store's default
+// binding cache: after the first iteration, reactions replay the
+// alignments earlier reactions computed.
+func BenchmarkReadRangeBindingCache(b *testing.B) { benchReadRange(b, nil) }
+
+// BenchmarkReadRangeNoBindingCache reads through binding.Direct: every
+// reaction re-aligns every (species, primer) pair. The gap to
+// BenchmarkReadRangeBindingCache is the cross-reaction binding reuse
+// win (outputs are byte-identical — TestBindingCacheByteIdentity).
+func BenchmarkReadRangeNoBindingCache(b *testing.B) { benchReadRange(b, binding.Direct{}) }

@@ -84,9 +84,17 @@ type Config struct {
 	PadBytes int
 
 	Synthesis pool.SynthesisParams
-	PCR       pcr.Params
-	Rates     channel.Rates
-	Decode    decode.Config
+	// PCR parameterizes every reaction. With a nil Provider, New
+	// installs a store-level binding.Cache shared by every reaction of
+	// the store: primer ⇄ species alignments are pure functions of
+	// their sequences, so a range read re-aligns the tube's stable
+	// species once instead of once per cover, and Config().PCR carries
+	// the cache to direct pcr.Run call sites too. A Provider already
+	// set is kept (a cache shared across stores, or binding.Direct to
+	// align every pair afresh); reads are byte-identical either way.
+	PCR    pcr.Params
+	Rates  channel.Rates
+	Decode decode.Config
 
 	// CoverageDepth is the target sequencing depth per molecule.
 	CoverageDepth float64
@@ -133,21 +141,6 @@ type Config struct {
 	// write-side QC retries — an unsupervised store ships whatever the
 	// vendor delivered, dropped orders included.
 	Retry *fault.RetryPolicy
-
-	// BindingEntries is the entry budget of the store-level binding
-	// cache shared by every PCR reaction of the store: primer ⇄ species
-	// alignments are pure functions of their sequences, so one cache
-	// serves all partitions and concurrent readers, and a range read
-	// re-aligns the tube's stable species once instead of once per
-	// cover. 0 selects binding.DefaultEntries; a negative value
-	// disables the cache (every reaction re-aligns from scratch).
-	// Reads are byte-identical either way. New installs the cache as
-	// the PCR params' Provider, so Config().PCR carries it to direct
-	// pcr.Run call sites (experiments, mixing protocols) too. A
-	// provider already present in PCR.Provider is kept instead — set
-	// one explicitly (e.g. a binding.Cache shared across stores) and
-	// BindingEntries is ignored.
-	BindingEntries int
 }
 
 // BindingStats is a snapshot of the store binding cache's counters.
@@ -324,18 +317,16 @@ func New(cfg Config, primers []dna.Seq) (*Store, error) {
 	var bcache *binding.Cache
 	switch provided := cfg.PCR.Provider; {
 	case provided == nil:
-		if cfg.BindingEntries >= 0 {
-			bcache = binding.NewCache(cfg.BindingEntries)
-			// Install the cache as the reaction provider so every
-			// pcr.Run parameterized from this config — the store's own
-			// reactions and the experiments' direct calls alike —
-			// shares it.
-			cfg.PCR.Provider = bcache
-		}
+		bcache = binding.NewCache(0)
+		// Install the cache as the reaction provider so every pcr.Run
+		// parameterized from this config — the store's own reactions
+		// and the experiments' direct calls alike — shares it.
+		cfg.PCR.Provider = bcache
 	default:
 		// The caller threaded its own provider (e.g. one cache shared
-		// across several stores over the same corpus); keep it. When
-		// it is a binding.Cache, adopt it for stats and the decode
+		// across several stores over the same corpus, or
+		// binding.Direct to align every pair afresh); keep it. When it
+		// is a binding.Cache, adopt it for stats and the decode
 		// pipelines' pattern memo.
 		bcache, _ = provided.(*binding.Cache)
 	}
@@ -353,7 +344,8 @@ func New(cfg Config, primers []dna.Seq) (*Store, error) {
 }
 
 // BindingStats returns a snapshot of the binding cache's counters; ok
-// is false when the cache is disabled (negative Config.BindingEntries).
+// is false when the caller supplied a PCR provider that is not a
+// *binding.Cache.
 func (s *Store) BindingStats() (st BindingStats, ok bool) {
 	if s.binding == nil {
 		return BindingStats{}, false
