@@ -78,7 +78,10 @@ var (
 	ErrBlockRange = blockstore.ErrBlockRange
 	// ErrBlockSize reports data larger than BlockSize.
 	ErrBlockSize = blockstore.ErrBlockSize
-	// ErrBlockNotFound reports a read or update of an unwritten block.
+	// ErrBlockNotFound reports a read or update of an unwritten block
+	// or of an overflow log block, which holds patches, not content:
+	// users cannot address log blocks (a write of one gets
+	// ErrBlockWritten).
 	ErrBlockNotFound = blockstore.ErrBlockNotFound
 	// ErrBlockWritten reports a second write of a block: DNA is
 	// append-only, so blocks are write-once (use updates instead).
@@ -244,7 +247,9 @@ func AcceleratedDecay() DecayProfile { return decay.Accelerated() }
 // Range, or All — a ReadMode, and for block reads a sequencing-depth
 // Scale (0 means 1; > 1 probes deeper before declaring a block dead).
 // Two targets, or a Scale other than 1 on a Range or All read, are
-// rejected with ErrReadRequest before anything is charged.
+// rejected with ErrReadRequest before anything is charged, and a Blocks
+// entry that is unwritten or an overflow log block with
+// ErrBlockNotFound. Range and All reads leave log blocks out.
 type ReadRequest = blockstore.ReadRequest
 
 // ReadResult is one read's content and per-block Health reports (entry
@@ -496,12 +501,16 @@ func (p *Partition) ReadRange(lo, hi int) ([][]byte, error) { return p.p.ReadRan
 
 // UpdateBlock logs a patch against a block. The first two updates live
 // in the block's own version slots; later ones overflow into a log
-// block chained from the last slot.
+// block chained from the last slot. Log blocks are allocated downward
+// from the top of the partition and cannot be addressed: updating or
+// reading one fails with ErrBlockNotFound, writing one with
+// ErrBlockWritten.
 func (p *Partition) UpdateBlock(block int, patch Patch) error {
 	return p.p.UpdateBlock(block, patch)
 }
 
-// Versions returns how many updates a block has received.
+// Versions returns the last version slot a block's updates have used:
+// its update count up to 2, then 3 once it has overflowed into a log.
 func (p *Partition) Versions(block int) int { return p.p.Versions(block) }
 
 // EnableCache installs an elongated-primer cache of the given capacity,

@@ -110,7 +110,7 @@ func (b *Batch) Update(block int, patch update.Patch) *Batch {
 // resynthesize stages fresh physical copies of one existing
 // (block, version) unit, from its already-sealed unit bytes (exactly
 // DataBytes long, pad CRC included — typically a decoded
-// BlockResult.Versions entry). The version table is untouched: the
+// BlockResult.Versions entry). The block table is untouched: the
 // commit only adds strands, restoring a decayed unit's population.
 // It is the scrubber's re-synthesis repair; commit-time conflict
 // detection still aborts the batch if the block mutates concurrently.
@@ -137,101 +137,36 @@ type plannedUnit struct {
 	strands int
 }
 
-// batchPlan is the digital front-end state of an in-flight batch: the
-// staged mutations overlaid on per-block snapshots of the version
-// table, plus the planned encoding units in deterministic order. Base
-// values are captured lazily, only for the blocks the plan actually
-// reads or writes (staging runs under p.mu against the live table), so
-// planning costs O(touched blocks) and commit can detect concurrent
-// mutations of exactly those blocks and nothing else.
+// batchPlan is the digital front-end state of an in-flight batch: an
+// overlay of the block table, one planRow per block the plan reads or
+// writes, plus the planned encoding units in deterministic order. A
+// block's live row is captured on first contact (staging runs under
+// p.mu against the live table), so planning costs O(touched blocks) and
+// commit detects concurrent mutations of exactly those blocks with one
+// row comparison each. Log blocks stay out of users' reach here too: an
+// update of one, even one allocated earlier in the batch, fails with
+// ErrBlockNotFound.
 type batchPlan struct {
 	p *Partition
 
-	baseVersions map[int]int
-	baseWritten  map[int]bool
-	baseOverflow map[int]int
-	baseNext     int
+	rows     map[int]*planRow
+	baseNext int
+	next     int
+	nextOp   int // first op that allocated a log block, -1 if none
 
-	dVersions map[int]int
-	dWritten  map[int]bool
-	dOverflow map[int]int
-	next      int
-	nextOp    int // first op that allocated a log block, -1 if none
-
-	touched map[int]int // block -> first op index that depends on it
-	units   []plannedUnit
+	units []plannedUnit
 }
 
 // newBatchPlan starts an empty plan over the live table. The caller
 // must hold p.mu for the whole staging phase.
 func newBatchPlan(p *Partition) *batchPlan {
 	return &batchPlan{
-		p:            p,
-		baseVersions: make(map[int]int),
-		baseWritten:  make(map[int]bool),
-		baseOverflow: make(map[int]int),
-		baseNext:     p.nextOverflow,
-		dVersions:    make(map[int]int),
-		dWritten:     make(map[int]bool),
-		dOverflow:    make(map[int]int),
-		next:         p.nextOverflow,
-		nextOp:       -1,
-		touched:      make(map[int]int),
+		p:        p,
+		rows:     make(map[int]*planRow),
+		baseNext: p.nextOverflow,
+		next:     p.nextOverflow,
+		nextOp:   -1,
 	}
-}
-
-// touch records the block as a plan dependency and snapshots its live
-// table entries on first contact.
-func (pl *batchPlan) touch(block, op int) {
-	if _, ok := pl.touched[block]; ok {
-		return
-	}
-	pl.touched[block] = op
-	pl.baseVersions[block] = pl.p.versions[block]
-	pl.baseWritten[block] = pl.p.written[block]
-	if o, ok := pl.p.overflow[block]; ok {
-		pl.baseOverflow[block] = o
-	}
-}
-
-func (pl *batchPlan) version(block, op int) int {
-	pl.touch(block, op)
-	if v, ok := pl.dVersions[block]; ok {
-		return v
-	}
-	return pl.baseVersions[block]
-}
-
-func (pl *batchPlan) setVersion(block, v, op int) {
-	pl.touch(block, op)
-	pl.dVersions[block] = v
-}
-
-func (pl *batchPlan) written(block, op int) bool {
-	pl.touch(block, op)
-	if w, ok := pl.dWritten[block]; ok {
-		return w
-	}
-	return pl.baseWritten[block]
-}
-
-func (pl *batchPlan) setWritten(block, op int) {
-	pl.touch(block, op)
-	pl.dWritten[block] = true
-}
-
-func (pl *batchPlan) overflowOf(block, op int) (int, bool) {
-	pl.touch(block, op)
-	if o, ok := pl.dOverflow[block]; ok {
-		return o, true
-	}
-	o, ok := pl.baseOverflow[block]
-	return o, ok
-}
-
-func (pl *batchPlan) setOverflow(block, log, op int) {
-	pl.touch(block, op)
-	pl.dOverflow[block] = log
 }
 
 func (pl *batchPlan) addUnit(op, block, version int, data []byte) {
@@ -250,100 +185,33 @@ func (pl *batchPlan) stage(p *Partition, ops []batchOp, sealed [][]byte) []*OpEr
 		errs = append(errs, &OpError{Index: i, Op: ops[i].name(), Block: ops[i].block, Err: err})
 	}
 	for i, op := range ops {
-		if op.resynth {
-			// Repair: fresh copies of an existing unit. The version table
-			// is read (for conflict detection via touch) but never moved.
-			if !pl.written(op.block, i) {
+		r := pl.row(op.block, i)
+		switch {
+		case op.resynth:
+			// Repair: fresh copies of an existing unit, log blocks
+			// included. The row is read (for conflict detection) but
+			// never moved.
+			if !r.written {
 				fail(i, fmt.Errorf("%w: block %d", ErrBlockNotFound, op.block))
 				continue
 			}
 			pl.addUnit(i, op.block, op.version, sealed[i])
-			continue
-		}
-		if op.write {
-			if pl.written(op.block, i) {
+		case op.write:
+			if r.written {
 				fail(i, fmt.Errorf("%w: block %d", ErrBlockWritten, op.block))
 				continue
 			}
-			pl.setWritten(op.block, i)
+			r.written = true
 			pl.addUnit(i, op.block, 0, sealed[i])
-			continue
-		}
-		if !pl.written(op.block, i) {
+		case !r.written || r.log:
 			fail(i, fmt.Errorf("%w: block %d", ErrBlockNotFound, op.block))
-			continue
-		}
-		if err := pl.appendVersion(p, i, op.block, sealed[i]); err != nil {
-			fail(i, err)
+		default:
+			if err := pl.appendVersion(p, i, op.block, sealed[i], op.block); err != nil {
+				fail(i, err)
+			}
 		}
 	}
 	return errs
-}
-
-// allocLogBlock reserves the next overflow log block for from (a data
-// block or an earlier log block), planning the pointer unit into from's
-// last version slot. The log block's own v0 is left for the first
-// overflowed patch. origin names the user block for error reporting.
-func (pl *batchPlan) allocLogBlock(p *Partition, op, from, origin int) (int, error) {
-	logBlock := pl.next
-	if logBlock < 0 || pl.written(logBlock, op) {
-		return 0, fmt.Errorf("%w: block %d", ErrOverflowFull, origin)
-	}
-	ptr, err := update.MarshalOverflow(logBlock, p.BlockSize())
-	if err != nil {
-		return 0, err
-	}
-	pl.addUnit(op, from, directUpdateSlots+1, p.sealUnit(ptr))
-	pl.setOverflow(from, logBlock, op)
-	pl.next--
-	if pl.nextOp < 0 {
-		pl.nextOp = op
-	}
-	pl.setWritten(logBlock, op)
-	pl.setVersion(logBlock, -1, op)
-	return logBlock, nil
-}
-
-// appendVersion plans unit data as the block's next version,
-// overflowing into log blocks when the direct slots are exhausted —
-// the same slot discipline the paper's Section 5.3 describes, evaluated
-// against the overlay so chains started earlier in the batch continue
-// correctly.
-func (pl *batchPlan) appendVersion(p *Partition, op, block int, unitData []byte) error {
-	n := pl.version(block, op)
-	if n < directUpdateSlots {
-		pl.addUnit(op, block, n+1, unitData)
-		pl.setVersion(block, n+1, op)
-		return nil
-	}
-	logBlock, ok := pl.overflowOf(block, op)
-	if !ok {
-		var err error
-		if logBlock, err = pl.allocLogBlock(p, op, block, block); err != nil {
-			return err
-		}
-		pl.setVersion(block, n+1, op) // the pointer consumes the slot
-	}
-	return pl.writeLog(p, op, logBlock, unitData, block)
-}
-
-// writeLog plans patch data into a log block's version slots (including
-// v0), chaining further log blocks as they fill.
-func (pl *batchPlan) writeLog(p *Partition, op, logBlock int, unitData []byte, origin int) error {
-	n := pl.version(logBlock, op)
-	if n+1 <= directUpdateSlots {
-		pl.addUnit(op, logBlock, n+1, unitData)
-		pl.setVersion(logBlock, n+1, op)
-		return nil
-	}
-	next, ok := pl.overflowOf(logBlock, op)
-	if !ok {
-		var err error
-		if next, err = pl.allocLogBlock(p, op, logBlock, origin); err != nil {
-			return err
-		}
-	}
-	return pl.writeLog(p, op, next, unitData, origin)
 }
 
 // Apply commits the staged operations atomically in three phases:
@@ -360,8 +228,8 @@ func (pl *batchPlan) writeLog(p *Partition, op, logBlock int, unitData []byte, o
 //     forked in plan order, so the synthesized species are
 //     byte-identical at any worker count.
 //  3. Commit — a short lock that re-validates the plan against the live
-//     version table (concurrent mutations of the touched blocks surface
-//     as ErrBatchConflict per op), installs the staged state, and
+//     block table (concurrent mutations of the touched blocks surface
+//     as ErrBatchConflict per op), installs the changed rows, and
 //     merges the synthesized species into the tube. Cost counters bump
 //     once for the whole batch.
 //
@@ -455,7 +323,7 @@ func (b *Batch) seal() ([][]byte, []*OpError) {
 }
 
 // plan stages every op under a brief lock — pure digital work against
-// the live version table, snapshotting exactly the entries it touches.
+// the live block table, snapshotting exactly the rows it touches.
 func (b *Batch) plan(sealed [][]byte) (*batchPlan, []*OpError) {
 	p := b.p
 	p.mu.Lock()
@@ -516,11 +384,11 @@ func (b *Batch) prepare(plan *batchPlan) error {
 	})
 }
 
-// commit validates the plan against the live version table and, if no
-// touched block changed since the snapshot, installs the staged state
+// commit validates the plan against the live block table and, if no
+// touched block changed since the snapshot, installs the changed rows
 // and merges the synthesized species into the tube — all under one
-// short lock, so a concurrent reader that observes the new version
-// table also finds the strands.
+// short lock, so a concurrent reader that observes the new rows also
+// finds the strands.
 func (b *Batch) commit(plan *batchPlan) error {
 	p := b.p
 	// Merge the per-unit pools outside the lock; plan order keeps the
@@ -539,28 +407,20 @@ func (b *Batch) commit(plan *batchPlan) error {
 		}
 		strands += u.strands
 	}
-	blocks := make([]int, 0, len(plan.touched))
-	for blk := range plan.touched {
+	blocks := make([]int, 0, len(plan.rows))
+	for blk := range plan.rows {
 		blocks = append(blocks, blk)
 	}
 	sort.Ints(blocks)
 
 	p.mu.Lock()
 	var conflicts []*OpError
-	conflict := func(blk int) {
-		op := plan.touched[blk]
-		conflicts = append(conflicts, &OpError{
-			Index: op, Op: b.ops[op].name(), Block: blk,
-			Err: fmt.Errorf("%w: block %d changed since the batch was staged", ErrBatchConflict, blk),
-		})
-	}
 	for _, blk := range blocks {
-		liveOv, liveOk := p.overflow[blk]
-		baseOv, baseOk := plan.baseOverflow[blk]
-		if p.versions[blk] != plan.baseVersions[blk] ||
-			p.written[blk] != plan.baseWritten[blk] ||
-			liveOv != baseOv || liveOk != baseOk {
-			conflict(blk)
+		if e := plan.rows[blk]; p.blocks[blk] != e.base {
+			conflicts = append(conflicts, &OpError{
+				Index: e.op, Op: b.ops[e.op].name(), Block: blk,
+				Err: fmt.Errorf("%w: block %d changed since the batch was staged", ErrBatchConflict, blk),
+			})
 		}
 	}
 	if plan.nextOp >= 0 && p.nextOverflow != plan.baseNext {
@@ -573,14 +433,12 @@ func (b *Batch) commit(plan *batchPlan) error {
 		p.mu.Unlock()
 		return &BatchError{Ops: conflicts}
 	}
-	for blk, v := range plan.dVersions {
-		p.versions[blk] = v
-	}
-	for blk := range plan.dWritten {
-		p.written[blk] = true
-	}
-	for blk, log := range plan.dOverflow {
-		p.overflow[blk] = log
+	// Rows the plan only looked at are left alone, so no row appears for
+	// a block that was merely checked.
+	for _, blk := range blocks {
+		if e := plan.rows[blk]; e.row != e.base {
+			p.blocks[blk] = e.row
+		}
 	}
 	// Install the allocator only when this plan allocated log blocks (the
 	// nextOp check above then guarantees the live value still matches the

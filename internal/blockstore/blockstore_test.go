@@ -269,6 +269,39 @@ func TestUpdateOverflowChain(t *testing.T) {
 	if !bytes.HasPrefix(got, []byte("edcba0")) {
 		t.Errorf("content after 5 updates: %q", got[:8])
 	}
+
+	// Block 63, the top of the address space, is block 10's overflow
+	// log. It holds patches, not content, so users cannot address it:
+	// updates and reads are refused before anything is charged.
+	const log = 63
+	costs, digest, noise := s.Costs(), s.TubeDigest(), *p.noise
+	bad := update.Patch{InsertPos: 0, Insert: []byte("y")}
+	if err := p.UpdateBlock(log, bad); !errors.Is(err, ErrBlockNotFound) {
+		t.Errorf("update of a log block: %v", err)
+	}
+	if err := p.UpdateBlocks([]BlockPatch{{10, bad}, {log, bad}}); !errors.Is(err, ErrBlockNotFound) {
+		t.Errorf("batch updating a log block: %v", err)
+	}
+	if _, err := p.UpdateBlockExternal(log, bad, s.cfg.Synthesis); !errors.Is(err, ErrBlockNotFound) {
+		t.Errorf("external update of a log block: %v", err)
+	}
+	if _, err := p.ReadBlock(log); !errors.Is(err, ErrBlockNotFound) {
+		t.Errorf("ReadBlock of a log block: %v", err)
+	}
+	for _, mode := range []ReadMode{ReadHealth, ReadSupervised} {
+		if _, err := p.Read(ReadRequest{Blocks: []int{log}, Mode: mode}); !errors.Is(err, ErrBlockNotFound) {
+			t.Errorf("mode %d read of a log block: %v", mode, err)
+		}
+	}
+	if s.Costs() != costs || s.TubeDigest() != digest || *p.noise != noise {
+		t.Error("a refused log-block access charged the store")
+	}
+	if v10, vlog := p.Versions(10), p.Versions(log); v10 != 3 || vlog != 2 {
+		t.Errorf("versions after refused updates: block 10 %d, log %d; want 3, 2", v10, vlog)
+	}
+	if again, err := p.ReadBlock(10); err != nil || !bytes.Equal(again, got) {
+		t.Errorf("block 10 after refused log-block updates: %q, %v; want %q", again[:min(len(again), 8)], err, got[:8])
+	}
 }
 
 func TestUpdateUnwritten(t *testing.T) {

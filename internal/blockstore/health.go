@@ -43,32 +43,6 @@ type Health struct {
 	RSMarginUsed float64
 }
 
-// expectedVersions returns, in ascending order, the unit versions that
-// physically exist for the block per the partition's tables: the
-// original, the direct update slots consumed so far, and the overflow
-// pointer slot if the block has overflowed. Sequencing noise routinely
-// conjures phantom versions (a read whose index or version field
-// misdecodes lands in a unit that was never synthesized); health
-// accounting and streaming coverage floors must ignore them. An empty
-// list (unwritten or damaged front-end state) registers a streaming
-// target with no floor, which is never Done: the stream then runs to
-// the full budget.
-func (p *Partition) expectedVersions(block int) []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.written[block] || p.versions[block] < 0 {
-		return nil
-	}
-	exp := []int{0}
-	for v := 1; v <= min(p.versions[block], directUpdateSlots); v++ {
-		exp = append(exp, v)
-	}
-	if _, ok := p.overflow[block]; ok {
-		exp = append(exp, directUpdateSlots+1)
-	}
-	return exp
-}
-
 // healthOf condenses a decode outcome into a Health report, counting
 // only the versions the partition tables say physically exist. res may
 // be nil (the retrieval itself failed); err is the access error, if

@@ -20,14 +20,17 @@ import (
 // PCR-navigable index tree.
 //
 // Partitions are safe for concurrent use. Reads are the hot path: the
-// digital front-end state (version/written maps, primer cache, noise
-// stream) is consulted briefly under the partition mutex, and the wet
-// work — PCR, sequencing, decoding — runs outside it, fanned across
-// workers for range and batched reads. Writes go through the staged
-// Batch engine (see batch.go): version and log slots are planned
-// against a snapshot, unit encoding and synthesis draws fan across the
-// workers lock-free, and a short commit validates the plan against the
-// live version table before merging the species into the tube.
+// digital front-end state (block table, primer cache, noise stream) is
+// consulted briefly under the partition mutex, and the wet work — PCR,
+// sequencing, decoding — runs outside it, fanned across workers for
+// range and batched reads. The block table (table.go) holds one row per
+// written block: written, update count, overflow link and whether the
+// block is an overflow log block, which users cannot address. Writes go
+// through the staged Batch engine (see batch.go): version and log slots
+// are planned on an overlay of the rows they touch, unit encoding and
+// synthesis draws fan across the workers lock-free, and a short commit
+// checks those rows against the live table before merging the species
+// into the tube.
 type Partition struct {
 	store    *Store
 	name     string
@@ -43,19 +46,11 @@ type Partition struct {
 	// child source under mu, in deterministic order, so parallel and
 	// serial execution sample identical noise.
 	mu           sync.Mutex
-	versions     map[int]int // block -> updates written so far
-	written      map[int]bool
-	overflow     map[int]int // block -> its overflow log block
-	nextOverflow int
+	blocks       map[int]blockRow
+	nextOverflow int          // the next log block to allocate
 	cache        *PrimerCache // optional elongated-primer cache
 	noise        *rng.Source
 }
-
-// directUpdateSlots is the number of updates stored in the block's own
-// version slots before overflowing: version bases give 4 slots, one for
-// data, and the last slot is reserved for the overflow pointer, so two
-// updates live inline (Section 5.3).
-const directUpdateSlots = 2
 
 // Name returns the partition name.
 func (p *Partition) Name() string { return p.name }
@@ -81,11 +76,13 @@ func (p *Partition) SetPrimerCache(c *PrimerCache) {
 	p.mu.Unlock()
 }
 
-// Versions returns how many updates the block has received.
+// Versions returns the last version slot the block's updates have used:
+// its update count while the direct slots last, then 3 once its pointer
+// slot names an overflow log (later updates go to the log).
 func (p *Partition) Versions(block int) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.versions[block]
+	return p.blocks[block].versions
 }
 
 // ElongatedPrimer returns the block's fully elongated forward primer
@@ -117,17 +114,6 @@ func (p *Partition) chargeElongated(key string) {
 		return
 	}
 	p.store.addCosts(func(c *Costs) { c.ElongatedPrimersSynthesized++ })
-}
-
-// overflowChain returns the block's overflow log blocks in chain order
-// per the partition's table — the one bound shared by the front-end's
-// charging and assembly's chase. The caller must hold p.mu.
-func (p *Partition) overflowChain(block int) []int {
-	var chain []int
-	for log, ok := p.overflow[block]; ok && len(chain) < len(p.overflow); log, ok = p.overflow[log] {
-		chain = append(chain, log)
-	}
-	return chain
 }
 
 // chargeOverflow charges the elongated primers of the block's
@@ -292,19 +278,19 @@ func (p *Partition) UpdateBlockExternal(block int, patch update.Patch, params po
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.written[block] {
+	r := p.blocks[block]
+	if !r.written || r.log {
 		return nil, fmt.Errorf("%w: block %d", ErrBlockNotFound, block)
 	}
-	n := p.versions[block]
-	if n >= directUpdateSlots {
-		return nil, fmt.Errorf("blockstore: external updates support only direct slots (block %d has %d)", block, n)
+	if r.versions >= directUpdateSlots {
+		return nil, fmt.Errorf("blockstore: external updates support only direct slots (block %d has %d)", block, r.versions)
 	}
 	marshaled, err := patch.Marshal(p.BlockSize())
 	if err != nil {
 		return nil, err
 	}
-	version := n + 1
-	orders, err := p.buildUnitOrders(block, version, p.sealUnit(marshaled))
+	r.versions++
+	orders, err := p.buildUnitOrders(block, r.versions, p.sealUnit(marshaled))
 	if err != nil {
 		return nil, err
 	}
@@ -313,6 +299,6 @@ func (p *Partition) UpdateBlockExternal(block int, patch update.Patch, params po
 		return nil, err
 	}
 	p.store.addCosts(func(c *Costs) { c.StrandsSynthesized += len(orders) })
-	p.versions[block] = version
+	p.blocks[block] = r
 	return external, nil
 }

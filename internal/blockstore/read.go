@@ -98,7 +98,9 @@ func (p *Partition) blockReaction(block, units int, src *rng.Source) (reaction, 
 // charge each block's elongated primer — and, with chase set, the
 // overflow chain assembly will retrieve — fork one noise source per
 // reaction in request order, and charge the wear of every access.
-// Scrub probes and repair reads do not assemble and pass chase false.
+// Scrub probes and repair reads do not assemble and pass chase false;
+// with chase set the access serves user content, so an overflow log
+// block, which holds patches, is refused like an unwritten one.
 func (p *Partition) planBlocks(blocks []int, chase bool) (readPlan, error) {
 	for _, b := range blocks {
 		if err := p.checkBlock(b); err != nil {
@@ -108,7 +110,7 @@ func (p *Partition) planBlocks(blocks []int, chase bool) (readPlan, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, b := range blocks {
-		if !p.written[b] {
+		if r := p.blocks[b]; !r.written || chase && r.log {
 			return readPlan{}, fmt.Errorf("%w: block %d", ErrBlockNotFound, b)
 		}
 	}
@@ -120,7 +122,7 @@ func (p *Partition) planBlocks(blocks []int, chase bool) (readPlan, error) {
 		if chase {
 			accesses += p.chargeOverflow(b)
 		}
-		rx, err := p.blockReaction(b, 1+p.versions[b], p.noise.Fork())
+		rx, err := p.blockReaction(b, 1+p.blocks[b].versions, p.noise.Fork())
 		if err != nil {
 			return readPlan{}, err
 		}
@@ -143,7 +145,7 @@ func (p *Partition) planCovers(covers []indextree.CoverRange) readPlan {
 	root := covers == nil
 	if root {
 		lo, hi := p.Blocks(), -1
-		for b := range p.written {
+		for b := range p.blocks {
 			lo, hi = min(lo, b), max(hi, b)
 		}
 		if hi < 0 {
@@ -151,17 +153,17 @@ func (p *Partition) planCovers(covers []indextree.CoverRange) readPlan {
 		}
 		covers = []indextree.CoverRange{{Lo: lo, Hi: hi}}
 	}
-	logs := p.logBlocks()
 	pl := readPlan{lo: covers[0].Lo, hi: covers[len(covers)-1].Hi, scale: 1}
 	accesses := 0
 	for _, c := range covers {
 		units := 0
 		for b := c.Lo; b <= c.Hi; b++ {
-			if !p.written[b] {
+			r := p.blocks[b]
+			if !r.written {
 				continue
 			}
-			units += 1 + p.versions[b]
-			if !logs[b] {
+			units += 1 + r.versions
+			if !r.log {
 				accesses += p.chargeOverflow(b)
 			}
 		}
@@ -201,16 +203,6 @@ func (p *Partition) planRange(lo, hi int) (readPlan, error) {
 		return readPlan{}, err
 	}
 	return p.planCovers(covers), nil
-}
-
-// logBlocks returns the set of overflow log blocks. The caller must hold
-// p.mu.
-func (p *Partition) logBlocks() map[int]bool {
-	logs := make(map[int]bool, len(p.overflow))
-	for _, log := range p.overflow {
-		logs[log] = true
-	}
-	return logs
 }
 
 // fanWorkers is the internal PCR scoring fan-out of each of n reactions
@@ -335,10 +327,9 @@ func (p *Partition) read(pl readPlan, strict bool) ([][]byte, []Health, error) {
 	}
 	// Snapshot the data blocks; assembly runs reactions outside the lock.
 	p.mu.Lock()
-	logs := p.logBlocks()
 	var wanted []int
 	for b := pl.lo; b <= pl.hi; b++ {
-		if p.written[b] && !logs[b] {
+		if r := p.blocks[b]; r.written && !r.log {
 			wanted = append(wanted, b)
 		}
 	}
@@ -408,7 +399,7 @@ func (p *Partition) resolve(r *rng.Source, block int, res *decode.BlockResult, p
 // collectPatches extracts the patches of versions first and up, in
 // order (log blocks hold a patch in version 0 too), following overflow
 // pointers with block reactions drawn from r. hops is the number of log
-// blocks the partition's overflow table records below this one: a
+// blocks the partition's block table records below this one: a
 // pointer past them is a decode failure.
 func (p *Partition) collectPatches(r *rng.Source, res *decode.BlockResult, first, hops, pcrWorkers int) ([]update.Patch, error) {
 	var out []update.Patch
@@ -485,7 +476,9 @@ type Span struct{ Lo, Hi int }
 // sequencing depth. A request naming no target reads no blocks.
 type ReadRequest struct {
 	// Blocks reads these written blocks in request order, one fully
-	// elongated-primer reaction each.
+	// elongated-primer reaction each. An unwritten block or an
+	// overflow log block, which holds patches rather than content, is
+	// refused with ErrBlockNotFound before anything is charged.
 	Blocks []int
 	// Range reads the written data blocks of [Lo, Hi] in block order,
 	// one partially elongated primer per minimal prefix cover.

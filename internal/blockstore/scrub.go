@@ -179,9 +179,9 @@ func (p *Partition) scrub(pol ScrubPolicy, report *ScrubReport) error {
 	// Enumerate written blocks, overflow logs included: their patches
 	// decay like any other strands.
 	p.mu.Lock()
-	blocks := make([]int, 0, len(p.written))
-	for b := range p.written {
-		if p.written[b] && p.versions[b] >= 0 {
+	blocks := make([]int, 0, len(p.blocks))
+	for b, r := range p.blocks {
+		if r.written && r.versions >= 0 {
 			blocks = append(blocks, b)
 		}
 	}

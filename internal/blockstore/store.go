@@ -438,18 +438,16 @@ func (s *Store) CreatePartition(name string) (*Partition, error) {
 		return nil, err
 	}
 	p := &Partition{
-		store:    s,
-		name:     name,
-		fwd:      fwd,
-		rev:      rev,
-		tree:     tree,
-		rand:     rand,
-		unit:     unit,
-		workers:  s.workers,
-		versions: make(map[int]int),
-		written:  make(map[int]bool),
-		overflow: make(map[int]int),
-		noise:    s.src.Fork(),
+		store:   s,
+		name:    name,
+		fwd:     fwd,
+		rev:     rev,
+		tree:    tree,
+		rand:    rand,
+		unit:    unit,
+		workers: s.workers,
+		blocks:  make(map[int]blockRow),
+		noise:   s.src.Fork(),
 	}
 	dcfg := s.cfg.Decode
 	dcfg.Geometry = s.cfg.Geometry

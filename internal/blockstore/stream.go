@@ -384,7 +384,7 @@ func (p *Partition) writtenIn(lo, hi int) []int {
 	defer p.mu.Unlock()
 	var out []int
 	for b := lo; b <= hi; b++ {
-		if p.written[b] {
+		if p.blocks[b].written {
 			out = append(out, b)
 		}
 	}
