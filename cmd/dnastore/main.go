@@ -215,10 +215,12 @@ func apply(sys *dnastore.System, e journalEntry) (string, error) {
 		if err != nil {
 			return "", err
 		}
+		before := sys.Costs().StrandsSynthesized
 		if err := p.WriteBlock(e.Block, e.Data); err != nil {
 			return "", err
 		}
-		return fmt.Sprintf("synthesized block %d of %q (15 strands)", e.Block, e.Partition), nil
+		return fmt.Sprintf("synthesized block %d of %q (%d strands)",
+			e.Block, e.Partition, sys.Costs().StrandsSynthesized-before), nil
 	case "writebatch":
 		p, err := partition(sys, e.Partition)
 		if err != nil {
@@ -243,7 +245,7 @@ func apply(sys *dnastore.System, e journalEntry) (string, error) {
 		if err := p.UpdateBlock(e.Block, patch); err != nil {
 			return "", err
 		}
-		return fmt.Sprintf("logged update %d for block %d of %q", p.Versions(e.Block), e.Block, e.Partition), nil
+		return fmt.Sprintf("logged update for block %d of %q", e.Block, e.Partition), nil
 	case "updatebatch":
 		p, err := partition(sys, e.Partition)
 		if err != nil {

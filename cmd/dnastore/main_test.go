@@ -89,6 +89,37 @@ func TestUpdateThroughJournal(t *testing.T) {
 	}
 }
 
+// TestUpdateAcknowledgements: each of five updates of one block, the
+// last three landing in its overflow log, prints its own
+// acknowledgement, and a read returns the content all five produced.
+// An acknowledgement names no update count: the block table records
+// the version slots a block has used, which stop at 3.
+func TestUpdateAcknowledgements(t *testing.T) {
+	j := journalPath(t)
+	for _, args := range [][]string{{"create", "docs"}, {"write", "docs", "0", "hello world"}} {
+		if err := runCommand(j, -1, "", args); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+	}
+	for i := 1; i <= 5; i++ {
+		args := []string{"update", "docs", "0", "0", "1", "0", fmt.Sprint(i)}
+		out, err := captureStdout(t, func() error { return runCommand(j, -1, "", args) })
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if want := "logged update for block 0 of \"docs\"\n"; out != want {
+			t.Errorf("update %d printed %q, want %q", i, out, want)
+		}
+	}
+	out, err := captureStdout(t, func() error { return runCommand(j, -1, "", []string{"read", "docs", "0"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out, "5ello world") {
+		t.Errorf("read after five updates printed %q, want the fifth update applied", out)
+	}
+}
+
 // TestBatchCommandsThroughJournal covers the writebatch/updatebatch
 // verbs: one journal entry per batch, replayed as one batch commit so
 // the rebuilt tube matches the original run.

@@ -110,7 +110,7 @@ func (b *Batch) Update(block int, patch update.Patch) *Batch {
 // resynthesize stages fresh physical copies of one existing
 // (block, version) unit, from its already-sealed unit bytes (exactly
 // DataBytes long, pad CRC included — typically a decoded
-// BlockResult.Versions entry). The block table is untouched: the
+// BlockResult unit's Data). The block table is untouched: the
 // commit only adds strands, restoring a decayed unit's population.
 // It is the scrubber's re-synthesis repair; commit-time conflict
 // detection still aborts the batch if the block mutates concurrently.

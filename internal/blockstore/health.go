@@ -36,10 +36,12 @@ type Health struct {
 	// Corrected is the number of RS symbol corrections applied.
 	Corrected int
 	// RSMarginUsed is the worst single unit's consumed erasure budget:
-	// the unit's missing plus erased slots over its parity slot count.
-	// 0 is a pristine block, ≥ 1 means some unit is unrecoverable —
-	// Reed-Solomon lives or dies per unit, so the block's durability is
-	// its weakest unit's margin, not an average.
+	// the unit's missing plus erased slots over its parity slot count,
+	// a failed unit counting at least parity+1 slots spent. 0 is a
+	// pristine block; up to 1 every unit decodes (exactly 1 spent its
+	// whole parity), above 1 some unit is unrecoverable — Reed-Solomon
+	// lives or dies per unit, so the block's durability is its weakest
+	// unit's margin, not an average.
 	RSMarginUsed float64
 }
 
@@ -67,7 +69,7 @@ func (p *Partition) healthOf(block int, res *decode.BlockResult, err error) Heal
 	var coverageErr, marginErr error
 	worst := 0
 	for _, v := range exp {
-		st, observed := res.UnitStats[v]
+		u, observed := res.Units[v]
 		if !observed {
 			// The unit never produced a single primary strand.
 			h.MissingSlots += mol
@@ -78,31 +80,35 @@ func (p *Partition) healthOf(block int, res *decode.BlockResult, err error) Heal
 			}
 			continue
 		}
-		h.MissingSlots += st.Missing
-		h.ErasedSlots += st.Erased
-		h.Corrected += st.Corrected
-		reads += st.Reads
-		worst = max(worst, st.Missing+st.Erased)
-		if ue, failed := res.UnitErrors[v]; failed {
+		h.MissingSlots += u.Missing
+		h.ErasedSlots += u.Erased
+		h.Corrected += u.Corrected
+		reads += u.Reads
+		spent := u.Missing + u.Erased
+		if u.Err != nil {
+			// A unit that failed with few slots lost still spent more than
+			// its parity: its strands hold errors the code cannot place.
+			spent = max(spent, parity+1)
 			// A failed unit whose read support sits far below the
 			// configured depth failed for lack of material, whatever the
 			// decoder tripped on: the observed slots are mostly phantoms
 			// conjured by index misreads of other blocks' strands.
-			starved := float64(st.Reads) < float64(mol)*p.store.cfg.CoverageDepth/2
+			starved := float64(u.Reads) < float64(mol)*p.store.cfg.CoverageDepth/2
 			switch {
 			case starved:
 				if coverageErr == nil {
 					coverageErr = fmt.Errorf("%w: block %d version %d: %d reads for %d strands",
-						decode.ErrInsufficientCoverage, block, v, st.Reads, mol)
+						decode.ErrInsufficientCoverage, block, v, u.Reads, mol)
 				}
-			case errors.Is(ue, ErrRSMarginExceeded):
-				marginErr = ue
+			case errors.Is(u.Err, ErrRSMarginExceeded):
+				marginErr = u.Err
 			default:
 				if coverageErr == nil {
-					coverageErr = ue
+					coverageErr = u.Err
 				}
 			}
 		}
+		worst = max(worst, spent)
 	}
 	if h.Units > 0 {
 		h.Coverage = float64(reads) / float64(h.Units*mol)

@@ -378,10 +378,10 @@ func (p *Partition) resolve(r *rng.Source, block int, res *decode.BlockResult, p
 	if res == nil {
 		return nil, nil, fmt.Errorf("%w: block %d not recovered", decode.ErrInsufficientCoverage, block)
 	}
-	raw, ok := res.Versions[0]
-	if !ok {
-		cause, failed := res.UnitErrors[0]
-		if !failed {
+	orig := res.Units[0]
+	if orig.Data == nil {
+		cause := orig.Err
+		if cause == nil {
 			cause = decode.ErrInsufficientCoverage
 		}
 		return nil, nil, fmt.Errorf("%w: block %d original version missing", cause, block)
@@ -393,7 +393,7 @@ func (p *Partition) resolve(r *rng.Source, block int, res *decode.BlockResult, p
 	if err != nil {
 		return nil, nil, err
 	}
-	return raw[:p.BlockSize()], patches, nil
+	return orig.Data[:p.BlockSize()], patches, nil
 }
 
 // collectPatches extracts the patches of versions first and up, in
@@ -404,8 +404,8 @@ func (p *Partition) resolve(r *rng.Source, block int, res *decode.BlockResult, p
 func (p *Partition) collectPatches(r *rng.Source, res *decode.BlockResult, first, hops, pcrWorkers int) ([]update.Patch, error) {
 	var out []update.Patch
 	for v := first; v < p.store.cfg.Geometry.MaxVersions(); v++ {
-		data, ok := res.Versions[v]
-		if !ok {
+		data := res.Units[v].Data
+		if data == nil {
 			continue
 		}
 		log, isPtr := update.IsOverflow(data)
@@ -605,8 +605,9 @@ type BlockVersions struct {
 	// Patches are the update patches in application order, with any
 	// overflow chain already resolved.
 	Patches []update.Patch
-	// Decode carries pipeline statistics for the access.
-	Decode decode.BlockResult
+	// ClustersUsed is how many clusters the decode consumed before the
+	// block's observed versions completed.
+	ClustersUsed int
 }
 
 // DecodeReads decodes externally produced reads with the full-budget
@@ -631,5 +632,5 @@ func (p *Partition) DecodeReads(seqs []dna.Seq, block int) (*BlockVersions, erro
 	if err != nil {
 		return nil, err
 	}
-	return &BlockVersions{Data: data, Patches: patches, Decode: *res}, nil
+	return &BlockVersions{Data: data, Patches: patches, ClustersUsed: res.ClustersUsed}, nil
 }

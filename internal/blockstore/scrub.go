@@ -320,7 +320,7 @@ func (p *Partition) resynthRepair(block int, pol ScrubPolicy) (repaired bool, re
 		}
 		results, _, rerr := p.react(pl.reactions[0], p.store.cfg.Workers, wetBatch, scale, false)
 		res := results[block]
-		if res != nil && (best == nil || len(res.Versions) > len(best.Versions)) {
+		if res != nil && (best == nil || decodedUnits(res) > decodedUnits(best)) {
 			best = res
 		}
 		if rerr != nil {
@@ -337,7 +337,7 @@ func (p *Partition) resynthRepair(block int, pol ScrubPolicy) (repaired bool, re
 	}
 	var versions []int
 	for _, v := range p.expectedVersions(block) {
-		if best != nil && best.Versions[v] != nil {
+		if best != nil && best.Units[v].Data != nil {
 			versions = append(versions, v)
 		}
 	}
@@ -349,10 +349,21 @@ func (p *Partition) resynthRepair(block int, pol ScrubPolicy) (repaired bool, re
 	}
 	b := p.Batch()
 	for _, v := range versions {
-		b.resynthesize(block, v, best.Versions[v])
+		b.resynthesize(block, v, best.Units[v].Data)
 	}
 	if aerr := b.applyRetry(); aerr != nil {
 		return false, retries, aerr
 	}
 	return lastErr == nil, retries, lastErr
+}
+
+// decodedUnits counts the units of a decode result that decoded.
+func decodedUnits(res *decode.BlockResult) int {
+	n := 0
+	for _, u := range res.Units {
+		if u.Data != nil {
+			n++
+		}
+	}
+	return n
 }

@@ -207,10 +207,11 @@ func (c Costs) Sub(o Costs) Costs {
 
 // Store is one DNA tube with its partitions and digital metadata.
 type Store struct {
-	cfg     Config
-	workers int
-	sampler *seqsim.Sampler // rates validated once at construction
-	binding *binding.Cache  // shared cross-reaction cache, nil when disabled
+	cfg       Config
+	workers   int
+	molecules int             // strands per (block, version) encoding unit
+	sampler   *seqsim.Sampler // rates validated once at construction
+	binding   *binding.Cache  // shared cross-reaction cache, nil when disabled
 
 	// mu guards the digital front-end state: partitions, the primer
 	// budget, and the store-level seed stream.
@@ -264,6 +265,10 @@ func New(cfg Config, primers []dna.Seq) (*Store, error) {
 	dcfg := cfg.Decode
 	dcfg.Geometry = cfg.Geometry
 	if err := dcfg.Validate(); err != nil {
+		return nil, err
+	}
+	unit, err := layout.NewUnitCodec(cfg.Geometry)
+	if err != nil {
 		return nil, err
 	}
 	if cfg.TreeDepth < 1 || cfg.TreeDepth > indextree.MaxDepth {
@@ -333,6 +338,7 @@ func New(cfg Config, primers []dna.Seq) (*Store, error) {
 	return &Store{
 		cfg:        cfg,
 		workers:    parallel.Resolve(cfg.Workers),
+		molecules:  unit.Molecules(),
 		sampler:    sampler,
 		binding:    bcache,
 		tube:       pool.New(),
@@ -622,7 +628,7 @@ func (s *Store) resynthScale(repairs *pool.Pool) float64 {
 // provisions for the given unit count — the ceiling a streaming read
 // stops under when its coverage floor is met earlier.
 func (s *Store) ReadBudget(units int) int {
-	return int(math.Ceil(float64(units*15) * s.cfg.CoverageDepth * s.cfg.WasteFactor))
+	return int(math.Ceil(float64(units*s.molecules) * s.cfg.CoverageDepth * s.cfg.WasteFactor))
 }
 
 // contaminantPartition labels species leaked into a reaction by

@@ -370,7 +370,7 @@ func servesExpected(res *decode.BlockResult, expected []int) bool {
 		return false
 	}
 	for _, v := range expected {
-		if res.Versions[v] == nil {
+		if res.Units[v].Data == nil {
 			return false
 		}
 	}

@@ -384,7 +384,12 @@ func runPore(t *testing.T, p *Partition, amplified *pool.Pool, src rng.Source, b
 		if err != nil {
 			t.Fatalf("chunk %d: block %d: %v", chunk, b, err)
 		}
-		run.content[b] = res.Versions
+		run.content[b] = map[int][]byte{}
+		for v, u := range res.Units {
+			if u.Data != nil {
+				run.content[b][v] = u.Data
+			}
+		}
 	}
 	return run
 }

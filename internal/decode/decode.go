@@ -58,11 +58,6 @@ type Config struct {
 	// MaxIndexDist is the tolerance when resolving a reconstructed
 	// index against the index tree.
 	MaxIndexDist int
-	// MaxCandidates bounds per-address alternative strands kept for the
-	// Section 8.1 recursive retry, and MaxCombinations bounds how many
-	// alternative assignments are attempted per unit.
-	MaxCandidates   int
-	MaxCombinations int
 	// VerifyUnit, when non-nil, validates a candidate unit after
 	// de-randomization. It is the correctness oracle Section 8.1's
 	// recursive retry assumes ("until we correctly recover our data"):
@@ -110,14 +105,20 @@ type PatternCompiler interface {
 // DefaultConfig returns a configuration matched to the paper's geometry.
 func DefaultConfig() Config {
 	return Config{
-		Geometry:        layout.PaperGeometry(),
-		Cluster:         cluster.DefaultConfig(),
-		MaxPrimerDist:   3,
-		MaxIndexDist:    2,
-		MaxCandidates:   3,
-		MaxCombinations: 64,
+		Geometry:      layout.PaperGeometry(),
+		Cluster:       cluster.DefaultConfig(),
+		MaxPrimerDist: 3,
+		MaxIndexDist:  2,
 	}
 }
+
+// maxAlternates bounds the alternative strands kept per slot for the
+// Section 8.1 recursive retry, and maxCombinations bounds how many
+// alternative assignments are attempted per unit.
+const (
+	maxAlternates   = 3
+	maxCombinations = 64
+)
 
 // Pipeline decodes sequencing reads of one partition. A Pipeline is
 // immutable after construction and safe for concurrent use; with
@@ -351,50 +352,33 @@ func (ws *workspace) fitLength(s dna.Seq, n int) dna.Seq {
 // BlockResult is the outcome of decoding one block.
 type BlockResult struct {
 	Block int
-	// Versions maps version number to the de-randomized unit bytes
-	// (DataBytes() long). Version 0 is the original data unit; higher
-	// versions are update-patch units.
-	Versions map[int][]byte
-	// Corrected is the total number of RS symbol corrections applied.
-	Corrected int
+	// Units maps version number to the outcome of that (block, version)
+	// unit. Version 0 is the original data unit; higher versions are
+	// update-patch units. Every version with an observed strand appears,
+	// phantoms conjured by index- or version-field read errors included,
+	// so a caller that knows which versions physically exist filters by
+	// them.
+	Units map[int]Unit
 	// ClustersUsed is how many clusters were consumed before every
 	// address was filled, the quantity Section 8 reports as 31 for 30
 	// strands.
 	ClustersUsed int
-	// CandidateRetries counts Section 8.1 recursive retries performed.
-	CandidateRetries int
-	// UnitErrors maps version number to the typed failure of units that
-	// could not be recovered (errors.Is-able against
-	// ErrInsufficientCoverage / ErrRSMarginExceeded). Versions present
-	// in Versions never appear here.
-	UnitErrors map[int]error
-	// MissingSlots and ErasedSlots total, across the block's units, the
-	// strand slots that were never observed and the observed slots the
-	// decoder had to treat as erasures — the raw inputs of the RS-margin
-	// health estimate.
-	MissingSlots int
-	ErasedSlots  int
-	// ReadsUsed is the number of sequencing reads supporting the
-	// block's primary strand candidates, the per-block coverage
-	// estimate a scrubber compares against the Heckel floor.
-	ReadsUsed int
-	// UnitStats breaks the health numbers down per (observed) version,
-	// so a caller that knows which versions physically exist can ignore
-	// phantom units conjured by index- or version-field read errors.
-	UnitStats map[int]UnitStat
 }
 
-// UnitStat is one unit's raw health accounting.
-type UnitStat struct {
+// Unit is one (block, version) unit's decode outcome and raw health
+// accounting.
+type Unit struct {
+	// Data is the de-randomized unit (DataBytes() long), nil exactly
+	// when Err is set.
+	Data []byte
+	// Err is the typed failure of a unit that could not be recovered
+	// (errors.Is-able against ErrInsufficientCoverage /
+	// ErrRSMarginExceeded).
+	Err       error
 	Missing   int // slots never observed
-	Erased    int // observed slots the decoder erased
+	Erased    int // observed slots the successful attempt erased
 	Corrected int // RS symbol corrections applied
 	Reads     int // sequencing reads behind the unit's primary strands
-}
-
-// addrKey identifies one strand slot.
-type addrKey struct {
-	block, version, intra int
 }
 
 // FinishBlock extracts one block's result from a DecodeClusters
@@ -409,37 +393,44 @@ func FinishBlock(results map[int]*BlockResult, err error, block int) (*BlockResu
 		// No strand of the block ever surfaced in the reads.
 		return nil, fmt.Errorf("%w: block %d not recovered", ErrInsufficientCoverage, block)
 	}
-	if len(res.Versions) == 0 {
-		return res, fmt.Errorf("%w: block %d not recovered", worstUnitError(res), block)
+	class := error(ErrDecode)
+	for _, u := range res.Units {
+		if u.Err == nil {
+			return res, nil
+		}
+		class = worse(class, u.Err)
 	}
-	return res, nil
+	return res, fmt.Errorf("%w: block %d not recovered", class, block)
 }
 
-// Err summarizes the block's unit failures as the worst typed health
-// error — ErrRSMarginExceeded (permanent corruption) dominates
-// ErrInsufficientCoverage (curable shortfall) — or nil when every
-// observed unit decoded.
-func (r *BlockResult) Err() error {
-	if r == nil || len(r.UnitErrors) == 0 {
-		return nil
-	}
-	return worstUnitError(r)
-}
-
-// worstUnitError picks the error that best summarizes a failed block:
+// worse folds two failures into the class that best summarizes them:
 // permanent corruption (RS margin) dominates a coverage shortfall,
-// which dominates the generic sentinel.
-func worstUnitError(res *BlockResult) error {
-	err := error(ErrDecode)
-	for _, ue := range res.UnitErrors {
-		if errors.Is(ue, ErrRSMarginExceeded) {
-			return ErrRSMarginExceeded
-		}
-		if errors.Is(ue, ErrInsufficientCoverage) {
-			err = ErrInsufficientCoverage
-		}
+// which dominates the generic ErrDecode.
+func worse(a, b error) error {
+	switch {
+	case errors.Is(a, ErrRSMarginExceeded) || errors.Is(b, ErrRSMarginExceeded):
+		return ErrRSMarginExceeded
+	case errors.Is(a, ErrInsufficientCoverage) || errors.Is(b, ErrInsufficientCoverage):
+		return ErrInsufficientCoverage
 	}
-	return err
+	return ErrDecode
+}
+
+// unitKey identifies one (block, version) unit.
+type unitKey struct {
+	block, version int
+}
+
+// slots is one unit's entry of a decode's slot table. Strands are
+// indexes into the decode's candidate list: primary holds each intra
+// slot's first strand (-1 while the slot is unobserved), alts the
+// strands that arrived behind a primary, in arrival order, at most
+// maxAlternates per slot.
+type slots struct {
+	primary []int32
+	alts    []int32
+	filled  int // slots holding a primary
+	reads   int // sequencing reads behind the primaries
 }
 
 // DecodeClusters runs the back half of the pipeline — trace
@@ -456,171 +447,134 @@ func (p *Pipeline) DecodeClusters(kept []dna.Seq, clusters [][]int, target int) 
 	if len(kept) == 0 {
 		return nil, fmt.Errorf("%w: no reads contain the partition primers", ErrInsufficientCoverage)
 	}
-	// Step 3: reconstruct in descending cluster-size order, keeping the
-	// first strand per address and up to MaxCandidates alternates.
-	// Reconstruction of each cluster is pure, so the parallel path
-	// precomputes candidates in batches and a serial sweep consumes them
-	// in the exact order — and with the exact early stop — of the serial
-	// path. A whole-read decode (target < 0) never stops early, so it
-	// precomputes everything in one batch; a single-block decode usually
-	// stops after the first few size-ordered clusters, so small batches
-	// bound the reconstruction work wasted beyond the serial stop point.
-	primary := make(map[addrKey]strandCandidate)
-	alternates := make(map[addrKey][]strandCandidate)
+	// Step 3: reconstruct in descending cluster-size order, placing the
+	// first strand per address and up to maxAlternates behind it.
+	// Reconstruction of each cluster is pure, so batches of clusters
+	// reconstruct in parallel and a serial sweep places them in the
+	// exact cluster order, with the exact early stop. Without workers
+	// a batch is one cluster. A whole-read decode (target < 0) never
+	// stops early, so it reconstructs everything in one batch; a
+	// single-block decode usually stops after the first few size-ordered
+	// clusters, so small batches bound the reconstruction work wasted
+	// beyond the stop.
+	n := p.unit.Molecules()
+	var cands []strandCandidate
+	table := make(map[unitKey]*slots)
 	clustersUsed := 0
-	stopped := false
-	consume := func(cand strandCandidate, ok bool) {
-		if !ok {
-			return
-		}
+	// open counts the target's observed units with an empty slot; the
+	// target is complete when a placement leaves none.
+	open, done := 0, false
+	place := func(cand strandCandidate) {
 		clustersUsed++
-		k := addrKey{cand.block, cand.version, cand.intra}
-		if _, dup := primary[k]; dup {
-			if len(alternates[k]) < p.cfg.MaxCandidates {
-				alternates[k] = append(alternates[k], cand)
+		k := unitKey{cand.block, cand.version}
+		s := table[k]
+		if s == nil {
+			s = &slots{primary: make([]int32, n)}
+			for i := range s.primary {
+				s.primary[i] = -1
+			}
+			table[k] = s
+			if k.block == target {
+				open++
+			}
+		}
+		if s.primary[cand.intra] >= 0 {
+			if s.alternates(cands, cand.intra) < maxAlternates {
+				s.alts = append(s.alts, int32(len(cands)))
+				cands = append(cands, cand)
 			}
 			return
 		}
-		primary[k] = cand
-		if target >= 0 && p.targetComplete(primary, target) {
-			stopped = true
+		s.primary[cand.intra] = int32(len(cands))
+		cands = append(cands, cand)
+		s.reads += cand.clusterSize
+		if s.filled++; s.filled == n && k.block == target {
+			open--
 		}
+		done = k.block == target && open == 0
 	}
+	batch := 1
 	if p.workers > 1 && len(clusters) > 1 {
-		batch := len(clusters)
+		batch = len(clusters)
 		if target >= 0 {
 			batch = 4 * p.workers
 		}
-		pre := make([]reconstructed, batch)
-		// parallel.Run names no worker, so each task takes a workspace
-		// from the free list and returns it.
-		for start := 0; start < len(clusters) && !stopped; start += batch {
-			end := start + batch
-			if end > len(clusters) {
-				end = len(clusters)
-			}
-			parallel.Run(p.workers, end-start, func(i int) error {
-				ws := getWorkspace()
-				pre[i].cand, pre[i].ok = p.reconstructCluster(ws, kept, clusters[start+i])
-				workspaces.Put(ws)
-				return nil
-			})
-			for i := start; i < end && !stopped; i++ {
-				consume(pre[i-start].cand, pre[i-start].ok)
-			}
-		}
-	} else {
+	}
+	pre := make([]reconstructed, min(batch, len(clusters)))
+	start := 0
+	// parallel.Run names no worker, so each task takes a workspace from
+	// the free list and returns it.
+	reconstructOne := func(i int) error {
 		ws := getWorkspace()
-		for _, members := range clusters {
-			if stopped {
+		pre[i].cand, pre[i].ok = p.reconstructCluster(ws, kept, clusters[start+i])
+		workspaces.Put(ws)
+		return nil
+	}
+	for ; start < len(clusters) && !done; start += batch {
+		end := min(start+batch, len(clusters))
+		parallel.Run(p.workers, end-start, reconstructOne)
+		for _, r := range pre[:end-start] {
+			if done {
 				break
 			}
-			consume(p.reconstructCluster(ws, kept, members))
-		}
-		workspaces.Put(ws)
-	}
-	// Step 4: assemble units and RS-decode, with candidate recursion on
-	// failure. Each (block, version) unit decodes independently off the
-	// now-frozen candidate maps, so the units fan out.
-	byUnit := make(map[int]map[int]bool) // block -> versions seen
-	for k := range primary {
-		if byUnit[k.block] == nil {
-			byUnit[k.block] = make(map[int]bool)
-		}
-		byUnit[k.block][k.version] = true
-	}
-	type unitTask struct {
-		block, version int
-	}
-	var tasks []unitTask
-	for block, versions := range byUnit {
-		if target >= 0 && block != target {
-			continue
-		}
-		for version := range versions {
-			tasks = append(tasks, unitTask{block, version})
+			if r.ok {
+				place(r.cand)
+			}
 		}
 	}
-	sort.Slice(tasks, func(i, j int) bool {
-		if tasks[i].block != tasks[j].block {
-			return tasks[i].block < tasks[j].block
+	// Step 4: RS-decode each unit, with candidate recursion on failure.
+	// Units decode independently off the now-frozen slot table, so they
+	// fan out.
+	var keys []unitKey
+	for k := range table {
+		if target < 0 || k.block == target {
+			keys = append(keys, k)
 		}
-		return tasks[i].version < tasks[j].version
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].block != keys[j].block {
+			return keys[i].block < keys[j].block
+		}
+		return keys[i].version < keys[j].version
 	})
-	type unitResult struct {
-		data                                []byte
-		corrected, retries, missing, erased int
-		err                                 error
-	}
-	decoded := make([]unitResult, len(tasks))
-	parallel.Run(p.workers, len(tasks), func(i int) error {
-		t := tasks[i]
-		r := &decoded[i]
-		r.data, r.corrected, r.retries, r.missing, r.erased, r.err = p.decodeUnit(primary, alternates, t.block, t.version)
+	units := make([]Unit, len(keys))
+	parallel.Run(p.workers, len(keys), func(i int) error {
+		units[i] = p.decodeUnit(cands, table[keys[i]], keys[i])
 		return nil
 	})
-	// Per-block and per-unit coverage: reads supporting the primary
-	// strands.
-	readsByBlock := make(map[int]int)
-	readsByUnit := make(map[unitTask]int)
-	for k, cand := range primary {
-		readsByBlock[k.block] += cand.clusterSize
-		readsByUnit[unitTask{k.block, k.version}] += cand.clusterSize
-	}
 	results := make(map[int]*BlockResult)
-	recovered := 0
-	for i, t := range tasks {
-		res, ok := results[t.block]
-		if !ok {
-			res = &BlockResult{
-				Block: t.block, Versions: make(map[int][]byte),
-				ClustersUsed: clustersUsed, ReadsUsed: readsByBlock[t.block],
-			}
-			results[t.block] = res
+	class, recovered := error(ErrDecode), 0
+	for i, k := range keys {
+		res := results[k.block]
+		if res == nil {
+			res = &BlockResult{Block: k.block, Units: make(map[int]Unit), ClustersUsed: clustersUsed}
+			results[k.block] = res
 		}
-		res.MissingSlots += decoded[i].missing
-		res.ErasedSlots += decoded[i].erased
-		if res.UnitStats == nil {
-			res.UnitStats = make(map[int]UnitStat)
+		// A failed unit stays visible with its typed error instead of
+		// vanishing: graceful degradation needs the distinction between
+		// "never written" and "written but unrecoverable".
+		res.Units[k.version] = units[i]
+		if units[i].Err != nil {
+			class = worse(class, units[i].Err)
+		} else {
+			recovered++
 		}
-		res.UnitStats[t.version] = UnitStat{
-			Missing:   decoded[i].missing,
-			Erased:    decoded[i].erased,
-			Corrected: decoded[i].corrected,
-			Reads:     readsByUnit[t],
-		}
-		if decoded[i].err != nil {
-			// A failed unit stays visible as a typed health error instead
-			// of vanishing: graceful degradation needs the distinction
-			// between "never written" and "written but unrecoverable".
-			if res.UnitErrors == nil {
-				res.UnitErrors = make(map[int]error)
-			}
-			res.UnitErrors[t.version] = decoded[i].err
-			continue
-		}
-		res.Versions[t.version] = decoded[i].data
-		res.Corrected += decoded[i].corrected
-		res.CandidateRetries += decoded[i].retries
-		recovered++
 	}
 	if recovered == 0 {
-		// Summarize with the worst failure class across blocks (a
-		// priority max, so the pick is deterministic over the map).
-		err := error(ErrDecode)
-		for _, res := range results {
-			e := worstUnitError(res)
-			if errors.Is(e, ErrRSMarginExceeded) {
-				err = e
-				break
-			}
-			if errors.Is(e, ErrInsufficientCoverage) {
-				err = e
-			}
-		}
-		return results, fmt.Errorf("%w: no unit decoded", err)
+		return results, fmt.Errorf("%w: no unit decoded", class)
 	}
 	return results, nil
+}
+
+// alternates counts the alternates already kept behind slot intra.
+func (s *slots) alternates(cands []strandCandidate, intra int) int {
+	c := 0
+	for _, a := range s.alts {
+		if cands[a].intra == intra {
+			c++
+		}
+	}
+	return c
 }
 
 // reconstructed is a precomputed cluster-reconstruction outcome.
@@ -640,132 +594,107 @@ func (p *Pipeline) reconstructCluster(ws *workspace, kept []dna.Seq, members []i
 	return p.reconstruct(ws, seqs, len(members))
 }
 
-// targetComplete reports whether every intra slot of every observed
-// version of the target block is filled.
-func (p *Pipeline) targetComplete(primary map[addrKey]strandCandidate, target int) bool {
-	versions := make(map[int]int)
-	for k := range primary {
-		if k.block == target {
-			versions[k.version]++
-		}
-	}
-	if len(versions) == 0 {
-		return false
-	}
-	for _, n := range versions {
-		if n < p.unit.Molecules() {
-			return false
-		}
-	}
-	return true
-}
-
-// decodeUnit attempts the RS decode of one (block, version) unit. On
-// failure it retries with alternate candidates (Section 8.1's
-// "recursively try to decode the original data using each of these
-// candidates"), and finally treats the lowest-confidence slots (smallest
-// clusters, whose consensus is least reliable) as erasures. The missing
-// and erased counts report the unit's health: slots never observed, and
-// observed slots the successful (or final) attempt treated as erasures.
-func (p *Pipeline) decodeUnit(primary map[addrKey]strandCandidate, alternates map[addrKey][]strandCandidate, block, version int) (data []byte, corrected, retries, missing, erased int, err error) {
-	n := p.unit.Molecules()
-	payloads := make([][]byte, n)
-	var alternateSlots []addrKey
-	var filled []strandCandidate
-	for intra := 0; intra < n; intra++ {
-		k := addrKey{block, version, intra}
-		if cand, ok := primary[k]; ok {
-			payloads[intra] = cand.payload
-			filled = append(filled, cand)
-			if len(alternates[k]) > 0 {
-				alternateSlots = append(alternateSlots, k)
-			}
-		} else {
-			missing++
-		}
-	}
-	parity := p.unit.Molecules() - p.unit.DataMolecules()
-	if missing > parity {
+// decodeUnit attempts the RS decode of one unit from its slot-table
+// entry s over the candidate list cands. On failure it retries with
+// alternate candidates (Section 8.1's "recursively try to decode the
+// original data using each of these candidates"), then erases the
+// contested slots (the ones that had competing candidates), and finally
+// treats the lowest-confidence slots (smallest clusters, whose
+// consensus is least reliable) as erasures.
+func (p *Pipeline) decodeUnit(cands []strandCandidate, s *slots, k unitKey) Unit {
+	n := len(s.primary)
+	u := Unit{Missing: n - s.filled, Reads: s.reads}
+	parity := n - p.unit.DataMolecules()
+	if u.Missing > parity {
 		// More slots lost than the RS parity can erase: no candidate
 		// substitution or erasure schedule can succeed (alternates only
 		// exist for observed slots), so fail fast with the coverage
 		// classification.
-		return nil, 0, 0, missing, 0,
-			fmt.Errorf("%w: block %d version %d: %d of %d slots missing",
-				ErrInsufficientCoverage, block, version, missing, n)
+		u.Err = fmt.Errorf("%w: block %d version %d: %d of %d slots missing",
+			ErrInsufficientCoverage, k.block, k.version, u.Missing, n)
+		return u
 	}
-	try := func(pl [][]byte) ([]byte, int, error) {
+	payloads := make([][]byte, n)
+	filled := make([]int32, 0, s.filled)
+	for intra, c := range s.primary {
+		if c >= 0 {
+			payloads[intra] = cands[c].payload
+			filled = append(filled, c)
+		}
+	}
+	// try decodes one slot assignment with erased slots nil, and on
+	// success records the unit's data.
+	try := func(pl [][]byte, erased int) bool {
 		raw, corr, err := p.unit.Decode(pl)
 		if err != nil {
-			return nil, 0, err
+			return false
 		}
-		unitRand := p.rand.Derive(unitSeed(block, version))
-		out := unitRand.Apply(raw)
+		out := p.rand.Derive(unitSeed(k.block, k.version)).Apply(raw)
 		if p.cfg.VerifyUnit != nil && !p.cfg.VerifyUnit(out) {
-			return nil, 0, fmt.Errorf("%w: unit integrity check failed", ErrDecode)
+			return false
 		}
-		return out, corr, nil
+		u.Data, u.Corrected, u.Erased = out, corr, erased
+		return true
 	}
-	if out, corr, err := try(payloads); err == nil {
-		return out, corr, 0, missing, 0, nil
+	if try(payloads, 0) {
+		return u
 	}
-	// Candidate recursion: substitute alternates one slot at a time, then
-	// in pairs, bounded by MaxCombinations.
-	sort.Slice(alternateSlots, func(i, j int) bool {
-		return alternateSlots[i].intra < alternateSlots[j].intra
-	})
+	// Candidate recursion: substitute alternates one slot at a time, in
+	// slot order, bounded by maxCombinations.
+	pl := make([][]byte, n)
 	combos := 0
-	for _, k := range alternateSlots {
-		for _, alt := range alternates[k] {
-			if combos >= p.cfg.MaxCombinations {
+	for intra := range n {
+		for _, a := range s.alts {
+			if cands[a].intra != intra {
+				continue
+			}
+			if combos >= maxCombinations {
 				break
 			}
 			combos++
-			pl := make([][]byte, n)
 			copy(pl, payloads)
-			pl[k.intra] = alt.payload
-			if out, corr, err := try(pl); err == nil {
-				return out, corr, combos, missing, 0, nil
+			pl[intra] = cands[a].payload
+			if try(pl, 0) {
+				return u
 			}
 		}
 	}
-	// Erase suspicious slots (the ones that had competing candidates) and
-	// let the RS erasure capability fill them in.
-	if len(alternateSlots) > 0 && missing+len(alternateSlots) <= parity {
-		pl := make([][]byte, n)
-		copy(pl, payloads)
-		for _, k := range alternateSlots {
-			pl[k.intra] = nil
+	// Erase the contested slots and let the RS erasure capability fill
+	// them in. Observed payloads are never nil, so a nil entry marks a
+	// slot already erased.
+	copy(pl, payloads)
+	contested := 0
+	for _, a := range s.alts {
+		if intra := cands[a].intra; pl[intra] != nil {
+			pl[intra] = nil
+			contested++
 		}
+	}
+	if contested > 0 && u.Missing+contested <= parity {
 		combos++
-		if out, corr, err := try(pl); err == nil {
-			return out, corr, combos, missing, len(alternateSlots), nil
+		if try(pl, contested) {
+			return u
 		}
 	}
 	// Last resort for low-coverage retrievals: the consensus of a 1- or
 	// 2-read cluster is the least trustworthy, so progressively erase
 	// the smallest-cluster slots within the remaining erasure budget.
-	sort.Slice(filled, func(i, j int) bool { return filled[i].clusterSize < filled[j].clusterSize })
-	budget := parity - missing
-	for k := 1; k <= budget && k <= len(filled); k++ {
-		if combos >= p.cfg.MaxCombinations {
-			break
-		}
-		pl := make([][]byte, n)
+	sort.Slice(filled, func(i, j int) bool { return cands[filled[i]].clusterSize < cands[filled[j]].clusterSize })
+	for e := 1; e <= parity-u.Missing && e <= len(filled) && combos < maxCombinations; e++ {
 		copy(pl, payloads)
-		for i := 0; i < k; i++ {
-			pl[filled[i].intra] = nil
+		for _, c := range filled[:e] {
+			pl[cands[c].intra] = nil
 		}
 		combos++
-		if out, corr, err := try(pl); err == nil {
-			return out, corr, combos, missing, k, nil
+		if try(pl, e) {
+			return u
 		}
 	}
 	// Every slot was observed (or within erasure budget) yet every
 	// attempt failed: the strands themselves are beyond the code's
 	// correction margin.
-	return nil, 0, combos, missing, 0,
-		fmt.Errorf("%w: block %d version %d", ErrRSMarginExceeded, block, version)
+	u.Err = fmt.Errorf("%w: block %d version %d", ErrRSMarginExceeded, k.block, k.version)
+	return u
 }
 
 // unitSeed derives the per-unit randomizer stream id.

@@ -139,15 +139,15 @@ func TestDecodeSingleBlockClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := res.Versions[0]
+	got, ok := res.Units[0]
 	if !ok {
 		t.Fatal("version 0 missing")
 	}
-	if !bytes.Equal(got, data) {
+	if !bytes.Equal(got.Data, data) {
 		t.Fatal("decoded data mismatch")
 	}
-	if res.Corrected != 0 {
-		t.Errorf("clean decode corrected %d symbols", res.Corrected)
+	if got.Corrected != 0 {
+		t.Errorf("clean decode corrected %d symbols", got.Corrected)
 	}
 }
 
@@ -162,7 +162,7 @@ func TestDecodeUnderIlluminaNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(res.Versions[0], data) {
+	if !bytes.Equal(res.Units[0].Data, data) {
 		t.Fatal("decoded data mismatch under noise")
 	}
 }
@@ -181,10 +181,10 @@ func TestDecodeBlockWithUpdateVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(res.Versions[0], orig) {
+	if !bytes.Equal(res.Units[0].Data, orig) {
 		t.Error("original version mismatch")
 	}
-	if !bytes.Equal(res.Versions[1], upd) {
+	if !bytes.Equal(res.Units[1].Data, upd) {
 		t.Error("update version mismatch")
 	}
 }
@@ -202,7 +202,7 @@ func TestDecodeSurvivesLostMolecules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(res.Versions[0], data) {
+	if !bytes.Equal(res.Units[0].Data, data) {
 		t.Fatal("erasure recovery failed")
 	}
 }
@@ -241,7 +241,7 @@ func TestDecodeAllMultipleBlocks(t *testing.T) {
 			t.Errorf("block %d missing", block)
 			continue
 		}
-		if !bytes.Equal(res.Versions[0], data) {
+		if !bytes.Equal(res.Units[0].Data, data) {
 			t.Errorf("block %d data mismatch", block)
 		}
 	}
@@ -269,7 +269,7 @@ func TestDecodeIgnoresForeignReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(res.Versions[0], data) {
+	if !bytes.Equal(res.Units[0].Data, data) {
 		t.Fatal("foreign reads corrupted the decode")
 	}
 }
@@ -311,7 +311,7 @@ func TestDecodeMisprimedImpostor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(res.Versions[0], data) {
+	if !bytes.Equal(res.Units[0].Data, data) {
 		t.Fatal("impostor strand corrupted the decode")
 	}
 }
@@ -335,7 +335,7 @@ func TestDecodeFewReadsLikePaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(res.Versions[0], orig) || !bytes.Equal(res.Versions[1], upd) {
+	if !bytes.Equal(res.Units[0].Data, orig) || !bytes.Equal(res.Units[1].Data, upd) {
 		t.Fatal("225 reads failed to decode both versions")
 	}
 }

@@ -70,11 +70,11 @@ func TestDecodeAllParallelMatchesSerial(t *testing.T) {
 			t.Errorf("block %d missing", block)
 			continue
 		}
-		if !bytes.Equal(res.Versions[0], data) {
+		if !bytes.Equal(res.Units[0].Data, data) {
 			t.Errorf("block %d data mismatch", block)
 		}
 	}
-	if !bytes.Equal(r8[531].Versions[1], upd[531]) {
+	if !bytes.Equal(r8[531].Units[1].Data, upd[531]) {
 		t.Error("update version mismatch")
 	}
 
@@ -110,7 +110,7 @@ func TestPipelineConcurrentUse(t *testing.T) {
 				return
 			}
 			for block, data := range want {
-				if !bytes.Equal(res[block].Versions[0], data) {
+				if !bytes.Equal(res[block].Units[0].Data, data) {
 					errs <- fmt.Errorf("block %d data mismatch", block)
 					return
 				}

@@ -12,9 +12,6 @@ import (
 	"dnastore/internal/update"
 )
 
-// blockVersionsAlias keeps the Decode8 signature readable.
-type blockVersionsAlias = blockstore.BlockVersions
-
 // DecodeResult reproduces Section 8: decoding a target block and its
 // update from a small read sample of the elongated-primer product.
 type DecodeResult struct {
@@ -39,7 +36,7 @@ type DecodeResult struct {
 func Decode8(w *Wetlab, b *Fig9bResult, startReads int) (*DecodeResult, error) {
 	const maxReads = 8000
 	var seqs []dna.Seq
-	var bv *blockVersionsAlias
+	var bv *blockstore.BlockVersions
 	total := 0
 	want := startReads
 	for {
@@ -75,7 +72,7 @@ func Decode8(w *Wetlab, b *Fig9bResult, startReads int) (*DecodeResult, error) {
 	res := &DecodeResult{
 		Block:        b.Block,
 		ReadsUsed:    total,
-		ClustersUsed: bv.Decode.ClustersUsed,
+		ClustersUsed: bv.ClustersUsed,
 	}
 	wantOriginal := w.Book[b.Block*BlockBytes : (b.Block+1)*BlockBytes]
 	res.OriginalOK = bytes.Equal(bv.Data, wantOriginal)

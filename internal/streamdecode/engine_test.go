@@ -76,6 +76,21 @@ func unitData(r *rng.Source, n int) []byte {
 	return d
 }
 
+// decodedData maps each decoded unit's version to its bytes: a
+// result's content, without the health accounting.
+func decodedData(res *decode.BlockResult) map[int][]byte {
+	out := make(map[int][]byte)
+	if res == nil {
+		return out
+	}
+	for v, u := range res.Units {
+		if u.Data != nil {
+			out[v] = u.Data
+		}
+	}
+	return out
+}
+
 func newPipeline(t testing.TB, e *encoder) *decode.Pipeline {
 	return newPipelineWorkers(t, e, 0)
 }
@@ -233,7 +248,7 @@ func TestEngineMatchesBatch(t *testing.T) {
 			if (gotBlkErr == nil) != (wantBlkErr == nil) {
 				t.Fatalf("%s/w%d: block finalize err %v, oracle %v", reg.name, workers, gotBlkErr, wantBlkErr)
 			}
-			if wantBlkErr == nil && !reflect.DeepEqual(gotBlk.Versions, wantBlk.Versions) {
+			if wantBlkErr == nil && !reflect.DeepEqual(decodedData(gotBlk), decodedData(wantBlk)) {
 				t.Fatalf("%s/w%d: block 17 content diverges", reg.name, workers)
 			}
 		}
@@ -306,8 +321,8 @@ func TestEngineCoverageFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Versions[0]) != enc.unit.DataBytes() {
-		t.Fatalf("decoded %d bytes", len(res.Versions[0]))
+	if len(res.Units[0].Data) != enc.unit.DataBytes() {
+		t.Fatalf("decoded %d bytes", len(res.Units[0].Data))
 	}
 }
 
@@ -339,7 +354,7 @@ func TestEngineShardedMatchesBatch(t *testing.T) {
 			if row.target >= 0 && b != row.target {
 				continue
 			}
-			if got[b] == nil || !reflect.DeepEqual(got[b].Versions, wantBlk[b].Versions) {
+			if got[b] == nil || !reflect.DeepEqual(decodedData(got[b]), decodedData(wantBlk[b])) {
 				t.Fatalf("Decode(workers=%d, target=%d): block %d content diverges from the oracle",
 					row.workers, row.target, b)
 			}
@@ -409,7 +424,7 @@ func TestEngineShardedMatchesBatch(t *testing.T) {
 			if !ok {
 				t.Fatalf("shards=%d: block %d missing from drain", shards, b)
 			}
-			if !reflect.DeepEqual(got.Versions, wantBlk[b].Versions) {
+			if !reflect.DeepEqual(decodedData(got), decodedData(wantBlk[b])) {
 				t.Fatalf("shards=%d: block %d content diverges from the oracle", shards, b)
 			}
 		}
@@ -451,7 +466,7 @@ func TestEngineReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(all[17].Versions, wantBlk.Versions) {
+	if !reflect.DeepEqual(decodedData(all[17]), decodedData(wantBlk)) {
 		t.Fatal("post-escalation content diverges from the oracle")
 	}
 	if eng.Stats().FinalizeSeconds <= 0 {
@@ -736,7 +751,7 @@ func TestEngineAdmitMatchesOneReadAdds(t *testing.T) {
 		for _, b := range tc.targets {
 			want, wantErr := one.FinalizeBlock(b)
 			got, gotErr := chunked.FinalizeBlock(b)
-			if (gotErr == nil) != (wantErr == nil) || (wantErr == nil && !reflect.DeepEqual(got.Versions, want.Versions)) {
+			if (gotErr == nil) != (wantErr == nil) || (wantErr == nil && !reflect.DeepEqual(decodedData(got), decodedData(want))) {
 				t.Fatalf("%s: block %d finalize diverges (err %v, one-read %v)", tc.name, b, gotErr, wantErr)
 			}
 		}
