@@ -23,9 +23,13 @@ func main() {
 	}
 
 	const block = 5
+	before := sys.Costs().StrandsSynthesized
 	if err := notes.WriteBlock(block, []byte("v0: draft.")); err != nil {
 		log.Fatal(err)
 	}
+	// One block is one encoding unit, so the write's strands are the
+	// strands per unit.
+	perUnit := sys.Costs().StrandsSynthesized - before
 	fmt.Println("wrote:", "v0: draft.")
 
 	// Five successive edits: each prepends a revision marker. DNA cannot
@@ -36,7 +40,7 @@ func main() {
 		if err := notes.UpdateBlock(block, patch); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("logged update %d (block now has %d versions", i, notes.Versions(block)+1)
+		fmt.Printf("logged update %d (block now has %d versions", i, i+1)
 		if i > 2 {
 			fmt.Printf(", overflowed into a log block")
 		}
@@ -55,7 +59,7 @@ func main() {
 
 	c := sys.Costs()
 	fmt.Printf("\ntotals: %d strands synthesized across %d units, %d PCR reactions for the read\n",
-		c.StrandsSynthesized, c.StrandsSynthesized/15, c.PCRReactions)
+		c.StrandsSynthesized, c.StrandsSynthesized/perUnit, c.PCRReactions)
 }
 
 func trim(b []byte) string {

@@ -309,7 +309,7 @@ func (b *Batch) seal() ([][]byte, []*OpError) {
 			continue
 		}
 		if op.write {
-			sealed[i] = p.sealUnit(op.data)
+			sealed[i] = p.unit.Seal(op.data)
 			continue
 		}
 		marshaled, err := op.patch.Marshal(p.BlockSize())
@@ -317,7 +317,7 @@ func (b *Batch) seal() ([][]byte, []*OpError) {
 			errs = append(errs, &OpError{Index: i, Op: op.name(), Block: op.block, Err: err})
 			continue
 		}
-		sealed[i] = p.sealUnit(marshaled)
+		sealed[i] = p.unit.Seal(marshaled)
 	}
 	return sealed, errs
 }

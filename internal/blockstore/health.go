@@ -6,6 +6,7 @@ import (
 
 	"dnastore/internal/decode"
 	"dnastore/internal/fault"
+	"dnastore/internal/layout"
 )
 
 // Health is the per-block condition report of a health-aware read or a
@@ -52,8 +53,8 @@ type Health struct {
 func (p *Partition) healthOf(block int, res *decode.BlockResult, err error) Health {
 	h := Health{Block: block, Err: err}
 	exp := p.expectedVersions(block)
-	mol := p.unit.Molecules()
-	parity := mol - p.unit.DataMolecules()
+	mol := layout.UnitMolecules
+	parity := mol - layout.UnitDataMolecules
 	h.Units = len(exp)
 	if res == nil {
 		h.MissingSlots = h.Units * mol

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dnastore/internal/decode"
+	"dnastore/internal/layout"
 )
 
 // TestHealthMarginOfFailedUnit pins RSMarginUsed for a unit that failed
@@ -23,8 +24,8 @@ func TestHealthMarginOfFailedUnit(t *testing.T) {
 	if err := p.WriteBlock(3, []byte("margin")); err != nil {
 		t.Fatal(err)
 	}
-	mol := p.unit.Molecules()
-	parity := mol - p.unit.DataMolecules()
+	mol := layout.UnitMolecules
+	parity := mol - layout.UnitDataMolecules
 	// Twice the configured depth: the failure is not a starved one.
 	reads := int(2 * float64(mol) * s.cfg.CoverageDepth)
 	failed := &decode.BlockResult{Block: 3, Units: map[int]decode.Unit{0: {

@@ -2,11 +2,9 @@ package blockstore
 
 import (
 	"fmt"
-	"hash/crc32"
 	"sort"
 	"sync"
 
-	"dnastore/internal/codec"
 	"dnastore/internal/decode"
 	"dnastore/internal/dna"
 	"dnastore/internal/indextree"
@@ -36,8 +34,7 @@ type Partition struct {
 	name     string
 	fwd, rev dna.Seq
 	tree     *indextree.Tree
-	rand     *codec.Randomizer
-	unit     *layout.UnitCodec
+	unit     *layout.UnitCodec // seals, whitens and RS-codes every unit
 	pipeline *decode.Pipeline
 	workers  int
 
@@ -57,7 +54,7 @@ func (p *Partition) Name() string { return p.name }
 
 // BlockSize returns the usable bytes per block (264 - pad = 256 in the
 // paper's geometry).
-func (p *Partition) BlockSize() int { return p.unit.DataBytes() - p.store.cfg.PadBytes }
+func (p *Partition) BlockSize() int { return p.unit.BlockSize() }
 
 // Blocks returns the number of addressable blocks (4^depth).
 func (p *Partition) Blocks() int { return p.tree.Leaves() }
@@ -132,14 +129,13 @@ func (p *Partition) chargeOverflow(block int) int {
 }
 
 // buildUnitOrders encodes one (block, version) unit into its synthesis
-// orders: per-unit whitening, RS parity, index lookup, strand assembly.
-// data must be exactly unit.DataBytes() long and already include
-// padding. The work touches only digital state that is immutable after
-// partition creation (randomizer, unit codec, tree, geometry), so it
-// needs no lock and fans safely across batch workers.
+// orders: unit encoding (whitening and RS parity), index lookup, strand
+// assembly. data must be a sealed unit (unit.Seal). The work touches
+// only digital state that is immutable after partition creation (unit
+// codec, tree, geometry), so it needs no lock and fans safely across
+// batch workers.
 func (p *Partition) buildUnitOrders(block, version int, data []byte) ([]pool.SynthesisOrder, error) {
-	white := p.rand.Derive(decode.UnitSeed(block, version)).Apply(data)
-	payloads, err := p.unit.Encode(white)
+	payloads, err := p.unit.Encode(block, version, data)
 	if err != nil {
 		return nil, err
 	}
@@ -167,36 +163,6 @@ func (p *Partition) buildUnitOrders(block, version int, data []byte) ([]pool.Syn
 		})
 	}
 	return orders, nil
-}
-
-// sealUnit expands block content to the unit size, writing a CRC32 of
-// the content into the padding (Section 6.2's "randomly padded" tail;
-// the whitening still turns it into random-looking bases). The CRC is
-// the correctness oracle for the decoder's candidate recursion. With
-// fewer than 4 pad bytes the unit is zero-padded without a checksum.
-func (p *Partition) sealUnit(content []byte) []byte {
-	out := make([]byte, p.unit.DataBytes())
-	copy(out, content)
-	bs := p.BlockSize()
-	if p.store.cfg.PadBytes >= 4 {
-		crc := crc32.ChecksumIEEE(out[:bs])
-		out[bs] = byte(crc >> 24)
-		out[bs+1] = byte(crc >> 16)
-		out[bs+2] = byte(crc >> 8)
-		out[bs+3] = byte(crc)
-	}
-	return out
-}
-
-// verifyUnit checks a decoded unit's pad CRC.
-func (p *Partition) verifyUnit(data []byte) bool {
-	if p.store.cfg.PadBytes < 4 || len(data) != p.unit.DataBytes() {
-		return true
-	}
-	bs := p.BlockSize()
-	crc := crc32.ChecksumIEEE(data[:bs])
-	return data[bs] == byte(crc>>24) && data[bs+1] == byte(crc>>16) &&
-		data[bs+2] == byte(crc>>8) && data[bs+3] == byte(crc)
 }
 
 // WriteBlock stores data (at most BlockSize bytes) as the block's
@@ -290,7 +256,7 @@ func (p *Partition) UpdateBlockExternal(block int, patch update.Patch, params po
 		return nil, err
 	}
 	r.versions++
-	orders, err := p.buildUnitOrders(block, r.versions, p.sealUnit(marshaled))
+	orders, err := p.buildUnitOrders(block, r.versions, p.unit.Seal(marshaled))
 	if err != nil {
 		return nil, err
 	}

@@ -29,7 +29,6 @@ import (
 
 	"dnastore/internal/binding"
 	"dnastore/internal/channel"
-	"dnastore/internal/codec"
 	"dnastore/internal/decay"
 	"dnastore/internal/decode"
 	"dnastore/internal/dna"
@@ -207,11 +206,10 @@ func (c Costs) Sub(o Costs) Costs {
 
 // Store is one DNA tube with its partitions and digital metadata.
 type Store struct {
-	cfg       Config
-	workers   int
-	molecules int             // strands per (block, version) encoding unit
-	sampler   *seqsim.Sampler // rates validated once at construction
-	binding   *binding.Cache  // shared cross-reaction cache, nil when disabled
+	cfg     Config
+	workers int
+	sampler *seqsim.Sampler // rates validated once at construction
+	binding *binding.Cache  // shared cross-reaction cache, nil when disabled
 
 	// mu guards the digital front-end state: partitions, the primer
 	// budget, and the store-level seed stream.
@@ -265,10 +263,6 @@ func New(cfg Config, primers []dna.Seq) (*Store, error) {
 	dcfg := cfg.Decode
 	dcfg.Geometry = cfg.Geometry
 	if err := dcfg.Validate(); err != nil {
-		return nil, err
-	}
-	unit, err := layout.NewUnitCodec(cfg.Geometry)
-	if err != nil {
 		return nil, err
 	}
 	if cfg.TreeDepth < 1 || cfg.TreeDepth > indextree.MaxDepth {
@@ -338,7 +332,6 @@ func New(cfg Config, primers []dna.Seq) (*Store, error) {
 	return &Store{
 		cfg:        cfg,
 		workers:    parallel.Resolve(cfg.Workers),
-		molecules:  unit.Molecules(),
 		sampler:    sampler,
 		binding:    bcache,
 		tube:       pool.New(),
@@ -438,8 +431,7 @@ func (s *Store) CreatePartition(name string) (*Partition, error) {
 	if err != nil {
 		return nil, err
 	}
-	rand := codec.NewRandomizer(randSeed)
-	unit, err := layout.NewUnitCodec(s.cfg.Geometry)
+	unit, err := layout.NewUnitCodec(s.cfg.Geometry, s.cfg.PadBytes, randSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -449,7 +441,6 @@ func (s *Store) CreatePartition(name string) (*Partition, error) {
 		fwd:     fwd,
 		rev:     rev,
 		tree:    tree,
-		rand:    rand,
 		unit:    unit,
 		workers: s.workers,
 		blocks:  make(map[int]blockRow),
@@ -457,14 +448,13 @@ func (s *Store) CreatePartition(name string) (*Partition, error) {
 	}
 	dcfg := s.cfg.Decode
 	dcfg.Geometry = s.cfg.Geometry
-	dcfg.VerifyUnit = p.verifyUnit
 	dcfg.Workers = s.cfg.Workers
 	if s.binding != nil {
 		// Share the cache's pattern memo with the pipeline's primer
 		// compilation (a typed-nil cache must not reach the interface).
 		dcfg.Patterns = s.binding
 	}
-	pipeline, err := decode.New(dcfg, tree, fwd, rev, rand)
+	pipeline, err := decode.New(dcfg, tree, fwd, rev, unit)
 	if err != nil {
 		return nil, err
 	}
@@ -628,7 +618,7 @@ func (s *Store) resynthScale(repairs *pool.Pool) float64 {
 // provisions for the given unit count — the ceiling a streaming read
 // stops under when its coverage floor is met earlier.
 func (s *Store) ReadBudget(units int) int {
-	return int(math.Ceil(float64(units*s.molecules) * s.cfg.CoverageDepth * s.cfg.WasteFactor))
+	return int(math.Ceil(float64(units*layout.UnitMolecules) * s.cfg.CoverageDepth * s.cfg.WasteFactor))
 }
 
 // contaminantPartition labels species leaked into a reaction by

@@ -71,7 +71,7 @@ func (pl *batchPlan) allocLogBlock(p *Partition, op, from, origin int) error {
 	if err != nil {
 		return err
 	}
-	pl.addUnit(op, from, directUpdateSlots+1, p.sealUnit(ptr))
+	pl.addUnit(op, from, directUpdateSlots+1, p.unit.Seal(ptr))
 	pl.row(from, op).overflow = logBlock
 	pl.next--
 	if pl.nextOp < 0 {

@@ -77,23 +77,21 @@ type Randomizer struct {
 // NewRandomizer returns a Randomizer for the given seed.
 func NewRandomizer(seed uint64) *Randomizer { return &Randomizer{seed: seed} }
 
-// Apply XORs data with the keystream, returning a new slice. Calling
-// Apply twice with the same Randomizer restores the original data.
-func (r *Randomizer) Apply(data []byte) []byte {
+// Apply XORs data with the keystream in place. Applying the same
+// Randomizer twice restores the original data.
+func (r *Randomizer) Apply(data []byte) {
 	src := rng.New(r.seed)
-	out := make([]byte, len(data))
 	var word uint64
 	var have int
-	for i, b := range data {
+	for i := range data {
 		if have == 0 {
 			word = src.Uint64()
 			have = 8
 		}
-		out[i] = b ^ byte(word)
+		data[i] ^= byte(word)
 		word >>= 8
 		have--
 	}
-	return out
 }
 
 // Seed returns the randomizer's seed, for persistence in partition

@@ -58,13 +58,6 @@ type Config struct {
 	// MaxIndexDist is the tolerance when resolving a reconstructed
 	// index against the index tree.
 	MaxIndexDist int
-	// VerifyUnit, when non-nil, validates a candidate unit after
-	// de-randomization. It is the correctness oracle Section 8.1's
-	// recursive retry assumes ("until we correctly recover our data"):
-	// candidate assignments that decode to a consistent-but-wrong RS
-	// codeword are rejected and the search continues. Package blockstore
-	// installs a CRC check over the unit padding.
-	VerifyUnit func(data []byte) bool
 	// Patterns, when non-nil, supplies the compiled primer patterns
 	// from a shared memo instead of compiling per pipeline. Package
 	// blockstore installs its binding cache here, so a store's many
@@ -128,20 +121,25 @@ type Pipeline struct {
 	cfg     Config
 	unit    *layout.UnitCodec
 	tree    *indextree.Tree
-	rand    *codec.Randomizer
 	fwdPat  *dna.Pattern // primers compiled once; the filter only streams reads
 	revPat  *dna.Pattern
 	workers int
 }
 
 // New constructs a pipeline for a partition defined by its primer pair,
-// index tree and randomization seed.
-func New(cfg Config, tree *indextree.Tree, fwd, rev dna.Seq, rand *codec.Randomizer) (*Pipeline, error) {
+// index tree and unit codec. The codec's seal is the correctness oracle
+// Section 8.1's recursive retry assumes ("until we correctly recover
+// our data"): a candidate assignment that decodes to a
+// consistent-but-wrong RS codeword fails the seal and the search goes on.
+func New(cfg Config, tree *indextree.Tree, fwd, rev dna.Seq, unit *layout.UnitCodec) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if tree == nil || rand == nil {
-		return nil, fmt.Errorf("decode: nil tree or randomizer")
+	if tree == nil || unit == nil {
+		return nil, fmt.Errorf("decode: nil tree or unit codec")
+	}
+	if unit.Geometry() != cfg.Geometry {
+		return nil, fmt.Errorf("decode: unit codec geometry %+v != %+v", unit.Geometry(), cfg.Geometry)
 	}
 	if tree.IndexLen() != cfg.Geometry.IndexLen {
 		return nil, fmt.Errorf("decode: tree index length %d != geometry %d",
@@ -151,10 +149,6 @@ func New(cfg Config, tree *indextree.Tree, fwd, rev dna.Seq, rand *codec.Randomi
 		return nil, fmt.Errorf("decode: primer lengths %d/%d, want %d",
 			len(fwd), len(rev), cfg.Geometry.PrimerLen)
 	}
-	unit, err := layout.NewUnitCodec(cfg.Geometry)
-	if err != nil {
-		return nil, err
-	}
 	compile := dna.CompilePattern
 	if cfg.Patterns != nil {
 		compile = cfg.Patterns.Pattern
@@ -163,15 +157,11 @@ func New(cfg Config, tree *indextree.Tree, fwd, rev dna.Seq, rand *codec.Randomi
 		cfg:     cfg,
 		unit:    unit,
 		tree:    tree,
-		rand:    rand,
 		fwdPat:  compile(fwd),
 		revPat:  compile(rev),
 		workers: parallel.Resolve(cfg.Workers),
 	}, nil
 }
-
-// Unit returns the pipeline's unit codec (shared with the encoder).
-func (p *Pipeline) Unit() *layout.UnitCodec { return p.unit }
 
 // Config returns a copy of the pipeline's configuration, so the
 // streaming engine clusters with the pipeline's own parameters.
@@ -279,7 +269,7 @@ func (p *Pipeline) reconstruct(ws *workspace, reads []dna.Seq, size int) (strand
 		intra = intra<<2 | int(cons[pos])
 		pos++
 	}
-	if intra >= p.unit.Molecules() {
+	if intra >= layout.UnitMolecules {
 		return strandCandidate{}, false
 	}
 	payload, err := codec.BasesToBytes(cons[pos : pos+g.PayloadBases()])
@@ -328,7 +318,7 @@ func (p *Pipeline) ProvisionalAddress(read dna.Seq) (block, version, intra int, 
 		intra = intra<<2 | int(read[pos])
 		pos++
 	}
-	if intra >= p.unit.Molecules() {
+	if intra >= layout.UnitMolecules {
 		return 0, 0, 0, false
 	}
 	return block, version, intra, true
@@ -457,7 +447,7 @@ func (p *Pipeline) DecodeClusters(kept []dna.Seq, clusters [][]int, target int) 
 	// single-block decode usually stops after the first few size-ordered
 	// clusters, so small batches bound the reconstruction work wasted
 	// beyond the stop.
-	n := p.unit.Molecules()
+	n := layout.UnitMolecules
 	var cands []strandCandidate
 	table := make(map[unitKey]*slots)
 	clustersUsed := 0
@@ -604,9 +594,11 @@ func (p *Pipeline) reconstructCluster(ws *workspace, kept []dna.Seq, members []i
 func (p *Pipeline) decodeUnit(cands []strandCandidate, s *slots, k unitKey) Unit {
 	n := len(s.primary)
 	u := Unit{Missing: n - s.filled, Reads: s.reads}
-	parity := n - p.unit.DataMolecules()
-	if u.Missing > parity {
-		// More slots lost than the RS parity can erase: no candidate
+	// budget is the erasures one attempt may spend: the RS parity, less
+	// the check symbol an unsealed codec keeps to reject wrong codewords.
+	budget := p.unit.MaxErasures()
+	if u.Missing > budget {
+		// More slots lost than an attempt can erase: no candidate
 		// substitution or erasure schedule can succeed (alternates only
 		// exist for observed slots), so fail fast with the coverage
 		// classification.
@@ -623,14 +615,11 @@ func (p *Pipeline) decodeUnit(cands []strandCandidate, s *slots, k unitKey) Unit
 		}
 	}
 	// try decodes one slot assignment with erased slots nil, and on
-	// success records the unit's data.
+	// success records the unit's data; a seal mismatch is one more
+	// failed attempt.
 	try := func(pl [][]byte, erased int) bool {
-		raw, corr, err := p.unit.Decode(pl)
+		out, corr, err := p.unit.Decode(k.block, k.version, pl)
 		if err != nil {
-			return false
-		}
-		out := p.rand.Derive(unitSeed(k.block, k.version)).Apply(raw)
-		if p.cfg.VerifyUnit != nil && !p.cfg.VerifyUnit(out) {
 			return false
 		}
 		u.Data, u.Corrected, u.Erased = out, corr, erased
@@ -670,7 +659,7 @@ func (p *Pipeline) decodeUnit(cands []strandCandidate, s *slots, k unitKey) Unit
 			contested++
 		}
 	}
-	if contested > 0 && u.Missing+contested <= parity {
+	if contested > 0 && u.Missing+contested <= budget {
 		combos++
 		if try(pl, contested) {
 			return u
@@ -680,7 +669,7 @@ func (p *Pipeline) decodeUnit(cands []strandCandidate, s *slots, k unitKey) Unit
 	// 2-read cluster is the least trustworthy, so progressively erase
 	// the smallest-cluster slots within the remaining erasure budget.
 	sort.Slice(filled, func(i, j int) bool { return cands[filled[i]].clusterSize < cands[filled[j]].clusterSize })
-	for e := 1; e <= parity-u.Missing && e <= len(filled) && combos < maxCombinations; e++ {
+	for e := 1; e <= budget-u.Missing && e <= len(filled) && combos < maxCombinations; e++ {
 		copy(pl, payloads)
 		for _, c := range filled[:e] {
 			pl[cands[c].intra] = nil
@@ -696,13 +685,3 @@ func (p *Pipeline) decodeUnit(cands []strandCandidate, s *slots, k unitKey) Unit
 	u.Err = fmt.Errorf("%w: block %d version %d", ErrRSMarginExceeded, k.block, k.version)
 	return u
 }
-
-// unitSeed derives the per-unit randomizer stream id.
-func unitSeed(block, version int) uint64 {
-	return uint64(block)<<8 | uint64(version)
-}
-
-// UnitSeed exposes the per-unit randomizer stream id for encoders, so
-// the write path in package blockstore whitens with the exact stream the
-// decoder expects.
-func UnitSeed(block, version int) uint64 { return unitSeed(block, version) }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dnastore/internal/channel"
-	"dnastore/internal/codec"
 	"dnastore/internal/dna"
 	"dnastore/internal/indextree"
 	"dnastore/internal/layout"
@@ -20,18 +19,20 @@ var (
 )
 
 // encoder is a minimal write path mirroring what package blockstore does:
-// randomize, unit-encode, assemble strands.
+// seal, unit-encode, assemble strands.
 type encoder struct {
 	g    layout.Geometry
 	unit *layout.UnitCodec
 	tree *indextree.Tree
-	rand *codec.Randomizer
 }
 
-func newEncoder(t testing.TB) *encoder {
+// newEncoder builds an encoder sealing units in the store's 8-byte pad.
+func newEncoder(t testing.TB) *encoder { return newEncoderPad(t, 8) }
+
+func newEncoderPad(t testing.TB, pad int) *encoder {
 	t.Helper()
 	g := layout.PaperGeometry()
-	unit, err := layout.NewUnitCodec(g)
+	unit, err := layout.NewUnitCodec(g, pad, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,17 +40,19 @@ func newEncoder(t testing.TB) *encoder {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &encoder{g: g, unit: unit, tree: tree, rand: codec.NewRandomizer(42)}
+	return &encoder{g: g, unit: unit, tree: tree}
 }
 
-// encodeUnit produces the 15 strand sequences of one (block, version).
+// encodeUnit seals data in place, so its pad holds the unit's CRC and a
+// decoded unit equals data, and produces the 15 strand sequences of one
+// (block, version).
 func (e *encoder) encodeUnit(t testing.TB, block, version int, data []byte) []dna.Seq {
 	t.Helper()
 	if len(data) != e.unit.DataBytes() {
 		t.Fatalf("unit data %d bytes", len(data))
 	}
-	white := e.rand.Derive(UnitSeed(block, version)).Apply(data)
-	payloads, err := e.unit.Encode(white)
+	copy(data, e.unit.Seal(data[:e.unit.BlockSize()]))
+	payloads, err := e.unit.Encode(block, version, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +95,7 @@ func makeReads(r *rng.Source, strands []dna.Seq, coverage int, rates channel.Rat
 
 func newPipeline(t testing.TB, e *encoder) *Pipeline {
 	t.Helper()
-	p, err := New(DefaultConfig(), e.tree, fwdP, revP, e.rand)
+	p, err := New(DefaultConfig(), e.tree, fwdP, revP, e.unit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,29 +104,37 @@ func newPipeline(t testing.TB, e *encoder) *Pipeline {
 
 func TestNewValidation(t *testing.T) {
 	e := newEncoder(t)
-	if _, err := New(DefaultConfig(), nil, fwdP, revP, e.rand); err == nil {
+	if _, err := New(DefaultConfig(), nil, fwdP, revP, e.unit); err == nil {
 		t.Error("nil tree accepted")
 	}
-	if _, err := New(DefaultConfig(), e.tree, fwdP[:5], revP, e.rand); err == nil {
+	if _, err := New(DefaultConfig(), e.tree, fwdP, revP, nil); err == nil {
+		t.Error("nil unit codec accepted")
+	}
+	if _, err := New(DefaultConfig(), e.tree, fwdP[:5], revP, e.unit); err == nil {
 		t.Error("short primer accepted")
 	}
 	shallow := indextree.MustNew(3, 1) // index length 6 != geometry's 10
-	if _, err := New(DefaultConfig(), shallow, fwdP, revP, e.rand); err == nil {
+	if _, err := New(DefaultConfig(), shallow, fwdP, revP, e.unit); err == nil {
 		t.Error("mismatched tree depth accepted")
 	}
 	cfg := DefaultConfig()
 	cfg.Geometry.StrandLen = 10
-	if _, err := New(cfg, e.tree, fwdP, revP, e.rand); err == nil {
+	if _, err := New(cfg, e.tree, fwdP, revP, e.unit); err == nil {
 		t.Error("invalid geometry accepted")
 	}
 	cfg = DefaultConfig()
+	cfg.Geometry.StrandLen += 4 // valid, but not the codec's geometry
+	if _, err := New(cfg, e.tree, fwdP, revP, e.unit); err == nil {
+		t.Error("geometry other than the unit codec's accepted")
+	}
+	cfg = DefaultConfig()
 	cfg.MaxPrimerDist = -1
-	if _, err := New(cfg, e.tree, fwdP, revP, e.rand); !errors.Is(err, ErrConfig) {
+	if _, err := New(cfg, e.tree, fwdP, revP, e.unit); !errors.Is(err, ErrConfig) {
 		t.Errorf("negative MaxPrimerDist: %v, want ErrConfig", err)
 	}
 	cfg = DefaultConfig()
 	cfg.MaxIndexDist = -1
-	if _, err := New(cfg, e.tree, fwdP, revP, e.rand); !errors.Is(err, ErrConfig) {
+	if _, err := New(cfg, e.tree, fwdP, revP, e.unit); !errors.Is(err, ErrConfig) {
 		t.Errorf("negative MaxIndexDist: %v, want ErrConfig", err)
 	}
 }

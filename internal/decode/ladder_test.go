@@ -34,107 +34,133 @@ func (h *handClusters) sorted() [][]int {
 	return h.clusters
 }
 
+// unitStrands are the strands of one hand-built unit: its own, and
+// those of two foreign units at the same address.
+type unitStrands struct {
+	truth, foreign, other []dna.Seq
+}
+
+// rung is one unit of a ladder test: how its clusters are built and
+// how decodeUnit must decide it.
+type rung struct {
+	name            string
+	block           int
+	build           func(h *handClusters, u unitStrands)
+	erased, missing int
+	reads           int
+	err             error // nil: the unit decodes
+}
+
+// Rungs shared by the sealed and the unsealed ladder.
+var (
+	plainRung = rung{"plain", 20, func(h *handClusters, u unitStrands) {
+		for _, s := range u.truth {
+			h.add(s, 3)
+		}
+	}, 0, 0, 45, nil}
+	// Five impostors: erasing the four smallest still leaves one, which
+	// the seal rejects; without a seal only three may be erased.
+	marginRung = rung{"margin", 24, func(h *handClusters, u unitStrands) {
+		for i, s := range u.truth {
+			if i < 5 {
+				h.add(u.foreign[i], 1)
+				continue
+			}
+			h.add(s, 3)
+		}
+	}, 0, 0, 35, ErrRSMarginExceeded}
+)
+
+// missingRung observes only the unit's first 15-missing strands.
+func missingRung(name string, block, missing int, err error) rung {
+	return rung{name, block, func(h *handClusters, u unitStrands) {
+		for _, s := range u.truth[:15-missing] {
+			h.add(s, 3)
+		}
+	}, 0, missing, 3 * (15 - missing), err}
+}
+
 // TestDecodeUnitLadder decides one unit on each rung of decodeUnit:
 // the plain decode, an alternate substituted behind an impostor
 // primary, erasure of the contested slots, erasure of the smallest
 // clusters, the RS-margin failure and the missing-slot fast fail. An
 // impostor is a strand of a foreign unit at the same address, whose
 // payload is a valid codeword symbol of the wrong unit; RS(15,11)
-// corrects two such slots, or e erasures plus (4-e)/2 of them.
+// corrects two such slots, or e erasures plus (4-e)/2 of them. A sealed
+// codec spends the whole parity on erasures, its seal rejecting wrong
+// codewords; an unsealed one (pad 0) keeps one check symbol per
+// attempt, so a unit it cannot check fails typed instead of decoding
+// to wrong bytes.
 func TestDecodeUnitLadder(t *testing.T) {
-	e := newEncoder(t)
-	want := map[int][]byte{}
-	// The unit check blockstore installs as a CRC: without one, erasing
-	// a whole parity's worth of slots always yields some codeword.
-	cfg := DefaultConfig()
-	cfg.VerifyUnit = func(data []byte) bool {
-		for _, w := range want {
-			if bytes.Equal(data, w) {
-				return true
-			}
-		}
-		return false
-	}
-	p, err := New(cfg, e.tree, fwdP, revP, e.rand)
+	t.Run("sealed", func(t *testing.T) {
+		runLadder(t, 8, []rung{
+			plainRung,
+			{"alternate", 21, func(h *handClusters, u unitStrands) {
+				// Three impostor primaries are past the correction radius;
+				// the true strand behind slot 0 leaves two, which RS corrects.
+				for i, s := range u.truth {
+					if i < 3 {
+						s = u.foreign[i]
+					}
+					h.add(s, 3)
+				}
+				h.add(u.truth[0], 2)
+			}, 0, 0, 45, nil},
+			{"contested", 22, func(h *handClusters, u unitStrands) {
+				// Impostors behind impostors: no substitution helps, erasing
+				// the three contested slots does.
+				for i, s := range u.truth {
+					if i < 3 {
+						h.add(u.foreign[i], 3)
+						h.add(u.other[i], 2)
+						continue
+					}
+					h.add(s, 3)
+				}
+			}, 3, 0, 45, nil},
+			{"smallest", 23, func(h *handClusters, u unitStrands) {
+				// Three single-read impostors and no alternates: erasing one
+				// leaves two errors beside it, erasing two leaves one.
+				for i, s := range u.truth {
+					if i < 3 {
+						h.add(u.foreign[i], 1)
+						continue
+					}
+					h.add(s, 3)
+				}
+			}, 2, 0, 39, nil},
+			marginRung,
+			missingRung("missing", 25, 5, ErrInsufficientCoverage),
+			missingRung("parity missing", 26, 4, nil),
+		})
+	})
+	t.Run("unsealed", func(t *testing.T) {
+		runLadder(t, 0, []rung{
+			plainRung,
+			marginRung,
+			missingRung("three missing", 25, 3, nil),
+			missingRung("parity missing", 26, 4, ErrInsufficientCoverage),
+		})
+	})
+}
+
+// runLadder builds every rung's unit under a codec with the given pad,
+// decodes them all in one DecodeClusters call and checks each unit's
+// outcome.
+func runLadder(t *testing.T, pad int, rungs []rung) {
+	e := newEncoderPad(t, pad)
+	p, err := New(DefaultConfig(), e.tree, fwdP, revP, e.unit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rng.New(31)
 	n := e.unit.DataBytes()
 	var h handClusters
-	type unitStrands struct {
-		data                  []byte
-		truth, foreign, other []dna.Seq
-	}
-	rungs := []struct {
-		name            string
-		block           int
-		build           func(u unitStrands)
-		erased, missing int
-		reads           int
-		err             error // nil: the unit decodes
-	}{
-		{"plain", 20, func(u unitStrands) {
-			for _, s := range u.truth {
-				h.add(s, 3)
-			}
-		}, 0, 0, 45, nil},
-		{"alternate", 21, func(u unitStrands) {
-			// Three impostor primaries are past the correction radius;
-			// the true strand behind slot 0 leaves two, which RS corrects.
-			for i, s := range u.truth {
-				if i < 3 {
-					s = u.foreign[i]
-				}
-				h.add(s, 3)
-			}
-			h.add(u.truth[0], 2)
-		}, 0, 0, 45, nil},
-		{"contested", 22, func(u unitStrands) {
-			// Impostors behind impostors: no substitution helps, erasing
-			// the three contested slots does.
-			for i, s := range u.truth {
-				if i < 3 {
-					h.add(u.foreign[i], 3)
-					h.add(u.other[i], 2)
-					continue
-				}
-				h.add(s, 3)
-			}
-		}, 3, 0, 45, nil},
-		{"smallest", 23, func(u unitStrands) {
-			// Three single-read impostors and no alternates: erasing one
-			// leaves two errors beside it, erasing two leaves one.
-			for i, s := range u.truth {
-				if i < 3 {
-					h.add(u.foreign[i], 1)
-					continue
-				}
-				h.add(s, 3)
-			}
-		}, 2, 0, 39, nil},
-		{"margin", 24, func(u unitStrands) {
-			// Five impostors: erasing the four smallest still leaves one,
-			// which the unit check rejects.
-			for i, s := range u.truth {
-				if i < 5 {
-					h.add(u.foreign[i], 1)
-					continue
-				}
-				h.add(s, 3)
-			}
-		}, 0, 0, 35, ErrRSMarginExceeded},
-		{"missing", 25, func(u unitStrands) {
-			for _, s := range u.truth[:10] {
-				h.add(s, 3)
-			}
-		}, 0, 5, 30, ErrInsufficientCoverage},
-	}
+	want := map[int][]byte{}
 	for _, rung := range rungs {
 		data := unitData(r, n)
 		want[rung.block] = data
-		rung.build(unitStrands{
-			data:    data,
+		rung.build(&h, unitStrands{
 			truth:   e.encodeUnit(t, rung.block, 0, data),
 			foreign: e.encodeUnit(t, rung.block, 0, unitData(r, n)),
 			other:   e.encodeUnit(t, rung.block, 0, unitData(r, n)),

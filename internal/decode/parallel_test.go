@@ -17,7 +17,7 @@ func newPipelineWorkers(t testing.TB, e *encoder, workers int) *Pipeline {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Workers = workers
-	p, err := New(cfg, e.tree, fwdP, revP, e.rand)
+	p, err := New(cfg, e.tree, fwdP, revP, e.unit)
 	if err != nil {
 		t.Fatal(err)
 	}

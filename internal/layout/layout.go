@@ -17,8 +17,10 @@
 package layout
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 
 	"dnastore/internal/codec"
@@ -59,7 +61,8 @@ const syncBases = 1
 // Validate checks internal consistency of the geometry. The elongated
 // primer (main primer, sync base and unit index) is the longest pattern
 // PCR binding and primer location align, so it must fit the alignment
-// kernels' dna.MaxPatternLen. Every error wraps ErrGeometry.
+// kernels' dna.MaxPatternLen, and the intra address must cover a unit's
+// UnitMolecules molecules. Every error wraps ErrGeometry.
 func (g Geometry) Validate() error {
 	if g.StrandLen <= 0 || g.PrimerLen <= 0 || g.IndexLen < 0 || g.VersionBases < 0 || g.IntraLen <= 0 {
 		return fmt.Errorf("%w: non-positive field: %+v", ErrGeometry, g)
@@ -73,6 +76,10 @@ func (g Geometry) Validate() error {
 	}
 	if pb%4 != 0 {
 		return fmt.Errorf("%w: payload bases %d not a multiple of 4", ErrGeometry, pb)
+	}
+	if maxIntra := 1 << (2 * uint(g.IntraLen)); maxIntra < UnitMolecules {
+		return fmt.Errorf("%w: %d-base intra address covers %d of a unit's %d molecules",
+			ErrGeometry, g.IntraLen, maxIntra, UnitMolecules)
 	}
 	return nil
 }
@@ -198,177 +205,192 @@ func (g Geometry) ElongatedPrimer(fwd dna.Seq, indexPrefix dna.Seq) dna.Seq {
 	return out
 }
 
-// UnitCodec encodes fixed-size data blocks into the molecule payloads of
-// one encoding unit and decodes them back, applying the Reed-Solomon
-// outer code across molecules.
+// The unit code is RS(15,11) over GF(16) (Section 6.2's wetlab
+// configuration): every unit spreads over UnitMolecules molecules, of
+// which UnitDataMolecules carry data and the rest RS parity.
+const (
+	UnitMolecules     = 15
+	UnitDataMolecules = 11
+	unitParity        = UnitMolecules - UnitDataMolecules
+)
+
+// sealBytes is the size of the CRC32 a unit's pad carries when the pad
+// has room for it.
+const sealBytes = 4
+
+// ErrSeal is returned by UnitCodec.Decode when an RS-decoded unit fails
+// its seal: the decode landed on a codeword of some other unit.
+var ErrSeal = errors.New("layout: unit seal mismatch")
+
+// UnitCodec is a partition's encoding-unit format: a block's content,
+// padded to the unit size with a CRC32 seal in the pad (Section 6.2's
+// "randomly padded" tail), whitened with a per-unit keystream derived
+// from the partition's seed (Sections 2.1.1 and 4.4), and spread over
+// the molecule payloads of one RS(15,11) unit (Figure 1c). A codec is
+// immutable and safe for concurrent use.
 type UnitCodec struct {
-	geom  Geometry
-	code  *rs.Code
-	field *gf.Field
+	geom Geometry
+	pad  int
+	code *rs.Code
+	rand *codec.Randomizer
 }
 
-// NewUnitCodec builds the paper's RS(15,11)-over-GF(16) unit codec for
-// the given geometry (Section 6.2's wetlab configuration).
-func NewUnitCodec(g Geometry) (*UnitCodec, error) {
-	return NewUnitCodecRS(g, gf.GF16, 15, 11)
-}
-
-// NewUnitCodecRS builds a unit codec with an explicit Reed-Solomon
-// configuration. With 4-bit symbols two symbols pack per payload byte;
-// with 8-bit symbols each byte is one symbol, enabling RS(255, 223)
-// units that spread codewords across 255 molecules — the configuration
-// large-scale DNA archives use (Section 2.1.3's "tens of thousands" of
-// molecules per ECC group).
-func NewUnitCodecRS(g Geometry, field *gf.Field, n, k int) (*UnitCodec, error) {
+// NewUnitCodec builds the unit codec of a partition with the given
+// geometry, pad bytes per unit and whitening seed. A pad of fewer than
+// 4 bytes leaves the unit unsealed.
+func NewUnitCodec(g Geometry, pad int, seed uint64) (*UnitCodec, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	if field.SymbolBits() != 4 && field.SymbolBits() != 8 {
-		return nil, fmt.Errorf("layout: unsupported symbol width %d", field.SymbolBits())
+	u := &UnitCodec{
+		geom: g,
+		pad:  pad,
+		code: rs.MustNew(gf.GF16, UnitMolecules, UnitDataMolecules),
+		rand: codec.NewRandomizer(seed),
 	}
-	if maxIntra := 1 << (2 * uint(g.IntraLen)); n > maxIntra {
-		return nil, fmt.Errorf("layout: %d molecules exceed the %d-base intra address space (%d)",
-			n, g.IntraLen, maxIntra)
+	if pad < 0 || pad >= u.DataBytes() {
+		return nil, fmt.Errorf("layout: pad of %d bytes outside [0, %d)", pad, u.DataBytes())
 	}
-	code, err := rs.New(field, n, k)
-	if err != nil {
-		return nil, err
-	}
-	return &UnitCodec{geom: g, code: code, field: field}, nil
+	return u, nil
 }
 
-// Molecules returns the number of molecules per encoding unit (15).
-func (u *UnitCodec) Molecules() int { return u.code.N() }
+// DataBytes returns the size of one unit in bytes (264 in the paper's
+// geometry: 11 molecules x 24 bytes).
+func (u *UnitCodec) DataBytes() int { return UnitDataMolecules * u.geom.PayloadBytes() }
 
-// DataMolecules returns the number of data molecules per unit (11).
-func (u *UnitCodec) DataMolecules() int { return u.code.K() }
-
-// DataBytes returns the data capacity of one encoding unit in bytes
-// (264 in the paper's geometry: 11 molecules x 24 bytes).
-func (u *UnitCodec) DataBytes() int { return u.code.K() * u.geom.PayloadBytes() }
+// BlockSize returns the content bytes a unit holds: its size less the
+// pad (256 in the paper's geometry).
+func (u *UnitCodec) BlockSize() int { return u.DataBytes() - u.pad }
 
 // Geometry returns the codec's strand geometry.
 func (u *UnitCodec) Geometry() Geometry { return u.geom }
 
-// toSymbols converts payload bytes to field symbols.
-func (u *UnitCodec) toSymbols(b []byte) []byte {
-	if u.field.SymbolBits() == 4 {
-		return codec.BytesToNibbles(b)
+// MaxErasures returns how many molecules one decode attempt may erase.
+// A sealed unit may spend the whole parity, since the seal rejects a
+// decode that lands on a wrong codeword; an unsealed one keeps one
+// check symbol per row to reject it instead.
+func (u *UnitCodec) MaxErasures() int {
+	if u.pad < sealBytes {
+		return unitParity - 1
 	}
-	return append([]byte(nil), b...)
+	return unitParity
 }
 
-// fromSymbols converts field symbols back to payload bytes.
-func (u *UnitCodec) fromSymbols(s []byte) ([]byte, error) {
-	if u.field.SymbolBits() == 4 {
-		return codec.NibblesToBytes(s)
+// Seal expands content (at most BlockSize bytes) to a unit, zero-padded,
+// with the big-endian CRC32 of its first BlockSize bytes in the pad.
+func (u *UnitCodec) Seal(content []byte) []byte {
+	out := make([]byte, u.DataBytes())
+	copy(out, content)
+	if u.pad >= sealBytes {
+		bs := u.BlockSize()
+		binary.BigEndian.PutUint32(out[bs:], crc32.ChecksumIEEE(out[:bs]))
 	}
-	return append([]byte(nil), s...), nil
+	return out
 }
 
-// symbolsPerMolecule returns the number of RS symbols in one payload.
-func (u *UnitCodec) symbolsPerMolecule() int {
-	if u.field.SymbolBits() == 4 {
-		return u.geom.PayloadBytes() * 2
-	}
-	return u.geom.PayloadBytes()
+// sealed reports whether a unit's seal matches its content; an unsealed
+// codec accepts every unit.
+func (u *UnitCodec) sealed(unit []byte) bool {
+	bs := u.BlockSize()
+	return u.pad < sealBytes || binary.BigEndian.Uint32(unit[bs:]) == crc32.ChecksumIEEE(unit[:bs])
 }
 
-// Encode maps exactly DataBytes() of (already randomized and padded)
-// data to the payloads of the unit's molecules, column-major as in
-// Figure 1c: molecule j holds data bytes [j*P, (j+1)*P), and the parity
-// molecules hold the RS parity of each n-symbol row.
-func (u *UnitCodec) Encode(data []byte) ([][]byte, error) {
-	if len(data) != u.DataBytes() {
-		return nil, fmt.Errorf("layout: unit data %d bytes, want %d", len(data), u.DataBytes())
+// whitener returns the keystream of one (block, version) unit, so
+// identical content in different units whitens differently.
+func (u *UnitCodec) whitener(block, version int) *codec.Randomizer {
+	return u.rand.Derive(uint64(block)<<8 | uint64(version))
+}
+
+// nibble returns 4-bit symbol r of a payload, high nibble first.
+func nibble(p []byte, r int) byte {
+	return p[r/2] >> (4 * uint(1-r%2)) & 0x0f
+}
+
+// Encode whitens exactly DataBytes() of sealed unit bytes with the
+// (block, version) keystream and maps them to the unit's molecule
+// payloads, column-major as in Figure 1c: molecule j holds whitened
+// bytes [j*P, (j+1)*P), and the parity molecules hold the RS parity of
+// each row of 4-bit symbols.
+func (u *UnitCodec) Encode(block, version int, unit []byte) ([][]byte, error) {
+	if len(unit) != u.DataBytes() {
+		return nil, fmt.Errorf("layout: unit data %d bytes, want %d", len(unit), u.DataBytes())
 	}
+	white := append([]byte(nil), unit...)
+	u.whitener(block, version).Apply(white)
 	perMol := u.geom.PayloadBytes()
-	symPerMol := u.symbolsPerMolecule()
-	n, k := u.code.N(), u.code.K()
-	payloadSyms := make([][]byte, n)
-	for j := 0; j < k; j++ {
-		payloadSyms[j] = u.toSymbols(data[j*perMol : (j+1)*perMol])
-	}
-	for j := k; j < n; j++ {
-		payloadSyms[j] = make([]byte, symPerMol)
-	}
-	row := make([]byte, k)
-	for r := 0; r < symPerMol; r++ {
-		for j := 0; j < k; j++ {
-			row[j] = payloadSyms[j][r]
+	parity := make([]byte, unitParity*perMol)
+	out := make([][]byte, UnitMolecules)
+	for j := range out {
+		if j < UnitDataMolecules {
+			out[j] = white[j*perMol : (j+1)*perMol]
+		} else {
+			out[j] = parity[(j-UnitDataMolecules)*perMol : (j-UnitDataMolecules+1)*perMol]
 		}
-		word, err := u.code.Encode(row)
+	}
+	var row [UnitDataMolecules]byte
+	for r := 0; r < 2*perMol; r++ {
+		for j := range row {
+			row[j] = nibble(out[j], r)
+		}
+		word, err := u.code.Encode(row[:])
 		if err != nil {
 			return nil, err
 		}
-		for j := k; j < n; j++ {
-			payloadSyms[j][r] = word[j]
+		for j := UnitDataMolecules; j < UnitMolecules; j++ {
+			out[j][r/2] |= word[j] << (4 * uint(1-r%2))
 		}
-	}
-	out := make([][]byte, n)
-	for j := 0; j < n; j++ {
-		b, err := u.fromSymbols(payloadSyms[j])
-		if err != nil {
-			return nil, err
-		}
-		out[j] = b
 	}
 	return out, nil
 }
 
-// Decode reconstructs the unit's data from molecule payloads. A nil
-// payload marks a lost molecule (erasure); the RS code recovers up to 4
-// lost molecules, or fewer losses combined with symbol errors. The
-// returned corrected count reports how many symbols were repaired.
-// Errors wrap ErrPayloadShape for a misshapen payload set and
-// rs.ErrTooManyErrors for an uncorrectable row.
-func (u *UnitCodec) Decode(payloads [][]byte) (data []byte, corrected int, err error) {
-	n, k := u.code.N(), u.code.K()
-	if len(payloads) != n {
-		return nil, 0, fmt.Errorf("%w: %d payloads, want %d", ErrPayloadShape, len(payloads), n)
+// Decode recovers the (block, version) unit from its molecule payloads:
+// RS decoding row by row, de-whitening and the seal check. A nil
+// payload marks a lost molecule (erasure); an attempt may erase at most
+// MaxErasures molecules, and fewer erasures leave room to correct
+// symbol errors. The corrected count reports how many symbols the RS
+// code repaired. Errors wrap ErrPayloadShape for a misshapen payload
+// set, rs.ErrTooManyErrors for an uncorrectable row or too many
+// erasures, and ErrSeal for a decode the seal rejects.
+func (u *UnitCodec) Decode(block, version int, payloads [][]byte) (unit []byte, corrected int, err error) {
+	if len(payloads) != UnitMolecules {
+		return nil, 0, fmt.Errorf("%w: %d payloads, want %d", ErrPayloadShape, len(payloads), UnitMolecules)
 	}
 	perMol := u.geom.PayloadBytes()
-	symPerMol := u.symbolsPerMolecule()
-	var erasures []int
-	cols := make([][]byte, n)
+	erasures := make([]int, 0, UnitMolecules)
 	for j, p := range payloads {
 		switch {
 		case p == nil:
 			erasures = append(erasures, j)
-			cols[j] = make([]byte, symPerMol)
 		case len(p) != perMol:
 			return nil, 0, fmt.Errorf("%w: payload %d has %d bytes, want %d", ErrPayloadShape, j, len(p), perMol)
-		default:
-			cols[j] = u.toSymbols(p)
 		}
 	}
-	dataSyms := make([][]byte, k)
-	for j := range dataSyms {
-		dataSyms[j] = make([]byte, symPerMol)
+	if len(erasures) > u.MaxErasures() {
+		return nil, 0, fmt.Errorf("layout: %d erasures, at most %d: %w", len(erasures), u.MaxErasures(), rs.ErrTooManyErrors)
 	}
-	received := make([]byte, n)
-	for r := 0; r < symPerMol; r++ {
-		for j := 0; j < n; j++ {
-			received[j] = cols[j][r]
+	out := make([]byte, u.DataBytes())
+	var received [UnitMolecules]byte
+	for r := 0; r < 2*perMol; r++ {
+		for j, p := range payloads {
+			received[j] = 0
+			if p != nil {
+				received[j] = nibble(p, r)
+			}
 		}
-		decoded, err := u.code.Decode(received, erasures)
+		decoded, err := u.code.Decode(received[:], erasures)
 		if err != nil {
 			return nil, corrected, fmt.Errorf("layout: row %d: %w", r, err)
 		}
-		for j := 0; j < k; j++ {
-			if decoded[j] != received[j] {
+		for j, d := range decoded {
+			if d != received[j] {
 				corrected++
 			}
-			dataSyms[j][r] = decoded[j]
+			out[j*perMol+r/2] |= d << (4 * uint(1-r%2))
 		}
 	}
-	out := make([]byte, 0, u.DataBytes())
-	for j := 0; j < k; j++ {
-		b, err := u.fromSymbols(dataSyms[j])
-		if err != nil {
-			return nil, corrected, err
-		}
-		out = append(out, b...)
+	u.whitener(block, version).Apply(out)
+	if !u.sealed(out) {
+		return nil, corrected, ErrSeal
 	}
 	return out, corrected, nil
 }

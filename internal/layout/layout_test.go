@@ -8,6 +8,7 @@ import (
 
 	"dnastore/internal/dna"
 	"dnastore/internal/rng"
+	"dnastore/internal/rs"
 )
 
 func testPrimers(t testing.TB) (fwd, rev dna.Seq) {
@@ -213,20 +214,30 @@ func TestElongatedPrimer(t *testing.T) {
 	}
 }
 
-func TestUnitCodecRoundTrip(t *testing.T) {
-	u, err := NewUnitCodec(PaperGeometry())
+// paperCodec builds the paper's unit codec (8-byte pad, sealed) with a
+// fixed whitening seed.
+func paperCodec(t testing.TB) *UnitCodec {
+	t.Helper()
+	u, err := NewUnitCodec(PaperGeometry(), 8, 0x5eed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u.Molecules() != 15 || u.DataMolecules() != 11 {
-		t.Fatalf("unit shape %d/%d want 15/11", u.Molecules(), u.DataMolecules())
-	}
-	if u.DataBytes() != 264 {
-		t.Fatalf("unit capacity %d want 264 (Section 6.2)", u.DataBytes())
+	return u
+}
+
+// sealedUnit seals a random block's worth of content.
+func sealedUnit(r *rng.Source, u *UnitCodec) []byte {
+	return u.Seal(randomPayload(r, u.BlockSize()))
+}
+
+func TestUnitCodecRoundTrip(t *testing.T) {
+	u := paperCodec(t)
+	if u.DataBytes() != 264 || u.BlockSize() != 256 {
+		t.Fatalf("unit capacity %d/%d want 264/256 (Section 6.2)", u.DataBytes(), u.BlockSize())
 	}
 	r := rng.New(3)
-	data := randomPayload(r, 264)
-	payloads, err := u.Encode(data)
+	data := sealedUnit(r, u)
+	payloads, err := u.Encode(531, 1, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,13 +249,24 @@ func TestUnitCodecRoundTrip(t *testing.T) {
 			t.Fatalf("payload %d has %d bytes", j, len(p))
 		}
 	}
-	// Data molecules carry the data verbatim (systematic).
+	// Data molecules carry the whitened unit verbatim (systematic): the
+	// zero unit's data molecules are the keystream itself.
+	keystream, err := u.Encode(531, 1, make([]byte, 264))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for j := 0; j < 11; j++ {
-		if !bytes.Equal(payloads[j], data[j*24:(j+1)*24]) {
-			t.Fatalf("molecule %d not systematic", j)
+		for i, b := range payloads[j] {
+			if b^keystream[j][i] != data[j*24+i] {
+				t.Fatalf("molecule %d not systematic", j)
+			}
 		}
 	}
-	got, corrected, err := u.Decode(payloads)
+	// The keystream depends on the unit's block and version.
+	if other, _ := u.Encode(531, 2, data); bytes.Equal(other[0], payloads[0]) {
+		t.Error("versions 1 and 2 whiten alike")
+	}
+	got, corrected, err := u.Decode(531, 1, payloads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,20 +278,25 @@ func TestUnitCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// erase returns a copy of payloads with the listed molecules lost.
+func erase(payloads [][]byte, lost ...int) [][]byte {
+	damaged := make([][]byte, len(payloads))
+	copy(damaged, payloads)
+	for _, j := range lost {
+		damaged[j] = nil
+	}
+	return damaged
+}
+
 func TestUnitCodecErasesMolecules(t *testing.T) {
 	// Losing up to 4 whole molecules (anywhere) must be recoverable:
 	// that is the erasure capability of RS(15,11) applied per row.
-	u, _ := NewUnitCodec(PaperGeometry())
+	u := paperCodec(t)
 	r := rng.New(4)
-	data := randomPayload(r, 264)
-	payloads, _ := u.Encode(data)
+	data := sealedUnit(r, u)
+	payloads, _ := u.Encode(7, 0, data)
 	for _, lost := range [][]int{{0}, {14}, {3, 7}, {0, 1, 2, 3}, {11, 12, 13, 14}, {2, 6, 11, 14}} {
-		damaged := make([][]byte, 15)
-		copy(damaged, payloads)
-		for _, j := range lost {
-			damaged[j] = nil
-		}
-		got, _, err := u.Decode(damaged)
+		got, _, err := u.Decode(7, 0, erase(payloads, lost...))
 		if err != nil {
 			t.Fatalf("lost %v: %v", lost, err)
 		}
@@ -278,21 +305,33 @@ func TestUnitCodecErasesMolecules(t *testing.T) {
 		}
 	}
 	// Five losses exceed the budget.
-	damaged := make([][]byte, 15)
-	copy(damaged, payloads)
-	for j := 0; j < 5; j++ {
-		damaged[j] = nil
+	if _, _, err := u.Decode(7, 0, erase(payloads, 0, 1, 2, 3, 4)); !errors.Is(err, rs.ErrTooManyErrors) {
+		t.Errorf("five erasures: %v, want rs.ErrTooManyErrors", err)
 	}
-	if _, _, err := u.Decode(damaged); err == nil {
-		t.Error("five erasures decoded")
+	// Without a seal one check symbol must remain: three erasures
+	// decode, four are refused.
+	bare, err := NewUnitCodec(PaperGeometry(), 0, 0x5eed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bare.MaxErasures() != 3 || u.MaxErasures() != 4 {
+		t.Fatalf("erasure budgets %d unsealed, %d sealed; want 3, 4", bare.MaxErasures(), u.MaxErasures())
+	}
+	data = randomPayload(r, 264)
+	payloads, _ = bare.Encode(7, 0, data)
+	if got, _, err := bare.Decode(7, 0, erase(payloads, 2, 6, 11)); err != nil || !bytes.Equal(got, data) {
+		t.Errorf("unsealed, three erasures: %v", err)
+	}
+	if _, _, err := bare.Decode(7, 0, erase(payloads, 2, 6, 11, 14)); !errors.Is(err, rs.ErrTooManyErrors) {
+		t.Errorf("unsealed, four erasures: %v, want rs.ErrTooManyErrors", err)
 	}
 }
 
 func TestUnitCodecCorrectsSymbolErrors(t *testing.T) {
-	u, _ := NewUnitCodec(PaperGeometry())
+	u := paperCodec(t)
 	r := rng.New(5)
-	data := randomPayload(r, 264)
-	payloads, _ := u.Encode(data)
+	data := sealedUnit(r, u)
+	payloads, _ := u.Encode(7, 0, data)
 	damaged := make([][]byte, 15)
 	for j := range payloads {
 		damaged[j] = append([]byte(nil), payloads[j]...)
@@ -303,7 +342,7 @@ func TestUnitCodecCorrectsSymbolErrors(t *testing.T) {
 	damaged[2][0] ^= 0xf0
 	damaged[9][0] ^= 0x0f
 	damaged[5][10] ^= 0x30
-	got, corrected, err := u.Decode(damaged)
+	got, corrected, err := u.Decode(7, 0, damaged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,17 +355,17 @@ func TestUnitCodecCorrectsSymbolErrors(t *testing.T) {
 }
 
 func TestUnitCodecMixedErasureAndError(t *testing.T) {
-	u, _ := NewUnitCodec(PaperGeometry())
+	u := paperCodec(t)
 	r := rng.New(6)
-	data := randomPayload(r, 264)
-	payloads, _ := u.Encode(data)
+	data := sealedUnit(r, u)
+	payloads, _ := u.Encode(7, 0, data)
 	damaged := make([][]byte, 15)
 	for j := range payloads {
 		damaged[j] = append([]byte(nil), payloads[j]...)
 	}
 	damaged[0] = nil      // 1 erasure
 	damaged[7][3] ^= 0x11 // errors in another molecule
-	got, _, err := u.Decode(damaged)
+	got, _, err := u.Decode(7, 0, damaged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,20 +375,30 @@ func TestUnitCodecMixedErasureAndError(t *testing.T) {
 }
 
 func TestUnitCodecRejectsBadInput(t *testing.T) {
-	u, _ := NewUnitCodec(PaperGeometry())
-	if _, err := u.Encode(make([]byte, 100)); err == nil {
+	u := paperCodec(t)
+	if _, err := u.Encode(0, 0, make([]byte, 100)); err == nil {
 		t.Error("short unit data accepted")
 	}
-	if _, _, err := u.Decode(make([][]byte, 10)); err == nil {
-		t.Error("wrong payload count accepted")
+	if _, _, err := u.Decode(0, 0, make([][]byte, 10)); !errors.Is(err, ErrPayloadShape) {
+		t.Errorf("wrong payload count: %v, want ErrPayloadShape", err)
 	}
 	payloads := make([][]byte, 15)
 	for j := range payloads {
 		payloads[j] = make([]byte, 24)
 	}
 	payloads[3] = make([]byte, 10)
-	if _, _, err := u.Decode(payloads); err == nil {
-		t.Error("short payload accepted")
+	if _, _, err := u.Decode(0, 0, payloads); !errors.Is(err, ErrPayloadShape) {
+		t.Errorf("short payload: %v, want ErrPayloadShape", err)
+	}
+	for _, pad := range []int{-1, 264} {
+		if _, err := NewUnitCodec(PaperGeometry(), pad, 1); err == nil {
+			t.Errorf("pad %d accepted", pad)
+		}
+	}
+	g := PaperGeometry()
+	g.IntraLen, g.IndexLen = 1, 11 // 4 intra addresses for 15 molecules
+	if _, err := NewUnitCodec(g, 8, 1); !errors.Is(err, ErrGeometry) {
+		t.Errorf("1-base intra address: %v, want ErrGeometry", err)
 	}
 }
 
@@ -424,24 +473,23 @@ func TestDensityLoss(t *testing.T) {
 }
 
 func BenchmarkUnitEncode(b *testing.B) {
-	u, _ := NewUnitCodec(PaperGeometry())
-	data := make([]byte, 264)
+	u := paperCodec(b)
+	data := u.Seal(nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := u.Encode(data); err != nil {
+		if _, err := u.Encode(7, 0, data); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkUnitDecodeClean(b *testing.B) {
-	u, _ := NewUnitCodec(PaperGeometry())
-	data := make([]byte, 264)
-	payloads, _ := u.Encode(data)
+	u := paperCodec(b)
+	payloads, _ := u.Encode(7, 0, u.Seal(nil))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := u.Decode(payloads); err != nil {
+		if _, _, err := u.Decode(7, 0, payloads); err != nil {
 			b.Fatal(err)
 		}
 	}

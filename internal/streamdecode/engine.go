@@ -63,6 +63,7 @@ import (
 	"dnastore/internal/cluster"
 	"dnastore/internal/decode"
 	"dnastore/internal/dna"
+	"dnastore/internal/layout"
 	"dnastore/internal/parallel"
 	"dnastore/internal/recycle"
 	"dnastore/internal/sketch"
@@ -226,7 +227,6 @@ type Engine struct {
 	pipe    *decode.Pipeline
 	signer  sketch.Signer
 	maxDist int
-	mol     int
 	slack   int
 	workers int
 	shards  int
@@ -311,8 +311,7 @@ func New(pipe *decode.Pipeline, workers, shards int) (*Engine, error) {
 	e.pipe = pipe
 	e.signer = cfg.Cluster.Signer()
 	e.maxDist = cfg.Cluster.MaxDist
-	e.mol = pipe.Unit().Molecules()
-	e.slack = (pipe.Unit().Molecules() - pipe.Unit().DataMolecules()) / 2
+	e.slack = (layout.UnitMolecules - layout.UnitDataMolecules) / 2
 	e.workers = parallel.Resolve(workers)
 	e.shards = shards
 	e.released = false
@@ -448,7 +447,7 @@ func (e *Engine) refloor(block int) {
 	f.over = 0
 	for k, v := range f.versions {
 		short := 0
-		for intra := 0; intra < e.mol; intra++ {
+		for intra := 0; intra < layout.UnitMolecules; intra++ {
 			if e.cov[slotKey{block, v, intra}] < floor {
 				short++
 			}
@@ -588,7 +587,7 @@ func (e *Engine) bump(s slotAddr) {
 	n := e.cov[k] + 1
 	e.cov[k] = n
 	f := e.floors[s.block]
-	if f == nil || s.intra < 0 || s.intra >= e.mol || n != e.effFloor(s.block) {
+	if f == nil || s.intra < 0 || s.intra >= layout.UnitMolecules || n != e.effFloor(s.block) {
 		return
 	}
 	for i, v := range f.versions {
@@ -643,7 +642,7 @@ func (e *Engine) CoverageEstimate() float64 {
 	total, slots := 0, 0
 	for _, b := range e.targets {
 		for _, v := range e.floors[b].versions {
-			for intra := 0; intra < e.mol; intra++ {
+			for intra := 0; intra < layout.UnitMolecules; intra++ {
 				total += e.cov[slotKey{b, v, intra}]
 				slots++
 			}

@@ -8,7 +8,6 @@ import (
 
 	"dnastore/internal/channel"
 	"dnastore/internal/cluster"
-	"dnastore/internal/codec"
 	"dnastore/internal/decode"
 	"dnastore/internal/dna"
 	"dnastore/internal/indextree"
@@ -21,19 +20,18 @@ var (
 	revP = dna.MustFromString("TGCATGCATGCATGCATGCA")
 )
 
-// encoder is a minimal write path mirroring package blockstore:
-// randomize, unit-encode, assemble strands.
+// encoder is a minimal write path mirroring package blockstore: seal,
+// unit-encode, assemble strands.
 type encoder struct {
 	g    layout.Geometry
 	unit *layout.UnitCodec
 	tree *indextree.Tree
-	rand *codec.Randomizer
 }
 
 func newEncoder(t testing.TB) *encoder {
 	t.Helper()
 	g := layout.PaperGeometry()
-	unit, err := layout.NewUnitCodec(g)
+	unit, err := layout.NewUnitCodec(g, 8, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,13 +39,15 @@ func newEncoder(t testing.TB) *encoder {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &encoder{g: g, unit: unit, tree: tree, rand: codec.NewRandomizer(42)}
+	return &encoder{g: g, unit: unit, tree: tree}
 }
 
+// encodeUnit seals data in place, so its pad holds the unit's CRC and a
+// decoded unit equals data, and produces the unit's strand sequences.
 func (e *encoder) encodeUnit(t testing.TB, block, version int, data []byte) []dna.Seq {
 	t.Helper()
-	white := e.rand.Derive(decode.UnitSeed(block, version)).Apply(data)
-	payloads, err := e.unit.Encode(white)
+	copy(data, e.unit.Seal(data[:e.unit.BlockSize()]))
+	payloads, err := e.unit.Encode(block, version, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func newPipelineWorkers(t testing.TB, e *encoder, workers int) *decode.Pipeline 
 	t.Helper()
 	cfg := decode.DefaultConfig()
 	cfg.Workers = workers
-	p, err := decode.New(cfg, e.tree, fwdP, revP, e.rand)
+	p, err := decode.New(cfg, e.tree, fwdP, revP, e.unit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -770,7 +770,7 @@ func checkFloors(t *testing.T, e *Engine, when string) {
 		over := 0
 		for k, v := range f.versions {
 			short := 0
-			for intra := 0; intra < e.mol; intra++ {
+			for intra := 0; intra < layout.UnitMolecules; intra++ {
 				if e.cov[slotKey{b, v, intra}] < floor {
 					short++
 				}

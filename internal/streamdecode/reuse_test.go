@@ -87,7 +87,7 @@ func TestEngineReuseMatchesFresh(t *testing.T) {
 	defaultPipe := newPipeline(t, enc)
 	harshCfg := decode.DefaultConfig()
 	harshCfg.Cluster = cluster.Config{Q: 8, NumHashes: 8, MaxDist: 45}
-	harshPipe, err := decode.New(harshCfg, enc.tree, fwdP, revP, enc.rand)
+	harshPipe, err := decode.New(harshCfg, enc.tree, fwdP, revP, enc.unit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +106,11 @@ func TestEngineReuseMatchesFresh(t *testing.T) {
 		{"harsh-1-then-default-4",
 			setup{harshPipe, 1, nanopore, []int{2, 17}},
 			setup{defaultPipe, 4, illumina, []int{2, 17, 40}}},
+		// The harsh radius decodes no unit of the nanopore reads
+		// (their units fail the seal), so it reads the Illumina set.
 		{"default-8-then-harsh-1",
-			setup{defaultPipe, 0, illumina, []int{2, 17, 40}},
-			setup{harshPipe, 1, nanopore, nil}},
+			setup{defaultPipe, 0, nanopore, []int{2, 17, 40}},
+			setup{harshPipe, 1, illumina, nil}},
 		{"default-2-then-harsh-8",
 			setup{defaultPipe, 2, nanopore, nil},
 			setup{harshPipe, 0, illumina, []int{17, 40}}},
