@@ -258,11 +258,12 @@ const decaySeedSalt = 0x6465636179 // "decay"
 // primer library (two are consumed per partition); it must contain at
 // least two primers.
 func New(cfg Config, primers []dna.Seq) (*Store, error) {
-	// The partitions' decode pipelines run cfg.Decode over the store's
-	// geometry; check both here rather than at the first partition.
-	dcfg := cfg.Decode
-	dcfg.Geometry = cfg.Geometry
-	if err := dcfg.Validate(); err != nil {
+	// Check the geometry and the partitions' decode tolerances here
+	// rather than at the first partition.
+	if err := cfg.Geometry.Validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.Decode.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.TreeDepth < 1 || cfg.TreeDepth > indextree.MaxDepth {
@@ -447,7 +448,6 @@ func (s *Store) CreatePartition(name string) (*Partition, error) {
 		noise:   s.src.Fork(),
 	}
 	dcfg := s.cfg.Decode
-	dcfg.Geometry = s.cfg.Geometry
 	dcfg.Workers = s.cfg.Workers
 	if s.binding != nil {
 		// Share the cache's pattern memo with the pipeline's primer

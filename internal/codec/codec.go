@@ -42,29 +42,6 @@ func BasesToBytes(seq dna.Seq) ([]byte, error) {
 	return out, nil
 }
 
-// BytesToNibbles splits bytes into 4-bit symbols, high nibble first.
-func BytesToNibbles(data []byte) []byte {
-	out := make([]byte, len(data)*2)
-	for i, b := range data {
-		out[i*2] = b >> 4
-		out[i*2+1] = b & 0x0f
-	}
-	return out
-}
-
-// NibblesToBytes joins 4-bit symbols into bytes, high nibble first. The
-// input length must be even.
-func NibblesToBytes(nibbles []byte) ([]byte, error) {
-	if len(nibbles)%2 != 0 {
-		return nil, fmt.Errorf("codec: nibble count %d not even", len(nibbles))
-	}
-	out := make([]byte, len(nibbles)/2)
-	for i := range out {
-		out[i] = nibbles[i*2]<<4 | nibbles[i*2+1]&0x0f
-	}
-	return out, nil
-}
-
 // Randomizer XORs data with a deterministic pseudo-random keystream
 // derived from a seed. Randomization is its own inverse, so the same
 // Randomizer both whitens data before encoding and recovers it after

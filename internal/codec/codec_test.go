@@ -40,25 +40,6 @@ func TestBasesToBytesRejectsBadLength(t *testing.T) {
 	}
 }
 
-func TestBytesNibblesRoundTrip(t *testing.T) {
-	f := func(data []byte) bool {
-		n := BytesToNibbles(data)
-		for _, v := range n {
-			if v > 15 {
-				return false
-			}
-		}
-		back, err := NibblesToBytes(n)
-		return err == nil && bytes.Equal(back, data)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	if _, err := NibblesToBytes([]byte{1}); err == nil {
-		t.Error("odd nibble count should fail")
-	}
-}
-
 // applied returns a whitened copy of data.
 func applied(r *Randomizer, data []byte) []byte {
 	out := append([]byte{}, data...)

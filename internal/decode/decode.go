@@ -50,8 +50,7 @@ var (
 
 // Config tunes the pipeline.
 type Config struct {
-	Geometry layout.Geometry
-	Cluster  cluster.Config
+	Cluster cluster.Config
 	// MaxPrimerDist is the edit-distance tolerance when locating the
 	// main primers inside a read.
 	MaxPrimerDist int
@@ -72,13 +71,10 @@ type Config struct {
 	Workers int
 }
 
-// Validate checks the geometry and the distance tolerances. A negative
-// MaxPrimerDist would make Keep discard every read, and a negative
-// MaxIndexDist would let no index resolve, so each wraps ErrConfig.
+// Validate checks the distance tolerances. A negative MaxPrimerDist
+// would make Keep discard every read, and a negative MaxIndexDist would
+// let no index resolve, so each wraps ErrConfig.
 func (c Config) Validate() error {
-	if err := c.Geometry.Validate(); err != nil {
-		return err
-	}
 	if c.MaxPrimerDist < 0 {
 		return fmt.Errorf("%w: MaxPrimerDist %d is negative", ErrConfig, c.MaxPrimerDist)
 	}
@@ -95,10 +91,10 @@ type PatternCompiler interface {
 	Pattern(seq dna.Seq) *dna.Pattern
 }
 
-// DefaultConfig returns a configuration matched to the paper's geometry.
+// DefaultConfig returns the decode tolerances matched to the paper's
+// geometry.
 func DefaultConfig() Config {
 	return Config{
-		Geometry:      layout.PaperGeometry(),
 		Cluster:       cluster.DefaultConfig(),
 		MaxPrimerDist: 3,
 		MaxIndexDist:  2,
@@ -138,16 +134,12 @@ func New(cfg Config, tree *indextree.Tree, fwd, rev dna.Seq, unit *layout.UnitCo
 	if tree == nil || unit == nil {
 		return nil, fmt.Errorf("decode: nil tree or unit codec")
 	}
-	if unit.Geometry() != cfg.Geometry {
-		return nil, fmt.Errorf("decode: unit codec geometry %+v != %+v", unit.Geometry(), cfg.Geometry)
+	g := unit.Geometry()
+	if tree.IndexLen() != g.IndexLen {
+		return nil, fmt.Errorf("decode: tree index length %d != geometry %d", tree.IndexLen(), g.IndexLen)
 	}
-	if tree.IndexLen() != cfg.Geometry.IndexLen {
-		return nil, fmt.Errorf("decode: tree index length %d != geometry %d",
-			tree.IndexLen(), cfg.Geometry.IndexLen)
-	}
-	if len(fwd) != cfg.Geometry.PrimerLen || len(rev) != cfg.Geometry.PrimerLen {
-		return nil, fmt.Errorf("decode: primer lengths %d/%d, want %d",
-			len(fwd), len(rev), cfg.Geometry.PrimerLen)
+	if len(fwd) != g.PrimerLen || len(rev) != g.PrimerLen {
+		return nil, fmt.Errorf("decode: primer lengths %d/%d, want %d", len(fwd), len(rev), g.PrimerLen)
 	}
 	compile := dna.CompilePattern
 	if cfg.Patterns != nil {
@@ -178,7 +170,7 @@ func (p *Pipeline) Workers() int { return p.workers }
 // anchored at the strand start, and consensus over full reads avoids
 // the start-position jitter that approximate trimming introduces.
 func (p *Pipeline) Keep(read dna.Seq) bool {
-	if len(read) < p.cfg.Geometry.StrandLen/2 {
+	if len(read) < p.unit.Geometry().StrandLen/2 {
 		return false
 	}
 	fwdEnd, d := p.fwdPat.FindApprox(read, p.cfg.MaxPrimerDist)
@@ -232,7 +224,7 @@ func getWorkspace() *workspace {
 // then re-votes every position against the aligned reads. The
 // consensus lives in ws; the candidate's payload is a fresh copy.
 func (p *Pipeline) reconstruct(ws *workspace, reads []dna.Seq, size int) (strandCandidate, bool) {
-	g := p.cfg.Geometry
+	g := p.unit.Geometry()
 	strandLen := g.StrandLen
 	var cons dna.Seq
 	var err error
@@ -296,7 +288,7 @@ func (p *Pipeline) reconstruct(ws *workspace, reads []dna.Seq, size int) (strand
 // budget whenever the final decode fails. It must never be used for
 // data recovery.
 func (p *Pipeline) ProvisionalAddress(read dna.Seq) (block, version, intra int, ok bool) {
-	g := p.cfg.Geometry
+	g := p.unit.Geometry()
 	fwdEnd, d := p.fwdPat.FindApprox(read, p.cfg.MaxPrimerDist)
 	if fwdEnd < 0 || d > p.cfg.MaxPrimerDist {
 		return 0, 0, 0, false

@@ -118,16 +118,6 @@ func TestNewValidation(t *testing.T) {
 		t.Error("mismatched tree depth accepted")
 	}
 	cfg := DefaultConfig()
-	cfg.Geometry.StrandLen = 10
-	if _, err := New(cfg, e.tree, fwdP, revP, e.unit); err == nil {
-		t.Error("invalid geometry accepted")
-	}
-	cfg = DefaultConfig()
-	cfg.Geometry.StrandLen += 4 // valid, but not the codec's geometry
-	if _, err := New(cfg, e.tree, fwdP, revP, e.unit); err == nil {
-		t.Error("geometry other than the unit codec's accepted")
-	}
-	cfg = DefaultConfig()
 	cfg.MaxPrimerDist = -1
 	if _, err := New(cfg, e.tree, fwdP, revP, e.unit); !errors.Is(err, ErrConfig) {
 		t.Errorf("negative MaxPrimerDist: %v, want ErrConfig", err)

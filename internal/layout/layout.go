@@ -22,10 +22,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 
 	"dnastore/internal/codec"
 	"dnastore/internal/dna"
-	"dnastore/internal/gf"
 	"dnastore/internal/rs"
 )
 
@@ -231,7 +231,6 @@ var ErrSeal = errors.New("layout: unit seal mismatch")
 type UnitCodec struct {
 	geom Geometry
 	pad  int
-	code *rs.Code
 	rand *codec.Randomizer
 }
 
@@ -245,7 +244,6 @@ func NewUnitCodec(g Geometry, pad int, seed uint64) (*UnitCodec, error) {
 	u := &UnitCodec{
 		geom: g,
 		pad:  pad,
-		code: rs.MustNew(gf.GF16, UnitMolecules, UnitDataMolecules),
 		rand: codec.NewRandomizer(seed),
 	}
 	if pad < 0 || pad >= u.DataBytes() {
@@ -327,15 +325,12 @@ func (u *UnitCodec) Encode(block, version int, unit []byte) ([][]byte, error) {
 			out[j] = parity[(j-UnitDataMolecules)*perMol : (j-UnitDataMolecules+1)*perMol]
 		}
 	}
-	var row [UnitDataMolecules]byte
+	var word [UnitMolecules]byte
 	for r := 0; r < 2*perMol; r++ {
-		for j := range row {
-			row[j] = nibble(out[j], r)
+		for j := range word[:UnitDataMolecules] {
+			word[j] = nibble(out[j], r)
 		}
-		word, err := u.code.Encode(row[:])
-		if err != nil {
-			return nil, err
-		}
+		rs.Encode(&word)
 		for j := UnitDataMolecules; j < UnitMolecules; j++ {
 			out[j][r/2] |= word[j] << (4 * uint(1-r%2))
 		}
@@ -347,41 +342,41 @@ func (u *UnitCodec) Encode(block, version int, unit []byte) ([][]byte, error) {
 // RS decoding row by row, de-whitening and the seal check. A nil
 // payload marks a lost molecule (erasure); an attempt may erase at most
 // MaxErasures molecules, and fewer erasures leave room to correct
-// symbol errors. The corrected count reports how many symbols the RS
-// code repaired. Errors wrap ErrPayloadShape for a misshapen payload
-// set, rs.ErrTooManyErrors for an uncorrectable row or too many
-// erasures, and ErrSeal for a decode the seal rejects.
+// symbol errors. The corrected count reports how many data symbols the
+// RS code changed, an erased one counting when its value is not 0.
+// Errors wrap ErrPayloadShape for a misshapen payload set,
+// rs.ErrTooManyErrors for an uncorrectable row or too many erasures,
+// and ErrSeal for a decode the seal rejects.
 func (u *UnitCodec) Decode(block, version int, payloads [][]byte) (unit []byte, corrected int, err error) {
 	if len(payloads) != UnitMolecules {
 		return nil, 0, fmt.Errorf("%w: %d payloads, want %d", ErrPayloadShape, len(payloads), UnitMolecules)
 	}
 	perMol := u.geom.PayloadBytes()
-	erasures := make([]int, 0, UnitMolecules)
+	var erased uint16
 	for j, p := range payloads {
 		switch {
 		case p == nil:
-			erasures = append(erasures, j)
+			erased |= 1 << j
 		case len(p) != perMol:
 			return nil, 0, fmt.Errorf("%w: payload %d has %d bytes, want %d", ErrPayloadShape, j, len(p), perMol)
 		}
 	}
-	if len(erasures) > u.MaxErasures() {
-		return nil, 0, fmt.Errorf("layout: %d erasures, at most %d: %w", len(erasures), u.MaxErasures(), rs.ErrTooManyErrors)
+	if ne := bits.OnesCount16(erased); ne > u.MaxErasures() {
+		return nil, 0, fmt.Errorf("layout: %d erasures, at most %d: %w", ne, u.MaxErasures(), rs.ErrTooManyErrors)
 	}
 	out := make([]byte, u.DataBytes())
-	var received [UnitMolecules]byte
 	for r := 0; r < 2*perMol; r++ {
+		var word [UnitMolecules]byte
 		for j, p := range payloads {
-			received[j] = 0
 			if p != nil {
-				received[j] = nibble(p, r)
+				word[j] = nibble(p, r)
 			}
 		}
-		decoded, err := u.code.Decode(received[:], erasures)
-		if err != nil {
+		received := word
+		if err := rs.Decode(&word, erased); err != nil {
 			return nil, corrected, fmt.Errorf("layout: row %d: %w", r, err)
 		}
-		for j, d := range decoded {
+		for j, d := range word[:UnitDataMolecules] {
 			if d != received[j] {
 				corrected++
 			}

@@ -363,14 +363,44 @@ func TestUnitCodecMixedErasureAndError(t *testing.T) {
 	for j := range payloads {
 		damaged[j] = append([]byte(nil), payloads[j]...)
 	}
-	damaged[0] = nil      // 1 erasure
-	damaged[7][3] ^= 0x11 // errors in another molecule
-	got, _, err := u.Decode(7, 0, damaged)
+	damaged[0] = nil       // 1 erasure
+	damaged[7][3] ^= 0x11  // errors in another molecule
+	damaged[12][5] ^= 0x40 // and in a parity molecule
+	got, corrected, err := u.Decode(7, 0, damaged)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("wrong mixed correction")
+	}
+	// The corrected count covers data symbols only: the erased
+	// molecule's non-zero symbols (an erasure reads as 0) and the two
+	// symbols of molecule 7.
+	want := 2
+	for _, b := range payloads[0] {
+		want += min(int(b>>4), 1) + min(int(b&15), 1)
+	}
+	if corrected != want {
+		t.Errorf("corrected %d symbols, want %d", corrected, want)
+	}
+}
+
+// TestUnitCodecDecodeAllocs pins a warm decode of a unit with one
+// erased molecule and one symbol error to the returned unit and the
+// whitening keystream's setup.
+func TestUnitCodecDecodeAllocs(t *testing.T) {
+	u := paperCodec(t)
+	data := sealedUnit(rng.New(7), u)
+	payloads, _ := u.Encode(7, 0, data)
+	damaged := erase(payloads, 4)
+	damaged[9] = append([]byte(nil), payloads[9]...)
+	damaged[9][11] ^= 0x06
+	if a := testing.AllocsPerRun(50, func() {
+		if got, _, err := u.Decode(7, 0, damaged); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("decode: %v", err)
+		}
+	}); a > 3 {
+		t.Errorf("UnitCodec.Decode: %v allocations, want at most 3", a)
 	}
 }
 
