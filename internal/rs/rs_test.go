@@ -29,41 +29,54 @@ func positions(ps []int) uint16 {
 	return m
 }
 
+// TestField checks the GF(16) tables, one subtest per property.
 func TestField(t *testing.T) {
 	cases := []struct {
 		name  string
 		check func(a byte) bool
 	}{
-		{"exp/log round trip", func(a byte) bool { return exp[log[a]] == a }},
-		{"inverse", func(a byte) bool { return mul(a, div(1, a)) == 1 && div(a, a) == 1 }},
-		{"exp matches x^4 = x + 1", func(a byte) bool { return exp[log[a]+1] == clmulMod(a, 2) }},
-		{"mul matches carry-less product", func(a byte) bool {
+		{"ExpLogRoundTrip", func(a byte) bool { return a == 0 || exp[log[a]] == a }},
+		{"Inverse", func(a byte) bool { return a == 0 || mul(a, div(1, a)) == 1 && div(a, a) == 1 }},
+		{"MulIdentityAndZero", func(a byte) bool {
+			return mul(a, 1) == a && mul(1, a) == a && mul(a, 0) == 0 && mul(0, a) == 0
+		}},
+		{"PrimitivePolynomial", func(a byte) bool { return a == 0 || exp[log[a]+1] == clmulMod(a, 2) }},
+		{"FieldAxioms", func(a byte) bool {
 			for b := byte(0); b < 16; b++ {
 				if p := clmulMod(a, b); mul(a, b) != p || mul(b, a) != p {
 					return false
+				}
+				for c := byte(0); c < 16; c++ {
+					if mul(a, b^c) != mul(a, b)^mul(a, c) {
+						return false
+					}
 				}
 			}
 			return true
 		}},
 	}
 	for _, c := range cases {
-		for a := byte(1); a < 16; a++ {
-			if !c.check(a) {
-				t.Errorf("%s fails at %d", c.name, a)
+		t.Run(c.name, func(t *testing.T) {
+			for a := byte(0); a < 16; a++ {
+				if !c.check(a) {
+					t.Errorf("fails at %d", a)
+				}
+			}
+		})
+	}
+	t.Run("GeneratorOrder", func(t *testing.T) {
+		// α generates the group: its powers hit every non-zero element once.
+		seen := map[byte]bool{}
+		for i := 0; i < n; i++ {
+			seen[exp[i]] = true
+			if exp[i+n] != exp[i] {
+				t.Fatalf("exp table not doubled at %d", i)
 			}
 		}
-	}
-	// α generates the group: its powers hit every non-zero element once.
-	seen := map[byte]bool{}
-	for i := 0; i < n; i++ {
-		seen[exp[i]] = true
-		if exp[i+n] != exp[i] {
-			t.Fatalf("exp table not doubled at %d", i)
+		if len(seen) != n || seen[0] {
+			t.Fatalf("α has order %d, want %d", len(seen), n)
 		}
-	}
-	if len(seen) != n || seen[0] {
-		t.Fatalf("α has order %d, want %d", len(seen), n)
-	}
+	})
 }
 
 func TestEncodeShape(t *testing.T) {
