@@ -28,18 +28,25 @@ import (
 // them all, and supervised reads loop a retry policy around the same
 // per-reaction function (supervise.go).
 
-// wetMode selects one reaction's sequencing protocol.
+// wetMode selects one reaction's sequencing protocol and, for a
+// streamed reaction, the coverage floors it stops at.
 type wetMode int
 
 const (
 	// wetBatch sequences the full (fault-truncated) budget up front.
 	wetBatch wetMode = iota
-	// wetStream runs the floor-stopped streaming engine; the floor
-	// tolerates the unit's erasure slack, optimizing for read cost.
+	// wetStream is a content read (ReadStrict, an overflow-chain
+	// chase): the floor-stopped stream climbs the ContentLadder
+	// (ContentFloor, then DefaultFloor, 12, 24, …) with the erasure
+	// slack, since only the decoded content, checked by the unit seal,
+	// is returned.
 	wetStream
-	// wetNoSlack streams block reactions with zero slack, so slot-level
-	// health evidence is never forged by an early stop. Multi-target
-	// reactions always stream with slack.
+	// wetNoSlack is an evidence read (health, supervised and scrub
+	// reactions): the stream climbs the EvidenceLadder (DefaultFloor,
+	// 12, 24, …), whose first stop has the coverage health reports are
+	// calibrated on, and a block reaction streams with zero slack, so
+	// slot-level evidence is never forged by an early stop.
+	// Multi-target reactions keep the slack.
 	wetNoSlack
 )
 
@@ -257,13 +264,7 @@ func (p *Partition) react(rx reaction, pcrWorkers int, wet wetMode, scale float6
 	info.truncated = ceiling < budget
 	var decoded map[int]*decode.BlockResult
 	if p.streams(wet, scale, info.gain) {
-		// A block reaction streams strictly under wetNoSlack; covers
-		// always keep the floor's erasure slack.
-		targets := []int{rx.block}
-		if rx.block < 0 {
-			targets = p.writtenIn(rx.lo, rx.hi)
-		}
-		decoded, err = p.streamTargets(rx.src, amplified, targets, ceiling, wet == wetNoSlack && rx.block >= 0, &info)
+		decoded, err = p.streamTargets(rx, amplified, ceiling, wet, &info)
 	} else {
 		info.delivered = ceiling
 		var seqs []dna.Seq
@@ -435,8 +436,10 @@ func (p *Partition) collectPatches(r *rng.Source, res *decode.BlockResult, first
 
 // chase retrieves one overflow log block. The access's front-end has
 // already charged its primer and wear, so the retrieval touches no
-// shared cache state and is safe inside parallel decode work. A log
-// block missing a written version would drop patches, so it fails.
+// shared cache state and is safe inside parallel decode work. It is a
+// content read whatever the access's mode: it streams on the content
+// ladder, and a log block missing a written version would drop
+// patches, so it fails.
 func (p *Partition) chase(r *rng.Source, log, pcrWorkers int) (*decode.BlockResult, error) {
 	rx, err := p.blockReaction(log, 4, r)
 	if err != nil {
@@ -458,11 +461,14 @@ type ReadMode int
 
 const (
 	// ReadStrict aborts the access with the first failed block's error
-	// (a missing patch included); reactions stream with erasure slack.
+	// (a missing patch included); reactions stream with erasure slack
+	// on the content ladder, first stopping at ContentFloor reads per
+	// slot and escalating only when the unit does not decode there.
 	ReadStrict ReadMode = iota
 	// ReadHealth leaves failed blocks' content nil, their typed failure
-	// in Health.Err; the error covers only digital failures. Block
-	// reactions stream with zero slack, so no early stop forges health.
+	// in Health.Err; the error covers only digital failures. Reactions
+	// stream on the evidence ladder, first stopping at DefaultFloor, and
+	// block reactions with zero slack, so no early stop forges health.
 	ReadHealth
 	// ReadSupervised is ReadHealth plus the store's retry policy, which
 	// re-reads failed blocks (supervise); blocks exhausting it stay nil.

@@ -132,9 +132,10 @@ type draw struct {
 // those depend only on how many draws preceded the fork. The engine's
 // assignment runs on streamdecode.DefaultShards shards; it fans out on
 // the store's worker budget even when the reaction fan-out is 1 — its
-// output is worker-invariant, so this only moves wall-clock. strict
-// zeroes the coverage floor's erasure slack.
-func (p *Partition) openPore(r *rng.Source, amplified *pool.Pool, ceiling int, strict bool) (*pore, error) {
+// output is worker-invariant, so this only moves wall-clock. The
+// engine keeps its default erasure slack and has no target yet: the
+// caller registers each target on its ladder.
+func (p *Partition) openPore(r *rng.Source, amplified *pool.Pool, ceiling int) (*pore, error) {
 	src := r.Fork()
 	st, err := p.store.sampler.Stream(src, amplified)
 	if err != nil {
@@ -147,9 +148,6 @@ func (p *Partition) openPore(r *rng.Source, amplified *pool.Pool, ceiling int, s
 	if err != nil {
 		st.Close()
 		return nil, err
-	}
-	if strict {
-		eng.SetSlack(0)
 	}
 	chunk := chunkSize(ceiling)
 	sc := poreScratches.Get()
@@ -295,18 +293,29 @@ func (p *Partition) poreGate(amplified *pool.Pool, eng *streamdecode.Engine, sc 
 // otherwise consume the whole read budget before the floor filled).
 // escalate then reopens the targets the floors proved too shallow for.
 // The ceiling is the reaction's budget after any injected sequencing
-// abort; strict zeroes the floors' erasure slack. The stream records
-// its evidence in info: reads sequenced, total pore entries (the
-// stream's true effort), and the engine's live mean per-slot coverage
-// over the targets.
-func (p *Partition) streamTargets(r *rng.Source, amplified *pool.Pool, targets []int, ceiling int, strict bool, info *wetInfo) (map[int]*decode.BlockResult, error) {
-	s, err := p.openPore(r, amplified, ceiling, strict)
+// abort. wet picks the floors: wetStream climbs the ContentLadder,
+// wetNoSlack the EvidenceLadder with zero slack for a lone block. The
+// stream records its evidence in info: reads sequenced, total pore
+// entries (the stream's true effort), and the engine's live mean
+// per-slot coverage over the targets.
+func (p *Partition) streamTargets(rx reaction, amplified *pool.Pool, ceiling int, wet wetMode, info *wetInfo) (map[int]*decode.BlockResult, error) {
+	targets := []int{rx.block}
+	if rx.block < 0 {
+		targets = p.writtenIn(rx.lo, rx.hi)
+	}
+	s, err := p.openPore(rx.src, amplified, ceiling)
 	if err != nil {
 		return nil, err
 	}
 	defer p.closePore(s)
+	ladder := streamdecode.EvidenceLadder
+	if wet == wetStream {
+		ladder = streamdecode.ContentLadder
+	} else if rx.block >= 0 {
+		s.eng.SetSlack(0)
+	}
 	for _, b := range targets {
-		s.eng.Expect(b, p.expectedVersions(b))
+		s.eng.Expect(b, p.expectedVersions(b), ladder)
 	}
 	s.fill(s.eng.AllDone)
 	results, err := p.escalate(s, targets)
@@ -317,12 +326,16 @@ func (p *Partition) streamTargets(r *rng.Source, amplified *pool.Pool, targets [
 }
 
 // escalate finalizes a stream's targets and reopens the failed ones —
-// their floors double per round — until all serve their versions or
-// the delivery ceiling (or the pore-entry bound) is exhausted. That
-// holds also when the first finalize fails outright (Engine.Finalize
-// errors only when no target produced a result): every target is
-// reopened, and the reaction fails with that finalize's error only if
-// escalation never produces a result.
+// each moves one rung up its ladder per round — until all serve their
+// versions or the delivery ceiling (or the pore-entry bound) is
+// exhausted. That holds also when the first finalize fails outright
+// (Engine.Finalize errors only when no target produced a result):
+// every target is reopened, and the reaction fails with that
+// finalize's error only if escalation never produces a result. A
+// content-ladder target whose ContentFloor finalize fails resumes from
+// the read its stream stopped on, so a lone target reaches DefaultFloor
+// holding exactly the reads an evidence-ladder stream would: the failed
+// first rung costs a finalize, not a read.
 func (p *Partition) escalate(s *pore, targets []int) (map[int]*decode.BlockResult, error) {
 	results, derr := s.eng.Finalize()
 	if derr != nil {

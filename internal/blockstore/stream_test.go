@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"dnastore/internal/decode"
 	"dnastore/internal/fault"
 	"dnastore/internal/pcr"
 	"dnastore/internal/pool"
 	"dnastore/internal/rng"
+	"dnastore/internal/streamdecode"
 	"dnastore/internal/update"
 )
 
@@ -264,15 +267,16 @@ func TestUnamplifiedCoverSequencesFullBudget(t *testing.T) {
 }
 
 // amplifyBlock plans one block's read and runs its elongated PCR,
-// returning the amplified aliquot, the reaction's noise source after
-// PCR, and the reaction's read budget.
-func amplifyBlock(t *testing.T, p *Partition, block int) (*pool.Pool, *rng.Source, int) {
+// returning the amplified aliquot, the reaction (its noise source now
+// past PCR), and the reaction's read budget.
+func amplifyBlock(t *testing.T, p *Partition, block int) (*pool.Pool, reaction, int) {
 	t.Helper()
 	pl, err := p.planBlocks([]int{block}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return amplify(t, p, pl.reactions[0])
+	amplified, _, budget := amplify(t, p, pl.reactions[0])
+	return amplified, pl.reactions[0], budget
 }
 
 // amplify runs a planned reaction's elongated PCR.
@@ -290,11 +294,11 @@ func amplify(t *testing.T, p *Partition, rx reaction) (*pool.Pool, *rng.Source, 
 }
 
 // TestStreamLeavesSourceUnmoved pins the stream's private sequencing
-// source: a strict (zero-slack) and a slack stream of the same reaction
-// stop after different numbers of reads, yet leave the reaction's own
-// source in the same state, so every draw the reaction makes after its
-// stream (fault draws, overflow-chain reactions) is independent of
-// where the stream stopped.
+// source: a zero-slack evidence stream and a content stream of the
+// same reaction stop after different numbers of reads, yet leave the
+// reaction's own source in the same state, so every draw the reaction
+// makes after its stream (fault draws, overflow-chain reactions) is
+// independent of where the stream stopped.
 func TestStreamLeavesSourceUnmoved(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1
@@ -315,15 +319,17 @@ func TestStreamLeavesSourceUnmoved(t *testing.T) {
 	}
 	differed := false
 	for b := 0; b < 6; b++ {
-		amplified, src, budget := amplifyBlock(t, p, b)
-		strictSrc, slackSrc := *src, *src
+		amplified, rx, budget := amplifyBlock(t, p, b)
+		strictSrc, slackSrc := *rx.src, *rx.src
+		strictRx, slackRx := rx, rx
+		strictRx.src, slackRx.src = &strictSrc, &slackSrc
 		strictInfo, slackInfo := wetInfo{budget: budget}, wetInfo{budget: budget}
 		strictCeil := p.store.faultBudget(&strictSrc, budget)
 		slackCeil := p.store.faultBudget(&slackSrc, budget)
-		if _, err := p.streamTargets(&strictSrc, amplified, []int{b}, strictCeil, true, &strictInfo); err != nil {
+		if _, err := p.streamTargets(strictRx, amplified, strictCeil, wetNoSlack, &strictInfo); err != nil {
 			t.Fatalf("block %d strict: %v", b, err)
 		}
-		if _, err := p.streamTargets(&slackSrc, amplified, []int{b}, slackCeil, false, &slackInfo); err != nil {
+		if _, err := p.streamTargets(slackRx, amplified, slackCeil, wetStream, &slackInfo); err != nil {
 			t.Fatalf("block %d slack: %v", b, err)
 		}
 		if strictSrc != slackSrc {
@@ -337,19 +343,25 @@ func TestStreamLeavesSourceUnmoved(t *testing.T) {
 	}
 }
 
-// poreRun is what one pore charged and decoded at its first floor.
+// poreRun is what one pore charged and decoded.
 type poreRun struct {
 	sequenced, ejected, drawn int
-	content                   map[int]map[int][]byte
+	// firstFailed is set when the finalize at the ladder's first rung
+	// did not serve every target's expected versions.
+	firstFailed bool
+	results     map[int]*decode.BlockResult
+	content     map[int]map[int][]byte
 }
 
-// runPore streams one amplified reaction to its first floor through a
-// pore drawing chunk reads per engine update (0 keeps the default) and
-// finalizes its targets. It fails the test if the pore charges a read
-// the engine did not credit, or credits one after every floor was met.
-func runPore(t *testing.T, p *Partition, amplified *pool.Pool, src rng.Source, budget int, targets []int, chunk int) poreRun {
+// runPore streams one amplified reaction on the given ladder through a
+// pore drawing chunk reads per engine update (0 keeps the default),
+// finalizes its targets at the first rung and escalates them as the
+// store does. It fails the test if the pore charges a read the engine
+// did not credit, credits one after every floor was met, or ends with
+// a target that does not serve its expected versions.
+func runPore(t *testing.T, p *Partition, amplified *pool.Pool, src rng.Source, budget int, targets []int, chunk int, ladder streamdecode.Ladder) poreRun {
 	t.Helper()
-	s, err := p.openPore(&src, amplified, budget, false)
+	s, err := p.openPore(&src, amplified, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +370,7 @@ func runPore(t *testing.T, p *Partition, amplified *pool.Pool, src rng.Source, b
 		s.chunk = chunk
 	}
 	for _, b := range targets {
-		s.eng.Expect(b, p.expectedVersions(b))
+		s.eng.Expect(b, p.expectedVersions(b), ladder)
 	}
 	admit, credited := s.admit, 0
 	s.admit = func(i int) bool {
@@ -375,14 +387,25 @@ func runPore(t *testing.T, p *Partition, amplified *pool.Pool, src rng.Source, b
 	if !s.eng.AllDone() {
 		t.Fatalf("chunk %d: stream spent (%d reads) before its floors", chunk, s.sequenced)
 	}
+	run := poreRun{content: map[int]map[int][]byte{}}
+	first, _ := s.eng.Finalize()
+	for _, b := range targets {
+		run.firstFailed = run.firstFailed || !servesExpected(first[b], p.expectedVersions(b))
+	}
+	// A first rung that falls short escalates exactly as the store's
+	// streams do.
+	run.results, err = p.escalate(s, targets)
+	if err != nil {
+		t.Fatalf("chunk %d: %v", chunk, err)
+	}
 	if credited != s.sequenced {
 		t.Fatalf("chunk %d: pore charged %d reads, engine credited %d", chunk, s.sequenced, credited)
 	}
-	run := poreRun{sequenced: s.sequenced, ejected: s.ejected, drawn: s.st.Sequenced, content: map[int]map[int][]byte{}}
+	run.sequenced, run.ejected, run.drawn = s.sequenced, s.ejected, s.st.Sequenced
 	for _, b := range targets {
-		res, err := s.eng.FinalizeBlock(b)
-		if err != nil {
-			t.Fatalf("chunk %d: block %d: %v", chunk, b, err)
+		res := run.results[b]
+		if !servesExpected(res, p.expectedVersions(b)) {
+			t.Fatalf("chunk %d: block %d does not serve its expected versions", chunk, b)
 		}
 		run.content[b] = map[int][]byte{}
 		for v, u := range res.Units {
@@ -397,10 +420,11 @@ func runPore(t *testing.T, p *Partition, amplified *pool.Pool, src rng.Source, b
 // TestPoreStopsOnFloorRead pins the in-chunk stop: a pore drawing its
 // default chunks charges exactly the reads and ejections of a pore
 // drawing one read per engine update, which checks its floors before
-// every read, and decodes the same content at the first floor — for a
-// point reaction and for a 4-block cover reaction, whose gate cuts
-// chunks as each target finishes. A chunked pore draws past its cuts,
-// but charges none of those draws.
+// every read, and decodes the same content — for a point reaction and
+// for a 4-block cover reaction, whose gate cuts chunks as each target
+// finishes, on both floor ladders. A first rung that does not decode
+// escalates, so the equality holds across Reopen fills too. A chunked
+// pore draws past its cuts, but charges none of those draws.
 func TestPoreStopsOnFloorRead(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1
@@ -440,28 +464,92 @@ func TestPoreStopsOnFloorRead(t *testing.T) {
 			targets []int
 		}{fmt.Sprintf("point %d", b), bp.reactions[0], []int{b}})
 	}
+	escalated := 0
 	for _, tc := range cases {
 		amplified, src, budget := amplify(t, p, tc.rx)
 		// Three streams per reaction: the pore forks its source from
 		// the reaction's, so each draw taken here starts a new one.
 		for stream := 0; stream < 3; stream++ {
 			src.Uint64()
-			one := runPore(t, p, amplified, *src, budget, tc.targets, 1)
-			chunked := runPore(t, p, amplified, *src, budget, tc.targets, 0)
-			if one.sequenced != chunked.sequenced || one.ejected != chunked.ejected {
-				t.Errorf("%s/%d: chunked pore charged %d reads, %d ejections; one-read chunks %d, %d",
-					tc.name, stream, chunked.sequenced, chunked.ejected, one.sequenced, one.ejected)
+			for _, ladder := range ladders {
+				name := fmt.Sprintf("%s/%d/%s", tc.name, stream, ladder.name)
+				one := runPore(t, p, amplified, *src, budget, tc.targets, 1, ladder.ladder)
+				chunked := runPore(t, p, amplified, *src, budget, tc.targets, 0, ladder.ladder)
+				if one.sequenced != chunked.sequenced || one.ejected != chunked.ejected {
+					t.Errorf("%s: chunked pore charged %d reads, %d ejections; one-read chunks %d, %d",
+						name, chunked.sequenced, chunked.ejected, one.sequenced, one.ejected)
+				}
+				if !reflect.DeepEqual(one.content, chunked.content) {
+					t.Errorf("%s: chunked pore decodes different content", name)
+				}
+				if chunked.drawn <= chunked.sequenced {
+					t.Errorf("%s: chunked pore drew %d reads and charged %d: no chunk was cut",
+						name, chunked.drawn, chunked.sequenced)
+				}
+				if chunked.firstFailed {
+					escalated++
+				}
+				t.Logf("%s: %d reads, %d ejections charged; chunked pore drew %d reads; first rung decoded: %v",
+					name, chunked.sequenced, chunked.ejected, chunked.drawn, !chunked.firstFailed)
 			}
-			if !reflect.DeepEqual(one.content, chunked.content) {
-				t.Errorf("%s/%d: chunked pore decodes different content", tc.name, stream)
-			}
-			if chunked.drawn <= chunked.sequenced {
-				t.Errorf("%s/%d: chunked pore drew %d reads and charged %d: no chunk was cut",
-					tc.name, stream, chunked.drawn, chunked.sequenced)
-			}
-			t.Logf("%s/%d: %d reads, %d ejections charged; chunked pore drew %d reads",
-				tc.name, stream, chunked.sequenced, chunked.ejected, chunked.drawn)
 		}
+	}
+	t.Logf("%d of %d streams escalated past their first rung", escalated, 3*len(cases)*len(ladders))
+}
+
+// ladders names both floor ladders for the tests that run on each.
+var ladders = []struct {
+	name   string
+	ladder streamdecode.Ladder
+}{{"content", streamdecode.ContentLadder}, {"evidence", streamdecode.EvidenceLadder}}
+
+// TestContentLadderDifferential pins the content ladder against the
+// evidence ladder on single-target streams. For every block reaction
+// of a benchmark-shaped library partition with an update history, two
+// streams each run once per ladder from the same source, with the
+// same slack. The
+// content stream never sequences more reads. When its ContentFloor
+// finalize fails, it resumes and reaches DefaultFloor in the evidence
+// stream's state, so its reads, ejections and decode results equal the
+// evidence stream's exactly.
+func TestContentLadderDifferential(t *testing.T) {
+	_, parts, _ := libraryStore(t, 37, 1)
+	p := parts[0]
+	var blocks []int
+	for b, r := range p.blocks {
+		if r.written {
+			blocks = append(blocks, b)
+		}
+	}
+	slices.Sort(blocks)
+	failed, decoded := 0, 0
+	for _, b := range blocks {
+		amplified, rx, budget := amplifyBlock(t, p, b)
+		for stream := 0; stream < 2; stream++ {
+			rx.src.Uint64()
+			content := runPore(t, p, amplified, *rx.src, budget, []int{b}, 0, streamdecode.ContentLadder)
+			evidence := runPore(t, p, amplified, *rx.src, budget, []int{b}, 0, streamdecode.EvidenceLadder)
+			if content.sequenced > evidence.sequenced {
+				t.Errorf("block %d/%d: content ladder sequenced %d reads, evidence ladder %d",
+					b, stream, content.sequenced, evidence.sequenced)
+			}
+			if !content.firstFailed {
+				decoded++
+				continue
+			}
+			failed++
+			if content.sequenced != evidence.sequenced || content.ejected != evidence.ejected {
+				t.Errorf("block %d/%d: escalated content stream charged %d reads, %d ejections; evidence stream %d, %d",
+					b, stream, content.sequenced, content.ejected, evidence.sequenced, evidence.ejected)
+			}
+			if !reflect.DeepEqual(content.results[b], evidence.results[b]) {
+				t.Errorf("block %d/%d: escalated content stream decodes a different result", b, stream)
+			}
+		}
+	}
+	t.Logf("%d blocks: %d streams decoded at ContentFloor, %d escalated", len(blocks), decoded, failed)
+	if failed == 0 || decoded == 0 {
+		t.Errorf("%d first rungs decoded and %d failed: the test needs both", decoded, failed)
 	}
 }
 
@@ -493,14 +581,14 @@ func TestCoverEscalatesFailedFinalize(t *testing.T) {
 		t.Fatalf("[0, 3] planned %d reactions, want one 4-block cover", len(pl.reactions))
 	}
 	amplified, src, budget := amplify(t, p, pl.reactions[0])
-	pore, err := p.openPore(src, amplified, budget, false)
+	pore, err := p.openPore(src, amplified, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.closePore(pore)
 	targets := []int{0, 1, 2, 3}
 	for _, b := range targets {
-		pore.eng.Expect(b, p.expectedVersions(b))
+		pore.eng.Expect(b, p.expectedVersions(b), streamdecode.ContentLadder)
 	}
 	if _, err := pore.eng.Finalize(); err == nil {
 		t.Fatal("finalize with no read credited succeeded; the test reaches nothing")

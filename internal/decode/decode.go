@@ -407,9 +407,10 @@ type unitKey struct {
 // indexes into the decode's candidate list: primary holds each intra
 // slot's first strand (-1 while the slot is unobserved), alts the
 // strands that arrived behind a primary, in arrival order, at most
-// maxAlternates per slot.
+// maxAlternates per slot. primary is an array, so an entry is one
+// allocation.
 type slots struct {
-	primary []int32
+	primary [layout.UnitMolecules]int32
 	alts    []int32
 	filled  int // slots holding a primary
 	reads   int // sequencing reads behind the primaries
@@ -441,6 +442,11 @@ func (p *Pipeline) DecodeClusters(kept []dna.Seq, clusters [][]int, target int) 
 	// beyond the stop.
 	n := layout.UnitMolecules
 	var cands []strandCandidate
+	if target < 0 {
+		// A whole-lane decode places every cluster that reconstructs,
+		// so the list is sized once instead of grown by doubling.
+		cands = make([]strandCandidate, 0, len(clusters))
+	}
 	table := make(map[unitKey]*slots)
 	clustersUsed := 0
 	// open counts the target's observed units with an empty slot; the
@@ -451,7 +457,7 @@ func (p *Pipeline) DecodeClusters(kept []dna.Seq, clusters [][]int, target int) 
 		k := unitKey{cand.block, cand.version}
 		s := table[k]
 		if s == nil {
-			s = &slots{primary: make([]int32, n)}
+			s = new(slots)
 			for i := range s.primary {
 				s.primary[i] = -1
 			}

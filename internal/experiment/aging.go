@@ -16,10 +16,15 @@ type AgingPoint struct {
 	Days           float64
 	UnattendedFrac float64 // decoded payload bytes, never-scrubbed arm
 	MaintainedFrac float64 // decoded payload bytes, scrub-and-repair arm
-	Flagged        int     // blocks the checkpoint's scrub flagged
-	Repaired       int
-	Failed         int
-	RepairReads    int // cumulative reads spent probing and repairing
+	// UnattendedWrong and MaintainedWrong count blocks read back with
+	// content and no error whose bytes differ from the payload: silent
+	// corruption, which a typed failure is not.
+	UnattendedWrong int
+	MaintainedWrong int
+	Flagged         int // blocks the checkpoint's scrub flagged
+	Repaired        int
+	Failed          int
+	RepairReads     int // cumulative reads spent probing and repairing
 }
 
 // AgingResult reports the tube-aging study: two identically seeded
@@ -75,8 +80,11 @@ func agingStore(workers int) (*blockstore.Store, *blockstore.Partition, [][]byte
 // bytes count as lost: one shallow read falling short is measurement
 // noise, not data loss — an operator re-sequences deeper before
 // declaring a block gone, and only blocks that stay undecodable under
-// the escalated budget are physically degraded.
-func decodedFrac(p *blockstore.Partition, payload [][]byte) (float64, error) {
+// the escalated budget are physically degraded. It also returns how
+// many blocks came back with content that differs from the payload: a
+// failed block's content is nil, so those were returned wrong with no
+// error.
+func decodedFrac(p *blockstore.Partition, payload [][]byte) (float64, int, error) {
 	blocks := make([]int, len(payload))
 	total := 0
 	for i := range payload {
@@ -85,22 +93,26 @@ func decodedFrac(p *blockstore.Partition, payload [][]byte) (float64, error) {
 	}
 	res, err := p.Read(blockstore.ReadRequest{Blocks: blocks, Mode: blockstore.ReadHealth})
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	got := 0
+	got, wrong := 0, 0
 	for i, c := range res.Content {
 		if c == nil {
 			deep, err := p.Read(blockstore.ReadRequest{Blocks: []int{i}, Mode: blockstore.ReadHealth, Scale: 4})
 			if err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 			c = deep.Content[0]
 		}
-		if c != nil && bytes.Equal(c[:len(payload[i])], payload[i]) {
+		switch {
+		case c == nil:
+		case bytes.Equal(c[:len(payload[i])], payload[i]):
 			got += len(payload[i])
+		default:
+			wrong++
 		}
 	}
-	return float64(got) / float64(total), nil
+	return float64(got) / float64(total), wrong, nil
 }
 
 // AgingStudy ages two identically seeded tubes across steps evenly
@@ -146,22 +158,24 @@ func AgingStudy(days float64, steps, workers int) (*AgingResult, error) {
 		after := maintStore.Costs()
 		repairReads += after.ReadsSequenced - before.ReadsSequenced
 
-		uf, err := decodedFrac(rawPart, payload)
+		uf, uw, err := decodedFrac(rawPart, payload)
 		if err != nil {
 			return nil, err
 		}
-		mf, err := decodedFrac(maintPart, payload)
+		mf, mw, err := decodedFrac(maintPart, payload)
 		if err != nil {
 			return nil, err
 		}
 		pt := AgingPoint{
-			Days:           float64(i) * step,
-			UnattendedFrac: uf,
-			MaintainedFrac: mf,
-			Flagged:        report.BlocksFlagged,
-			Repaired:       report.Repaired,
-			Failed:         report.Failed,
-			RepairReads:    repairReads,
+			Days:            float64(i) * step,
+			UnattendedFrac:  uf,
+			MaintainedFrac:  mf,
+			UnattendedWrong: uw,
+			MaintainedWrong: mw,
+			Flagged:         report.BlocksFlagged,
+			Repaired:        report.Repaired,
+			Failed:          report.Failed,
+			RepairReads:     repairReads,
 		}
 		r.Points = append(r.Points, pt)
 		if uf > prevFrac {
@@ -180,11 +194,12 @@ func AgingStudy(days float64, steps, workers int) (*AgingResult, error) {
 func PrintAgingStudy(w io.Writer, r *AgingResult) {
 	fmt.Fprintf(w, "Tube aging under accelerated decay (%d blocks, %.0f days in %d steps)\n",
 		r.Blocks, r.Days, r.Steps)
-	fmt.Fprintf(w, "  %8s %12s %12s %23s %14s\n",
-		"days", "unattended", "maintained", "scrub (flag/fix/fail)", "repair reads")
+	fmt.Fprintf(w, "  %8s %12s %12s %13s %23s %14s\n",
+		"days", "unattended", "maintained", "wrong (u/m)", "scrub (flag/fix/fail)", "repair reads")
 	for _, pt := range r.Points {
-		fmt.Fprintf(w, "  %8.1f %11.0f%% %11.0f%% %15d/%d/%d %14d\n",
+		fmt.Fprintf(w, "  %8.1f %11.0f%% %11.0f%% %9d/%d %15d/%d/%d %14d\n",
 			pt.Days, pt.UnattendedFrac*100, pt.MaintainedFrac*100,
+			pt.UnattendedWrong, pt.MaintainedWrong,
 			pt.Flagged, pt.Repaired, pt.Failed, pt.RepairReads)
 	}
 	if r.FirstLossDays > 0 {

@@ -1,13 +1,15 @@
-package blockstore
+package experiment
 
 import (
 	"errors"
 	"fmt"
 	"sort"
+
+	"dnastore/internal/indextree"
 )
 
 // ErrNoSpace is returned when an allocation cannot be satisfied.
-var ErrNoSpace = errors.New("blockstore: no aligned space left")
+var ErrNoSpace = errors.New("experiment: no aligned space left")
 
 // Allocator places files onto subtree-aligned block extents, the
 // Section 3.1 optimization the paper leaves as future work: "a set of
@@ -30,8 +32,8 @@ type Allocator struct {
 
 // NewAllocator creates an allocator over a partition of 4^depth blocks.
 func NewAllocator(depth int) (*Allocator, error) {
-	if depth < 1 || depth > MaxTreeDepth {
-		return nil, fmt.Errorf("blockstore: allocator depth %d", depth)
+	if depth < 1 || depth > indextree.MaxDepth {
+		return nil, fmt.Errorf("experiment: allocator depth %d", depth)
 	}
 	a := &Allocator{
 		depth:     depth,
@@ -42,13 +44,10 @@ func NewAllocator(depth int) (*Allocator, error) {
 	return a, nil
 }
 
-// MaxTreeDepth mirrors indextree.MaxDepth without importing it here.
-const MaxTreeDepth = 15
-
 // orderFor returns the smallest subtree order holding n blocks.
 func orderFor(n int) (int, error) {
 	if n <= 0 {
-		return 0, fmt.Errorf("blockstore: allocation of %d blocks", n)
+		return 0, fmt.Errorf("experiment: allocation of %d blocks", n)
 	}
 	order := 0
 	size := 1
@@ -100,7 +99,7 @@ func (a *Allocator) Alloc(n int) (lo, hi int, err error) {
 func (a *Allocator) Free(lo int) error {
 	order, ok := a.allocated[lo]
 	if !ok {
-		return fmt.Errorf("blockstore: free of unallocated extent at %d", lo)
+		return fmt.Errorf("experiment: free of unallocated extent at %d", lo)
 	}
 	delete(a.allocated, lo)
 	a.pushFree(order, lo)

@@ -1,4 +1,4 @@
-package blockstore
+package experiment
 
 import (
 	"errors"

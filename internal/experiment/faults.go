@@ -24,6 +24,10 @@ type FaultArm struct {
 	// SuccessFrac is the fraction of committed blocks read back
 	// correctly (content verified byte-for-byte against the payload).
 	SuccessFrac float64
+	// Wrong counts blocks read back with content and no error whose
+	// bytes differ from the payload: silent corruption, which a typed
+	// failure is not.
+	Wrong int
 	// Reads is the sequencing reads the arm's read sweep consumed;
 	// ExtraReadFrac is its overhead relative to the fault-free arm
 	// (the recovery engine's price).
@@ -99,16 +103,22 @@ func faultStore(primers []dna.Seq, plan *fault.Plan, supervised bool, workers in
 	return s, p, payload, nil
 }
 
-// successFrac counts the blocks whose read-back content matches the
-// committed payload.
-func successFrac(content [][]byte, payload [][]byte) float64 {
-	ok := 0
+// successFrac returns the fraction of blocks whose read-back content
+// matches the committed payload, and how many blocks came back with
+// content that does not: a failed block's content is nil, so those
+// were returned wrong with no error.
+func successFrac(content [][]byte, payload [][]byte) (float64, int) {
+	ok, wrong := 0, 0
 	for i, c := range content {
-		if c != nil && len(c) >= len(payload[i]) && bytes.Equal(c[:len(payload[i])], payload[i]) {
+		switch {
+		case c == nil:
+		case len(c) >= len(payload[i]) && bytes.Equal(c[:len(payload[i])], payload[i]):
 			ok++
+		default:
+			wrong++
 		}
 	}
-	return float64(ok) / float64(len(payload))
+	return float64(ok) / float64(len(payload)), wrong
 }
 
 // runFaultArm executes one campaign run and measures it.
@@ -129,7 +139,7 @@ func runFaultArm(primers []dna.Seq, rate float64, supervised bool, workers int) 
 		if err != nil {
 			return FaultArm{}, err
 		}
-		arm.SuccessFrac = successFrac(res.Content, payload)
+		arm.SuccessFrac, arm.Wrong = successFrac(res.Content, payload)
 		rep := res.Recovery
 		attempts := append([]int(nil), rep.Attempts...)
 		sort.Ints(attempts)
@@ -144,7 +154,7 @@ func runFaultArm(primers []dna.Seq, rate float64, supervised bool, workers int) 
 		if err != nil {
 			return FaultArm{}, err
 		}
-		arm.SuccessFrac = successFrac(res.Content, payload)
+		arm.SuccessFrac, arm.Wrong = successFrac(res.Content, payload)
 	}
 	arm.Reads = s.Costs().ReadsSequenced - before
 	return arm, nil
@@ -270,15 +280,15 @@ func FaultsStudy(workers int) (*FaultsResult, error) {
 // PrintFaultsStudy formats the fault-injection campaign.
 func PrintFaultsStudy(w io.Writer, r *FaultsResult) {
 	fmt.Fprintf(w, "Operational fault injection (%d blocks, per-stage rates crossed with supervision)\n", r.Blocks)
-	fmt.Fprintf(w, "  %6s %11s %9s %12s %5s %8s %7s %10s %11s\n",
-		"rate", "supervised", "success", "extra reads", "p99", "retries", "hedges", "exhausted", "quarantined")
+	fmt.Fprintf(w, "  %6s %11s %9s %6s %12s %5s %8s %7s %10s %11s\n",
+		"rate", "supervised", "success", "wrong", "extra reads", "p99", "retries", "hedges", "exhausted", "quarantined")
 	for _, a := range r.Arms {
 		sup := "off"
 		if a.Supervised {
 			sup = "on"
 		}
-		fmt.Fprintf(w, "  %5.0f%% %11s %8.1f%% %11.1f%% %5d %8d %7d %10d %11d\n",
-			a.Rate*100, sup, a.SuccessFrac*100, a.ExtraReadFrac*100,
+		fmt.Fprintf(w, "  %5.0f%% %11s %8.1f%% %6d %11.1f%% %5d %8d %7d %10d %11d\n",
+			a.Rate*100, sup, a.SuccessFrac*100, a.Wrong, a.ExtraReadFrac*100,
 			a.P99Attempts, a.Retries, a.Hedges, a.Exhausted, a.Quarantined)
 	}
 	if r.Identical {

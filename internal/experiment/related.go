@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"dnastore/internal/blockstore"
 	"dnastore/internal/indextree"
 )
 
@@ -86,7 +85,7 @@ func Alloc() (*AllocResult, error) {
 		res.NaivePrefixes += len(covers)
 		next += n
 	}
-	a, err := blockstore.NewAllocator(5)
+	a, err := NewAllocator(5)
 	if err != nil {
 		return nil, err
 	}

@@ -43,6 +43,10 @@ type StreamResult struct {
 	StageBSeconds   float64
 	FinalizeSeconds float64
 	ResidueFrac     float64
+	// Reopens counts the timed read's escalations: targets whose floor
+	// did not decode, ContentFloor stops included, each reopened one
+	// rung up its ladder.
+	Reopens int
 
 	// The big-pool point, run when the study's scale reaches
 	// BigPoolScale: one ReadBlock against a tube of ~10^6 strands
@@ -168,6 +172,7 @@ func StreamStudy(scale, workers int) (*StreamResult, error) {
 	res.StageASeconds = stAfter.StageASeconds - stBefore.StageASeconds
 	res.StageBSeconds = stAfter.StageBSeconds - stBefore.StageBSeconds
 	res.FinalizeSeconds = stAfter.FinalizeSeconds - stBefore.FinalizeSeconds
+	res.Reopens = stAfter.Reopens - stBefore.Reopens
 	if kept := stAfter.Kept - stBefore.Kept; kept > 0 {
 		res.ResidueFrac = float64(stAfter.Residue-stBefore.Residue) / float64(kept)
 	}
@@ -245,8 +250,8 @@ func PrintStreamStudy(w io.Writer, r *StreamResult) {
 		r.Scale, r.Blocks, r.RangeBlocks)
 	fmt.Fprintf(w, "  range read: %8.3fs, %6d reads sequenced of a %d-read cover budget + %d ejected (%.0f%% reads saved)\n",
 		r.StreamSeconds, r.StreamReads, r.RangeBudget, r.StreamEjected, 100*r.ReadsSaved)
-	fmt.Fprintf(w, "  stages (summed stage time, not wall time): parse/sign %.3fs, assign %.3fs (%d shards), finalize %.3fs (residue %.1f%%)\n",
-		r.StageASeconds, r.StageBSeconds, streamdecode.DefaultShards, r.FinalizeSeconds, 100*r.ResidueFrac)
+	fmt.Fprintf(w, "  stages (summed stage time, not wall time): parse/sign %.3fs, assign %.3fs (%d shards), finalize %.3fs (residue %.1f%%, %d reopens)\n",
+		r.StageASeconds, r.StageBSeconds, streamdecode.DefaultShards, r.FinalizeSeconds, 100*r.ResidueFrac, r.Reopens)
 	if r.RangeOK {
 		fmt.Fprintf(w, "  range content equals the written content: yes\n")
 	} else {

@@ -77,8 +77,36 @@ import (
 // floor a little above that decodes reliably while consuming a fraction
 // of the full budget, which provisions CoverageDepth×WasteFactor reads
 // per molecule up front. The floor is a heuristic, not a guarantee: a
-// decode that still fails escalates toward the full budget.
+// decode that still fails escalates toward the full budget. It is the
+// first rung of the EvidenceLadder and the second of the ContentLadder.
 const DefaultFloor = 6
+
+// ContentFloor is the ContentLadder's first rung: a cheaper floor a
+// content read tries before DefaultFloor. Most units already decode
+// and pass their seal at this coverage; one that does not costs a
+// failed finalize and no extra reads, since the stream resumes where
+// it stopped and reaches DefaultFloor in the state it would have
+// reached without the stop.
+const ContentFloor = 4
+
+// Ladder is the sequence of coverage floors a target's escalation
+// climbs: Expect starts a target on its first rung, and every Reopen
+// moves it one rung up. Past its first rungs a ladder doubles per
+// round.
+type Ladder int
+
+const (
+	// EvidenceLadder is DefaultFloor, 12, 24, …: the ladder of reads
+	// whose coverage is itself reported (health probes, supervised
+	// reads, scrub probes). Its first stop already has the coverage
+	// the reports were calibrated on, so an early stop never moves them.
+	EvidenceLadder Ladder = iota
+	// ContentLadder is ContentFloor, DefaultFloor, 12, 24, …: the
+	// ladder of reads that only need their content, which the decoder,
+	// not a fixed coverage, decides. Above its first rung it is the
+	// EvidenceLadder, rung for rung.
+	ContentLadder
+)
 
 // span locates one kept read inside the packed arena.
 type span struct {
@@ -106,6 +134,7 @@ type slotKey struct {
 // the slack tolerates. bump keeps it current as each read is credited,
 // so the stop test is O(1) per read instead of a walk over every slot.
 type floorState struct {
+	ladder   Ladder
 	versions []int
 	short    []int
 	over     int
@@ -191,6 +220,9 @@ type Stats struct {
 	// FinalizeJobs counts lane decodes: finalizes of a target's whole
 	// shard (plus the residue shard).
 	FinalizeJobs int
+	// Reopens counts escalations: one per Reopen of a target, so a
+	// content read whose ContentFloor finalize failed counts one.
+	Reopens int
 	// HandoffSeconds and FinalizeDiscarded are always 0: no finalize
 	// cuts a snapshot or is abandoned. They stay only for the benchmark
 	// harness's reads; ROADMAP item 1 deletes them together with those.
@@ -209,6 +241,7 @@ func (s *Stats) Accumulate(o Stats) {
 	s.FinalizeWaitSeconds += o.FinalizeWaitSeconds
 	s.HandoffSeconds += o.HandoffSeconds
 	s.FinalizeJobs += o.FinalizeJobs
+	s.Reopens += o.Reopens
 	s.FinalizeDiscarded += o.FinalizeDiscarded
 }
 
@@ -244,7 +277,7 @@ type Engine struct {
 	floors   map[int]*floorState // by Expect'd block
 	pending  int                 // Expect'd blocks not yet Done
 	targets  []int               // Expect'd blocks, ascending
-	reopened map[int]int         // escalation rounds: effective floor is DefaultFloor << n
+	reopened map[int]int         // escalation rounds: the rung effFloor reads off the target's ladder
 
 	stats Stats
 
@@ -288,8 +321,9 @@ var engines recycle.List[Engine]
 const DefaultShards = 8
 
 // New builds an engine decoding into the pipeline's partition with the
-// given number of assignment shards (plus the residue shard) and the
-// DefaultFloor coverage floor. shards <= 0 selects DefaultShards;
+// given number of assignment shards (plus the residue shard); each
+// target's coverage floor is the first rung of the ladder Expect
+// registers it on. shards <= 0 selects DefaultShards;
 // shards == 1 is the single-shard engine, whose assignments are
 // bit-identical to cluster.Group on the kept read sequence. workers
 // bounds the engine's internal fan-out (0 means 1, negative means
@@ -395,13 +429,13 @@ func (e *Engine) Release() {
 	engines.Put(e)
 }
 
-// SetSlack overrides the erasure slack the coverage floor tolerates.
-// The default (half the unit's RS parity) optimizes read cost: the
-// floor stops without waiting out the coupon-collector tail for the
-// rarest strand species, letting the parity erase what is thin. Health
-// probes set 0 — they exist to report slot-level state, so stopping
-// while an expected slot is still unobserved would forge a missing
-// slot on a healthy block.
+// SetSlack overrides the erasure slack the coverage floor tolerates, on
+// every rung of either ladder. The default (half the unit's RS parity)
+// optimizes read cost: the floor stops without waiting out the
+// coupon-collector tail for the rarest strand species, letting the
+// parity erase what is thin. Health probes of a lone block set 0 — they
+// exist to report slot-level state, so stopping while an expected slot
+// is still unobserved would forge a missing slot on a healthy block.
 func (e *Engine) SetSlack(n int) {
 	if n < 0 {
 		return
@@ -418,12 +452,15 @@ func (e *Engine) Stats() Stats { return e.stats }
 // laneFor maps a block to its assignment shard.
 func (e *Engine) laneFor(block int) int { return cluster.ShardOf(block, e.shards) }
 
-// Expect registers a target block and the unit versions that physically
-// exist for it; Done tracks the coverage floor over exactly these
-// (version, intra) slots. Blocks never registered are non-targets:
+// Expect registers a target block, the unit versions that physically
+// exist for it, and the ladder of floors its escalation climbs; Done
+// tracks the coverage floor over exactly these (version, intra) slots,
+// starting at the ladder's first rung. Registering a target again
+// recounts it against the new versions and ladder, on the rung its
+// Reopen count has reached. Blocks never registered are non-targets:
 // their reads still cluster, but they have no floor and IsTarget
 // reports false for them.
-func (e *Engine) Expect(block int, versions []int) {
+func (e *Engine) Expect(block int, versions []int, ladder Ladder) {
 	f := e.floors[block]
 	if f == nil {
 		at := sort.SearchInts(e.targets, block)
@@ -433,6 +470,7 @@ func (e *Engine) Expect(block int, versions []int) {
 		f = &floorState{}
 		e.floors[block] = f
 	}
+	f.ladder = ladder
 	f.versions = append([]int(nil), versions...)
 	f.short = make([]int, len(versions))
 	e.refloor(block)
@@ -602,12 +640,19 @@ func (e *Engine) bump(s slotAddr) {
 	}
 }
 
-// effFloor is the block's current coverage floor: DefaultFloor,
-// doubled per escalation round. The shift saturates so repeated
-// escalation of an unrecoverable block degrades into "never done" —
-// the stream then runs to its read budget.
+// effFloor is the block's current coverage floor: its ladder's rung
+// after as many escalation rounds as it has been reopened. Past
+// ContentFloor both ladders are DefaultFloor doubled per round; the
+// shift saturates so repeated escalation of an unrecoverable block
+// degrades into "never done" — the stream then runs to its read budget.
 func (e *Engine) effFloor(block int) int {
 	n := e.reopened[block]
+	if f := e.floors[block]; f != nil && f.ladder == ContentLadder {
+		if n == 0 {
+			return ContentFloor
+		}
+		n--
+	}
 	if n > 24 {
 		return int(^uint(0) >> 2)
 	}
@@ -615,16 +660,16 @@ func (e *Engine) effFloor(block int) int {
 }
 
 // Done reports whether every expected version of the block has reached
-// its coverage floor — the signal to stop (or redirect) sequencing for
-// it. A version tolerates up to half the RS parity in slots below the
-// floor: waiting for the very rarest strand species is a pure
+// its current coverage floor — the signal to stop (or redirect)
+// sequencing for it. A version tolerates up to the slack in slots below
+// the floor: waiting for the very rarest strand species is a pure
 // coupon-collector tail (the last slot of a unit costs a multiple of
 // what the first fourteen did), while the unit decoder erases its
-// thinnest slots and lets the parity carry them. A thin slot the
-// erasure margin cannot absorb fails the finalize, and Reopen takes it
-// from there. Unregistered blocks are never done. The verdict reads the
-// counts bump keeps, so it costs O(1): the pore gate asks it for every
-// molecule it draws.
+// thinnest slots and lets the parity carry them. A floor that proves
+// too shallow fails the finalize — at ContentFloor that is an expected
+// outcome, not a fault — and Reopen takes it from there. Unregistered
+// blocks are never done. The verdict reads the counts bump keeps, so
+// it costs O(1): the pore gate asks it for every molecule it draws.
 func (e *Engine) Done(block int) bool {
 	f := e.floors[block]
 	return f != nil && f.met()
@@ -654,16 +699,18 @@ func (e *Engine) CoverageEstimate() float64 {
 	return float64(total) / float64(slots)
 }
 
-// Reopen escalates a block after a failed finalize: its coverage floor
-// doubles and its floor counts are rebuilt against it, so sequencing
-// (and gating) resumes for its strands until the raised floor — or the
-// caller's read budget — is hit. The floor proved too shallow once, so
-// the next stop demands twice the evidence; repeated failures degrade
-// exponentially fast into the full-budget behavior. Nothing of an
-// earlier finalize is kept, so the next one decodes every read the
-// escalation adds.
+// Reopen escalates a block after a failed finalize: it moves one rung
+// up its ladder and its floor counts are rebuilt against the new
+// floor, so sequencing (and gating) resumes for its strands until the
+// raised floor — or the caller's read budget — is hit. On the
+// ContentLadder the first Reopen raises ContentFloor to DefaultFloor,
+// the EvidenceLadder's first rung; every later one doubles the floor,
+// so repeated failures degrade exponentially fast into the full-budget
+// behavior. Nothing of an earlier finalize is kept, so the next one
+// decodes every read the escalation adds.
 func (e *Engine) Reopen(block int) {
 	e.reopened[block]++
+	e.stats.Reopens++
 	if e.floors[block] != nil {
 		e.refloor(block)
 	}

@@ -3,6 +3,7 @@ package streamdecode
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -266,63 +267,92 @@ func TestEngineMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestEngineCoverageFloor pins Done semantics: a target block becomes
-// done when all but the erasure slack of its expected (version, intra)
-// slots hold at least the floor's reads, and Reopen clears the verdict.
+// ladderRungs lists each ladder's first floors, in escalation order.
+var ladderRungs = []struct {
+	name   string
+	ladder Ladder
+	rungs  []int
+}{
+	{"content", ContentLadder, []int{ContentFloor, DefaultFloor, 2 * DefaultFloor, 4 * DefaultFloor}},
+	{"evidence", EvidenceLadder, []int{DefaultFloor, 2 * DefaultFloor, 4 * DefaultFloor, 8 * DefaultFloor}},
+}
+
+// TestEngineCoverageFloor pins Done semantics on both ladders: a target
+// block becomes done when all but the erasure slack of its expected
+// (version, intra) slots hold at least its ladder's first floor, Reopen
+// clears the verdict, and each Reopen moves the floor one rung up.
 func TestEngineCoverageFloor(t *testing.T) {
 	enc := newEncoder(t)
 	pipe := newPipeline(t, enc)
-	r := rng.New(5)
-	strands := enc.encodeUnit(t, 17, 0, unitData(r, enc.unit.DataBytes()))
-	eng, err := New(pipe, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Expect(17, []int{0})
-	if eng.IsTarget(3) || !eng.IsTarget(17) {
-		t.Fatal("target registration broken")
-	}
-	if eng.slack < 1 || eng.slack >= len(strands) {
-		t.Fatalf("slack %d outside the unit's geometry", eng.slack)
-	}
-	// Cover all but the last slack+1 strands to the floor, and those to
-	// one read below it: one slot too many short of the floor, so the
-	// erasure margin cannot absorb them all. Noiseless copies: every
-	// read parses, so the counts are exact and the Done flip happens at
-	// precisely the slack boundary.
-	thin := len(strands) - eng.slack - 1
-	var batch []dna.Seq
-	for _, s := range strands[:thin] {
-		for c := 0; c < DefaultFloor; c++ {
-			batch = append(batch, channel.Corrupt(r, s, channel.Noiseless()))
-		}
-	}
-	for _, s := range strands[thin:] {
-		for c := 0; c < DefaultFloor-1; c++ {
-			batch = append(batch, channel.Corrupt(r, s, channel.Noiseless()))
-		}
-	}
-	eng.Add(batch, nil)
-	if eng.Done(17) {
-		t.Fatal("done with one slot more than the slack below the floor")
-	}
-	if eng.AllDone() {
-		t.Fatal("AllDone with an unfinished target")
-	}
-	eng.Add([]dna.Seq{channel.Corrupt(r, strands[thin], channel.Noiseless())}, nil)
-	if !eng.Done(17) || !eng.AllDone() {
-		t.Fatal("slack boundary met but not done")
-	}
-	eng.Reopen(17)
-	if eng.Done(17) {
-		t.Fatal("reopened block reported done")
-	}
-	res, err := eng.FinalizeBlock(17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Units[0].Data) != enc.unit.DataBytes() {
-		t.Fatalf("decoded %d bytes", len(res.Units[0].Data))
+	for _, tc := range ladderRungs {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rng.New(5)
+			strands := enc.encodeUnit(t, 17, 0, unitData(r, enc.unit.DataBytes()))
+			eng, err := New(pipe, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Release()
+			eng.Expect(17, []int{0}, tc.ladder)
+			if eng.IsTarget(3) || !eng.IsTarget(17) {
+				t.Fatal("target registration broken")
+			}
+			if eng.slack < 1 || eng.slack >= len(strands) {
+				t.Fatalf("slack %d outside the unit's geometry", eng.slack)
+			}
+			floor := tc.rungs[0]
+			if got := eng.effFloor(17); got != floor {
+				t.Fatalf("registered on floor %d, want %d", got, floor)
+			}
+			// Cover all but the last slack+1 strands to the floor, and
+			// those to one read below it: one slot too many short of the
+			// floor, so the erasure margin cannot absorb them all.
+			// Noiseless copies: every read parses, so the counts are exact
+			// and the Done flip happens at precisely the slack boundary.
+			thin := len(strands) - eng.slack - 1
+			var batch []dna.Seq
+			for _, s := range strands[:thin] {
+				for c := 0; c < floor; c++ {
+					batch = append(batch, channel.Corrupt(r, s, channel.Noiseless()))
+				}
+			}
+			for _, s := range strands[thin:] {
+				for c := 0; c < floor-1; c++ {
+					batch = append(batch, channel.Corrupt(r, s, channel.Noiseless()))
+				}
+			}
+			eng.Add(batch, nil)
+			if eng.Done(17) {
+				t.Fatal("done with one slot more than the slack below the floor")
+			}
+			if eng.AllDone() {
+				t.Fatal("AllDone with an unfinished target")
+			}
+			eng.Add([]dna.Seq{channel.Corrupt(r, strands[thin], channel.Noiseless())}, nil)
+			if !eng.Done(17) || !eng.AllDone() {
+				t.Fatal("slack boundary met but not done")
+			}
+			eng.Reopen(17)
+			if eng.Done(17) {
+				t.Fatal("reopened block reported done")
+			}
+			res, err := eng.FinalizeBlock(17)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Units[0].Data) != enc.unit.DataBytes() {
+				t.Fatalf("decoded %d bytes", len(res.Units[0].Data))
+			}
+			for i, want := range tc.rungs[1:] {
+				if got := eng.effFloor(17); got != want {
+					t.Fatalf("after %d Reopens: floor %d, want %d", i+1, got, want)
+				}
+				eng.Reopen(17)
+			}
+			if got := eng.Stats().Reopens; got != len(tc.rungs) {
+				t.Fatalf("%d Reopens counted, want %d", got, len(tc.rungs))
+			}
+		})
 	}
 }
 
@@ -366,7 +396,7 @@ func TestEngineShardedMatchesBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, b := range blocks {
-			eng.Expect(b, []int{0})
+			eng.Expect(b, []int{0}, EvidenceLadder)
 		}
 		feed(eng, reads, 97)
 		// Re-derive each shard's read subsequence the way stage A routes
@@ -431,46 +461,60 @@ func TestEngineShardedMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestEngineReopen escalates a target after its floor was met: Reopen
-// clears its verdict until a doubled floor fills, and the drain after
-// the escalation still matches the oracle decode.
+// TestEngineReopen escalates a target after its floor was met, on both
+// ladders: Reopen clears its verdict until the floor climbs past what
+// the reads hold, a second pass of the reads fills it, and the drain
+// after the escalation still matches the oracle decode. The content
+// ladder takes one Reopen more to reach the same floor, 2×DefaultFloor.
 func TestEngineReopen(t *testing.T) {
 	enc := newEncoder(t)
 	pipe := newPipeline(t, enc)
 	reads := poolReads(t, enc, rng.New(11), channel.Illumina(), false)
 	blocks := []int{2, 17, 40}
-	eng, err := New(pipe, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range blocks {
-		eng.Expect(b, []int{0})
-	}
-	feed(eng, reads, 97)
-	if !eng.AllDone() {
-		t.Fatal("eight noisy copies per strand did not satisfy the floor")
-	}
-	eng.Reopen(17)
-	if eng.Done(17) {
-		t.Fatal("reopened block reported done")
-	}
-	feed(eng, reads, 97) // same pool again: doubles every slot's coverage
-	if !eng.Done(17) {
-		t.Fatal("doubled floor not met by a second pass of the pool")
-	}
-	all, err := eng.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
 	wantBlk, err := newOracle(t, pipe, reads).block(17)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(decodedData(all[17]), decodedData(wantBlk)) {
-		t.Fatal("post-escalation content diverges from the oracle")
-	}
-	if eng.Stats().FinalizeSeconds <= 0 {
-		t.Fatal("finalize compute unaccounted")
+	for _, tc := range ladderRungs {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := New(pipe, 4, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Release()
+			for _, b := range blocks {
+				eng.Expect(b, []int{0}, tc.ladder)
+			}
+			feed(eng, reads, 97)
+			if !eng.AllDone() {
+				t.Fatal("eight noisy copies per strand did not satisfy the floor")
+			}
+			rounds := 0
+			for eng.effFloor(17) < 2*DefaultFloor {
+				eng.Reopen(17)
+				rounds++
+			}
+			if eng.Done(17) {
+				t.Fatal("reopened block reported done")
+			}
+			if want := slices.Index(tc.rungs, 2*DefaultFloor); rounds != want || eng.Stats().Reopens != want {
+				t.Fatalf("%d rounds (%d counted) to floor %d, want %d", rounds, eng.Stats().Reopens, 2*DefaultFloor, want)
+			}
+			feed(eng, reads, 97) // same pool again: doubles every slot's coverage
+			if !eng.Done(17) {
+				t.Fatal("doubled floor not met by a second pass of the pool")
+			}
+			all, err := eng.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(decodedData(all[17]), decodedData(wantBlk)) {
+				t.Fatal("post-escalation content diverges from the oracle")
+			}
+			if eng.Stats().FinalizeSeconds <= 0 {
+				t.Fatal("finalize compute unaccounted")
+			}
+		})
 	}
 }
 
@@ -490,7 +534,7 @@ func TestEngineFinalizeSharesLaneDecodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range blocks {
-		eng.Expect(b, []int{0})
+		eng.Expect(b, []int{0}, EvidenceLadder)
 	}
 	feed(eng, reads, 97)
 	all, err := eng.Finalize()
@@ -595,7 +639,7 @@ func TestEngineAddAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A registered target puts the floor accounting on the pinned path.
-	eng.Expect(17, []int{0})
+	eng.Expect(17, []int{0}, EvidenceLadder)
 	var warm []dna.Seq
 	for _, s := range strands {
 		for c := 0; c < 8; c++ {
@@ -683,7 +727,7 @@ func TestEngineAdmitMatchesOneReadAdds(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, b := range tc.targets {
-				eng.Expect(b, []int{0})
+				eng.Expect(b, []int{0}, EvidenceLadder)
 			}
 			return eng
 		}
@@ -801,8 +845,9 @@ func checkFloors(t *testing.T, e *Engine, when string) {
 // TestEngineFloorCountsMatchRecount checks the incremental floor
 // accounting against a brute-force recount of the coverage counts
 // after every read, at zero and the default slack, through two Reopen
-// rounds of one target — including a multi-version target and one
-// that expects a version no read carries, so it is never done.
+// rounds of one target on the content ladder — including a
+// multi-version target and one that expects a version no read
+// carries, so it is never done.
 func TestEngineFloorCountsMatchRecount(t *testing.T) {
 	enc := newEncoder(t)
 	pipe := newPipeline(t, enc)
@@ -824,9 +869,9 @@ func TestEngineFloorCountsMatchRecount(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng.SetSlack(slack)
-		eng.Expect(2, []int{0})
-		eng.Expect(17, []int{0, 1})
-		eng.Expect(40, []int{0, 3})
+		eng.Expect(2, []int{0}, EvidenceLadder)
+		eng.Expect(17, []int{0, 1}, ContentLadder)
+		eng.Expect(40, []int{0, 3}, EvidenceLadder)
 		checkFloors(t, eng, "registration")
 		reopens := 0
 		for i, rd := range reads {
@@ -839,7 +884,7 @@ func TestEngineFloorCountsMatchRecount(t *testing.T) {
 			}
 			if i == len(reads)/2 {
 				// Re-registering a target recounts it from scratch.
-				eng.Expect(2, []int{0})
+				eng.Expect(2, []int{0}, EvidenceLadder)
 				checkFloors(t, eng, "after re-Expect")
 			}
 		}

@@ -46,7 +46,7 @@ type reaction struct {
 // block 17.
 func react(e *Engine, reads []dna.Seq, targets []int) reaction {
 	for _, b := range targets {
-		e.Expect(b, []int{0})
+		e.Expect(b, []int{0}, EvidenceLadder)
 	}
 	feed(e, reads, 97)
 	if len(targets) > 0 {
@@ -178,7 +178,7 @@ func TestEngineReuseAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, b := range []int{2, 17, 40} {
-			e.Expect(b, []int{0})
+			e.Expect(b, []int{0}, EvidenceLadder)
 		}
 		e.Add(reads, nil)
 		if _, err := e.Finalize(); err != nil {
