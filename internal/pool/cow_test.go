@@ -2,9 +2,11 @@ package pool
 
 import (
 	"math"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"dnastore/internal/dna"
 	"dnastore/internal/rng"
@@ -145,6 +147,64 @@ func TestCloneAllocs(t *testing.T) {
 	}
 }
 
+// TestBoostCopiesOnlyAbundances pins what a reaction's copy-on-write
+// costs: boosting every species of a clone, as a PCR apply phase does,
+// copies the clone's abundance segments and nothing else. The bound is
+// four abundance segments (segment header plus segLen float64s each)
+// and 512 bytes for the clone's slice headers; copying a record segment
+// too would cost four times that again. Every record segment stays
+// shared with the parent, whose digest and abundances do not move. The
+// byte count is process-wide, so the least of a few tries is taken.
+func TestBoostCopiesOnlyAbundances(t *testing.T) {
+	const n = 4 * segLen
+	p := randomPool(12, n, 60)
+	before := p.Digest()
+	abundances := make([]float64, n)
+	for i := range abundances {
+		abundances[i] = p.Abundance(i)
+	}
+	var c *Pool
+	got := uint64(math.MaxUint64)
+	for try := 0; try < 5; try++ {
+		c = p.Clone()
+		runtime.GC() // empty the free lists: every copy below is a fresh allocation
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < n; i++ {
+			c.Boost(i, 1)
+		}
+		runtime.ReadMemStats(&m1)
+		got = min(got, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	budget := 4*(unsafe.Sizeof(abSeg{})+segLen*unsafe.Sizeof(float64(0))) + 512
+	t.Logf("boosting every species of a %d-species clone allocated %d bytes", n, got)
+	if got > uint64(budget) {
+		t.Errorf("boosting every species of a %d-species clone allocated %d bytes, want <= %d", n, got, budget)
+	}
+	if len(c.segs) != len(p.segs) {
+		t.Fatalf("clone holds %d record segments, parent %d", len(c.segs), len(p.segs))
+	}
+	for si := range p.segs {
+		if c.segs[si] != p.segs[si] {
+			t.Errorf("record segment %d was copied, want it shared with the parent", si)
+		}
+		if c.abs[si] == p.abs[si] {
+			t.Errorf("abundance segment %d is still shared after the clone boosted it", si)
+		}
+	}
+	if p.Digest() != before {
+		t.Error("parent digest changed when its clone was boosted")
+	}
+	for i, want := range abundances {
+		if got := p.Abundance(i); got != want {
+			t.Fatalf("parent abundance %d = %v, want %v", i, got, want)
+		}
+		if got := c.Abundance(i); got != want+1 {
+			t.Fatalf("clone abundance %d = %v, want %v", i, got, want+1)
+		}
+	}
+}
+
 // TestMixIntoAllocs pins the warm mix path: re-mixing a source whose
 // species all exist in the destination touches only existing records.
 func TestMixIntoAllocs(t *testing.T) {
@@ -253,8 +313,9 @@ func mutateRandomly(p *Pool, seed uint64) {
 // hands back only what it wrote since its latest Clone. After either
 // side of a clone chain is released and fresh pools overwrite the
 // recycled storage, the tube and every surviving clone keep their
-// digests. The collector is off so the fresh pools really draw the
-// released segments and chunks.
+// digests, and no abundance segment the victim shared is ever handed
+// out (a taker would restamp its epoch). The collector is off so the
+// fresh pools really draw the released segments and chunks.
 func TestReleaseKeepsSharedStorage(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, victim := range []string{"a", "b"} {
@@ -274,9 +335,17 @@ func TestReleaseKeepsSharedStorage(t *testing.T) {
 		delete(pools, victim)
 		g := rel.gen.Load()
 		segs, chunks := map[*segment]bool{}, map[*byte]bool{}
+		abs, sharedAbs := map[*abSeg]bool{}, map[*abSeg]uint64{}
 		for _, s := range rel.segs {
 			if s.gen == g {
 				segs[s] = true
+			}
+		}
+		for _, a := range rel.abs {
+			if a.gen == g {
+				abs[a] = true
+			} else {
+				sharedAbs[a] = a.gen
 			}
 		}
 		for _, ch := range rel.chunks {
@@ -284,15 +353,16 @@ func TestReleaseKeepsSharedStorage(t *testing.T) {
 				chunks[&ch.b[0]] = true
 			}
 		}
-		if len(segs) == 0 || len(chunks) == 0 {
-			t.Fatalf("%s owns %d segments and %d chunks, want some of each", victim, len(segs), len(chunks))
+		if len(segs) == 0 || len(chunks) == 0 || len(abs) == 0 || len(sharedAbs) == 0 {
+			t.Fatalf("%s owns %d segments, %d chunks and %d abundance segments and shares %d, want some of each",
+				victim, len(segs), len(chunks), len(abs), len(sharedAbs))
 		}
 		rel.Release()
 		if rel.Len() != 0 || rel.Total() != 0 {
 			t.Fatalf("released %s holds %d species, total %v", victim, rel.Len(), rel.Total())
 		}
 		// Fresh pools draw the released storage and overwrite it.
-		reusedSegs, reusedChunks := 0, 0
+		reusedSegs, reusedChunks, reusedAbs := 0, 0, 0
 		for i := uint64(0); i < 3; i++ {
 			f := tube.Clone()
 			mutateRandomly(f, 10+i)
@@ -308,10 +378,21 @@ func TestReleaseKeepsSharedStorage(t *testing.T) {
 						reusedChunks++
 					}
 				}
+				for _, a := range p.abs {
+					if abs[a] {
+						reusedAbs++
+					}
+				}
 			}
 		}
-		if reusedSegs == 0 || reusedChunks == 0 {
-			t.Errorf("release of %s: fresh pools reused %d segments and %d chunks, want some of each", victim, reusedSegs, reusedChunks)
+		if reusedSegs == 0 || reusedChunks == 0 || reusedAbs == 0 {
+			t.Errorf("release of %s: fresh pools reused %d segments, %d chunks and %d abundance segments, want some of each",
+				victim, reusedSegs, reusedChunks, reusedAbs)
+		}
+		for a, gen := range sharedAbs {
+			if a.gen != gen {
+				t.Errorf("release of %s handed back an abundance segment it shared (epoch %d restamped %d)", victim, gen, a.gen)
+			}
 		}
 		for name, p := range pools {
 			if p.Digest() != want[name] {
@@ -322,27 +403,35 @@ func TestReleaseKeepsSharedStorage(t *testing.T) {
 }
 
 // TestReleaseRecyclesWholeReaction pins that the free lists take back
-// all the record segments of a reaction-sized pool: a fresh pool of the
-// same size draws every one of them instead of allocating. The pool is
+// all the record and abundance segments of a reaction-sized pool: a
+// fresh pool of the same size draws every one of them instead of
+// allocating. The pool is
 // as large as an aged tube's amplified product. The collector is off
 // so the weak free lists keep what was put.
 func TestReleaseRecyclesWholeReaction(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const n = 23 * segLen
 	rel := randomPool(61, n, 150)
-	segs := map[*segment]bool{}
-	for _, s := range rel.segs {
-		segs[s] = true
+	segs, abs := map[*segment]bool{}, map[*abSeg]bool{}
+	for si := range rel.segs {
+		segs[rel.segs[si]] = true
+		abs[rel.abs[si]] = true
 	}
 	rel.Release()
 	fresh := randomPool(62, n, 150)
-	reused := 0
-	for _, s := range fresh.segs {
-		if segs[s] {
+	reused, reusedAbs := 0, 0
+	for si := range fresh.segs {
+		if segs[fresh.segs[si]] {
 			reused++
+		}
+		if abs[fresh.abs[si]] {
+			reusedAbs++
 		}
 	}
 	if reused != len(segs) {
 		t.Errorf("fresh pool reused %d of %d released segments", reused, len(segs))
+	}
+	if reusedAbs != len(abs) {
+		t.Errorf("fresh pool reused %d of %d released abundance segments", reusedAbs, len(abs))
 	}
 }

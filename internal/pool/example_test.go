@@ -8,13 +8,13 @@ import (
 )
 
 // The copy-on-write snapshot contract: Clone is O(1) — one header,
-// sharing the arena and record segments — and fully isolated from
-// later mutations on either side.
+// sharing the arena, record and abundance segments — and fully
+// isolated from later mutations on either side.
 func ExamplePool_Clone() {
 	p := pool.New()
 	p.Add(dna.MustFromString("ACGTACGT"), 10, pool.Meta{Block: 1})
 	snap := p.Clone()
-	p.Boost(0, 90) // the parent copies only the segment it touches
+	p.Boost(0, 90) // the parent copies only the abundance segment it touches
 	fmt.Println(snap.Abundance(0), p.Abundance(0))
 	// Output: 10 100
 }

@@ -20,11 +20,20 @@
 // of earlier revisions is an open-addressed hash over arena spans, so
 // Add probes without materializing a key string.
 //
-// Clone is O(1) copy-on-write: parent and child share the arena and
-// the record segments behind a write epoch, and the first mutation on
-// either side copies only the segments (and slice headers) it touches.
-// A snapshot therefore costs one allocation regardless of pool size,
-// and an unmutated snapshot stays free. The COW contract is what makes
+// A species is split in two: an immutable record (span address and
+// provenance) and a mutable abundance. Records and abundances live in
+// parallel fixed-size segments, so a reaction that grows every species
+// of a tube rewrites only abundance segments, 8 bytes per species, and
+// never copies a record.
+//
+// Clone is O(1) copy-on-write: parent and child share the arena, the
+// record segments and the abundance segments behind a write epoch, and
+// the first mutation on either side copies only the segments (and
+// slice headers) it touches. Abundance writes copy abundance segments
+// only; record segments are written only by appending a species, so a
+// clone shares every full record segment with its parent for life. A
+// snapshot therefore costs one allocation regardless of pool size, and
+// an unmutated snapshot stays free. The COW contract is what makes
 // zero-copy views safe: sequences in the arena are immutable for the
 // life of every pool that can address them.
 //
@@ -88,14 +97,14 @@ type Species struct {
 	Meta      Meta
 }
 
-// record is the flat in-pool form of one species: a 2-bit arena span
-// address plus abundance and provenance, with the partition name
-// interned. Records are pointer-free, so a segment copy is one memcpy
-// and the GC never scans species.
+// record is the immutable in-pool form of one species: a 2-bit arena
+// span address plus provenance, with the partition name interned. The
+// species' abundance lives apart, in the abundance segment at the same
+// position. Records are pointer-free, so the GC never scans species,
+// and once appended a record never changes.
 type record struct {
 	off       uint32 // arena span start: chunk index << chunkShift | byte offset
 	n         int32  // base count; the span holds (n+3)/4 packed bytes
-	abundance float64
 	part      uint32 // interned partition-name index
 	block     int32
 	version   int32
@@ -105,11 +114,12 @@ type record struct {
 }
 
 const (
-	// Records live in fixed segments so the copy unit of a COW write is
-	// bounded: one segment, not the whole pool.
+	// Records and abundances live in fixed segments so the copy unit of
+	// a COW write is bounded: one segment, not the whole pool.
 	segShift = 10
 	segLen   = 1 << segShift
 	segMask  = segLen - 1
+	minSeg   = 16 // first capacity of a segment's slices; they double up to segLen
 
 	// Arena chunks occupy a fixed address stride so a uint32 span
 	// offset splits into (chunk, byte) with shifts. Physical chunk
@@ -132,13 +142,22 @@ type arenaChunk struct {
 	gen uint64
 }
 
-// segment is one fixed-capacity run of records, tagged with the write
-// epoch that owns it. A pool may write a segment in place only when the
-// tags match; otherwise the segment is shared with a snapshot and is
-// copied first.
+// segment is one run of up to segLen records, tagged with the write
+// epoch that owns it. Only appendRecord writes one: in place when the
+// tags match, otherwise (the tail is shared with a snapshot) after
+// copying it.
 type segment struct {
 	gen  uint64
 	recs []record
+}
+
+// abSeg holds the abundances of the species of the record segment at
+// the same position, tagged with the write epoch that owns it. Every
+// abundance write goes through writableAb, which copies a segment
+// shared with a snapshot first.
+type abSeg struct {
+	gen uint64
+	v   []float64
 }
 
 // lastPoolID hands out process-unique pool identities; ids are never
@@ -167,7 +186,8 @@ type Pool struct {
 	grown  int // chunks opened by this pool, for geometric sizing
 
 	segs []*segment
-	n    int // total records across segs
+	abs  []*abSeg // abundances, parallel to segs
+	n    int      // total records across segs
 
 	parts   []string          // interned partition names; index 0 is ""
 	partIdx map[string]uint32 // lazy inverse of parts
@@ -221,12 +241,13 @@ func (p *Pool) ID() uint64 { return p.id }
 
 // ensureOwned makes the pool's slice headers private before the first
 // mutation after a Clone. The segments and chunks they point at stay
-// shared; writableSeg and the arena epoch handle those.
+// shared; writableSeg, writableAb and the arena epoch handle those.
 func (p *Pool) ensureOwned() {
 	if !p.shared.Load() {
 		return
 	}
 	p.segs = append([]*segment(nil), p.segs...)
+	p.abs = append([]*abSeg(nil), p.abs...)
 	p.chunks = append([]arenaChunk(nil), p.chunks...)
 	p.parts = append([]string(nil), p.parts...)
 	p.partIdx = nil
@@ -236,17 +257,47 @@ func (p *Pool) ensureOwned() {
 // rec returns the i-th record for reading.
 func (p *Pool) rec(i int) *record { return &p.segs[i>>segShift].recs[i&segMask] }
 
-// writableSeg returns segment si, copying it first if it is shared with
-// a snapshot (its epoch differs from the pool's).
+// ab returns the i-th abundance for reading.
+func (p *Pool) ab(i int) float64 { return p.abs[i>>segShift].v[i&segMask] }
+
+// writableSeg returns record segment si, copying it first if it is
+// shared with a snapshot (its epoch differs from the pool's). Only
+// appendRecord may call it: records are immutable once appended.
 func (p *Pool) writableSeg(si int) *segment {
 	s := p.segs[si]
 	g := p.gen.Load()
 	if s.gen == g {
 		return s
 	}
-	ns := newSeg(g)
+	ns := newSeg(g, cap(s.recs))
 	ns.recs = append(ns.recs, s.recs...)
 	p.segs[si] = ns
+	return ns
+}
+
+// writableAb returns abundance segment si, copying it first if it is
+// shared with a snapshot.
+func (p *Pool) writableAb(si int) *abSeg {
+	a := p.abs[si]
+	g := p.gen.Load()
+	if a.gen == g {
+		return a
+	}
+	na := newAbSeg(g, cap(a.v))
+	na.v = append(na.v, a.v...)
+	p.abs[si] = na
+	return na
+}
+
+// withRoom returns s with room for one more element: a full s moves to
+// a slice of twice its capacity (minSeg at first), at most segLen, so a
+// full segment holds exactly segLen entries and no size-class slack.
+func withRoom[T any](s []T) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	ns := make([]T, len(s), min(max(2*cap(s), minSeg), segLen))
+	copy(ns, s)
 	return ns
 }
 
@@ -288,28 +339,34 @@ func (p *Pool) appendSpan(b []byte) uint32 {
 	return off
 }
 
-// appendRecord appends a record, opening or COW-copying the tail
-// segment as needed.
-func (p *Pool) appendRecord(r record) {
+// appendRecord appends a species with abundance a, opening or
+// COW-copying the tail record and abundance segments as needed. It is
+// the only writer of record segments.
+func (p *Pool) appendRecord(r record, a float64) {
 	si := p.n >> segShift
 	if si == len(p.segs) {
-		p.segs = append(p.segs, newSeg(p.gen.Load()))
+		g := p.gen.Load()
+		p.segs = append(p.segs, newSeg(g, 0))
+		p.abs = append(p.abs, newAbSeg(g, 0))
 	}
 	s := p.writableSeg(si)
-	s.recs = append(s.recs, r)
+	s.recs = append(withRoom(s.recs), r)
+	as := p.writableAb(si)
+	as.v = append(withRoom(as.v), a)
 	p.n++
 }
 
 // --- recycling ------------------------------------------------------------
 
 // Free lists of storage released pools owned exclusively, drawn from
-// by writableSeg, appendRecord, appendSpan and reindex. They hold weak
-// pointers (package recycle), so a garbage collection still frees
-// whatever no pool has taken back. Chunks are kept per geometric size
+// by writableSeg, writableAb, appendRecord, appendSpan and reindex.
+// They hold weak pointers (package recycle), so a garbage collection
+// still frees whatever no pool has taken back. Chunks are kept per geometric size
 // class and indexes per power-of-two size, so a taker gets exactly the
 // size it would have allocated.
 var (
 	freeSegs   recycle.List[segment]
+	freeAbs    recycle.List[abSeg]
 	freeChunks [chunkClasses]recycle.List[[]byte]
 	freeIdx    [32]recycle.List[[]int32] // by log2 of the slot count
 )
@@ -329,15 +386,31 @@ func chunkClass(size int) int {
 	return -1
 }
 
-// newSeg returns an empty segment owned by epoch gen, recycled when one
-// is free.
-func newSeg(gen uint64) *segment {
+// newSeg returns an empty record segment owned by epoch gen with room
+// for at least size records, recycled when one is free.
+func newSeg(gen uint64, size int) *segment {
 	s := freeSegs.Get()
 	if s == nil {
 		s = new(segment)
 	}
 	s.gen, s.recs = gen, s.recs[:0]
+	if cap(s.recs) < size {
+		s.recs = make([]record, 0, size)
+	}
 	return s
+}
+
+// newAbSeg is newSeg for an abundance segment.
+func newAbSeg(gen uint64, size int) *abSeg {
+	a := freeAbs.Get()
+	if a == nil {
+		a = new(abSeg)
+	}
+	a.gen, a.v = gen, a.v[:0]
+	if cap(a.v) < size {
+		a.v = make([]float64, 0, size)
+	}
+	return a
 }
 
 // newChunk returns an arena chunk of size bytes, recycled when one is
@@ -361,19 +434,25 @@ func newIdx(size int) []int32 {
 }
 
 // Release empties the pool and hands the storage it owns exclusively
-// to the free lists that later pools draw from: the record segments
-// and arena chunks stamped with its current write epoch, and its
-// species index. Everything written before the pool's latest Clone is
-// shared with a snapshot and stays where it is. Release is for a pool
-// whose life has ended, such as a reaction's amplified product once the
-// reaction is read out: every PackedSeq view taken from the pool ends
-// with it, as the released bytes may be overwritten by any other pool.
+// to the free lists that later pools draw from: the record and
+// abundance segments and arena chunks stamped with its current write
+// epoch, and its species index. Everything written before the pool's
+// latest Clone is shared with a snapshot and stays where it is.
+// Release is for a pool whose life has ended, such as a reaction's
+// amplified product once the reaction is read out: every PackedSeq
+// view taken from the pool ends with it, as the released bytes may be
+// overwritten by any other pool.
 // It must not race with any other use of the pool.
 func (p *Pool) Release() {
 	g := p.gen.Load()
-	for _, s := range p.segs {
-		if s.gen == g {
+	// Segments go back last first, so the free lists hand them out in
+	// pool order and the next reaction's full segments get full ones.
+	for si := len(p.segs) - 1; si >= 0; si-- {
+		if s := p.segs[si]; s.gen == g {
 			freeSegs.Put(s)
+		}
+		if a := p.abs[si]; a.gen == g {
+			freeAbs.Put(a)
 		}
 	}
 	for _, c := range p.chunks {
@@ -384,7 +463,7 @@ func (p *Pool) Release() {
 	if idx := p.idx; len(idx) > 0 {
 		freeIdx[bits.TrailingZeros(uint(len(idx)))].Put(&idx)
 	}
-	p.chunks, p.tail, p.grown, p.segs, p.n = nil, 0, 0, nil, 0
+	p.chunks, p.tail, p.grown, p.segs, p.abs, p.n = nil, 0, 0, nil, nil, 0
 	p.parts, p.partIdx, p.idx, p.idxUsed = nil, nil, nil, 0
 	p.total.Store(0)
 	p.totalDirty.Store(false)
@@ -526,8 +605,7 @@ func (p *Pool) add(key []byte, n int, abundance float64, meta Meta) int {
 		p.reindex()
 	}
 	if i := p.find(key, n); i >= 0 {
-		s := p.writableSeg(i >> segShift)
-		s.recs[i&segMask].abundance += abundance
+		p.writableAb(i >> segShift).v[i&segMask] += abundance
 		p.totalDirty.Store(true)
 		return i
 	}
@@ -536,12 +614,12 @@ func (p *Pool) add(key []byte, n int, abundance float64, meta Meta) int {
 	}
 	off := p.appendSpan(key)
 	p.appendRecord(record{
-		off: off, n: int32(n), abundance: abundance,
+		off: off, n: int32(n),
 		part:  p.partID(meta.Partition),
 		block: int32(meta.Block), version: int32(meta.Version),
 		intra: int32(meta.Intra), origin: int32(meta.OriginBlock),
 		misprimed: meta.Misprimed,
-	})
+	}, abundance)
 	p.insertIdx(p.n - 1)
 	if !p.totalDirty.Load() {
 		p.total.Store(math.Float64bits(math.Float64frombits(p.total.Load()) + abundance))
@@ -553,16 +631,14 @@ func (p *Pool) add(key []byte, n int, abundance float64, meta Meta) int {
 // the in-place growth operation of the PCR apply phase.
 func (p *Pool) Boost(i int, amount float64) {
 	p.ensureOwned()
-	s := p.writableSeg(i >> segShift)
-	s.recs[i&segMask].abundance += amount
+	p.writableAb(i >> segShift).v[i&segMask] += amount
 	p.totalDirty.Store(true)
 }
 
 // SetAbundance overwrites the abundance of the species at index i.
 func (p *Pool) SetAbundance(i int, v float64) {
 	p.ensureOwned()
-	s := p.writableSeg(i >> segShift)
-	s.recs[i&segMask].abundance = v
+	p.writableAb(i >> segShift).v[i&segMask] = v
 	p.totalDirty.Store(true)
 }
 
@@ -574,10 +650,10 @@ func (p *Pool) Scale(factor float64) {
 	}
 	p.init()
 	p.ensureOwned()
-	for si := range p.segs {
-		s := p.writableSeg(si)
-		for j := range s.recs {
-			s.recs[j].abundance *= factor
+	for si := range p.abs {
+		a := p.writableAb(si)
+		for j := range a.v {
+			a.v[j] *= factor
 		}
 	}
 	p.totalDirty.Store(true)
@@ -589,11 +665,11 @@ func (p *Pool) Scale(factor float64) {
 func (p *Pool) MixInto(src *Pool, factor float64) {
 	n := src.Len()
 	for i := 0; i < n; i++ {
-		r := src.rec(i)
-		a := r.abundance * factor
+		a := src.ab(i) * factor
 		if a <= 0 {
 			continue
 		}
+		r := src.rec(i)
 		p.init()
 		p.add(src.span(r), int(r.n), a, src.MetaAt(i))
 	}
@@ -605,7 +681,7 @@ func (p *Pool) MixInto(src *Pool, factor float64) {
 func (p *Pool) Len() int { return p.n }
 
 // Abundance returns the abundance of the species at index i.
-func (p *Pool) Abundance(i int) float64 { return p.rec(i).abundance }
+func (p *Pool) Abundance(i int) float64 { return p.ab(i) }
 
 // SeqLen returns the base count of the species at index i.
 func (p *Pool) SeqLen(i int) int { return int(p.rec(i).n) }
@@ -651,9 +727,9 @@ func (p *Pool) SpeciesAt(i int) Species {
 func (p *Pool) Total() float64 {
 	if p.totalDirty.Load() {
 		t := 0.0
-		for _, s := range p.segs {
-			for i := range s.recs {
-				t += s.recs[i].abundance
+		for _, a := range p.abs {
+			for _, v := range a.v {
+				t += v
 			}
 		}
 		// Concurrent readers may both recompute; they store the same
@@ -665,11 +741,11 @@ func (p *Pool) Total() float64 {
 }
 
 // Clone returns a copy-on-write snapshot: O(1) in time and allocation
-// regardless of pool size. Parent and child share the arena and record
-// segments behind fresh write epochs; whichever side mutates first
-// copies only the segments it touches, so the two are fully isolated.
-// The species index is not shared — the child rebuilds it on its first
-// Add.
+// regardless of pool size. Parent and child share the arena, record
+// and abundance segments behind fresh write epochs; whichever side
+// mutates first copies only the segments it touches, so the two are
+// fully isolated. The species index is not shared — the child rebuilds
+// it on its first Add.
 func (p *Pool) Clone() *Pool {
 	p.init()
 	// Fresh epochs on BOTH sides retire the shared tail chunk and mark
@@ -682,6 +758,7 @@ func (p *Pool) Clone() *Pool {
 		chunks: p.chunks,
 		tail:   p.tail,
 		segs:   p.segs,
+		abs:    p.abs,
 		n:      p.n,
 		parts:  p.parts,
 		id:     lastPoolID.Add(1),
@@ -707,7 +784,7 @@ func (p *Pool) Digest() [32]byte {
 		r := p.rec(i)
 		text = dna.PackedView(p.span(r), int(r.n)).AppendText(text[:0])
 		h.Write(text)
-		binary.LittleEndian.PutUint64(word[:], math.Float64bits(r.abundance))
+		binary.LittleEndian.PutUint64(word[:], math.Float64bits(p.ab(i)))
 		h.Write(word[:])
 		fmt.Fprintf(h, "%s/%d/%d/%d/%d/%v",
 			p.partName(r.part), r.block, r.version,
@@ -753,7 +830,7 @@ func (p *Pool) AbundanceByBlock(partition string) map[int]float64 {
 	for i := 0; i < p.n; i++ {
 		r := p.rec(i)
 		if int(r.part) == pid {
-			out[int(r.origin)] += r.abundance
+			out[int(r.origin)] += p.ab(i)
 		}
 	}
 	return out
@@ -774,8 +851,7 @@ func (p *Pool) TopSpecies(n int) []Species {
 	// worse orders the heap with the weakest candidate at the root:
 	// lower abundance, or at equal abundance a later insertion.
 	worse := func(a, b int32) bool {
-		aa, ab := p.rec(int(a)).abundance, p.rec(int(b)).abundance
-		if aa != ab {
+		if aa, ab := p.ab(int(a)), p.ab(int(b)); aa != ab {
 			return aa < ab
 		}
 		return a > b

@@ -181,9 +181,9 @@ func TestAddAllocsOnExisting(t *testing.T) {
 
 // TestMemoryPerSpecies pins the arena layout's footprint at tube scale:
 // 2x10^5 random 150-base strands added one by one retain at most 100
-// heap bytes per species (packed span, 40-byte record, index slot;
-// about 89 measured), and sampling reads into a reused buffer, the way
-// seqsim draws them, allocates nothing.
+// heap bytes per species (packed span, 32-byte record, 8-byte
+// abundance, index slot; about 88 measured), and sampling reads into a
+// reused buffer, the way seqsim draws them, allocates nothing.
 func TestMemoryPerSpecies(t *testing.T) {
 	const (
 		strands   = 200_000

@@ -17,10 +17,10 @@ import (
 )
 
 // Max bounds the entries a List holds; Put drops items past it. It is
-// sized so one list can take back every record segment a reaction over
-// an aged 13k-species tube releases (23 of 1024 records each), with
-// room to spare: a smaller bound drops the rest, and the next reaction
-// allocates them anew.
+// sized so one list can take back every record or abundance segment a
+// reaction over an aged 13k-species tube releases (23 of 1024 entries
+// each), with room to spare: a smaller bound drops the rest, and the
+// next reaction allocates them anew.
 const Max = 32
 
 // List is a bounded free list of *T. The zero value is an empty list
